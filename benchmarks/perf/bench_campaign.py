@@ -25,8 +25,8 @@ from repro.runner.atomic import atomic_write_text
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="Benchmark campaign execution: serial vs parallel "
-                    "vs cached.")
+        description="Benchmark campaign execution: serial vs the "
+                    "supervised pool vs cached.")
     parser.add_argument("--out", metavar="PATH",
                         default="BENCH_campaign.json",
                         help="output file (default: BENCH_campaign.json)")
@@ -78,20 +78,19 @@ def main(argv: list[str] | None = None) -> int:
     sim = doc["workloads"]["sim"]
     print(f"wrote {args.out}")
     print(f"  sim workload: {sim['serial']['units_per_sec']} -> "
-          f"{sim['parallel']['units_per_sec']} units/s "
+          f"{sim['supervised']['units_per_sec']} units/s "
           f"({doc['speedup_parallel']}x at "
           f"{doc['config']['workers']} workers)")
     cpu = doc["workloads"]["cpu"]
     clamp_note = (
-        f", clamped from {cpu['parallel']['workers_requested']} requested"
+        f", clamped from {cpu['supervised']['workers_requested']} "
+        "requested"
         if cpu["workers_clamped"] else "")
     print(f"  cpu workload: {doc['speedup_parallel_cpu_bound']}x at "
-          f"{cpu['parallel']['workers']} worker(s){clamp_note} "
+          f"{cpu['supervised']['workers']} worker(s){clamp_note} "
           f"(host has {doc['cpu_count']} CPU(s))")
     print(f"  cache hit rate (warm): "
           f"{100 * doc['cache_hit_rate']:.0f} %")
-    print(f"  supervision overhead (clean path): "
-          f"{100 * doc['supervision_overhead']:+.1f} %")
     return 0
 
 

@@ -26,9 +26,9 @@ from repro.runner.atomic import atomic_write_text
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="Benchmark the monotone-frontier fast paths: "
-                    "frontier campaign sweep and boundary-traced shmoo "
-                    "vs their exact equivalents.")
+        description="Benchmark the fast paths: the grid-evaluated "
+                    "campaign sweep and the boundary-traced shmoo vs "
+                    "their exact equivalents.")
     parser.add_argument("--out", metavar="PATH",
                         default="BENCH_frontier.json",
                         help="output file (default: BENCH_frontier.json)")
@@ -71,15 +71,12 @@ def main(argv: list[str] | None = None) -> int:
     campaign = doc["campaign"]
     shmoo = doc["shmoo"]
     print(f"wrote {args.out}")
-    print(f"  campaign (Table-1 sweep): "
+    print(f"  campaign (Table-1 sweep, grid evaluator): "
           f"{campaign['exact']['model_invocations']} -> "
-          f"{campaign['frontier']['model_invocations']} model invocations "
-          f"({doc['invocation_reduction_campaign']}x fewer), "
-          f"records byte-identical")
-    print(f"  batch (same sweep, vectorised): "
-          f"{campaign['speedup_batch']}x wall-clock vs exact "
-          f"({campaign['batch']['model_invocations']} scalar model "
-          f"invocations, cross-checks included), records byte-identical")
+          f"{campaign['batch']['model_invocations']} model invocations "
+          f"({doc['invocation_reduction_campaign']}x fewer, cross-checks "
+          f"included), {campaign['speedup_batch']}x wall-clock vs "
+          f"exact, records byte-identical")
     print(f"  shmoo (paper-sized grid): "
           f"{shmoo['exact']['tester_invocations']} -> "
           f"{shmoo['boundary']['tester_invocations']} tester invocations "

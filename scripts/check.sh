@@ -191,8 +191,7 @@ rm -f "$exp_journal"
 echo "== fast-path equivalence markers =="
 # Every guarded fast path must name the test file that proves it
 # byte-identical to its exact path -- and that file must exist.
-for module in src/repro/perf/frontier.py src/repro/perf/batch.py \
-              src/repro/tester/shmoo.py \
+for module in src/repro/perf/batch.py src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
@@ -217,7 +216,7 @@ python -m repro campaign run --rows 8 --columns 2 --bits 4 --sites 60 \
 # The text report must always render the failure-forensics sections
 # (with "(none)" when clean), and the JSON report must validate.
 report_txt="$(python -m repro report "$journal_out")" || status=$?
-for section in "Quarantines:" "Frontier demotions:" "Batch demotions:"; do
+for section in "Quarantines:" "Batch demotions:"; do
     if ! grep -qF "$section" <<<"$report_txt"; then
         echo "journal report: missing '$section' section"
         status=1

@@ -477,17 +477,11 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
     if injector is not None:
         flow.campaign.behavior = ChaosBehaviorModel(
             flow.campaign.behavior, injector)
-    strategy = getattr(args, "strategy", "exact")
-    if strategy in ("frontier", "batch") and args.workers > 1:
-        print(f"--strategy {strategy} is serial; drop --workers "
-              "(its group tables already shrink the work the pool "
-              "would parallelise)", file=sys.stderr)
-        return 2
     runner = flow.make_runner(
         args.checkpoint,
         retry=RetryPolicy(max_attempts=args.max_attempts,
                           base_delay=0.0, jitter=0.0),
-        workers=args.workers, cache=args.cache, strategy=strategy,
+        workers=args.workers, cache=args.cache,
         unit_deadline=args.unit_deadline,
         max_pool_rebuilds=args.max_pool_rebuilds,
         chunk_deadline_factor=args.chunk_deadline_factor,
@@ -518,22 +512,11 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
               f"{ss['poison_units']} poison unit(s) quarantined"
               + (f", {ss['degraded_units']} unit(s) DEGRADED to "
                  "serial" if ss["degraded_units"] else ""))
-    if result.frontier_stats is not None:
-        fs = result.frontier_stats
-        print(f"frontier: {fs['model_invocations']} model invocations "
-              f"over {fs['groups']} derived groups "
-              f"({fs['cached_groups']} cached, "
-              f"{fs['batch_sites']} batch / "
-              f"{fs['analytic_sites']} analytic / "
-              f"{fs['bisection_sites']} bisected / "
-              f"{fs['exact_sites'] + fs['demoted_sites']} exact sites, "
-              f"{fs['crosscheck_mismatches']} cross-check mismatches)")
     if result.batch_stats is not None:
         bs = result.batch_stats
         print(f"batch: {bs['model_invocations']} model invocations "
               f"over {bs['groups']} derived groups "
-              f"({bs['cached_groups']} cached, "
-              f"{bs['batch_sites']} batch / "
+              f"({bs['batch_sites']} batch / "
               f"{bs['fallback_sites'] + bs['demoted_sites']} fallback "
               f"sites, "
               f"{bs['crosscheck_mismatches']} cross-check mismatches)")
@@ -871,20 +854,14 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--save-db", metavar="PATH",
                         help="write the coverage database as JSON")
         cp.add_argument("--workers", type=int, default=1,
-                        help="evaluation processes (1 = serial; results "
+                        help="evaluation processes (1 = serial grid "
+                             "evaluator; N > 1 = exact per-site "
+                             "evaluation in a supervised pool; results "
                              "are byte-identical either way)")
         cp.add_argument("--cache", metavar="PATH", default=None,
                         help="content-addressed evaluation cache file "
                              "(skips already-simulated points; see "
                              "docs/performance.md)")
-        cp.add_argument("--strategy",
-                        choices=("exact", "frontier", "batch"),
-                        default="exact",
-                        help="unit evaluation: exact per-site sweep, "
-                             "the monotone-frontier threshold solver, "
-                             "or the vectorised batch kernel "
-                             "(both byte-identical to exact, far "
-                             "fewer model invocations; serial only)")
         cp.add_argument("--max-attempts", type=int, default=3,
                         help="retry attempts per site evaluation")
         cp.add_argument("--unit-deadline", type=float, default=None,

@@ -108,8 +108,7 @@ class MemoryTestFlow:
             yield_fraction: float | None = None,
             checkpoint_path=None,
             runner: CampaignRunner | None = None,
-            workers: int = 1, cache=None,
-            strategy: str = "exact", journal=None) -> FlowResult:
+            workers: int = 1, cache=None, journal=None) -> FlowResult:
         """Run the full flow and return database + estimator reports.
 
         Both campaigns execute chunked through the resilient runner
@@ -130,15 +129,13 @@ class MemoryTestFlow:
                 kill/resume of the whole flow.
             runner: Pre-configured runner (chaos injection, custom
                 retry policy); overrides ``checkpoint_path``,
-                ``workers``, ``cache`` and ``strategy``.
-            workers: Evaluation processes (1 = serial).
+                ``workers`` and ``cache``.
+            workers: Evaluation processes.  1 (default) runs the grid
+                evaluator (:mod:`repro.perf.batch`); N > 1 runs the
+                exact per-site evaluator in a supervised pool.
+                Records are byte-identical either way.
             cache: Optional :class:`~repro.perf.cache.EvaluationCache`
                 or cache-file path.
-            strategy: ``"exact"``, ``"frontier"`` (the monotone
-                threshold sweep solver, :mod:`repro.perf.frontier`) or
-                ``"batch"`` (the vectorised group evaluator,
-                :mod:`repro.perf.batch`); records are byte-identical
-                in all three.
             journal: Optional JSONL run-journal path (or event bus)
                 recording the campaign's structured event stream
                 (:mod:`repro.obs`); ``None`` keeps observability off
@@ -147,8 +144,7 @@ class MemoryTestFlow:
         specs = self.sweep_specs(bridge_resistances, open_resistances)
         if runner is None:
             runner = self.make_runner(checkpoint_path, workers=workers,
-                                      cache=cache, strategy=strategy,
-                                      journal=journal)
+                                      cache=cache, journal=journal)
         result = runner.run(specs)
         database = CoverageDatabase(result.records)
         estimator = FaultCoverageEstimator(database, density=self.density)

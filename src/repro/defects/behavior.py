@@ -41,7 +41,7 @@ Mechanisms implemented (paper cross-references):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -84,41 +84,6 @@ class Manifestation:
     cell: int
     stuck_value: int = 0
     severity: float = 1.0
-
-
-@dataclass(frozen=True)
-class ResistanceFrontier:
-    """A site's detection frontier along the resistance axis.
-
-    The paper's evaluation is monotone in R (Section 4.1, Figure 8): a
-    bridge is detected at or below a critical resistance, an open at or
-    above a threshold.  A frontier captures that structure for one
-    (site, condition) pair as an O(1) predicate, letting the sweep
-    solver (:mod:`repro.perf.frontier`) answer every resistance point
-    of a sweep without re-running the full behavioural evaluation.
-
-    The predicate must replicate the exact model's float arithmetic --
-    same operand order, same comparison operators -- so that frontier
-    answers are *byte-identical* to :meth:`DefectBehaviorModel.
-    fails_condition`, not merely approximately equal.
-
-    Attributes:
-        orientation: ``"detected_below"`` when the detected set is a
-            down-set in R (bridges), ``"detected_above"`` when it is an
-            up-set (opens).
-        detects: ``resistance -> bool``; True when a defect of this
-            site/strength at this resistance is detected under the
-            frontier's condition.
-    """
-
-    orientation: str
-    detects: Callable[[float], bool]
-
-    def __post_init__(self) -> None:
-        if self.orientation not in ("detected_below", "detected_above"):
-            raise ValueError(
-                f"orientation must be 'detected_below' or "
-                f"'detected_above', got {self.orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -543,167 +508,6 @@ class DefectBehaviorModel:
         return slack / cap
 
     # ------------------------------------------------------------------
-    # Monotone-frontier declarations (repro.perf.frontier fast path)
-    # ------------------------------------------------------------------
-    def resistance_monotonicity(self, defect: Defect,
-                                condition: StressCondition) -> str | None:
-        """Direction in which detection is monotone in resistance.
-
-        Every stock mechanism is monotone along R at a fixed condition:
-        bridges are detected at or below a critical resistance (the
-        voltage-divider loses to the restoring path above it), opens at
-        or above a threshold (R*C delay, retention weakening and the
-        decoder hazard all grow with R).  Note this says nothing about
-        monotonicity in Vdd -- Table 1's Vmax collapse is non-monotone
-        there -- only about the R axis the sweep solver bisects.
-
-        Subclasses adding a non-monotone mechanism must override this
-        to return ``None`` for the affected (defect, condition) pairs;
-        the sweep solver then falls back to exact per-point evaluation.
-
-        Args:
-            defect: The site (resistance ignored).
-            condition: The stress condition of the sweep.
-
-        Returns:
-            ``"detected_below"`` for bridges, ``"detected_above"`` for
-            opens; ``None`` would mean "not monotone, evaluate exactly".
-        """
-        if defect.kind is DefectKind.BRIDGE:
-            return "detected_below"
-        return "detected_above"
-
-    def resistance_frontier(self, defect: Defect,
-                            condition: StressCondition,
-                            ) -> ResistanceFrontier | None:
-        """Closed-form detection frontier of one site at one condition.
-
-        Returns a :class:`ResistanceFrontier` whose predicate replays
-        the *exact* arithmetic of :meth:`manifestation` with the
-        resistance as the only free variable -- identical operand
-        order, identical comparisons -- so the sweep solver's answers
-        are byte-identical to the exact path (this is asserted by
-        ``tests/perf/test_frontier.py``).  Returns ``None`` when no
-        closed form exists for the site class, in which case the solver
-        bisects :meth:`fails_condition` or falls back to exact
-        evaluation.
-
-        Args:
-            defect: The site whose frontier is wanted (its
-                ``resistance`` field is ignored; ``strength``,
-                ``polarity`` and the site class matter).
-            condition: The stress condition of the sweep.
-
-        Returns:
-            The site's frontier, or ``None`` when unavailable.
-        """
-        if defect.kind is DefectKind.BRIDGE:
-            return self._bridge_frontier(defect, condition)
-        return self._open_frontier(defect, condition)
-
-    def _bridge_frontier(self, defect: Defect,
-                         condition: StressCondition) -> ResistanceFrontier:
-        """Bridge frontier: detected at or below the critical resistance."""
-        p = self.params
-        site = defect.site
-        vdd = condition.vdd
-
-        if site is BridgeSite.BITLINE_BITLINE:
-            # Union of the voltage and timing mechanisms of
-            # _bridge_manifestation; both are down-sets in R.
-            v_mask = (p.bitline_v_mask
-                      + p.bitline_v_sigma * self._site_z(defect, 0.5))
-            r_crit = self.bridge_critical_resistance(
-                site, vdd, defect.strength, condition.temperature)
-            r_as = p.bitline_atspeed_r * defect.strength
-            develop_need = self._delay_scale(vdd, condition.temperature)
-            voltage_armed = vdd <= v_mask
-            timing_armed = condition.period < 25e-9 * develop_need
-
-            def detects(resistance: float) -> bool:
-                return ((voltage_armed and resistance <= r_crit)
-                        or (timing_armed and resistance <= r_as))
-
-            return ResistanceFrontier("detected_below", detects)
-
-        r_crit = self.bridge_critical_resistance(
-            site, vdd, defect.strength, condition.temperature)
-
-        def detects(resistance: float) -> bool:
-            # Mirrors "if defect.resistance > r_crit: return None".
-            return not resistance > r_crit
-
-        return ResistanceFrontier("detected_below", detects)
-
-    def _open_frontier(self, defect: Defect,
-                       condition: StressCondition) -> ResistanceFrontier:
-        """Open frontier: detected at or above a resistance threshold."""
-        p = self.params
-        site = defect.site
-        vdd, period = condition.vdd, condition.period
-        scale = self._delay_scale(vdd, condition.temperature)
-        if math.isinf(scale):
-            # Below the path threshold every open is silent (the ATE's
-            # fault-free timing check owns this region).
-            return ResistanceFrontier("detected_above",
-                                      lambda resistance: False)
-
-        if site is OpenSite.BITLINE_SEGMENT:
-            def detects(resistance: float) -> bool:
-                added = resistance * p.seg_c * defect.strength
-                path = p.seg_t0
-                return path + added > period
-
-            return ResistanceFrontier("detected_above", detects)
-
-        if site is OpenSite.CELL_ACCESS:
-            develop0 = p.access_t0 * scale
-            blowup = vdd <= self.tech.vdd_vlv + 0.15
-            window = 0.35 * period
-
-            def detects(resistance: float) -> bool:
-                added = resistance * p.access_c * defect.strength
-                develop = develop0
-                if blowup:
-                    develop *= p.access_vlv_blowup
-                return develop + added > window
-
-            return ResistanceFrontier("detected_above", detects)
-
-        if site is OpenSite.CELL_PULLUP:
-            leak = self._temp_leak_factor(condition.temperature)
-            r_vlv = p.pullup_r_vlv * defect.strength / leak
-            r_vmax = p.pullup_r_vmax * defect.strength / leak
-            vlv_armed = vdd <= self.tech.vdd_vlv + 0.1
-            vmax_armed = vdd >= self.tech.vdd_max - 1e-9
-
-            def detects(resistance: float) -> bool:
-                return ((vlv_armed and resistance >= r_vlv)
-                        or (vmax_armed and resistance >= r_vmax))
-
-            return ResistanceFrontier("detected_above", detects)
-
-        if site is OpenSite.DECODER_INPUT:
-            def detects(resistance: float) -> bool:
-                v_detect = self.decoder_open_detection_voltage(
-                    defect.with_resistance(resistance))
-                return vdd >= v_detect
-
-            return ResistanceFrontier("detected_above", detects)
-
-        if site is OpenSite.PERIPHERY_PATH:
-            path = p.periphery_t0 * scale
-
-            def detects(resistance: float) -> bool:
-                added = (resistance * p.periphery_c * defect.strength
-                         * scale)
-                return path + added > period
-
-            return ResistanceFrontier("detected_above", detects)
-
-        raise ValueError(f"unknown open site {site}")
-
-    # ------------------------------------------------------------------
     # Vectorised batch evaluation (repro.perf.batch fast path)
     # ------------------------------------------------------------------
     def evaluate_batch(self, sites: Sequence[Defect],
@@ -726,13 +530,12 @@ class DefectBehaviorModel:
         through the identical :mod:`math` calls the scalar path makes.
         See ``docs/batch_kernel.md`` for the full contract.
 
-        The hook is optional capability, never obligation: consumers
-        (:class:`~repro.perf.batch.BatchEvaluator`, the frontier
-        solver) probe for it with ``getattr`` and fall back to the
-        scalar path when it is absent, ``None`` or raising -- and
-        cross-check a seeded cell sample against ``fails_condition``
-        either way, so a lying implementation is demoted rather than
-        believed.
+        The hook is optional capability, never obligation: the grid
+        evaluator (:class:`~repro.perf.batch.BatchEvaluator`) probes
+        for it with ``getattr`` and falls back to the scalar path when
+        it is absent, ``None`` or raising -- and cross-checks a seeded
+        cell sample against ``fails_condition`` either way, so a lying
+        implementation is demoted rather than believed.
 
         Args:
             sites: Site population (each defect's ``resistance`` field

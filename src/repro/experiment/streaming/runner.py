@@ -2,7 +2,7 @@
 
 :class:`StreamingRunner` mirrors
 :class:`~repro.runner.campaign.CampaignRunner`: shards dispatch through
-the same serial / supervised-pool / plain-pool executors, completed
+the same serial / supervised-pool executors, completed
 shards land in a :class:`~repro.runner.checkpoint.CampaignCheckpoint`
 (payload = the shard's accumulator dict), and all observability happens
 here, in shard-plan order, at the in-order effect point -- so journals
@@ -80,10 +80,9 @@ class StreamingRunner:
         checkpoint_path: Crash-safe progress file (optional).
         checkpoint_every: Completed shards per checkpoint write.
         unit_deadline: Optional per-shard wall-clock budget (seconds).
-        workers: Process count (1 = serial).
+        workers: Process count (1 = serial; N > 1 runs the
+            self-healing supervised pool).
         chunksize: Shards per pool dispatch (default: auto).
-        supervise: Use the self-healing supervised pool (vs the plain
-            executor) when ``workers > 1``.
         max_pool_rebuilds: Supervised-pool rebuild budget.
         chunk_deadline_factor: Supervised-pool chunk deadline factor.
         journal: Run-journal path or event bus (optional).
@@ -98,7 +97,6 @@ class StreamingRunner:
                  unit_deadline: float | None = None,
                  workers: int = 1,
                  chunksize: int | None = None,
-                 supervise: bool = True,
                  max_pool_rebuilds: int = 8,
                  chunk_deadline_factor: float = 4.0,
                  journal: Any = None,
@@ -117,7 +115,6 @@ class StreamingRunner:
         self.unit_deadline = unit_deadline
         self.workers = workers
         self.chunksize = chunksize
-        self.supervise = supervise
         self.max_pool_rebuilds = max_pool_rebuilds
         self.chunk_deadline_factor = chunk_deadline_factor
         self.journal = journal
@@ -145,26 +142,18 @@ class StreamingRunner:
                 retry=self.retry, unit_deadline=self.unit_deadline,
                 sleep=self.sleep, clock=self.clock)
             return (evaluator.evaluate(shard) for shard in pending)
-        if self.supervise:
-            from repro.perf.supervisor import SupervisedUnitExecutor
+        from repro.perf.supervisor import SupervisedUnitExecutor
 
-            supervisor = SupervisedUnitExecutor(
-                self.engine, retry=self.retry,
-                unit_deadline=self.unit_deadline,
-                workers=self.workers, chunksize=self.chunksize,
-                max_pool_rebuilds=self.max_pool_rebuilds,
-                chunk_deadline_factor=self.chunk_deadline_factor,
-                bus=bus, metrics=metrics,
-                sleep=self.sleep, clock=self.clock)
-            self._supervisor = supervisor
-            return supervisor.run(pending)
-        from repro.perf.executor import ParallelUnitExecutor
-
-        executor = ParallelUnitExecutor(self.engine, retry=self.retry,
-                                        unit_deadline=self.unit_deadline,
-                                        workers=self.workers,
-                                        chunksize=self.chunksize)
-        return executor.run(pending)
+        supervisor = SupervisedUnitExecutor(
+            self.engine, retry=self.retry,
+            unit_deadline=self.unit_deadline,
+            workers=self.workers, chunksize=self.chunksize,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            chunk_deadline_factor=self.chunk_deadline_factor,
+            bus=bus, metrics=metrics,
+            sleep=self.sleep, clock=self.clock)
+        self._supervisor = supervisor
+        return supervisor.run(pending)
 
     # ------------------------------------------------------------------
     def run(self) -> StreamingResult:

@@ -119,8 +119,7 @@ class IfaCampaign:
             conditions: Iterable[StressCondition],
             kind: DefectKind = DefectKind.BRIDGE,
             checkpoint_path=None, runner=None,
-            workers: int = 1, cache=None,
-            strategy: str = "exact") -> list[CoverageRecord]:
+            workers: int = 1, cache=None) -> list[CoverageRecord]:
         """Sweep the population over R x conditions.
 
         Every sampled site keeps its identity (class, strength, cell)
@@ -147,15 +146,13 @@ class IfaCampaign:
                 :class:`~repro.runner.campaign.CampaignRunner` (for
                 custom retry policies, chaos injection or shared
                 checkpoints); overrides ``checkpoint_path``,
-                ``workers``, ``cache`` and ``strategy``.
-            workers: Evaluation processes (1 = serial).
+                ``workers`` and ``cache``.
+            workers: Evaluation processes.  1 (default) runs the grid
+                evaluator (:mod:`repro.perf.batch`); N > 1 runs the
+                exact per-site evaluator in a supervised pool.
+                Records are byte-identical either way.
             cache: Optional :class:`~repro.perf.cache.EvaluationCache`
                 or cache-file path.
-            strategy: ``"exact"``, ``"frontier"`` (the monotone
-                threshold sweep solver, :mod:`repro.perf.frontier`) or
-                ``"batch"`` (the vectorised group evaluator,
-                :mod:`repro.perf.batch`); records are byte-identical
-                in all three.
 
         Raises:
             ValueError: empty ``resistances`` or ``conditions``, or a
@@ -168,8 +165,7 @@ class IfaCampaign:
         spec = SweepSpec.of(kind, resistances, conditions)
         if runner is None:
             runner = CampaignRunner(self, checkpoint_path=checkpoint_path,
-                                    workers=workers, cache=cache,
-                                    strategy=strategy)
+                                    workers=workers, cache=cache)
         return runner.run([spec]).records
 
     def run_bridges(self, resistances: Sequence[float],

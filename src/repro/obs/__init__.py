@@ -1,8 +1,8 @@
 """Observability for campaign runs: events, metrics and reports.
 
-``repro.obs`` gives every execution layer (runner, cache, frontier,
-shmoo, database) one way to leave a machine-readable account of what
-happened and why:
+``repro.obs`` gives every execution layer (runner, cache, grid
+evaluator, pool, shmoo, database) one way to leave a machine-readable
+account of what happened and why:
 
 * :mod:`repro.obs.events` -- the stable event vocabulary and JSONL
   run-journal schema;

@@ -3,8 +3,8 @@
 The runner stack executes campaigns that the paper's industrial flow
 would surround with diagnosis artefacts -- shmoo plots, bitmaps,
 per-condition coverage tables -- yet until this module every
-interesting execution fact (a corrupt cache discarded, a frontier site
-demoted, a retry budget exhausted) was either a bare attribute or
+interesting execution fact (a corrupt cache discarded, a batch-hook
+site demoted, a retry budget exhausted) was either a bare attribute or
 silently dropped.  :mod:`repro.obs` gives those facts one shape:
 
 * an :class:`ObsEvent` is a (sequence number, stable name, JSON payload)
@@ -74,12 +74,7 @@ EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     "pool.redispatch": ("unit", "units", "attempt"),
     "pool.poison_unit": ("unit", "attempts", "error"),
     "pool.degrade_serial": ("units", "rebuilds"),
-    # Frontier sweep solver ---------------------------------------------
-    "frontier.group": ("kind", "condition", "sites", "cached"),
-    "frontier.demote": ("kind", "condition", "site_index", "reason",
-                        "stage"),
-    # Vectorised batch evaluator ----------------------------------------
-    "batch.group": ("kind", "condition", "sites", "cached"),
+    # Grid evaluator (only when a batch hook lies or fails) ------------
     "batch.demote": ("kind", "condition", "site_index", "reason",
                      "stage"),
     # Coverage database --------------------------------------------------

@@ -51,7 +51,7 @@ def build_report(meta: dict[str, Any],
     Returns:
         A JSON-serialisable dict: run totals, per-condition unit
         table, cache statistics (including corrupt discards), retry /
-        quarantine / frontier-demotion tables, pool-supervision
+        quarantine / batch-demotion tables, pool-supervision
         counters (worker losses, rebuilds, poison units), checkpoint
         activity and -- when present -- shmoo, streaming-experiment
         and estimator-service summaries.
@@ -64,10 +64,7 @@ def build_report(meta: dict[str, Any],
              "discarded_corrupt": []}
     retries: dict[str, Any] = {"attempts": 0, "by_unit": {}}
     quarantines: list[dict[str, Any]] = []
-    demotions: list[dict[str, Any]] = []
-    frontier_groups: list[dict[str, Any]] = []
     batch_demotions: list[dict[str, Any]] = []
-    batch_groups: list[dict[str, Any]] = []
     checkpoints = {"saves": 0, "resumes": 0}
     pool: dict[str, Any] = {"worker_losses": 0, "deadline_losses": 0,
                             "rebuilds": 0, "redispatched_units": 0,
@@ -136,12 +133,6 @@ def build_report(meta: dict[str, Any],
         elif event.name == "pool.degrade_serial":
             pool["degraded"] = True
             pool["degraded_units"] += data["units"]
-        elif event.name == "frontier.group":
-            frontier_groups.append(dict(data))
-        elif event.name == "frontier.demote":
-            demotions.append(dict(data))
-        elif event.name == "batch.group":
-            batch_groups.append(dict(data))
         elif event.name == "batch.demote":
             batch_demotions.append(dict(data))
         elif event.name == "database.discard_corrupt_tmp":
@@ -205,8 +196,7 @@ def build_report(meta: dict[str, Any],
         "cache": cache,
         "retries": retries,
         "quarantines": quarantines,
-        "frontier": {"groups": frontier_groups, "demotions": demotions},
-        "batch": {"groups": batch_groups, "demotions": batch_demotions},
+        "batch": {"demotions": batch_demotions},
         "pool": pool,
         "checkpoints": checkpoints,
         "database": database,
@@ -293,17 +283,6 @@ def render_text(report: dict[str, Any]) -> str:
                  q["error"]] for q in report["quarantines"]]
         lines.extend("  " + ln for ln in _table(
             ["unit", "site", "attempts", "error"], rows))
-    else:
-        lines.append("  (none)")
-
-    lines.append("")
-    lines.append("Frontier demotions:")
-    if report["frontier"]["demotions"]:
-        rows = [[d["kind"], d["condition"], str(d["site_index"]),
-                 d["reason"], d["stage"]]
-                for d in report["frontier"]["demotions"]]
-        lines.extend("  " + ln for ln in _table(
-            ["kind", "condition", "site", "reason", "stage"], rows))
     else:
         lines.append("  (none)")
 

@@ -1,83 +1,26 @@
 """repro.perf -- the campaign execution-performance layer.
 
-Two independent accelerators for coverage campaigns, both preserving
-byte-identical results:
+Three accelerators for coverage campaigns, all preserving
+byte-identical records:
 
-* :mod:`repro.perf.executor` -- a process-pool work-unit executor
-  fanning the sweep across cores (out-of-order execution, in-order
-  effects), supervised by :mod:`repro.perf.supervisor` so worker
-  death, hangs and poison units heal instead of aborting the run;
+* :mod:`repro.perf.batch` -- the serial grid evaluator: each (kind,
+  condition) group's full site x R grid in one vectorised
+  ``evaluate_batch`` call, guarded by a seeded cross-check and
+  per-site scalar fallback (see ``docs/batch_kernel.md``);
+* :mod:`repro.perf.supervisor` -- the supervised process pool
+  (worker side in :mod:`repro.perf.executor`) that fans the exact
+  per-unit evaluator across cores for ``workers > 1``, healing worker
+  death, hangs and poison units instead of aborting the run;
 * :mod:`repro.perf.cache` -- a content-addressed evaluation cache
   (keyed by :mod:`repro.perf.fingerprint`) so repeated sweeps skip
   already-simulated points, mirroring the paper's database of
   pre-calculated simulation results.
 
-A third accelerator changes the *amount* of work instead of its
-schedule: :mod:`repro.perf.frontier` exploits the paper's monotone
-detection frontiers to answer a sweep's whole R axis from one threshold
-pass per (site, condition) -- guarded by cross-check sampling and
-per-site exact fallback so the records stay byte-identical
-(``CampaignRunner(strategy="frontier")``).
+They plug into :class:`repro.runner.campaign.CampaignRunner` via its
+``workers=`` and ``cache=`` arguments; the benchmark harnesses live in
+:mod:`repro.perf.bench` and :mod:`repro.perf.frontier_bench`.  See
+``docs/performance.md``.
 
-A fourth removes the per-site Python loop altogether:
-:mod:`repro.perf.batch` answers each (kind, condition) group's full
-site x R grid in one vectorised ``evaluate_batch`` call whose closed
-forms replicate the scalar float arithmetic operation-for-operation,
-guarded by the same cross-check/demotion machinery and whole-group
-scalar fallback (``CampaignRunner(strategy="batch")``; see
-``docs/batch_kernel.md``).
-
-All plug into :class:`repro.runner.campaign.CampaignRunner` via its
-``workers=``, ``cache=`` and ``strategy=`` arguments; the benchmark
-harnesses live in :mod:`repro.perf.bench` and
-:mod:`repro.perf.frontier_bench`.  See ``docs/performance.md``.
+The package root imports nothing: import the submodule you need, so a
+serial run never loads the pool's ``multiprocessing`` machinery.
 """
-
-from repro.perf.batch import BatchEvaluator, BatchStats
-from repro.perf.cache import (
-    EvaluationCache,
-    frontier_cache_key,
-    unit_cache_key,
-)
-from repro.perf.counting import CountingBehaviorModel, CountingTester
-from repro.perf.executor import (
-    ParallelUnitExecutor,
-    WorkerInitError,
-    chunk_units,
-)
-from repro.perf.supervisor import SupervisedUnitExecutor, SupervisorStats
-from repro.perf.fingerprint import (
-    FingerprintError,
-    behavior_fingerprint,
-    fingerprint_digest,
-    fingerprint_document,
-    population_fingerprint,
-)
-from repro.perf.frontier import (
-    FrontierPolicy,
-    FrontierStats,
-    FrontierUnitEvaluator,
-)
-
-__all__ = [
-    "BatchEvaluator",
-    "BatchStats",
-    "EvaluationCache",
-    "frontier_cache_key",
-    "unit_cache_key",
-    "CountingBehaviorModel",
-    "CountingTester",
-    "ParallelUnitExecutor",
-    "SupervisedUnitExecutor",
-    "SupervisorStats",
-    "WorkerInitError",
-    "chunk_units",
-    "FingerprintError",
-    "behavior_fingerprint",
-    "fingerprint_digest",
-    "fingerprint_document",
-    "population_fingerprint",
-    "FrontierPolicy",
-    "FrontierStats",
-    "FrontierUnitEvaluator",
-]

@@ -1,12 +1,12 @@
-"""Campaign-execution benchmark: serial vs parallel vs cached.
+"""Campaign-execution benchmark: serial vs pooled vs cached.
 
 Produces the ``BENCH_campaign.json`` artefact documented in
-``docs/performance.md``.  The harness times the same sweep four ways
--- serial, across a bare worker pool, across the *supervised* pool
-(:mod:`repro.perf.supervisor`; prices the crash-tolerance layer's
-clean-path overhead), and against a warm evaluation cache -- and
-verifies on the way that all of them produce byte-identical records
-(the :mod:`repro.perf` determinism contract is *measured*, not assumed).
+``docs/performance.md``.  The harness times the same sweep three ways
+-- serial (the grid evaluator, :mod:`repro.perf.batch`), across the
+supervised worker pool (:mod:`repro.perf.supervisor`), and against a
+warm evaluation cache -- and verifies on the way that all of them
+produce byte-identical records (the :mod:`repro.perf` determinism
+contract is *measured*, not assumed).
 
 Two workloads are timed, because they answer different questions:
 
@@ -23,7 +23,8 @@ Two workloads are timed, because they answer different questions:
   into an external analogue simulator and is latency-, not CPU-, bound
   (the very reason the paper pre-computes its simulation database).
   Workers overlap that latency, so the speedup approaches the worker
-  count even on one core.
+  count even on one core.  The wrapper offers no batch hook, so its
+  serial row runs the scalar per-site loop.
 
 The cache rows use the ``cpu`` workload: a warm cache answers every
 point without evaluating, so its hit rate -- not raw time -- is the
@@ -59,7 +60,7 @@ class BenchConfig:
         sites: Site-population size per sweep.
         resistances: Number of sweep resistances (log-spaced decades).
         conditions: Number of stress conditions used.
-        workers: Requested worker-process count for the parallel rows.
+        workers: Requested worker-process count for the pool rows.
             The cpu-bound workload is clamped to
             ``min(workers, os.cpu_count())`` at run time (recorded in
             the artefact as ``workers`` vs ``workers_requested`` plus
@@ -158,7 +159,7 @@ def _workload_row(units: int, seconds: float) -> dict[str, Any]:
 
 
 def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
-    """Time the benchmark sweep serial / parallel / cached.
+    """Time the benchmark sweep serial / pooled / cached.
 
     Args:
         config: Benchmark shape (defaults to :class:`BenchConfig`).
@@ -168,7 +169,7 @@ def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
         for the schema).
 
     Raises:
-        RuntimeError: the parallel or cached records diverged from the
+        RuntimeError: the pooled or cached records diverged from the
             serial ones -- a determinism bug that must fail loudly.
     """
     config = config if config is not None else BenchConfig()
@@ -190,41 +191,21 @@ def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
         workers = cpu_workers if name == "cpu" else config.workers
         serial, t_serial = _timed_run(
             CampaignRunner(_make_campaign(config, sim)), specs)
-        # The "parallel" row times the bare (unsupervised) executor so
-        # the "supervised" row below can price the supervision layer
-        # against it.
-        parallel, t_parallel = _timed_run(
+        pooled, t_pooled = _timed_run(
             CampaignRunner(_make_campaign(config, sim),
-                           workers=workers, supervise=False), specs)
-        if _records_blob(serial) != _records_blob(parallel):
+                           workers=workers), specs)
+        if _records_blob(serial) != _records_blob(pooled):
             raise RuntimeError(
-                f"{name}: parallel records diverged from serial")
+                f"{name}: supervised records diverged from serial")
         units = len(serial.records)
         workloads[name] = {
             "serial": _workload_row(units, t_serial),
-            "parallel": {**_workload_row(units, t_parallel),
-                         "workers": workers,
-                         "workers_requested": config.workers},
-            "speedup": round(t_serial / t_parallel, 3),
-            "parallel_matches_serial": True,
+            "supervised": {**_workload_row(units, t_pooled),
+                           "workers": workers,
+                           "workers_requested": config.workers},
+            "speedup": round(t_serial / t_pooled, 3),
+            "supervised_matches_serial": True,
         }
-        if name == "sim":
-            # Supervised clean path on the latency-bound workload (the
-            # regime long campaigns run in): the acceptance bar is
-            # staying within a few percent of the bare executor.
-            supervised, t_supervised = _timed_run(
-                CampaignRunner(_make_campaign(config, sim),
-                               workers=workers), specs)
-            if _records_blob(serial) != _records_blob(supervised):
-                raise RuntimeError(
-                    f"{name}: supervised records diverged from serial")
-            workloads[name]["supervised"] = {
-                **_workload_row(units, t_supervised),
-                "workers": workers,
-                "overhead_vs_parallel": round(
-                    t_supervised / t_parallel - 1.0, 4),
-                "supervised_matches_serial": True,
-            }
     workloads["cpu"]["workers_clamped"] = cpu_workers < config.workers
 
     # Cache rows: cold run populates, warm run answers from the cache.
@@ -259,8 +240,6 @@ def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
         "speedup_parallel": workloads["sim"]["speedup"],
         "speedup_parallel_cpu_bound": workloads["cpu"]["speedup"],
         "cache_hit_rate": workloads["cache"]["warm"]["hit_rate"],
-        "supervision_overhead": workloads["sim"]["supervised"][
-            "overhead_vs_parallel"],
     }
 
 
@@ -291,7 +270,7 @@ def validate_bench(doc: Any) -> list[str]:
         if not isinstance(doc.get(field), dict):
             problems.append(f"missing or non-object {field!r}")
     for field in ("speedup_parallel", "speedup_parallel_cpu_bound",
-                  "cache_hit_rate", "supervision_overhead"):
+                  "cache_hit_rate"):
         if not isinstance(doc.get(field), (int, float)):
             problems.append(f"missing or non-numeric {field!r}")
     workloads = doc.get("workloads")
@@ -301,30 +280,18 @@ def validate_bench(doc: Any) -> list[str]:
             if not isinstance(wl, dict):
                 problems.append(f"missing workload {name!r}")
                 continue
-            for row in ("serial", "parallel"):
+            for row in ("serial", "supervised"):
                 if not isinstance(wl.get(row), dict):
                     problems.append(f"workload {name!r}: missing {row!r}")
-            if wl.get("parallel_matches_serial") is not True:
+            if wl.get("supervised_matches_serial") is not True:
                 problems.append(
-                    f"workload {name!r}: parallel_matches_serial is not "
-                    "true")
-            if name == "sim":
-                supervised = wl.get("supervised")
-                if not isinstance(supervised, dict):
-                    problems.append(
-                        "workload 'sim': missing 'supervised' row "
-                        "(the clean-path supervision-overhead "
-                        "measurement)")
-                elif supervised.get(
-                        "supervised_matches_serial") is not True:
-                    problems.append(
-                        "workload 'sim': supervised_matches_serial is "
-                        "not true")
-            parallel = wl.get("parallel")
-            if isinstance(parallel, dict) and not isinstance(
-                    parallel.get("workers_requested"), int):
+                    f"workload {name!r}: supervised_matches_serial is "
+                    "not true")
+            pooled = wl.get("supervised")
+            if isinstance(pooled, dict) and not isinstance(
+                    pooled.get("workers_requested"), int):
                 problems.append(
-                    f"workload {name!r}: parallel row lacks "
+                    f"workload {name!r}: supervised row lacks "
                     "'workers_requested'")
         cpu = workloads.get("cpu")
         if isinstance(cpu, dict) and not isinstance(

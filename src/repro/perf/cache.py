@@ -56,9 +56,6 @@ VERSION = 1
 #: never collide with keys minted by an older layout.
 KEY_SCHEMA = "repro.evaluation-cache-key/1"
 
-#: Schema tag of frontier group-table keys (same collision rule).
-FRONTIER_KEY_SCHEMA = "repro.frontier-table-key/1"
-
 
 def unit_cache_key(behavior_doc: Any, population_doc: Any,
                    resistance: float, condition: Any) -> str:
@@ -82,43 +79,6 @@ def unit_cache_key(behavior_doc: Any, population_doc: Any,
         "behavior": behavior_doc,
         "population": population_doc,
         "resistance": repr(float(resistance)),
-        "condition": fingerprint_document(condition, "condition"),
-    }
-    return hashlib.sha256(
-        canonical_json(doc).encode("utf-8")).hexdigest()
-
-
-def frontier_cache_key(behavior_doc: Any, population_doc: Any,
-                       resistances: Any, condition: Any) -> str:
-    """Content-addressed key of one frontier group table.
-
-    Keys the *derived detection rows* of a whole (kind, condition)
-    sweep group (:mod:`repro.perf.frontier`) rather than one unit's
-    record, so a repeated frontier campaign skips even the threshold
-    pass.  The full resistance grid is part of the key: tables derived
-    for different grids are different artefacts even when model and
-    population coincide.  Unit payloads and group tables share one
-    cache file; their schema tags keep the key spaces disjoint.
-
-    Args:
-        behavior_doc: :func:`repro.perf.fingerprint.behavior_fingerprint`
-            of the behaviour model.
-        population_doc:
-            :func:`repro.perf.fingerprint.population_fingerprint` of the
-            site population being swept.
-        resistances: The group's full resistance grid (ascending).
-        condition: The :class:`~repro.stress.StressCondition` of the
-            group.
-
-    Returns:
-        A SHA-256 hex digest with the same equal-inputs/equal-keys
-        contract as :func:`unit_cache_key`.
-    """
-    doc = {
-        "schema": FRONTIER_KEY_SCHEMA,
-        "behavior": behavior_doc,
-        "population": population_doc,
-        "resistances": [repr(float(r)) for r in resistances],
         "condition": fingerprint_document(condition, "condition"),
     }
     return hashlib.sha256(

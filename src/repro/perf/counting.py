@@ -1,11 +1,11 @@
 """Invocation-counting wrappers: speedup claims as call-count facts.
 
 Wall-clock timings are machine- and load-dependent; invocation counts
-are not.  These wrappers let benchmarks and tests assert the frontier
-fast paths (:mod:`repro.perf.frontier`, the boundary-traced shmoo in
-:mod:`repro.tester.shmoo`) as *deterministic call-count inequalities*
--- "the frontier sweep issued 5x fewer ``fails_condition`` calls" --
-instead of flaky timing comparisons.
+are not.  These wrappers let benchmarks and tests assert the fast
+paths (the grid evaluator in :mod:`repro.perf.batch`, the
+boundary-traced shmoo in :mod:`repro.tester.shmoo`) as *deterministic
+call-count inequalities* -- "the grid sweep issued 5x fewer
+``fails_condition`` calls" -- instead of flaky timing comparisons.
 
 Both wrappers are transparent: they delegate every evaluation verbatim
 (records and grids stay byte-identical to unwrapped runs) and keep
@@ -26,11 +26,10 @@ class CountingBehaviorModel:
     """A behaviour model that counts its evaluation calls.
 
     Counts ``fails_condition`` and ``manifestation`` calls (the two
-    evaluation entry points); frontier declarations
-    (``resistance_frontier`` / ``resistance_monotonicity``) delegate
-    *uncounted* -- they are capability probes, not evaluations, and the
-    whole point of the frontier solver is that a declaration replaces
-    many evaluations.  Other attributes delegate transparently, so the
+    scalar evaluation entry points); the vectorised ``evaluate_batch``
+    hook delegates *uncounted* -- the whole point of the grid
+    evaluator is that one batch call replaces many scalar
+    evaluations.  Other attributes delegate transparently, so the
     wrapper composes with any model exposing the duck interface.
 
     Args:
@@ -61,7 +60,7 @@ class CountingBehaviorModel:
         return self.inner.manifestation(defect, condition)
 
     def __getattr__(self, name: str) -> Any:
-        """Uncounted delegation of everything else (declarations,
+        """Uncounted delegation of everything else (the batch hook,
         calibration attributes, analytic helpers)."""
         if name == "inner":
             raise AttributeError(name)

@@ -1,18 +1,20 @@
-"""Process-pool work-unit executor: fan the sweep out across cores.
+"""Process-pool building blocks: fan the sweep out across cores.
 
 A coverage campaign is embarrassingly parallel: every (kind, R,
 condition) work unit is independent of every other (the property
 :mod:`repro.runner.units` establishes), so the only serial parts are
-planning and checkpointing.  This module exploits that shape with a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+planning and checkpointing.  This module holds the worker side of the
+pool that :class:`~repro.perf.supervisor.SupervisedUnitExecutor` runs
+over a :class:`concurrent.futures.ProcessPoolExecutor`:
 
-* pending units are split into **contiguous chunks** in plan order --
-  contiguity matters because consecutive units share a (kind, R)
-  variant list, which each worker's
+* pending units are split into **contiguous chunks** in plan order
+  (:func:`chunk_units`) -- contiguity matters because consecutive
+  units share a (kind, R) variant list, which each worker's
   :class:`~repro.runner.evaluate.UnitEvaluator` caches;
-* each worker process rebuilds its evaluator once (pool initializer)
-  from a pickled payload, then evaluates whole chunks per task, keeping
-  IPC per unit negligible;
+* each worker process rebuilds its evaluator once (pool initializer
+  :func:`_init_worker`) from a pickled payload, then evaluates whole
+  chunks per task (:func:`_evaluate_chunk`), keeping IPC per unit
+  negligible;
 * the parent consumes chunk results **in submission order**, so
   downstream consumers (record list, quarantine ledger, checkpoint
   writes) observe exactly the serial plan order -- out-of-order
@@ -20,17 +22,8 @@ planning and checkpointing.  This module exploits that shape with a
 * results are byte-identical to a serial run because unit evaluation is
   a pure function of the unit (see :mod:`repro.runner.evaluate`).
 
-Failure semantics match the serial path: a retry-exhausted site is
-quarantined inside the worker; an :class:`InjectedCrash`-style
-``BaseException`` propagates to the caller, and the checkpointed
-prefix makes the campaign resumable -- with or without workers.  A
-*dying* worker (``BrokenProcessPool``) or a hung one is the one
-failure the bare :class:`ParallelUnitExecutor` does not heal; the
-supervised layer on top of it (:mod:`repro.perf.supervisor`, the
-runner's default for ``workers > 1``) rebuilds the pool and
-re-dispatches the not-yet-consumed units instead.  A worker whose
-*initializer* failed (unpicklable payload, import error) surfaces as
-:exc:`WorkerInitError` naming the underlying cause.
+A worker whose *initializer* failed (unpicklable payload, import
+error) surfaces as :exc:`WorkerInitError` naming the underlying cause.
 
 Observability (:mod:`repro.obs`) rides the same in-order effect point:
 workers emit **no** events -- every journal entry is derived
@@ -43,7 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.runner.evaluate import UnitEvaluator, UnitOutcome
@@ -210,73 +203,3 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-class ParallelUnitExecutor:
-    """Evaluate work units across a pool of worker processes.
-
-    The executor is handed the same inputs a serial
-    :class:`~repro.runner.evaluate.UnitEvaluator` would receive; it
-    guarantees the same outcomes in the same (plan) order, just faster.
-
-    Args:
-        campaign: The campaign supplying populations and the behaviour
-            model; must be picklable (the stock
-            :class:`~repro.ifa.flow.IfaCampaign` and the chaos wrapper
-            both are).
-        retry: Per-site retry policy forwarded to each worker.
-        unit_deadline: Per-unit wall-clock budget forwarded to each
-            worker (measured on the worker's own monotonic clock).
-        workers: Worker-process count (>= 1).
-        chunksize: Units per pool task; automatic when omitted.
-    """
-
-    def __init__(self, campaign: Any, retry: RetryPolicy | None = None,
-                 unit_deadline: float | None = None, workers: int = 2,
-                 chunksize: int | None = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.campaign = campaign
-        self.retry = retry
-        self.unit_deadline = unit_deadline
-        self.workers = workers
-        self.chunksize = chunksize
-
-    def run(self, units: Sequence[WorkUnit]) -> Iterator[UnitOutcome]:
-        """Yield one outcome per unit, in plan order.
-
-        Chunks execute concurrently across the pool; the parent blocks
-        on them in submission order, so the yielded sequence -- and
-        therefore every downstream effect, including checkpoint writes
-        -- is identical to serial execution.
-
-        Args:
-            units: Pending work units in plan order.
-
-        Yields:
-            :class:`~repro.runner.evaluate.UnitOutcome` per unit.
-
-        Raises:
-            WorkerInitError: the worker initializer failed (the
-                message names the underlying cause).
-            BaseException: whatever a worker's evaluation raised
-                (deadline overruns, injected crashes, pool breakage);
-                the consumer's checkpointed prefix stays valid.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        if not units:
-            return
-        payload = pickle.dumps(
-            (self.campaign, self.retry, self.unit_deadline))
-        chunks = chunk_units(units, self.workers, self.chunksize)
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=_pool_context(),
-                                 initializer=_init_worker,
-                                 initargs=(payload,)) as pool:
-            futures = [pool.submit(_evaluate_chunk, chunk)
-                       for chunk in chunks]
-            for future in futures:
-                for outcome in future.result():
-                    merge_outcome_injections(self.campaign, outcome)
-                    yield outcome

@@ -1,14 +1,14 @@
-"""Frontier benchmark: invocation reduction measured, not asserted.
+"""Fast-path benchmark: invocation reduction measured, not asserted.
 
 Produces the ``BENCH_frontier.json`` artefact documented in
 ``docs/performance.md``.  Two comparisons, both verified byte-identical
 on every run before any number is reported:
 
 * **campaign** -- the paper's Table-1 bridge sweep (4 resistances x
-  the 5 production stress conditions) evaluated ``strategy="exact"``
-  vs ``strategy="frontier"`` (:mod:`repro.perf.frontier`) vs
-  ``strategy="batch"`` (:mod:`repro.perf.batch`), with the behaviour
-  model wrapped in a
+  the 5 production stress conditions) evaluated by the exact per-site
+  :class:`~repro.runner.evaluate.UnitEvaluator` vs the serial
+  campaign's grid evaluator (:mod:`repro.perf.batch`, the ``batch``
+  row), with the behaviour model wrapped in a
   :class:`~repro.perf.counting.CountingBehaviorModel` so the headline
   figure is a deterministic call count, not a timing;
 * **shmoo** -- a paper-sized (Vdd, period) grid (Figures 3/4: 15
@@ -19,9 +19,9 @@ on every run before any number is reported:
 The validator (:func:`validate_frontier_bench`) enforces the floors the
 fast paths exist for -- at least 5x fewer behaviour-model invocations
 on the Table-1 campaign, at least 3x fewer tester invocations on the
-shmoo, and at least a 5x wall-clock speedup for the vectorised batch
-strategy over exact (the one timing floor: the batch kernel exists to
-kill the per-site Python loop, which call counts alone cannot see) --
+shmoo, and at least a 5x wall-clock speedup for the grid evaluator
+over exact (the one timing floor: the batch kernel exists to kill the
+per-site Python loop, which call counts alone cannot see) --
 so a regression that erodes the reduction fails the artefact's schema
 check, not just a benchmark eyeball.
 """
@@ -42,8 +42,10 @@ from repro.ifa.flow import TABLE1_RESISTANCES, IfaCampaign
 from repro.march.library import get_test
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
+from repro.perf.batch import BatchEvaluator
 from repro.perf.counting import CountingBehaviorModel
 from repro.runner.campaign import CampaignRunner, SweepSpec
+from repro.runner.evaluate import UnitEvaluator
 from repro.stress import production_conditions
 from repro.tester.ate import VirtualTester
 from repro.tester.shmoo import (
@@ -53,7 +55,7 @@ from repro.tester.shmoo import (
 )
 
 #: Schema tag of the emitted BENCH_frontier.json document.
-FRONTIER_BENCH_SCHEMA = "repro.bench-frontier/2"
+FRONTIER_BENCH_SCHEMA = "repro.bench-frontier/3"
 
 #: Acceptance floors enforced by the validator.
 MIN_CAMPAIGN_REDUCTION = 5.0
@@ -117,47 +119,44 @@ def _records_blob(records: list[Any]) -> str:
 
 
 def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
-    """Time + count the Table-1 sweep exact vs frontier vs batch.
+    """Time + count the Table-1 sweep exact vs the grid evaluator.
 
-    The site population is sampled *before* the clock starts: all
-    three strategies share the identical critical-area extraction, and
-    on short configurations it would otherwise dominate every row and
-    flatten the very evaluation-cost differences the benchmark exists
-    to measure (the pre-PR-8 artefact reported a 1.1x "speedup" for a
-    20x invocation reduction for exactly this reason).
+    Both rows time the bare evaluator over the same plan -- the
+    per-site :class:`~repro.runner.evaluate.UnitEvaluator` the pool
+    runs, and the :class:`~repro.perf.batch.BatchEvaluator` a serial
+    campaign runs -- so runner bookkeeping weighs on neither.  The
+    site population is sampled *before* the clock starts: both rows
+    share the identical critical-area extraction, and on short
+    configurations it would otherwise dominate every row and flatten
+    the very evaluation-cost differences the benchmark exists to
+    measure.
     """
-    specs = _campaign_specs()
     rows: dict[str, Any] = {}
-    results: dict[str, str] = {}
-    for strategy in ("exact", "frontier", "batch"):
+    records: dict[str, str] = {}
+    for row in ("exact", "batch"):
         campaign = _counted_campaign(config)
         campaign.bridge_population()  # warm extraction outside the clock
-        runner = CampaignRunner(campaign, strategy=strategy)
+        plan = CampaignRunner(campaign).plan(_campaign_specs())
+        evaluator = (UnitEvaluator(campaign) if row == "exact"
+                     else BatchEvaluator(campaign, plan))
         started = time.perf_counter()
-        result = runner.run(specs)
+        result_records = [evaluator.evaluate(unit).record
+                          for unit in plan]
         seconds = time.perf_counter() - started
-        rows[strategy] = {
+        rows[row] = {
             "model_invocations": campaign.behavior.calls,
             "seconds": round(seconds, 6),
-            "units": len(result.records),
+            "units": len(result_records),
         }
-        results[strategy] = _records_blob(result.records)
-        if result.frontier_stats is not None:
-            rows[strategy]["stats"] = result.frontier_stats
-        if result.batch_stats is not None:
-            rows[strategy]["stats"] = result.batch_stats
-        if strategy != "exact" and results[strategy] != results["exact"]:
-            raise RuntimeError(
-                f"{strategy} records diverged from exact -- the "
-                "equivalence contract is broken")
-    exact_calls = rows["exact"]["model_invocations"]
-    frontier_calls = max(1, rows["frontier"]["model_invocations"])
-    rows["invocation_reduction"] = round(exact_calls / frontier_calls, 2)
-    rows["invocation_reduction_batch"] = round(
-        exact_calls / max(1, rows["batch"]["model_invocations"]), 2)
-    rows["speedup"] = (
-        round(rows["exact"]["seconds"] / rows["frontier"]["seconds"], 3)
-        if rows["frontier"]["seconds"] else None)
+        records[row] = _records_blob(result_records)
+    rows["batch"]["stats"] = evaluator.stats.as_dict()
+    if records["batch"] != records["exact"]:
+        raise RuntimeError(
+            "grid evaluator records diverged from exact -- the "
+            "equivalence contract is broken")
+    rows["invocation_reduction"] = round(
+        rows["exact"]["model_invocations"]
+        / max(1, rows["batch"]["model_invocations"]), 2)
     rows["speedup_batch"] = (
         round(rows["exact"]["seconds"] / rows["batch"]["seconds"], 3)
         if rows["batch"]["seconds"] else None)
@@ -208,7 +207,7 @@ def _bench_shmoo(config: FrontierBenchConfig) -> dict[str, Any]:
 
 def run_frontier_benchmark(config: FrontierBenchConfig | None = None,
                            ) -> dict[str, Any]:
-    """Run both frontier benchmarks and assemble the document.
+    """Run both fast-path benchmarks and assemble the document.
 
     Args:
         config: Benchmark shape (defaults to
@@ -231,11 +230,11 @@ def run_frontier_benchmark(config: FrontierBenchConfig | None = None,
         "campaign": campaign,
         "shmoo": shmoo,
         # Headline figures: deterministic call-count reductions (the
-        # frontier/shmoo wall-clock speedups are informational --
-        # timings vary with the host, invocation counts do not) plus
-        # the one enforced timing: the batch kernel's wall-clock win
-        # over exact, which is the whole point of vectorising and
-        # which call counts cannot see.
+        # shmoo wall-clock speedup is informational -- timings vary
+        # with the host, invocation counts do not) plus the one
+        # enforced timing: the grid evaluator's wall-clock win over
+        # exact, which is the whole point of vectorising and which
+        # call counts cannot see.
         "invocation_reduction_campaign": campaign["invocation_reduction"],
         "invocation_reduction_shmoo": shmoo["invocation_reduction"],
         "wallclock_speedup_batch": campaign["speedup_batch"],
@@ -247,7 +246,7 @@ def validate_frontier_bench(doc: Any) -> list[str]:
 
     Beyond shape, enforces the acceptance floors: the campaign must
     show at least a 5x model-invocation reduction, the shmoo at least
-    a 3x tester-invocation reduction, the batch strategy at least a 5x
+    a 3x tester-invocation reduction, the grid evaluator at least a 5x
     wall-clock speedup over exact, and every equivalence check must
     have passed.
 
@@ -268,7 +267,7 @@ def validate_frontier_bench(doc: Any) -> list[str]:
     if not isinstance(campaign, dict):
         problems.append("missing or non-object 'campaign'")
     else:
-        for row in ("exact", "frontier", "batch"):
+        for row in ("exact", "batch"):
             inner = campaign.get(row)
             if not isinstance(inner, dict) or not isinstance(
                     inner.get("model_invocations"), int):

@@ -1,17 +1,18 @@
 """Supervised pool execution: survive worker death, hangs, poison units.
 
-The bare :class:`~repro.perf.executor.ParallelUnitExecutor` leaves the
-process pool as the campaign's single point of failure: one worker
-dying (OOM, SIGKILL, tester flakiness) surfaces as
-``BrokenProcessPool`` and aborts the whole run, and a *hung* worker
-blocks ``future.result()`` forever because the per-unit deadline is
-only enforced on the worker's own clock.  This module wraps the same
-chunked execution in a supervisor with four recovery layers, moving
-through a small state machine (``docs/robustness.md``):
+The campaign's only process pool.  A bare pool is the run's single
+point of failure: one worker dying (OOM, SIGKILL, tester flakiness)
+surfaces as ``BrokenProcessPool`` and would abort the whole run, and a
+*hung* worker blocks ``future.result()`` forever because the per-unit
+deadline is only enforced on the worker's own clock.  This module runs
+the chunked execution of :mod:`repro.perf.executor` under a supervisor
+with four recovery layers, moving through a small state machine
+(``docs/robustness.md``):
 
 ``healthy -> rebuild -> bisect -> poison/degrade-serial``
 
-1. **rebuild** -- a lost worker (``BrokenProcessPool``) or an overrun
+1. **rebuild** -- a lost worker (``BrokenProcessPool``, raised while
+   waiting on a chunk *or* while still submitting) or an overrun
    parent-side *chunk deadline* tears the pool down; a fresh pool is
    built (bounded by ``max_pool_rebuilds``) and only the
    not-yet-consumed units are re-dispatched.  Chunks that already
@@ -37,7 +38,7 @@ computed never depends on which process computed it).
 Exceptions raised *by unit evaluation itself* -- deadline overruns,
 injected crashes from the behaviour model, :exc:`~repro.perf.executor.
 WorkerInitError` -- are not supervised: they propagate exactly as the
-bare executor's and the serial runner's do.
+serial runner's do.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ class _ChunkState:
 class SupervisedUnitExecutor:
     """Pool executor that heals worker death instead of propagating it.
 
-    A drop-in for :class:`~repro.perf.executor.ParallelUnitExecutor`
-    (same inputs, same in-plan-order outcome stream) wrapped in the
-    supervision state machine described in the module docstring.  The
-    runner uses it by default for ``workers > 1``.
+    Yields the same in-plan-order outcome stream a serial
+    :class:`~repro.runner.evaluate.UnitEvaluator` pass would, under
+    the supervision state machine described in the module docstring.
+    The runner uses it for every ``workers > 1`` run.
 
     Args:
         campaign: The (picklable) campaign supplying populations and
@@ -273,16 +274,24 @@ class SupervisedUnitExecutor:
                                    initargs=(payload,))
         try:
             futures: dict[int, Any] = {}
-            for chunk in pending:
-                if chunk.result is not None:
-                    continue
-                attempts = [self._dispatches.get(u.unit_id, 0)
-                            for u in chunk.units]
-                futures[id(chunk)] = pool.submit(
-                    _evaluate_chunk, chunk.units, attempts)
-                for unit in chunk.units:
-                    self._dispatches[unit.unit_id] = (
-                        self._dispatches.get(unit.unit_id, 0) + 1)
+            try:
+                for chunk in pending:
+                    if chunk.result is not None:
+                        continue
+                    attempts = [self._dispatches.get(u.unit_id, 0)
+                                for u in chunk.units]
+                    futures[id(chunk)] = pool.submit(
+                        _evaluate_chunk, chunk.units, attempts)
+                    for unit in chunk.units:
+                        self._dispatches[unit.unit_id] = (
+                            self._dispatches.get(unit.unit_id, 0) + 1)
+            except BrokenProcessPool:
+                # A worker died while the parent was still submitting:
+                # the same loss as one seen through future.result(),
+                # charged to the head chunk the parent waits on first.
+                self._handle_loss(pending[0], pending, futures,
+                                  cause="worker-lost")
+                return
             while pending:
                 chunk = pending[0]
                 if chunk.result is not None:

@@ -10,9 +10,12 @@ pre-calculated simulation results" (Section 3) -- becomes:
    evaluation runs under a retry policy; sites that keep failing are
    *quarantined* into an error ledger and counted in the emitted
    record's ``errors`` field -- the campaign degrades gracefully
-   instead of dying on one pathological site.  With ``workers > 1``
-   the pending units fan out across a process pool
-   (:mod:`repro.perf.executor`) with byte-identical results;
+   instead of dying on one pathological site.  A serial run answers
+   each (kind, condition) group's site x R grid in one vectorised
+   call (:mod:`repro.perf.batch`); with ``workers > 1`` the pending
+   units fan out across a supervised process pool
+   (:mod:`repro.perf.supervisor`) -- byte-identical records either
+   way;
 3. **skip** (:mod:`repro.perf.cache`): with an evaluation cache
    attached, units whose content-addressed key is already cached are
    served from the cache instead of re-evaluated;
@@ -40,11 +43,7 @@ from typing import TYPE_CHECKING, Any
 from repro.defects.models import DefectKind
 from repro.ifa.flow import CoverageRecord
 from repro.runner.checkpoint import CampaignCheckpoint
-from repro.runner.evaluate import (
-    UnitDeadlineExceeded,
-    UnitEvaluator,
-    UnitOutcome,
-)
+from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
 from repro.runner.retry import RetryPolicy, RetryStats
 from repro.runner.units import WorkUnit, plan_units
 from repro.stress import StressCondition
@@ -104,12 +103,9 @@ class CampaignResult:
         retry_stats: Site-evaluation retry counters for this run.
         cache_stats: Hit/miss statistics of the evaluation cache
             (``None`` when no cache was attached).
-        frontier_stats: Counters of the frontier sweep solver
-            (:class:`~repro.perf.frontier.FrontierStats` as a dict;
-            ``None`` unless ``strategy="frontier"`` evaluated units).
-        batch_stats: Counters of the vectorised batch evaluator
+        batch_stats: Counters of the grid evaluator
             (:class:`~repro.perf.batch.BatchStats` as a dict;
-            ``None`` unless ``strategy="batch"`` evaluated units).
+            ``None`` unless the run was serial).
         supervisor_stats: Counters of the supervised worker pool
             (:class:`~repro.perf.supervisor.SupervisorStats` as a
             dict; ``None`` unless ``workers > 1`` ran supervised).
@@ -128,7 +124,6 @@ class CampaignResult:
     cached_units: int = 0
     retry_stats: RetryStats = field(default_factory=RetryStats)
     cache_stats: dict[str, Any] | None = None
-    frontier_stats: dict[str, Any] | None = None
     batch_stats: dict[str, Any] | None = None
     supervisor_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
@@ -184,18 +179,18 @@ class CampaignRunner:
             (seconds); exceeding it raises
             :class:`~repro.runner.evaluate.UnitDeadlineExceeded` after
             the in-flight site.
-        workers: Evaluation processes.  1 (default) evaluates inline;
-            N > 1 fans pending units out over a process pool
-            (:mod:`repro.perf.executor`) with byte-identical records.
-            The campaign must then be picklable, and the injectable
-            ``sleep``/``clock`` only govern the parent process.
+        workers: Evaluation processes.  1 (default) evaluates inline
+            through the grid evaluator (:mod:`repro.perf.batch`),
+            which answers each (kind, condition) group in one
+            vectorised call.  N > 1 runs the exact per-site
+            :class:`~repro.runner.evaluate.UnitEvaluator` over a
+            supervised process pool (:mod:`repro.perf.supervisor`)
+            that heals worker death, hangs and poison units.  Records
+            are byte-identical either way.  The campaign must then be
+            picklable, and the injectable ``sleep``/``clock`` only
+            govern the parent process.
         chunksize: Units per pool task when ``workers > 1``
             (automatic when omitted).
-        supervise: Wrap the pool in the supervision layer
-            (:mod:`repro.perf.supervisor`) that heals worker death,
-            hangs and poison units (default).  ``False`` restores the
-            bare executor, where a dying worker aborts the run --
-            kept for benchmarking the supervision overhead.
         max_pool_rebuilds: Pool rebuilds the supervisor may spend
             before degrading to serial in-parent evaluation.
         chunk_deadline_factor: Slack multiplier of the supervisor's
@@ -211,23 +206,6 @@ class CampaignRunner:
             ...) stored in -- and matched against -- the checkpoint.
         fault_hook: Chaos probe threaded into checkpoint/cache I/O
             (typically ``FaultInjector.check``).
-        strategy: Unit-evaluation strategy.  ``"exact"`` (default)
-            evaluates every (site, R) cell through the behaviour model;
-            ``"frontier"`` derives per-site detection thresholds once
-            per (kind, condition) group and answers the sweep by
-            comparison (:mod:`repro.perf.frontier`), with guarded
-            per-site fallback to exact -- records are byte-identical
-            either way.  ``"batch"`` answers each (kind, condition)
-            group's full site x R grid in one vectorised
-            ``evaluate_batch`` call (:mod:`repro.perf.batch`), guarded
-            by the same cross-check machinery, with whole-group scalar
-            fallback for models without the hook -- records are again
-            byte-identical.  Frontier and batch evaluation are serial
-            by design (the group tables amortise across units, which a
-            process pool would duplicate per worker), so both reject
-            ``workers > 1``.
-        frontier_policy: Cross-check knobs of the frontier and batch
-            strategies (:class:`~repro.perf.frontier.FrontierPolicy`).
         journal: Observability sink (:mod:`repro.obs`).  ``None``
             (default) disables it entirely -- the hot path then makes
             zero event-bus invocations.  A path writes a JSONL run
@@ -249,14 +227,11 @@ class CampaignRunner:
                  unit_deadline: float | None = None,
                  workers: int = 1,
                  chunksize: int | None = None,
-                 supervise: bool = True,
                  max_pool_rebuilds: int = 8,
                  chunk_deadline_factor: float = 4.0,
                  cache: "EvaluationCache | str | Path | None" = None,
                  meta: dict[str, Any] | None = None,
                  fault_hook: Callable[[str], None] | None = None,
-                 strategy: str = "exact",
-                 frontier_policy: Any = None,
                  journal: Any = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -270,15 +245,6 @@ class CampaignRunner:
             raise ValueError("max_pool_rebuilds must be >= 0")
         if chunk_deadline_factor <= 0:
             raise ValueError("chunk_deadline_factor must be positive")
-        if strategy not in ("exact", "frontier", "batch"):
-            raise ValueError(
-                f"strategy must be 'exact', 'frontier' or 'batch', "
-                f"got {strategy!r}")
-        if strategy in ("frontier", "batch") and workers > 1:
-            raise ValueError(
-                f"strategy={strategy!r} is serial (its group tables "
-                "amortise across units); use workers=1, or "
-                "strategy='exact' for the process pool")
         self.campaign = campaign
         self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
@@ -287,18 +253,14 @@ class CampaignRunner:
         self.unit_deadline = unit_deadline
         self.workers = workers
         self.chunksize = chunksize
-        self.supervise = supervise
         self.max_pool_rebuilds = max_pool_rebuilds
         self.chunk_deadline_factor = chunk_deadline_factor
         self.cache, self.cache_path = self._resolve_cache(cache)
         self.extra_meta = dict(meta or {})
         self.fault_hook = fault_hook
-        self.strategy = strategy
-        self.frontier_policy = frontier_policy
         self.journal = journal
         self.sleep = sleep
         self.clock = clock
-        self._frontier_evaluator: Any = None
         self._batch_evaluator: Any = None
         self._supervisor: Any = None
 
@@ -406,63 +368,39 @@ class CampaignRunner:
                   pending: Sequence[WorkUnit],
                   bus: Any = None, metrics: Any = None,
                   ) -> Iterator[UnitOutcome]:
-        """Evaluate pending units lazily: exact serial, frontier, or pool.
+        """Evaluate pending units lazily: grid evaluator or pool.
 
         Args:
-            units: The full plan (the frontier evaluator derives its
-                group grids from it, so table cache keys do not depend
-                on checkpoint/cache state).
+            units: The full plan (the grid evaluator derives its group
+                grids from it, so its cross-check sample does not
+                depend on checkpoint/cache state).
             pending: The subset actually needing evaluation.
             bus: Event bus handed to the pool supervisor so its
                 ``pool.*`` recovery events land in the journal
                 (``None`` when observability is off).
             metrics: Metrics registry fed alongside the bus.
         """
-        if self.strategy == "frontier":
-            from repro.perf.frontier import FrontierUnitEvaluator
-
-            evaluator = FrontierUnitEvaluator(
-                self.campaign, plan=units, retry=self.retry,
-                policy=self.frontier_policy, cache=self.cache,
-                unit_deadline=self.unit_deadline,
-                sleep=self.sleep, clock=self.clock)
-            self._frontier_evaluator = evaluator
-            return (evaluator.evaluate(unit) for unit in pending)
-        if self.strategy == "batch":
+        if self.workers == 1:
             from repro.perf.batch import BatchEvaluator
 
             evaluator = BatchEvaluator(
                 self.campaign, plan=units, retry=self.retry,
-                policy=self.frontier_policy, cache=self.cache,
                 unit_deadline=self.unit_deadline,
                 sleep=self.sleep, clock=self.clock)
             self._batch_evaluator = evaluator
             return (evaluator.evaluate(unit) for unit in pending)
-        if self.workers == 1:
-            evaluator = UnitEvaluator(self.campaign, retry=self.retry,
-                                      unit_deadline=self.unit_deadline,
-                                      sleep=self.sleep, clock=self.clock)
-            return (evaluator.evaluate(unit) for unit in pending)
-        if self.supervise:
-            from repro.perf.supervisor import SupervisedUnitExecutor
+        from repro.perf.supervisor import SupervisedUnitExecutor
 
-            supervisor = SupervisedUnitExecutor(
-                self.campaign, retry=self.retry,
-                unit_deadline=self.unit_deadline,
-                workers=self.workers, chunksize=self.chunksize,
-                max_pool_rebuilds=self.max_pool_rebuilds,
-                chunk_deadline_factor=self.chunk_deadline_factor,
-                bus=bus, metrics=metrics,
-                sleep=self.sleep, clock=self.clock)
-            self._supervisor = supervisor
-            return supervisor.run(pending)
-        from repro.perf.executor import ParallelUnitExecutor
-
-        executor = ParallelUnitExecutor(self.campaign, retry=self.retry,
-                                        unit_deadline=self.unit_deadline,
-                                        workers=self.workers,
-                                        chunksize=self.chunksize)
-        return executor.run(pending)
+        supervisor = SupervisedUnitExecutor(
+            self.campaign, retry=self.retry,
+            unit_deadline=self.unit_deadline,
+            workers=self.workers, chunksize=self.chunksize,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            chunk_deadline_factor=self.chunk_deadline_factor,
+            bus=bus, metrics=metrics,
+            sleep=self.sleep, clock=self.clock)
+        self._supervisor = supervisor
+        return supervisor.run(pending)
 
     def _save_cache(self) -> None:
         """Persist the cache when it is path-backed and has new entries."""
@@ -506,7 +444,7 @@ class CampaignRunner:
             metrics = MetricsRegistry()
             # Journal metadata is the campaign fingerprint minus the
             # bulky sweep table -- and, by the determinism contract,
-            # minus every execution knob (workers, cache, strategy), so
+            # minus every execution knob (workers, cache), so
             # serial and parallel journals stay byte-identical.
             bus.set_meta({k: v for k, v in meta.items()
                           if k != "sweeps"})
@@ -580,8 +518,6 @@ class CampaignRunner:
         self._save_cache()
         if self.cache is not None:
             result.cache_stats = self.cache.stats()
-        if self._frontier_evaluator is not None:
-            result.frontier_stats = self._frontier_evaluator.stats.as_dict()
         if self._batch_evaluator is not None:
             result.batch_stats = self._batch_evaluator.stats.as_dict()
         if self._supervisor is not None:
@@ -643,16 +579,13 @@ class CampaignRunner:
 
     def _emit_run_done(self, bus: Any, metrics: Any,
                        result: CampaignResult) -> None:
-        """Emit the frontier/batch ledgers and the run's terminal event."""
-        if result.frontier_stats is not None:
-            for group in result.frontier_stats["group_log"]:
-                bus.emit("frontier.group", **group)
-            for d in result.frontier_stats["demotions"]:
-                bus.emit("frontier.demote", **d)
-                metrics.inc(f"frontier.demote.{d['reason']}")
+        """Emit the grid evaluator's demotions and the terminal event.
+
+        A demotion only exists when a model's batch hook lied or
+        failed, so an honest serial run journals exactly what a pooled
+        run does.
+        """
         if result.batch_stats is not None:
-            for group in result.batch_stats["group_log"]:
-                bus.emit("batch.group", **group)
             for d in result.batch_stats["demotions"]:
                 bus.emit("batch.demote", **d)
                 metrics.inc(f"batch.demote.{d['reason']}")

@@ -295,8 +295,8 @@ class ChaosBehaviorModel:
     injector's per-site probes and change the fault pattern.  The
     class attribute below shadows ``__getattr__`` delegation, so batch
     evaluators see ``None`` and take the all-scalar fallback --
-    chaos campaigns probe site-for-site exactly like
-    ``strategy="exact"``.
+    serial chaos campaigns probe site-for-site exactly like pooled
+    ones.
     """
 
     SITE = "behavior.evaluate"

@@ -88,7 +88,9 @@ class UnitEvaluator:
     stateful only in its derived caches: the per-kind site population
     and the current (kind, R) resistance-variant list, both regenerated
     deterministically from the campaign seed.  One evaluator lives in
-    the serial runner; one per worker process in the parallel executor.
+    the serial grid evaluator (:mod:`repro.perf.batch`), which hands
+    it the sites its batch table cannot answer; one per worker process
+    in the supervised pool.
 
     Args:
         campaign: The :class:`~repro.ifa.flow.IfaCampaign`-shaped
@@ -139,11 +141,23 @@ class UnitEvaluator:
         return self._variants
 
     # ------------------------------------------------------------------
-    def evaluate(self, unit: WorkUnit) -> UnitOutcome:
+    def evaluate(self, unit: WorkUnit, sites: Sequence[int] | None = None,
+                 detected: int = 0,
+                 stats: RetryStats | None = None) -> UnitOutcome:
         """Evaluate one unit; quarantine sites that keep raising.
+
+        The grid evaluator (:class:`~repro.perf.batch.BatchEvaluator`)
+        answers most sites from a precomputed table and hands only the
+        rest to this loop through ``sites``; the defaults evaluate
+        every site.
 
         Args:
             unit: The (kind, R, condition) cell to evaluate.
+            sites: Site indices (ascending) to run through the
+                behaviour model; ``None`` runs the whole population.
+            detected: Detections already known for the sites left out.
+            stats: Retry counters to continue (a fresh
+                :class:`~repro.runner.retry.RetryStats` by default).
 
         Returns:
             The unit's record, quarantine entries and retry counters.
@@ -151,7 +165,14 @@ class UnitEvaluator:
         Raises:
             UnitDeadlineExceeded: the unit overran ``unit_deadline``.
         """
-        variants = self.variants_for(unit)
+        population = self.population(unit.kind)
+        variants: Sequence[Defect] | dict[int, Defect]
+        if sites is None:
+            variants = self.variants_for(unit)
+            sites = range(len(variants))
+        else:
+            variants = {i: population[i].with_resistance(unit.resistance)
+                        for i in sites}
         behavior = self.campaign.behavior
         cond = unit.condition
         # Chaos bookkeeping (duck-typed: absent outside chaos runs).
@@ -164,11 +185,12 @@ class UnitEvaluator:
         snapshot = (injector.counter_snapshot()
                     if injector is not None
                     and hasattr(injector, "counter_snapshot") else None)
-        stats = RetryStats()
+        if stats is None:
+            stats = RetryStats()
         started = self.clock()
-        detected = 0
         entries: list[dict[str, Any]] = []
-        for site_index, defect in enumerate(variants):
+        for position, site_index in enumerate(sites):
+            defect = variants[site_index]
             site_key = f"{unit.unit_id}#site{site_index}"
             try:
                 if run_with_retry(
@@ -190,7 +212,7 @@ class UnitEvaluator:
                     and self.clock() - started > self.unit_deadline):
                 raise UnitDeadlineExceeded(
                     f"{unit} exceeded its {self.unit_deadline:g}s budget "
-                    f"after {site_index + 1}/{len(variants)} sites; "
+                    f"after {position + 1}/{len(sites)} sites; "
                     "completed units are checkpointed -- fix the stall "
                     "and resume")
         record = CoverageRecord(
@@ -200,7 +222,7 @@ class UnitEvaluator:
             vdd=cond.vdd,
             period=cond.period,
             detected=detected,
-            total=len(variants),
+            total=len(population),
             errors=len(entries),
         )
         injections = (injector.counters_since(snapshot)

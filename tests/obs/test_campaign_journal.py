@@ -7,7 +7,7 @@ The acceptance claims of the observability layer, end to end:
 * a journal is a pure function of what the campaign computed: a
   4-worker run writes bytes identical to a serial run;
 * nothing is swallowed -- every quarantine, retry, corrupt-cache
-  discard and frontier demotion appears as an event, and
+  discard and batch-hook demotion appears as an event, and
   ``build_report`` reproduces the runner's own statistics from the
   journal alone.
 """
@@ -15,13 +15,11 @@ The acceptance claims of the observability layer, end to end:
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.defects.behavior import (
-    DefectBehaviorModel,
-    ResistanceFrontier,
-)
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.march.library import TEST_11N
@@ -29,7 +27,6 @@ from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
 from repro.obs import EventBus, build_report, read_journal
 from repro.perf.counting import CountingEventBus
-from repro.perf.frontier import FrontierPolicy
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
     ChaosBehaviorModel,
@@ -240,8 +237,9 @@ class TestCacheEvents:
         assert "JSON" in discard.data["error"]
 
 
-class LyingFrontierModel:
-    """Declares every site detected at every R (a lie, crosschecked)."""
+class LyingBatchModel:
+    """A batch hook that inverts every cell (a lie the cross-check
+    catches); the scalar path stays honest."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -249,29 +247,36 @@ class LyingFrontierModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_below", lambda r: True)
+    def evaluate_batch(self, sites, resistances, condition):
+        return ~np.asarray(self._inner.evaluate_batch(
+            sites, resistances, condition))
 
 
-class TestFrontierEvents:
-    def test_groups_and_lying_model_demotions(self, tmp_path):
+class TestBatchEvents:
+    def test_lying_batch_hook_demotions(self, tmp_path):
         campaign = make_campaign()
-        campaign.behavior = LyingFrontierModel(campaign.behavior)
-        path = tmp_path / "frontier.jsonl"
-        result = CampaignRunner(
-            campaign, strategy="frontier", journal=path,
-            frontier_policy=FrontierPolicy(crosscheck_fraction=1.0),
-        ).run([bridge_spec()])
-        assert result.frontier_stats["demoted_sites"] > 0
+        campaign.behavior = LyingBatchModel(campaign.behavior)
+        path = tmp_path / "batch.jsonl"
+        result = CampaignRunner(campaign, journal=path).run([bridge_spec()])
+        stats = result.batch_stats
+        assert stats["demoted_sites"] == stats["crosscheck_mismatches"] > 0
         meta, events = read_journal(path)
-        groups = [e for e in events if e.name == "frontier.group"]
-        assert groups and all(g.data["sites"] > 0 for g in groups)
-        demotions = [e for e in events if e.name == "frontier.demote"]
-        assert demotions
+        demotions = [e for e in events if e.name == "batch.demote"]
+        assert len(demotions) == stats["demoted_sites"]
         assert {d.data["reason"] for d in demotions} == {"lying-model"}
         assert all(d.data["stage"] == "crosscheck" for d in demotions)
+        # Demotions land after the last unit, before run.done.
+        assert names(events)[-1] == "run.done"
+        assert names(events)[-1 - len(demotions):-1] == (
+            ["batch.demote"] * len(demotions))
         report = build_report(meta, events)
-        assert len(report["frontier"]["demotions"]) == len(demotions)
+        assert len(report["batch"]["demotions"]) == len(demotions)
+
+    def test_honest_serial_run_journals_no_batch_events(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        CampaignRunner(make_campaign(), journal=path).run([bridge_spec()])
+        _, events = read_journal(path)
+        assert not [e for e in events if e.name.startswith("batch.")]
 
 
 class TestShmooJournal:

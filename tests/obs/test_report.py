@@ -35,9 +35,7 @@ def synthetic_bus():
              attempts=2, error="RuntimeError: boom again")
     bus.emit("unit.done", unit="bridge:2e3:VLV", source="executed",
              detected=4, total=10, errors=1, condition="VLV")
-    bus.emit("frontier.group", kind="bridge", condition="VLV",
-             sites=10, cached=False)
-    bus.emit("frontier.demote", kind="bridge", condition="VLV",
+    bus.emit("batch.demote", kind="bridge", condition="VLV",
              site_index=7, reason="lying-model", stage="crosscheck")
     bus.emit("checkpoint.save", completed_units=3)
     bus.emit("database.discard_corrupt_tmp", path="/db.json.tmp",
@@ -55,7 +53,7 @@ class TestBuildReport:
         assert report["version"] == 1
         assert report["meta"] == {"seed": 11}
         assert report["totals"] == {
-            "events": 18, "plan_units": 3, "executed_units": 1,
+            "events": 17, "plan_units": 3, "executed_units": 1,
             "resumed_units": 1, "cached_units": 1, "quarantined_sites": 1}
         assert report["sources"] == {
             "cache": 1, "checkpoint": 1, "executed": 1}
@@ -68,7 +66,7 @@ class TestBuildReport:
         assert report["retries"]["attempts"] == 2
         assert report["retries"]["by_unit"] == {"bridge:2e3:VLV": 2}
         assert report["quarantines"][0]["site_index"] == 3
-        assert report["frontier"]["demotions"][0]["reason"] == "lying-model"
+        assert report["batch"]["demotions"][0]["reason"] == "lying-model"
         assert report["checkpoints"] == {"saves": 1, "resumes": 1}
         assert report["database"]["discarded_corrupt_tmp"][0][
             "path"] == "/db.json.tmp"
@@ -162,7 +160,7 @@ class TestRendering:
         """check.sh greps these headers; they must render when clean."""
         text = render_text(build_report({}, []))
         assert "Quarantines:\n  (none)" in text
-        assert "Frontier demotions:\n  (none)" in text
+        assert "Batch demotions:\n  (none)" in text
         assert "Corrupt cache discards:\n  (none)" in text
         assert "Poison units:\n  (none)" in text
         assert "Pool supervision: worker_losses=0" in text

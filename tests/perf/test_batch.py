@@ -1,11 +1,13 @@
 """Tests for repro.perf.batch: the scalar path as equivalence oracle.
 
-The contract under test: ``strategy="batch"`` emits records
-byte-identical to ``strategy="exact"`` serial for *every* model in the
-capability matrix -- a correct vectorised hook, a model without the
-hook, a hook that raises or returns the wrong shape, and a hook that
-lies -- and under chaos, kill/resume and cache reuse.  Wall-clock is
-the benchmark's business (:mod:`repro.perf.frontier_bench`); here the
+The contract under test: the serial campaign's grid evaluator emits
+records byte-identical to a per-site
+:class:`~repro.runner.evaluate.UnitEvaluator` pass (the ``exact_run``
+fixture) and to the pooled run for *every* model in the capability
+matrix -- a correct vectorised hook, a model without the hook, a hook
+that raises or returns the wrong shape, and a hook that lies -- and
+under chaos, kill/resume and cache reuse.  Wall-clock is the
+benchmark's business (:mod:`repro.perf.frontier_bench`); here the
 speedup claim appears only as deterministic call-count inequalities.
 """
 
@@ -26,10 +28,8 @@ from repro.perf.fingerprint import (
     population_fingerprint,
 )
 from repro.runner.atomic import canonical_json
-from repro.perf.frontier import FrontierPolicy, FrontierUnitEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import ChaosBehaviorModel, FaultInjector, InjectedCrash
-from repro.runner.units import plan_units
 from repro.stress import production_conditions
 
 
@@ -108,12 +108,11 @@ class TestBatchHookOracle:
 
 class TestEquivalence:
     def test_table1_byte_identical_with_5x_fewer_calls(
-            self, counting_campaign):
+            self, counting_campaign, exact_run):
         exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
+        exact = exact_run(exact_campaign, [table1_spec()])
         batch_campaign = counting_campaign()
-        batch = CampaignRunner(
-            batch_campaign, strategy="batch").run([table1_spec()])
+        batch = CampaignRunner(batch_campaign).run([table1_spec()])
         assert records_bytes(exact.records) == records_bytes(batch.records)
         # The ISSUE acceptance floor, as a call-count inequality (the
         # only counted calls left are the cross-check sample).
@@ -127,14 +126,13 @@ class TestEquivalence:
         assert stats["crosscheck_mismatches"] == 0
         assert stats["model_invocations"] == stats[
             "crosscheck_invocations"] == batch_campaign.behavior.calls
-        assert exact.batch_stats is None
 
-    def test_opens_sweep_byte_identical(self, counting_campaign):
+    def test_opens_sweep_byte_identical(self, counting_campaign,
+                                        exact_run):
         exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([opens_spec()])
+        exact = exact_run(exact_campaign, [opens_spec()])
         batch_campaign = counting_campaign()
-        batch = CampaignRunner(
-            batch_campaign, strategy="batch").run([opens_spec()])
+        batch = CampaignRunner(batch_campaign).run([opens_spec()])
         assert records_bytes(exact.records) == records_bytes(batch.records)
         assert exact_campaign.behavior.calls >= (
             5 * batch_campaign.behavior.calls)
@@ -142,8 +140,7 @@ class TestEquivalence:
     def test_matches_parallel_exact_run(self, counting_campaign):
         parallel = CampaignRunner(
             counting_campaign(), workers=4).run([table1_spec()])
-        batch = CampaignRunner(
-            counting_campaign(), strategy="batch").run([table1_spec()])
+        batch = CampaignRunner(counting_campaign()).run([table1_spec()])
         assert records_bytes(parallel.records) == records_bytes(
             batch.records)
 
@@ -152,42 +149,45 @@ class TestFallbacks:
     """Every capability gap degrades to the exact path, never to
     wrong records."""
 
-    def run_pair(self, counting_campaign, wrap, **runner_kwargs):
-        exact = CampaignRunner(
-            counting_campaign(wrap=wrap)).run([table1_spec()])
-        campaign = counting_campaign(wrap=wrap)
-        batch = CampaignRunner(campaign, strategy="batch",
-                               **runner_kwargs).run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(batch.records)
-        return batch.batch_stats
+    @pytest.fixture
+    def run_pair(self, counting_campaign, exact_run):
+        """Grid-evaluate Table 1 under ``wrap``; assert exact records."""
+        def run(wrap, **evaluator_kwargs):
+            exact = exact_run(counting_campaign(wrap=wrap),
+                              [table1_spec()])
+            campaign = counting_campaign(wrap=wrap)
+            plan = CampaignRunner(campaign).plan([table1_spec()])
+            evaluator = BatchEvaluator(campaign, plan, **evaluator_kwargs)
+            records = [evaluator.evaluate(unit).record for unit in plan]
+            assert records_bytes(exact.records) == records_bytes(records)
+            return evaluator.stats.as_dict()
+        return run
 
-    def test_opaque_model_falls_back_silently(self, counting_campaign):
-        stats = self.run_pair(counting_campaign, OpaqueModel)
+    def test_opaque_model_falls_back_silently(self, run_pair):
+        stats = run_pair(OpaqueModel)
         assert stats["fallback_sites"] == stats["sites"]
         assert stats["batch_sites"] == 0
         assert stats["demotions"] == []
 
-    def test_raising_hook_falls_back_with_ledger(self, counting_campaign):
-        stats = self.run_pair(counting_campaign, RaisingBatchModel)
+    def test_raising_hook_falls_back_with_ledger(self, run_pair):
+        stats = run_pair(RaisingBatchModel)
         assert stats["fallback_sites"] == stats["sites"]
         assert stats["batch_sites"] == 0
-        assert len(stats["demotions"]) == len(stats["group_log"])
+        assert len(stats["demotions"]) == stats["groups"]
         entry = stats["demotions"][0]
         assert entry["reason"] == "probe-error"
         assert entry["stage"] == "batch"
         assert entry["site_index"] == -1
         assert "vector unit on fire" in entry["error"]
 
-    def test_bad_shape_falls_back_with_ledger(self, counting_campaign):
-        stats = self.run_pair(counting_campaign, BadShapeBatchModel)
+    def test_bad_shape_falls_back_with_ledger(self, run_pair):
+        stats = run_pair(BadShapeBatchModel)
         assert stats["fallback_sites"] == stats["sites"]
         reasons = {d["reason"] for d in stats["demotions"]}
         assert reasons == {"bad-shape"}
 
-    def test_lying_hook_demoted_by_full_crosscheck(self, counting_campaign):
-        policy = FrontierPolicy(batch_crosscheck_fraction=1.0)
-        stats = self.run_pair(counting_campaign, LyingBatchModel,
-                              frontier_policy=policy)
+    def test_lying_hook_demoted_by_full_crosscheck(self, run_pair):
+        stats = run_pair(LyingBatchModel, crosscheck_fraction=1.0)
         # Checking every cell catches every lying site; the records
         # above were still byte-identical because demoted sites rerun
         # exactly per unit.
@@ -208,8 +208,7 @@ class TestFallbacks:
         # (previous test); the sparse default is a tripwire, and the
         # mismatch counter is the signal operators alarm on.
         result = CampaignRunner(
-            counting_campaign(wrap=LyingBatchModel),
-            strategy="batch").run([table1_spec()])
+            counting_campaign(wrap=LyingBatchModel)).run([table1_spec()])
         stats = result.batch_stats
         assert stats["crosscheck_mismatches"] > 0
         assert stats["demoted_sites"] == stats["crosscheck_mismatches"]
@@ -218,44 +217,44 @@ class TestFallbacks:
 class TestChaosEquivalence:
     """Batch + faults == exact + faults: pattern, ledger and records."""
 
-    def chaos_run(self, counting_campaign, injector, strategy):
-        campaign = counting_campaign()
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-        return CampaignRunner(campaign, strategy=strategy).run(
-            [table1_spec()])
+    @pytest.fixture
+    def chaos_run(self, counting_campaign, exact_run):
+        """Table 1 under ``injector``, grid-evaluated or exact."""
+        def run(injector, exact=False):
+            campaign = counting_campaign()
+            campaign.behavior = ChaosBehaviorModel(campaign.behavior,
+                                                   injector)
+            if exact:
+                return exact_run(campaign, [table1_spec()])
+            return CampaignRunner(campaign).run([table1_spec()])
+        return run
 
     def test_chaos_model_declines_the_hook(self):
         chaos = ChaosBehaviorModel(DefectBehaviorModel(CMOS018),
                                    FaultInjector())
         assert chaos.evaluate_batch is None
 
-    def test_flaky_faults_identical_ledgers(self, counting_campaign):
-        exact = self.chaos_run(
-            counting_campaign,
+    def test_flaky_faults_identical_ledgers(self, chaos_run):
+        exact = chaos_run(
             FaultInjector(seed=7, rates={"behavior.evaluate": 0.05}),
-            "exact")
-        batch = self.chaos_run(
-            counting_campaign,
-            FaultInjector(seed=7, rates={"behavior.evaluate": 0.05}),
-            "batch")
+            exact=True)
+        batch = chaos_run(
+            FaultInjector(seed=7, rates={"behavior.evaluate": 0.05}))
         assert records_bytes(exact.records) == records_bytes(batch.records)
         assert exact.quarantine == batch.quarantine
         assert dataclasses.asdict(exact.retry_stats) == dataclasses.asdict(
             batch.retry_stats)
 
-    def test_positional_faults_identical_quarantine(self,
-                                                    counting_campaign):
+    def test_positional_faults_identical_quarantine(self, chaos_run):
         positions = {"behavior.evaluate": {0, 1, 2, 40, 41, 42}}
-        exact = self.chaos_run(counting_campaign,
-                               FaultInjector(positions=positions), "exact")
-        batch = self.chaos_run(counting_campaign,
-                               FaultInjector(positions=positions), "batch")
+        exact = chaos_run(FaultInjector(positions=positions), exact=True)
+        batch = chaos_run(FaultInjector(positions=positions))
         assert exact.quarantine, "the burst should exhaust retries"
         assert records_bytes(exact.records) == records_bytes(batch.records)
         assert exact.quarantine == batch.quarantine
 
-    def test_chaos_batch_run_is_all_fallback(self, counting_campaign):
-        batch = self.chaos_run(counting_campaign, FaultInjector(), "batch")
+    def test_chaos_batch_run_is_all_fallback(self, chaos_run):
+        batch = chaos_run(FaultInjector())
         stats = batch.batch_stats
         assert stats["fallback_sites"] == stats["sites"]
         assert stats["batch_sites"] == 0
@@ -263,87 +262,49 @@ class TestChaosEquivalence:
 
 class TestResume:
     def test_killed_batch_campaign_resumes_byte_identical(
-            self, tmp_path, counting_campaign):
+            self, tmp_path, counting_campaign, exact_run):
         make = counting_campaign
-        baseline = CampaignRunner(make()).run([table1_spec()])
+        baseline = exact_run(make(), [table1_spec()])
         ck = tmp_path / "ck.json"
         inj = FaultInjector(crash_positions={"io.replace": {4}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make(), checkpoint_path=ck, strategy="batch",
+            CampaignRunner(make(), checkpoint_path=ck,
                            fault_hook=inj.check).run([table1_spec()])
-        resumed = CampaignRunner(make(), checkpoint_path=ck,
-                                 strategy="batch").run([table1_spec()])
+        resumed = CampaignRunner(make(),
+                                 checkpoint_path=ck).run([table1_spec()])
         assert resumed.resumed_units > 0
         assert records_bytes(resumed.records) == records_bytes(
             baseline.records)
 
     def test_exact_checkpoint_resumes_under_batch(self, tmp_path,
-                                                  counting_campaign):
-        baseline = CampaignRunner(counting_campaign()).run([table1_spec()])
+                                                  counting_campaign,
+                                                  exact_run):
+        """A pooled (exact per-site) checkpoint resumes serially."""
+        baseline = exact_run(counting_campaign(), [table1_spec()])
         ck = tmp_path / "ck.json"
         inj = FaultInjector(crash_positions={"io.replace": {7}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(counting_campaign(), checkpoint_path=ck,
-                           fault_hook=inj.check).run([table1_spec()])
-        resumed = CampaignRunner(counting_campaign(), checkpoint_path=ck,
-                                 strategy="batch").run([table1_spec()])
+                           workers=2, fault_hook=inj.check,
+                           ).run([table1_spec()])
+        resumed = CampaignRunner(counting_campaign(),
+                                 checkpoint_path=ck).run([table1_spec()])
         assert resumed.resumed_units > 0
         assert records_bytes(resumed.records) == records_bytes(
             baseline.records)
 
 
 class TestCacheInterop:
-    def plan(self):
-        return plan_units(DefectKind.BRIDGE, TABLE1_RESISTANCES,
-                          all_conditions())
-
-    def evaluate_all(self, evaluator):
-        return [evaluator.evaluate(u).record for u in self.plan()]
-
     def test_exact_warmed_cache_serves_batch_run(self, counting_campaign):
+        """A cache filled by the pool serves the serial grid run."""
         cache = EvaluationCache()
-        exact = CampaignRunner(counting_campaign(),
+        exact = CampaignRunner(counting_campaign(), workers=2,
                                cache=cache).run([table1_spec()])
         campaign = counting_campaign()
-        batch = CampaignRunner(campaign, cache=cache,
-                               strategy="batch").run([table1_spec()])
+        batch = CampaignRunner(campaign, cache=cache).run([table1_spec()])
         assert batch.cached_units == len(batch.records)
         assert campaign.behavior.calls == 0
         assert records_bytes(exact.records) == records_bytes(batch.records)
-
-    def test_frontier_table_serves_batch_and_back(self, counting_campaign):
-        """Both strategies read and write the same group-table rows."""
-        cache = EvaluationCache()
-        plan = self.plan()
-        frontier_campaign = counting_campaign()
-        frontier = FrontierUnitEvaluator(frontier_campaign, plan,
-                                         cache=cache)
-        frontier_records = self.evaluate_all(frontier)
-        assert frontier.stats.groups > 0
-
-        batch_campaign = counting_campaign()
-        batch = BatchEvaluator(batch_campaign, plan, cache=cache)
-        batch_records = self.evaluate_all(batch)
-        assert batch.stats.cached_groups == frontier.stats.groups
-        assert batch.stats.groups == 0
-        # Cached tables are trusted: zero scalar invocations at all.
-        assert batch_campaign.behavior.calls == 0
-        assert records_bytes(frontier_records) == records_bytes(
-            batch_records)
-
-        # ... and the reverse direction: a batch-derived table serves
-        # a later frontier evaluator.
-        fresh_cache = EvaluationCache()
-        warm = BatchEvaluator(counting_campaign(), plan, cache=fresh_cache)
-        self.evaluate_all(warm)
-        served_campaign = counting_campaign()
-        served = FrontierUnitEvaluator(served_campaign, plan,
-                                       cache=fresh_cache)
-        served_records = self.evaluate_all(served)
-        assert served.stats.cached_groups == warm.stats.groups
-        assert served_campaign.behavior.calls == 0
-        assert records_bytes(served_records) == records_bytes(
-            batch_records)
 
 
 class TestFingerprintStability:
@@ -366,18 +327,14 @@ class TestFingerprintStability:
 
 
 class TestGuards:
-    def test_batch_strategy_is_serial_only(self, counting_campaign):
-        with pytest.raises(ValueError, match="serial"):
-            CampaignRunner(counting_campaign(), strategy="batch",
-                           workers=4)
-
     def test_unknown_strategy_rejected(self, counting_campaign):
-        with pytest.raises(ValueError, match="strategy"):
-            CampaignRunner(counting_campaign(), strategy="turbo")
+        """No strategy knob: the worker count alone picks the evaluator."""
+        with pytest.raises(TypeError, match="strategy"):
+            CampaignRunner(counting_campaign(), strategy="batch")
 
-    def test_policy_validates_batch_fraction(self):
-        with pytest.raises(ValueError, match="batch_crosscheck_fraction"):
-            FrontierPolicy(batch_crosscheck_fraction=1.5)
+    def test_crosscheck_fraction_validated(self, counting_campaign):
+        with pytest.raises(ValueError, match="crosscheck_fraction"):
+            BatchEvaluator(counting_campaign(), [], crosscheck_fraction=1.5)
 
     def test_unit_deadline_must_be_positive(self, counting_campaign):
         with pytest.raises(ValueError, match="unit_deadline"):

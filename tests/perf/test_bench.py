@@ -49,7 +49,7 @@ class TestBenchDocument:
         assert bench_doc["cache_hit_rate"] == 1.0
         assert bench_doc["speedup_parallel"] > 0
         assert bench_doc["workloads"]["cpu"][
-            "parallel_matches_serial"] is True
+            "supervised_matches_serial"] is True
 
     def test_round_trips_through_json(self, bench_doc):
         assert validate_bench(json.loads(json.dumps(bench_doc))) == []
@@ -62,7 +62,7 @@ class TestWorkerClamp:
         import os
 
         requested = bench_doc["config"]["workers"]
-        cpu_parallel = bench_doc["workloads"]["cpu"]["parallel"]
+        cpu_parallel = bench_doc["workloads"]["cpu"]["supervised"]
         assert cpu_parallel["workers_requested"] == requested
         assert cpu_parallel["workers"] == min(requested,
                                               os.cpu_count() or 1)
@@ -71,13 +71,13 @@ class TestWorkerClamp:
 
     def test_sim_workload_keeps_requested_workers(self, bench_doc):
         """Latency-bound oversubscription is the sim workload's point."""
-        sim_parallel = bench_doc["workloads"]["sim"]["parallel"]
+        sim_parallel = bench_doc["workloads"]["sim"]["supervised"]
         assert sim_parallel["workers"] == bench_doc["config"]["workers"]
 
     def test_validator_requires_clamp_fields(self, bench_doc):
         doc = json.loads(json.dumps(bench_doc))
         del doc["workloads"]["cpu"]["workers_clamped"]
-        del doc["workloads"]["sim"]["parallel"]["workers_requested"]
+        del doc["workloads"]["sim"]["supervised"]["workers_requested"]
         problems = validate_bench(doc)
         assert any("workers_clamped" in p for p in problems)
         assert any("workers_requested" in p for p in problems)
@@ -95,8 +95,8 @@ class TestValidateBench:
 
     def test_flags_failed_determinism_check(self, bench_doc):
         doc = json.loads(json.dumps(bench_doc))
-        doc["workloads"]["sim"]["parallel_matches_serial"] = False
-        assert any("parallel_matches_serial" in p
+        doc["workloads"]["sim"]["supervised_matches_serial"] = False
+        assert any("supervised_matches_serial" in p
                    for p in validate_bench(doc))
 
     def test_committed_artifact_is_valid(self):

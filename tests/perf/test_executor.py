@@ -1,4 +1,11 @@
-"""Tests for repro.perf.executor: chunking, byte-identity, chaos, resume."""
+"""Tests for the worker pool: chunking, byte-identity, chaos, resume.
+
+The pool is :class:`~repro.perf.supervisor.SupervisedUnitExecutor`
+over the worker-side helpers of :mod:`repro.perf.executor`; the
+serial runner it must match is the grid evaluator, and the per-site
+:class:`~repro.runner.evaluate.UnitEvaluator` is the oracle for the
+retry tallies.
+"""
 
 import dataclasses
 import json
@@ -9,12 +16,10 @@ from repro.circuit.technology import CMOS018
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
-from repro.perf.executor import (
-    DEFAULT_CHUNKS_PER_WORKER,
-    ParallelUnitExecutor,
-    chunk_units,
-)
+from repro.perf.executor import DEFAULT_CHUNKS_PER_WORKER, chunk_units
+from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.campaign import CampaignRunner, SweepSpec
+from repro.runner.evaluate import UnitEvaluator
 from repro.runner.chaos import (
     ChaosBehaviorModel,
     FaultInjector,
@@ -96,7 +101,12 @@ class TestParallelMatchesSerial:
         assert records_bytes(parallel.records) == records_bytes(
             serial.records)
         assert parallel.executed_units == serial.executed_units
-        assert parallel.retry_stats.calls == serial.retry_stats.calls
+        # The pool runs the per-site evaluator: one call per site.
+        oracle = UnitEvaluator(make_campaign())
+        calls = sum(oracle.evaluate(unit).stats.calls for unit in
+                    plan_units(spec.kind, spec.resistances,
+                               spec.conditions))
+        assert parallel.retry_stats.calls == calls
 
     def test_explicit_chunksize(self):
         spec = bridge_spec()
@@ -108,21 +118,21 @@ class TestParallelMatchesSerial:
 
     def test_executor_yields_plan_order(self):
         units = plan_units(DefectKind.BRIDGE, (1e3, 10e3), conditions())
-        executor = ParallelUnitExecutor(make_campaign(), workers=2,
-                                        chunksize=1)
+        executor = SupervisedUnitExecutor(make_campaign(), workers=2,
+                                          chunksize=1)
         outcomes = list(executor.run(units))
         assert [o.unit_id for o in outcomes] == [u.unit_id for u in units]
         assert [o.index for o in outcomes] == [u.index for u in units]
 
     def test_empty_units(self):
-        executor = ParallelUnitExecutor(make_campaign(), workers=2)
+        executor = SupervisedUnitExecutor(make_campaign(), workers=2)
         assert list(executor.run([])) == []
 
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             CampaignRunner(make_campaign(), workers=0)
         with pytest.raises(ValueError, match="workers"):
-            ParallelUnitExecutor(make_campaign(), workers=0)
+            SupervisedUnitExecutor(make_campaign(), workers=0)
 
 
 class TestResumeWithWorkers:

@@ -9,6 +9,8 @@ The acceptance claims of the supervised pool, end to end:
   error ledger instead of aborting the campaign;
 * an exhausted rebuild budget degrades to serial in-parent evaluation
   rather than aborting;
+* a pool that breaks while the parent is still submitting chunks is
+  healed like a death seen while waiting on one;
 * a failed worker initializer surfaces as :class:`WorkerInitError`
   naming the cause (fatal: no rebuild);
 * fork-copied chaos counters merge back so ``FaultInjector.stats()``
@@ -19,6 +21,8 @@ The acceptance claims of the supervised pool, end to end:
 
 import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,7 +31,8 @@ from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
 from repro.obs import read_journal
-from repro.perf.executor import ParallelUnitExecutor, WorkerInitError
+from repro.perf import supervisor
+from repro.perf.executor import WorkerInitError
 from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
@@ -135,6 +140,46 @@ class TestWorkerDeathHeals:
         assert result.supervisor_stats["rebuilds"] >= 1
 
 
+def pool_breaking_on_submit(k):
+    """A pool class whose k-th ``submit`` (counted across every pool
+    built from it) finds the pool broken, as when a worker dies while
+    the parent is still submitting chunks."""
+
+    class BreaksOnSubmit(ProcessPoolExecutor):
+        submits = 0
+
+        def submit(self, fn, /, *args, **kwargs):
+            BreaksOnSubmit.submits += 1
+            if BreaksOnSubmit.submits == k:
+                raise BrokenProcessPool("worker lost during submit (test)")
+            return super().submit(fn, *args, **kwargs)
+
+    return BreaksOnSubmit
+
+
+class TestSubmitRace:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_broken_submit_heals_byte_identical(self, tmp_path,
+                                                monkeypatch, k):
+        spec = wide_spec()
+        baseline = CampaignRunner(make_campaign()).run([spec])
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor",
+                            pool_breaking_on_submit(k))
+
+        journal = tmp_path / "run.jsonl"
+        result = CampaignRunner(make_campaign(), workers=2, chunksize=1,
+                                journal=journal).run([spec])
+
+        assert records_bytes(result.records) == records_bytes(
+            baseline.records)
+        assert result.supervisor_stats["worker_losses"] == 1
+        assert result.supervisor_stats["rebuilds"] == 1
+        _, events = read_journal(journal)
+        assert [e.data["cause"] for e in events
+                if e.name == "pool.worker_lost"] == ["worker-lost"]
+        assert [e for e in events if e.name == "pool.rebuild"]
+
+
 class TestPoisonUnit:
     def test_poison_unit_quarantined_not_fatal(self, tmp_path):
         """A unit that always kills its worker lands in the ledger."""
@@ -210,14 +255,6 @@ class TestWorkerInitError:
         campaign = make_campaign()
         campaign.bomb = _UnpicklableInWorker()
         return campaign
-
-    def test_bare_executor_names_cause(self):
-        executor = ParallelUnitExecutor(self.make_broken_campaign(),
-                                        workers=2)
-        units = plan_units(DefectKind.BRIDGE, (1e3,), conditions(1))
-        with pytest.raises(WorkerInitError,
-                           match="exploding payload"):
-            list(executor.run(units))
 
     def test_supervisor_does_not_rebuild_on_init_failure(self):
         runner = CampaignRunner(self.make_broken_campaign(), workers=2)

@@ -44,6 +44,16 @@ def make_campaign(injector=None):
     return campaign
 
 
+def per_site_campaign():
+    """A healthy campaign the serial runner evaluates site by site.
+
+    The chaos wrapper declines the batch hook, so even a serial run
+    takes the per-site loop -- what the call-count and deadline tests
+    below measure.
+    """
+    return make_campaign(FaultInjector())
+
+
 def two_conditions():
     conds = production_conditions(CMOS018)
     return (conds["VLV"], conds["Vmax"])
@@ -193,7 +203,7 @@ class TestErrorsUnderResume:
     def test_degraded_unit_is_not_reexecuted_on_resume(self, tmp_path):
         """The quarantined unit counts as resumed, not executed."""
         ck = self.run_degraded_checkpoint(tmp_path)
-        resumed = CampaignRunner(make_campaign(),
+        resumed = CampaignRunner(per_site_campaign(),
                                  checkpoint_path=ck).run([bridge_spec()])
         assert resumed.resumed_units >= 1
         # Unit 0 (the degraded one) came from the checkpoint: the
@@ -268,7 +278,7 @@ class TestDeadline:
             return now[0]
 
         ck = tmp_path / "ck.json"
-        runner = CampaignRunner(make_campaign(), checkpoint_path=ck,
+        runner = CampaignRunner(per_site_campaign(), checkpoint_path=ck,
                                 unit_deadline=10.0, clock=clock)
         with pytest.raises(UnitDeadlineExceeded, match="checkpointed"):
             runner.run([bridge_spec()])

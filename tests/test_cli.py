@@ -211,40 +211,25 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
 
-    def test_run_with_frontier_strategy(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "frontier"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "campaign complete" in out
-        assert "frontier:" in out and "model invocations" in out
-
-    def test_frontier_rejects_workers(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "frontier", "--workers", "2"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "serial" in err
-
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "run",
-                                       "--strategy", "turbo"])
+        """The campaign chooses its evaluator from --workers alone."""
+        for strategy in ("exact", "batch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["campaign", "run",
+                                           "--strategy", strategy])
 
-    def test_run_with_batch_strategy(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "batch"])
-        assert rc == 0
+    def test_serial_and_pooled_save_identical_databases(self, capsys,
+                                                        tmp_path):
+        serial_db = tmp_path / "serial.json"
+        pooled_db = tmp_path / "pooled.json"
+        assert main(["campaign", "run", *self.ARGS,
+                     "--save-db", str(serial_db)]) == 0
         out = capsys.readouterr().out
-        assert "campaign complete" in out
         assert "batch:" in out and "model invocations" in out
-
-    def test_batch_rejects_workers(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "batch", "--workers", "2"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "serial" in err
+        assert main(["campaign", "run", *self.ARGS, "--workers", "2",
+                     "--save-db", str(pooled_db)]) == 0
+        assert "batch:" not in capsys.readouterr().out
+        assert serial_db.read_bytes() == pooled_db.read_bytes()
 
 
 class TestShmooStrategy:
@@ -282,7 +267,7 @@ class TestJournalCli:
         out = capsys.readouterr().out
         assert "Run report" in out
         assert "Quarantines:" in out
-        assert "Frontier demotions:" in out
+        assert "Batch demotions:" in out
 
     def test_report_json_format(self, capsys, tmp_path):
         journal = str(tmp_path / "run.jsonl")
