@@ -1,10 +1,14 @@
-"""Tests for repro.perf.frontier: exact-path equivalence, guarded.
+"""The serial fast path's end-to-end contract, through the runner.
 
-The contract under test: ``strategy="frontier"`` emits records
-byte-identical to ``strategy="exact"`` while issuing several-fold fewer
-behaviour-model invocations -- and every fallback route (no
-declaration, non-monotone closed form, lying closed form) degrades to
-the exact path rather than to wrong records.
+A serial :class:`~repro.runner.campaign.CampaignRunner` run evaluates
+whole (population x resistance grid) groups at once (the grid
+evaluator of :mod:`repro.perf.batch`).  Whatever the behaviour model
+offers, its records must be byte-identical to the per-site oracle --
+the ``exact_run`` fixture -- and to the supervised pool, while a
+model with the vectorised hook costs several-fold fewer per-site
+behaviour-model calls.  :mod:`tests.perf.test_batch` drives the
+evaluator directly; this module holds the same guarantees at the
+runner and pool boundary.
 """
 
 import dataclasses
@@ -14,11 +18,9 @@ import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.defects.behavior import DefectBehaviorModel, ResistanceFrontier
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
-from repro.perf.cache import EvaluationCache, frontier_cache_key
-from repro.perf.frontier import FrontierPolicy
+from repro.perf.batch import BatchEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.stress import production_conditions
 
@@ -44,7 +46,7 @@ def records_bytes(records):
 
 
 class OpaqueModel:
-    """Delegates ``fails_condition`` only -- declares no frontier."""
+    """Delegates ``fails_condition`` only -- offers no batch hook."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -53,126 +55,77 @@ class OpaqueModel:
         return self._inner.fails_condition(defect, condition)
 
 
-class MonotonicityOnlyModel(OpaqueModel):
-    """Declares the monotone orientation but no closed-form frontier."""
+class LyingBatchModel(OpaqueModel):
+    """Claims every cell is detected (a lie)."""
 
-    def resistance_monotonicity(self, defect, condition):
-        return self._inner.resistance_monotonicity(defect, condition)
-
-
-class LyingFrontierModel(OpaqueModel):
-    """Claims every site is detected at every resistance (a lie)."""
-
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_below", lambda r: True)
-
-
-class NonMonotoneFrontierModel(OpaqueModel):
-    """Closed form that contradicts its own declared orientation."""
-
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_above", lambda r: r < 5e3)
-
-
-class TestAnalyticFrontiers:
-    """The closed forms agree with the exact model, cell by cell."""
-
-    @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
-    def test_matches_exact_model_everywhere(self, counting_campaign, kind):
-        campaign = counting_campaign(n_sites=30)
-        model = DefectBehaviorModel(CMOS018)
-        population = (campaign.bridge_population()
-                      if kind is DefectKind.BRIDGE
-                      else campaign.open_population())
-        grid = [float(r) for r in np.logspace(1, 7.5, 12)]
-        for cond in all_conditions():
-            for site in population:
-                frontier = model.resistance_frontier(site, cond)
-                assert frontier is not None
-                assert frontier.orientation == (
-                    model.resistance_monotonicity(site, cond))
-                for r in grid:
-                    exact = model.fails_condition(
-                        site.with_resistance(r), cond)
-                    assert frontier.detects(r) == exact, (
-                        f"{site} at {r:g} under {cond.name}")
+    def evaluate_batch(self, sites, resistances, condition):
+        return np.ones((len(sites), len(resistances)), dtype=bool)
 
 
 class TestEquivalence:
     def test_table1_byte_identical_with_5x_fewer_calls(
-            self, counting_campaign):
+            self, counting_campaign, exact_run):
         exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
-        frontier_campaign = counting_campaign()
-        frontier = CampaignRunner(
-            frontier_campaign, strategy="frontier").run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        # The ISSUE acceptance floor, as a call-count inequality.
+        exact = exact_run(exact_campaign, [table1_spec()])
+        pooled = CampaignRunner(counting_campaign(),
+                                workers=2).run([table1_spec()])
+        serial_campaign = counting_campaign()
+        serial = CampaignRunner(serial_campaign).run([table1_spec()])
+        assert records_bytes(serial.records) == records_bytes(
+            exact.records)
+        assert records_bytes(serial.records) == records_bytes(
+            pooled.records)
         assert exact_campaign.behavior.calls >= (
-            5 * frontier_campaign.behavior.calls)
-        stats = frontier.frontier_stats
+            5 * serial_campaign.behavior.calls)
+        # Only the serial run reports grid statistics; the pool runs
+        # the per-site evaluator.
+        stats = serial.batch_stats
         assert stats is not None
-        # The vectorised hook now derives every site in one call; the
-        # per-site analytic inversion is its fallback.
         assert stats["batch_sites"] == stats["sites"]
         assert stats["crosscheck_mismatches"] == 0
-        assert exact.frontier_stats is None
+        assert pooled.batch_stats is None
 
-    def test_opens_sweep_byte_identical(self, counting_campaign):
+    def test_opens_sweep_byte_identical(self, counting_campaign,
+                                        exact_run):
         exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([opens_spec()])
-        frontier_campaign = counting_campaign()
-        frontier = CampaignRunner(
-            frontier_campaign, strategy="frontier").run([opens_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
+        exact = exact_run(exact_campaign, [opens_spec()])
+        pooled = CampaignRunner(counting_campaign(),
+                                workers=2).run([opens_spec()])
+        serial_campaign = counting_campaign()
+        serial = CampaignRunner(serial_campaign).run([opens_spec()])
+        assert records_bytes(serial.records) == records_bytes(
+            exact.records)
+        assert records_bytes(serial.records) == records_bytes(
+            pooled.records)
         assert exact_campaign.behavior.calls >= (
-            5 * frontier_campaign.behavior.calls)
+            5 * serial_campaign.behavior.calls)
 
 
 class TestFallbacks:
-    def test_undeclared_model_runs_exact(self, counting_campaign):
+    def test_undeclared_model_runs_exact(self, counting_campaign,
+                                         exact_run):
         exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
+        exact = exact_run(exact_campaign, [table1_spec()])
         opaque_campaign = counting_campaign(wrap=OpaqueModel)
-        frontier = CampaignRunner(
-            opaque_campaign, strategy="frontier").run([table1_spec()])
+        serial = CampaignRunner(opaque_campaign).run([table1_spec()])
         assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["exact_sites"] == stats["sites"]
-        assert stats["analytic_sites"] == 0
-        # No declarations -> no fast path: the call counts match.
+            serial.records)
+        stats = serial.batch_stats
+        assert stats["fallback_sites"] == stats["sites"]
+        assert stats["batch_sites"] == 0
+        # No hook -> no fast path: the call counts match.
         assert opaque_campaign.behavior.calls == (
             exact_campaign.behavior.calls)
 
-    def test_monotonicity_only_bisects(self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([opens_spec()])
-        mono_campaign = counting_campaign(wrap=MonotonicityOnlyModel)
-        frontier = CampaignRunner(
-            mono_campaign, strategy="frontier").run([opens_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["bisection_sites"] == stats["sites"]
-        # O(log |R|) beats O(|R|) on an 8-point grid.
-        assert mono_campaign.behavior.calls < (
-            exact_campaign.behavior.calls)
-
     def test_lying_frontier_is_caught_by_crosscheck(
-            self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
-        lying_campaign = counting_campaign(wrap=LyingFrontierModel)
-        frontier = CampaignRunner(
-            lying_campaign, strategy="frontier",
-            frontier_policy=FrontierPolicy(crosscheck_fraction=1.0),
-        ).run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
+            self, counting_campaign, exact_run):
+        exact = exact_run(counting_campaign(), [table1_spec()])
+        campaign = counting_campaign(wrap=LyingBatchModel)
+        plan = CampaignRunner(campaign).plan([table1_spec()])
+        evaluator = BatchEvaluator(campaign, plan, crosscheck_fraction=1.0)
+        records = [evaluator.evaluate(unit).record for unit in plan]
+        assert records_bytes(exact.records) == records_bytes(records)
+        stats = evaluator.stats.as_dict()
         assert stats["crosscheck_mismatches"] > 0
         assert stats["demoted_sites"] > 0
         # The demotion ledger says why each site fell off the fast path.
@@ -180,80 +133,11 @@ class TestFallbacks:
         for entry in stats["demotions"]:
             assert entry["reason"] == "lying-model"
             assert entry["stage"] == "crosscheck"
-            assert "derived row says" in entry["error"]
-
-    def test_nonmonotone_frontier_rejected_by_shape_check(
-            self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
-        bad_campaign = counting_campaign(wrap=NonMonotoneFrontierModel)
-        frontier = CampaignRunner(
-            bad_campaign, strategy="frontier").run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["nonmonotone_rejects"] == stats["sites"]
-        assert stats["analytic_sites"] == 0
-        assert {d["reason"] for d in stats["demotions"]} == {
-            "non-monotone"}
-        assert {d["stage"] for d in stats["demotions"]} == {
-            "shape-check"}
+            assert "batch row says" in entry["error"]
 
 
 class TestRunnerIntegration:
     def test_unknown_strategy_rejected(self, counting_campaign):
-        with pytest.raises(ValueError, match="strategy"):
+        """No strategy knob: the worker count alone picks the evaluator."""
+        with pytest.raises(TypeError, match="strategy"):
             CampaignRunner(counting_campaign(), strategy="turbo")
-
-    def test_frontier_is_serial_only(self, counting_campaign):
-        with pytest.raises(ValueError, match="serial"):
-            CampaignRunner(counting_campaign(), strategy="frontier",
-                           workers=2)
-
-    def test_group_tables_are_cached(self, counting_campaign):
-        from repro.perf.frontier import TABLE_SCHEMA
-
-        campaign = counting_campaign()
-        cache = EvaluationCache()
-        first = CampaignRunner(campaign, strategy="frontier",
-                               cache=cache).run([table1_spec()])
-        assert first.frontier_stats["cached_groups"] == 0
-        assert any(isinstance(v, dict) and v.get("schema") == TABLE_SCHEMA
-                   for v in cache.entries.values())
-        # Keep only the table entries, so the second run must evaluate
-        # its units -- from cached tables rather than re-derivation.
-        table_cache = EvaluationCache()
-        table_cache.entries = {
-            k: v for k, v in cache.entries.items()
-            if isinstance(v, dict) and v.get("schema") == TABLE_SCHEMA}
-        calls_before_second = campaign.behavior.calls
-        second = CampaignRunner(campaign, strategy="frontier",
-                                cache=table_cache).run([table1_spec()])
-        assert records_bytes(first.records) == records_bytes(
-            second.records)
-        stats = second.frontier_stats
-        assert stats["cached_groups"] == len(all_conditions())
-        assert stats["groups"] == 0
-        # Cached tables skip even the cross-check: zero new model calls.
-        assert campaign.behavior.calls == calls_before_second
-
-
-class TestFrontierPolicy:
-    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
-    def test_fraction_validated(self, fraction):
-        with pytest.raises(ValueError):
-            FrontierPolicy(crosscheck_fraction=fraction)
-
-
-class TestFrontierCacheKey:
-    def test_key_covers_grid_and_condition(self):
-        conds = all_conditions()
-        base = frontier_cache_key({"m": 1}, {"p": 1}, [1e3, 1e4], conds[0])
-        assert base == frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 1e4], conds[0])
-        assert base != frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 2e4], conds[0])
-        assert base != frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 1e4], conds[1])
-        assert base != frontier_cache_key({"m": 2}, {"p": 1},
-                                          [1e3, 1e4], conds[0])

@@ -256,6 +256,16 @@ class TestWorkerInitError:
         campaign.bomb = _UnpicklableInWorker()
         return campaign
 
+    def test_bare_executor_names_cause(self):
+        """The pool executor alone, without a runner, names the cause."""
+        executor = SupervisedUnitExecutor(self.make_broken_campaign(),
+                                          workers=2)
+        units = plan_units(DefectKind.BRIDGE, (1e3,), conditions(1))
+        with pytest.raises(WorkerInitError,
+                           match="exploding payload"):
+            list(executor.run(units))
+        assert executor.stats.rebuilds == 0
+
     def test_supervisor_does_not_rebuild_on_init_failure(self):
         runner = CampaignRunner(self.make_broken_campaign(), workers=2)
         with pytest.raises(WorkerInitError, match="exploding payload"):
