@@ -1,8 +1,8 @@
-"""Execution-performance benchmarks (serial vs parallel vs cached).
+"""Component benchmarks of the library's own execution layer.
 
 Unlike the sibling ``benchmarks/test_*`` modules -- which check the
-reproduction against the paper's *numbers* -- this package measures the
-library's own execution layer.  ``bench_campaign.py`` emits
-``BENCH_campaign.json``; ``docs/performance.md`` explains how to read
-it.
+reproduction against the paper's *numbers* -- this package measures
+the library itself.  ``bench.py SUITE`` runs one suite of
+:mod:`repro.perf.bench` and writes ``BENCH_<suite>.json``;
+``docs/performance.md`` explains how to read it.
 """

@@ -47,41 +47,19 @@ python scripts/check_links.py || status=$?
 echo "== docs (public docstrings: runner / perf / obs / lint.code / service) =="
 python scripts/check_docstrings.py || status=$?
 
-echo "== benchmark smoke (BENCH_campaign.json schema) =="
-bench_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-python benchmarks/perf/bench_campaign.py --quick --out "$bench_out" \
-    && python benchmarks/perf/bench_campaign.py --validate "$bench_out" \
-    || status=$?
-python benchmarks/perf/bench_campaign.py --validate BENCH_campaign.json \
-    || status=$?
-rm -f "$bench_out"
+echo "== benchmark smoke (every suite: --quick run, then schema/checks/floors) =="
+for suite in campaign fastpath experiment service; do
+    bench_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
+    python benchmarks/perf/bench.py "$suite" --quick --out "$bench_out" \
+        && python benchmarks/perf/bench.py --validate "$bench_out" \
+        || status=$?
+    rm -f "$bench_out"
+done
 
-echo "== benchmark smoke (BENCH_frontier.json schema + reduction/batch floors) =="
-frontier_out="$(mktemp /tmp/frontier_smoke.XXXXXX.json)"
-python benchmarks/perf/bench_frontier.py --quick --out "$frontier_out" \
-    && python benchmarks/perf/bench_frontier.py --validate "$frontier_out" \
-    || status=$?
-python benchmarks/perf/bench_frontier.py --validate BENCH_frontier.json \
-    || status=$?
-rm -f "$frontier_out"
-
-echo "== benchmark smoke (BENCH_experiment.json schema + throughput/invariance floors) =="
-experiment_out="$(mktemp /tmp/experiment_smoke.XXXXXX.json)"
-python benchmarks/perf/bench_experiment.py --quick --out "$experiment_out" \
-    && python benchmarks/perf/bench_experiment.py --validate "$experiment_out" \
-    || status=$?
-python benchmarks/perf/bench_experiment.py --validate BENCH_experiment.json \
-    || status=$?
-rm -f "$experiment_out"
-
-echo "== benchmark smoke (BENCH_service.json schema + qps/hit-rate floors) =="
-service_out="$(mktemp /tmp/service_smoke.XXXXXX.json)"
-python benchmarks/perf/bench_service.py --quick --out "$service_out" \
-    && python benchmarks/perf/bench_service.py --validate "$service_out" \
-    || status=$?
-python benchmarks/perf/bench_service.py --validate BENCH_service.json \
-    || status=$?
-rm -f "$service_out"
+echo "== committed benchmark artefacts (every BENCH_*.json validates) =="
+for artefact in BENCH_*.json; do
+    python benchmarks/perf/bench.py --validate "$artefact" || status=$?
+done
 
 echo "== service smoke (repro serve: estimate/cache/reload-reject chain) =="
 svc_db="$(mktemp /tmp/service_smoke_db.XXXXXX.json)"

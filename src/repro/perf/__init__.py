@@ -17,9 +17,10 @@ byte-identical records:
   pre-calculated simulation results.
 
 They plug into :class:`repro.runner.campaign.CampaignRunner` via its
-``workers=`` and ``cache=`` arguments; the benchmark harnesses live in
-:mod:`repro.perf.bench` and :mod:`repro.perf.frontier_bench`.  See
-``docs/performance.md``.
+``workers=`` and ``cache=`` arguments.  The one benchmark harness,
+:mod:`repro.perf.bench`, measures them -- and the streaming experiment
+and the service -- as four suites sharing one document schema, one
+validator and one floor table.  See ``docs/performance.md``.
 
 The package root imports nothing: import the submodule you need, so a
 serial run never loads the pool's ``multiprocessing`` machinery.

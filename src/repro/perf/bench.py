@@ -1,41 +1,50 @@
-"""Campaign-execution benchmark: serial vs pooled vs cached.
+"""One benchmark harness: four suites, one document schema, one validator.
 
-Produces the ``BENCH_campaign.json`` artefact documented in
-``docs/performance.md``.  The harness times the same sweep three ways
--- serial (the grid evaluator, :mod:`repro.perf.batch`), across the
-supervised worker pool (:mod:`repro.perf.supervisor`), and against a
-warm evaluation cache -- and verifies on the way that all of them
-produce byte-identical records (the :mod:`repro.perf` determinism
-contract is *measured*, not assumed).
+Every component benchmark of this library writes the same document,
+``BENCH_<suite>.json``::
 
-Two workloads are timed, because they answer different questions:
+    {"schema":   "repro.bench/1",
+     "suite":    "campaign" | "fastpath" | "experiment" | "service",
+     "config":   the suite's config fields plus the host's cpu_count,
+     "rows":     the suite's measurements,
+     "headline": {metric: number},   projected from rows
+     "checks":   {flag: true}}       projected from rows
 
-* ``cpu`` -- the stock in-memory behaviour model.  Speedup here is
-  bounded by physical cores, so the harness clamps this workload's
-  worker count to ``min(requested, os.cpu_count())`` (with a logged
-  warning, and ``workers_clamped`` recorded in the artefact):
-  oversubscribing a CPU-bound pool cannot help and used to make the
-  committed artefact report a meaningless 0.18x "speedup" on a
-  single-CPU container.
-* ``sim`` -- the same campaign behind
-  :class:`SiteLatencyBehaviorModel`, which adds a small per-site sleep
-  modelling the paper's actual workload: each site evaluation is a call
-  into an external analogue simulator and is latency-, not CPU-, bound
-  (the very reason the paper pre-computes its simulation database).
-  Workers overlap that latency, so the speedup approaches the worker
-  count even on one core.  The wrapper offers no batch hook, so its
-  serial row runs the scalar per-site loop.
+:data:`SUITES` names each suite's config class, its run function and
+the headline metrics and check flags it must report; :data:`FLOORS`
+holds every numeric bound; :func:`validate` is the one validator.  A
+run verifies its equivalence contracts before it reports any number and
+raises ``RuntimeError`` on divergence, so a ``false`` check only ever
+appears in a stale or hand-edited document -- which :func:`validate`
+rejects, as it rejects a document that leaves a check or metric out.
 
-The cache rows use the ``cpu`` workload: a warm cache answers every
-point without evaluating, so its hit rate -- not raw time -- is the
-headline figure.
+The suites:
+
+* ``campaign`` (this module) -- one sweep run serially (the grid
+  evaluator, :mod:`repro.perf.batch`), across the supervised pool
+  (:mod:`repro.perf.supervisor`, one worker per visible CPU) and
+  against a warm evaluation cache, with byte-identical records;
+* ``fastpath`` (:mod:`repro.perf.fastpath_bench`) -- the grid evaluator
+  vs the exact per-site evaluator on the Table-1 sweep, and the
+  boundary-traced vs the exact shmoo;
+* ``experiment`` (:mod:`repro.perf.experiment_bench`) -- the streaming
+  million-device lot: throughput, memory, and the legacy/shard/worker
+  identity oracles;
+* ``service`` (:mod:`repro.perf.service_bench`) -- ``repro serve`` over
+  a live loopback socket: cold and warm latency, cache hits, byte
+  identity with the in-process estimator.
+
+Every suite times real computation on the host; the config records its
+``cpu_count``.  Entry point: ``benchmarks/perf/bench.py``; field guide:
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -44,31 +53,29 @@ from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
 from repro.perf.cache import EvaluationCache
+from repro.perf.experiment_bench import ExperimentBenchConfig, run_experiment
+from repro.perf.fastpath_bench import FastpathBenchConfig, run_fastpath
+from repro.perf.service_bench import ServiceBenchConfig, run_service
 from repro.runner.campaign import CampaignResult, CampaignRunner, SweepSpec
 from repro.stress import production_conditions
 
-#: Schema tag of the emitted BENCH_campaign.json document.
-BENCH_SCHEMA = "repro.bench-campaign/1"
+#: Schema tag of every emitted BENCH_<suite>.json document.
+SCHEMA = "repro.bench/1"
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Shape of the benchmark sweep.
+    """Shape of the ``campaign`` suite's sweep.
+
+    The pool width is not configurable: the ``supervised`` row uses
+    one worker per visible CPU (at least two, so the row always runs
+    the pool), and the document's ``config.cpu_count`` records it.
 
     Attributes:
         rows, columns, bits: Memory geometry of the benchmark campaign.
         sites: Site-population size per sweep.
         resistances: Number of sweep resistances (log-spaced decades).
         conditions: Number of stress conditions used.
-        workers: Requested worker-process count for the pool rows.
-            The cpu-bound workload is clamped to
-            ``min(workers, os.cpu_count())`` at run time (recorded in
-            the artefact as ``workers`` vs ``workers_requested`` plus
-            the ``workers_clamped`` flag); the latency-bound ``sim``
-            workload keeps the requested count, since oversubscription
-            is how it overlaps external latency.
-        sim_latency: Per-site simulated-simulator latency (seconds) of
-            the ``sim`` workload.
         seed: Campaign seed.
     """
 
@@ -78,42 +85,13 @@ class BenchConfig:
     sites: int = 120
     resistances: int = 4
     conditions: int = 4
-    workers: int = 4
-    sim_latency: float = 0.004
     seed: int = 11
 
     @classmethod
     def quick(cls) -> "BenchConfig":
         """A seconds-scale configuration for CI smoke runs."""
         return cls(rows=16, columns=2, bits=4, sites=24, resistances=3,
-                   conditions=3, sim_latency=0.001)
-
-
-class SiteLatencyBehaviorModel:
-    """A behaviour model with per-site latency: the paper's real workload.
-
-    In the source flow every site evaluation is a call into an external
-    analogue simulator; the in-memory model used by this reproduction
-    answers in microseconds instead.  Wrapping it with a fixed per-call
-    sleep restores the original latency-bound execution profile so the
-    executor benchmark measures the regime the process pool exists for.
-
-    Picklable (ships to worker processes) and fingerprintable (the
-    cache key covers both the inner model and the latency).
-
-    Args:
-        inner: The real behaviour model to delegate to.
-        latency: Seconds slept before every site evaluation.
-    """
-
-    def __init__(self, inner: Any, latency: float) -> None:
-        self.inner = inner
-        self.latency = float(latency)
-
-    def fails_condition(self, defect: Any, condition: Any) -> bool:
-        """Delegate to the inner model after the simulated round-trip."""
-        time.sleep(self.latency)
-        return self.inner.fails_condition(defect, condition)
+                   conditions=3)
 
 
 def _records_blob(result: CampaignResult) -> str:
@@ -129,16 +107,11 @@ def _bench_specs(config: BenchConfig) -> list[SweepSpec]:
     return [SweepSpec.of(DefectKind.BRIDGE, resistances, conds)]
 
 
-def _make_campaign(config: BenchConfig,
-                   sim: bool = False) -> IfaCampaign:
-    """A fresh benchmark campaign (optionally latency-wrapped)."""
+def _make_campaign(config: BenchConfig) -> IfaCampaign:
+    """A fresh benchmark campaign."""
     geometry = MemoryGeometry(config.rows, config.columns, config.bits)
-    campaign = IfaCampaign(geometry, CMOS018, n_sites=config.sites,
-                           seed=config.seed)
-    if sim:
-        campaign.behavior = SiteLatencyBehaviorModel(
-            campaign.behavior, config.sim_latency)
-    return campaign
+    return IfaCampaign(geometry, CMOS018, n_sites=config.sites,
+                       seed=config.seed)
 
 
 def _timed_run(runner: CampaignRunner,
@@ -158,55 +131,42 @@ def _workload_row(units: int, seconds: float) -> dict[str, Any]:
     }
 
 
-def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
+def run_campaign(config: BenchConfig) -> dict[str, Any]:
     """Time the benchmark sweep serial / pooled / cached.
 
+    The ``pool`` rows pit the serial grid evaluator against the
+    per-site evaluator in the supervised pool; on the stock model the
+    pool loses (one vectorised call per group beats a pool of per-site
+    loops), and the row reports that figure as measured.
+
     Args:
-        config: Benchmark shape (defaults to :class:`BenchConfig`).
+        config: Sweep shape.
 
     Returns:
-        The ``BENCH_campaign.json`` document (see :func:`validate_bench`
-        for the schema).
+        The ``rows`` of the ``campaign`` document: ``pool`` (``serial``
+        and ``supervised`` timing rows, ``speedup``) and ``cache``
+        (``cold`` and ``warm`` rows, ``speedup``).
 
     Raises:
         RuntimeError: the pooled or cached records diverged from the
             serial ones -- a determinism bug that must fail loudly.
     """
-    config = config if config is not None else BenchConfig()
     specs = _bench_specs(config)
-    workloads: dict[str, Any] = {}
-
-    # The cpu-bound workload cannot gain from more workers than cores,
-    # so its worker count is clamped to min(requested, os.cpu_count()).
-    # The sim workload keeps the requested count on purpose: it is
-    # latency-bound, and oversubscription is exactly how a pool
-    # overlaps external-simulator latency on few cores.
-    cpu_workers = min(config.workers, _cpu_count())
-    if cpu_workers < config.workers:
-        print(f"bench: clamping the cpu-bound workload to {cpu_workers} "
-              f"worker(s) ({config.workers} requested, "
-              f"{_cpu_count()} CPU(s) visible)", file=sys.stderr)
-
-    for name, sim in (("cpu", False), ("sim", True)):
-        workers = cpu_workers if name == "cpu" else config.workers
-        serial, t_serial = _timed_run(
-            CampaignRunner(_make_campaign(config, sim)), specs)
-        pooled, t_pooled = _timed_run(
-            CampaignRunner(_make_campaign(config, sim),
-                           workers=workers), specs)
-        if _records_blob(serial) != _records_blob(pooled):
-            raise RuntimeError(
-                f"{name}: supervised records diverged from serial")
-        units = len(serial.records)
-        workloads[name] = {
-            "serial": _workload_row(units, t_serial),
-            "supervised": {**_workload_row(units, t_pooled),
-                           "workers": workers,
-                           "workers_requested": config.workers},
-            "speedup": round(t_serial / t_pooled, 3),
-            "supervised_matches_serial": True,
-        }
-    workloads["cpu"]["workers_clamped"] = cpu_workers < config.workers
+    workers = max(2, os.cpu_count() or 1)
+    serial, t_serial = _timed_run(
+        CampaignRunner(_make_campaign(config)), specs)
+    pooled, t_pooled = _timed_run(
+        CampaignRunner(_make_campaign(config), workers=workers), specs)
+    if _records_blob(serial) != _records_blob(pooled):
+        raise RuntimeError("supervised records diverged from serial")
+    units = len(serial.records)
+    pool = {
+        "serial": _workload_row(units, t_serial),
+        "supervised": {**_workload_row(units, t_pooled),
+                       "workers": workers},
+        "speedup": round(t_serial / t_pooled, 3),
+        "supervised_matches_serial": True,
+    }
 
     # Cache rows: cold run populates, warm run answers from the cache.
     cache = EvaluationCache()
@@ -218,97 +178,192 @@ def run_benchmark(config: BenchConfig | None = None) -> dict[str, Any]:
         CampaignRunner(_make_campaign(config), cache=warm_cache), specs)
     if _records_blob(cold) != _records_blob(warm):
         raise RuntimeError("cached records diverged from evaluated ones")
-    units = len(cold.records)
-    workloads["cache"] = {
-        "cold": {**_workload_row(units, t_cold),
-                 **{"hit_rate": cold.cache_stats["hit_rate"]}},
-        "warm": {**_workload_row(units, t_warm),
-                 **{"hit_rate": warm.cache_stats["hit_rate"],
-                    "cached_units": warm.cached_units}},
-        "speedup": round(t_cold / t_warm, 3) if t_warm else None,
-        "cached_matches_evaluated": True,
-    }
-
     return {
-        "schema": BENCH_SCHEMA,
-        "config": asdict(config),
-        "cpu_count": _cpu_count(),
-        "workloads": workloads,
-        # Headline figures: the latency-bound workload is the regime
-        # the executor targets (see module docstring) and the warm
-        # cache hit rate is the cache's contract.
-        "speedup_parallel": workloads["sim"]["speedup"],
-        "speedup_parallel_cpu_bound": workloads["cpu"]["speedup"],
-        "cache_hit_rate": workloads["cache"]["warm"]["hit_rate"],
+        "pool": pool,
+        "cache": {
+            "cold": {**_workload_row(units, t_cold),
+                     "hit_rate": cold.cache_stats["hit_rate"]},
+            "warm": {**_workload_row(units, t_warm),
+                     "hit_rate": warm.cache_stats["hit_rate"],
+                     "cached_units": warm.cached_units},
+            "speedup": round(t_cold / t_warm, 3) if t_warm else None,
+            "cached_matches_evaluated": True,
+        },
     }
 
 
-def _cpu_count() -> int:
-    """Visible CPU count (recorded so readers can judge the cpu rows)."""
-    import os
+@dataclass(frozen=True)
+class Suite:
+    """One benchmark suite: what it runs and what it must report.
 
-    return os.cpu_count() or 1
+    Attributes:
+        config: Frozen config dataclass; ``config()`` is the shape of
+            the committed artefact, ``config.quick()`` the CI-smoke
+            shape.
+        run: Measures one config and returns the document's ``rows``.
+            Raises ``RuntimeError`` when an equivalence contract
+            breaks.
+        headline: Headline metric -> dotted path of its number in
+            ``rows``.
+        checks: Check flag -> dotted path of its boolean in ``rows``.
+    """
+
+    config: Any
+    run: Callable[[Any], dict[str, Any]]
+    headline: dict[str, str]
+    checks: dict[str, str]
 
 
-def validate_bench(doc: Any) -> list[str]:
-    """Validate a BENCH_campaign.json document's schema.
+#: Every benchmark suite, by the name its ``BENCH_<suite>.json`` uses.
+SUITES: dict[str, Suite] = {
+    "campaign": Suite(
+        config=BenchConfig,
+        run=run_campaign,
+        headline={"speedup_parallel": "pool.speedup",
+                  "cache_hit_rate": "cache.warm.hit_rate"},
+        checks={"supervised_matches_serial":
+                "pool.supervised_matches_serial",
+                "cached_matches_evaluated":
+                "cache.cached_matches_evaluated"}),
+    "fastpath": Suite(
+        config=FastpathBenchConfig,
+        run=run_fastpath,
+        headline={"invocation_reduction_campaign":
+                  "campaign.invocation_reduction",
+                  "invocation_reduction_shmoo": "shmoo.invocation_reduction",
+                  "wallclock_speedup_batch": "campaign.speedup_batch"},
+        checks={"records_match": "campaign.records_match",
+                "grids_match": "shmoo.grids_match"}),
+    "experiment": Suite(
+        config=ExperimentBenchConfig,
+        run=run_experiment,
+        headline={"devices_per_sec": "streaming.devices_per_sec",
+                  "speedup_vs_legacy": "legacy.speedup",
+                  "memory_peak_ratio": "memory.peak_ratio"},
+        checks={"memory_independent": "memory.memory_independent",
+                "legacy_identical": "legacy.legacy_identical",
+                "shard_invariant": "invariance.shard_invariant",
+                "worker_invariant": "invariance.worker_invariant"}),
+    "service": Suite(
+        config=ServiceBenchConfig,
+        run=run_service,
+        headline={"qps": "warm.qps",
+                  "p50_ms": "warm.p50_ms",
+                  "p99_ms": "warm.p99_ms",
+                  "warm_hit_rate": "warm.hit_rate"},
+        checks={"byte_identical": "identity.byte_identical"}),
+}
 
-    Used by the test suite and the ``scripts/check.sh`` smoke step.
+#: Every numeric bound, as (suite, headline metric) -> (kind, bound):
+#: ``min`` means the metric must be at least the bound, ``max`` at
+#: most.  The timing floors sit well below the measured figures so a
+#: loaded host does not trip them, while an erosion of the fast path
+#: does: the streaming floor catches a return to the ~26k devices/s
+#: materialise-everything path, and the warm service floor a cache
+#: that stopped answering.
+FLOORS: dict[tuple[str, str], tuple[str, float]] = {
+    ("fastpath", "invocation_reduction_campaign"): ("min", 5.0),
+    ("fastpath", "invocation_reduction_shmoo"): ("min", 3.0),
+    ("fastpath", "wallclock_speedup_batch"): ("min", 5.0),
+    ("experiment", "devices_per_sec"): ("min", 50_000.0),
+    ("experiment", "speedup_vs_legacy"): ("min", 5.0),
+    ("experiment", "memory_peak_ratio"): ("max", 1.25),
+    ("service", "qps"): ("min", 200.0),
+    ("service", "warm_hit_rate"): ("min", 1.0),
+}
+
+
+def _at(rows: dict[str, Any], path: str) -> Any:
+    """The value at a dotted ``path`` in a suite's rows."""
+    value: Any = rows
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def run_suite(name: str, config: Any = None) -> dict[str, Any]:
+    """Run one suite and assemble its ``BENCH_<name>.json`` document.
+
+    Args:
+        name: A key of :data:`SUITES`.
+        config: The suite's config (defaults to its default shape).
+
+    Returns:
+        The benchmark document (see the module docstring).
+
+    Raises:
+        RuntimeError: an equivalence contract broke during the run.
+    """
+    suite = SUITES[name]
+    config = config if config is not None else suite.config()
+    rows = suite.run(config)
+    return {
+        "schema": SCHEMA,
+        "suite": name,
+        "config": {**asdict(config), "cpu_count": os.cpu_count() or 1},
+        "rows": rows,
+        "headline": {metric: _at(rows, path)
+                     for metric, path in suite.headline.items()},
+        "checks": {flag: _at(rows, path)
+                   for flag, path in suite.checks.items()},
+    }
+
+
+def _is_number(value: Any) -> bool:
+    """True for a JSON number (``bool`` is an ``int`` but not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate(doc: Any) -> list[str]:
+    """Validate a benchmark document against its suite and floors.
+
+    Checks the schema tag, a known suite, the four object sections,
+    every headline metric the suite declares (present and numeric),
+    every :data:`FLOORS` bound of the suite, and every check flag the
+    suite declares (present and ``true``).
 
     Args:
         doc: Parsed JSON document.
 
     Returns:
-        Human-readable problems; empty when the document is valid.
+        Human-readable problems, each naming the offending field;
+        empty when the document is valid.
     """
-    problems: list[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
-    if doc.get("schema") != BENCH_SCHEMA:
-        problems.append(f"schema != {BENCH_SCHEMA!r}")
-    for field in ("config", "workloads"):
+    problems: list[str] = []
+    if doc.get("schema") != SCHEMA:
+        problems.append(f"schema != {SCHEMA!r}")
+    name = doc.get("suite")
+    suite = SUITES.get(name) if isinstance(name, str) else None
+    if suite is None:
+        problems.append(
+            f"unknown suite {name!r} (expected one of {sorted(SUITES)})")
+    for field in ("config", "rows", "headline", "checks"):
         if not isinstance(doc.get(field), dict):
             problems.append(f"missing or non-object {field!r}")
-    for field in ("speedup_parallel", "speedup_parallel_cpu_bound",
-                  "cache_hit_rate"):
-        if not isinstance(doc.get(field), (int, float)):
-            problems.append(f"missing or non-numeric {field!r}")
-    workloads = doc.get("workloads")
-    if isinstance(workloads, dict):
-        for name in ("cpu", "sim"):
-            wl = workloads.get(name)
-            if not isinstance(wl, dict):
-                problems.append(f"missing workload {name!r}")
+    headline, checks = doc.get("headline"), doc.get("checks")
+    if suite is None:
+        return problems
+    if isinstance(headline, dict):
+        for metric in suite.headline:
+            if not _is_number(headline.get(metric)):
+                problems.append(
+                    f"headline.{metric} is missing or non-numeric")
+        for (owner, metric), (kind, bound) in FLOORS.items():
+            value = headline.get(metric)
+            if owner != name or not _is_number(value):
                 continue
-            for row in ("serial", "supervised"):
-                if not isinstance(wl.get(row), dict):
-                    problems.append(f"workload {name!r}: missing {row!r}")
-            if wl.get("supervised_matches_serial") is not True:
+            if kind == "min" and value < bound:
                 problems.append(
-                    f"workload {name!r}: supervised_matches_serial is "
-                    "not true")
-            pooled = wl.get("supervised")
-            if isinstance(pooled, dict) and not isinstance(
-                    pooled.get("workers_requested"), int):
+                    f"headline.{metric} = {value} is below the "
+                    f"{bound} floor")
+            elif kind == "max" and value > bound:
                 problems.append(
-                    f"workload {name!r}: supervised row lacks "
-                    "'workers_requested'")
-        cpu = workloads.get("cpu")
-        if isinstance(cpu, dict) and not isinstance(
-                cpu.get("workers_clamped"), bool):
-            problems.append(
-                "workload 'cpu': missing 'workers_clamped' flag (the "
-                "artefact must record whether the cpu-bound pool was "
-                "clamped to the visible CPU count)")
-        cache = workloads.get("cache")
-        if not isinstance(cache, dict):
-            problems.append("missing workload 'cache'")
-        else:
-            for row in ("cold", "warm"):
-                if not isinstance(cache.get(row), dict):
-                    problems.append(f"workload 'cache': missing {row!r}")
-            if cache.get("cached_matches_evaluated") is not True:
-                problems.append(
-                    "workload 'cache': cached_matches_evaluated is not "
-                    "true")
+                    f"headline.{metric} = {value} is above the "
+                    f"{bound} ceiling")
+    if isinstance(checks, dict):
+        for flag in suite.checks:
+            if checks.get(flag) is not True:
+                problems.append(f"checks.{flag} is not true")
     return problems

@@ -1,39 +1,35 @@
-"""Streaming-experiment benchmark: throughput, memory, invariance.
+"""``experiment`` benchmark suite: throughput, memory, invariance.
 
-Produces the ``BENCH_experiment.json`` artefact documented in
-``docs/performance.md``.  Five measurements, every equivalence checked
+Rows of ``BENCH_experiment.json`` (harness, schema and floors:
+:mod:`repro.perf.bench`).  Five measurements, every equivalence checked
 byte-identical (canonical JSON of the shard-payload form) before any
 number is reported:
 
 * **streaming** -- a full :class:`~repro.experiment.StreamingExperiment`
-  run at the configured device count (10^6 by default), timed serially:
-  the headline ``devices_per_sec`` figure;
+  run at the configured device count (10^6 by default), timed serially
+  on a warmed engine: the headline ``devices_per_sec`` figure, with the
+  one-off engine set-up reported beside it as ``setup_seconds``;
 * **memory** -- ``tracemalloc`` peaks of two streaming runs that differ
   only in device count: the O(classes) reduce means the peak must be a
   function of the shard/block shape, not of N (``memory_independent``);
 * **legacy** -- the original materialise-the-whole-lot path
   (:meth:`PopulationGenerator.generate` +
   :meth:`StressClassifier.classify`) timed at an equal, smaller N
-  against the streaming path: ``speedup`` (floor: 5x);
+  against the streaming path: ``speedup``;
 * **legacy_identical** -- ``scheme="legacy"`` streaming folds the exact
   single-stream draw order, so its accumulator payload must equal
   :meth:`ExperimentAccumulator.from_experiment` of the legacy result;
 * **shard_invariant** / **worker_invariant** -- the same population
   reduced under a different shard layout and under a 2-process pool
   must produce byte-identical payloads (the block-substream contract).
-
-The validator (:func:`validate_experiment_bench`) enforces the floors:
-``devices_per_sec`` at least :data:`MIN_DEVICES_PER_SEC`, ``speedup``
-at least :data:`MIN_LEGACY_SPEEDUP`, and all four flags true -- so a
-regression that breaks the determinism contract or erodes the streaming
-win fails the artefact's schema check, not just a benchmark eyeball.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
@@ -41,22 +37,9 @@ from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.runner.atomic import canonical_json
 
-#: Schema tag of the emitted BENCH_experiment.json document.
-EXPERIMENT_BENCH_SCHEMA = "repro.bench-experiment/1"
-
-#: Acceptance floors enforced by the validator.  The throughput floor
-#: is deliberately far below the measured ~380k devices/sec so that a
-#: loaded CI host does not flake it, while still catching an
-#: accidental return to the ~26k devices/sec materialise-everything
-#: path.
-MIN_DEVICES_PER_SEC = 50_000.0
-MIN_LEGACY_SPEEDUP = 5.0
-
-#: Peak-memory ratio between the large and small streaming runs above
-#: which the O(classes) claim is considered broken.  The two runs share
-#: shard/block shape, so their per-shard working sets are identical and
-#: only the accumulator (bounded by the class lattice) differs.
-MAX_MEMORY_RATIO = 1.25
+#: Timed runs per side of the equal-N legacy comparison (see
+#: :func:`_bench_legacy`).
+EQUAL_N_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -145,8 +128,19 @@ def _warm(engine: StreamingExperiment) -> None:
 
 
 def _bench_streaming(config: ExperimentBenchConfig) -> dict[str, Any]:
-    """Time the headline serial streaming run: devices/sec."""
-    runner = StreamingRunner(_engine(config, config.devices))
+    """Time the headline serial streaming run: devices/sec.
+
+    The engine is warmed before the clock starts, as in
+    :func:`_bench_legacy`: the one-off set-up (classifier, tester,
+    critical-area extraction) does not scale with the lot, and at a
+    small device count it would swamp the per-device rate the headline
+    measures.  It is timed too, and reported as ``setup_seconds``.
+    """
+    engine = _engine(config, config.devices)
+    started = time.perf_counter()
+    _warm(engine)
+    setup_seconds = time.perf_counter() - started
+    runner = StreamingRunner(engine)
     started = time.perf_counter()
     result = runner.run()
     seconds = time.perf_counter() - started
@@ -156,6 +150,7 @@ def _bench_streaming(config: ExperimentBenchConfig) -> dict[str, Any]:
         "defective": acc.defective,
         "interesting": acc.interesting,
         "shards": result.executed_shards,
+        "setup_seconds": round(setup_seconds, 6),
         "seconds": round(seconds, 6),
         "devices_per_sec": round(acc.devices / seconds, 1),
     }
@@ -179,8 +174,12 @@ def _bench_memory(config: ExperimentBenchConfig) -> dict[str, Any]:
     working set (one block's count matrix + defect batches + the
     defective chips of that block) is identical; only the O(classes)
     accumulator and the O(n_shards) plan differ.  A peak that grows
-    with N means something is materialising the lot.
+    with N -- a ``peak_ratio`` above its ``FLOORS`` ceiling -- means
+    something is materialising the lot.
     """
+    from repro.perf.bench import FLOORS  # the harness imports this module
+
+    _, max_ratio = FLOORS[("experiment", "memory_peak_ratio")]
     small_n, large_n = config.memory_devices
     small_peak = _peak_bytes(config, small_n)
     large_peak = _peak_bytes(config, large_n)
@@ -191,7 +190,7 @@ def _bench_memory(config: ExperimentBenchConfig) -> dict[str, Any]:
         "small_peak_bytes": small_peak,
         "large_peak_bytes": large_peak,
         "peak_ratio": ratio,
-        "memory_independent": ratio <= MAX_MEMORY_RATIO,
+        "memory_independent": ratio <= max_ratio,
     }
 
 
@@ -208,25 +207,33 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
     setup costs, identical on both sides, and at the small equal-N
     this comparison runs at they would otherwise swamp the per-device
     evaluation costs the speedup figure exists to measure.
+
+    Each side is timed :data:`EQUAL_N_REPEATS` times, alternating, and
+    reports its median: a single run of either side swings up to 2x
+    with where the garbage collector happens to fire, which made a
+    one-shot ratio at the quick size range from 4.4x to 9.6x.
     """
     n = config.legacy_devices
     legacy_engine = _engine(config, n, scheme="legacy")
     generator = legacy_engine.generator
     classifier = legacy_engine.classifier
+    streaming_engine = _engine(config, n)
     _warm(legacy_engine)
-    started = time.perf_counter()
-    chips = generator.generate()
-    legacy_result = classifier.classify(chips)
-    legacy_seconds = time.perf_counter() - started
+    _warm(streaming_engine)
+    legacy_runs: list[float] = []
+    streaming_runs: list[float] = []
+    for _ in range(EQUAL_N_REPEATS):
+        started = time.perf_counter()
+        legacy_result = classifier.classify(generator.generate())
+        legacy_runs.append(time.perf_counter() - started)
+        runner = StreamingRunner(streaming_engine)
+        started = time.perf_counter()
+        runner.run()
+        streaming_runs.append(time.perf_counter() - started)
+    legacy_seconds = statistics.median(legacy_runs)
+    streaming_seconds = statistics.median(streaming_runs)
     legacy_payload = ExperimentAccumulator.from_experiment(
         legacy_result).as_payload()
-
-    streaming_engine = _engine(config, n)
-    _warm(streaming_engine)
-    runner = StreamingRunner(streaming_engine)
-    started = time.perf_counter()
-    runner.run()
-    streaming_seconds = time.perf_counter() - started
 
     identity_payload = _payload(config, n, scheme="legacy")
     legacy_identical = (canonical_json(identity_payload)
@@ -237,6 +244,7 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
             "legacy pipeline -- the equivalence oracle is broken")
     return {
         "devices": n,
+        "repeats": EQUAL_N_REPEATS,
         "legacy_seconds": round(legacy_seconds, 6),
         "streaming_seconds": round(streaming_seconds, 6),
         "speedup": (round(legacy_seconds / streaming_seconds, 2)
@@ -268,94 +276,22 @@ def _bench_invariance(config: ExperimentBenchConfig) -> dict[str, Any]:
     }
 
 
-def run_experiment_benchmark(config: ExperimentBenchConfig | None = None,
-                             ) -> dict[str, Any]:
-    """Run all streaming-experiment benchmarks and assemble the doc.
+def run_experiment(config: ExperimentBenchConfig) -> dict[str, Any]:
+    """Run all streaming-experiment measurements.
 
     Args:
-        config: Benchmark shape (defaults to
-            :class:`ExperimentBenchConfig`: 10^6 devices).
+        config: Benchmark shape (the default streams 10^6 devices).
 
     Returns:
-        The ``BENCH_experiment.json`` document (see
-        :func:`validate_experiment_bench` for the schema).
+        The ``rows`` of the ``experiment`` document: ``streaming``,
+        ``memory``, ``legacy`` and ``invariance``.
 
     Raises:
         RuntimeError: an invariance or identity check failed -- a
             determinism bug that must fail loudly, never be recorded
             as a benchmark row.
     """
-    config = config if config is not None else ExperimentBenchConfig()
-    streaming = _bench_streaming(config)
-    memory = _bench_memory(config)
-    legacy = _bench_legacy(config)
-    invariance = _bench_invariance(config)
-    return {
-        "schema": EXPERIMENT_BENCH_SCHEMA,
-        "config": asdict(config),
-        "streaming": streaming,
-        "memory": memory,
-        "legacy": legacy,
-        "invariance": invariance,
-        # Headline figures: throughput of the big run, the equal-N win
-        # over the materialise-everything path, and the four
-        # determinism/memory flags the validator pins to true.
-        "devices_per_sec": streaming["devices_per_sec"],
-        "speedup_vs_legacy": legacy["speedup"],
-        "memory_independent": memory["memory_independent"],
-        "legacy_identical": legacy["legacy_identical"],
-        "shard_invariant": invariance["shard_invariant"],
-        "worker_invariant": invariance["worker_invariant"],
-    }
-
-
-def validate_experiment_bench(doc: Any) -> list[str]:
-    """Validate a BENCH_experiment.json document's schema and floors.
-
-    Beyond shape, enforces the acceptance floors: at least
-    :data:`MIN_DEVICES_PER_SEC` devices/sec on the streaming run, at
-    least a :data:`MIN_LEGACY_SPEEDUP` x equal-N speedup over the
-    legacy pipeline, and the ``memory_independent``,
-    ``legacy_identical``, ``shard_invariant`` and ``worker_invariant``
-    flags all true.
-
-    Args:
-        doc: Parsed JSON document.
-
-    Returns:
-        Human-readable problems; empty when the document is valid.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != EXPERIMENT_BENCH_SCHEMA:
-        problems.append(f"schema != {EXPERIMENT_BENCH_SCHEMA!r}")
-    if not isinstance(doc.get("config"), dict):
-        problems.append("missing or non-object 'config'")
-    for section, fields in (
-            ("streaming", ("devices", "shards", "devices_per_sec")),
-            ("memory", ("small_peak_bytes", "large_peak_bytes",
-                        "peak_ratio")),
-            ("legacy", ("devices", "speedup")),
-            ("invariance", ("devices",))):
-        inner = doc.get(section)
-        if not isinstance(inner, dict):
-            problems.append(f"missing or non-object {section!r}")
-            continue
-        for field in fields:
-            if not isinstance(inner.get(field), (int, float)):
-                problems.append(
-                    f"{section}: missing or non-numeric {field!r}")
-    for field, floor in (("devices_per_sec", MIN_DEVICES_PER_SEC),
-                         ("speedup_vs_legacy", MIN_LEGACY_SPEEDUP)):
-        value = doc.get(field)
-        if not isinstance(value, (int, float)):
-            problems.append(f"missing or non-numeric {field!r}")
-        elif value < floor:
-            problems.append(
-                f"{field} = {value} is below the {floor} floor")
-    for flag in ("memory_independent", "legacy_identical",
-                 "shard_invariant", "worker_invariant"):
-        if doc.get(flag) is not True:
-            problems.append(f"{flag} is not true")
-    return problems
+    return {"streaming": _bench_streaming(config),
+            "memory": _bench_memory(config),
+            "legacy": _bench_legacy(config),
+            "invariance": _bench_invariance(config)}

@@ -1,29 +1,27 @@
-"""Fast-path benchmark: invocation reduction measured, not asserted.
+"""``fastpath`` benchmark suite: invocation reduction measured, not asserted.
 
-Produces the ``BENCH_frontier.json`` artefact documented in
-``docs/performance.md``.  Two comparisons, both verified byte-identical
-on every run before any number is reported:
+Rows of ``BENCH_fastpath.json`` (harness, schema and floors:
+:mod:`repro.perf.bench`).  Two comparisons, both verified
+byte-identical on every run before any number is reported:
 
 * **campaign** -- the paper's Table-1 bridge sweep (4 resistances x
   the 5 production stress conditions) evaluated by the exact per-site
   :class:`~repro.runner.evaluate.UnitEvaluator` vs the serial
   campaign's grid evaluator (:mod:`repro.perf.batch`, the ``batch``
   row), with the behaviour model wrapped in a
-  :class:`~repro.perf.counting.CountingBehaviorModel` so the headline
-  figure is a deterministic call count, not a timing;
+  :class:`~repro.perf.counting.CountingBehaviorModel` so the
+  reduction figure is a deterministic call count, not a timing;
 * **shmoo** -- a paper-sized (Vdd, period) grid (Figures 3/4: 15
   voltages x 24 periods) filled ``strategy="exact"`` vs
   ``strategy="boundary"`` by :class:`~repro.tester.shmoo.ShmooRunner`,
   counting tester invocations.
 
-The validator (:func:`validate_frontier_bench`) enforces the floors the
-fast paths exist for -- at least 5x fewer behaviour-model invocations
-on the Table-1 campaign, at least 3x fewer tester invocations on the
-shmoo, and at least a 5x wall-clock speedup for the grid evaluator
-over exact (the one timing floor: the batch kernel exists to kill the
-per-site Python loop, which call counts alone cannot see) --
-so a regression that erodes the reduction fails the artefact's schema
-check, not just a benchmark eyeball.
+The floors (``repro.perf.bench.FLOORS``) are the ones the fast paths
+exist for: at least 5x fewer behaviour-model invocations on the Table-1
+campaign, at least 3x fewer tester invocations on the shmoo, and at
+least a 5x wall-clock speedup for the grid evaluator over exact (the
+one timing floor: the batch kernel exists to kill the per-site Python
+loop, which call counts alone cannot see).
 """
 
 from __future__ import annotations
@@ -54,18 +52,10 @@ from repro.tester.shmoo import (
     default_voltage_axis,
 )
 
-#: Schema tag of the emitted BENCH_frontier.json document.
-FRONTIER_BENCH_SCHEMA = "repro.bench-frontier/3"
-
-#: Acceptance floors enforced by the validator.
-MIN_CAMPAIGN_REDUCTION = 5.0
-MIN_SHMOO_REDUCTION = 3.0
-MIN_BATCH_WALLCLOCK = 5.0
-
 
 @dataclass(frozen=True)
-class FrontierBenchConfig:
-    """Shape of the frontier benchmark.
+class FastpathBenchConfig:
+    """Shape of the ``fastpath`` suite.
 
     Attributes:
         rows, columns, bits: Memory geometry of the campaign half.
@@ -83,7 +73,7 @@ class FrontierBenchConfig:
     shmoo_defect_resistance: float = 240e3
 
     @classmethod
-    def quick(cls) -> "FrontierBenchConfig":
+    def quick(cls) -> "FastpathBenchConfig":
         """A seconds-scale configuration for CI smoke runs.
 
         Only the geometry and site population shrink; the shmoo grid
@@ -93,7 +83,7 @@ class FrontierBenchConfig:
         arbitrarily, though: the batch kernel's fixed per-group numpy
         dispatch cost is population-independent, so a tiny population
         under-reports its wall-clock speedup and would trip the
-        validator floor spuriously.
+        wall-clock floor spuriously.
         """
         return cls(rows=16, columns=2, bits=4, sites=400)
 
@@ -104,7 +94,7 @@ def _campaign_specs() -> list[SweepSpec]:
     return [SweepSpec.of(DefectKind.BRIDGE, TABLE1_RESISTANCES, conds)]
 
 
-def _counted_campaign(config: FrontierBenchConfig) -> IfaCampaign:
+def _counted_campaign(config: FastpathBenchConfig) -> IfaCampaign:
     """A fresh campaign whose behaviour model counts its calls."""
     geometry = MemoryGeometry(config.rows, config.columns, config.bits)
     campaign = IfaCampaign(geometry, CMOS018, n_sites=config.sites,
@@ -118,7 +108,7 @@ def _records_blob(records: list[Any]) -> str:
     return json.dumps([asdict(r) for r in records], sort_keys=True)
 
 
-def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
+def _bench_campaign(config: FastpathBenchConfig) -> dict[str, Any]:
     """Time + count the Table-1 sweep exact vs the grid evaluator.
 
     Both rows time the bare evaluator over the same plan -- the
@@ -164,7 +154,7 @@ def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
     return rows
 
 
-def _bench_shmoo(config: FrontierBenchConfig) -> dict[str, Any]:
+def _bench_shmoo(config: FastpathBenchConfig) -> dict[str, Any]:
     """Time + count a paper-sized shmoo exact vs boundary-traced."""
     sram = Sram(MemoryGeometry(8, 2, 4), CMOS018)
     defects = [Defect(DefectKind.BRIDGE, BridgeSite.CELL_NODE_RAIL,
@@ -205,98 +195,19 @@ def _bench_shmoo(config: FrontierBenchConfig) -> dict[str, Any]:
     return rows
 
 
-def run_frontier_benchmark(config: FrontierBenchConfig | None = None,
-                           ) -> dict[str, Any]:
-    """Run both fast-path benchmarks and assemble the document.
+def run_fastpath(config: FastpathBenchConfig) -> dict[str, Any]:
+    """Run both fast-path comparisons.
 
     Args:
-        config: Benchmark shape (defaults to
-            :class:`FrontierBenchConfig`).
+        config: Benchmark shape.
 
     Returns:
-        The ``BENCH_frontier.json`` document (see
-        :func:`validate_frontier_bench` for the schema).
+        The ``rows`` of the ``fastpath`` document: ``campaign`` and
+        ``shmoo``.
 
     Raises:
         RuntimeError: a fast path's records or grid diverged from the
             exact path -- an equivalence bug that must fail loudly.
     """
-    config = config if config is not None else FrontierBenchConfig()
-    campaign = _bench_campaign(config)
-    shmoo = _bench_shmoo(config)
-    return {
-        "schema": FRONTIER_BENCH_SCHEMA,
-        "config": asdict(config),
-        "campaign": campaign,
-        "shmoo": shmoo,
-        # Headline figures: deterministic call-count reductions (the
-        # shmoo wall-clock speedup is informational -- timings vary
-        # with the host, invocation counts do not) plus the one
-        # enforced timing: the grid evaluator's wall-clock win over
-        # exact, which is the whole point of vectorising and which
-        # call counts cannot see.
-        "invocation_reduction_campaign": campaign["invocation_reduction"],
-        "invocation_reduction_shmoo": shmoo["invocation_reduction"],
-        "wallclock_speedup_batch": campaign["speedup_batch"],
-    }
-
-
-def validate_frontier_bench(doc: Any) -> list[str]:
-    """Validate a BENCH_frontier.json document's schema and floors.
-
-    Beyond shape, enforces the acceptance floors: the campaign must
-    show at least a 5x model-invocation reduction, the shmoo at least
-    a 3x tester-invocation reduction, the grid evaluator at least a 5x
-    wall-clock speedup over exact, and every equivalence check must
-    have passed.
-
-    Args:
-        doc: Parsed JSON document.
-
-    Returns:
-        Human-readable problems; empty when the document is valid.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != FRONTIER_BENCH_SCHEMA:
-        problems.append(f"schema != {FRONTIER_BENCH_SCHEMA!r}")
-    if not isinstance(doc.get("config"), dict):
-        problems.append("missing or non-object 'config'")
-    campaign = doc.get("campaign")
-    if not isinstance(campaign, dict):
-        problems.append("missing or non-object 'campaign'")
-    else:
-        for row in ("exact", "batch"):
-            inner = campaign.get(row)
-            if not isinstance(inner, dict) or not isinstance(
-                    inner.get("model_invocations"), int):
-                problems.append(
-                    f"campaign: missing {row!r} row with "
-                    "'model_invocations'")
-        if campaign.get("records_match") is not True:
-            problems.append("campaign: records_match is not true")
-    shmoo = doc.get("shmoo")
-    if not isinstance(shmoo, dict):
-        problems.append("missing or non-object 'shmoo'")
-    else:
-        for row in ("exact", "boundary"):
-            inner = shmoo.get(row)
-            if not isinstance(inner, dict) or not isinstance(
-                    inner.get("tester_invocations"), int):
-                problems.append(
-                    f"shmoo: missing {row!r} row with "
-                    "'tester_invocations'")
-        if shmoo.get("grids_match") is not True:
-            problems.append("shmoo: grids_match is not true")
-    for field, floor in (
-            ("invocation_reduction_campaign", MIN_CAMPAIGN_REDUCTION),
-            ("invocation_reduction_shmoo", MIN_SHMOO_REDUCTION),
-            ("wallclock_speedup_batch", MIN_BATCH_WALLCLOCK)):
-        value = doc.get(field)
-        if not isinstance(value, (int, float)):
-            problems.append(f"missing or non-numeric {field!r}")
-        elif value < floor:
-            problems.append(
-                f"{field} = {value} is below the {floor}x floor")
-    return problems
+    return {"campaign": _bench_campaign(config),
+            "shmoo": _bench_shmoo(config)}

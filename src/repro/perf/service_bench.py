@@ -1,11 +1,11 @@
-"""Estimator-service benchmark: latency, throughput, cache behaviour.
+"""``service`` benchmark suite: latency, throughput, cache behaviour.
 
-Produces the ``BENCH_service.json`` artefact documented in
-``docs/service.md``.  The benchmark starts a real
-:func:`repro.service.app.serve` listener on an ephemeral loopback port
-and drives it over one keep-alive HTTP connection -- the measured
-latencies include request parsing, dispatch, rendering and the socket
-round-trip, exactly what a client of ``repro serve`` sees.
+Rows of ``BENCH_service.json`` (harness, schema and floors:
+:mod:`repro.perf.bench`; field guide: ``docs/service.md``).  The suite
+starts a real :func:`repro.service.app.serve` listener on an ephemeral
+loopback port and drives it over one keep-alive HTTP connection -- the
+measured latencies include request parsing, dispatch, rendering and
+the socket round-trip, exactly what a client of ``repro serve`` sees.
 
 Three measurements:
 
@@ -13,18 +13,14 @@ Three measurements:
   all responses must be ``X-Cache: miss`` (the estimator is actually
   computing); p50/p99 latency and queries/sec of the uncached path;
 * **warm** -- the same bodies repeated: every response must be
-  ``X-Cache: hit`` (``warm_hit_rate`` pinned to exactly 1.0 by the
-  validator -- one miss means the content-addressed key leaked
-  something non-deterministic into the request identity);
+  ``X-Cache: hit`` (the warm hit rate is pinned to exactly 1.0 -- one
+  miss means the content-addressed key leaked something
+  non-deterministic into the request identity);
 * **identity** -- each unique response body compared byte-for-byte
   against the document an in-process
   :class:`~repro.core.estimator.FaultCoverageEstimator` produces for
   the same queries (``byte_identical``): the service is a transport,
   never a reinterpretation.
-
-The validator (:func:`validate_service_bench`) enforces the floors:
-warm queries/sec at least :data:`MIN_WARM_QPS`, ``warm_hit_rate``
-exactly 1.0 and ``byte_identical`` true.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.database import default_database_path
@@ -41,15 +37,6 @@ from repro.runner.atomic import canonical_json
 from repro.service.app import EstimatorService, serve
 from repro.service.schema import batch_response_document, report_document
 from repro.service.state import DatabaseSnapshot, ServiceState
-
-#: Schema tag of the emitted BENCH_service.json document.
-SERVICE_BENCH_SCHEMA = "repro.bench-service/1"
-
-#: Warm-path throughput floor (requests/sec over one serial keep-alive
-#: connection).  A warm request is parse + cache lookup + socket
-#: round-trip; measured rates are in the thousands, so 200/sec only
-#: trips if caching stops working or the hot path grows real compute.
-MIN_WARM_QPS = 200.0
 
 
 @dataclass(frozen=True)
@@ -199,17 +186,15 @@ async def _drive(service: EstimatorService,
         await server.wait_closed()
 
 
-def run_service_benchmark(config: ServiceBenchConfig | None = None,
-                          ) -> dict[str, Any]:
-    """Run the service benchmark and assemble the document.
+def run_service(config: ServiceBenchConfig) -> dict[str, Any]:
+    """Run the cold, warm and identity passes.
 
     Args:
-        config: Benchmark shape (defaults to
-            :class:`ServiceBenchConfig`).
+        config: Benchmark shape.
 
     Returns:
-        The ``BENCH_service.json`` document (see
-        :func:`validate_service_bench` for the schema).
+        The ``rows`` of the ``service`` document: ``cold``, ``warm``
+        and ``identity``.
 
     Raises:
         RuntimeError: a cold response was served from cache, a warm
@@ -217,7 +202,6 @@ def run_service_benchmark(config: ServiceBenchConfig | None = None,
             in-process estimator -- contract bugs that must fail
             loudly, never be recorded as a benchmark row.
     """
-    config = config if config is not None else ServiceBenchConfig()
     snapshot = DatabaseSnapshot.load(default_database_path())
     service = EstimatorService(ServiceState(snapshot),
                                cache_size=config.cache_size)
@@ -242,60 +226,8 @@ def run_service_benchmark(config: ServiceBenchConfig | None = None,
             "in-process estimator -- the byte-identity contract is "
             "broken")
     return {
-        "schema": SERVICE_BENCH_SCHEMA,
-        "config": asdict(config),
         "cold": cold,
         "warm": warm,
         "identity": {"checked_requests": len(bodies),
                      "byte_identical": True},
-        # Headline figures: warm-path latency/throughput plus the two
-        # contract flags the validator pins.
-        "qps": warm["qps"],
-        "p50_ms": warm["p50_ms"],
-        "p99_ms": warm["p99_ms"],
-        "warm_hit_rate": warm["hit_rate"],
-        "byte_identical": True,
     }
-
-
-def validate_service_bench(doc: Any) -> list[str]:
-    """Validate a BENCH_service.json document's schema and floors.
-
-    Beyond shape, enforces the acceptance floors: warm throughput at
-    least :data:`MIN_WARM_QPS` requests/sec, ``warm_hit_rate`` exactly
-    1.0 and ``byte_identical`` true.
-
-    Args:
-        doc: Parsed JSON document.
-
-    Returns:
-        Human-readable problems; empty when the document is valid.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != SERVICE_BENCH_SCHEMA:
-        problems.append(f"schema != {SERVICE_BENCH_SCHEMA!r}")
-    if not isinstance(doc.get("config"), dict):
-        problems.append("missing or non-object 'config'")
-    for section in ("cold", "warm"):
-        inner = doc.get(section)
-        if not isinstance(inner, dict):
-            problems.append(f"missing or non-object {section!r}")
-            continue
-        for field in ("requests", "seconds", "qps", "p50_ms", "p99_ms"):
-            if not isinstance(inner.get(field), (int, float)):
-                problems.append(
-                    f"{section}: missing or non-numeric {field!r}")
-    for field in ("qps", "p50_ms", "p99_ms"):
-        if not isinstance(doc.get(field), (int, float)):
-            problems.append(f"missing or non-numeric {field!r}")
-    qps = doc.get("qps")
-    if isinstance(qps, (int, float)) and qps < MIN_WARM_QPS:
-        problems.append(
-            f"qps = {qps} is below the {MIN_WARM_QPS} warm floor")
-    if doc.get("warm_hit_rate") != 1.0:
-        problems.append("warm_hit_rate is not exactly 1.0")
-    if doc.get("byte_identical") is not True:
-        problems.append("byte_identical is not true")
-    return problems

@@ -25,8 +25,8 @@ traffic: an asyncio stdlib HTTP server in front of
   ``repro report`` section (:mod:`repro.obs`).
 
 Front doors: ``python -m repro serve`` (see :mod:`repro.cli`) and the
-load-generator benchmark ``benchmarks/perf/bench_service.py``
-(``BENCH_service.json``).  Protocol reference: ``docs/service.md``.
+load-generator benchmark ``benchmarks/perf/bench.py service``
+(``BENCH_service.json``, suite :mod:`repro.perf.service_bench`).  Protocol reference: ``docs/service.md``.
 """
 
 from repro.service.app import EstimatorService, ServiceResponse, serve

@@ -39,7 +39,7 @@ class TestContext:
         assert ctx.is_test
 
         ctx = CodeLintContext.from_source(
-            "x = 1\n", "src/repro/perf/frontier_bench.py")
+            "x = 1\n", "src/repro/perf/fastpath_bench.py")
         assert ctx.is_bench
 
         ctx = CodeLintContext.from_source(
@@ -111,8 +111,8 @@ class TestDeterminismRules:
     def test_det003_monotonic_only_in_bench_modules(self):
         src = "import time\nt = time.perf_counter()\n"
         assert "DET003" in rule_ids(src)
-        assert rule_ids(src, "src/repro/perf/frontier_bench.py") == []
-        assert rule_ids(src, "benchmarks/perf/bench_campaign.py") == []
+        assert rule_ids(src, "src/repro/perf/fastpath_bench.py") == []
+        assert rule_ids(src, "benchmarks/perf/bench.py") == []
 
     def test_det003_skips_tests(self):
         assert rule_ids("import time\nt = time.time()\n",

@@ -7,8 +7,9 @@ fixture) and to the pooled run for *every* model in the capability
 matrix -- a correct vectorised hook, a model without the hook, a hook
 that raises or returns the wrong shape, and a hook that lies -- and
 under chaos, kill/resume and cache reuse.  Wall-clock is the
-benchmark's business (:mod:`repro.perf.frontier_bench`); here the
-speedup claim appears only as deterministic call-count inequalities.
+benchmark's business (the ``fastpath`` suite of
+:mod:`repro.perf.bench`); here the speedup claim appears only as
+deterministic call-count inequalities.
 """
 
 import dataclasses

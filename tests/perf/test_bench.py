@@ -1,109 +1,235 @@
-"""Tests for the benchmark harness: document shape and validation."""
+"""Tests for the benchmark harness: suites, document shape, validator.
 
+Every suite gets one module-scoped ``--quick`` run; the validator is
+exercised against those documents, against every committed
+``BENCH_*.json`` and against hand-broken copies.
+"""
+
+import importlib.util
 import json
+import math
+import os
+from pathlib import Path
 
 import pytest
 
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    BenchConfig,
-    SiteLatencyBehaviorModel,
-    run_benchmark,
-    validate_bench,
-)
+from repro.perf.bench import FLOORS, SCHEMA, SUITES, run_suite, validate
+from repro.perf.experiment_bench import ExperimentBenchConfig
+from repro.perf.service_bench import ServiceBenchConfig
+
+ROOT = Path(__file__).resolve().parents[2]
+SUITE_NAMES = sorted(SUITES)
+CHECKS = [(name, flag) for name in SUITE_NAMES
+          for flag in SUITES[name].checks]
 
 
 @pytest.fixture(scope="module")
-def bench_doc():
-    """One quick benchmark run shared by the shape tests."""
-    return run_benchmark(BenchConfig.quick())
+def quick_doc():
+    """``quick_doc(suite)``: that suite's quick run, once per module."""
+    docs = {}
+
+    def get(name):
+        if name not in docs:
+            docs[name] = run_suite(name, SUITES[name].config.quick())
+        return docs[name]
+
+    return get
 
 
-class TestSiteLatencyModel:
-    def test_delegates_to_inner(self):
-        class Fake:
-            def fails_condition(self, defect, condition):
-                return True
-
-        model = SiteLatencyBehaviorModel(Fake(), latency=0.0)
-        assert model.fails_condition(None, None) is True
-
-    def test_is_fingerprintable(self):
-        from repro.circuit.technology import CMOS018
-        from repro.defects.behavior import DefectBehaviorModel
-        from repro.perf.fingerprint import behavior_fingerprint
-        from repro.runner.atomic import canonical_json
-
-        inner = DefectBehaviorModel(CMOS018)
-        a = behavior_fingerprint(SiteLatencyBehaviorModel(inner, 0.001))
-        b = behavior_fingerprint(inner)
-        assert canonical_json(a) != canonical_json(b)
+def _copy(doc):
+    """A deep, JSON-round-tripped copy of a document."""
+    return json.loads(json.dumps(doc))
 
 
 class TestBenchDocument:
-    def test_schema_valid(self, bench_doc):
-        assert validate_bench(bench_doc) == []
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_schema_valid(self, quick_doc, suite):
+        assert validate(quick_doc(suite)) == []
 
-    def test_headline_fields(self, bench_doc):
-        assert bench_doc["schema"] == BENCH_SCHEMA
-        assert bench_doc["cache_hit_rate"] == 1.0
-        assert bench_doc["speedup_parallel"] > 0
-        assert bench_doc["workloads"]["cpu"][
-            "supervised_matches_serial"] is True
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_round_trips_through_json(self, quick_doc, suite):
+        assert validate(_copy(quick_doc(suite))) == []
 
-    def test_round_trips_through_json(self, bench_doc):
-        assert validate_bench(json.loads(json.dumps(bench_doc))) == []
-
-
-class TestWorkerClamp:
-    """The cpu-bound workload never oversubscribes the host's cores."""
-
-    def test_cpu_workers_clamped_to_visible_cpus(self, bench_doc):
-        import os
-
-        requested = bench_doc["config"]["workers"]
-        cpu_parallel = bench_doc["workloads"]["cpu"]["supervised"]
-        assert cpu_parallel["workers_requested"] == requested
-        assert cpu_parallel["workers"] == min(requested,
-                                              os.cpu_count() or 1)
-        assert bench_doc["workloads"]["cpu"]["workers_clamped"] == (
-            cpu_parallel["workers"] < requested)
-
-    def test_sim_workload_keeps_requested_workers(self, bench_doc):
-        """Latency-bound oversubscription is the sim workload's point."""
-        sim_parallel = bench_doc["workloads"]["sim"]["supervised"]
-        assert sim_parallel["workers"] == bench_doc["config"]["workers"]
-
-    def test_validator_requires_clamp_fields(self, bench_doc):
-        doc = json.loads(json.dumps(bench_doc))
-        del doc["workloads"]["cpu"]["workers_clamped"]
-        del doc["workloads"]["sim"]["supervised"]["workers_requested"]
-        problems = validate_bench(doc)
-        assert any("workers_clamped" in p for p in problems)
-        assert any("workers_requested" in p for p in problems)
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_headline_fields(self, quick_doc, suite):
+        doc = quick_doc(suite)
+        assert doc["schema"] == SCHEMA
+        assert doc["suite"] == suite
+        assert doc["config"]["cpu_count"] == (os.cpu_count() or 1)
+        assert list(doc["headline"]) == list(SUITES[suite].headline)
+        assert all(value > 0 for value in doc["headline"].values())
+        assert doc["checks"] == {flag: True for flag in SUITES[suite].checks}
 
 
 class TestValidateBench:
     def test_rejects_non_object(self):
-        assert validate_bench([]) == ["document is not a JSON object"]
+        assert validate([]) == ["document is not a JSON object"]
 
     def test_reports_each_defect(self):
-        problems = validate_bench({"schema": "wrong"})
+        problems = validate({"schema": "wrong"})
         assert any("schema" in p for p in problems)
-        assert any("workloads" in p for p in problems)
-        assert any("cache_hit_rate" in p for p in problems)
+        assert any("unknown suite" in p for p in problems)
+        for section in ("config", "rows", "headline", "checks"):
+            assert any(repr(section) in p for p in problems)
 
-    def test_flags_failed_determinism_check(self, bench_doc):
-        doc = json.loads(json.dumps(bench_doc))
-        doc["workloads"]["sim"]["supervised_matches_serial"] = False
-        assert any("supervised_matches_serial" in p
-                   for p in validate_bench(doc))
+    def test_every_floor_bounds_a_declared_headline_metric(self):
+        for (suite, metric), (kind, _) in FLOORS.items():
+            assert metric in SUITES[suite].headline
+            assert kind in ("min", "max")
+
+    @pytest.mark.parametrize("suite,metric", sorted(FLOORS))
+    def test_value_past_floor_is_named(self, quick_doc, suite, metric):
+        kind, bound = FLOORS[(suite, metric)]
+        doc = _copy(quick_doc(suite))
+        doc["headline"][metric] = math.nextafter(
+            bound, -math.inf if kind == "min" else math.inf)
+        problems = validate(doc)
+        assert len(problems) == 1 and metric in problems[0]
+
+    @pytest.mark.parametrize("suite,metric", sorted(FLOORS))
+    def test_missing_floor_metric_is_named(self, quick_doc, suite, metric):
+        doc = _copy(quick_doc(suite))
+        del doc["headline"][metric]
+        problems = validate(doc)
+        assert len(problems) == 1 and metric in problems[0]
+
+    @pytest.mark.parametrize("suite,flag", CHECKS)
+    def test_flags_failed_check(self, quick_doc, suite, flag):
+        doc = _copy(quick_doc(suite))
+        doc["checks"][flag] = False
+        assert validate(doc) == [f"checks.{flag} is not true"]
+
+    @pytest.mark.parametrize("suite,flag", CHECKS)
+    def test_flags_missing_check(self, quick_doc, suite, flag):
+        doc = _copy(quick_doc(suite))
+        del doc["checks"][flag]
+        assert validate(doc) == [f"checks.{flag} is not true"]
 
     def test_committed_artifact_is_valid(self):
-        from pathlib import Path
+        docs = {path.name: json.loads(path.read_text())
+                for path in sorted(ROOT.glob("BENCH_*.json"))}
+        assert set(docs) == {f"BENCH_{name}.json" for name in SUITE_NAMES}
+        assert {name: validate(doc) for name, doc in docs.items()} == {
+            name: [] for name in docs}
+        assert docs["BENCH_campaign.json"]["headline"][
+            "cache_hit_rate"] >= 0.9
 
-        path = Path(__file__).resolve().parents[2] / "BENCH_campaign.json"
-        doc = json.loads(path.read_text())
-        assert validate_bench(doc) == []
-        assert doc["cache_hit_rate"] >= 0.9
-        assert doc["speedup_parallel"] >= 2.0
+
+def _committed(suite):
+    """The committed ``BENCH_<suite>.json``, checked by the validator."""
+    doc = json.loads((ROOT / f"BENCH_{suite}.json").read_text())
+    assert validate(doc) == []
+    return doc
+
+
+class TestEntryPoint:
+    """``benchmarks/perf/bench.py --validate`` is the check.sh gate."""
+
+    @staticmethod
+    def _main():
+        spec = importlib.util.spec_from_file_location(
+            "bench_entry", ROOT / "benchmarks" / "perf" / "bench.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main
+
+    def test_validate_exit_codes(self, quick_doc, tmp_path, capsys):
+        main = self._main()
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(quick_doc("service")))
+        assert main(["--validate", str(good)]) == 0
+        # A leftover artefact of a retired harness has no suite.
+        stale = tmp_path / "BENCH_retired.json"
+        stale.write_text(json.dumps({"schema": "repro.bench-retired/3"}))
+        assert main(["--validate", str(stale)]) == 1
+        assert "unknown suite" in capsys.readouterr().err
+
+
+class TestCampaignSuite:
+    def test_pool_uses_every_cpu(self, quick_doc):
+        supervised = quick_doc("campaign")["rows"]["pool"]["supervised"]
+        assert supervised["workers"] == max(2, os.cpu_count() or 1)
+
+    def test_warm_cache_serves_every_unit(self, quick_doc):
+        cache = quick_doc("campaign")["rows"]["cache"]
+        assert cache["cold"]["hit_rate"] == 0.0
+        assert cache["warm"]["hit_rate"] == 1.0
+        assert cache["warm"]["cached_units"] == cache["warm"]["units"]
+
+
+class TestFastpathSuite:
+    def test_batch_stats_embedded(self, quick_doc):
+        campaign = quick_doc("fastpath")["rows"]["campaign"]
+        stats = campaign["batch"]["stats"]
+        assert stats["batch_sites"] == stats["sites"]
+        assert stats["demoted_sites"] == 0
+        assert stats["crosscheck_mismatches"] == 0
+        _, floor = FLOORS[("fastpath", "wallclock_speedup_batch")]
+        assert campaign["speedup_batch"] >= floor
+
+    def test_committed_artifact_is_valid(self):
+        doc = _committed("fastpath")
+        assert doc["headline"]["invocation_reduction_campaign"] >= 5.0
+        assert doc["headline"]["invocation_reduction_shmoo"] >= 3.0
+        # The committed artefact is generated at the default (not quick)
+        # configuration, where the 10x wall-clock target holds.
+        assert doc["headline"]["wallclock_speedup_batch"] >= 10.0
+        assert doc["rows"]["campaign"]["records_match"] is True
+
+
+class TestExperimentSuite:
+    def test_streaming_section_covers_the_population(self, quick_doc):
+        config = ExperimentBenchConfig.quick()
+        streaming = quick_doc("experiment")["rows"]["streaming"]
+        assert streaming["devices"] == config.devices
+        assert streaming["shards"] == config.devices // config.shard_devices
+        assert streaming["defective"] > 0
+        assert streaming["setup_seconds"] > 0
+
+    def test_memory_section_records_both_peaks(self, quick_doc):
+        memory = quick_doc("experiment")["rows"]["memory"]
+        assert memory["small_devices"] < memory["large_devices"]
+        assert memory["small_peak_bytes"] > 0
+        assert memory["peak_ratio"] <= 1.25
+
+    def test_quick_keeps_block_alignment(self):
+        config = ExperimentBenchConfig.quick()
+        assert config.devices % config.shard_devices == 0
+
+    def test_rejects_inverted_memory_probe(self):
+        with pytest.raises(ValueError, match="memory_devices"):
+            ExperimentBenchConfig(memory_devices=(65_536, 4096))
+
+    def test_committed_artifact_is_valid(self):
+        # Generated at the default configuration: the 10^6 device lot.
+        doc = _committed("experiment")
+        assert doc["rows"]["streaming"]["devices"] >= 1_000_000
+
+
+class TestServiceSuite:
+    def test_cold_pass_misses_and_warm_pass_hits(self, quick_doc):
+        config = ServiceBenchConfig.quick()
+        rows = quick_doc("service")["rows"]
+        assert rows["cold"]["requests"] == config.unique_requests
+        assert rows["cold"]["cache_hits"] == 0
+        assert rows["warm"]["requests"] == (config.unique_requests
+                                            * config.warm_repeats)
+        assert rows["warm"]["cache_hits"] == rows["warm"]["requests"]
+
+    def test_every_unique_response_checked(self, quick_doc):
+        identity = quick_doc("service")["rows"]["identity"]
+        assert identity == {
+            "checked_requests": ServiceBenchConfig.quick().unique_requests,
+            "byte_identical": True}
+
+    def test_latency_percentiles_ordered(self, quick_doc):
+        warm = quick_doc("service")["rows"]["warm"]
+        assert 0 < warm["p50_ms"] <= warm["p99_ms"]
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"unique_requests": 0}, "unique_requests"),
+        ({"unique_requests": 8, "cache_size": 4}, "cache_size"),
+    ])
+    def test_config_rejects_unmeasurable_shapes(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ServiceBenchConfig(**kwargs)
