@@ -25,8 +25,9 @@ The suites:
   (:mod:`repro.perf.supervisor`, one worker per visible CPU) and
   against a warm evaluation cache, with byte-identical records;
 * ``fastpath`` (:mod:`repro.perf.fastpath_bench`) -- the grid evaluator
-  vs the exact per-site evaluator on the Table-1 sweep, and the
-  boundary-traced vs the exact shmoo;
+  vs the exact per-site evaluator on the Table-1 sweep, the
+  boundary-traced vs the exact shmoo, and the sort-and-sweep vs the
+  pairwise-scan critical-area pair search;
 * ``experiment`` (:mod:`repro.perf.experiment_bench`) -- the streaming
   million-device lot: throughput, memory, and the legacy/shard/worker
   identity oracles;
@@ -231,9 +232,11 @@ SUITES: dict[str, Suite] = {
         headline={"invocation_reduction_campaign":
                   "campaign.invocation_reduction",
                   "invocation_reduction_shmoo": "shmoo.invocation_reduction",
-                  "wallclock_speedup_batch": "campaign.speedup_batch"},
+                  "wallclock_speedup_batch": "campaign.speedup_batch",
+                  "wallclock_speedup_adjacency": "adjacency.speedup"},
         checks={"records_match": "campaign.records_match",
-                "grids_match": "shmoo.grids_match"}),
+                "grids_match": "shmoo.grids_match",
+                "pairs_match": "adjacency.pairs_match"}),
     "experiment": Suite(
         config=ExperimentBenchConfig,
         run=run_experiment,
@@ -265,6 +268,7 @@ FLOORS: dict[tuple[str, str], tuple[str, float]] = {
     ("fastpath", "invocation_reduction_campaign"): ("min", 5.0),
     ("fastpath", "invocation_reduction_shmoo"): ("min", 3.0),
     ("fastpath", "wallclock_speedup_batch"): ("min", 5.0),
+    ("fastpath", "wallclock_speedup_adjacency"): ("min", 5.0),
     ("experiment", "devices_per_sec"): ("min", 50_000.0),
     ("experiment", "speedup_vs_legacy"): ("min", 5.0),
     ("experiment", "memory_peak_ratio"): ("max", 1.25),

@@ -1,8 +1,8 @@
 """``fastpath`` benchmark suite: invocation reduction measured, not asserted.
 
 Rows of ``BENCH_fastpath.json`` (harness, schema and floors:
-:mod:`repro.perf.bench`).  Two comparisons, both verified
-byte-identical on every run before any number is reported:
+:mod:`repro.perf.bench`).  Three comparisons, each verified identical
+on every run before any number is reported:
 
 * **campaign** -- the paper's Table-1 bridge sweep (4 resistances x
   the 5 production stress conditions) evaluated by the exact per-site
@@ -14,7 +14,12 @@ byte-identical on every run before any number is reported:
 * **shmoo** -- a paper-sized (Vdd, period) grid (Figures 3/4: 15
   voltages x 24 periods) filled ``strategy="exact"`` vs
   ``strategy="boundary"`` by :class:`~repro.tester.shmoo.ShmooRunner`,
-  counting tester invocations.
+  counting tester invocations;
+* **adjacency** -- the critical-area pair search on the Veqtor4
+  layout window: the sort-and-sweep
+  :func:`~repro.ifa.critical_area.find_adjacent_pairs` vs the pairwise
+  scan :func:`~repro.ifa.critical_area.find_adjacent_pairs_exhaustive`,
+  whose pair lists must be equal, order included.
 
 The floors (``repro.perf.bench.FLOORS``) are the ones the fast paths
 exist for: at least 5x fewer behaviour-model invocations on the Table-1
@@ -36,9 +41,14 @@ import numpy as np
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import BridgeSite, Defect, DefectKind
+from repro.ifa.critical_area import (
+    find_adjacent_pairs,
+    find_adjacent_pairs_exhaustive,
+)
 from repro.ifa.flow import TABLE1_RESISTANCES, IfaCampaign
+from repro.ifa.layout import SramLayout
 from repro.march.library import get_test
-from repro.memory.geometry import MemoryGeometry
+from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.memory.sram import Sram
 from repro.perf.batch import BatchEvaluator
 from repro.perf.counting import CountingBehaviorModel
@@ -195,19 +205,58 @@ def _bench_shmoo(config: FastpathBenchConfig) -> dict[str, Any]:
     return rows
 
 
+#: Alternating timed runs per side of the adjacency row; each side
+#: reports its median.
+ADJACENCY_REPEATS = 3
+
+
+def _bench_adjacency() -> dict[str, Any]:
+    """Time the pair search on the Veqtor4 window, sweep vs scan.
+
+    The window is the same at every configuration: the scan costs
+    ~0.3 s there, and a smaller window would under-report the sweep's
+    asymptotic gain.
+    """
+    rects = SramLayout(VEQTOR4_INSTANCE).rects
+    pairs = find_adjacent_pairs(rects)
+    if pairs != find_adjacent_pairs_exhaustive(rects):
+        raise RuntimeError(
+            "sort-and-sweep pair list diverged from the pairwise scan -- "
+            "the equivalence contract is broken")
+    searches = {"sweep": find_adjacent_pairs,
+                "exhaustive": find_adjacent_pairs_exhaustive}
+    seconds: dict[str, list[float]] = {row: [] for row in searches}
+    for _ in range(ADJACENCY_REPEATS):
+        for row, search in searches.items():
+            started = time.perf_counter()
+            search(rects)
+            seconds[row].append(time.perf_counter() - started)
+    rows: dict[str, Any] = {
+        row: {"seconds": round(float(np.median(times)), 6)}
+        for row, times in seconds.items()}
+    rows["rects"] = len(rects)
+    rows["pairs"] = len(pairs)
+    rows["speedup"] = round(
+        rows["exhaustive"]["seconds"] / rows["sweep"]["seconds"], 3)
+    rows["pairs_match"] = True
+    return rows
+
+
 def run_fastpath(config: FastpathBenchConfig) -> dict[str, Any]:
-    """Run both fast-path comparisons.
+    """Run the three fast-path comparisons.
 
     Args:
         config: Benchmark shape.
 
     Returns:
-        The ``rows`` of the ``fastpath`` document: ``campaign`` and
-        ``shmoo``.
+        The ``rows`` of the ``fastpath`` document: ``campaign``,
+        ``shmoo`` and ``adjacency``.
 
     Raises:
-        RuntimeError: a fast path's records or grid diverged from the
-            exact path -- an equivalence bug that must fail loudly.
+        RuntimeError: a fast path's records, grid or pair list diverged
+            from the exact path -- an equivalence bug that must fail
+            loudly.
     """
     return {"campaign": _bench_campaign(config),
-            "shmoo": _bench_shmoo(config)}
+            "shmoo": _bench_shmoo(config),
+            "adjacency": _bench_adjacency()}

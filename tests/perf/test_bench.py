@@ -167,6 +167,13 @@ class TestFastpathSuite:
         _, floor = FLOORS[("fastpath", "wallclock_speedup_batch")]
         assert campaign["speedup_batch"] >= floor
 
+    def test_adjacency_row_covers_the_veqtor4_window(self, quick_doc):
+        adjacency = quick_doc("fastpath")["rows"]["adjacency"]
+        assert adjacency["pairs"] == 2172
+        assert adjacency["pairs_match"] is True
+        _, floor = FLOORS[("fastpath", "wallclock_speedup_adjacency")]
+        assert adjacency["speedup"] >= floor
+
     def test_committed_artifact_is_valid(self):
         doc = _committed("fastpath")
         assert doc["headline"]["invocation_reduction_campaign"] >= 5.0
@@ -175,6 +182,7 @@ class TestFastpathSuite:
         # configuration, where the 10x wall-clock target holds.
         assert doc["headline"]["wallclock_speedup_batch"] >= 10.0
         assert doc["rows"]["campaign"]["records_match"] is True
+        assert doc["rows"]["adjacency"]["pairs_match"] is True
 
 
 class TestExperimentSuite:
