@@ -171,7 +171,8 @@ echo "== fast-path equivalence markers =="
 # byte-identical to its exact path -- and that file must exist.
 for module in src/repro/perf/batch.py src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py \
-              src/repro/ifa/critical_area.py; do
+              src/repro/ifa/critical_area.py \
+              src/repro/defects/behavior.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
         echo "$module: missing 'Exact-path equivalence: <test file>' marker"

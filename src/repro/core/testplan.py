@@ -36,6 +36,7 @@ from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
 )
+from repro.defects.models import DefectArrays
 from repro.ifa.extraction import IfaExtractor
 from repro.march.test import MarchTest
 from repro.memory.geometry import MemoryGeometry
@@ -83,11 +84,20 @@ class JointCoverageTable:
             resistance_sampler=lambda r: open_dist.sample(r, 1)[0])
         self.defects = defects
 
-        # detection[i, j]: defect i caught by condition j.
+        # detection[i, j]: defect i caught by condition j -- one
+        # elementwise kernel call per condition when the model offers
+        # it, else fails_condition per defect (the oracle).
         self.detection = np.zeros((len(defects), len(self.condition_names)),
                                   dtype=bool)
+        kernel = getattr(behavior, "evaluate_elements", None)
+        arrays = (DefectArrays.from_defects(defects)
+                  if kernel is not None else None)
         for j, name in enumerate(self.condition_names):
             cond = self.conditions[name]
+            if arrays is not None:
+                self.detection[:, j] = kernel(arrays.codes, arrays.strengths,
+                                              arrays.resistances, cond)
+                continue
             for i, defect in enumerate(defects):
                 self.detection[i, j] = behavior.fails_condition(defect, cond)
 

@@ -36,6 +36,13 @@ Mechanisms implemented (paper cross-references):
   at VLV; at strongly elevated supply the defect's leakage path becomes
   visible again -- producing devices that fail both VLV *and* Vmax, the
   overlap classes of the paper's Figure 11 Venn diagram.
+
+:meth:`DefectBehaviorModel.fails_condition` is the oracle of the one
+vectorised detection kernel, which answers a site x R grid
+(:meth:`~DefectBehaviorModel.evaluate_batch`) or aligned defect arrays
+(:meth:`~DefectBehaviorModel.evaluate_elements`) bit for bit.
+
+Exact-path equivalence: tests/defects/test_behavior.py
 """
 
 from __future__ import annotations
@@ -49,7 +56,13 @@ from typing import Any
 import numpy as np
 
 from repro.circuit.technology import Technology
-from repro.defects.models import BridgeSite, Defect, DefectKind, OpenSite
+from repro.defects.models import (
+    SITE_CODES,
+    BridgeSite,
+    Defect,
+    DefectKind,
+    OpenSite,
+)
 from repro.memory.sram import TimingModel
 from repro.stress import StressCondition
 
@@ -508,7 +521,7 @@ class DefectBehaviorModel:
         return slack / cap
 
     # ------------------------------------------------------------------
-    # Vectorised batch evaluation (repro.perf.batch fast path)
+    # Vectorised evaluation: one kernel, two shapes
     # ------------------------------------------------------------------
     def evaluate_batch(self, sites: Sequence[Defect],
                        resistances: Sequence[float],
@@ -519,16 +532,18 @@ class DefectBehaviorModel:
         call: element ``[i, j]`` is exactly
         ``fails_condition(sites[i].with_resistance(resistances[j]),
         condition)``.  *Exactly* means bit-identical, not approximately
-        equal: the closed forms below replay the scalar arithmetic of
-        :meth:`manifestation` with the same operand grouping and the
-        same comparison operators, restricted to IEEE-754-exact
-        elementwise numpy operations (``+ - * /``, comparisons,
-        ``maximum``).  Transcendentals (``log``, ``log10``, ``exp``,
-        ``**``) are never vectorised -- numpy's implementations may
-        differ from :mod:`math` by an ulp, enough to flip a boundary
-        cell -- and are instead computed per site or per grid point
-        through the identical :mod:`math` calls the scalar path makes.
-        See ``docs/batch_kernel.md`` for the full contract.
+        equal: the per-class kernel (:meth:`_class_kernel`) replays the
+        scalar arithmetic of :meth:`manifestation` with the same operand
+        grouping and the same comparison operators, restricted to
+        IEEE-754-exact elementwise numpy operations (``+ - * /``,
+        comparisons, ``maximum``).  Transcendentals (``log``, ``log10``,
+        ``exp``, ``**``) are never vectorised -- numpy's implementations
+        may differ from :mod:`math` by an ulp, enough to flip a boundary
+        cell -- and are instead computed per element through the
+        identical :mod:`math` calls the scalar path makes.  This is the
+        kernel's grid shape (strengths ``[:, None]`` against resistances
+        ``[None, :]``); :meth:`evaluate_elements` is its elementwise
+        shape.  See ``docs/batch_kernel.md`` for the full contract.
 
         The hook is optional capability, never obligation: the grid
         evaluator (:class:`~repro.perf.batch.BatchEvaluator`) probes
@@ -539,8 +554,7 @@ class DefectBehaviorModel:
 
         Args:
             sites: Site population (each defect's ``resistance`` field
-                is ignored; site class, ``strength`` and ``polarity``
-                matter).
+                is ignored; site class and ``strength`` matter).
             resistances: Resistance grid of the sweep group (ohms).
             condition: The stress condition shared by the whole group.
 
@@ -559,51 +573,89 @@ class DefectBehaviorModel:
         for i, defect in enumerate(sites):
             by_class.setdefault(defect.site, []).append(i)
         for site_class, indices in by_class.items():
-            strengths = all_strengths[indices]
-            if isinstance(site_class, BridgeSite):
-                rows = self._bridge_batch(site_class, strengths, r,
-                                          condition)
-            elif isinstance(site_class, OpenSite):
-                rows = self._open_batch(site_class, strengths, r,
-                                        condition)
-            else:
-                raise ValueError(f"unknown defect site {site_class}")
-            out[indices] = rows
+            out[indices] = self._class_kernel(
+                site_class, all_strengths[indices][:, None], r[None, :],
+                condition)
         return out
 
-    def _bridge_batch(self, site: BridgeSite, strengths: np.ndarray,
-                      r: np.ndarray,
+    def evaluate_elements(self, codes: np.ndarray, strengths: np.ndarray,
+                          resistances: np.ndarray,
+                          condition: StressCondition) -> np.ndarray:
+        """Vectorised :meth:`fails_condition` over aligned defect arrays.
+
+        The kernel's elementwise shape: element ``i`` is exactly
+        ``fails_condition(d_i, condition)`` for the defect of site
+        ``SITE_CODES[codes[i]]``, strength ``strengths[i]`` and
+        resistance ``resistances[i]`` -- bit-identical, under the same
+        op-order rules as :meth:`evaluate_batch`.  One kernel call per
+        site class present.  Probed like ``evaluate_batch``
+        (``getattr(model, "evaluate_elements", None)``); a wrapper that
+        must see every scalar evaluation declines it with a class
+        attribute set to ``None``.
+
+        Args:
+            codes: Site codes (indices into
+                :data:`~repro.defects.models.SITE_CODES`), 1-D.
+            strengths: Per-defect strength factors, aligned with
+                ``codes``.
+            resistances: Per-defect resistances (ohms), aligned.
+            condition: The stress condition.
+
+        Returns:
+            Boolean array of shape ``codes.shape``.
+        """
+        out = np.zeros(codes.shape, dtype=bool)
+        # bincount, not np.unique: the latter imports numpy.ma (~2 MB
+        # of resident memory) on first use.
+        present = np.flatnonzero(np.bincount(codes, minlength=len(SITE_CODES)))
+        for code in present.tolist():
+            idx = np.flatnonzero(codes == code)
+            out[idx] = self._class_kernel(SITE_CODES[code], strengths[idx],
+                                          resistances[idx], condition)
+        return out
+
+    def _class_kernel(self, site: BridgeSite | OpenSite,
+                      strengths: np.ndarray, r: np.ndarray,
                       condition: StressCondition) -> np.ndarray:
-        """Detection rows of one bridge class (op-order-exact)."""
+        """Detection bits of one site class, op-order-exact.
+
+        ``strengths`` and ``r`` broadcast against each other; the
+        result has their broadcast shape.
+        """
+        if isinstance(site, BridgeSite):
+            return self._bridge_kernel(site, strengths, r, condition)
+        if isinstance(site, OpenSite):
+            return self._open_kernel(site, strengths, r, condition)
+        raise ValueError(f"unknown defect site {site}")
+
+    def _bridge_kernel(self, site: BridgeSite, strengths: np.ndarray,
+                       r: np.ndarray,
+                       condition: StressCondition) -> np.ndarray:
         p = self.params
         vdd = condition.vdd
 
         if site is BridgeSite.BITLINE_BITLINE:
             # Union of the voltage and timing mechanisms of
-            # _bridge_manifestation.  The site spread goes through the
-            # identical math.log call, per site (tolist() hands back
-            # the exact doubles, so this mirrors _site_z(d, 0.5)
-            # bit-for-bit).
-            z = np.array([math.log(s) / 0.5 for s in strengths.tolist()],
-                         dtype=float)
+            # _bridge_manifestation; the site spread mirrors
+            # _site_z(d, 0.5) bit-for-bit.
+            z = _per_element(math.log, strengths) / 0.5
             v_mask = p.bitline_v_mask + p.bitline_v_sigma * z
             r_crit = strengths * p.bitline_r
             r_as = p.bitline_atspeed_r * strengths
             develop_need = self._delay_scale(vdd, condition.temperature)
             timing_armed = condition.period < 25e-9 * develop_need
-            voltage = ((vdd <= v_mask)[:, None]
-                       & (r[None, :] <= r_crit[:, None]))
-            timing = (r[None, :] <= r_as[:, None]) & timing_armed
+            voltage = (vdd <= v_mask) & (r <= r_crit)
+            timing = (r <= r_as) & timing_armed
             return voltage | timing
 
-        r_crit = self._bridge_batch_critical(site, strengths, vdd,
-                                             condition.temperature)
+        r_crit = self._bridge_kernel_critical(site, strengths, vdd,
+                                              condition.temperature)
         # Mirrors "if defect.resistance > r_crit: return None".
-        return ~(r[None, :] > r_crit[:, None])
+        return ~(r > r_crit)
 
-    def _bridge_batch_critical(self, site: BridgeSite,
-                               strengths: np.ndarray, vdd: float,
-                               temperature: float) -> np.ndarray:
+    def _bridge_kernel_critical(self, site: BridgeSite,
+                                strengths: np.ndarray, vdd: float,
+                                temperature: float) -> np.ndarray:
         """Per-site critical resistances, exactly as the scalar path.
 
         Every class keeps :meth:`bridge_critical_resistance`'s operand
@@ -635,25 +687,25 @@ class DefectBehaviorModel:
             return np.zeros(strengths.shape)
         raise ValueError(f"unknown bridge site {site}")
 
-    def _open_batch(self, site: OpenSite, strengths: np.ndarray,
-                    r: np.ndarray,
-                    condition: StressCondition) -> np.ndarray:
-        """Detection rows of one open class (op-order-exact)."""
+    def _open_kernel(self, site: OpenSite, strengths: np.ndarray,
+                     r: np.ndarray,
+                     condition: StressCondition) -> np.ndarray:
         p = self.params
         vdd, period = condition.vdd, condition.period
         scale = self._delay_scale(vdd, condition.temperature)
         if math.isinf(scale):
             # Below the path threshold every open is silent.
-            return np.zeros((strengths.size, r.size), dtype=bool)
+            return np.zeros(np.broadcast_shapes(strengths.shape, r.shape),
+                            dtype=bool)
 
         if site is OpenSite.BITLINE_SEGMENT:
             # added = (resistance * seg_c) * strength, grouped exactly
             # as the scalar left-associative product.
-            added = (r * p.seg_c)[None, :] * strengths[:, None]
+            added = (r * p.seg_c) * strengths
             return p.seg_t0 + added > period
 
         if site is OpenSite.CELL_ACCESS:
-            added = (r * p.access_c)[None, :] * strengths[:, None]
+            added = (r * p.access_c) * strengths
             develop = p.access_t0 * scale
             if vdd <= self.tech.vdd_vlv + 0.15:
                 develop *= p.access_vlv_blowup
@@ -664,34 +716,37 @@ class DefectBehaviorModel:
             leak = self._temp_leak_factor(condition.temperature)
             r_vlv = (p.pullup_r_vlv * strengths) / leak
             r_vmax = (p.pullup_r_vmax * strengths) / leak
-            out = np.zeros((strengths.size, r.size), dtype=bool)
+            out = np.zeros(np.broadcast_shapes(strengths.shape, r.shape),
+                           dtype=bool)
             if vdd <= self.tech.vdd_vlv + 0.1:
-                out |= r[None, :] >= r_vlv[:, None]
+                out |= r >= r_vlv
             if vdd >= self.tech.vdd_max - 1e-9:
-                out |= r[None, :] >= r_vmax[:, None]
+                out |= r >= r_vmax
             return out
 
         if site is OpenSite.DECODER_INPUT:
-            # v_detect per (site, R) cell; both transcendental factors
-            # go through the identical math calls the scalar path
-            # makes -- per site for the spread, per grid point for the
-            # log-resistance term.
-            # Mirrors _site_z(d, 0.5) bit-for-bit (tolist() returns
-            # the exact doubles).
-            z = np.array([math.log(s) / 0.5 for s in strengths.tolist()],
-                         dtype=float)
-            l10 = np.array(
-                [math.log10(rj / p.dec_r_ref) for rj in r.tolist()],
-                dtype=float)
-            v = ((p.dec_v_base + p.dec_v_spread * z)[:, None]
-                 - (p.dec_v_slope * l10)[None, :])
+            # Both transcendental factors go through the identical math
+            # calls the scalar path makes: per strength for the spread
+            # (_site_z(d, 0.5)), per resistance for the log term.
+            z = _per_element(math.log, strengths) / 0.5
+            l10 = _per_element(math.log10, r / p.dec_r_ref)
+            v = (p.dec_v_base + p.dec_v_spread * z) - p.dec_v_slope * l10
             v_detect = np.maximum(v, 0.5 * self.tech.vdd_vlv)
             return vdd >= v_detect
 
         if site is OpenSite.PERIPHERY_PATH:
-            added = ((r * p.periphery_c)[None, :]
-                     * strengths[:, None]) * scale
+            added = ((r * p.periphery_c) * strengths) * scale
             path = p.periphery_t0 * scale
             return path + added > period
 
         raise ValueError(f"unknown open site {site}")
+
+
+def _per_element(fn: Any, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied through :mod:`math`, one exact double at a time.
+
+    ``tolist()`` hands back the exact doubles, so each element is
+    bit-identical to the scalar path's call on the same value.
+    """
+    return np.array([fn(v) for v in values.ravel().tolist()],
+                    dtype=float).reshape(values.shape)

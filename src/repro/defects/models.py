@@ -25,8 +25,11 @@ Table 1; see DESIGN.md section 6 and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class DefectKind(Enum):
@@ -174,6 +177,88 @@ class Defect:
             f"{self.kind.value}/{self.site.value} R={self.resistance:,.0f}ohm "
             f"k={self.strength:.2f} cell={self.cell}"
         )
+
+
+#: Every site class in one stable order; a site's *code* is its index
+#: here (bridges first, then opens).  The structure-of-arrays defect
+#: form (:class:`DefectArrays`) and the behaviour model's elementwise
+#: kernel speak in codes.
+SITE_CODES: tuple[BridgeSite | OpenSite, ...] = (*BridgeSite, *OpenSite)
+#: Site class -> its code in :data:`SITE_CODES`.
+SITE_CODE: dict[BridgeSite | OpenSite, int] = {
+    site: code for code, site in enumerate(SITE_CODES)}
+
+
+@dataclass(frozen=True)
+class DefectArrays:
+    """A defect population in structure-of-arrays form.
+
+    Element ``i`` is the defect ``Defect(kind, SITE_CODES[codes[i]],
+    resistances[i], strength=strengths[i], cell=cells[i], weight=1.0,
+    polarity=polarities[i])`` (the kind follows from the site class);
+    :meth:`defect` materialises it.  Construction applies
+    :class:`Defect`'s value checks to every element at once, so a
+    population that could not be materialised is rejected up front.
+
+    Attributes:
+        codes: Site codes (indices into :data:`SITE_CODES`).
+        strengths: Per-site strength factors.
+        resistances: Defect resistances (ohms).
+        cells: Victim flat cell indices.
+        polarities: ``-1`` or ``+1`` per defect.
+    """
+
+    codes: np.ndarray
+    strengths: np.ndarray
+    resistances: np.ndarray
+    cells: np.ndarray
+    polarities: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.codes.shape[0]
+        if any(a.shape != (n,) for a in (self.codes, self.strengths,
+                                          self.resistances, self.cells,
+                                          self.polarities)):
+            raise ValueError("defect arrays must be aligned 1-D arrays")
+        # The same comparisons as Defect.__post_init__ (a NaN passes
+        # both, exactly as it passes the scalar checks).
+        if np.any(self.resistances <= 0):
+            raise ValueError("resistance must be positive")
+        if np.any(self.strengths <= 0):
+            raise ValueError("strength must be positive")
+        if np.any((self.polarities != -1) & (self.polarities != 1)):
+            raise ValueError("polarity must be -1 or +1")
+        if np.any((self.codes < 0) | (self.codes >= len(SITE_CODES))):
+            raise ValueError("site code out of range")
+
+    def __len__(self) -> int:
+        return int(self.codes.shape[0])
+
+    @classmethod
+    def from_defects(cls, defects: Sequence[Defect]) -> "DefectArrays":
+        """Flatten materialised defects (``weight`` is not carried)."""
+        n = len(defects)
+        return cls(
+            codes=np.fromiter((SITE_CODE[d.site] for d in defects),
+                              dtype=np.intp, count=n),
+            strengths=np.fromiter((d.strength for d in defects),
+                                  dtype=float, count=n),
+            resistances=np.fromiter((d.resistance for d in defects),
+                                    dtype=float, count=n),
+            cells=np.fromiter((d.cell for d in defects), dtype=np.int64,
+                              count=n),
+            polarities=np.fromiter((d.polarity for d in defects),
+                                   dtype=np.int64, count=n))
+
+    def defect(self, i: int) -> Defect:
+        """Materialise element ``i`` as a :class:`Defect`."""
+        site = SITE_CODES[int(self.codes[i])]
+        kind = (DefectKind.BRIDGE if isinstance(site, BridgeSite)
+                else DefectKind.OPEN)
+        return Defect(kind, site, float(self.resistances[i]),
+                      strength=float(self.strengths[i]),
+                      cell=int(self.cells[i]), weight=1.0,
+                      polarity=int(self.polarities[i]))
 
 
 def bridge(site: BridgeSite, resistance: float, **kwargs) -> Defect:

@@ -11,10 +11,14 @@ conditions it fails, which feeds the Venn diagram of Figure 11.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.circuit.technology import CMOS018, Technology
 from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.models import DefectArrays
 from repro.experiment.veqtor import VeqtorChip, VeqtorTestBench
 from repro.march.library import TEST_11N
 from repro.march.test import MarchTest
@@ -26,6 +30,23 @@ from repro.tester.ate import VirtualTester
 STRESS_NAMES = ("VLV", "Vmax", "at-speed")
 #: The standard screening conditions.
 STANDARD_NAMES = ("Vmin", "Vnom")
+#: Bit order of a part's *fail-bit word*: bit ``i`` set means the part
+#: failed condition ``FAIL_BIT_NAMES[i]``.
+FAIL_BIT_NAMES = STANDARD_NAMES + STRESS_NAMES
+#: The standard-screen bits of a fail-bit word.
+STANDARD_MASK = (1 << len(STANDARD_NAMES)) - 1
+
+
+def decode_fail_bits(bits: int) -> tuple[bool, frozenset[str]]:
+    """``(failed_standard, failed_stress)`` of one fail-bit word.
+
+    Mirrors :meth:`StressClassifier.classify_chip`: a part failing the
+    standard screen is never re-tested, so it carries no stress set.
+    """
+    if bits & STANDARD_MASK:
+        return True, frozenset()
+    return False, frozenset(name for i, name in enumerate(FAIL_BIT_NAMES)
+                            if bits >> i & 1)
 
 
 @dataclass
@@ -132,14 +153,73 @@ class StressClassifier:
         )
         return DeviceRecord(chip, False, failed)
 
+    @property
+    def array_native(self) -> bool:
+        """Whether the behaviour model offers the elementwise kernel.
+
+        The same capability probe the grid evaluator uses: a model
+        without ``evaluate_elements`` (or a wrapper declining it with
+        ``None``) is classified part by part through
+        :meth:`classify_chip`.
+        """
+        behavior = self.bench.tester.behavior
+        return getattr(behavior, "evaluate_elements", None) is not None
+
+    def fail_bits(self, defects: DefectArrays,
+                  chip_starts: np.ndarray) -> np.ndarray:
+        """Fail-bit words of defective parts given as flat defect arrays.
+
+        Part ``k`` owns ``defects[chip_starts[k]:chip_starts[k + 1]]``
+        (the last part runs to the end; every part owns at least one
+        defect).  Each condition costs one elementwise kernel call over
+        all defects; a part fails a condition when any of its defects
+        does (``np.bitwise_or.reduceat``) or when the core misses
+        timing there -- the verdicts of :meth:`classify_chip`, for
+        every condition.  Requires :attr:`array_native`.
+        """
+        kernel = self.bench.tester.behavior.evaluate_elements
+        per_defect = np.zeros(len(defects), dtype=np.uint8)
+        timing = 0
+        for bit, name in enumerate(FAIL_BIT_NAMES):
+            condition = self.conditions[name]
+            if not self.bench.meets_timing(condition):
+                timing |= 1 << bit
+                continue
+            hits = kernel(defects.codes, defects.strengths,
+                          defects.resistances, condition)
+            per_defect |= hits.astype(np.uint8) << bit
+        if len(chip_starts) == 0:
+            return np.zeros(0, dtype=np.uint8)
+        return np.bitwise_or.reduceat(per_defect, chip_starts) | timing
+
     def classify(self, chips: list[VeqtorChip]) -> ExperimentResult:
-        """Classify a lot; clean chips short-circuit for speed."""
+        """Classify a lot; clean chips short-circuit for speed.
+
+        With an :attr:`array_native` model the defective chips are
+        flattened to :class:`~repro.defects.models.DefectArrays` and
+        classified by :meth:`fail_bits`; otherwise chip by chip.  The
+        records are the same either way.
+        """
         result = ExperimentResult(n_devices=len(chips))
-        for chip in chips:
-            record = self.classify_chip(chip)
+        records = (self._array_records(chips) if self.array_native
+                   else (self.classify_chip(chip) for chip in chips))
+        for record in records:
             if record is None:
                 continue
             if record.failed_standard:
                 result.n_standard_fails += 1
             result.records.append(record)
         return result
+
+    def _array_records(self, chips: list[VeqtorChip],
+                       ) -> Iterator[DeviceRecord]:
+        """Records of the defective chips, in lot order, via fail bits."""
+        defective = [chip for chip in chips if chip.is_defective]
+        flat = [chip.all_defects for chip in defective]
+        sizes = np.array([len(defects) for defects in flat], dtype=np.intp)
+        bits = self.fail_bits(
+            DefectArrays.from_defects([d for ds in flat for d in ds]),
+            np.cumsum(sizes) - sizes)
+        for chip, word in zip(defective, bits.tolist()):
+            failed_standard, failed_stress = decode_fail_bits(word)
+            yield DeviceRecord(chip, failed_standard, failed_stress)

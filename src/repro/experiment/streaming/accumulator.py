@@ -22,7 +22,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.experiment.classify import DeviceRecord, ExperimentResult
+import numpy as np
+
+from repro.experiment.classify import (
+    FAIL_BIT_NAMES,
+    DeviceRecord,
+    ExperimentResult,
+    decode_fail_bits,
+)
 from repro.experiment.diagnosis import LotDiagnosis
 from repro.experiment.venn import VennCounts
 
@@ -65,12 +72,28 @@ class ExperimentAccumulator:
     # ------------------------------------------------------------------
     def observe(self, record: DeviceRecord) -> None:
         """Fold one defective device's classification in."""
-        self.defective += 1
-        if record.failed_standard:
-            self.standard_fails += 1
-        elif record.failed_stress:
-            key = record.failed_stress
-            self.class_counts[key] = self.class_counts.get(key, 0) + 1
+        self._count(record.failed_standard, record.failed_stress, 1)
+
+    def observe_fail_bits(self, bits: np.ndarray) -> None:
+        """Fold a block of defective devices' fail-bit words in.
+
+        One ``bincount`` over the words (see
+        :func:`~repro.experiment.classify.decode_fail_bits`); the
+        result equals :meth:`observe` on each device's record.
+        """
+        counts = np.bincount(bits, minlength=1 << len(FAIL_BIT_NAMES))
+        for word in np.flatnonzero(counts).tolist():
+            failed_standard, failed_stress = decode_fail_bits(word)
+            self._count(failed_standard, failed_stress, int(counts[word]))
+
+    def _count(self, failed_standard: bool, failed_stress: frozenset[str],
+               n: int) -> None:
+        self.defective += n
+        if failed_standard:
+            self.standard_fails += n
+        elif failed_stress:
+            self.class_counts[failed_stress] = (
+                self.class_counts.get(failed_stress, 0) + n)
 
     def observe_hints(self, hints: dict[str, Any]) -> None:
         """Fold one diagnosed device's per-condition hints in.

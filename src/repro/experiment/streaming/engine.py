@@ -15,19 +15,27 @@ caches are dropped), exposes ``behavior`` for chaos probes and a
 Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
 and one batched attribute-per-array defect draw
-(:meth:`~repro.ifa.extraction.IfaExtractor.sample_batch`), after which
-only *defective* chips materialize as objects -- O(defective), not
-O(devices), and ~94 % of devices are clean at the paper's D0.
+(:meth:`~repro.ifa.extraction.IfaExtractor.sample_batch`).  The block
+stays in arrays (:class:`DefectBlock`): classification is one
+elementwise kernel call per (site class, condition)
+(:meth:`~repro.experiment.classify.StressClassifier.fail_bits`) and a
+``bincount`` of the parts' fail-bit words into the accumulator, so no
+chip materialises unless diagnosed.  Behaviour models without the
+kernel (``scheme="legacy"``, chaos wrappers) take the per-chip
+:meth:`~repro.experiment.classify.StressClassifier.classify_chip`
+path, the scalar oracle.
 
 Exact-path equivalence: tests/experiment/test_streaming.py
 (``scheme="legacy"`` reduces the original single-stream draw order to
-a payload byte-identical to the materialised pipeline's).
+a payload byte-identical to the materialised pipeline's; the array
+path's payload equals the per-chip path's).
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -39,8 +47,12 @@ from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
 )
-from repro.defects.models import DefectKind
-from repro.experiment.classify import StressClassifier
+from repro.defects.models import DefectArrays, DefectKind
+from repro.experiment.classify import (
+    DeviceRecord,
+    StressClassifier,
+    decode_fail_bits,
+)
 from repro.experiment.diagnosis import LotDiagnostician
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
@@ -206,21 +218,25 @@ class StreamingExperiment:
 
         Under ``spawn``, only *defective* chips are yielded (clean
         devices are implied by ``shard.devices``); under ``legacy``
-        every chip streams through in the original draw order.
+        every chip streams through in the original draw order.  This
+        is the per-chip view: array-native evaluation reads
+        :meth:`block_defects` instead and builds no chip at all.
         """
         if self.plan.scheme == "legacy":
             yield from self.generator.iter_chips()
             return
         for block_index, start, stop in self.plan.blocks_of(shard):
-            yield from self._block_chips(block_index, start, stop)
+            block = self.block_defects(block_index, start, stop)
+            if block is not None:
+                yield from (block.chip(k) for k in range(len(block.rows)))
 
-    def _block_chips(self, block_index: int, start: int,
-                     stop: int) -> Iterator[VeqtorChip]:
-        """Vectorised draw of one RNG block's defective chips.
+    def block_defects(self, block_index: int, start: int,
+                      stop: int) -> DefectBlock | None:
+        """Vectorised draw of one RNG block's defects (``None``: clean).
 
         The block substream consumes in a fixed order -- Poisson count
         matrix, kind uniforms, batched bridge draws, batched open draws
-        -- so the block's chips are a pure function of
+        -- so the block's defects are a pure function of
         ``(seed, block_index)`` regardless of shard layout or worker
         count.
         """
@@ -232,7 +248,7 @@ class StreamingExperiment:
         counts = rng.poisson(lam, size=(n, VeqtorChip.N_INSTANCES))
         total = int(counts.sum())
         if total == 0:
-            return
+            return None
         is_bridge = rng.random(total) < self.density.bridge_fraction
         n_bridges = int(is_bridge.sum())
         bridges = self.extractor.sample_batch(
@@ -241,21 +257,22 @@ class StreamingExperiment:
         opens = self.extractor.sample_batch(
             total - n_bridges, rng, DefectKind.OPEN,
             resistance_distribution=self.open_distribution)
+        # Defects run chip by chip, instance by instance (the count
+        # matrix in row-major order); the k-th bridge and the k-th open
+        # land on the k-th True / False of ``is_bridge``.
+        defects = DefectArrays(*(
+            _interleave(is_bridge, getattr(bridges, name),
+                        getattr(opens, name))
+            for name in ("codes", "strengths", "resistances", "cells",
+                         "polarities")))
         per_chip = counts.sum(axis=1)
-        rows = np.nonzero(per_chip)[0]
-        cursor = bi = oi = 0
-        for row in rows:
-            chip = VeqtorChip(start + int(row))
-            for instance in range(VeqtorChip.N_INSTANCES):
-                for _ in range(int(counts[row, instance])):
-                    if is_bridge[cursor]:
-                        chip.add_defect(instance, bridges[bi])
-                        bi += 1
-                    else:
-                        chip.add_defect(instance, opens[oi])
-                        oi += 1
-                    cursor += 1
-            yield chip
+        rows = np.flatnonzero(per_chip)
+        sizes = per_chip[rows]
+        instances = np.repeat(
+            np.tile(np.arange(VeqtorChip.N_INSTANCES), n), counts.ravel())
+        return DefectBlock(start=start, rows=rows,
+                           chip_starts=np.cumsum(sizes) - sizes,
+                           instances=instances, defects=defects)
 
     # ------------------------------------------------------------------
     # Executor integration
@@ -324,28 +341,42 @@ class ShardEvaluator:
         started = self.clock()
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None
-        seen = 0
-        for chip in engine.iter_shard_chips(shard):
-            seen += 1
-            record = classifier.classify_chip(chip)
-            if record is None:
-                continue
-            acc.observe(record)
-            if diagnostician is not None and record.interesting:
-                device = diagnostician.diagnose_device(record)
-                acc.observe_hints(device.hints)
-            if (self.unit_deadline is not None
-                    and self.clock() - started > self.unit_deadline):
-                raise UnitDeadlineExceeded(
-                    f"{shard} exceeded its {self.unit_deadline:g}s "
-                    f"budget after {seen} chips; completed shards are "
-                    "checkpointed -- fix the stall and resume")
+        if engine.plan.scheme == "spawn" and classifier.array_native:
+            blocks = engine.plan.blocks_of(shard)
+            for done, (block_index, start, stop) in enumerate(blocks, 1):
+                block = engine.block_defects(block_index, start, stop)
+                if block is not None:
+                    bits = classifier.fail_bits(block.defects,
+                                                block.chip_starts)
+                    acc.observe_fail_bits(bits)
+                    if diagnostician is not None:
+                        _diagnose_block(diagnostician, acc, block, bits)
+                self._check_deadline(shard, started, f"{done} blocks")
+        else:
+            for seen, chip in enumerate(engine.iter_shard_chips(shard), 1):
+                record = classifier.classify_chip(chip)
+                if record is None:
+                    continue
+                acc.observe(record)
+                if diagnostician is not None and record.interesting:
+                    device = diagnostician.diagnose_device(record)
+                    acc.observe_hints(device.hints)
+                self._check_deadline(shard, started, f"{seen} chips")
         payload: Any = acc.as_payload()
         injections = (injector.counters_since(snapshot)
                       if snapshot is not None else {})
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[],
                            stats=RetryStats(), injections=injections)
+
+    def _check_deadline(self, shard: ShardUnit, started: float,
+                        progress: str) -> None:
+        if (self.unit_deadline is not None
+                and self.clock() - started > self.unit_deadline):
+            raise UnitDeadlineExceeded(
+                f"{shard} exceeded its {self.unit_deadline:g}s "
+                f"budget after {progress}; completed shards are "
+                "checkpointed -- fix the stall and resume")
 
     def poison_outcome(self, shard: ShardUnit, attempts: int,
                        error: str) -> UnitOutcome:
@@ -370,3 +401,55 @@ class ShardEvaluator:
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[entry],
                            stats=RetryStats())
+
+
+@dataclass(frozen=True)
+class DefectBlock:
+    """One RNG block's defective parts as flat defect arrays.
+
+    Attributes:
+        start: Device id of the block's first device.
+        rows: Block-relative row of each defective part, ascending.
+        chip_starts: Offset into ``defects`` of each defective part's
+            first defect (a part's defects are contiguous).
+        instances: Core instance of each defect.
+        defects: Every defect of the block, part by part, instance by
+            instance, in draw order.
+    """
+
+    start: int
+    rows: np.ndarray
+    chip_starts: np.ndarray
+    instances: np.ndarray
+    defects: DefectArrays
+
+    def chip(self, k: int) -> VeqtorChip:
+        """Materialise defective part ``k`` as a :class:`VeqtorChip`."""
+        first = int(self.chip_starts[k])
+        stop = (int(self.chip_starts[k + 1]) if k + 1 < len(self.rows)
+                else len(self.defects))
+        chip = VeqtorChip(self.start + int(self.rows[k]))
+        for d in range(first, stop):
+            chip.add_defect(int(self.instances[d]), self.defects.defect(d))
+        return chip
+
+
+def _interleave(mask: np.ndarray, when_true: np.ndarray,
+                when_false: np.ndarray) -> np.ndarray:
+    """Merge two arrays into ``mask``'s True / False slots, in order."""
+    out = np.empty(mask.shape, dtype=np.result_type(when_true, when_false))
+    out[mask] = when_true
+    out[~mask] = when_false
+    return out
+
+
+def _diagnose_block(diagnostician: LotDiagnostician,
+                    acc: ExperimentAccumulator, block: DefectBlock,
+                    bits: np.ndarray) -> None:
+    """Diagnose a block's interesting parts, the only ones materialised."""
+    for k, word in enumerate(bits.tolist()):
+        failed_standard, failed_stress = decode_fail_bits(word)
+        if failed_standard or not failed_stress:
+            continue
+        record = DeviceRecord(block.chip(k), False, failed_stress)
+        acc.observe_hints(diagnostician.diagnose_device(record).hints)

@@ -88,7 +88,7 @@ class VeqtorTestBench:
         most defective chips carry a single defect in one of four
         instances) saves three no-op tester calls per chip.
         """
-        if not self._sram.meets_timing(condition.vdd, condition.period):
+        if not self.meets_timing(condition):
             return True
         for instance_defects in chip.defects:
             if not instance_defects:
@@ -98,6 +98,14 @@ class VeqtorTestBench:
             if not result.passed:
                 return True
         return False
+
+    def meets_timing(self, condition: StressCondition) -> bool:
+        """Fault-free timing verdict of the core at ``condition``.
+
+        A part that misses timing fails the condition whatever its
+        defects; the array classification ORs this in per condition.
+        """
+        return self._sram.meets_timing(condition.vdd, condition.period)
 
     def chip_signature(self, chip: VeqtorChip, test: MarchTest,
                        conditions: dict[str, StressCondition],

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.defects.models import (
+    SITE_CODE,
     BridgeSite,
     Defect,
+    DefectArrays,
     DefectKind,
     OpenSite,
 )
@@ -219,23 +221,25 @@ class IfaExtractor:
 
     def sample_batch(self, n: int, rng: np.random.Generator,
                      kind: DefectKind,
-                     resistance_distribution=None) -> list[Defect]:
+                     resistance_distribution=None) -> DefectArrays:
         """Draw ``n`` defects of ``kind`` with one numpy call per attribute.
 
         The vectorised counterpart of :meth:`sample_bridges` /
         :meth:`sample_opens` used by the streaming experiment engine
         (:mod:`repro.experiment.streaming`): site picks, strengths,
-        cells, polarities and resistances are each drawn as one array,
-        so per-defect cost is a few microseconds instead of the scalar
-        path's ~175 us.  The attribute *marginals* match the scalar
-        path but the RNG consumption order differs (array-per-attribute
-        vs interleaved per defect), so given the same generator state
-        the two paths yield different -- equally valid -- populations;
+        cells, polarities and resistances are each drawn as one array
+        and returned as such (:class:`~repro.defects.models.DefectArrays`,
+        whose constructor applies :class:`Defect`'s value checks
+        array-wise), so no :class:`Defect` is built unless a consumer
+        asks for one.  The attribute *marginals* match the scalar path
+        but the RNG consumption order differs (array-per-attribute vs
+        interleaved per defect), so given the same generator state the
+        two paths yield different -- equally valid -- populations;
         deterministic substream seeding, not stream splicing, is the
         reproducibility contract here.
 
         Args:
-            n: Population size; ``0`` returns an empty list.
+            n: Population size; ``0`` returns empty arrays.
             rng: Source generator.
             kind: ``DefectKind.BRIDGE`` or ``DefectKind.OPEN``.
             resistance_distribution: Optional
@@ -246,7 +250,7 @@ class IfaExtractor:
         if n < 0:
             raise ValueError("n must be non-negative")
         if n == 0:
-            return []
+            return DefectArrays.from_defects([])
         classes = (self.bridge_site_classes() if kind is DefectKind.BRIDGE
                    else self.open_site_classes())
         sites = [c.site for c in classes]
@@ -262,12 +266,10 @@ class IfaExtractor:
                 resistance_distribution.sample(rng, n), dtype=float)
         else:
             resistances = np.full(n, 1e3)
-        return [
-            Defect(kind, sites[int(picks[i])], float(resistances[i]),
-                   strength=float(strengths[i]), cell=int(cells[i]),
-                   weight=1.0, polarity=int(polarities[i]))
-            for i in range(n)
-        ]
+        codes = np.array([SITE_CODE[s] for s in sites], dtype=np.intp)
+        return DefectArrays(codes[picks], strengths, resistances,
+                            cells.astype(np.int64, copy=False),
+                            polarities.astype(np.int64, copy=False))
 
     def _sample(self, n: int, rng: np.random.Generator,
                 classes: list[ExtractedSiteClass], kind: DefectKind,

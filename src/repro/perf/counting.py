@@ -27,8 +27,8 @@ class CountingBehaviorModel:
 
     Counts ``fails_condition`` and ``manifestation`` calls (the two
     scalar evaluation entry points); the vectorised ``evaluate_batch``
-    hook delegates *uncounted* -- the whole point of the grid
-    evaluator is that one batch call replaces many scalar
+    and ``evaluate_elements`` hooks delegate *uncounted* -- the whole
+    point of the kernel is that one call replaces many scalar
     evaluations.  Other attributes delegate transparently, so the
     wrapper composes with any model exposing the duck interface.
 
@@ -60,7 +60,7 @@ class CountingBehaviorModel:
         return self.inner.manifestation(defect, condition)
 
     def __getattr__(self, name: str) -> Any:
-        """Uncounted delegation of everything else (the batch hook,
+        """Uncounted delegation of everything else (the kernel hooks,
         calibration attributes, analytic helpers)."""
         if name == "inner":
             raise AttributeError(name)

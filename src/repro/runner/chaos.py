@@ -289,18 +289,20 @@ class ChaosBehaviorModel:
     ``fails_condition``, so that is the probed surface.  Site label:
     ``behavior.evaluate``.
 
-    Declines the vectorised ``evaluate_batch`` capability even when the
-    wrapped model offers it: a batch call answers a whole site x R
-    grid without touching ``fails_condition``, which would skip the
-    injector's per-site probes and change the fault pattern.  The
-    class attribute below shadows ``__getattr__`` delegation, so batch
-    evaluators see ``None`` and take the all-scalar fallback --
-    serial chaos campaigns probe site-for-site exactly like pooled
-    ones.
+    Declines the vectorised ``evaluate_batch`` and
+    ``evaluate_elements`` capabilities even when the wrapped model
+    offers them: a kernel call answers a whole site x R grid (or a
+    whole defect population) without touching ``fails_condition``,
+    which would skip the injector's per-site probes and change the
+    fault pattern.  The class attributes below shadow ``__getattr__``
+    delegation, so batch evaluators and the lot classifier see
+    ``None`` and take the all-scalar fallback -- serial chaos
+    campaigns probe site-for-site exactly like pooled ones.
     """
 
     SITE = "behavior.evaluate"
     evaluate_batch = None
+    evaluate_elements = None
 
     def __init__(self, inner, injector: FaultInjector) -> None:
         self.inner = inner

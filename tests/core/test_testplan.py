@@ -1,11 +1,14 @@
 """Tests for repro.core.testplan."""
 
+import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
 from repro.core.testplan import JointCoverageTable, TestPlanOptimizer
+from repro.defects.behavior import DefectBehaviorModel
 from repro.march.library import TEST_11N
 from repro.memory.geometry import MemoryGeometry
+from repro.perf.counting import CountingBehaviorModel
 from repro.stress import production_conditions
 
 
@@ -38,6 +41,24 @@ class TestJointTable:
         cov = {n: table.subset_coverage((n,))
                for n in ("VLV", "Vmin", "Vnom", "Vmax")}
         assert cov["VLV"] == max(cov.values())
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    def test_kernel_table_equals_scalar_oracle(self, seed):
+        class ScalarOnly(DefectBehaviorModel):
+            evaluate_elements = None
+
+        def build(behavior):
+            return JointCoverageTable(
+                MemoryGeometry(512, 16, 32), CMOS018,
+                production_conditions(CMOS018), behavior=behavior,
+                n_samples=600, seed=seed)
+
+        counted = CountingBehaviorModel(DefectBehaviorModel(CMOS018))
+        kernel = build(counted)
+        oracle = build(ScalarOnly(CMOS018))
+        assert counted.calls == 0
+        assert np.array_equal(kernel.detection, oracle.detection)
+        assert kernel.detection.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,29 @@ Locks in every electrical mechanism the paper's conclusions rest on.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel, FaultMode
-from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
-from repro.stress import StressCondition, production_conditions
+from repro.defects.models import (
+    SITE_CODE,
+    SITE_CODES,
+    BridgeSite,
+    Defect,
+    DefectKind,
+    OpenSite,
+    bridge,
+    open_defect,
+)
+from repro.stress import (
+    ATSPEED_PERIOD,
+    SLOW_PERIOD,
+    StressCondition,
+    production_conditions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +273,124 @@ class TestDecoderOpenDelayMechanism:
         d = open_defect(OpenSite.DECODER_INPUT, 1e5)
         assert decoder_open_to_delay_fault(
             d, conds["at-speed"], 4, model) is None
+
+
+def _kernel_conditions():
+    """The production suite, temperature corners and sub-threshold supplies."""
+    vt_path = DefectBehaviorModel(CMOS018).timing.vt_path
+    corners = []
+    for temp in (-40.0, 125.0):
+        corners += [
+            StressCondition(f"VLV@{temp:g}C", CMOS018.vdd_vlv, SLOW_PERIOD,
+                            temp),
+            StressCondition(f"Vmax@{temp:g}C", CMOS018.vdd_max, SLOW_PERIOD,
+                            temp),
+            StressCondition(f"at-speed@{temp:g}C", CMOS018.vdd_nominal,
+                            ATSPEED_PERIOD, temp),
+        ]
+    return [*production_conditions(CMOS018).values(), *corners,
+            StressCondition("at-vt-path", vt_path, SLOW_PERIOD),
+            StressCondition("sub-vt-path", 0.9 * vt_path, ATSPEED_PERIOD)]
+
+
+KERNEL_CONDITIONS = _kernel_conditions()
+
+
+def _critical_resistances(model, site, strength, cond):
+    """The resistances where the class's scalar verdict flips."""
+    p = model.params
+    if isinstance(site, BridgeSite):
+        found = [model.bridge_critical_resistance(
+            site, cond.vdd, strength, cond.temperature)]
+        if site is BridgeSite.BITLINE_BITLINE:
+            found.append(p.bitline_atspeed_r * strength)
+        return found
+    if site is OpenSite.CELL_PULLUP:
+        leak = model._temp_leak_factor(cond.temperature)
+        return [p.pullup_r_vlv * strength / leak,
+                p.pullup_r_vmax * strength / leak]
+    if site is OpenSite.DECODER_INPUT:
+        v = p.dec_v_base + p.dec_v_spread * math.log(strength) / 0.5
+        return [p.dec_r_ref * 10.0 ** ((v - cond.vdd) / p.dec_v_slope)]
+    scale = model._delay_scale(cond.vdd, cond.temperature)
+    if site is OpenSite.BITLINE_SEGMENT:
+        return [(cond.period - p.seg_t0) / (p.seg_c * strength)]
+    if site is OpenSite.CELL_ACCESS:
+        develop = p.access_t0 * scale
+        if cond.vdd <= CMOS018.vdd_vlv + 0.15:
+            develop *= p.access_vlv_blowup
+        return [(0.35 * cond.period - develop) / (p.access_c * strength)]
+    return [(cond.period - p.periphery_t0 * scale)
+            / (p.periphery_c * strength * scale)]
+
+
+def _boundary_grid(model, site, strength, cond):
+    """Each critical resistance and one ulp either side (positive only)."""
+    out = [1e3]
+    for r in _critical_resistances(model, site, strength, cond):
+        if math.isfinite(r) and r > 0:
+            out += [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+    return out
+
+
+class TestElementwiseKernel:
+    """``evaluate_elements`` is ``fails_condition``, bit for bit."""
+
+    @pytest.mark.parametrize("site", SITE_CODES, ids=lambda s: s.value)
+    @given(strengths=st.lists(st.floats(min_value=0.2, max_value=5.0),
+                              min_size=1, max_size=4),
+           cond=st.sampled_from(KERNEL_CONDITIONS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_at_critical_resistances(self, site, strengths,
+                                                    cond):
+        model = DefectBehaviorModel(CMOS018)
+        kind = (DefectKind.BRIDGE if isinstance(site, BridgeSite)
+                else DefectKind.OPEN)
+        elements = [(k, r) for k in strengths
+                    for r in _boundary_grid(model, site, k, cond)]
+        codes = np.full(len(elements), SITE_CODE[site], dtype=np.intp)
+        ks = np.array([k for k, _ in elements])
+        rs = np.array([r for _, r in elements])
+        got = model.evaluate_elements(codes, ks, rs, cond)
+        expected = [model.fails_condition(Defect(kind, site, r, strength=k),
+                                          cond)
+                    for k, r in elements]
+        assert got.tolist() == expected
+
+    @given(cond=st.sampled_from(KERNEL_CONDITIONS),
+           picks=st.lists(st.tuples(st.sampled_from(SITE_CODES),
+                                    st.floats(min_value=0.2, max_value=5.0),
+                                    st.floats(min_value=1.0, max_value=1e8)),
+                          min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_classes_in_one_call(self, cond, picks):
+        model = DefectBehaviorModel(CMOS018)
+        defects = [Defect(DefectKind.BRIDGE if isinstance(s, BridgeSite)
+                          else DefectKind.OPEN, s, r, strength=k)
+                   for s, k, r in picks]
+        got = model.evaluate_elements(
+            np.array([SITE_CODE[d.site] for d in defects], dtype=np.intp),
+            np.array([d.strength for d in defects]),
+            np.array([d.resistance for d in defects]), cond)
+        assert got.tolist() == [model.fails_condition(d, cond)
+                                for d in defects]
+
+    @pytest.mark.parametrize("cond", KERNEL_CONDITIONS,
+                             ids=lambda c: c.name)
+    def test_grid_shape_equals_element_shape(self, model, cond):
+        sites = [Defect(DefectKind.BRIDGE if isinstance(s, BridgeSite)
+                        else DefectKind.OPEN, s, 1e3, strength=k)
+                 for s in SITE_CODES for k in (0.5, 1.0, 2.0)]
+        grid = [10.0 ** e for e in np.linspace(1.0, 8.0, 29).tolist()]
+        matrix = model.evaluate_batch(sites, grid, cond)
+        codes = np.repeat([SITE_CODE[d.site] for d in sites], len(grid))
+        ks = np.repeat([d.strength for d in sites], len(grid))
+        rs = np.tile(grid, len(sites))
+        flat = model.evaluate_elements(codes, ks, rs, cond)
+        assert np.array_equal(matrix.ravel(), flat)
+
+    def test_empty_population(self, model, conds):
+        empty = np.zeros(0)
+        got = model.evaluate_elements(np.zeros(0, dtype=np.intp), empty,
+                                      empty, conds["VLV"])
+        assert got.shape == (0,) and got.dtype == bool

@@ -1,10 +1,13 @@
 """Tests for repro.defects.models."""
 
+import numpy as np
 import pytest
 
 from repro.defects.models import (
+    SITE_CODES,
     BridgeSite,
     Defect,
+    DefectArrays,
     DefectKind,
     OpenSite,
     bridge,
@@ -71,3 +74,39 @@ class TestTaxonomy:
         assert "DECODER_INPUT" in names        # Figures 5/6, Chip-2
         assert "BITLINE_SEGMENT" in names      # Figure 8 / Chip-3
         assert "PERIPHERY_PATH" in names       # Chip-4
+
+
+class TestDefectArrays:
+    def test_site_codes_cover_every_class_once(self):
+        assert set(SITE_CODES) == set(BridgeSite) | set(OpenSite)
+        assert len(SITE_CODES) == len(BridgeSite) + len(OpenSite)
+
+    def test_round_trip_through_arrays(self):
+        defects = [bridge(BridgeSite.WORDLINE_CELL, 2e5, strength=1.5,
+                          cell=9, polarity=1),
+                   open_defect(OpenSite.CELL_PULLUP, 3e6, strength=0.7,
+                               cell=4)]
+        arrays = DefectArrays.from_defects(defects)
+        assert len(arrays) == 2
+        assert [arrays.defect(i) for i in range(2)] == defects
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("resistances", 0.0, "resistance"),
+        ("strengths", -1.0, "strength"),
+        ("polarities", 0, "polarity"),
+        ("codes", len(SITE_CODES), "site code"),
+    ])
+    def test_value_checks_are_array_wise(self, field, value, match):
+        good = dict(codes=np.array([0, 1]), strengths=np.ones(2),
+                    resistances=np.full(2, 1e3),
+                    cells=np.zeros(2, dtype=np.int64),
+                    polarities=np.array([-1, 1]))
+        good[field] = good[field].copy()
+        good[field][1] = value
+        with pytest.raises(ValueError, match=match):
+            DefectArrays(**good)
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            DefectArrays(np.array([0]), np.ones(2), np.ones(2),
+                         np.zeros(2, dtype=np.int64), np.ones(2))

@@ -1,12 +1,23 @@
 """Tests for repro.experiment.classify and repro.experiment.venn."""
 
+import numpy as np
 import pytest
 
-from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
+from repro.circuit.technology import CMOS018
+from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.models import (
+    BridgeSite,
+    DefectArrays,
+    OpenSite,
+    bridge,
+    open_defect,
+)
 from repro.experiment.classify import (
+    FAIL_BIT_NAMES,
     DeviceRecord,
     ExperimentResult,
     StressClassifier,
+    decode_fail_bits,
 )
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.veqtor import VeqtorChip
@@ -63,6 +74,67 @@ class TestProtocol:
         result = classifier.classify(chips)
         assert result.escape_dpm("VLV") == pytest.approx(3e5)
         assert result.escape_dpm("Vmax") == 0.0
+
+
+class ScalarOnlyModel(DefectBehaviorModel):
+    """The stock model minus the elementwise kernel."""
+
+    evaluate_elements = None
+
+
+def _record_tuples(result):
+    return [(r.chip.chip_id, r.failed_standard, sorted(r.failed_stress))
+            for r in result.records]
+
+
+class TestArrayClassification:
+    """``classify`` on fail bits == the chip-by-chip scalar oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    def test_records_equal_per_chip_path(self, seed):
+        chips = PopulationGenerator(
+            PopulationSpec(n_devices=3000, seed=seed)).generate()
+        array = StressClassifier()
+        oracle = StressClassifier(behavior=ScalarOnlyModel(CMOS018))
+        assert array.array_native and not oracle.array_native
+        got, expected = array.classify(chips), oracle.classify(chips)
+        assert got.records and _record_tuples(got) == _record_tuples(expected)
+        assert all(a.chip is b.chip
+                   for a, b in zip(got.records, expected.records))
+        assert got.n_standard_fails == expected.n_standard_fails
+        assert got.n_devices == expected.n_devices
+
+    def test_fail_bits_or_over_a_chips_defects(self, classifier):
+        silent = bridge(BridgeSite.CELL_NODE_RAIL, 10e6)
+        vlv = bridge(BridgeSite.CELL_NODE_RAIL, 150e3)
+        vmax = open_defect(OpenSite.DECODER_INPUT, 5e5)
+        flat = DefectArrays.from_defects([silent, vlv, vmax, silent])
+        bits = classifier.fail_bits(flat, np.array([0, 1, 3]))
+        # Parts own [silent], [vlv, vmax] and [silent].
+        assert [decode_fail_bits(b) for b in bits.tolist()] == [
+            (False, frozenset()),
+            (False, frozenset({"VLV", "Vmax"})),
+            (False, frozenset()),
+        ]
+
+    def test_timing_miss_fails_every_part(self):
+        classifier = StressClassifier(geometry=MemoryGeometry(8, 2, 4))
+        at_speed = FAIL_BIT_NAMES.index("at-speed")
+        slow = classifier.conditions["at-speed"]
+        classifier.conditions["at-speed"] = type(slow)(
+            slow.name, slow.vdd, 1e-12)
+        silent = DefectArrays.from_defects(
+            [bridge(BridgeSite.CELL_NODE_RAIL, 10e6)])
+        bits = classifier.fail_bits(silent, np.array([0]))
+        assert bits.tolist() == [1 << at_speed]
+        chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 10e6))
+        assert classifier.classify_chip(chip).failed_stress == frozenset(
+            {"at-speed"})
+
+    def test_standard_fail_carries_no_stress_set(self):
+        assert decode_fail_bits(0b11101) == (True, frozenset())
+        assert decode_fail_bits(0b10100) == (
+            False, frozenset({"VLV", "at-speed"}))
 
 
 class TestVennAccounting:

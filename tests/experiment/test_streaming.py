@@ -10,8 +10,11 @@ without changing a single count.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.circuit.technology import CMOS018
+from repro.defects.behavior import DefectBehaviorModel
 from repro.experiment import (
     ExperimentAccumulator,
     PopulationGenerator,
@@ -22,7 +25,8 @@ from repro.experiment import (
     StressClassifier,
     VeqtorChip,
 )
-from repro.experiment.classify import DeviceRecord
+from repro.experiment.classify import DeviceRecord, decode_fail_bits
+from repro.experiment.streaming.engine import DefectBlock, ShardEvaluator
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,
@@ -33,13 +37,22 @@ from repro.runner.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
 )
+from repro.runner.evaluate import UnitDeadlineExceeded
+
+
+class ScalarOnlyModel(DefectBehaviorModel):
+    """The stock model minus the elementwise kernel: per-chip path."""
+
+    evaluate_elements = None
 
 
 def _payload(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,
-             block_devices=None, workers=1, **runner_kwargs):
+             block_devices=None, workers=1, behavior=None, diagnose=False,
+             **runner_kwargs):
     """One streaming run's canonical accumulator payload."""
     engine = StreamingExperiment(
-        n_devices=n_devices, seed=seed, scheme=scheme,
+        n_devices=n_devices, seed=seed, scheme=scheme, behavior=behavior,
+        diagnose=diagnose,
         **({"shard_devices": shard_devices}
            if shard_devices is not None else {}),
         **({"block_devices": block_devices}
@@ -155,6 +168,15 @@ class TestAccumulator:
         cba = c.merge(b).merge(a).as_payload()
         assert canonical_json(ab_c) == canonical_json(a_bc)
         assert canonical_json(ab_c) == canonical_json(cba)
+
+    def test_fail_bits_fold_like_records(self):
+        words = [0b00001, 0b00100, 0b01100, 0b11110, 0b00000, 0b00100]
+        records = [_record(i, *decode_fail_bits(w))
+                   for i, w in enumerate(words)]
+        by_bits = ExperimentAccumulator(devices=10)
+        by_bits.observe_fail_bits(np.array(words, dtype=np.uint8))
+        assert canonical_json(by_bits.as_payload()) == (
+            canonical_json(_synthetic(10, records).as_payload()))
 
     def test_escape_dpm_guards_empty_accumulator(self):
         assert ExperimentAccumulator().escape_dpm("VLV") == 0.0
@@ -275,10 +297,15 @@ class TestChaos:
             behavior=ChaosBehaviorModel(
                 StreamingExperiment(n_devices=self.N).behavior,
                 injector))
+        assert not chaotic.classifier.array_native
         runner = StreamingRunner(chaotic, workers=2)
         return runner.run()
 
     def test_worker_exit_heals_with_identical_results(self):
+        # The chaos wrapper declines the elementwise kernel, so the
+        # chaotic run classifies chip by chip while the clean run takes
+        # the array path: the comparison also pins the two paths.
+        assert StreamingExperiment(n_devices=self.N).classifier.array_native
         clean = _payload(self.N, shard_devices=4096)
         result = self._chaotic_payload()
         assert result.supervisor_stats["worker_losses"] >= 1
@@ -287,6 +314,93 @@ class TestChaos:
         assert result.accumulator.errors == 0
         assert canonical_json(result.accumulator.as_payload()) == (
             canonical_json(clean))
+
+
+class TestArrayPath:
+    """Array classification of RNG blocks == chip-by-chip classify_chip."""
+
+    @pytest.mark.parametrize("block_devices", [2048, 4096])
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    def test_payload_equals_per_chip_path(self, seed, block_devices):
+        kwargs = dict(seed=seed, shard_devices=8192,
+                      block_devices=block_devices)
+        array = _payload(16_384, **kwargs)
+        per_chip = _payload(16_384, behavior=ScalarOnlyModel(CMOS018),
+                            **kwargs)
+        assert array["defective"] > 0
+        assert canonical_json(array) == canonical_json(per_chip)
+
+    def test_scalar_only_model_takes_the_per_chip_path(self):
+        engine = StreamingExperiment(n_devices=4096,
+                                     behavior=ScalarOnlyModel(CMOS018))
+        assert not engine.classifier.array_native
+        assert StreamingExperiment(n_devices=4096).classifier.array_native
+
+    def test_block_chips_are_the_per_chip_view(self):
+        engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
+        shard = engine.plan.shards()[0]
+        chips = list(engine.iter_shard_chips(shard))
+        blocks = [engine.block_defects(*b)
+                  for b in engine.plan.blocks_of(shard)]
+        ids = [b.start + int(row) for b in blocks if b is not None
+               for row in b.rows]
+        assert [c.chip_id for c in chips] == ids
+        assert sum(len(c.all_defects) for c in chips) == sum(
+            len(b.defects) for b in blocks if b is not None)
+
+
+class TestDiagnosis:
+    """``diagnose=True`` materialises only the interesting parts."""
+
+    N = 16_384
+
+    def test_only_interesting_chips_materialise(self, monkeypatch):
+        built = []
+        original = DefectBlock.chip
+
+        def counting_chip(self, k):
+            built.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(DefectBlock, "chip", counting_chip)
+        engine = StreamingExperiment(n_devices=self.N, shard_devices=8192,
+                                     diagnose=True)
+        acc = StreamingRunner(engine).run().accumulator
+        assert acc.interesting > 0
+        assert len(built) == acc.interesting
+        assert sum(acc.hint_counts["VLV"].values()) == sum(
+            n for region, n in acc.class_counts.items() if "VLV" in region)
+
+    def test_hint_histograms_equal_per_chip_path(self):
+        array = _payload(self.N, shard_devices=8192, diagnose=True)
+        per_chip = _payload(self.N, shard_devices=8192, diagnose=True,
+                            behavior=ScalarOnlyModel(CMOS018))
+        assert array["hints"]
+        assert canonical_json(array) == canonical_json(per_chip)
+
+
+class TestUnitDeadline:
+    def test_overrun_names_the_shard(self):
+        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384,
+                                     block_devices=4096)
+        shard = engine.plan.shards()[0]
+        ticks = iter(range(100))
+        evaluator = ShardEvaluator(engine, unit_deadline=1.5,
+                                   clock=lambda: float(next(ticks)))
+        with pytest.raises(UnitDeadlineExceeded) as excinfo:
+            evaluator.evaluate(shard)
+        message = str(excinfo.value)
+        assert shard.unit_id in message
+        # The clock reads once at the start and once per RNG block:
+        # block 2 is the first past the 1.5 s budget.
+        assert "after 2 blocks" in message
+
+    def test_generous_deadline_is_silent(self):
+        engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
+        shard = engine.plan.shards()[0]
+        evaluator = ShardEvaluator(engine, unit_deadline=1e9)
+        outcome = evaluator.evaluate(shard)
+        assert outcome.record["devices"] == 8192
 
 
 class TestRunnerObservability:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.defects.models import BridgeSite, DefectKind, OpenSite
+from repro.defects.distribution import default_open_distribution
+from repro.defects.models import SITE_CODES, BridgeSite, DefectKind, OpenSite
 from repro.ifa.critical_area import AdjacentPair
 from repro.ifa.extraction import (
     BRIDGE_SITE_MIX,
@@ -113,3 +114,46 @@ class TestSampling:
     def test_invalid_count(self, extractor):
         with pytest.raises(ValueError):
             extractor.sample_bridges(0, np.random.default_rng(0))
+
+
+class TestSampleBatch:
+    """The array draw: one array per attribute, no Defect objects."""
+
+    @pytest.mark.parametrize("kind, site_type", [
+        (DefectKind.BRIDGE, BridgeSite), (DefectKind.OPEN, OpenSite)])
+    def test_arrays_materialise_as_defects_of_kind(self, extractor, kind,
+                                                   site_type):
+        arrays = extractor.sample_batch(
+            300, np.random.default_rng(4), kind,
+            resistance_distribution=default_open_distribution())
+        assert len(arrays) == 300
+        assert all(isinstance(SITE_CODES[c], site_type)
+                   for c in arrays.codes.tolist())
+        defects = [arrays.defect(i) for i in range(len(arrays))]
+        assert all(d.kind is kind for d in defects)
+        assert all(0 <= d.cell < extractor.geometry.bits for d in defects)
+        assert [d.resistance for d in defects] == arrays.resistances.tolist()
+
+    def test_deterministic_given_seed(self, extractor):
+        a = extractor.sample_batch(50, np.random.default_rng(8),
+                                   DefectKind.BRIDGE)
+        b = extractor.sample_batch(50, np.random.default_rng(8),
+                                   DefectKind.BRIDGE)
+        assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                   for f in ("codes", "strengths", "resistances", "cells",
+                             "polarities"))
+
+    def test_empty_draw_consumes_nothing(self, extractor):
+        rng = np.random.default_rng(5)
+        assert len(extractor.sample_batch(0, rng, DefectKind.OPEN)) == 0
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_rejects_non_positive_resistances(self, extractor):
+        class Broken:
+            def sample(self, rng, n):
+                return np.zeros(n)
+
+        with pytest.raises(ValueError, match="resistance"):
+            extractor.sample_batch(5, np.random.default_rng(0),
+                                   DefectKind.BRIDGE,
+                                   resistance_distribution=Broken())
