@@ -215,16 +215,18 @@ print("journal report: schema ok,", rep["totals"]["events"], "events")
 rm -f "$journal_out" "$ckpt_out"
 
 echo "== chaos-pool smoke (injected worker death heals byte-identically) =="
-pool_db="$(mktemp /tmp/pool_smoke.XXXXXX.json)"
-serial_db="$(mktemp /tmp/pool_smoke_serial.XXXXXX.json)"
+# The lot summary: every printed line but the run banner and the pool
+# and journal notes (devices, Venn classes, escape DPM).
+lot_summary() { sed -e '1d' -e '/^pool supervision:/d' -e '/^run journal:/d'; }
 pool_journal="$(mktemp /tmp/pool_smoke.XXXXXX.jsonl)"
-python -m repro campaign run --rows 8 --columns 2 --bits 4 --sites 24 \
-    --seed 5 --save-db "$serial_db" >/dev/null || status=$?
-python -m repro campaign run --rows 8 --columns 2 --bits 4 --sites 24 \
-    --seed 5 --workers 2 --chaos-seed 5 --chaos-worker-exit 1 \
-    --journal "$pool_journal" --save-db "$pool_db" >/dev/null || status=$?
-if ! cmp -s "$serial_db" "$pool_db"; then
-    echo "chaos-pool smoke: healed pool database differs from serial"
+lot_args=(--devices 65536 --shard-devices 16384 --seed 5)
+serial_lot="$(python -m repro experiment run "${lot_args[@]}")" || status=$?
+pool_lot="$(python -m repro experiment run "${lot_args[@]}" --workers 2 \
+    --chaos-seed 5 --chaos-worker-exit 1 \
+    --journal "$pool_journal")" || status=$?
+if [ "$(lot_summary <<<"$serial_lot")" != "$(lot_summary <<<"$pool_lot")" ] \
+        || ! grep -q '^devices: 65536 ' <<<"$serial_lot"; then
+    echo "chaos-pool smoke: healed pool lot summary differs from serial"
     status=1
 fi
 for event in pool.worker_lost pool.rebuild pool.redispatch; do
@@ -233,7 +235,7 @@ for event in pool.worker_lost pool.rebuild pool.redispatch; do
         status=1
     fi
 done
-rm -f "$pool_db" "$serial_db" "$pool_journal"
+rm -f "$pool_journal"
 
 echo "== pytest (chaos / robustness suite) =="
 python -m pytest -q tests/runner || status=$?

@@ -11,8 +11,10 @@
 # corrupt checkpoint or inconsistent resume fails the script.
 #
 # A final round SIGKILLs random pool workers out from under a live
-# 2-worker campaign: the supervised executor must rebuild the pool,
-# finish the run, and produce a database byte-identical to serial.
+# 2-worker streaming lot: the supervised executor must rebuild the
+# pool, finish the run, and print the lot summary of a serial run; a
+# second run resumes every shard from its checkpoint to the same
+# summary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,16 +39,18 @@ for i in $(seq 1 "$rounds"); do
     python -m repro campaign resume "$ck" --save-db "$workdir/db-$i.json"
 done
 
-echo "== soak: SIGKILL random pool workers mid-campaign =="
-serial_db="$workdir/sigkill-serial.json"
-pool_db="$workdir/sigkill-pool.json"
+echo "== soak: SIGKILL random pool workers mid-lot =="
+# The lot summary: every printed line but the run banner and the pool
+# note (devices, Venn classes, escape DPM).
+lot_summary() { sed -e '1d' -e '/^pool supervision:/d' "$1"; }
+lot_args=(--devices 4194304 --seed 7)
+serial_out="$workdir/sigkill-serial.txt"
+pool_out="$workdir/sigkill-pool.txt"
+resumed_out="$workdir/sigkill-resumed.txt"
 pool_ck="$workdir/sigkill-pool-ck.json"
-python -m repro campaign run \
-    --rows 16 --columns 2 --bits 4 --sites 40 --seed 7 \
-    --save-db "$serial_db" >/dev/null
-python -m repro campaign run \
-    --rows 16 --columns 2 --bits 4 --sites 40 --seed 7 \
-    --workers 2 --checkpoint "$pool_ck" --save-db "$pool_db" &
+python -m repro experiment run "${lot_args[@]}" >"$serial_out"
+python -m repro experiment run "${lot_args[@]}" \
+    --workers 2 --checkpoint "$pool_ck" >"$pool_out" &
 run_pid=$!
 kills=0
 while kill -0 "$run_pid" 2>/dev/null && [ "$kills" -lt 3 ]; do
@@ -58,11 +62,14 @@ while kill -0 "$run_pid" 2>/dev/null && [ "$kills" -lt 3 ]; do
     fi
 done
 wait "$run_pid"
-python -m repro campaign status "$pool_ck"
-if ! cmp -s "$serial_db" "$pool_db"; then
-    echo "soak: post-SIGKILL database differs from serial run"
+python -m repro experiment run "${lot_args[@]}" \
+    --checkpoint "$pool_ck" >"$resumed_out"
+cat "$pool_out"
+if [ "$(lot_summary "$serial_out")" != "$(lot_summary "$pool_out")" ] \
+        || [ "$(lot_summary "$serial_out")" != "$(lot_summary "$resumed_out")" ]; then
+    echo "soak: post-SIGKILL lot summary differs from serial run"
     exit 1
 fi
-echo "-- survived $kills worker SIGKILL(s); database matches serial"
+echo "-- survived $kills worker SIGKILL(s); lot summary matches serial"
 
 echo "soak complete: ${rounds} rounds survived"

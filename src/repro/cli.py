@@ -10,8 +10,9 @@ equivalent front door::
     python -m repro report
     python -m repro lint --format json netlist:demo-broken
     python -m repro campaign run --checkpoint ck.json --sites 2000
-    python -m repro campaign run --workers 4 --cache cache.json
-    python -m repro campaign resume ck.json --workers 4
+    python -m repro campaign run --cache cache.json
+    python -m repro campaign resume ck.json
+    python -m repro experiment run --devices 10000000 --workers 2
     python -m repro campaign status ck.json
     python -m repro serve --db coverage.json --port 8765
 
@@ -134,8 +135,8 @@ def _cmd_venn(args: argparse.Namespace) -> int:
 def _experiment_injector(args: argparse.Namespace, plan):
     """Parse ``--chaos-worker-* SHARD[:TIMES]`` into a fault injector."""
     tables: dict[str, dict[str, int]] = {}
-    flags = (("worker.exit", getattr(args, "chaos_worker_exit", [])),
-             ("worker.hang", getattr(args, "chaos_worker_hang", [])))
+    flags = (("worker.exit", args.chaos_worker_exit),
+             ("worker.hang", args.chaos_worker_hang))
     if not any(values for _, values in flags):
         return None
     shards = plan.shards()
@@ -425,47 +426,14 @@ def _campaign_flow_from_meta(meta: dict):
     return flow, specs
 
 
-def _campaign_worker_faults(args: argparse.Namespace, specs):
-    """Parse ``--chaos-worker-exit/-hang UNIT[:TIMES]`` into unit ids."""
-    from repro.runner.units import plan_units
-
-    tables: dict[str, dict[str, int]] = {}
-    flags = (("worker.exit", getattr(args, "chaos_worker_exit", [])),
-             ("worker.hang", getattr(args, "chaos_worker_hang", [])))
-    if not any(values for _, values in flags):
-        return tables
-    units = []
-    for spec in specs:
-        units.extend(plan_units(spec.kind, spec.resistances,
-                                spec.conditions, start_index=len(units)))
-    for site, values in flags:
-        for value in values:
-            index_text, _, times_text = value.partition(":")
-            try:
-                index = int(index_text)
-                times = int(times_text) if times_text else 1
-            except ValueError:
-                raise SystemExit(
-                    f"--chaos-worker-*: expected UNIT[:TIMES] with "
-                    f"integers, got {value!r}") from None
-            if not 0 <= index < len(units):
-                raise SystemExit(
-                    f"--chaos-worker-*: unit index {index} out of "
-                    f"range (plan has {len(units)} units)")
-            tables.setdefault(site, {})[units[index].unit_id] = times
-    return tables
-
-
-def _campaign_injector(args: argparse.Namespace, specs):
-    worker_faults = _campaign_worker_faults(args, specs)
-    if not getattr(args, "chaos_rate", 0.0) and not worker_faults:
+def _campaign_injector(args: argparse.Namespace):
+    """The ``--chaos-rate`` fault injector (``None`` when off)."""
+    if not args.chaos_rate:
         return None
     from repro.runner.chaos import FaultInjector
 
-    rates = ({"behavior.evaluate": args.chaos_rate}
-             if args.chaos_rate else {})
-    return FaultInjector(seed=args.chaos_seed, rates=rates,
-                         worker_faults=worker_faults)
+    return FaultInjector(seed=args.chaos_seed,
+                         rates={"behavior.evaluate": args.chaos_rate})
 
 
 def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
@@ -473,7 +441,7 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
     from repro.runner.chaos import ChaosBehaviorModel
     from repro.runner.retry import RetryPolicy
 
-    injector = _campaign_injector(args, specs)
+    injector = _campaign_injector(args)
     if injector is not None:
         flow.campaign.behavior = ChaosBehaviorModel(
             flow.campaign.behavior, injector)
@@ -481,10 +449,7 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
         args.checkpoint,
         retry=RetryPolicy(max_attempts=args.max_attempts,
                           base_delay=0.0, jitter=0.0),
-        workers=args.workers, cache=args.cache,
-        unit_deadline=args.unit_deadline,
-        max_pool_rebuilds=args.max_pool_rebuilds,
-        chunk_deadline_factor=args.chunk_deadline_factor,
+        cache=args.cache, unit_deadline=args.unit_deadline,
         journal=args.journal,
         fault_hook=injector.check if injector is not None else None)
     result = runner.run(specs)
@@ -492,9 +457,7 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
     print(f"campaign complete: {len(result.records)} records "
           f"({result.resumed_units} units resumed from checkpoint, "
           f"{result.cached_units} served from cache, "
-          f"{result.executed_units} executed"
-          + (f" across {args.workers} workers" if args.workers > 1 else "")
-          + ")")
+          f"{result.executed_units} executed)")
     print(f"quarantined sites: {len(result.quarantine)} "
           f"(site-evaluation retries: {result.retry_stats.retries})")
     if injector is not None:
@@ -503,15 +466,6 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
         print(f"chaos: {stats['injected']} faults injected over "
               f"{stats['calls']} evaluations "
               f"(rate {args.chaos_rate:g}, seed {args.chaos_seed})")
-    ss = result.supervisor_stats
-    if ss is not None and any(ss.values()):
-        print(f"pool supervision: {ss['worker_losses']} worker "
-              f"loss(es) ({ss['deadline_losses']} by chunk deadline), "
-              f"{ss['rebuilds']} rebuild(s), "
-              f"{ss['redispatched_units']} unit(s) redispatched, "
-              f"{ss['poison_units']} poison unit(s) quarantined"
-              + (f", {ss['degraded_units']} unit(s) DEGRADED to "
-                 "serial" if ss["degraded_units"] else ""))
     if result.batch_stats is not None:
         bs = result.batch_stats
         print(f"batch: {bs['model_invocations']} model invocations "
@@ -576,13 +530,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
           f"sites={meta['n_sites']} seed={meta['seed']}")
     print(f"progress:   {status['completed_units']}/{status['total_units']} "
           f"units complete ({status['remaining_units']} remaining)")
-    # Whole-unit (poison) quarantines carry the sentinel site_index -1
-    # -- see repro.perf.supervisor.
-    poison = sum(1 for entry in ckpt.quarantine
-                 if entry.get("site_index", 0) < 0)
-    print(f"quarantine: {status['quarantined_sites']} site(s)"
-          + (f" ({poison} whole-unit poison quarantine(s))"
-             if poison else ""))
+    print(f"quarantine: {status['quarantined_sites']} site(s)")
     if status["recovered_from_temp"]:
         print("note: recovered from the .tmp sibling")
     if args.cache:
@@ -853,11 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint file of the campaign")
         cp.add_argument("--save-db", metavar="PATH",
                         help="write the coverage database as JSON")
-        cp.add_argument("--workers", type=int, default=1,
-                        help="evaluation processes (1 = serial grid "
-                             "evaluator; N > 1 = exact per-site "
-                             "evaluation in a supervised pool; results "
-                             "are byte-identical either way)")
         cp.add_argument("--cache", metavar="PATH", default=None,
                         help="content-addressed evaluation cache file "
                              "(skips already-simulated points; see "
@@ -866,36 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retry attempts per site evaluation")
         cp.add_argument("--unit-deadline", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock budget per work unit; with "
-                             "--workers > 1 it also sizes the "
-                             "supervisor's parent-side chunk deadline "
-                             "that detects hung workers")
-        cp.add_argument("--max-pool-rebuilds", type=int, default=8,
-                        help="worker-pool rebuilds after worker "
-                             "losses before degrading to serial "
-                             "in-parent evaluation")
-        cp.add_argument("--chunk-deadline-factor", type=float,
-                        default=4.0,
-                        help="slack multiplier of the parent-side "
-                             "chunk deadline (unit-deadline x chunk "
-                             "length x factor)")
+                        help="wall-clock budget per work unit")
         cp.add_argument("--chaos-rate", type=float, default=0.0,
                         help="inject behavioural faults at this rate "
                              "(soak testing; see scripts/soak.sh)")
         cp.add_argument("--chaos-seed", type=int, default=0,
                         help="fault-injection seed")
-        cp.add_argument("--chaos-worker-exit", action="append",
-                        default=[], metavar="UNIT[:TIMES]",
-                        help="kill the worker (os._exit) on the given "
-                             "plan-unit index's first TIMES dispatches "
-                             "(default 1; repeatable; rehearses the "
-                             "pool supervisor)")
-        cp.add_argument("--chaos-worker-hang", action="append",
-                        default=[], metavar="UNIT[:TIMES]",
-                        help="hang the worker on the given plan-unit "
-                             "index's first TIMES dispatches (detected "
-                             "via --unit-deadline's chunk deadline; "
-                             "repeatable)")
         cp.add_argument("--journal", metavar="PATH", default=None,
                         help="write a JSONL run journal of every unit, "
                              "retry, quarantine and cache event "

@@ -7,8 +7,8 @@ block-aligned shards with independent RNG substreams, each shard's
 only defective chips (vectorised per block) and folds classifications
 into an :class:`ExperimentAccumulator`, and :class:`StreamingRunner`
 merges shard payloads in plan order -- O(classes) memory end to end,
-with checkpoint/resume, journals and the existing process-pool
-executors underneath.  See ``docs/performance.md`` ("Streaming
+with checkpoint/resume, journals and the supervised process pool
+underneath.  See ``docs/performance.md`` ("Streaming
 million-device experiment") and ``EXPERIMENTS.md``.
 """
 

@@ -6,11 +6,11 @@ every fact ships back to the parent inside the
 :class:`~repro.runner.evaluate.UnitOutcome` payload.
 
 :class:`StreamingExperiment` is the campaign-shaped object the
-:mod:`repro.perf` executors understand -- it pickles small (lazy
-caches are dropped), exposes ``behavior`` for chaos probes and a
-``unit_evaluator`` factory that
-:func:`repro.perf.executor.make_evaluator` prefers over the stock
-:class:`~repro.runner.evaluate.UnitEvaluator`.
+:mod:`repro.perf` pool runs -- it pickles small (lazy caches are
+dropped), exposes ``behavior`` for chaos probes and a
+``unit_evaluator`` factory from which the serial runner, every pool
+worker and the supervisor's in-parent fallback build their
+:class:`ShardEvaluator`.
 
 Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
@@ -61,7 +61,7 @@ from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
-from repro.runner.retry import RetryStats
+from repro.runner.retry import RetryPolicy, RetryStats, run_with_retry
 
 #: Names of the lazily-built caches dropped from pickles: each worker
 #: rebuilds them deterministically, keeping the pool-init payload small
@@ -192,7 +192,7 @@ class StreamingExperiment:
     def meta(self) -> dict[str, Any]:
         """The experiment fingerprint stored in checkpoints/journals.
 
-        Execution knobs (workers, chunk size) are deliberately absent
+        Execution knobs (workers, rebuild budget) are deliberately absent
         -- they change how the experiment runs, never what it computes
         -- but ``shard_devices`` is present: the checkpoint keys on
         shard unit ids, so resuming requires the same shard layout
@@ -282,7 +282,7 @@ class StreamingExperiment:
                        sleep: Callable[[float], None] = time.sleep,
                        clock: Callable[[], float] = time.monotonic,
                        ) -> "ShardEvaluator":
-        """The evaluator factory :func:`make_evaluator` duck-types."""
+        """The evaluator factory the runner and the pool build from."""
         return ShardEvaluator(self, retry=retry,
                               unit_deadline=unit_deadline,
                               sleep=sleep, clock=clock)
@@ -300,15 +300,20 @@ class ShardEvaluator:
 
     Args:
         campaign: The :class:`StreamingExperiment`.
-        retry: Accepted for executor-interface parity; shard evaluation
-            has no per-site retry loop (the classifier is
-            deterministic), so it is unused.
+        retry: Optional per-chip retry policy for the chip-by-chip
+            path: a chip whose classification raises a retryable
+            error is classified again, and one that exhausts the
+            policy aborts the shard with
+            :class:`~repro.runner.retry.RetryExhaustedError`.  ``None``
+            (default) lets the first error abort the shard.  The
+            array path makes no per-chip model calls to retry.
         unit_deadline: Optional wall-clock budget per shard (seconds).
-        sleep: Injectable sleep (interface parity).
+        sleep: Injectable sleep between retries.
         clock: Injectable monotonic clock for deadlines.
     """
 
-    def __init__(self, campaign: StreamingExperiment, retry: Any = None,
+    def __init__(self, campaign: StreamingExperiment,
+                 retry: RetryPolicy | None = None,
                  unit_deadline: float | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -339,6 +344,7 @@ class ShardEvaluator:
                     if injector is not None
                     and hasattr(injector, "counter_snapshot") else None)
         started = self.clock()
+        stats = RetryStats()
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None
         if engine.plan.scheme == "spawn" and classifier.array_native:
@@ -354,7 +360,7 @@ class ShardEvaluator:
                 self._check_deadline(shard, started, f"{done} blocks")
         else:
             for seen, chip in enumerate(engine.iter_shard_chips(shard), 1):
-                record = classifier.classify_chip(chip)
+                record = self._classify(shard, chip, stats)
                 if record is None:
                     continue
                 acc.observe(record)
@@ -367,7 +373,18 @@ class ShardEvaluator:
                       if snapshot is not None else {})
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[],
-                           stats=RetryStats(), injections=injections)
+                           stats=stats, injections=injections)
+
+    def _classify(self, shard: ShardUnit, chip: VeqtorChip,
+                  stats: RetryStats) -> DeviceRecord | None:
+        """Classify one chip, under the retry policy when one is set."""
+        classify = self.campaign.classifier.classify_chip
+        if self.retry is None:
+            return classify(chip)
+        return run_with_retry(lambda: classify(chip), self.retry,
+                              key=f"{shard.unit_id}/chip{chip.chip_id}",
+                              sleep=self.sleep, clock=self.clock,
+                              stats=stats)
 
     def _check_deadline(self, shard: ShardUnit, started: float,
                         progress: str) -> None:

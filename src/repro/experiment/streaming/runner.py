@@ -2,7 +2,7 @@
 
 :class:`StreamingRunner` mirrors
 :class:`~repro.runner.campaign.CampaignRunner`: shards dispatch through
-the same serial / supervised-pool executors, completed
+the serial evaluator or the supervised pool, completed
 shards land in a :class:`~repro.runner.checkpoint.CampaignCheckpoint`
 (payload = the shard's accumulator dict), and all observability happens
 here, in shard-plan order, at the in-order effect point -- so journals
@@ -81,10 +81,9 @@ class StreamingRunner:
         checkpoint_every: Completed shards per checkpoint write.
         unit_deadline: Optional per-shard wall-clock budget (seconds).
         workers: Process count (1 = serial; N > 1 runs the
-            self-healing supervised pool).
-        chunksize: Shards per pool dispatch (default: auto).
+            self-healing supervised pool, which chunks the shards
+            automatically).
         max_pool_rebuilds: Supervised-pool rebuild budget.
-        chunk_deadline_factor: Supervised-pool chunk deadline factor.
         journal: Run-journal path or event bus (optional).
         fault_hook: Test-only hook threaded into checkpoint saves.
         sleep / clock: Injectable timers for the executors.
@@ -96,9 +95,7 @@ class StreamingRunner:
                  checkpoint_every: int = 8,
                  unit_deadline: float | None = None,
                  workers: int = 1,
-                 chunksize: int | None = None,
                  max_pool_rebuilds: int = 8,
-                 chunk_deadline_factor: float = 4.0,
                  journal: Any = None,
                  fault_hook: Callable[[str], None] | None = None,
                  sleep: Callable[[float], None] = time.sleep,
@@ -114,9 +111,7 @@ class StreamingRunner:
         self.checkpoint_every = checkpoint_every
         self.unit_deadline = unit_deadline
         self.workers = workers
-        self.chunksize = chunksize
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.chunk_deadline_factor = chunk_deadline_factor
         self.journal = journal
         self.fault_hook = fault_hook
         self.sleep = sleep
@@ -147,9 +142,8 @@ class StreamingRunner:
         supervisor = SupervisedUnitExecutor(
             self.engine, retry=self.retry,
             unit_deadline=self.unit_deadline,
-            workers=self.workers, chunksize=self.chunksize,
+            workers=self.workers,
             max_pool_rebuilds=self.max_pool_rebuilds,
-            chunk_deadline_factor=self.chunk_deadline_factor,
             bus=bus, metrics=metrics,
             sleep=self.sleep, clock=self.clock)
         self._supervisor = supervisor

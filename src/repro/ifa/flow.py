@@ -119,7 +119,7 @@ class IfaCampaign:
             conditions: Iterable[StressCondition],
             kind: DefectKind = DefectKind.BRIDGE,
             checkpoint_path=None, runner=None,
-            workers: int = 1, cache=None) -> list[CoverageRecord]:
+            cache=None) -> list[CoverageRecord]:
         """Sweep the population over R x conditions.
 
         Every sampled site keeps its identity (class, strength, cell)
@@ -130,11 +130,9 @@ class IfaCampaign:
         CampaignRunner`: one work unit per (R, condition) cell,
         per-site retry with quarantine, and -- when ``checkpoint_path``
         is given -- crash-safe persistence so a killed campaign resumes
-        from the last completed unit.  ``workers`` and ``cache`` feed
-        the :mod:`repro.perf` layer: a process pool over the pending
-        units and a content-addressed cache of already-simulated
-        points, both with byte-identical records
-        (``docs/performance.md``).
+        from the last completed unit.  ``cache`` attaches the
+        :mod:`repro.perf` content-addressed cache of already-simulated
+        points, with byte-identical records (``docs/performance.md``).
 
         Args:
             resistances: Resistance grid (must be non-empty, positive).
@@ -145,12 +143,8 @@ class IfaCampaign:
             runner: Pre-configured
                 :class:`~repro.runner.campaign.CampaignRunner` (for
                 custom retry policies, chaos injection or shared
-                checkpoints); overrides ``checkpoint_path``,
-                ``workers`` and ``cache``.
-            workers: Evaluation processes.  1 (default) runs the grid
-                evaluator (:mod:`repro.perf.batch`); N > 1 runs the
-                exact per-site evaluator in a supervised pool.
-                Records are byte-identical either way.
+                checkpoints); overrides ``checkpoint_path`` and
+                ``cache``.
             cache: Optional :class:`~repro.perf.cache.EvaluationCache`
                 or cache-file path.
 
@@ -165,7 +159,7 @@ class IfaCampaign:
         spec = SweepSpec.of(kind, resistances, conditions)
         if runner is None:
             runner = CampaignRunner(self, checkpoint_path=checkpoint_path,
-                                    workers=workers, cache=cache)
+                                    cache=cache)
         return runner.run([spec]).records
 
     def run_bridges(self, resistances: Sequence[float],

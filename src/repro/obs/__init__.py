@@ -1,7 +1,7 @@
 """Observability for campaign runs: events, metrics and reports.
 
 ``repro.obs`` gives every execution layer (runner, cache, grid
-evaluator, pool, shmoo, database) one way to leave a machine-readable
+evaluator, lot pool, shmoo, database) one way to leave a machine-readable
 account of what happened and why:
 
 * :mod:`repro.obs.events` -- the stable event vocabulary and JSONL
@@ -14,8 +14,8 @@ account of what happened and why:
 
 Journals are deterministic by contract: payloads carry no wall-clock
 reads or execution knobs, so serial and multi-worker runs of the same
-campaign write byte-identical journals, and with no journal requested
-the runner makes zero event-bus invocations.
+lot write byte-identical journals, and with no journal requested the
+runners make zero event-bus invocations.
 """
 
 from repro.obs.bus import EventBus, read_journal, read_journal_text

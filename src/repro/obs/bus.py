@@ -9,12 +9,12 @@ crash mid-flush costs at most the events since the previous flush --
 the campaign runner flushes alongside every checkpoint save, so journal
 and checkpoint stay in step.
 
-Process model: exactly one process (the campaign parent) writes a
-journal.  Worker processes never touch the bus -- their per-unit
+Process model: exactly one process (the run's parent) writes a
+journal.  A lot's pool workers never touch the bus -- their per-shard
 snapshots travel back inside
 :class:`~repro.runner.evaluate.UnitOutcome` and are replayed into the
 bus at the runner's in-order effect point, which is what makes a
-4-worker journal byte-identical to a serial one.
+pooled lot journal byte-identical to a serial one.
 
 Cost model: when no journal is requested the runner holds no bus at all
 and every emission site is skipped behind an ``is not None`` guard --

@@ -19,9 +19,9 @@ silently dropped.  :mod:`repro.obs` gives those facts one shape:
 Determinism contract (mirrors the PR 4 rules in
 ``docs/performance.md``): event payloads never contain wall-clock
 reads, worker identities or other execution-knob facts.  A journal is a
-pure function of *what the campaign computed*, so a 4-worker run and a
-serial run of the same campaign write byte-identical journals (asserted
-by ``tests/obs/test_campaign_journal.py``).
+pure function of *what the run computed*, so a pooled and a serial run
+of the same lot write byte-identical journals (asserted by
+``tests/experiment/test_streaming.py``).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ determinism contract as the journal (see :mod:`repro.obs.events`):
   is real observability but would break byte-identical journals, so a
   caller must opt in with ``include_timers=True``.
 
-Pool workers never hold a registry.  The campaign runner counts at its
-in-order effect point from the outcome objects workers send back, and
+Pool workers never hold a registry.  The runners count at their
+in-order effect point from the unit outcomes, and
 :meth:`merge` exists for callers that aggregate registries from
 multiple sequential runs (e.g. a soak harness folding per-iteration
 registries into one).

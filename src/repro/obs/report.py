@@ -8,8 +8,8 @@ for terminals and machines respectively.  This is the read side of the
 
 The report is a pure function of the journal, which is itself a pure
 function of what the campaign computed -- so reports inherit the
-journal's determinism and a report regenerated from a resumed or
-4-worker run matches the serial one.
+journal's determinism and a report regenerated from a resumed run (or
+a pooled lot) matches the uninterrupted serial one.
 
 Sections always render (with an explicit ``(none)`` marker when empty)
 so downstream tooling -- ``scripts/check.sh`` greps for the quarantine

@@ -1,6 +1,6 @@
 """The grid evaluator: one numpy call per sweep group.
 
-The serial campaign's evaluator.  Per (kind, condition) group the
+The campaign's evaluator.  Per (kind, condition) group the
 behaviour model's optional :meth:`~repro.defects.behavior.
 DefectBehaviorModel.evaluate_batch` hook answers the full site x R grid
 in **one** vectorised call; per-resistance detection counts are then
@@ -32,8 +32,8 @@ Exact-path equivalence: tests/perf/test_batch.py
 Chaos note: :class:`~repro.runner.chaos.ChaosBehaviorModel` explicitly
 declines the hook (``evaluate_batch = None``), so chaos campaigns take
 the all-scalar fallback and probe the injector site-for-site exactly
-like the pooled :class:`~repro.runner.evaluate.UnitEvaluator` -- same
-fault pattern, same retry/quarantine ledger, same records.
+like the per-site :class:`~repro.runner.evaluate.UnitEvaluator` oracle
+-- same fault pattern, same retry/quarantine ledger, same records.
 """
 
 from __future__ import annotations

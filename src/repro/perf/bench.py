@@ -20,17 +20,18 @@ rejects, as it rejects a document that leaves a check or metric out.
 
 The suites:
 
-* ``campaign`` (this module) -- one sweep run serially (the grid
-  evaluator, :mod:`repro.perf.batch`), across the supervised pool
-  (:mod:`repro.perf.supervisor`, one worker per visible CPU) and
-  against a warm evaluation cache, with byte-identical records;
+* ``campaign`` (this module) -- one sweep run cold and against a warm
+  evaluation cache (:mod:`repro.perf.cache`), with byte-identical
+  records;
 * ``fastpath`` (:mod:`repro.perf.fastpath_bench`) -- the grid evaluator
   vs the exact per-site evaluator on the Table-1 sweep, the
   boundary-traced vs the exact shmoo, and the sort-and-sweep vs the
   pairwise-scan critical-area pair search;
 * ``experiment`` (:mod:`repro.perf.experiment_bench`) -- the streaming
-  million-device lot: throughput, memory, and the legacy/shard/worker
-  identity oracles;
+  million-device lot: throughput, memory, the legacy/shard identity
+  oracles, and the serial-vs-pool speedup of a 10^7-device lot (the
+  supervised pool, :mod:`repro.perf.supervisor`, one worker per
+  visible CPU) with its worker-count identity check;
 * ``service`` (:mod:`repro.perf.service_bench`) -- ``repro serve`` over
   a live loopback socket: cold and warm latency, cache hits, byte
   identity with the in-process estimator.
@@ -67,10 +68,6 @@ SCHEMA = "repro.bench/1"
 @dataclass(frozen=True)
 class BenchConfig:
     """Shape of the ``campaign`` suite's sweep.
-
-    The pool width is not configurable: the ``supervised`` row uses
-    one worker per visible CPU (at least two, so the row always runs
-    the pool), and the document's ``config.cpu_count`` records it.
 
     Attributes:
         rows, columns, bits: Memory geometry of the benchmark campaign.
@@ -133,43 +130,21 @@ def _workload_row(units: int, seconds: float) -> dict[str, Any]:
 
 
 def run_campaign(config: BenchConfig) -> dict[str, Any]:
-    """Time the benchmark sweep serial / pooled / cached.
-
-    The ``pool`` rows pit the serial grid evaluator against the
-    per-site evaluator in the supervised pool; on the stock model the
-    pool loses (one vectorised call per group beats a pool of per-site
-    loops), and the row reports that figure as measured.
+    """Time the benchmark sweep cold and against a warm cache.
 
     Args:
         config: Sweep shape.
 
     Returns:
-        The ``rows`` of the ``campaign`` document: ``pool`` (``serial``
-        and ``supervised`` timing rows, ``speedup``) and ``cache``
-        (``cold`` and ``warm`` rows, ``speedup``).
+        The ``rows`` of the ``campaign`` document: ``cache`` (``cold``
+        and ``warm`` rows, ``speedup``).
 
     Raises:
-        RuntimeError: the pooled or cached records diverged from the
-            serial ones -- a determinism bug that must fail loudly.
+        RuntimeError: the cached records diverged from the evaluated
+            ones -- a determinism bug that must fail loudly.
     """
     specs = _bench_specs(config)
-    workers = max(2, os.cpu_count() or 1)
-    serial, t_serial = _timed_run(
-        CampaignRunner(_make_campaign(config)), specs)
-    pooled, t_pooled = _timed_run(
-        CampaignRunner(_make_campaign(config), workers=workers), specs)
-    if _records_blob(serial) != _records_blob(pooled):
-        raise RuntimeError("supervised records diverged from serial")
-    units = len(serial.records)
-    pool = {
-        "serial": _workload_row(units, t_serial),
-        "supervised": {**_workload_row(units, t_pooled),
-                       "workers": workers},
-        "speedup": round(t_serial / t_pooled, 3),
-        "supervised_matches_serial": True,
-    }
-
-    # Cache rows: cold run populates, warm run answers from the cache.
+    # Cold run populates, warm run answers from the cache.
     cache = EvaluationCache()
     cold, t_cold = _timed_run(
         CampaignRunner(_make_campaign(config), cache=cache), specs)
@@ -179,8 +154,8 @@ def run_campaign(config: BenchConfig) -> dict[str, Any]:
         CampaignRunner(_make_campaign(config), cache=warm_cache), specs)
     if _records_blob(cold) != _records_blob(warm):
         raise RuntimeError("cached records diverged from evaluated ones")
+    units = len(cold.records)
     return {
-        "pool": pool,
         "cache": {
             "cold": {**_workload_row(units, t_cold),
                      "hit_rate": cold.cache_stats["hit_rate"]},
@@ -220,11 +195,8 @@ SUITES: dict[str, Suite] = {
     "campaign": Suite(
         config=BenchConfig,
         run=run_campaign,
-        headline={"speedup_parallel": "pool.speedup",
-                  "cache_hit_rate": "cache.warm.hit_rate"},
-        checks={"supervised_matches_serial":
-                "pool.supervised_matches_serial",
-                "cached_matches_evaluated":
+        headline={"cache_hit_rate": "cache.warm.hit_rate"},
+        checks={"cached_matches_evaluated":
                 "cache.cached_matches_evaluated"}),
     "fastpath": Suite(
         config=FastpathBenchConfig,
@@ -242,11 +214,12 @@ SUITES: dict[str, Suite] = {
         run=run_experiment,
         headline={"devices_per_sec": "streaming.devices_per_sec",
                   "speedup_vs_legacy": "legacy.speedup",
-                  "memory_peak_ratio": "memory.peak_ratio"},
+                  "memory_peak_ratio": "memory.peak_ratio",
+                  "speedup_parallel": "pool.speedup"},
         checks={"memory_independent": "memory.memory_independent",
                 "legacy_identical": "legacy.legacy_identical",
                 "shard_invariant": "invariance.shard_invariant",
-                "worker_invariant": "invariance.worker_invariant"}),
+                "worker_invariant": "pool.worker_invariant"}),
     "service": Suite(
         config=ServiceBenchConfig,
         run=run_service,

@@ -1,26 +1,29 @@
-"""Process-pool building blocks: fan the sweep out across cores.
+"""Process-pool building blocks: fan the streaming lot out across cores.
 
-A coverage campaign is embarrassingly parallel: every (kind, R,
-condition) work unit is independent of every other (the property
-:mod:`repro.runner.units` establishes), so the only serial parts are
-planning and checkpointing.  This module holds the worker side of the
-pool that :class:`~repro.perf.supervisor.SupervisedUnitExecutor` runs
-over a :class:`concurrent.futures.ProcessPoolExecutor`:
+The pool's only client is the streaming experiment
+(:mod:`repro.experiment.streaming`): every shard of the lot is
+independent of every other, so the only serial parts are planning,
+the in-order reduce and checkpointing.  Campaigns run serially on the
+grid evaluator (:mod:`repro.perf.batch`), which beats this pool at
+every size measured (``docs/performance.md``).  This module holds the
+worker side of the pool that
+:class:`~repro.perf.supervisor.SupervisedUnitExecutor` runs over a
+:class:`concurrent.futures.ProcessPoolExecutor`:
 
-* pending units are split into **contiguous chunks** in plan order
-  (:func:`chunk_units`) -- contiguity matters because consecutive
-  units share a (kind, R) variant list, which each worker's
-  :class:`~repro.runner.evaluate.UnitEvaluator` caches;
+* pending shards are split into **contiguous chunks** in plan order
+  (:func:`chunk_units`), so the chunk at the head of the queue is
+  always the next one the in-order reduce needs;
 * each worker process rebuilds its evaluator once (pool initializer
-  :func:`_init_worker`) from a pickled payload, then evaluates whole
-  chunks per task (:func:`_evaluate_chunk`), keeping IPC per unit
+  :func:`_init_worker`) from a pickled payload, through the
+  experiment's ``unit_evaluator`` factory, then evaluates whole
+  chunks per task (:func:`_evaluate_chunk`), keeping IPC per shard
   negligible;
 * the parent consumes chunk results **in submission order**, so
-  downstream consumers (record list, quarantine ledger, checkpoint
-  writes) observe exactly the serial plan order -- out-of-order
-  *execution*, in-order *effects*;
-* results are byte-identical to a serial run because unit evaluation is
-  a pure function of the unit (see :mod:`repro.runner.evaluate`).
+  downstream consumers (the accumulator merge, quarantine ledger,
+  checkpoint writes) observe exactly the serial plan order --
+  out-of-order *execution*, in-order *effects*;
+* results are byte-identical to a serial run because shard evaluation
+  is a pure function of the shard.
 
 A worker whose *initializer* failed (unpicklable payload, import
 error) surfaces as :exc:`WorkerInitError` naming the underlying cause.
@@ -28,7 +31,7 @@ error) surfaces as :exc:`WorkerInitError` naming the underlying cause.
 Observability (:mod:`repro.obs`) rides the same in-order effect point:
 workers emit **no** events -- every journal entry is derived
 parent-side from the :class:`~repro.runner.evaluate.UnitOutcome` as it
-is consumed in plan order, which is why a 4-worker journal is
+is consumed in plan order, which is why a pooled journal is
 byte-identical to a serial one.
 """
 
@@ -39,8 +42,7 @@ import pickle
 from collections.abc import Sequence
 from typing import Any
 
-from repro.runner.evaluate import UnitEvaluator, UnitOutcome
-from repro.runner.retry import RetryPolicy
+from repro.runner.evaluate import UnitOutcome
 from repro.runner.units import WorkUnit
 
 #: Chunks-per-worker target used when no explicit chunk size is given:
@@ -72,27 +74,6 @@ class WorkerInitError(RuntimeError):
     """
 
 
-def make_evaluator(campaign: Any, retry: RetryPolicy | None = None,
-                   unit_deadline: float | None = None,
-                   **kwargs: Any) -> Any:
-    """Build the unit evaluator for ``campaign`` (duck typed).
-
-    A campaign that defines a callable ``unit_evaluator(...)`` factory
-    supplies its own evaluator -- the streaming experiment engine
-    (:mod:`repro.experiment.streaming`) ships a ``ShardEvaluator`` this
-    way -- otherwise the stock
-    :class:`~repro.runner.evaluate.UnitEvaluator` is built.  Either
-    evaluator must expose ``campaign``, ``evaluate(unit)`` and (for
-    supervised pools) optionally ``poison_outcome(unit, attempts,
-    error)``.
-    """
-    factory = getattr(campaign, "unit_evaluator", None)
-    if callable(factory):
-        return factory(retry=retry, unit_deadline=unit_deadline, **kwargs)
-    return UnitEvaluator(campaign, retry=retry, unit_deadline=unit_deadline,
-                         **kwargs)
-
-
 def _init_worker(payload: bytes) -> None:
     """Pool initializer: rebuild this process's evaluator once.
 
@@ -105,8 +86,8 @@ def _init_worker(payload: bytes) -> None:
     _IN_WORKER = True
     try:
         campaign, retry, unit_deadline = pickle.loads(payload)
-        _EVALUATOR = make_evaluator(campaign, retry=retry,
-                                    unit_deadline=unit_deadline)
+        _EVALUATOR = campaign.unit_evaluator(retry=retry,
+                                             unit_deadline=unit_deadline)
     except BaseException as exc:  # noqa: BLE001 -- reported, not lost
         _INIT_ERROR = f"{type(exc).__name__}: {exc}"
 
@@ -168,6 +149,10 @@ def merge_outcome_injections(campaign: Any, outcome: UnitOutcome) -> None:
 def chunk_units(units: Sequence[WorkUnit], workers: int,
                 chunksize: int | None = None) -> list[list[WorkUnit]]:
     """Split units into contiguous plan-order chunks.
+
+    Contiguity is what lets the supervisor consume chunk results in
+    submission order: the head chunk always holds the next units the
+    in-order reduce needs.
 
     Args:
         units: Pending work units in plan order.

@@ -1,7 +1,7 @@
 """``experiment`` benchmark suite: throughput, memory, invariance.
 
 Rows of ``BENCH_experiment.json`` (harness, schema and floors:
-:mod:`repro.perf.bench`).  Five measurements, every equivalence checked
+:mod:`repro.perf.bench`).  Six measurements, every equivalence checked
 byte-identical (canonical JSON of the shard-payload form) before any
 number is reported:
 
@@ -19,13 +19,20 @@ number is reported:
 * **legacy_identical** -- ``scheme="legacy"`` streaming folds the exact
   single-stream draw order, so its accumulator payload must equal
   :meth:`ExperimentAccumulator.from_experiment` of the legacy result;
-* **shard_invariant** / **worker_invariant** -- the same population
-  reduced under a different shard layout and under a 2-process pool
-  must produce byte-identical payloads (the block-substream contract).
+* **shard_invariant** -- the same population reduced under a different
+  shard layout must produce a byte-identical payload (the
+  block-substream contract);
+* **pool** -- the lot at the configured pool size (10^7 by default)
+  timed end to end, engine set-up included, serially and on the
+  supervised pool with one worker per visible CPU (at least two):
+  ``speedup``, as measured, with ``worker_invariant`` checking the
+  pooled payload against the serial one.  The pool is the only one
+  left in the library; this row is the measurement that keeps it.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 import time
 import tracemalloc
@@ -41,6 +48,10 @@ from repro.runner.atomic import canonical_json
 #: :func:`_bench_legacy`).
 EQUAL_N_REPEATS = 5
 
+#: Timed runs per side of the serial-vs-pool comparison (see
+#: :func:`_bench_pool`).
+POOL_REPEATS = 3
+
 
 @dataclass(frozen=True)
 class ExperimentBenchConfig:
@@ -55,8 +66,10 @@ class ExperimentBenchConfig:
         legacy_devices: Equal-N size of the legacy-vs-streaming timing
             (the legacy path materialises the whole lot, so this stays
             small enough to keep the benchmark seconds-scale).
-        invariance_devices: Size of the shard/worker invariance runs.
-        workers: Pool width of the worker-invariance run.
+        invariance_devices: Size of the shard-invariance runs.
+        pool_devices: Size of the serial-vs-pool timing.  The pool
+            width is not configurable: one worker per visible CPU, at
+            least two, recorded in the row.
     """
 
     devices: int = 1_000_000
@@ -66,7 +79,7 @@ class ExperimentBenchConfig:
     memory_devices: tuple[int, int] = (262_144, 1_048_576)
     legacy_devices: int = 40_960
     invariance_devices: int = 131_072
-    workers: int = 2
+    pool_devices: int = 10_000_000
 
     @classmethod
     def quick(cls) -> "ExperimentBenchConfig":
@@ -82,7 +95,8 @@ class ExperimentBenchConfig:
                    alt_shard_devices=8_192,
                    memory_devices=(32_768, 131_072),
                    legacy_devices=8_192,
-                   invariance_devices=32_768)
+                   invariance_devices=32_768,
+                   pool_devices=131_072)
 
     def __post_init__(self) -> None:
         small, large = self.memory_devices
@@ -254,24 +268,57 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
 
 
 def _bench_invariance(config: ExperimentBenchConfig) -> dict[str, Any]:
-    """Shard-layout and worker-count invariance at a shared N."""
+    """Shard-layout invariance at a shared N."""
     n = config.invariance_devices
     base = _payload(config, n)
     resharded = _payload(config, n,
                          shard_devices=config.alt_shard_devices)
-    pooled = _payload(config, n, workers=config.workers)
     shard_invariant = canonical_json(base) == canonical_json(resharded)
-    worker_invariant = canonical_json(base) == canonical_json(pooled)
-    if not (shard_invariant and worker_invariant):
+    if not shard_invariant:
         raise RuntimeError(
-            "streaming results changed with the shard layout or worker "
-            "count -- the block-substream contract is broken")
+            "streaming results changed with the shard layout -- the "
+            "block-substream contract is broken")
     return {
         "devices": n,
         "shard_devices": [config.shard_devices,
                           config.alt_shard_devices],
-        "workers": [1, config.workers],
         "shard_invariant": shard_invariant,
+    }
+
+
+def _bench_pool(config: ExperimentBenchConfig) -> dict[str, Any]:
+    """Serial vs supervised-pool lot: ``speedup`` and the worker check.
+
+    Each side runs a fresh engine end to end, set-up included, because
+    every pool worker rebuilds the engine it unpickles: that cost is
+    the pool's to pay.  The sides alternate :data:`POOL_REPEATS` times
+    and report their medians; the last payload of each side feeds
+    ``worker_invariant``.
+    """
+    n = config.pool_devices
+    workers = max(2, os.cpu_count() or 1)
+    runs: dict[int, list[float]] = {1: [], workers: []}
+    payloads: dict[int, dict[str, Any]] = {}
+    for _ in range(POOL_REPEATS):
+        for width in runs:
+            started = time.perf_counter()
+            payloads[width] = _payload(config, n, workers=width)
+            runs[width].append(time.perf_counter() - started)
+    worker_invariant = (canonical_json(payloads[1])
+                        == canonical_json(payloads[workers]))
+    if not worker_invariant:
+        raise RuntimeError(
+            "pooled streaming results diverged from serial -- the "
+            "block-substream contract is broken")
+    serial = statistics.median(runs[1])
+    pooled = statistics.median(runs[workers])
+    return {
+        "devices": n,
+        "repeats": POOL_REPEATS,
+        "workers": workers,
+        "serial_seconds": round(serial, 6),
+        "pooled_seconds": round(pooled, 6),
+        "speedup": round(serial / pooled, 3),
         "worker_invariant": worker_invariant,
     }
 
@@ -280,11 +327,12 @@ def run_experiment(config: ExperimentBenchConfig) -> dict[str, Any]:
     """Run all streaming-experiment measurements.
 
     Args:
-        config: Benchmark shape (the default streams 10^6 devices).
+        config: Benchmark shape (the default streams 10^6 devices and
+            times the pool at 10^7).
 
     Returns:
         The ``rows`` of the ``experiment`` document: ``streaming``,
-        ``memory``, ``legacy`` and ``invariance``.
+        ``memory``, ``legacy``, ``invariance`` and ``pool``.
 
     Raises:
         RuntimeError: an invariance or identity check failed -- a
@@ -294,4 +342,5 @@ def run_experiment(config: ExperimentBenchConfig) -> dict[str, Any]:
     return {"streaming": _bench_streaming(config),
             "memory": _bench_memory(config),
             "legacy": _bench_legacy(config),
-            "invariance": _bench_invariance(config)}
+            "invariance": _bench_invariance(config),
+            "pool": _bench_pool(config)}

@@ -1,7 +1,8 @@
 """Supervised pool execution: survive worker death, hangs, poison units.
 
-The campaign's only process pool.  A bare pool is the run's single
-point of failure: one worker dying (OOM, SIGKILL, tester flakiness)
+The process pool of the streaming lot
+(:class:`~repro.experiment.streaming.StreamingRunner` with
+``workers > 1``).  A bare pool is the run's single point of failure: one worker dying (OOM, SIGKILL, tester flakiness)
 surfaces as ``BrokenProcessPool`` and would abort the whole run, and a
 *hung* worker blocks ``future.result()`` forever because the per-unit
 deadline is only enforced on the worker's own clock.  This module runs
@@ -21,9 +22,9 @@ with four recovery layers, moving through a small state machine
    further failure, isolating the offending unit in O(log n) rebuilds.
 3. **poison** -- a single unit that still kills its worker is retried
    serially in the parent; if it dies even there, it is quarantined
-   into the :class:`~repro.ifa.flow.CoverageRecord` error ledger
-   (``errors == total``, one ``site_index == -1`` ledger entry)
-   instead of killing the campaign.
+   through the evaluator's ``poison_outcome`` (its devices counted as
+   ``errors``, one ``site_index == -1`` ledger entry) instead of
+   killing the run.
 4. **degrade-serial** -- when the rebuild budget is exhausted, the
    remaining units are evaluated serially in the parent (journalled as
    ``pool.degrade_serial``) rather than aborting.
@@ -37,8 +38,8 @@ computed never depends on which process computed it).
 
 Exceptions raised *by unit evaluation itself* -- deadline overruns,
 injected crashes from the behaviour model, :exc:`~repro.perf.executor.
-WorkerInitError` -- are not supervised: they propagate exactly as the
-serial runner's do.
+WorkerInitError` -- are not supervised: they propagate exactly as a
+serial run's do.
 """
 
 from __future__ import annotations
@@ -52,14 +53,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
-from repro.ifa.flow import CoverageRecord
 from repro.perf.executor import (
     WorkerInitError,
     _evaluate_chunk,
     _init_worker,
     _pool_context,
     chunk_units,
-    make_evaluator,
     merge_outcome_injections,
     probe_worker_faults,
 )
@@ -67,7 +66,7 @@ from repro.runner.evaluate import (
     UnitDeadlineExceeded,
     UnitOutcome,
 )
-from repro.runner.retry import RetryPolicy, RetryStats
+from repro.runner.retry import RetryPolicy
 from repro.runner.units import WorkUnit
 
 #: Failures of one chunk before it is bisected into halves.
@@ -134,14 +133,14 @@ class _ChunkState:
 class SupervisedUnitExecutor:
     """Pool executor that heals worker death instead of propagating it.
 
-    Yields the same in-plan-order outcome stream a serial
-    :class:`~repro.runner.evaluate.UnitEvaluator` pass would, under
-    the supervision state machine described in the module docstring.
-    The runner uses it for every ``workers > 1`` run.
+    Yields the same in-plan-order outcome stream a serial pass of the
+    campaign's own evaluator would, under the supervision state
+    machine described in the module docstring.  The streaming runner
+    uses it for every ``workers > 1`` run.
 
     Args:
-        campaign: The (picklable) campaign supplying populations and
-            the behaviour model.
+        campaign: The (picklable) campaign whose ``unit_evaluator``
+            factory builds the evaluator (the streaming experiment).
         retry: Per-site retry policy forwarded to each worker.
         unit_deadline: Per-unit wall-clock budget.  Enforced on the
             worker's clock as before *and* scaled into a parent-side
@@ -387,14 +386,12 @@ class SupervisedUnitExecutor:
     def _evaluator(self) -> Any:
         """The lazily-built in-parent fallback evaluator.
 
-        Built through :func:`repro.perf.executor.make_evaluator`, so a
-        campaign with its own ``unit_evaluator`` factory (the streaming
-        experiment engine) gets the same evaluator in the parent as in
-        the workers.
+        Built through the campaign's ``unit_evaluator`` factory, so
+        the parent runs the same evaluator as the workers.
         """
         if self._parent_evaluator is None:
-            self._parent_evaluator = make_evaluator(
-                self.campaign, retry=self.retry,
+            self._parent_evaluator = self.campaign.unit_evaluator(
+                retry=self.retry,
                 unit_deadline=self.unit_deadline,
                 sleep=self.sleep, clock=self.clock)
         return self._parent_evaluator
@@ -423,46 +420,7 @@ class SupervisedUnitExecutor:
             self._count("pool.poison_units")
             self._emit("pool.poison_unit", unit=unit.unit_id,
                        attempts=dispatches + 1, error=error)
-            return self._poison_outcome(unit, dispatches + 1, error)
-
-    def _poison_outcome(self, unit: WorkUnit, attempts: int,
-                        error: str) -> UnitOutcome:
-        """Synthesise the quarantine outcome of a poison unit.
-
-        No site of the unit was (conclusively) evaluated, so the
-        record claims nothing: ``detected == 0`` and ``errors ==
-        total``.  The ledger carries one whole-unit entry with the
-        sentinel ``site_index == -1`` (real site entries are >= 0),
-        which is how reports and ``campaign status`` count poison
-        units.  An evaluator that defines ``poison_outcome`` (the
-        streaming engine's shard evaluator) synthesises its own.
-        """
-        evaluator = self._evaluator()
-        poison = getattr(evaluator, "poison_outcome", None)
-        if callable(poison):
-            return poison(unit, attempts, error)
-        total = len(evaluator.population(unit.kind))
-        record = CoverageRecord(
-            kind=unit.kind.value,
-            resistance=unit.resistance,
-            condition=unit.condition.name,
-            vdd=unit.condition.vdd,
-            period=unit.condition.period,
-            detected=0,
-            total=total,
-            errors=total,
-        )
-        entry = {
-            "unit_id": unit.unit_id,
-            "site_index": -1,
-            "defect": "<entire unit>",
-            "attempts": attempts,
-            "error": error,
-            "deadline_hit": False,
-        }
-        return UnitOutcome(index=unit.index, unit_id=unit.unit_id,
-                           record=record, quarantine=[entry],
-                           stats=RetryStats())
+            return evaluator.poison_outcome(unit, dispatches + 1, error)
 
     def _drain_serial(self,
                       pending: list[_ChunkState]) -> Iterator[UnitOutcome]:

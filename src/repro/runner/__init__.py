@@ -13,14 +13,14 @@ resumable and failure-tolerant:
   temp-file recovery and fingerprint matching;
 * :mod:`repro.runner.chaos` -- seeded fault injection exercising every
   recovery path above;
-* :mod:`repro.runner.evaluate` -- the per-unit evaluation core shared
-  by serial and parallel execution;
+* :mod:`repro.runner.evaluate` -- the per-unit evaluation core: the
+  grid evaluator's fallback body and the per-site oracle;
 * :mod:`repro.runner.campaign` -- the :class:`CampaignRunner`
   orchestrating all of it (quarantine ledger, graceful degradation,
-  optional worker pool and evaluation cache from :mod:`repro.perf`).
+  grid evaluator and optional evaluation cache from :mod:`repro.perf`).
 
 See ``docs/robustness.md`` for the architecture tour and
-``docs/performance.md`` for the parallel/caching layer.
+``docs/performance.md`` for the grid evaluator and the cache.
 """
 
 from repro.runner.atomic import (

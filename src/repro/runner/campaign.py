@@ -10,18 +10,15 @@ pre-calculated simulation results" (Section 3) -- becomes:
    evaluation runs under a retry policy; sites that keep failing are
    *quarantined* into an error ledger and counted in the emitted
    record's ``errors`` field -- the campaign degrades gracefully
-   instead of dying on one pathological site.  A serial run answers
+   instead of dying on one pathological site.  The runner answers
    each (kind, condition) group's site x R grid in one vectorised
-   call (:mod:`repro.perf.batch`); with ``workers > 1`` the pending
-   units fan out across a supervised process pool
-   (:mod:`repro.perf.supervisor`) -- byte-identical records either
-   way;
+   call (:mod:`repro.perf.batch`);
 3. **skip** (:mod:`repro.perf.cache`): with an evaluation cache
    attached, units whose content-addressed key is already cached are
    served from the cache instead of re-evaluated;
 4. **persist** (:mod:`repro.runner.checkpoint`): after each completed
    unit the progress is checkpointed crash-safely, so ``kill -9`` costs
-   at most the unit (or chunk) in flight;
+   at most the unit in flight;
 5. **resume**: re-running against the same checkpoint skips completed
    units and re-emits their stored payloads, producing records
    byte-identical to an uninterrupted run (site populations are
@@ -96,20 +93,14 @@ class CampaignResult:
             seamlessly).
         quarantine: Error-ledger entries accumulated across the whole
             campaign, including entries restored from the checkpoint.
-        executed_units: Units evaluated in this process (or its worker
-            pool).
+        executed_units: Units evaluated in this run.
         resumed_units: Units restored from the checkpoint.
         cached_units: Units served from the evaluation cache.
         retry_stats: Site-evaluation retry counters for this run.
         cache_stats: Hit/miss statistics of the evaluation cache
             (``None`` when no cache was attached).
         batch_stats: Counters of the grid evaluator
-            (:class:`~repro.perf.batch.BatchStats` as a dict;
-            ``None`` unless the run was serial).
-        supervisor_stats: Counters of the supervised worker pool
-            (:class:`~repro.perf.supervisor.SupervisorStats` as a
-            dict; ``None`` unless ``workers > 1`` ran supervised).
-            All zeros on an undisturbed run.
+            (:class:`~repro.perf.batch.BatchStats` as a dict).
         metrics: Snapshot of the run's
             :class:`~repro.obs.metrics.MetricsRegistry` (``None``
             unless a journal was requested -- the registry only exists
@@ -125,7 +116,6 @@ class CampaignResult:
     retry_stats: RetryStats = field(default_factory=RetryStats)
     cache_stats: dict[str, Any] | None = None
     batch_stats: dict[str, Any] | None = None
-    supervisor_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
 
     @property
@@ -179,24 +169,6 @@ class CampaignRunner:
             (seconds); exceeding it raises
             :class:`~repro.runner.evaluate.UnitDeadlineExceeded` after
             the in-flight site.
-        workers: Evaluation processes.  1 (default) evaluates inline
-            through the grid evaluator (:mod:`repro.perf.batch`),
-            which answers each (kind, condition) group in one
-            vectorised call.  N > 1 runs the exact per-site
-            :class:`~repro.runner.evaluate.UnitEvaluator` over a
-            supervised process pool (:mod:`repro.perf.supervisor`)
-            that heals worker death, hangs and poison units.  Records
-            are byte-identical either way.  The campaign must then be
-            picklable, and the injectable ``sleep``/``clock`` only
-            govern the parent process.
-        chunksize: Units per pool task when ``workers > 1``
-            (automatic when omitted).
-        max_pool_rebuilds: Pool rebuilds the supervisor may spend
-            before degrading to serial in-parent evaluation.
-        chunk_deadline_factor: Slack multiplier of the supervisor's
-            parent-side chunk deadline (``unit_deadline x chunk
-            length x factor``); only meaningful with a
-            ``unit_deadline``.
         cache: Evaluation cache -- an
             :class:`~repro.perf.cache.EvaluationCache` instance, or a
             path whose cache file is loaded (created on save).  Units
@@ -212,10 +184,9 @@ class CampaignRunner:
             journal there (flushed atomically alongside every
             checkpoint save); an :class:`~repro.obs.bus.EventBus`-like
             instance is used as-is (tests pass counting wrappers).
-            Every event is derived *in the parent* at the in-order
-            effect point from the outcome objects workers send back,
-            so journals are byte-identical across serial and
-            multi-worker runs and never contain wall-clock reads.
+            Every event is derived at the in-order effect point from
+            the unit outcomes, so journals never contain wall-clock
+            reads.
         sleep, clock: Injectable time sources for the retry machinery
             (tests pass fakes; production uses the real ones).
     """
@@ -225,10 +196,6 @@ class CampaignRunner:
                  checkpoint_path: str | Path | None = None,
                  checkpoint_every: int = 1,
                  unit_deadline: float | None = None,
-                 workers: int = 1,
-                 chunksize: int | None = None,
-                 max_pool_rebuilds: int = 8,
-                 chunk_deadline_factor: float = 4.0,
                  cache: "EvaluationCache | str | Path | None" = None,
                  meta: dict[str, Any] | None = None,
                  fault_hook: Callable[[str], None] | None = None,
@@ -239,22 +206,12 @@ class CampaignRunner:
             raise ValueError("checkpoint_every must be >= 1")
         if unit_deadline is not None and unit_deadline <= 0:
             raise ValueError("unit_deadline must be positive")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-        if chunk_deadline_factor <= 0:
-            raise ValueError("chunk_deadline_factor must be positive")
         self.campaign = campaign
         self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.checkpoint_every = checkpoint_every
         self.unit_deadline = unit_deadline
-        self.workers = workers
-        self.chunksize = chunksize
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.chunk_deadline_factor = chunk_deadline_factor
         self.cache, self.cache_path = self._resolve_cache(cache)
         self.extra_meta = dict(meta or {})
         self.fault_hook = fault_hook
@@ -262,7 +219,6 @@ class CampaignRunner:
         self.sleep = sleep
         self.clock = clock
         self._batch_evaluator: Any = None
-        self._supervisor: Any = None
 
     def _journal_bus(self) -> Any:
         """Resolve the ``journal`` argument to an event bus (or None)."""
@@ -303,10 +259,9 @@ class CampaignRunner:
         """The campaign fingerprint stored in (and matched against) the
         checkpoint.
 
-        Execution knobs (workers, chunk size, cache) are deliberately
+        Execution knobs (cache, retry, deadline) are deliberately
         absent: they change how a campaign runs, never what it
-        computes, so a parallel run may resume a serial checkpoint and
-        vice versa.
+        computes.
         """
         meta: dict[str, Any] = {
             "n_sites": self.campaign.n_sites,
@@ -365,42 +320,23 @@ class CampaignRunner:
         return keys, hits
 
     def _outcomes(self, units: Sequence[WorkUnit],
-                  pending: Sequence[WorkUnit],
-                  bus: Any = None, metrics: Any = None,
-                  ) -> Iterator[UnitOutcome]:
-        """Evaluate pending units lazily: grid evaluator or pool.
+                  pending: Sequence[WorkUnit]) -> Iterator[UnitOutcome]:
+        """Evaluate pending units lazily through the grid evaluator.
 
         Args:
             units: The full plan (the grid evaluator derives its group
                 grids from it, so its cross-check sample does not
                 depend on checkpoint/cache state).
             pending: The subset actually needing evaluation.
-            bus: Event bus handed to the pool supervisor so its
-                ``pool.*`` recovery events land in the journal
-                (``None`` when observability is off).
-            metrics: Metrics registry fed alongside the bus.
         """
-        if self.workers == 1:
-            from repro.perf.batch import BatchEvaluator
+        from repro.perf.batch import BatchEvaluator
 
-            evaluator = BatchEvaluator(
-                self.campaign, plan=units, retry=self.retry,
-                unit_deadline=self.unit_deadline,
-                sleep=self.sleep, clock=self.clock)
-            self._batch_evaluator = evaluator
-            return (evaluator.evaluate(unit) for unit in pending)
-        from repro.perf.supervisor import SupervisedUnitExecutor
-
-        supervisor = SupervisedUnitExecutor(
-            self.campaign, retry=self.retry,
+        evaluator = BatchEvaluator(
+            self.campaign, plan=units, retry=self.retry,
             unit_deadline=self.unit_deadline,
-            workers=self.workers, chunksize=self.chunksize,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            chunk_deadline_factor=self.chunk_deadline_factor,
-            bus=bus, metrics=metrics,
             sleep=self.sleep, clock=self.clock)
-        self._supervisor = supervisor
-        return supervisor.run(pending)
+        self._batch_evaluator = evaluator
+        return (evaluator.evaluate(unit) for unit in pending)
 
     def _save_cache(self) -> None:
         """Persist the cache when it is path-backed and has new entries."""
@@ -413,11 +349,10 @@ class CampaignRunner:
 
         Units already in the checkpoint are re-emitted; open units are
         served from the evaluation cache when attached and keyed; the
-        rest are evaluated -- inline, or across the worker pool when
-        ``workers > 1``.  Records, quarantine entries and checkpoint
-        writes always happen in plan order, so every combination of
-        {serial, parallel} x {cold, warm cache} x {fresh, resumed}
-        yields byte-identical records.
+        rest are evaluated through the grid evaluator.  Records,
+        quarantine entries and checkpoint writes always happen in plan
+        order, so every combination of {cold, warm cache} x {fresh,
+        resumed} yields byte-identical records.
 
         Args:
             specs: The sweep plan (one spec per defect kind).
@@ -443,9 +378,7 @@ class CampaignRunner:
 
             metrics = MetricsRegistry()
             # Journal metadata is the campaign fingerprint minus the
-            # bulky sweep table -- and, by the determinism contract,
-            # minus every execution knob (workers, cache), so
-            # serial and parallel journals stay byte-identical.
+            # bulky sweep table (execution knobs are never part of it).
             bus.set_meta({k: v for k, v in meta.items()
                           if k != "sweeps"})
             bus.emit("run.start", plan_units=len(units))
@@ -460,7 +393,7 @@ class CampaignRunner:
                          completed_units=status["completed_units"],
                          recovered_from_temp=status[
                              "recovered_from_temp"])
-        outcomes = self._outcomes(units, pending, bus, metrics)
+        outcomes = self._outcomes(units, pending)
         dirty = 0
         processed = 0
         for unit in units:
@@ -520,8 +453,6 @@ class CampaignRunner:
             result.cache_stats = self.cache.stats()
         if self._batch_evaluator is not None:
             result.batch_stats = self._batch_evaluator.stats.as_dict()
-        if self._supervisor is not None:
-            result.supervisor_stats = self._supervisor.stats.as_dict()
         if bus is not None:
             self._emit_run_done(bus, metrics, result)
             result.metrics = metrics.snapshot()
@@ -551,10 +482,10 @@ class CampaignRunner:
         """Replay one executed unit's outcome into the journal.
 
         This is the in-order effect point: the outcome object is the
-        worker's complete account of the unit (record, quarantine
+        evaluator's complete account of the unit (record, quarantine
         ledger, retry snapshot), so deriving events here -- instead of
-        in the worker -- keeps journals byte-identical across worker
-        counts and the hot path free of any bus traffic.
+        inside evaluation -- keeps the hot path free of any bus
+        traffic.
         """
         unit_id = unit.unit_id
         bus.emit("unit.start", unit=unit_id, kind=unit.kind.value,
@@ -568,8 +499,8 @@ class CampaignRunner:
             bus.emit("unit.quarantine", unit=unit_id,
                      site_index=entry["site_index"],
                      attempts=entry["attempts"], error=entry["error"])
-        # Merge the per-unit (per-worker) retry snapshot here, at the
-        # same point result.retry_stats absorbs it.
+        # Merge the per-unit retry snapshot here, at the same point
+        # result.retry_stats absorbs it.
         metrics.inc("retry.calls", outcome.stats.calls)
         metrics.inc("retry.retries", outcome.stats.retries)
         metrics.inc("retry.exhausted", outcome.stats.exhausted)
@@ -582,8 +513,7 @@ class CampaignRunner:
         """Emit the grid evaluator's demotions and the terminal event.
 
         A demotion only exists when a model's batch hook lied or
-        failed, so an honest serial run journals exactly what a pooled
-        run does.
+        failed, so an honest run journals none.
         """
         if result.batch_stats is not None:
             for d in result.batch_stats["demotions"]:

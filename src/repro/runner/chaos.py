@@ -23,9 +23,9 @@ campaign:
 Usage::
 
     inj = FaultInjector(seed=7, rates={"behavior.evaluate": 0.01},
-                        crash_positions={"checkpoint.unit": {3}})
-    model = ChaosBehaviorModel(real_model, inj)
-    runner = CampaignRunner(..., behavior=model,
+                        crash_positions={"io.replace": {3}})
+    campaign.behavior = ChaosBehaviorModel(campaign.behavior, inj)
+    runner = CampaignRunner(campaign, checkpoint_path="ck.json",
                             fault_hook=inj.check)
 """
 
@@ -86,7 +86,7 @@ class FaultInjector:
         worker_faults: Worker-level chaos: map of site label
             (:data:`WORKER_EXIT_SITE` or :data:`WORKER_HANG_SITE`) ->
             {unit id -> times}.  :meth:`check_worker`, probed once per
-            (unit, dispatch attempt) by the pool executor, fires while
+            (shard, dispatch attempt) by the lot's pool, fires while
             ``attempt < times`` -- so a unit with ``times=1`` dies on
             its first dispatch and heals on redispatch, while a large
             ``times`` models a genuine poison unit.  Deliberately
@@ -263,10 +263,10 @@ class FaultInjector:
     def merge_counts(self, delta: Mapping[str, Mapping[str, int]]) -> None:
         """Fold a worker's per-unit counter delta into this injector.
 
-        The pool executors call this at the in-order effect point for
-        every outcome a worker sends back; without it the fork-copied
-        worker counters are lost and :meth:`stats` undercounts under
-        ``workers > 1``.
+        The pool supervisor calls this at the in-order effect point
+        for every outcome a worker sends back; without it the
+        fork-copied worker counters are lost and :meth:`stats`
+        undercounts under ``workers > 1``.
         """
         for site, counts in delta.items():
             self.calls[site] += counts.get("calls", 0)
@@ -285,9 +285,10 @@ class ChaosBehaviorModel:
     """Behaviour-model proxy that fires the injector before evaluating.
 
     Wraps any object with the :class:`~repro.defects.behavior.
-    DefectBehaviorModel` duck interface; the campaign only calls
-    ``fails_condition``, so that is the probed surface.  Site label:
-    ``behavior.evaluate``.
+    DefectBehaviorModel` duck interface and probes both scalar entry
+    points: ``fails_condition`` (what a campaign asks) and
+    ``manifestation`` (what the virtual tester asks when the lot
+    classifies a chip).  Site label: ``behavior.evaluate``.
 
     Declines the vectorised ``evaluate_batch`` and
     ``evaluate_elements`` capabilities even when the wrapped model
@@ -296,8 +297,8 @@ class ChaosBehaviorModel:
     which would skip the injector's per-site probes and change the
     fault pattern.  The class attributes below shadow ``__getattr__``
     delegation, so batch evaluators and the lot classifier see
-    ``None`` and take the all-scalar fallback -- serial chaos
-    campaigns probe site-for-site exactly like pooled ones.
+    ``None`` and take the all-scalar fallback -- chaos campaigns probe
+    site-for-site exactly like the per-site oracle.
     """
 
     SITE = "behavior.evaluate"
@@ -313,6 +314,11 @@ class ChaosBehaviorModel:
         """Probe the injector, then delegate to the wrapped model."""
         self.injector.check(self.SITE)
         return self.inner.fails_condition(defect, condition)
+
+    def manifestation(self, defect: Defect, condition: StressCondition):
+        """Probe the injector, then delegate the full evaluation."""
+        self.injector.check(self.SITE)
+        return self.inner.manifestation(defect, condition)
 
     def __getattr__(self, name: str):
         # Guard against the unpickling window where __dict__ is still

@@ -1,13 +1,13 @@
-"""Per-unit evaluation: the shared core of serial and parallel execution.
+"""Per-unit evaluation: the per-site loop and oracle of a campaign.
 
 One work unit -- a (kind, R, condition) cell of the campaign sweep --
 is evaluated by sweeping the (seeded, deterministic) site population
 through the behaviour model under a per-site retry policy, quarantining
-sites that keep raising.  That loop used to live inside
-:class:`~repro.runner.campaign.CampaignRunner`; it is factored out here
-so the process-pool executor (:mod:`repro.perf.executor`) can run the
-*identical* code in worker processes, which is the root of the
-parallel-equals-serial determinism guarantee (``docs/performance.md``):
+sites that keep raising.  :class:`UnitEvaluator` is both the grid
+evaluator's fallback body (:mod:`repro.perf.batch` hands it the sites
+its batch table cannot answer) and the per-site oracle the grid path
+is tested against.  A unit's record depends on nothing but the unit
+(``docs/performance.md``):
 
 * the site population regenerates deterministically from the campaign
   seed in every process;
@@ -16,8 +16,8 @@ parallel-equals-serial determinism guarantee (``docs/performance.md``):
   shared RNG;
 
 so a unit's :class:`~repro.ifa.flow.CoverageRecord` is a pure function
-of the unit itself, regardless of which process evaluates it or in what
-order.
+of the unit itself, regardless of evaluation order or of a resume in
+between.
 
 :class:`UnitOutcome` is also the unit of observability: it carries
 everything the run journal (:mod:`repro.obs`) reports about a unit --
@@ -88,9 +88,9 @@ class UnitEvaluator:
     stateful only in its derived caches: the per-kind site population
     and the current (kind, R) resistance-variant list, both regenerated
     deterministically from the campaign seed.  One evaluator lives in
-    the serial grid evaluator (:mod:`repro.perf.batch`), which hands
-    it the sites its batch table cannot answer; one per worker process
-    in the supervised pool.
+    the grid evaluator (:mod:`repro.perf.batch`), which hands it the
+    sites its batch table cannot answer; tests build one directly as
+    the per-site oracle.
 
     Args:
         campaign: The :class:`~repro.ifa.flow.IfaCampaign`-shaped

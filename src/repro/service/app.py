@@ -10,7 +10,9 @@ the edge:
 * :func:`serve` mounts the core on ``asyncio.start_server`` with a
   small hand-rolled HTTP/1.1 reader (stdlib only -- ``http.server``
   is threaded, not asyncio): request line, headers, ``Content-Length``
-  body, keep-alive connections.
+  body, keep-alive connections, and a read deadline per request
+  (:data:`READ_TIMEOUT_S`) so a silent or stalled client cannot pin
+  its connection.
 
 Consistency under hot reload: a handler captures
 ``state.snapshot`` exactly once and computes the whole response from
@@ -54,6 +56,12 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: room to spare, and an unbounded read would let one client exhaust
 #: the process.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds one request may take to arrive -- from the moment the server
+#: starts waiting for it until the last byte of its body.  Generous for
+#: any real client; a peer that connects and sends nothing, or stalls
+#: mid-request, is disconnected when it expires.
+READ_TIMEOUT_S = 30.0
 
 
 def _render(doc: Any) -> bytes:
@@ -302,11 +310,15 @@ async def _write_response(writer: asyncio.StreamWriter,
 async def _handle_connection(service: EstimatorService,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-    """Serve one keep-alive connection until EOF, error or close."""
+    """Serve one keep-alive connection until EOF, error, close or a
+    request that does not arrive within :data:`READ_TIMEOUT_S`."""
     try:
         while True:
             try:
-                request = await _read_request(reader)
+                request = await asyncio.wait_for(_read_request(reader),
+                                                 READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                break  # silent or stalled client: drop the connection
             except ValueError as exc:
                 bad = ServiceResponse(
                     400, _render(error_document("bad-request", str(exc))))

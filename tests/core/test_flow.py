@@ -3,7 +3,7 @@
 A serial ``MemoryTestFlow.run()`` -- what ``python -m
 repro.analysis.report`` runs -- evaluates the paper's sweep through
 the grid evaluator (:mod:`repro.perf.batch`).  Its records must equal
-both a pooled run and a direct pass of the per-site
+a direct pass of the per-site
 :class:`~repro.runner.evaluate.UnitEvaluator`, at the paper's Table 1
 bridge grid and the default open grid, over every production
 condition.
@@ -61,16 +61,10 @@ class TestGridOracle:
         assert records_bytes(serial_run.campaign.records) == (
             records_bytes(oracle))
 
-    def test_matches_two_worker_pool(self, serial_run):
-        pooled = make_flow().run(workers=2)
-        assert pooled.campaign.batch_stats is None
-        assert records_bytes(serial_run.campaign.records) == (
-            records_bytes(pooled.campaign.records))
-
 
 class TestImportFootprint:
     def test_serial_run_loads_no_pool_machinery(self):
-        """The pool's modules stay unloaded unless a pool runs."""
+        """A campaign never loads the lot pool's modules."""
         script = textwrap.dedent("""
             import sys
             from repro.core.flow import MemoryTestFlow

@@ -4,8 +4,9 @@ The acceptance claims of the observability layer, end to end:
 
 * journal off (the default) means **zero** event-bus invocations, not
   "few" -- asserted with a monkeypatched emit and a counting wrapper;
-* a journal is a pure function of what the campaign computed: a
-  4-worker run writes bytes identical to a serial run;
+* a journal is a pure function of what the run computed: no execution
+  knob reaches a campaign's header, and a 4-worker lot writes bytes
+  identical to a serial one;
 * nothing is swallowed -- every quarantine, retry, corrupt-cache
   discard and batch-hook demotion appears as an event, and
   ``build_report`` reproduces the runner's own statistics from the
@@ -21,6 +22,7 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
+from repro.experiment import StreamingExperiment, StreamingRunner
 from repro.ifa.flow import IfaCampaign
 from repro.march.library import TEST_11N
 from repro.memory.geometry import MemoryGeometry
@@ -133,12 +135,14 @@ class TestZeroOverheadOff:
 
 class TestWorkerDeterminism:
     def test_4_worker_journal_byte_identical_to_serial(self, tmp_path):
+        """The streaming lot is the one pooled run: its journal is the
+        same bytes at 1 and 4 workers."""
         serial_path = tmp_path / "serial.jsonl"
         pooled_path = tmp_path / "pooled.jsonl"
-        CampaignRunner(make_campaign(), journal=serial_path).run(
-            [bridge_spec()])
-        CampaignRunner(make_campaign(), workers=4,
-                       journal=pooled_path).run([bridge_spec()])
+        for workers, path in ((1, serial_path), (4, pooled_path)):
+            lot = StreamingExperiment(n_devices=8192, shard_devices=2048,
+                                      block_devices=1024)
+            StreamingRunner(lot, workers=workers, journal=path).run()
         assert serial_path.read_bytes() == pooled_path.read_bytes()
 
 

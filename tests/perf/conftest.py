@@ -60,7 +60,7 @@ def exact_run():
 
     Returns a :class:`~repro.runner.campaign.CampaignResult` holding
     what a serial per-site sweep computes: the oracle every fast path
-    and the pool are compared against.
+    is compared against.
     """
     def run(campaign, specs):
         evaluator = UnitEvaluator(campaign)

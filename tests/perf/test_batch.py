@@ -1,10 +1,9 @@
 """Tests for repro.perf.batch: the scalar path as equivalence oracle.
 
-The contract under test: the serial campaign's grid evaluator emits
-records byte-identical to a per-site
+The contract under test: the campaign's grid evaluator emits records
+byte-identical to a per-site
 :class:`~repro.runner.evaluate.UnitEvaluator` pass (the ``exact_run``
-fixture) and to the pooled run for *every* model in the capability
-matrix -- a correct vectorised hook, a model without the hook, a hook
+fixture) for *every* model in the capability matrix -- a correct vectorised hook, a model without the hook, a hook
 that raises or returns the wrong shape, and a hook that lies -- and
 under chaos, kill/resume and cache reuse.  Wall-clock is the
 benchmark's business (the ``fastpath`` suite of
@@ -24,6 +23,7 @@ from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
 from repro.perf.batch import BatchEvaluator
 from repro.perf.cache import EvaluationCache
+from repro.perf.counting import CountingBehaviorModel
 from repro.perf.fingerprint import (
     behavior_fingerprint,
     population_fingerprint,
@@ -137,13 +137,6 @@ class TestEquivalence:
         assert records_bytes(exact.records) == records_bytes(batch.records)
         assert exact_campaign.behavior.calls >= (
             5 * batch_campaign.behavior.calls)
-
-    def test_matches_parallel_exact_run(self, counting_campaign):
-        parallel = CampaignRunner(
-            counting_campaign(), workers=4).run([table1_spec()])
-        batch = CampaignRunner(counting_campaign()).run([table1_spec()])
-        assert records_bytes(parallel.records) == records_bytes(
-            batch.records)
 
 
 class TestFallbacks:
@@ -280,13 +273,14 @@ class TestResume:
     def test_exact_checkpoint_resumes_under_batch(self, tmp_path,
                                                   counting_campaign,
                                                   exact_run):
-        """A pooled (exact per-site) checkpoint resumes serially."""
+        """A checkpoint the per-site path wrote resumes on the grid."""
         baseline = exact_run(counting_campaign(), [table1_spec()])
         ck = tmp_path / "ck.json"
         inj = FaultInjector(crash_positions={"io.replace": {7}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(counting_campaign(), checkpoint_path=ck,
-                           workers=2, fault_hook=inj.check,
+            # No hook: every group takes the per-site fallback.
+            CampaignRunner(counting_campaign(wrap=OpaqueModel),
+                           checkpoint_path=ck, fault_hook=inj.check,
                            ).run([table1_spec()])
         resumed = CampaignRunner(counting_campaign(),
                                  checkpoint_path=ck).run([table1_spec()])
@@ -296,11 +290,19 @@ class TestResume:
 
 
 class TestCacheInterop:
-    def test_exact_warmed_cache_serves_batch_run(self, counting_campaign):
-        """A cache filled by the pool serves the serial grid run."""
+    def test_exact_warmed_cache_serves_batch_run(self, counting_campaign,
+                                                 monkeypatch):
+        """A cache filled by the per-site path serves the grid run."""
         cache = EvaluationCache()
-        exact = CampaignRunner(counting_campaign(), workers=2,
-                               cache=cache).run([table1_spec()])
+        # Hide the hook for the warming run only: class attributes are
+        # not fingerprinted, so both runs share one cache-key space.
+        with monkeypatch.context() as patch:
+            patch.setattr(CountingBehaviorModel, "evaluate_batch", None,
+                          raising=False)
+            exact = CampaignRunner(counting_campaign(),
+                                   cache=cache).run([table1_spec()])
+        assert exact.batch_stats["fallback_sites"] == exact.batch_stats[
+            "sites"] > 0
         campaign = counting_campaign()
         batch = CampaignRunner(campaign, cache=cache).run([table1_spec()])
         assert batch.cached_units == len(batch.records)
@@ -329,7 +331,7 @@ class TestFingerprintStability:
 
 class TestGuards:
     def test_unknown_strategy_rejected(self, counting_campaign):
-        """No strategy knob: the worker count alone picks the evaluator."""
+        """No strategy knob: a campaign has one evaluator."""
         with pytest.raises(TypeError, match="strategy"):
             CampaignRunner(counting_campaign(), strategy="batch")
 

@@ -146,10 +146,6 @@ class TestEntryPoint:
 
 
 class TestCampaignSuite:
-    def test_pool_uses_every_cpu(self, quick_doc):
-        supervised = quick_doc("campaign")["rows"]["pool"]["supervised"]
-        assert supervised["workers"] == max(2, os.cpu_count() or 1)
-
     def test_warm_cache_serves_every_unit(self, quick_doc):
         cache = quick_doc("campaign")["rows"]["cache"]
         assert cache["cold"]["hit_rate"] == 0.0
@@ -200,6 +196,12 @@ class TestExperimentSuite:
         assert memory["small_peak_bytes"] > 0
         assert memory["peak_ratio"] <= 1.25
 
+    def test_pool_uses_every_cpu(self, quick_doc):
+        pool = quick_doc("experiment")["rows"]["pool"]
+        assert pool["workers"] == max(2, os.cpu_count() or 1)
+        assert pool["devices"] == ExperimentBenchConfig.quick().pool_devices
+        assert pool["serial_seconds"] > 0 and pool["pooled_seconds"] > 0
+
     def test_quick_keeps_block_alignment(self):
         config = ExperimentBenchConfig.quick()
         assert config.devices % config.shard_devices == 0
@@ -209,9 +211,11 @@ class TestExperimentSuite:
             ExperimentBenchConfig(memory_devices=(65_536, 4096))
 
     def test_committed_artifact_is_valid(self):
-        # Generated at the default configuration: the 10^6 device lot.
+        # Generated at the default configuration: the 10^6 device lot,
+        # and the pool timed at 10^7.
         doc = _committed("experiment")
         assert doc["rows"]["streaming"]["devices"] >= 1_000_000
+        assert doc["rows"]["pool"]["devices"] >= 10_000_000
 
 
 class TestServiceSuite:

@@ -1,69 +1,67 @@
 """Tests for the worker pool: chunking, byte-identity, chaos, resume.
 
 The pool is :class:`~repro.perf.supervisor.SupervisedUnitExecutor`
-over the worker-side helpers of :mod:`repro.perf.executor`; the
-serial runner it must match is the grid evaluator, and the per-site
-:class:`~repro.runner.evaluate.UnitEvaluator` is the oracle for the
-retry tallies.
+over the worker-side helpers of :mod:`repro.perf.executor`, and its
+only client is the streaming lot: every claim here compares a pooled
+:class:`~repro.experiment.StreamingRunner` run against the serial one
+on a small four-shard lot.
 """
-
-import dataclasses
-import json
 
 import pytest
 
-from repro.circuit.technology import CMOS018
-from repro.defects.models import DefectKind
-from repro.ifa.flow import IfaCampaign
-from repro.memory.geometry import MemoryGeometry
+from repro.experiment import (
+    ExperimentAccumulator,
+    ShardPlan,
+    StreamingExperiment,
+    StreamingRunner,
+)
 from repro.perf.executor import DEFAULT_CHUNKS_PER_WORKER, chunk_units
 from repro.perf.supervisor import SupervisedUnitExecutor
-from repro.runner.campaign import CampaignRunner, SweepSpec
-from repro.runner.evaluate import UnitEvaluator
+from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
 )
 from repro.runner.retry import RetryPolicy
-from repro.runner.units import plan_units
-from repro.stress import production_conditions
 
-GEOM = MemoryGeometry(16, 2, 4)
-N_SITES = 40
-SEED = 11
+N_DEVICES = 8192
+SHARD_DEVICES = 2048
 
 
-def make_campaign(injector=None):
-    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
+def make_lot(injector=None):
+    """The four-shard test lot, chaos-wrapped when given an injector."""
+    behavior = None
     if injector is not None:
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-    return campaign
+        behavior = ChaosBehaviorModel(
+            StreamingExperiment(n_devices=N_DEVICES).behavior, injector)
+    return StreamingExperiment(n_devices=N_DEVICES,
+                               shard_devices=SHARD_DEVICES,
+                               block_devices=1024, behavior=behavior)
 
 
-def conditions(n=2):
-    conds = production_conditions(CMOS018)
-    return tuple(conds.values())[:n]
+def payload_bytes(result):
+    return canonical_json(result.accumulator.as_payload())
 
 
-def bridge_spec():
-    return SweepSpec.of(DefectKind.BRIDGE, (1e3, 10e3), conditions())
+def outcomes_bytes(outcomes):
+    """Reduce shard outcomes in order, as the runner does."""
+    total = ExperimentAccumulator()
+    for outcome in outcomes:
+        total.merge(ExperimentAccumulator.from_payload(outcome.record))
+    return canonical_json(total.as_payload())
 
 
-def wide_spec():
-    return SweepSpec.of(DefectKind.BRIDGE, (20.0, 1e3, 10e3, 90e3),
-                        conditions(3))
-
-
-def records_bytes(records):
-    return json.dumps([dataclasses.asdict(r) for r in records],
-                      sort_keys=True).encode()
+@pytest.fixture(scope="module")
+def baseline():
+    """The undisturbed serial payload of the test lot."""
+    return payload_bytes(StreamingRunner(make_lot()).run())
 
 
 class TestChunking:
     def units(self, n):
-        return plan_units(DefectKind.BRIDGE,
-                          [float(i + 1) for i in range(n)], conditions(1))
+        return ShardPlan(n * 1024, shard_devices=1024,
+                         block_devices=1024).shards()
 
     def test_chunks_cover_in_order(self):
         units = self.units(10)
@@ -93,108 +91,84 @@ class TestChunking:
 
 
 class TestParallelMatchesSerial:
-    def test_byte_identical_records(self):
+    def test_byte_identical_records(self, baseline):
         """The headline guarantee: workers change nothing but wall time."""
-        spec = wide_spec()
-        serial = CampaignRunner(make_campaign()).run([spec])
-        parallel = CampaignRunner(make_campaign(), workers=4).run([spec])
-        assert records_bytes(parallel.records) == records_bytes(
-            serial.records)
-        assert parallel.executed_units == serial.executed_units
-        # The pool runs the per-site evaluator: one call per site.
-        oracle = UnitEvaluator(make_campaign())
-        calls = sum(oracle.evaluate(unit).stats.calls for unit in
-                    plan_units(spec.kind, spec.resistances,
-                               spec.conditions))
-        assert parallel.retry_stats.calls == calls
+        parallel = StreamingRunner(make_lot(), workers=2).run()
+        assert payload_bytes(parallel) == baseline
+        assert parallel.executed_shards == len(make_lot().plan.shards())
 
-    def test_explicit_chunksize(self):
-        spec = bridge_spec()
-        serial = CampaignRunner(make_campaign()).run([spec])
-        parallel = CampaignRunner(make_campaign(), workers=2,
-                                  chunksize=3).run([spec])
-        assert records_bytes(parallel.records) == records_bytes(
-            serial.records)
+    def test_explicit_chunksize(self, baseline):
+        lot = make_lot()
+        executor = SupervisedUnitExecutor(lot, workers=2, chunksize=3)
+        assert outcomes_bytes(executor.run(lot.plan.shards())) == baseline
 
     def test_executor_yields_plan_order(self):
-        units = plan_units(DefectKind.BRIDGE, (1e3, 10e3), conditions())
-        executor = SupervisedUnitExecutor(make_campaign(), workers=2,
-                                          chunksize=1)
-        outcomes = list(executor.run(units))
-        assert [o.unit_id for o in outcomes] == [u.unit_id for u in units]
-        assert [o.index for o in outcomes] == [u.index for u in units]
+        lot = make_lot()
+        shards = lot.plan.shards()
+        executor = SupervisedUnitExecutor(lot, workers=2, chunksize=1)
+        outcomes = list(executor.run(shards))
+        assert [o.unit_id for o in outcomes] == [s.unit_id for s in shards]
+        assert [o.index for o in outcomes] == [s.index for s in shards]
 
     def test_empty_units(self):
-        executor = SupervisedUnitExecutor(make_campaign(), workers=2)
+        executor = SupervisedUnitExecutor(make_lot(), workers=2)
         assert list(executor.run([])) == []
 
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
-            CampaignRunner(make_campaign(), workers=0)
+            StreamingRunner(make_lot(), workers=0)
         with pytest.raises(ValueError, match="workers"):
-            SupervisedUnitExecutor(make_campaign(), workers=0)
+            SupervisedUnitExecutor(make_lot(), workers=0)
 
 
 class TestResumeWithWorkers:
-    def test_serial_checkpoint_resumes_parallel(self, tmp_path):
-        """workers is an execution knob, not campaign identity."""
+    def test_serial_checkpoint_resumes_parallel(self, tmp_path, baseline):
+        """workers is an execution knob, not lot identity."""
         ck = tmp_path / "ck.json"
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {150}})
+        # ~280 model calls per shard: position 600 dies in shard 2.
+        inj = FaultInjector(crash_positions={"behavior.evaluate": {600}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(inj),
-                           checkpoint_path=ck).run([spec])
+            StreamingRunner(make_lot(inj), checkpoint_path=ck,
+                            checkpoint_every=1).run()
 
-        resumed = CampaignRunner(make_campaign(), checkpoint_path=ck,
-                                 workers=4).run([spec])
-        assert resumed.resumed_units > 0
-        assert resumed.executed_units > 0
-        assert records_bytes(resumed.records) == records_bytes(
-            baseline.records)
+        resumed = StreamingRunner(make_lot(), checkpoint_path=ck,
+                                  workers=2).run()
+        assert resumed.resumed_shards > 0
+        assert resumed.executed_shards > 0
+        assert payload_bytes(resumed) == baseline
 
-    def test_parallel_crash_resumes_serial(self, tmp_path):
+    def test_parallel_crash_resumes_serial(self, tmp_path, baseline):
         """A worker crash leaves a valid checkpointed prefix behind."""
         ck = tmp_path / "ck.json"
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-
-        # Positions are per-process with workers; a small position
-        # crashes whichever worker evaluates its first sites.
+        # Positions count per process; a small one crashes whichever
+        # worker classifies its first chips.
         inj = FaultInjector(crash_positions={"behavior.evaluate": {5}})
-        with pytest.raises((InjectedCrash, Exception)):
-            CampaignRunner(make_campaign(inj), checkpoint_path=ck,
-                           workers=2, chunksize=1).run([spec])
+        with pytest.raises(InjectedCrash):
+            StreamingRunner(make_lot(inj), checkpoint_path=ck,
+                            checkpoint_every=1, workers=2).run()
 
-        resumed = CampaignRunner(make_campaign(),
-                                 checkpoint_path=ck).run([spec])
-        assert records_bytes(resumed.records) == records_bytes(
-            baseline.records)
+        resumed = StreamingRunner(make_lot(), checkpoint_path=ck).run()
+        assert payload_bytes(resumed) == baseline
 
 
 class TestChaosWithWorkers:
-    def test_rate_chaos_heals_under_retry(self):
-        """Injected transient faults retry to clean records in workers."""
-        spec = bridge_spec()
-        healthy = CampaignRunner(make_campaign()).run([spec])
-        inj = FaultInjector(seed=9,
-                            rates={"behavior.evaluate": 0.02})
-        chaotic = CampaignRunner(
-            make_campaign(inj), workers=4,
+    def test_rate_chaos_heals_under_retry(self, baseline):
+        """Injected transient faults retry to clean payloads in workers."""
+        inj = FaultInjector(seed=9, rates={"behavior.evaluate": 0.01})
+        chaotic = StreamingRunner(
+            make_lot(inj), workers=2,
             retry=RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0),
-        ).run([spec])
-        # Clean records equal healthy values: an InjectedFault raises
-        # before the inner evaluation, and the retry re-asks the pure
-        # model.
-        assert records_bytes(chaotic.records) == records_bytes(
-            healthy.records)
-        assert chaotic.total_errors == 0
+        ).run()
+        # An InjectedFault raises before the inner evaluation, and the
+        # per-chip retry re-asks the pure model.
+        assert payload_bytes(chaotic) == baseline
+        assert inj.stats()["behavior.evaluate"]["injected"] > 0
+        assert chaotic.accumulator.errors == 0
+        assert chaotic.quarantine == []
 
     def test_injected_crash_propagates_from_worker(self):
         """BaseException crosses the pool boundary (no silent loss)."""
         inj = FaultInjector(crash_positions={"behavior.evaluate": {0}})
-        runner = CampaignRunner(make_campaign(inj), workers=2,
-                                chunksize=1)
+        runner = StreamingRunner(make_lot(inj), workers=2)
         with pytest.raises(InjectedCrash):
-            runner.run([bridge_spec()])
+            runner.run()

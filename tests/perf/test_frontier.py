@@ -1,14 +1,13 @@
-"""The serial fast path's end-to-end contract, through the runner.
+"""The grid fast path's end-to-end contract, through the runner.
 
-A serial :class:`~repro.runner.campaign.CampaignRunner` run evaluates
-whole (population x resistance grid) groups at once (the grid
-evaluator of :mod:`repro.perf.batch`).  Whatever the behaviour model
-offers, its records must be byte-identical to the per-site oracle --
-the ``exact_run`` fixture -- and to the supervised pool, while a
-model with the vectorised hook costs several-fold fewer per-site
-behaviour-model calls.  :mod:`tests.perf.test_batch` drives the
-evaluator directly; this module holds the same guarantees at the
-runner and pool boundary.
+A :class:`~repro.runner.campaign.CampaignRunner` run evaluates whole
+(population x resistance grid) groups at once (the grid evaluator of
+:mod:`repro.perf.batch`).  Whatever the behaviour model offers, its
+records must be byte-identical to the per-site oracle -- the
+``exact_run`` fixture -- while a model with the vectorised hook costs
+several-fold fewer per-site behaviour-model calls.
+:mod:`tests.perf.test_batch` drives the evaluator directly; this
+module holds the same guarantees at the runner boundary.
 """
 
 import dataclasses
@@ -67,36 +66,25 @@ class TestEquivalence:
             self, counting_campaign, exact_run):
         exact_campaign = counting_campaign()
         exact = exact_run(exact_campaign, [table1_spec()])
-        pooled = CampaignRunner(counting_campaign(),
-                                workers=2).run([table1_spec()])
         serial_campaign = counting_campaign()
         serial = CampaignRunner(serial_campaign).run([table1_spec()])
         assert records_bytes(serial.records) == records_bytes(
             exact.records)
-        assert records_bytes(serial.records) == records_bytes(
-            pooled.records)
         assert exact_campaign.behavior.calls >= (
             5 * serial_campaign.behavior.calls)
-        # Only the serial run reports grid statistics; the pool runs
-        # the per-site evaluator.
         stats = serial.batch_stats
         assert stats is not None
         assert stats["batch_sites"] == stats["sites"]
         assert stats["crosscheck_mismatches"] == 0
-        assert pooled.batch_stats is None
 
     def test_opens_sweep_byte_identical(self, counting_campaign,
                                         exact_run):
         exact_campaign = counting_campaign()
         exact = exact_run(exact_campaign, [opens_spec()])
-        pooled = CampaignRunner(counting_campaign(),
-                                workers=2).run([opens_spec()])
         serial_campaign = counting_campaign()
         serial = CampaignRunner(serial_campaign).run([opens_spec()])
         assert records_bytes(serial.records) == records_bytes(
             exact.records)
-        assert records_bytes(serial.records) == records_bytes(
-            pooled.records)
         assert exact_campaign.behavior.calls >= (
             5 * serial_campaign.behavior.calls)
 
@@ -138,6 +126,6 @@ class TestFallbacks:
 
 class TestRunnerIntegration:
     def test_unknown_strategy_rejected(self, counting_campaign):
-        """No strategy knob: the worker count alone picks the evaluator."""
+        """No strategy knob: a campaign has one evaluator."""
         with pytest.raises(TypeError, match="strategy"):
             CampaignRunner(counting_campaign(), strategy="turbo")

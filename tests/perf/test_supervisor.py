@@ -1,12 +1,14 @@
 """Tests for repro.perf.supervisor: heal worker death without losing work.
 
-The acceptance claims of the supervised pool, end to end:
+The supervised pool serves the streaming lot, so every claim is made on
+a small chaos-wrapped :class:`~repro.experiment.StreamingExperiment`
+(four shards; at two workers auto-chunking gives one shard per chunk):
 
 * an injected worker death (exit or hang) is healed by a pool rebuild
-  and the campaign's records stay **byte-identical** to an undisturbed
+  and the lot's payload stays **byte-identical** to an undisturbed
   serial run, with the recovery visible as ``pool.*`` journal events;
-* a genuine poison unit is quarantined into its coverage record's
-  error ledger instead of aborting the campaign;
+* a genuine poison shard is quarantined (its devices counted as
+  errors) instead of aborting the lot;
 * an exhausted rebuild budget degrades to serial in-parent evaluation
   rather than aborting;
 * a pool that breaks while the parent is still submitting chunks is
@@ -15,26 +17,25 @@ The acceptance claims of the supervised pool, end to end:
   naming the cause (fatal: no rebuild);
 * fork-copied chaos counters merge back so ``FaultInjector.stats()``
   agrees between serial and pooled runs;
-* a campaign interrupted *while healing* worker deaths resumes to the
+* a lot interrupted *while healing* worker deaths resumes to the
   undisturbed serial result.
 """
 
-import dataclasses
-import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.circuit.technology import CMOS018
-from repro.defects.models import DefectKind
-from repro.ifa.flow import IfaCampaign
-from repro.memory.geometry import MemoryGeometry
+from repro.experiment import (
+    ExperimentAccumulator,
+    StreamingExperiment,
+    StreamingRunner,
+)
 from repro.obs import read_journal
 from repro.perf import supervisor
 from repro.perf.executor import WorkerInitError
 from repro.perf.supervisor import SupervisedUnitExecutor
-from repro.runner.campaign import CampaignRunner, SweepSpec
+from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,
     WORKER_HANG_SITE,
@@ -43,43 +44,42 @@ from repro.runner.chaos import (
     InjectedCrash,
 )
 from repro.runner.retry import RetryPolicy
-from repro.runner.units import plan_units
-from repro.stress import production_conditions
 
-GEOM = MemoryGeometry(16, 2, 4)
-N_SITES = 40
-SEED = 11
+N_DEVICES = 8192
+SHARD_DEVICES = 2048
 
 
-def make_campaign(injector=None):
-    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
+def make_lot(injector=None):
+    """The four-shard test lot, chaos-wrapped when given an injector."""
+    behavior = None
     if injector is not None:
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-    return campaign
+        behavior = ChaosBehaviorModel(
+            StreamingExperiment(n_devices=N_DEVICES).behavior, injector)
+    return StreamingExperiment(n_devices=N_DEVICES,
+                               shard_devices=SHARD_DEVICES,
+                               block_devices=1024, behavior=behavior)
 
 
-def conditions(n=2):
-    conds = production_conditions(CMOS018)
-    return tuple(conds.values())[:n]
+def shard_ids():
+    return [shard.unit_id for shard in make_lot().plan.shards()]
 
 
-def bridge_spec():
-    return SweepSpec.of(DefectKind.BRIDGE, (1e3, 10e3), conditions())
+def payload_bytes(result):
+    return canonical_json(result.accumulator.as_payload())
 
 
-def wide_spec():
-    return SweepSpec.of(DefectKind.BRIDGE, (20.0, 1e3, 10e3, 90e3),
-                        conditions(3))
+def outcomes_bytes(outcomes):
+    """Reduce shard outcomes in order, as the runner does."""
+    total = ExperimentAccumulator()
+    for outcome in outcomes:
+        total.merge(ExperimentAccumulator.from_payload(outcome.record))
+    return canonical_json(total.as_payload())
 
 
-def spec_unit_ids(spec):
-    return [u.unit_id for u in
-            plan_units(spec.kind, spec.resistances, spec.conditions)]
-
-
-def records_bytes(records):
-    return json.dumps([dataclasses.asdict(r) for r in records],
-                      sort_keys=True).encode()
+@pytest.fixture(scope="module")
+def baseline():
+    """The undisturbed serial payload of the test lot."""
+    return payload_bytes(StreamingRunner(make_lot()).run())
 
 
 def exit_injector(unit_ids, times=1):
@@ -87,57 +87,51 @@ def exit_injector(unit_ids, times=1):
         WORKER_EXIT_SITE: {uid: times for uid in unit_ids}})
 
 
+def pool_events(journal):
+    _, events = read_journal(journal)
+    return [e for e in events if e.name.startswith("pool.")]
+
+
 class TestWorkerDeathHeals:
-    def test_exit_heals_byte_identical(self, tmp_path):
-        """An injected worker death rebuilds the pool; records match."""
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-        victim = spec_unit_ids(spec)[1]
-
+    def test_exit_heals_byte_identical(self, tmp_path, baseline):
+        """An injected worker death rebuilds the pool; payloads match."""
         journal = tmp_path / "run.jsonl"
-        result = CampaignRunner(
-            make_campaign(exit_injector([victim])),
-            workers=2, journal=journal).run([spec])
+        result = StreamingRunner(
+            make_lot(exit_injector([shard_ids()[1]])),
+            workers=2, journal=journal).run()
 
-        assert records_bytes(result.records) == records_bytes(
-            baseline.records)
+        assert payload_bytes(result) == baseline
         stats = result.supervisor_stats
         assert stats["worker_losses"] >= 1
         assert stats["rebuilds"] >= 1
         assert stats["poison_units"] == 0
-        _, events = read_journal(journal)
-        names = {e.name for e in events}
         assert {"pool.worker_lost", "pool.redispatch",
-                "pool.rebuild"} <= names
+                "pool.rebuild"} <= {e.name for e in pool_events(journal)}
 
     def test_undisturbed_run_emits_no_pool_events(self, tmp_path):
         journal = tmp_path / "run.jsonl"
-        result = CampaignRunner(make_campaign(), workers=2,
-                                journal=journal).run([bridge_spec()])
+        result = StreamingRunner(make_lot(), workers=2,
+                                 journal=journal).run()
         assert result.supervisor_stats == {
             "worker_losses": 0, "deadline_losses": 0, "rebuilds": 0,
             "redispatched_units": 0, "poison_units": 0,
             "degraded_units": 0}
-        _, events = read_journal(journal)
-        assert not [e for e in events if e.name.startswith("pool.")]
+        assert pool_events(journal) == []
 
-    def test_hang_detected_by_chunk_deadline(self):
+    def test_hang_detected_by_chunk_deadline(self, baseline):
         """A hung worker trips the parent-side deadline, then heals."""
-        spec = bridge_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-        victim = spec_unit_ids(spec)[1]
-        inj = FaultInjector(
-            worker_faults={WORKER_HANG_SITE: {victim: 1}},
-            hang_seconds=30.0)
+        lot = make_lot(FaultInjector(
+            worker_faults={WORKER_HANG_SITE: {shard_ids()[1]: 1}},
+            hang_seconds=30.0))
+        executor = SupervisedUnitExecutor(
+            lot, workers=2, chunksize=1, unit_deadline=5.0,
+            chunk_deadline_factor=0.2)
 
-        result = CampaignRunner(
-            make_campaign(inj), workers=2, chunksize=1,
-            unit_deadline=5.0, chunk_deadline_factor=0.2).run([spec])
+        outcomes = list(executor.run(lot.plan.shards()))
 
-        assert records_bytes(result.records) == records_bytes(
-            baseline.records)
-        assert result.supervisor_stats["deadline_losses"] >= 1
-        assert result.supervisor_stats["rebuilds"] >= 1
+        assert outcomes_bytes(outcomes) == baseline
+        assert executor.stats.deadline_losses >= 1
+        assert executor.stats.rebuilds >= 1
 
 
 def pool_breaking_on_submit(k):
@@ -160,21 +154,18 @@ def pool_breaking_on_submit(k):
 class TestSubmitRace:
     @pytest.mark.parametrize("k", [1, 3])
     def test_broken_submit_heals_byte_identical(self, tmp_path,
-                                                monkeypatch, k):
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
+                                                monkeypatch, baseline, k):
         monkeypatch.setattr(supervisor, "ProcessPoolExecutor",
                             pool_breaking_on_submit(k))
 
         journal = tmp_path / "run.jsonl"
-        result = CampaignRunner(make_campaign(), workers=2, chunksize=1,
-                                journal=journal).run([spec])
+        result = StreamingRunner(make_lot(), workers=2,
+                                 journal=journal).run()
 
-        assert records_bytes(result.records) == records_bytes(
-            baseline.records)
+        assert payload_bytes(result) == baseline
         assert result.supervisor_stats["worker_losses"] == 1
         assert result.supervisor_stats["rebuilds"] == 1
-        _, events = read_journal(journal)
+        events = pool_events(journal)
         assert [e.data["cause"] for e in events
                 if e.name == "pool.worker_lost"] == ["worker-lost"]
         assert [e for e in events if e.name == "pool.rebuild"]
@@ -182,61 +173,59 @@ class TestSubmitRace:
 
 class TestPoisonUnit:
     def test_poison_unit_quarantined_not_fatal(self, tmp_path):
-        """A unit that always kills its worker lands in the ledger."""
-        spec = bridge_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-        unit_ids = spec_unit_ids(spec)
-        poison = unit_ids[1]
+        """A shard that always kills its worker lands in the ledger."""
+        ids = shard_ids()
+        poison = ids[1]
 
         journal = tmp_path / "run.jsonl"
-        result = CampaignRunner(
-            make_campaign(exit_injector([poison], times=1000)),
-            workers=2, chunksize=1, journal=journal).run([spec])
+        result = StreamingRunner(
+            make_lot(exit_injector([poison], times=1000)),
+            workers=2, journal=journal).run()
 
         assert result.supervisor_stats["poison_units"] == 1
-        assert len(result.records) == len(baseline.records)
-        bad = result.records[unit_ids.index(poison)]
-        assert bad.detected == 0
-        assert bad.errors == bad.total > 0
-        # Every other unit's record is the undisturbed one.
-        for i, (got, want) in enumerate(
-                zip(result.records, baseline.records)):
-            if i != unit_ids.index(poison):
-                assert got == want
-        entries = [q for q in result.quarantine
-                   if q["unit_id"] == poison]
-        assert len(entries) == 1
-        assert entries[0]["site_index"] == -1
-        assert entries[0]["defect"] == "<entire unit>"
-        _, events = read_journal(journal)
-        assert [e for e in events if e.name == "pool.poison_unit"]
+        # Every other shard is the undisturbed one; the poison shard
+        # claims nothing but its devices, all counted as errors.
+        lot = make_lot()
+        evaluator = lot.unit_evaluator()
+        expected = ExperimentAccumulator()
+        for shard in lot.plan.shards():
+            if shard.unit_id == poison:
+                expected.merge(ExperimentAccumulator(
+                    devices=shard.devices, errors=shard.devices))
+            else:
+                expected.merge(ExperimentAccumulator.from_payload(
+                    evaluator.evaluate(shard).record))
+        assert payload_bytes(result) == canonical_json(
+            expected.as_payload())
+        assert result.accumulator.errors == SHARD_DEVICES
+        assert len(result.quarantine) == 1
+        entry = result.quarantine[0]
+        assert entry["unit_id"] == poison
+        assert entry["site_index"] == -1
+        assert entry["defect"] == "<entire shard>"
+        assert [e for e in pool_events(journal)
+                if e.name == "pool.poison_unit"]
 
 
 class TestDegradeSerial:
-    def test_budget_exhausted_degrades_not_aborts(self, tmp_path):
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-        victim = spec_unit_ids(spec)[1]
-
+    def test_budget_exhausted_degrades_not_aborts(self, tmp_path,
+                                                  baseline):
         journal = tmp_path / "run.jsonl"
-        result = CampaignRunner(
-            make_campaign(exit_injector([victim])),
-            workers=2, chunksize=1, max_pool_rebuilds=0,
-            journal=journal).run([spec])
+        result = StreamingRunner(
+            make_lot(exit_injector([shard_ids()[1]])),
+            workers=2, max_pool_rebuilds=0, journal=journal).run()
 
-        assert records_bytes(result.records) == records_bytes(
-            baseline.records)
+        assert payload_bytes(result) == baseline
         assert result.supervisor_stats["rebuilds"] == 0
         assert result.supervisor_stats["degraded_units"] > 0
-        _, events = read_journal(journal)
-        assert [e for e in events if e.name == "pool.degrade_serial"]
+        assert [e for e in pool_events(journal)
+                if e.name == "pool.degrade_serial"]
 
     def test_rebuild_budget_validation(self):
         with pytest.raises(ValueError, match="max_pool_rebuilds"):
-            SupervisedUnitExecutor(make_campaign(), max_pool_rebuilds=-1)
+            SupervisedUnitExecutor(make_lot(), max_pool_rebuilds=-1)
         with pytest.raises(ValueError, match="chunk_deadline_factor"):
-            SupervisedUnitExecutor(make_campaign(),
-                                   chunk_deadline_factor=0.0)
+            SupervisedUnitExecutor(make_lot(), chunk_deadline_factor=0.0)
 
 
 class _UnpicklableInWorker:
@@ -251,70 +240,73 @@ class _UnpicklableInWorker:
 
 
 class TestWorkerInitError:
-    def make_broken_campaign(self):
-        campaign = make_campaign()
-        campaign.bomb = _UnpicklableInWorker()
-        return campaign
+    def make_broken_lot(self):
+        lot = make_lot()
+        lot.bomb = _UnpicklableInWorker()
+        return lot
 
     def test_bare_executor_names_cause(self):
         """The pool executor alone, without a runner, names the cause."""
-        executor = SupervisedUnitExecutor(self.make_broken_campaign(),
-                                          workers=2)
-        units = plan_units(DefectKind.BRIDGE, (1e3,), conditions(1))
-        with pytest.raises(WorkerInitError,
-                           match="exploding payload"):
-            list(executor.run(units))
+        lot = self.make_broken_lot()
+        executor = SupervisedUnitExecutor(lot, workers=2)
+        with pytest.raises(WorkerInitError, match="exploding payload"):
+            list(executor.run(lot.plan.shards()[:1]))
         assert executor.stats.rebuilds == 0
 
     def test_supervisor_does_not_rebuild_on_init_failure(self):
-        runner = CampaignRunner(self.make_broken_campaign(), workers=2)
+        runner = StreamingRunner(self.make_broken_lot(), workers=2)
         with pytest.raises(WorkerInitError, match="exploding payload"):
-            runner.run([bridge_spec()])
+            runner.run()
         assert runner._supervisor.stats.rebuilds == 0
 
 
 class TestInjectorStatsMerge:
     def test_pooled_stats_match_serial(self):
         """Fork-copied chaos counters merge back via UnitOutcome."""
-        spec = bridge_spec()
         retry = RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0)
 
-        serial_inj = FaultInjector(
-            seed=9, rates={"behavior.evaluate": 0.03},
-            scope_by_unit=True)
-        serial = CampaignRunner(make_campaign(serial_inj),
-                                retry=retry).run([spec])
+        def injector():
+            return FaultInjector(seed=9, rates={"behavior.evaluate": 0.01},
+                                 scope_by_unit=True)
 
-        pooled_inj = FaultInjector(
-            seed=9, rates={"behavior.evaluate": 0.03},
-            scope_by_unit=True)
-        pooled = CampaignRunner(make_campaign(pooled_inj), retry=retry,
-                                workers=4).run([spec])
+        serial_inj = injector()
+        serial = StreamingRunner(make_lot(serial_inj), retry=retry).run()
+        pooled_inj = injector()
+        pooled = StreamingRunner(make_lot(pooled_inj), retry=retry,
+                                 workers=2).run()
 
-        assert records_bytes(pooled.records) == records_bytes(
-            serial.records)
+        assert payload_bytes(pooled) == payload_bytes(serial)
         assert serial_inj.stats()["behavior.evaluate"]["injected"] > 0
         assert pooled_inj.stats() == serial_inj.stats()
 
 
 class TestResumeAfterWorkerDeath:
     def test_interrupted_healing_run_resumes_byte_identical(
-            self, tmp_path):
-        """Worker death + parent crash + resume == undisturbed serial."""
+            self, tmp_path, baseline):
+        """Serial crash -> pooled resume that heals a worker death and
+        crashes again -> serial resume == undisturbed serial."""
         ck = tmp_path / "ck.json"
-        spec = wide_spec()
-        baseline = CampaignRunner(make_campaign()).run([spec])
-        victim = spec_unit_ids(spec)[1]
+        ids = shard_ids()
 
-        inj = FaultInjector(
-            worker_faults={WORKER_EXIT_SITE: {victim: 1}},
-            crash_positions={"io.replace": {6}})
+        # A serial run dies on its second checkpoint write.
+        inj = FaultInjector(crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(inj), checkpoint_path=ck,
-                           workers=2, fault_hook=inj.check).run([spec])
+            StreamingRunner(make_lot(), checkpoint_path=ck,
+                            checkpoint_every=1,
+                            fault_hook=inj.check).run()
 
-        resumed = CampaignRunner(make_campaign(), checkpoint_path=ck,
-                                 workers=2).run([spec])
-        assert resumed.resumed_units > 0
-        assert records_bytes(resumed.records) == records_bytes(
-            baseline.records)
+        # The pool resumes it, loses a worker, heals, and dies too.
+        journal = tmp_path / "pool.jsonl"
+        inj = FaultInjector(
+            worker_faults={WORKER_EXIT_SITE: {ids[1]: 1}},
+            crash_positions={"io.replace": {1}})
+        with pytest.raises(InjectedCrash):
+            StreamingRunner(make_lot(inj), checkpoint_path=ck,
+                            checkpoint_every=1, workers=2,
+                            journal=journal, fault_hook=inj.check).run()
+        assert "pool.worker_lost" in {e.name for e in
+                                      pool_events(journal)}
+
+        resumed = StreamingRunner(make_lot(), checkpoint_path=ck).run()
+        assert resumed.resumed_shards >= 2
+        assert payload_bytes(resumed) == baseline

@@ -10,6 +10,7 @@ from repro.core.database import CoverageDatabase
 from repro.ifa.flow import CoverageRecord
 from repro.memory.geometry import MemoryGeometry
 from repro.runner.atomic import canonical_json
+from repro.service import app
 from repro.service.app import MAX_BODY_BYTES, EstimatorService, serve
 from repro.service.schema import batch_response_document, report_document
 from repro.service.state import DatabaseSnapshot, ServiceState
@@ -275,6 +276,59 @@ class TestServeLifecycle:
 
         status, _, _ = asyncio.run(with_server(service, scenario))
         assert status == 200
+
+
+class TestReadDeadline:
+    """A request that does not arrive in time closes its connection."""
+
+    TIMEOUT = 0.3
+
+    @pytest.mark.parametrize("sent", [b"", b"GET /v1/health HTTP/1.1\r\n"],
+                             ids=["idle", "stalled-mid-head"])
+    def test_silent_client_is_closed(self, tmp_path, monkeypatch, sent):
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", self.TIMEOUT)
+        service, _ = make_service(tmp_path)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(sent)
+            await writer.drain()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            # EOF from the server, well before this guard expires.
+            tail = await asyncio.wait_for(reader.read(), 10.0)
+            waited = loop.time() - started
+            writer.close()
+            return tail, waited
+
+        tail, waited = asyncio.run(with_server(service, scenario))
+        assert tail == b""
+        assert waited >= self.TIMEOUT * 0.5
+
+    def test_keep_alive_client_that_keeps_sending_is_served(
+            self, tmp_path, monkeypatch):
+        """The deadline is per request: a connection outliving it is fine
+        while each request arrives in time."""
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", self.TIMEOUT)
+        service, _ = make_service(tmp_path)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            statuses = []
+            for _ in range(4):
+                await asyncio.sleep(self.TIMEOUT / 3)
+                writer.write(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: 0\r\n\r\n")
+                await writer.drain()
+                status, headers, _ = await read_response(reader)
+                statuses.append((status, headers["connection"]))
+            writer.close()
+            return statuses
+
+        assert asyncio.run(with_server(service, scenario)) == [
+            (200, "keep-alive")] * 4
 
 
 @pytest.mark.parametrize("path,method", [("/v1/estimate", "GET"),

@@ -151,6 +151,7 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "campaign complete" in out
         assert "quarantined sites: 0" in out
+        assert "batch:" in out and "model invocations" in out
 
     def test_run_status_resume_cycle(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.json")
@@ -179,13 +180,11 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "chaos:" in out and "faults injected" in out
 
-    def test_run_with_workers_and_cache(self, capsys, tmp_path):
+    def test_run_with_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--workers", "2", "--cache", cache])
+        rc = main(["campaign", "run", *self.ARGS, "--cache", cache])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "across 2 workers" in out
         assert "hit rate 0 %" in out
 
         # Second run: every unit served from the warm cache.
@@ -195,13 +194,13 @@ class TestCampaign:
         assert "0 executed" in out
         assert "hit rate 100 %" in out
 
-    def test_resume_accepts_workers(self, capsys, tmp_path):
-        ck = str(tmp_path / "ck.json")
-        assert main(["campaign", "run", *self.ARGS,
-                     "--checkpoint", ck]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "resume", ck, "--workers", "2"]) == 0
-        assert "resumed from checkpoint" in capsys.readouterr().out
+    def test_workers_flag_is_rejected(self, capsys):
+        """Campaigns are serial: --workers is an argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", *self.ARGS, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in (
+            capsys.readouterr().err)
 
     def test_status_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -212,24 +211,11 @@ class TestCampaign:
             build_parser().parse_args(["campaign"])
 
     def test_rejects_unknown_strategy(self):
-        """The campaign chooses its evaluator from --workers alone."""
+        """A campaign has one evaluator, so there is nothing to choose."""
         for strategy in ("exact", "batch"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["campaign", "run",
                                            "--strategy", strategy])
-
-    def test_serial_and_pooled_save_identical_databases(self, capsys,
-                                                        tmp_path):
-        serial_db = tmp_path / "serial.json"
-        pooled_db = tmp_path / "pooled.json"
-        assert main(["campaign", "run", *self.ARGS,
-                     "--save-db", str(serial_db)]) == 0
-        out = capsys.readouterr().out
-        assert "batch:" in out and "model invocations" in out
-        assert main(["campaign", "run", *self.ARGS, "--workers", "2",
-                     "--save-db", str(pooled_db)]) == 0
-        assert "batch:" not in capsys.readouterr().out
-        assert serial_db.read_bytes() == pooled_db.read_bytes()
 
 
 class TestShmooStrategy:
