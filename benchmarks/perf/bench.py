@@ -7,8 +7,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench.py SUITE --out PATH
     PYTHONPATH=src python benchmarks/perf/bench.py --validate BENCH_fastpath.json
 
-``SUITE`` is one of ``campaign``, ``fastpath``, ``experiment`` and
-``service`` (:data:`repro.perf.bench.SUITES`).  ``--quick`` shrinks the
+``SUITE`` is one of ``fastpath``, ``experiment`` and ``service`` (:data:`repro.perf.bench.SUITES`).  ``--quick`` shrinks the
 suite to seconds; the document has the same schema and the same floors
 apply.  ``--validate`` reads the suite from the document and exits 1
 with one line per problem when it breaks the schema, a check or a

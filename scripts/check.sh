@@ -48,7 +48,7 @@ echo "== docs (public docstrings: runner / perf / obs / lint.code / service) =="
 python scripts/check_docstrings.py || status=$?
 
 echo "== benchmark smoke (every suite: --quick run, then schema/checks/floors) =="
-for suite in campaign fastpath experiment service; do
+for suite in fastpath experiment service; do
     bench_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
     python benchmarks/perf/bench.py "$suite" --quick --out "$bench_out" \
         && python benchmarks/perf/bench.py --validate "$bench_out" \
@@ -208,8 +208,8 @@ import json, sys
 rep = json.loads(sys.stdin.read())
 assert rep["schema"] == "repro.run-report", rep["schema"]
 assert rep["totals"]["plan_units"] > 0
-assert rep["totals"]["executed_units"] + rep["totals"]["cached_units"] \
-    + rep["totals"]["resumed_units"] == rep["totals"]["plan_units"]
+assert rep["totals"]["executed_units"] + rep["totals"]["resumed_units"] \
+    == rep["totals"]["plan_units"]
 print("journal report: schema ok,", rep["totals"]["events"], "events")
 ' || status=$?
 rm -f "$journal_out" "$ckpt_out"

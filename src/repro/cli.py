@@ -10,7 +10,6 @@ equivalent front door::
     python -m repro report
     python -m repro lint --format json netlist:demo-broken
     python -m repro campaign run --checkpoint ck.json --sites 2000
-    python -m repro campaign run --cache cache.json
     python -m repro campaign resume ck.json
     python -m repro experiment run --devices 10000000 --workers 2
     python -m repro campaign status ck.json
@@ -449,14 +448,13 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
         args.checkpoint,
         retry=RetryPolicy(max_attempts=args.max_attempts,
                           base_delay=0.0, jitter=0.0),
-        cache=args.cache, unit_deadline=args.unit_deadline,
+        unit_deadline=args.unit_deadline,
         journal=args.journal,
         fault_hook=injector.check if injector is not None else None)
     result = runner.run(specs)
     database = CoverageDatabase(result.records)
     print(f"campaign complete: {len(result.records)} records "
           f"({result.resumed_units} units resumed from checkpoint, "
-          f"{result.cached_units} served from cache, "
           f"{result.executed_units} executed)")
     print(f"quarantined sites: {len(result.quarantine)} "
           f"(site-evaluation retries: {result.retry_stats.retries})")
@@ -474,11 +472,6 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
               f"{bs['fallback_sites'] + bs['demoted_sites']} fallback "
               f"sites, "
               f"{bs['crosscheck_mismatches']} cross-check mismatches)")
-    if result.cache_stats is not None:
-        cs = result.cache_stats
-        print(f"cache: {cs['entries']} entries, "
-              f"{cs['hits']} hits / {cs['misses']} misses "
-              f"(hit rate {100 * cs['hit_rate']:.0f} %) -- {args.cache}")
     if args.checkpoint:
         print(f"checkpoint: {args.checkpoint}")
     if args.journal:
@@ -533,17 +526,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     print(f"quarantine: {status['quarantined_sites']} site(s)")
     if status["recovered_from_temp"]:
         print("note: recovered from the .tmp sibling")
-    if args.cache:
-        from repro.perf.cache import EvaluationCache
-
-        cache = EvaluationCache.load(args.cache)
-        print(f"cache:      {args.cache} ({len(cache)} entries)")
-        if cache.discarded_corrupt:
-            print("cache:      CORRUPT file(s) discarded:")
-            for entry in cache.corrupt_detail:
-                print(f"cache:        {entry['path']}: {entry['error']}")
-        if cache.recovered_from_temp:
-            print("cache:      recovered from the .tmp sibling")
     return 0
 
 
@@ -801,10 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint file of the campaign")
         cp.add_argument("--save-db", metavar="PATH",
                         help="write the coverage database as JSON")
-        cp.add_argument("--cache", metavar="PATH", default=None,
-                        help="content-addressed evaluation cache file "
-                             "(skips already-simulated points; see "
-                             "docs/performance.md)")
         cp.add_argument("--max-attempts", type=int, default=3,
                         help="retry attempts per site evaluation")
         cp.add_argument("--unit-deadline", type=float, default=None,
@@ -817,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault-injection seed")
         cp.add_argument("--journal", metavar="PATH", default=None,
                         help="write a JSONL run journal of every unit, "
-                             "retry, quarantine and cache event "
+                             "retry and quarantine event "
                              "(default off = zero overhead; inspect "
                              "with `repro report PATH`; see "
                              "docs/observability.md)")
@@ -842,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp = csub.add_parser("status", help="inspect a campaign checkpoint")
     cp.add_argument("checkpoint", metavar="CHECKPOINT",
                     help="checkpoint file of the campaign")
-    cp.add_argument("--cache", metavar="PATH", default=None,
-                    help="also inspect this evaluation-cache file "
-                         "(entry count, discarded-corrupt forensics)")
     cp.set_defaults(func=_cmd_campaign_status)
 
     p = sub.add_parser(
@@ -884,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "report.  With a journal file (written by "
                     "`repro campaign run --journal` or `repro shmoo "
                     "--journal`): the run summary -- per-condition "
-                    "units, retry/quarantine/demotion tables, cache "
-                    "hit rate.  See docs/observability.md.")
+                    "units, retry/quarantine/demotion tables, service "
+                    "requests.  See docs/observability.md.")
     p.add_argument("journal", nargs="?", metavar="JOURNAL", default=None,
                    help="JSONL run-journal file to summarise (omit for "
                         "the paper-vs-measured report)")

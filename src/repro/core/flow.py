@@ -108,16 +108,14 @@ class MemoryTestFlow:
             yield_fraction: float | None = None,
             checkpoint_path=None,
             runner: CampaignRunner | None = None,
-            cache=None, journal=None) -> FlowResult:
+            journal=None) -> FlowResult:
         """Run the full flow and return database + estimator reports.
 
         Both campaigns execute chunked through the resilient runner
         (:mod:`repro.runner`): per-site failures are retried and
         quarantined rather than fatal, and with ``checkpoint_path``
         set, a killed flow resumes from the last completed (R,
-        condition) unit.  ``cache`` enables the :mod:`repro.perf`
-        evaluation cache -- records stay byte-identical either way
-        (``docs/performance.md``).
+        condition) unit.
 
         Args:
             bridge_resistances: R sweep for bridges (defaults to the
@@ -128,10 +126,7 @@ class MemoryTestFlow:
             checkpoint_path: Optional checkpoint file enabling
                 kill/resume of the whole flow.
             runner: Pre-configured runner (chaos injection, custom
-                retry policy); overrides ``checkpoint_path`` and
-                ``cache``.
-            cache: Optional :class:`~repro.perf.cache.EvaluationCache`
-                or cache-file path.
+                retry policy); overrides ``checkpoint_path``.
             journal: Optional JSONL run-journal path (or event bus)
                 recording the campaign's structured event stream
                 (:mod:`repro.obs`); ``None`` keeps observability off
@@ -139,8 +134,7 @@ class MemoryTestFlow:
         """
         specs = self.sweep_specs(bridge_resistances, open_resistances)
         if runner is None:
-            runner = self.make_runner(checkpoint_path, cache=cache,
-                                      journal=journal)
+            runner = self.make_runner(checkpoint_path, journal=journal)
         result = runner.run(specs)
         database = CoverageDatabase(result.records)
         estimator = FaultCoverageEstimator(database, density=self.density)

@@ -246,7 +246,6 @@ class StreamingRunner:
             bus.emit("run.done",
                      executed_units=result.executed_shards,
                      resumed_units=result.resumed_shards,
-                     cached_units=0,
                      quarantined_sites=len(result.quarantine))
             result.metrics = metrics.snapshot()
             bus.flush()

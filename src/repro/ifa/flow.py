@@ -118,8 +118,7 @@ class IfaCampaign:
     def run(self, resistances: Sequence[float],
             conditions: Iterable[StressCondition],
             kind: DefectKind = DefectKind.BRIDGE,
-            checkpoint_path=None, runner=None,
-            cache=None) -> list[CoverageRecord]:
+            checkpoint_path=None, runner=None) -> list[CoverageRecord]:
         """Sweep the population over R x conditions.
 
         Every sampled site keeps its identity (class, strength, cell)
@@ -130,9 +129,7 @@ class IfaCampaign:
         CampaignRunner`: one work unit per (R, condition) cell,
         per-site retry with quarantine, and -- when ``checkpoint_path``
         is given -- crash-safe persistence so a killed campaign resumes
-        from the last completed unit.  ``cache`` attaches the
-        :mod:`repro.perf` content-addressed cache of already-simulated
-        points, with byte-identical records (``docs/performance.md``).
+        from the last completed unit.
 
         Args:
             resistances: Resistance grid (must be non-empty, positive).
@@ -143,10 +140,7 @@ class IfaCampaign:
             runner: Pre-configured
                 :class:`~repro.runner.campaign.CampaignRunner` (for
                 custom retry policies, chaos injection or shared
-                checkpoints); overrides ``checkpoint_path`` and
-                ``cache``.
-            cache: Optional :class:`~repro.perf.cache.EvaluationCache`
-                or cache-file path.
+                checkpoints); overrides ``checkpoint_path``.
 
         Raises:
             ValueError: empty ``resistances`` or ``conditions``, or a
@@ -158,8 +152,7 @@ class IfaCampaign:
 
         spec = SweepSpec.of(kind, resistances, conditions)
         if runner is None:
-            runner = CampaignRunner(self, checkpoint_path=checkpoint_path,
-                                    cache=cache)
+            runner = CampaignRunner(self, checkpoint_path=checkpoint_path)
         return runner.run([spec]).records
 
     def run_bridges(self, resistances: Sequence[float],

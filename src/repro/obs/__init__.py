@@ -1,7 +1,7 @@
 """Observability for campaign runs: events, metrics and reports.
 
-``repro.obs`` gives every execution layer (runner, cache, grid
-evaluator, lot pool, shmoo, database) one way to leave a machine-readable
+``repro.obs`` gives every execution layer (runner, grid evaluator,
+lot pool, shmoo, database, service) one way to leave a machine-readable
 account of what happened and why:
 
 * :mod:`repro.obs.events` -- the stable event vocabulary and JSONL

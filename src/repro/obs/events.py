@@ -3,8 +3,8 @@
 The runner stack executes campaigns that the paper's industrial flow
 would surround with diagnosis artefacts -- shmoo plots, bitmaps,
 per-condition coverage tables -- yet until this module every
-interesting execution fact (a corrupt cache discarded, a batch-hook
-site demoted, a retry budget exhausted) was either a bare attribute or
+interesting execution fact (a unit resumed from a checkpoint, a
+batch-hook site demoted, a retry budget exhausted) was either a bare attribute or
 silently dropped.  :mod:`repro.obs` gives those facts one shape:
 
 * an :class:`ObsEvent` is a (sequence number, stable name, JSON payload)
@@ -53,18 +53,13 @@ JOURNAL_VERSION = 1
 EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     # Campaign lifecycle -------------------------------------------------
     "run.start": ("plan_units",),
-    "run.done": ("executed_units", "resumed_units", "cached_units",
-                 "quarantined_sites"),
+    "run.done": ("executed_units", "resumed_units", "quarantined_sites"),
     # Work units (emitted in plan order at the in-order effect point) ---
     "unit.start": ("unit", "kind", "resistance", "condition"),
     "unit.resumed": ("unit",),
     "unit.retry": ("unit", "error"),
     "unit.quarantine": ("unit", "site_index", "attempts", "error"),
     "unit.done": ("unit", "source", "detected", "total", "errors"),
-    # Evaluation cache ---------------------------------------------------
-    "cache.hit": ("unit",),
-    "cache.miss": ("unit",),
-    "cache.discard_corrupt": ("path", "error"),
     # Checkpoints --------------------------------------------------------
     "checkpoint.save": ("completed_units",),
     "checkpoint.resume": ("completed_units", "recovered_from_temp"),
@@ -83,6 +78,7 @@ EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     "service.request": ("method", "path", "status", "queries", "cached"),
     "service.cache_hit": ("key",),
     "service.reload": ("outcome", "etag"),
+    "service.reject": ("reason",),
     # Shmoo runner -------------------------------------------------------
     "shmoo.start": ("strategy", "voltages", "periods"),
     "shmoo.row": ("row", "vdd", "first_pass"),

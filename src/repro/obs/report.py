@@ -50,8 +50,7 @@ def build_report(meta: dict[str, Any],
 
     Returns:
         A JSON-serialisable dict: run totals, per-condition unit
-        table, cache statistics (including corrupt discards), retry /
-        quarantine / batch-demotion tables, pool-supervision
+        table, retry / quarantine / batch-demotion tables, pool-supervision
         counters (worker losses, rebuilds, poison units), checkpoint
         activity and -- when present -- shmoo, streaming-experiment
         and estimator-service summaries.
@@ -60,8 +59,6 @@ def build_report(meta: dict[str, Any],
     totals: dict[str, Any] = {"events": len(events)}
     conditions: dict[str, dict[str, int]] = {}
     unit_condition: dict[str, str] = {}
-    cache = {"hits": 0, "misses": 0, "hit_rate": None,
-             "discarded_corrupt": []}
     retries: dict[str, Any] = {"attempts": 0, "by_unit": {}}
     quarantines: list[dict[str, Any]] = []
     batch_demotions: list[dict[str, Any]] = []
@@ -80,7 +77,8 @@ def build_report(meta: dict[str, Any],
         nonlocal service
         if service is None:
             service = {"requests": 0, "queries": 0, "cached": 0,
-                       "by_status": {}, "cache_hits": 0, "reloads": []}
+                       "by_status": {}, "cache_hits": 0, "rejects": {},
+                       "reloads": []}
         return service
 
     for event in events:
@@ -89,7 +87,7 @@ def build_report(meta: dict[str, Any],
             totals["plan_units"] = data["plan_units"]
         elif event.name == "run.done":
             for key in ("executed_units", "resumed_units",
-                        "cached_units", "quarantined_sites"):
+                        "quarantined_sites"):
                 totals[key] = data[key]
         elif event.name == "unit.start":
             unit_condition[data["unit"]] = data["condition"]
@@ -110,12 +108,6 @@ def build_report(meta: dict[str, Any],
             by_unit[data["unit"]] = by_unit.get(data["unit"], 0) + 1
         elif event.name == "unit.quarantine":
             quarantines.append(dict(data))
-        elif event.name == "cache.hit":
-            cache["hits"] += 1
-        elif event.name == "cache.miss":
-            cache["misses"] += 1
-        elif event.name == "cache.discard_corrupt":
-            cache["discarded_corrupt"].append(dict(data))
         elif event.name == "checkpoint.save":
             checkpoints["saves"] += 1
         elif event.name == "checkpoint.resume":
@@ -173,6 +165,9 @@ def build_report(meta: dict[str, Any],
             service_section()["cache_hits"] += 1
         elif event.name == "service.reload":
             service_section()["reloads"].append(dict(data))
+        elif event.name == "service.reject":
+            rejects = service_section()["rejects"]
+            rejects[data["reason"]] = rejects.get(data["reason"], 0) + 1
         elif event.name == "experiment.merge" and experiment is not None:
             # The merge event is authoritative (it carries the reduced
             # accumulator); per-shard sums above double as a
@@ -182,9 +177,6 @@ def build_report(meta: dict[str, Any],
             experiment["interesting"] = data["interesting"]
             experiment["standard_fails"] = data["standard_fails"]
 
-    probes = cache["hits"] + cache["misses"]
-    if probes:
-        cache["hit_rate"] = cache["hits"] / probes
     return {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
@@ -193,7 +185,6 @@ def build_report(meta: dict[str, Any],
         "conditions": {name: conditions[name]
                        for name in sorted(conditions)},
         "sources": dict(sorted(sources.items())),
-        "cache": cache,
         "retries": retries,
         "quarantines": quarantines,
         "batch": {"demotions": batch_demotions},
@@ -233,12 +224,10 @@ def render_text(report: dict[str, Any]) -> str:
             f"{k}={v}" for k, v in sorted(report["meta"].items()))
         lines.append(f"meta: {meta_bits}")
     lines.append(
-        "totals: plan={} executed={} resumed={} cached={} "
-        "quarantined={}".format(
+        "totals: plan={} executed={} resumed={} quarantined={}".format(
             totals.get("plan_units", "?"),
             totals.get("executed_units", "?"),
             totals.get("resumed_units", "?"),
-            totals.get("cached_units", "?"),
             totals.get("quarantined_sites", "?")))
 
     lines.append("")
@@ -249,22 +238,6 @@ def render_text(report: dict[str, Any]) -> str:
                 for name, row in report["conditions"].items()]
         lines.extend("  " + ln for ln in _table(
             ["condition", "units", "detected", "total", "errors"], rows))
-    else:
-        lines.append("  (none)")
-
-    cache = report["cache"]
-    lines.append("")
-    probes = cache["hits"] + cache["misses"]
-    if probes:
-        lines.append(
-            "Cache: hits={} misses={} hit_rate={:.1%}".format(
-                cache["hits"], cache["misses"], cache["hit_rate"]))
-    else:
-        lines.append("Cache: no lookups recorded")
-    lines.append("Corrupt cache discards:")
-    if cache["discarded_corrupt"]:
-        for entry in cache["discarded_corrupt"]:
-            lines.append(f"  {entry['path']}: {entry['error']}")
     else:
         lines.append("  (none)")
 
@@ -360,6 +333,10 @@ def render_text(report: dict[str, Any]) -> str:
                 service["requests"], service["queries"],
                 service["cache_hits"], service["cached"]))
         lines.append(f"  by status: {status_bits or '(none)'}")
+        reject_bits = ", ".join(
+            f"{reason}={count}" for reason, count in
+            sorted(service["rejects"].items()))
+        lines.append(f"  rejected connections: {reject_bits or '(none)'}")
         lines.append("  reloads:")
         if service["reloads"]:
             for entry in service["reloads"]:

@@ -1,27 +1,24 @@
 """repro.perf -- the execution-performance layer.
 
-Three accelerators, all preserving byte-identical results:
+Two accelerators, both preserving byte-identical results:
 
 * :mod:`repro.perf.batch` -- the campaign's grid evaluator: each (kind,
   condition) group's full site x R grid in one vectorised
   ``evaluate_batch`` call, guarded by a seeded cross-check and
   per-site scalar fallback (see ``docs/batch_kernel.md``);
-* :mod:`repro.perf.cache` -- a content-addressed evaluation cache
-  (keyed by :mod:`repro.perf.fingerprint`) so repeated sweeps skip
-  already-simulated points, mirroring the paper's database of
-  pre-calculated simulation results;
 * :mod:`repro.perf.supervisor` -- the supervised process pool
   (worker side in :mod:`repro.perf.executor`) that fans the streaming
   lot's shards across cores for ``workers > 1``, healing worker death,
   hangs and poison shards instead of aborting the run.
 
 Campaigns are serial: :class:`repro.runner.campaign.CampaignRunner`
-always runs the grid evaluator and takes the cache through its
-``cache=`` argument.  The lot takes the pool through
+always runs the grid evaluator, and the paper's database of
+pre-calculated simulation results is the coverage database it writes
+(:mod:`repro.core.database`).  The lot takes the pool through
 :class:`repro.experiment.streaming.StreamingRunner`'s ``workers=``.
 The one benchmark harness,
 :mod:`repro.perf.bench`, measures them -- and the streaming experiment
-and the service -- as four suites sharing one document schema, one
+and the service -- as three suites sharing one document schema, one
 validator and one floor table.  See ``docs/performance.md``.
 
 The package root imports nothing: import the submodule you need, so a

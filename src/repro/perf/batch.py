@@ -183,7 +183,7 @@ class BatchEvaluator:
         plan: The **full** unit plan (not only pending units): each
             group's resistance grid is derived from the complete
             sweep, so the cross-check sample does not depend on
-            checkpoint or cache state.  Only units of this plan may be
+            checkpoint state.  Only units of this plan may be
             evaluated.
         retry: Per-site retry policy (shared with the exact path).
         crosscheck_fraction: Share of each group's cells re-evaluated

@@ -1,10 +1,10 @@
-"""One benchmark harness: four suites, one document schema, one validator.
+"""One benchmark harness: three suites, one document schema, one validator.
 
 Every component benchmark of this library writes the same document,
 ``BENCH_<suite>.json``::
 
     {"schema":   "repro.bench/1",
-     "suite":    "campaign" | "fastpath" | "experiment" | "service",
+     "suite":    "fastpath" | "experiment" | "service",
      "config":   the suite's config fields plus the host's cpu_count,
      "rows":     the suite's measurements,
      "headline": {metric: number},   projected from rows
@@ -20,9 +20,6 @@ rejects, as it rejects a document that leaves a check or metric out.
 
 The suites:
 
-* ``campaign`` (this module) -- one sweep run cold and against a warm
-  evaluation cache (:mod:`repro.perf.cache`), with byte-identical
-  records;
 * ``fastpath`` (:mod:`repro.perf.fastpath_bench`) -- the grid evaluator
   vs the exact per-site evaluator on the Table-1 sweep, the
   boundary-traced vs the exact shmoo, and the sort-and-sweep vs the
@@ -43,129 +40,17 @@ Every suite times real computation on the host; the config records its
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.circuit.technology import CMOS018
-from repro.defects.models import DefectKind
-from repro.ifa.flow import IfaCampaign
-from repro.memory.geometry import MemoryGeometry
-from repro.perf.cache import EvaluationCache
 from repro.perf.experiment_bench import ExperimentBenchConfig, run_experiment
 from repro.perf.fastpath_bench import FastpathBenchConfig, run_fastpath
 from repro.perf.service_bench import ServiceBenchConfig, run_service
-from repro.runner.campaign import CampaignResult, CampaignRunner, SweepSpec
-from repro.stress import production_conditions
 
 #: Schema tag of every emitted BENCH_<suite>.json document.
 SCHEMA = "repro.bench/1"
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Shape of the ``campaign`` suite's sweep.
-
-    Attributes:
-        rows, columns, bits: Memory geometry of the benchmark campaign.
-        sites: Site-population size per sweep.
-        resistances: Number of sweep resistances (log-spaced decades).
-        conditions: Number of stress conditions used.
-        seed: Campaign seed.
-    """
-
-    rows: int = 32
-    columns: int = 4
-    bits: int = 8
-    sites: int = 120
-    resistances: int = 4
-    conditions: int = 4
-    seed: int = 11
-
-    @classmethod
-    def quick(cls) -> "BenchConfig":
-        """A seconds-scale configuration for CI smoke runs."""
-        return cls(rows=16, columns=2, bits=4, sites=24, resistances=3,
-                   conditions=3)
-
-
-def _records_blob(result: CampaignResult) -> str:
-    """Canonical byte-comparison form of a result's records."""
-    return json.dumps([asdict(r) for r in result.records], sort_keys=True)
-
-
-def _bench_specs(config: BenchConfig) -> list[SweepSpec]:
-    """The benchmark sweep plan derived from the config."""
-    conds = tuple(production_conditions(CMOS018).values())
-    conds = conds[:config.conditions]
-    resistances = [10.0 ** (2 + i) for i in range(config.resistances)]
-    return [SweepSpec.of(DefectKind.BRIDGE, resistances, conds)]
-
-
-def _make_campaign(config: BenchConfig) -> IfaCampaign:
-    """A fresh benchmark campaign."""
-    geometry = MemoryGeometry(config.rows, config.columns, config.bits)
-    return IfaCampaign(geometry, CMOS018, n_sites=config.sites,
-                       seed=config.seed)
-
-
-def _timed_run(runner: CampaignRunner,
-               specs: list[SweepSpec]) -> tuple[CampaignResult, float]:
-    """Run a campaign and return (result, wall seconds)."""
-    started = time.perf_counter()
-    result = runner.run(specs)
-    return result, time.perf_counter() - started
-
-
-def _workload_row(units: int, seconds: float) -> dict[str, Any]:
-    """One timing row of the benchmark document."""
-    return {
-        "seconds": round(seconds, 6),
-        "units": units,
-        "units_per_sec": round(units / seconds, 3) if seconds else None,
-    }
-
-
-def run_campaign(config: BenchConfig) -> dict[str, Any]:
-    """Time the benchmark sweep cold and against a warm cache.
-
-    Args:
-        config: Sweep shape.
-
-    Returns:
-        The ``rows`` of the ``campaign`` document: ``cache`` (``cold``
-        and ``warm`` rows, ``speedup``).
-
-    Raises:
-        RuntimeError: the cached records diverged from the evaluated
-            ones -- a determinism bug that must fail loudly.
-    """
-    specs = _bench_specs(config)
-    # Cold run populates, warm run answers from the cache.
-    cache = EvaluationCache()
-    cold, t_cold = _timed_run(
-        CampaignRunner(_make_campaign(config), cache=cache), specs)
-    warm_cache = EvaluationCache()
-    warm_cache.entries = dict(cache.entries)
-    warm, t_warm = _timed_run(
-        CampaignRunner(_make_campaign(config), cache=warm_cache), specs)
-    if _records_blob(cold) != _records_blob(warm):
-        raise RuntimeError("cached records diverged from evaluated ones")
-    units = len(cold.records)
-    return {
-        "cache": {
-            "cold": {**_workload_row(units, t_cold),
-                     "hit_rate": cold.cache_stats["hit_rate"]},
-            "warm": {**_workload_row(units, t_warm),
-                     "hit_rate": warm.cache_stats["hit_rate"],
-                     "cached_units": warm.cached_units},
-            "speedup": round(t_cold / t_warm, 3) if t_warm else None,
-            "cached_matches_evaluated": True,
-        },
-    }
 
 
 @dataclass(frozen=True)
@@ -192,12 +77,6 @@ class Suite:
 
 #: Every benchmark suite, by the name its ``BENCH_<suite>.json`` uses.
 SUITES: dict[str, Suite] = {
-    "campaign": Suite(
-        config=BenchConfig,
-        run=run_campaign,
-        headline={"cache_hit_rate": "cache.warm.hit_rate"},
-        checks={"cached_matches_evaluated":
-                "cache.cached_matches_evaluated"}),
     "fastpath": Suite(
         config=FastpathBenchConfig,
         run=run_fastpath,

@@ -9,10 +9,7 @@ call-count inequalities* -- "the grid sweep issued 5x fewer
 
 Both wrappers are transparent: they delegate every evaluation verbatim
 (records and grids stay byte-identical to unwrapped runs) and keep
-their counters in underscore-prefixed attributes, which the structural
-fingerprinting of :mod:`repro.perf.fingerprint` skips -- so counting a
-campaign does not fork its cache-key space beyond the wrapper class
-name itself.
+their counters in underscore-prefixed attributes.
 """
 
 from __future__ import annotations

@@ -1,31 +1,17 @@
-"""Content fingerprints: the identity half of the evaluation cache.
+"""Content fingerprints: deterministic identities of JSON-able state.
 
-A cached coverage result may be served *only* when every input that
-could change it is provably unchanged.  The paper's "database with
-pre-calculated simulation results" (Section 3) has the same contract:
-the database is valid for one technology, one calibration, one defect
-population -- recalibrate anything and the rows must be regenerated.
+The estimator service (:mod:`repro.service`) answers from one coverage
+database at a time; its HTTP ``ETag`` -- and the database half of every
+response-cache key -- is :func:`fingerprint_digest` of the database's
+records, so any change to any row yields a new identity and a reload
+implicitly invalidates every cached response.
 
-This module turns the evaluation inputs into deterministic, canonical
-JSON documents ("fingerprints") that are hashed into cache keys by
-:mod:`repro.perf.cache`:
-
-* :func:`behavior_fingerprint` -- the behavioural model: class identity
-  plus every calibration constant (technology corner, timing model,
-  :class:`~repro.defects.behavior.BehaviorParams`).  Changing a single
-  constant changes the fingerprint, which silently invalidates every
-  cached row computed under the old calibration -- stale results are
-  *unreachable*, not flushed.
-* :func:`population_fingerprint` -- the site population: geometry,
-  extractor configuration, population size, seed and defect kind.
-  Populations are regenerated deterministically from these values, so
-  they identify the population exactly.
-
-Fingerprinting is structural: dataclasses, enums, primitives,
-containers and plain attribute-holding objects are walked recursively.
-Objects that cannot be canonicalised (RNG handles, callables, open
-files...) raise :class:`FingerprintError` -- refusing to cache beats
-serving a result whose provenance cannot be named.
+:func:`fingerprint_document` turns a value into a deterministic,
+canonical JSON document.  Fingerprinting is structural: dataclasses,
+enums, primitives, containers and plain attribute-holding objects are
+walked recursively.  Objects that cannot be canonicalised (RNG handles,
+callables, open files...) raise :class:`FingerprintError` -- refusing
+to name an identity beats naming an incomplete one.
 """
 
 from __future__ import annotations
@@ -45,9 +31,9 @@ _PRIVATE_PREFIX = "_"
 class FingerprintError(TypeError):
     """An evaluation input cannot be canonicalised into a fingerprint.
 
-    Raised instead of guessing: a cache keyed on an incomplete
-    fingerprint could serve stale results after the un-fingerprintable
-    part changes.  The message names the offending attribute path.
+    Raised instead of guessing: an identity built from an incomplete
+    fingerprint would not change when the un-fingerprintable part
+    does.  The message names the offending attribute path.
     """
 
 
@@ -125,79 +111,10 @@ def fingerprint_document(obj: Any, _path: str = "$",
         return ["obj", type(obj).__qualname__, fields]
     raise FingerprintError(
         f"{_path}: cannot fingerprint {type(obj).__qualname__!r} "
-        "(no dataclass fields, no public __dict__); disable the "
-        "evaluation cache for this campaign or make the object "
-        "fingerprintable")
+        "(no dataclass fields, no public __dict__)")
 
 
 def fingerprint_digest(obj: Any) -> str:
     """SHA-256 hex digest of :func:`fingerprint_document` of ``obj``."""
     doc = fingerprint_document(obj)
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
-
-
-def behavior_fingerprint(model: Any) -> Any:
-    """Fingerprint a behavioural defect model.
-
-    Covers the model's class and its full public state -- for
-    :class:`~repro.defects.behavior.DefectBehaviorModel` that is the
-    technology corner, the timing model and every
-    :class:`~repro.defects.behavior.BehaviorParams` constant.  Wrapper
-    models (chaos proxies, latency models) fingerprint as their own
-    class plus their public configuration, so wrapped and bare models
-    never share cache rows.
-
-    Args:
-        model: Any object with the ``fails_condition`` duck interface.
-
-    Returns:
-        A JSON-serialisable fingerprint document.
-
-    Raises:
-        FingerprintError: the model carries public state that cannot be
-            canonicalised.
-    """
-    return fingerprint_document(model, _path="behavior")
-
-
-def population_fingerprint(campaign: Any, kind: Any) -> Any:
-    """Fingerprint the site population of one campaign + defect kind.
-
-    Populations are sampled deterministically from (extractor
-    configuration, geometry, ``n_sites``, ``seed``, kind), so those
-    values identify the population without materialising it.
-
-    Args:
-        campaign: An :class:`~repro.ifa.flow.IfaCampaign`-shaped object
-            (``geometry``, ``extractor``, ``n_sites``, ``seed``).
-        kind: The :class:`~repro.defects.models.DefectKind` of the
-            population.
-
-    Returns:
-        A JSON-serialisable fingerprint document.
-
-    Raises:
-        FingerprintError: a required attribute is missing or cannot be
-            canonicalised.
-    """
-    try:
-        extractor = campaign.extractor
-        doc = {
-            "campaign": type(campaign).__qualname__,
-            "geometry": fingerprint_document(campaign.geometry,
-                                             "population.geometry"),
-            "n_sites": int(campaign.n_sites),
-            "seed": int(campaign.seed),
-            "kind": fingerprint_document(kind, "population.kind"),
-            "extractor": {
-                "class": type(extractor).__qualname__,
-                "calibrated": bool(getattr(extractor, "calibrated", True)),
-                "layout": type(getattr(extractor, "layout",
-                                       None)).__qualname__,
-            },
-        }
-    except AttributeError as exc:
-        raise FingerprintError(
-            f"population: campaign {type(campaign).__qualname__!r} lacks "
-            f"a required attribute ({exc})") from exc
-    return doc

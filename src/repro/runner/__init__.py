@@ -17,10 +17,10 @@ resumable and failure-tolerant:
   grid evaluator's fallback body and the per-site oracle;
 * :mod:`repro.runner.campaign` -- the :class:`CampaignRunner`
   orchestrating all of it (quarantine ledger, graceful degradation,
-  grid evaluator and optional evaluation cache from :mod:`repro.perf`).
+  grid evaluator from :mod:`repro.perf`).
 
 See ``docs/robustness.md`` for the architecture tour and
-``docs/performance.md`` for the grid evaluator and the cache.
+``docs/performance.md`` for the grid evaluator.
 """
 
 from repro.runner.atomic import (

@@ -13,13 +13,10 @@ pre-calculated simulation results" (Section 3) -- becomes:
    instead of dying on one pathological site.  The runner answers
    each (kind, condition) group's site x R grid in one vectorised
    call (:mod:`repro.perf.batch`);
-3. **skip** (:mod:`repro.perf.cache`): with an evaluation cache
-   attached, units whose content-addressed key is already cached are
-   served from the cache instead of re-evaluated;
-4. **persist** (:mod:`repro.runner.checkpoint`): after each completed
+3. **persist** (:mod:`repro.runner.checkpoint`): after each completed
    unit the progress is checkpointed crash-safely, so ``kill -9`` costs
    at most the unit in flight;
-5. **resume**: re-running against the same checkpoint skips completed
+4. **resume**: re-running against the same checkpoint skips completed
    units and re-emits their stored payloads, producing records
    byte-identical to an uninterrupted run (site populations are
    regenerated deterministically from the campaign seed).
@@ -47,7 +44,6 @@ from repro.stress import StressCondition
 
 if TYPE_CHECKING:
     from repro.ifa.flow import IfaCampaign
-    from repro.perf.cache import EvaluationCache
 
 __all__ = [
     "CampaignResult",
@@ -88,17 +84,13 @@ class CampaignResult:
     """Everything a runner execution produced.
 
     Attributes:
-        records: Coverage records in plan order (checkpoint-restored,
-            cache-served and freshly evaluated units interleave
-            seamlessly).
+        records: Coverage records in plan order (checkpoint-restored
+            and freshly evaluated units interleave seamlessly).
         quarantine: Error-ledger entries accumulated across the whole
             campaign, including entries restored from the checkpoint.
         executed_units: Units evaluated in this run.
         resumed_units: Units restored from the checkpoint.
-        cached_units: Units served from the evaluation cache.
         retry_stats: Site-evaluation retry counters for this run.
-        cache_stats: Hit/miss statistics of the evaluation cache
-            (``None`` when no cache was attached).
         batch_stats: Counters of the grid evaluator
             (:class:`~repro.perf.batch.BatchStats` as a dict).
         metrics: Snapshot of the run's
@@ -112,9 +104,7 @@ class CampaignResult:
     quarantine: list[dict[str, Any]] = field(default_factory=list)
     executed_units: int = 0
     resumed_units: int = 0
-    cached_units: int = 0
     retry_stats: RetryStats = field(default_factory=RetryStats)
-    cache_stats: dict[str, Any] | None = None
     batch_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
 
@@ -130,7 +120,7 @@ def record_to_payload(record: CoverageRecord) -> dict[str, Any]:
 
 
 def record_from_payload(payload: dict[str, Any]) -> CoverageRecord:
-    """Rebuild a record from its checkpoint/cache payload."""
+    """Rebuild a record from its checkpoint payload."""
     return CoverageRecord(**payload)
 
 
@@ -160,23 +150,16 @@ class CampaignRunner:
             behaviour model.
         retry: Per-site retry policy (default: three fast attempts, no
             sleep -- evaluations are in-memory).
-        checkpoint_path: Where to persist progress; ``None`` disables
-            checkpointing (pure in-memory run, still fault-tolerant).
-        checkpoint_every: Persist after every N completed units
-            (1 = maximum durability; raise it to trade durability for
-            checkpoint I/O on huge sweeps).
+        checkpoint_path: Where to persist progress (saved after every
+            completed unit); ``None`` disables checkpointing (pure
+            in-memory run, still fault-tolerant).
         unit_deadline: Optional wall-clock budget per work unit
             (seconds); exceeding it raises
             :class:`~repro.runner.evaluate.UnitDeadlineExceeded` after
             the in-flight site.
-        cache: Evaluation cache -- an
-            :class:`~repro.perf.cache.EvaluationCache` instance, or a
-            path whose cache file is loaded (created on save).  Units
-            already cached for this campaign's exact fingerprint are
-            served without evaluation; see ``docs/performance.md``.
         meta: Extra campaign-fingerprint entries (geometry, CLI args,
             ...) stored in -- and matched against -- the checkpoint.
-        fault_hook: Chaos probe threaded into checkpoint/cache I/O
+        fault_hook: Chaos probe threaded into checkpoint I/O
             (typically ``FaultInjector.check``).
         journal: Observability sink (:mod:`repro.obs`).  ``None``
             (default) disables it entirely -- the hot path then makes
@@ -194,25 +177,19 @@ class CampaignRunner:
     def __init__(self, campaign: "IfaCampaign",
                  retry: RetryPolicy | None = None,
                  checkpoint_path: str | Path | None = None,
-                 checkpoint_every: int = 1,
                  unit_deadline: float | None = None,
-                 cache: "EvaluationCache | str | Path | None" = None,
                  meta: dict[str, Any] | None = None,
                  fault_hook: Callable[[str], None] | None = None,
                  journal: Any = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if unit_deadline is not None and unit_deadline <= 0:
             raise ValueError("unit_deadline must be positive")
         self.campaign = campaign
         self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
-        self.checkpoint_every = checkpoint_every
         self.unit_deadline = unit_deadline
-        self.cache, self.cache_path = self._resolve_cache(cache)
         self.extra_meta = dict(meta or {})
         self.fault_hook = fault_hook
         self.journal = journal
@@ -230,19 +207,6 @@ class CampaignRunner:
             return EventBus(Path(self.journal))
         return self.journal
 
-    @staticmethod
-    def _resolve_cache(cache: "EvaluationCache | str | Path | None",
-                       ) -> "tuple[EvaluationCache | None, Path | None]":
-        """Normalise the ``cache`` argument to (instance, save path)."""
-        if cache is None:
-            return None, None
-        if isinstance(cache, (str, Path)):
-            from repro.perf.cache import EvaluationCache
-
-            path = Path(cache)
-            return EvaluationCache.load(path), path
-        return cache, None
-
     # ------------------------------------------------------------------
     # Plan / fingerprint
     # ------------------------------------------------------------------
@@ -259,7 +223,7 @@ class CampaignRunner:
         """The campaign fingerprint stored in (and matched against) the
         checkpoint.
 
-        Execution knobs (cache, retry, deadline) are deliberately
+        Execution knobs (retry, deadline) are deliberately
         absent: they change how a campaign runs, never what it
         computes.
         """
@@ -283,42 +247,6 @@ class CampaignRunner:
             return ckpt
         return CampaignCheckpoint(meta)
 
-    def _cache_lookup(self, units: Sequence[WorkUnit],
-                      ckpt: CampaignCheckpoint,
-                      ) -> tuple[dict[str, str], dict[str, dict[str, Any]]]:
-        """Compute cache keys and probe the cache for every open unit.
-
-        Returns:
-            ``(keys, hits)``: unit-id -> cache key for every unit not
-            already in the checkpoint, and unit-id -> payload for the
-            subset the cache already holds.
-        """
-        keys: dict[str, str] = {}
-        hits: dict[str, dict[str, Any]] = {}
-        if self.cache is None:
-            return keys, hits
-        from repro.perf.cache import unit_cache_key
-        from repro.perf.fingerprint import (
-            behavior_fingerprint,
-            population_fingerprint,
-        )
-
-        behavior_doc = behavior_fingerprint(self.campaign.behavior)
-        population_docs: dict[DefectKind, Any] = {}
-        for unit in units:
-            if ckpt.is_complete(unit.unit_id):
-                continue
-            if unit.kind not in population_docs:
-                population_docs[unit.kind] = population_fingerprint(
-                    self.campaign, unit.kind)
-            key = unit_cache_key(behavior_doc, population_docs[unit.kind],
-                                 unit.resistance, unit.condition)
-            keys[unit.unit_id] = key
-            payload = self.cache.get(key)
-            if payload is not None:
-                hits[unit.unit_id] = payload
-        return keys, hits
-
     def _outcomes(self, units: Sequence[WorkUnit],
                   pending: Sequence[WorkUnit]) -> Iterator[UnitOutcome]:
         """Evaluate pending units lazily through the grid evaluator.
@@ -326,7 +254,7 @@ class CampaignRunner:
         Args:
             units: The full plan (the grid evaluator derives its group
                 grids from it, so its cross-check sample does not
-                depend on checkpoint/cache state).
+                depend on checkpoint state).
             pending: The subset actually needing evaluation.
         """
         from repro.perf.batch import BatchEvaluator
@@ -338,21 +266,13 @@ class CampaignRunner:
         self._batch_evaluator = evaluator
         return (evaluator.evaluate(unit) for unit in pending)
 
-    def _save_cache(self) -> None:
-        """Persist the cache when it is path-backed and has new entries."""
-        if (self.cache is not None and self.cache_path is not None
-                and self.cache.dirty):
-            self.cache.save(self.cache_path, fault_hook=self.fault_hook)
-
     def run(self, specs: Sequence[SweepSpec]) -> CampaignResult:
         """Execute (or resume) the campaign described by ``specs``.
 
-        Units already in the checkpoint are re-emitted; open units are
-        served from the evaluation cache when attached and keyed; the
-        rest are evaluated through the grid evaluator.  Records,
-        quarantine entries and checkpoint writes always happen in plan
-        order, so every combination of {cold, warm cache} x {fresh,
-        resumed} yields byte-identical records.
+        Units already in the checkpoint are re-emitted; the rest are
+        evaluated through the grid evaluator.  Records, quarantine
+        entries and checkpoint writes always happen in plan order, so
+        fresh and resumed runs yield byte-identical records.
 
         Args:
             specs: The sweep plan (one spec per defect kind).
@@ -367,10 +287,7 @@ class CampaignRunner:
         ckpt = self._load_or_new_checkpoint(meta)
         result = CampaignResult(records=[],
                                 quarantine=list(ckpt.quarantine))
-        keys, hits = self._cache_lookup(units, ckpt)
-        pending = [u for u in units
-                   if not ckpt.is_complete(u.unit_id)
-                   and u.unit_id not in hits]
+        pending = [u for u in units if not ckpt.is_complete(u.unit_id)]
         bus = self._journal_bus()
         metrics: Any = None
         if bus is not None:
@@ -382,11 +299,6 @@ class CampaignRunner:
             bus.set_meta({k: v for k, v in meta.items()
                           if k != "sweeps"})
             bus.emit("run.start", plan_units=len(units))
-            if self.cache is not None:
-                for entry in self.cache.corrupt_detail:
-                    bus.emit("cache.discard_corrupt",
-                             path=entry["path"], error=entry["error"])
-                    metrics.inc("cache.discarded_corrupt")
             if resuming:
                 status = ckpt.status()
                 bus.emit("checkpoint.resume",
@@ -394,63 +306,34 @@ class CampaignRunner:
                          recovered_from_temp=status[
                              "recovered_from_temp"])
         outcomes = self._outcomes(units, pending)
-        dirty = 0
         processed = 0
         for unit in units:
             unit_id = unit.unit_id
+            processed += 1
             if ckpt.is_complete(unit_id):
                 record = record_from_payload(ckpt.result_for(unit_id))
                 result.records.append(record)
                 result.resumed_units += 1
-                processed += 1
                 if bus is not None:
                     bus.emit("unit.resumed", unit=unit_id)
                     self._emit_unit_done(bus, metrics, unit_id,
                                          "checkpoint", record)
                 continue
-            if unit_id in hits:
-                payload = hits[unit_id]
-                record = record_from_payload(payload)
-                result.records.append(record)
-                result.cached_units += 1
-                ckpt.record_unit(unit_id, payload)
-                if bus is not None:
-                    bus.emit("cache.hit", unit=unit_id)
-                    self._emit_unit_done(bus, metrics, unit_id,
-                                         "cache", record)
-            else:
-                outcome = next(outcomes)
-                payload = record_to_payload(outcome.record)
-                result.records.append(outcome.record)
-                result.quarantine.extend(outcome.quarantine)
-                result.executed_units += 1
-                result.retry_stats.merge(outcome.stats)
-                ckpt.record_unit(unit_id, payload, outcome.quarantine)
-                if (self.cache is not None
-                        and outcome.record.errors == 0):
-                    self.cache.put(keys[unit_id], payload)
-                if bus is not None:
-                    self._emit_executed(bus, metrics, unit, keys,
-                                        outcome)
-            dirty += 1
-            processed += 1
-            if self.checkpoint_path is not None and (
-                    dirty >= self.checkpoint_every):
+            outcome = next(outcomes)
+            result.records.append(outcome.record)
+            result.quarantine.extend(outcome.quarantine)
+            result.executed_units += 1
+            result.retry_stats.merge(outcome.stats)
+            ckpt.record_unit(unit_id, record_to_payload(outcome.record),
+                             outcome.quarantine)
+            if bus is not None:
+                self._emit_executed(bus, metrics, unit, outcome)
+            if self.checkpoint_path is not None:
                 ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
-                dirty = 0
-                self._save_cache()
                 if bus is not None:
                     bus.emit("checkpoint.save", completed_units=processed)
                     metrics.inc("checkpoint.saves")
                     bus.flush()
-        if self.checkpoint_path is not None and dirty:
-            ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
-            if bus is not None:
-                bus.emit("checkpoint.save", completed_units=processed)
-                metrics.inc("checkpoint.saves")
-        self._save_cache()
-        if self.cache is not None:
-            result.cache_stats = self.cache.stats()
         if self._batch_evaluator is not None:
             result.batch_stats = self._batch_evaluator.stats.as_dict()
         if bus is not None:
@@ -467,8 +350,8 @@ class CampaignRunner:
                         source: str, record: CoverageRecord) -> None:
         """Emit one unit's terminal event and count it.
 
-        ``source`` names where the record came from (``checkpoint``,
-        ``cache`` or ``executed``); the payload carries the condition
+        ``source`` names where the record came from (``checkpoint``
+        or ``executed``); the payload carries the condition
         so reports can build per-condition tables without a join.
         """
         bus.emit("unit.done", unit=unit_id, source=source,
@@ -477,7 +360,6 @@ class CampaignRunner:
         metrics.inc(f"units.{source}")
 
     def _emit_executed(self, bus: Any, metrics: Any, unit: WorkUnit,
-                       keys: dict[str, str],
                        outcome: UnitOutcome) -> None:
         """Replay one executed unit's outcome into the journal.
 
@@ -491,8 +373,6 @@ class CampaignRunner:
         bus.emit("unit.start", unit=unit_id, kind=unit.kind.value,
                  resistance=unit.resistance,
                  condition=unit.condition.name)
-        if self.cache is not None and unit_id in keys:
-            bus.emit("cache.miss", unit=unit_id)
         for message in outcome.stats.error_log():
             bus.emit("unit.retry", unit=unit_id, error=message)
         for entry in outcome.quarantine:
@@ -519,13 +399,9 @@ class CampaignRunner:
             for d in result.batch_stats["demotions"]:
                 bus.emit("batch.demote", **d)
                 metrics.inc(f"batch.demote.{d['reason']}")
-        if result.cache_stats is not None:
-            metrics.set_gauge("cache.hit_rate",
-                              result.cache_stats["hit_rate"])
         bus.emit("run.done",
                  executed_units=result.executed_units,
                  resumed_units=result.resumed_units,
-                 cached_units=result.cached_units,
                  quarantined_sites=len(result.quarantine))
 
     # ------------------------------------------------------------------

@@ -156,6 +156,21 @@ class EstimatorService:
             self.bus.flush()
         return response
 
+    def reject(self, reason: str) -> None:
+        """Record a connection dropped without a dispatched request.
+
+        The HTTP front end calls this when a request fails framing
+        (``bad-request``, answered with a 400) or does not arrive
+        within :data:`READ_TIMEOUT_S` (``read-timeout``, dropped
+        unanswered); neither reaches :meth:`dispatch`, so without this
+        the journal would not see them.
+        """
+        if self.metrics is not None:
+            self.metrics.inc("service.reject")
+        if self.bus is not None:
+            self.bus.emit("service.reject", reason=reason)
+            self.bus.flush()
+
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
@@ -318,8 +333,11 @@ async def _handle_connection(service: EstimatorService,
                 request = await asyncio.wait_for(_read_request(reader),
                                                  READ_TIMEOUT_S)
             except asyncio.TimeoutError:
-                break  # silent or stalled client: drop the connection
+                # Silent or stalled client: drop the connection.
+                service.reject("read-timeout")
+                break
             except ValueError as exc:
+                service.reject("bad-request")
                 bad = ServiceResponse(
                     400, _render(error_document("bad-request", str(exc))))
                 await _write_response(writer, bad, close=True)

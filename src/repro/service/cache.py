@@ -1,17 +1,16 @@
 """Content-addressed LRU response cache of the estimator service.
 
 Entries are keyed by the SHA-256 of ``(database fingerprint digest,
-canonical request body)`` -- the same refuse-to-guess identity scheme as
-:mod:`repro.perf.cache`: every input that could change a response is in
-the key, so correctness never depends on explicit invalidation.  A
+canonical request body)`` -- a refuse-to-guess identity scheme
+(:mod:`repro.perf.fingerprint`): every input that could change a
+response is in the key, so correctness never depends on explicit invalidation.  A
 database hot-reload changes the digest, which makes every entry cached
 under the old snapshot *unreachable*; the LRU bound then retires them
 as new traffic fills the cache.  Stale responses are impossible by
 construction, not flushed by a race-prone purge.
 
 The cache is process-local and unsynchronised: the service runs a
-single asyncio event loop (one request mutates the cache at a time),
-mirroring how one campaign parent owns the evaluation cache.
+single asyncio event loop (one request mutates the cache at a time).
 """
 
 from __future__ import annotations

@@ -200,7 +200,7 @@ class TestObsRules:
         assert "OBS001" in rule_ids("bus.emit('unit.finished', unit='u')\n")
 
     def test_obs001_catalogued_event_clean(self):
-        assert rule_ids("bus.emit('cache.hit', unit='u')\n") == []
+        assert rule_ids("bus.emit('unit.resumed', unit='u')\n") == []
 
     def test_obs001_non_literal_name_skipped(self):
         assert rule_ids("bus.emit(name, **data)\n") == []
@@ -215,14 +215,14 @@ class TestObsRules:
 
     def test_obs002_extra_keys_allowed(self):
         assert rule_ids(
-            "bus.emit('cache.hit', unit='u', extra=1)\n") == []
+            "bus.emit('unit.resumed', unit='u', extra=1)\n") == []
 
     def test_obs002_checked_in_tests_too(self):
         assert rule_ids("bus.emit('run.start')\n",
                         "tests/obs/test_fixture.py") == ["OBS002"]
 
     def test_obs003_worker_module_emit_fires(self):
-        src = "bus.emit('cache.hit', unit='u')\n"
+        src = "bus.emit('unit.resumed', unit='u')\n"
         assert "OBS003" in rule_ids(src, "src/repro/runner/evaluate.py")
         assert "OBS003" in rule_ids(src, "src/repro/perf/executor.py")
         assert "OBS003" not in rule_ids(src, "src/repro/runner/campaign.py")

@@ -36,7 +36,7 @@ class TestCatalog:
 
 class TestObsEvent:
     def test_line_round_trip(self):
-        event = ObsEvent(3, "cache.hit", {"unit": "bridge:1e3:VLV"})
+        event = ObsEvent(3, "unit.resumed", {"unit": "bridge:1e3:VLV"})
         assert ObsEvent.from_line(event.to_line()) == event
 
     def test_line_is_canonical_json(self):
@@ -61,7 +61,7 @@ class TestEventBus:
     def test_emit_assigns_increasing_seq(self):
         bus = EventBus()
         first = bus.emit("run.start", plan_units=2)
-        second = bus.emit("cache.hit", unit="u")
+        second = bus.emit("unit.resumed", unit="u")
         assert (first.seq, second.seq) == (1, 2)
         assert len(bus) == 2
 
@@ -76,7 +76,7 @@ class TestEventBus:
     def test_emit_rejects_unserialisable_payload_at_call_site(self):
         bus = EventBus()
         with pytest.raises(TypeError):
-            bus.emit("cache.hit", unit=object())
+            bus.emit("unit.resumed", unit=object())
         assert len(bus) == 0
 
     def test_set_meta_first_writer_wins(self):
@@ -91,7 +91,7 @@ class TestEventBus:
         bus = EventBus(meta={"seed": 11})
         bus.emit("run.start", plan_units=1)
         bus.emit("run.done", executed_units=1, resumed_units=0,
-                 cached_units=0, quarantined_sites=0)
+                 quarantined_sites=0)
         meta, events = read_journal_text(bus.render())
         assert meta == {"seed": 11}
         assert events == bus.events
@@ -129,7 +129,7 @@ class TestReadJournal:
 
     def test_non_increasing_seq_rejected(self):
         header = '{"schema":"repro.run-journal","version":1,"meta":{}}'
-        line = ObsEvent(1, "cache.hit", {"unit": "u"}).to_line()
+        line = ObsEvent(1, "unit.resumed", {"unit": "u"}).to_line()
         with pytest.raises(JournalError, match="line 3.*not greater"):
             read_journal_text("\n".join([header, line, line]))
 

@@ -7,8 +7,8 @@ The acceptance claims of the observability layer, end to end:
 * a journal is a pure function of what the run computed: no execution
   knob reaches a campaign's header, and a 4-worker lot writes bytes
   identical to a serial one;
-* nothing is swallowed -- every quarantine, retry, corrupt-cache
-  discard and batch-hook demotion appears as an event, and
+* nothing is swallowed -- every quarantine, retry and batch-hook
+  demotion appears as an event, and
   ``build_report`` reproduces the runner's own statistics from the
   journal alone.
 """
@@ -206,39 +206,6 @@ class TestChaosCompleteness:
         report = build_report(meta, events)
         assert report["retries"]["attempts"] == 2
         assert report["quarantines"] == []
-
-
-class TestCacheEvents:
-    def test_hits_misses_and_report_hit_rate(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        spec = bridge_spec()
-        cold_journal = tmp_path / "cold.jsonl"
-        CampaignRunner(make_campaign(), cache=cache_path,
-                       journal=cold_journal).run([spec])
-        _, cold_events = read_journal(cold_journal)
-        assert len([e for e in cold_events
-                    if e.name == "cache.miss"]) == 4
-        warm_journal = tmp_path / "warm.jsonl"
-        CampaignRunner(make_campaign(), cache=cache_path,
-                       journal=warm_journal).run([spec])
-        meta, warm_events = read_journal(warm_journal)
-        hits = [e for e in warm_events if e.name == "cache.hit"]
-        assert len(hits) == 4
-        report = build_report(meta, warm_events)
-        assert report["cache"]["hit_rate"] == 1.0
-        assert report["sources"] == {"cache": 4}
-
-    def test_corrupt_cache_discard_event(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("garbage")
-        path = tmp_path / "run.jsonl"
-        CampaignRunner(make_campaign(), cache=cache_path,
-                       journal=path).run([bridge_spec()])
-        _, events = read_journal(path)
-        (discard,) = [e for e in events
-                      if e.name == "cache.discard_corrupt"]
-        assert discard.data["path"] == str(cache_path)
-        assert "JSON" in discard.data["error"]
 
 
 class LyingBatchModel:

@@ -14,19 +14,16 @@ def synthetic_bus():
     """A hand-built event stream exercising every report section."""
     bus = EventBus(meta={"seed": 11})
     bus.emit("run.start", plan_units=3)
-    bus.emit("cache.discard_corrupt", path="/c.json",
-             error="CacheCorruptError: bad checksum")
-    bus.emit("checkpoint.resume", completed_units=1,
+    bus.emit("checkpoint.resume", completed_units=2,
              recovered_from_temp=True)
     bus.emit("unit.resumed", unit="bridge:1e3:VLV")
     bus.emit("unit.done", unit="bridge:1e3:VLV", source="checkpoint",
              detected=5, total=10, errors=0, condition="VLV")
-    bus.emit("cache.hit", unit="bridge:1e3:Vmax")
-    bus.emit("unit.done", unit="bridge:1e3:Vmax", source="cache",
+    bus.emit("unit.resumed", unit="bridge:1e3:Vmax")
+    bus.emit("unit.done", unit="bridge:1e3:Vmax", source="checkpoint",
              detected=6, total=10, errors=0, condition="Vmax")
     bus.emit("unit.start", unit="bridge:2e3:VLV", kind="bridge",
              resistance=2e3, condition="VLV")
-    bus.emit("cache.miss", unit="bridge:2e3:VLV")
     bus.emit("unit.retry", unit="bridge:2e3:VLV",
              error="site 3: RuntimeError: boom")
     bus.emit("unit.retry", unit="bridge:2e3:VLV",
@@ -40,8 +37,8 @@ def synthetic_bus():
     bus.emit("checkpoint.save", completed_units=3)
     bus.emit("database.discard_corrupt_tmp", path="/db.json.tmp",
              error="invalid/truncated JSON")
-    bus.emit("run.done", executed_units=1, resumed_units=1,
-             cached_units=1, quarantined_sites=1)
+    bus.emit("run.done", executed_units=1, resumed_units=2,
+             quarantined_sites=1)
     return bus
 
 
@@ -53,16 +50,11 @@ class TestBuildReport:
         assert report["version"] == 1
         assert report["meta"] == {"seed": 11}
         assert report["totals"] == {
-            "events": 17, "plan_units": 3, "executed_units": 1,
-            "resumed_units": 1, "cached_units": 1, "quarantined_sites": 1}
-        assert report["sources"] == {
-            "cache": 1, "checkpoint": 1, "executed": 1}
+            "events": 15, "plan_units": 3, "executed_units": 1,
+            "resumed_units": 2, "quarantined_sites": 1}
+        assert report["sources"] == {"checkpoint": 2, "executed": 1}
         assert report["conditions"]["VLV"] == {
             "units": 2, "detected": 9, "total": 20, "errors": 1}
-        assert report["cache"]["hits"] == 1
-        assert report["cache"]["misses"] == 1
-        assert report["cache"]["hit_rate"] == 0.5
-        assert report["cache"]["discarded_corrupt"][0]["path"] == "/c.json"
         assert report["retries"]["attempts"] == 2
         assert report["retries"]["by_unit"] == {"bridge:2e3:VLV": 2}
         assert report["quarantines"][0]["site_index"] == 3
@@ -75,7 +67,6 @@ class TestBuildReport:
     def test_empty_journal_reports_cleanly(self):
         report = build_report({}, [])
         assert report["totals"] == {"events": 0}
-        assert report["cache"]["hit_rate"] is None
         assert report["conditions"] == {}
 
     def test_pool_section_clean_run(self):
@@ -137,11 +128,15 @@ class TestBuildReport:
                  error="corrupt")
         bus.emit("service.request", method="POST", path="/v1/reload",
                  status=409, queries=0, cached=False)
+        bus.emit("service.reject", reason="bad-request")
+        bus.emit("service.reject", reason="read-timeout")
+        bus.emit("service.reject", reason="read-timeout")
         report = build_report({}, bus.events)
         assert report["service"] == {
             "requests": 4, "queries": 6, "cached": 1,
             "by_status": {"200": 2, "400": 1, "409": 1},
             "cache_hits": 1,
+            "rejects": {"bad-request": 1, "read-timeout": 2},
             "reloads": [{"outcome": "rejected", "etag": "e" * 64,
                          "error": "corrupt"}]}
 
@@ -152,6 +147,10 @@ class TestBuildReport:
         bus.emit("service.reload", outcome="unchanged", etag="e" * 64)
         text = render_text(build_report({}, bus.events))
         assert "Service: requests=1" in text
+        assert "rejected connections: (none)" in text
+        bus.emit("service.reject", reason="read-timeout")
+        text = render_text(build_report({}, bus.events))
+        assert "rejected connections: read-timeout=1" in text
         assert "unchanged: etag=eeeeeeeeeeee" in text
 
 
@@ -161,7 +160,6 @@ class TestRendering:
         text = render_text(build_report({}, []))
         assert "Quarantines:\n  (none)" in text
         assert "Batch demotions:\n  (none)" in text
-        assert "Corrupt cache discards:\n  (none)" in text
         assert "Poison units:\n  (none)" in text
         assert "Pool supervision: worker_losses=0" in text
         assert "DEGRADED-SERIAL" not in text
@@ -184,7 +182,7 @@ class TestRendering:
         assert "lying-model" in text
         assert "crosscheck" in text
         assert "bridge:2e3:VLV" in text
-        assert "hit_rate=50.0%" in text
+        assert "totals: plan=3 executed=1 resumed=2 quarantined=1" in text
         assert "/db.json.tmp" in text
         assert "(none)" not in text.split("Quarantines:")[1].split(
             "\n\n")[0]

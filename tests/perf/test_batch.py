@@ -5,7 +5,7 @@ byte-identical to a per-site
 :class:`~repro.runner.evaluate.UnitEvaluator` pass (the ``exact_run``
 fixture) for *every* model in the capability matrix -- a correct vectorised hook, a model without the hook, a hook
 that raises or returns the wrong shape, and a hook that lies -- and
-under chaos, kill/resume and cache reuse.  Wall-clock is the
+under chaos and kill/resume.  Wall-clock is the
 benchmark's business (the ``fastpath`` suite of
 :mod:`repro.perf.bench`); here the speedup claim appears only as
 deterministic call-count inequalities.
@@ -22,13 +22,6 @@ from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
 from repro.perf.batch import BatchEvaluator
-from repro.perf.cache import EvaluationCache
-from repro.perf.counting import CountingBehaviorModel
-from repro.perf.fingerprint import (
-    behavior_fingerprint,
-    population_fingerprint,
-)
-from repro.runner.atomic import canonical_json
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import ChaosBehaviorModel, FaultInjector, InjectedCrash
 from repro.stress import production_conditions
@@ -287,46 +280,6 @@ class TestResume:
         assert resumed.resumed_units > 0
         assert records_bytes(resumed.records) == records_bytes(
             baseline.records)
-
-
-class TestCacheInterop:
-    def test_exact_warmed_cache_serves_batch_run(self, counting_campaign,
-                                                 monkeypatch):
-        """A cache filled by the per-site path serves the grid run."""
-        cache = EvaluationCache()
-        # Hide the hook for the warming run only: class attributes are
-        # not fingerprinted, so both runs share one cache-key space.
-        with monkeypatch.context() as patch:
-            patch.setattr(CountingBehaviorModel, "evaluate_batch", None,
-                          raising=False)
-            exact = CampaignRunner(counting_campaign(),
-                                   cache=cache).run([table1_spec()])
-        assert exact.batch_stats["fallback_sites"] == exact.batch_stats[
-            "sites"] > 0
-        campaign = counting_campaign()
-        batch = CampaignRunner(campaign, cache=cache).run([table1_spec()])
-        assert batch.cached_units == len(batch.records)
-        assert campaign.behavior.calls == 0
-        assert records_bytes(exact.records) == records_bytes(batch.records)
-
-
-class TestFingerprintStability:
-    """Batch capability must not fork the cache-key space."""
-
-    def test_hook_is_invisible_to_behavior_fingerprint(self):
-        doc = canonical_json(behavior_fingerprint(
-            DefectBehaviorModel(CMOS018)))
-        assert "evaluate_batch" not in doc
-
-    def test_population_memo_is_invisible_to_fingerprints(
-            self, counting_campaign):
-        campaign = counting_campaign()
-        before = canonical_json(
-            population_fingerprint(campaign, DefectKind.BRIDGE))
-        campaign.bridge_population()  # fill the underscore memo
-        after = canonical_json(
-            population_fingerprint(campaign, DefectKind.BRIDGE))
-        assert before == after
 
 
 class TestGuards:

@@ -3,28 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.circuit.technology import CMOS013, CMOS018
-from repro.defects.behavior import BehaviorParams, DefectBehaviorModel
+from repro.circuit.technology import CMOS018
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
-from repro.ifa.flow import IfaCampaign
-from repro.memory.geometry import MemoryGeometry
 from repro.perf.fingerprint import (
     FingerprintError,
-    behavior_fingerprint,
     fingerprint_digest,
     fingerprint_document,
-    population_fingerprint,
 )
 from repro.runner.atomic import canonical_json
-
-GEOM = MemoryGeometry(16, 2, 4)
-
-
-def make_campaign(**kwargs):
-    defaults = dict(n_sites=40, seed=11)
-    defaults.update(kwargs)
-    return IfaCampaign(GEOM, CMOS018, **defaults)
-
 
 class TestFingerprintDocument:
     def test_primitives_pass_through(self):
@@ -83,52 +70,6 @@ class TestFingerprintDocument:
         assert (fingerprint_document(WithCache(1))
                 == ["obj", "TestFingerprintDocument.test_private_"
                     "attributes_are_skipped.<locals>.WithCache", {"x": 1}])
-
-
-class TestBehaviorFingerprint:
-    def test_stable_across_instances(self):
-        a = behavior_fingerprint(DefectBehaviorModel(CMOS018))
-        b = behavior_fingerprint(DefectBehaviorModel(CMOS018))
-        assert canonical_json(a) == canonical_json(b)
-
-    def test_sensitive_to_technology(self):
-        a = behavior_fingerprint(DefectBehaviorModel(CMOS018))
-        b = behavior_fingerprint(DefectBehaviorModel(CMOS013))
-        assert canonical_json(a) != canonical_json(b)
-
-    def test_sensitive_to_calibration_constant(self):
-        base = BehaviorParams()
-        tweaked = BehaviorParams(rail_c=base.rail_c * 1.01)
-        a = behavior_fingerprint(DefectBehaviorModel(CMOS018, params=base))
-        b = behavior_fingerprint(
-            DefectBehaviorModel(CMOS018, params=tweaked))
-        assert canonical_json(a) != canonical_json(b)
-
-
-class TestPopulationFingerprint:
-    def test_stable_across_instances(self):
-        a = population_fingerprint(make_campaign(), DefectKind.BRIDGE)
-        b = population_fingerprint(make_campaign(), DefectKind.BRIDGE)
-        assert canonical_json(a) == canonical_json(b)
-
-    @pytest.mark.parametrize("change", [
-        dict(seed=12), dict(n_sites=41),
-    ])
-    def test_sensitive_to_campaign_knobs(self, change):
-        a = population_fingerprint(make_campaign(), DefectKind.BRIDGE)
-        b = population_fingerprint(make_campaign(**change),
-                                   DefectKind.BRIDGE)
-        assert canonical_json(a) != canonical_json(b)
-
-    def test_sensitive_to_kind(self):
-        campaign = make_campaign()
-        a = population_fingerprint(campaign, DefectKind.BRIDGE)
-        b = population_fingerprint(campaign, DefectKind.OPEN)
-        assert canonical_json(a) != canonical_json(b)
-
-    def test_missing_attribute_raises(self):
-        with pytest.raises(FingerprintError, match="required attribute"):
-            population_fingerprint(object(), DefectKind.BRIDGE)
 
 
 class TestDigest:

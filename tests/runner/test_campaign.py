@@ -288,25 +288,6 @@ class TestDeadline:
     def test_validation(self):
         with pytest.raises(ValueError, match="unit_deadline"):
             CampaignRunner(make_campaign(), unit_deadline=0.0)
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            CampaignRunner(make_campaign(), checkpoint_every=0)
-
-
-class TestCheckpointEvery:
-    def test_batched_checkpointing_still_resumes(self, tmp_path):
-        baseline = CampaignRunner(make_campaign()).run([bridge_spec()])
-        ck = tmp_path / "ck.json"
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {130}})
-        with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(inj), checkpoint_path=ck,
-                           checkpoint_every=2).run([bridge_spec()])
-        resumed = CampaignRunner(make_campaign(), checkpoint_path=ck,
-                                 checkpoint_every=2).run([bridge_spec()])
-        assert records_bytes(resumed.records) == records_bytes(
-            baseline.records)
-        # With batching, fewer units survive the crash -- but never a
-        # torn or inconsistent checkpoint.
-        assert resumed.resumed_units in (0, 2)
 
 
 class TestStatus:

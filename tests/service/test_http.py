@@ -9,6 +9,8 @@ import pytest
 from repro.core.database import CoverageDatabase
 from repro.ifa.flow import CoverageRecord
 from repro.memory.geometry import MemoryGeometry
+from repro.obs.bus import EventBus
+from repro.obs.report import build_report
 from repro.runner.atomic import canonical_json
 from repro.service import app
 from repro.service.app import MAX_BODY_BYTES, EstimatorService, serve
@@ -329,6 +331,57 @@ class TestReadDeadline:
 
         assert asyncio.run(with_server(service, scenario)) == [
             (200, "keep-alive")] * 4
+
+
+class TestRejectJournal:
+    """Connections dropped before dispatch still reach the journal."""
+
+    @staticmethod
+    def journaled_service(tmp_path):
+        service, _ = make_service(tmp_path)
+        service.bus = EventBus()
+        return service
+
+    @staticmethod
+    def rejects(service):
+        return build_report({}, service.bus.events)["service"]["rejects"]
+
+    def test_bad_content_length_is_journaled(self, tmp_path):
+        service = self.journaled_service(tmp_path)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(b"POST /v1/estimate HTTP/1.1\r\n"
+                         b"Content-Length: -5\r\n\r\n")
+            await writer.drain()
+            result = await read_response(reader)
+            writer.close()
+            return result
+
+        status, _, _ = asyncio.run(with_server(service, scenario))
+        assert status == 400
+        assert [(e.name, e.data) for e in service.bus.events] == [
+            ("service.reject", {"reason": "bad-request"})]
+        assert self.rejects(service) == {"bad-request": 1}
+
+    def test_stalled_client_is_journaled(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.2)
+        service = self.journaled_service(tmp_path)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(b"POST /v1/estimate HTTP/1.1\r\n")
+            await writer.drain()
+            tail = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            return tail
+
+        assert asyncio.run(with_server(service, scenario)) == b""
+        assert [(e.name, e.data) for e in service.bus.events] == [
+            ("service.reject", {"reason": "read-timeout"})]
+        assert self.rejects(service) == {"read-timeout": 1}
 
 
 @pytest.mark.parametrize("path,method", [("/v1/estimate", "GET"),

@@ -180,26 +180,24 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "chaos:" in out and "faults injected" in out
 
-    def test_run_with_cache(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        rc = main(["campaign", "run", *self.ARGS, "--cache", cache])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "hit rate 0 %" in out
-
-        # Second run: every unit served from the warm cache.
-        assert main(["campaign", "run", *self.ARGS,
-                     "--cache", cache]) == 0
-        out = capsys.readouterr().out
-        assert "0 executed" in out
-        assert "hit rate 100 %" in out
-
     def test_workers_flag_is_rejected(self, capsys):
         """Campaigns are serial: --workers is an argparse error."""
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "run", *self.ARGS, "--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [
+        ["run", *ARGS], ["resume", "ck.json"], ["status", "ck.json"]],
+        ids=["run", "resume", "status"])
+    def test_cache_flag_is_rejected(self, capsys, command):
+        """Campaigns have no evaluation cache: --cache is an argparse
+        error on every campaign subcommand."""
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", *command, "--cache", "cache.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in (
             capsys.readouterr().err)
 
     def test_status_missing_checkpoint(self, tmp_path):
@@ -287,18 +285,6 @@ class TestJournalCli:
         assert "run journal:" in capsys.readouterr().out
         assert main(["report", journal]) == 0
         assert "Shmoo: strategy=exact" in capsys.readouterr().out
-
-    def test_status_with_cache_forensics(self, capsys, tmp_path):
-        ck = str(tmp_path / "ck.json")
-        cache = tmp_path / "cache.json"
-        cache.write_text("garbage")
-        assert main(["campaign", "run", *self.ARGS, "--checkpoint", ck,
-                     "--cache", str(cache)]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "status", ck,
-                     "--cache", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "cache:" in out
 
 
 class TestExperimentCommand:
