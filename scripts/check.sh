@@ -166,6 +166,33 @@ if ! grep -qF "Streaming experiment:" <<<"$exp_report"; then
 fi
 rm -f "$exp_journal"
 
+# A checkpointed lot saves after every shard; run twice, the second run
+# replays every shard from the checkpoint and prints the same lot.
+# The lot summary: every printed line but the run banner and the pool
+# and journal notes (devices, Venn classes, escape DPM).
+lot_summary() { sed -e '1d' -e '/^pool supervision:/d' -e '/^run journal:/d'; }
+exp_ckpt="$(mktemp /tmp/experiment_smoke_ckpt.XXXXXX.json)"
+rm -f "$exp_ckpt"   # experiment run wants to create it
+ckpt_args=(--devices 8192 --shard-devices 4096 --checkpoint "$exp_ckpt"
+           --journal "$exp_journal")
+first_lot="$(python -m repro experiment run "${ckpt_args[@]}")" || status=$?
+saves="$(grep -cF '"checkpoint.save"' "$exp_journal" || true)"
+if [ "$saves" != "2" ]; then
+    echo "experiment smoke: expected 2 checkpoint.save events (one per shard), got $saves"
+    status=1
+fi
+second_lot="$(python -m repro experiment run "${ckpt_args[@]}")" || status=$?
+if ! grep -qF "2 resumed from checkpoint" <<<"$second_lot"; then
+    echo "experiment smoke: second checkpointed run did not resume both shards"
+    status=1
+fi
+if [ "$(lot_summary <<<"$first_lot")" != "$(lot_summary <<<"$second_lot")" ] \
+        || ! grep -q '^devices: 8192 ' <<<"$first_lot"; then
+    echo "experiment smoke: resumed lot summary differs from the first run"
+    status=1
+fi
+rm -f "$exp_journal" "$exp_ckpt"
+
 echo "== fast-path equivalence markers =="
 # Every guarded fast path must name the test file that proves it
 # byte-identical to its exact path -- and that file must exist.
@@ -215,9 +242,6 @@ print("journal report: schema ok,", rep["totals"]["events"], "events")
 rm -f "$journal_out" "$ckpt_out"
 
 echo "== chaos-pool smoke (injected worker death heals byte-identically) =="
-# The lot summary: every printed line but the run banner and the pool
-# and journal notes (devices, Venn classes, escape DPM).
-lot_summary() { sed -e '1d' -e '/^pool supervision:/d' -e '/^run journal:/d'; }
 pool_journal="$(mktemp /tmp/pool_smoke.XXXXXX.jsonl)"
 lot_args=(--devices 65536 --shard-devices 16384 --seed 5)
 serial_lot="$(python -m repro experiment run "${lot_args[@]}")" || status=$?

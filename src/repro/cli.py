@@ -28,6 +28,26 @@ from repro.circuit.technology import CMOS018
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 
+def _bounded(cast, positive: bool):
+    """An argparse ``type=`` that parses with ``cast`` and rejects
+    values below zero (and zero itself when ``positive``)."""
+    def parse(text: str):
+        value = cast(text)
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if positive else 'non-negative'}, "
+                f"got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_positive_int = _bounded(int, positive=True)
+_positive_float = _bounded(float, positive=True)
+_non_negative_int = _bounded(int, positive=False)
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table1
     from repro.core.flow import MemoryTestFlow
@@ -163,38 +183,30 @@ def _experiment_injector(args: argparse.Namespace, plan):
 def _cmd_experiment_run(args: argparse.Namespace) -> int:
     from repro.defects.distribution import DefectDensity
     from repro.experiment.streaming import (
-        ShardPlan,
         StreamingExperiment,
         StreamingRunner,
     )
 
-    plan_kwargs = {}
-    if args.shard_devices is not None:
-        plan_kwargs["shard_devices"] = args.shard_devices
-    if args.block_devices is not None:
-        plan_kwargs["block_devices"] = args.block_devices
-    plan = ShardPlan(n_devices=args.devices, seed=args.seed,
-                     scheme=args.scheme, **plan_kwargs)
-    injector = _experiment_injector(args, plan)
-    behavior = None
+    def make_engine(behavior=None) -> StreamingExperiment:
+        return StreamingExperiment(
+            n_devices=args.devices, seed=args.seed,
+            density=DefectDensity(d0_per_cm2=args.d0,
+                                  bridge_fraction=args.bridge_fraction),
+            shard_devices=args.shard_devices,
+            block_devices=args.block_devices,
+            scheme=args.scheme, behavior=behavior,
+            diagnose=args.diagnose)
+
+    engine = make_engine()
+    injector = _experiment_injector(args, engine.plan)
     if injector is not None:
-        from repro.circuit.technology import CMOS018
         from repro.defects.behavior import DefectBehaviorModel
         from repro.runner.chaos import ChaosBehaviorModel
 
-        behavior = ChaosBehaviorModel(DefectBehaviorModel(CMOS018),
-                                      injector)
-    engine = StreamingExperiment(
-        n_devices=args.devices, seed=args.seed,
-        density=DefectDensity(d0_per_cm2=args.d0,
-                              bridge_fraction=args.bridge_fraction),
-        shard_devices=args.shard_devices,
-        block_devices=args.block_devices,
-        scheme=args.scheme, behavior=behavior,
-        diagnose=args.diagnose)
+        engine = make_engine(ChaosBehaviorModel(
+            DefectBehaviorModel(CMOS018), injector))
     runner = StreamingRunner(
         engine, checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         unit_deadline=args.unit_deadline, workers=args.workers,
         max_pool_rebuilds=args.max_pool_rebuilds,
         journal=args.journal,
@@ -662,13 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="experiment_command", required=True)
     ep = esub.add_parser("run",
                          help="run (or resume) a streaming experiment")
-    ep.add_argument("--devices", type=int, default=1_000_000,
+    ep.add_argument("--devices", type=_positive_int, default=1_000_000,
                     help="population size")
     ep.add_argument("--seed", type=int, default=1105, help="root RNG seed")
-    ep.add_argument("--shard-devices", type=int, default=None,
+    ep.add_argument("--shard-devices", type=_positive_int, default=None,
                     help="devices per shard (dispatch/checkpoint unit; "
                          "results are shard-layout invariant)")
-    ep.add_argument("--block-devices", type=int, default=None,
+    ep.add_argument("--block-devices", type=_positive_int, default=None,
                     help="devices per RNG block (changing it changes "
                          "the drawn population)")
     ep.add_argument("--scheme", choices=("spawn", "legacy"),
@@ -676,19 +688,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spawn = sharded block substreams; legacy = "
                          "original single-stream draw order "
                          "(single-shard, byte-identical to `repro venn`)")
-    ep.add_argument("--workers", type=int, default=1,
+    ep.add_argument("--workers", type=_positive_int, default=1,
                     help="evaluation processes (1 = serial; results "
                          "are identical either way)")
     ep.add_argument("--checkpoint", metavar="PATH", default=None,
-                    help="checkpoint file (enables kill/resume)")
-    ep.add_argument("--checkpoint-every", type=int, default=8,
-                    help="completed shards per checkpoint write")
-    ep.add_argument("--unit-deadline", type=float, default=None,
+                    help="checkpoint file, saved after every shard "
+                         "(enables kill/resume)")
+    ep.add_argument("--unit-deadline", type=_positive_float, default=None,
                     metavar="SECONDS",
                     help="wall-clock budget per shard; with --workers "
                          "> 1 it also sizes the supervisor's "
                          "hung-worker chunk deadline")
-    ep.add_argument("--max-pool-rebuilds", type=int, default=8,
+    ep.add_argument("--max-pool-rebuilds", type=_non_negative_int,
+                    default=8,
                     help="worker-pool rebuilds before degrading to "
                          "serial in-parent evaluation")
     ep.add_argument("--journal", metavar="PATH", default=None,
@@ -717,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="optimise the stress-condition plan")
     p.add_argument("--test", default="11N", help="march test name")
-    p.add_argument("--samples", type=int, default=3000)
+    p.add_argument("--samples", type=_positive_int, default=3000)
     p.add_argument("--target-dpm", type=float, default=None)
     p.set_defaults(func=_cmd_plan)
 
@@ -757,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-dpm", type=float, default=None,
                    help="enable the PLAN003 reachability rule against "
                         "this DPM target")
-    p.add_argument("--samples", type=int, default=400,
+    p.add_argument("--samples", type=_positive_int, default=400,
                    help="Monte-Carlo samples for the PLAN003 coverage "
                         "table")
     p.add_argument("--test", default="11N",
@@ -783,9 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint file of the campaign")
         cp.add_argument("--save-db", metavar="PATH",
                         help="write the coverage database as JSON")
-        cp.add_argument("--max-attempts", type=int, default=3,
+        cp.add_argument("--max-attempts", type=_positive_int, default=3,
                         help="retry attempts per site evaluation")
-        cp.add_argument("--unit-deadline", type=float, default=None,
+        cp.add_argument("--unit-deadline", type=_positive_float,
+                        default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per work unit")
         cp.add_argument("--chaos-rate", type=float, default=0.0,
@@ -805,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--columns", type=int, default=16, help="#Y words/row")
     cp.add_argument("--bits", type=int, default=32, help="#B bits/word")
     cp.add_argument("--blocks", type=int, default=1, help="#Z blocks")
-    cp.add_argument("--sites", type=int, default=2000,
+    cp.add_argument("--sites", type=_positive_int, default=2000,
                     help="IFA site-population size")
     cp.add_argument("--seed", type=int, default=2005, help="campaign seed")
     _campaign_common(cp, with_checkpoint_flag=True)
@@ -843,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 = pick an ephemeral port and "
                         "print it)")
-    p.add_argument("--cache-size", type=int, default=1024,
+    p.add_argument("--cache-size", type=_non_negative_int, default=1024,
                    help="response-cache capacity in entries "
                         "(0 disables caching)")
     p.add_argument("--journal", metavar="PATH", default=None,
@@ -877,6 +890,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is _cmd_experiment_run and args.scheme == "spawn":
+        # Shards group whole RNG blocks.
+        from repro.experiment.streaming.plan import (
+            DEFAULT_BLOCK_DEVICES,
+            DEFAULT_SHARD_DEVICES,
+        )
+
+        shard = args.shard_devices or DEFAULT_SHARD_DEVICES
+        block = args.block_devices or DEFAULT_BLOCK_DEVICES
+        if shard % block:
+            parser.error(f"--shard-devices ({shard}) must be a multiple "
+                         f"of --block-devices ({block})")
     return args.func(args)
 
 

@@ -60,7 +60,12 @@ from repro.experiment.streaming.plan import ShardPlan, ShardUnit
 from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
+from repro.runner.chaos import unit_injections
+from repro.runner.evaluate import (
+    UnitDeadlineExceeded,
+    UnitOutcome,
+    check_unit_deadline,
+)
 from repro.runner.retry import RetryPolicy, RetryStats, run_with_retry
 
 #: Names of the lazily-built caches dropped from pickles: each worker
@@ -317,8 +322,7 @@ class ShardEvaluator:
                  unit_deadline: float | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if unit_deadline is not None and unit_deadline <= 0:
-            raise ValueError("unit_deadline must be positive")
+        check_unit_deadline(unit_deadline)
         self.campaign = campaign
         self.retry = retry
         self.unit_deadline = unit_deadline
@@ -333,16 +337,7 @@ class ShardEvaluator:
         """
         engine = self.campaign
         classifier = engine.classifier
-        # Chaos bookkeeping (duck-typed: absent outside chaos runs) --
-        # the same unit-scoped snapshot protocol as UnitEvaluator, so
-        # outcomes carry injector counter growth across the process
-        # boundary.
-        injector = getattr(engine.behavior, "injector", None)
-        if injector is not None and hasattr(injector, "begin_unit"):
-            injector.begin_unit(shard.unit_id)
-        snapshot = (injector.counter_snapshot()
-                    if injector is not None
-                    and hasattr(injector, "counter_snapshot") else None)
+        injections = unit_injections(engine.behavior, shard.unit_id)
         started = self.clock()
         stats = RetryStats()
         acc = ExperimentAccumulator(devices=shard.devices)
@@ -369,11 +364,9 @@ class ShardEvaluator:
                     acc.observe_hints(device.hints)
                 self._check_deadline(shard, started, f"{seen} chips")
         payload: Any = acc.as_payload()
-        injections = (injector.counters_since(snapshot)
-                      if snapshot is not None else {})
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[],
-                           stats=stats, injections=injections)
+                           stats=stats, injections=injections())
 
     def _classify(self, shard: ShardUnit, chip: VeqtorChip,
                   stats: RetryStats) -> DeviceRecord | None:

@@ -1,13 +1,13 @@
 """Parent-side orchestration of the streaming experiment.
 
-:class:`StreamingRunner` mirrors
-:class:`~repro.runner.campaign.CampaignRunner`: shards dispatch through
-the serial evaluator or the supervised pool, completed
-shards land in a :class:`~repro.runner.checkpoint.CampaignCheckpoint`
-(payload = the shard's accumulator dict), and all observability happens
-here, in shard-plan order, at the in-order effect point -- so journals
-are byte-identical across worker counts and the reduce is
-deterministic no matter which worker finished first.
+:class:`StreamingRunner` drives the lot through the same checkpointed
+run loop as the campaign (:class:`~repro.runner.checkpoint.
+CheckpointedRun`): shards dispatch through the serial evaluator or the
+supervised pool, every executed shard lands in the checkpoint (payload
+= the shard's accumulator dict) and all observability happens here, in
+shard-plan order, at the in-order effect point -- so journals are
+byte-identical across worker counts and the reduce is deterministic no
+matter which worker finished first.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.venn import VennCounts
 from repro.experiment.classify import STRESS_NAMES
-from repro.runner.checkpoint import CampaignCheckpoint
-from repro.runner.evaluate import UnitOutcome
+from repro.runner.checkpoint import CheckpointedRun
+from repro.runner.evaluate import UnitOutcome, check_unit_deadline
 from repro.runner.retry import RetryPolicy
 
 
@@ -77,8 +77,8 @@ class StreamingRunner:
     Args:
         engine: The :class:`StreamingExperiment` to run.
         retry: Per-unit retry policy handed to the executors.
-        checkpoint_path: Crash-safe progress file (optional).
-        checkpoint_every: Completed shards per checkpoint write.
+        checkpoint_path: Crash-safe progress file (optional; saved
+            after every executed shard).
         unit_deadline: Optional per-shard wall-clock budget (seconds).
         workers: Process count (1 = serial; N > 1 runs the
             self-healing supervised pool, which chunks the shards
@@ -92,7 +92,6 @@ class StreamingRunner:
     def __init__(self, engine: StreamingExperiment,
                  retry: RetryPolicy | None = None,
                  checkpoint_path: str | Path | None = None,
-                 checkpoint_every: int = 8,
                  unit_deadline: float | None = None,
                  workers: int = 1,
                  max_pool_rebuilds: int = 8,
@@ -100,15 +99,13 @@ class StreamingRunner:
                  fault_hook: Callable[[str], None] | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        check_unit_deadline(unit_deadline)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.engine = engine
         self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
-        self.checkpoint_every = checkpoint_every
         self.unit_deadline = unit_deadline
         self.workers = workers
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -119,16 +116,6 @@ class StreamingRunner:
         self._supervisor: Any = None
 
     # ------------------------------------------------------------------
-    def _journal_bus(self) -> Any:
-        """Resolve the ``journal`` argument to an event bus (or None)."""
-        if self.journal is None:
-            return None
-        if isinstance(self.journal, (str, Path)):
-            from repro.obs.bus import EventBus
-
-            return EventBus(Path(self.journal))
-        return self.journal
-
     def _outcomes(self, pending: list[Any], bus: Any = None,
                   metrics: Any = None) -> Iterator[UnitOutcome]:
         """Evaluate pending shards lazily: serial or across the pool."""
@@ -160,59 +147,14 @@ class StreamingRunner:
         resumed} yields an identical accumulator payload.
         """
         units = self.engine.plan.shards()
-        meta = self.engine.meta()
-        resuming = (self.checkpoint_path is not None
-                    and self.checkpoint_path.exists())
-        if resuming:
-            ckpt = CampaignCheckpoint.load(self.checkpoint_path)
-            ckpt.ensure_matches(meta)
-        else:
-            ckpt = CampaignCheckpoint(meta)
-        bus = self._journal_bus()
-        metrics: Any = None
-        if bus is not None:
-            from repro.obs.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
-            bus.set_meta(meta)
-            bus.emit("run.start", plan_units=len(units))
-            if resuming:
-                status = ckpt.status()
-                bus.emit("checkpoint.resume",
-                         completed_units=status["completed_units"],
-                         recovered_from_temp=status[
-                             "recovered_from_temp"])
-        pending = [u for u in units if not ckpt.is_complete(u.unit_id)]
-        outcomes = self._outcomes(pending, bus, metrics)
+        run = CheckpointedRun(self.engine.meta(), self.checkpoint_path,
+                              self.journal, self.fault_hook)
+        bus, metrics = run.bus, run.metrics
         total = ExperimentAccumulator()
-        result = StreamingResult(accumulator=total,
-                                 quarantine=list(ckpt.quarantine))
-        dirty = 0
-        processed = 0
-        for unit in units:
-            unit_id = unit.unit_id
-            if ckpt.is_complete(unit_id):
-                payload = ckpt.result_for(unit_id)
-                result.resumed_shards += 1
-                source = "checkpoint"
-            else:
-                outcome = next(outcomes)
-                payload = outcome.record
-                result.quarantine.extend(outcome.quarantine)
-                result.executed_shards += 1
-                source = "executed"
-                ckpt.record_unit(unit_id, payload, outcome.quarantine)
-                if bus is not None:
-                    for entry in outcome.quarantine:
-                        bus.emit("unit.quarantine", unit=unit_id,
-                                 site_index=entry["site_index"],
-                                 attempts=entry["attempts"],
-                                 error=entry["error"])
-                    metrics.inc("quarantine.sites",
-                                len(outcome.quarantine))
+
+        def merge(unit: Any, payload: dict[str, Any], source: str) -> None:
             shard_acc = ExperimentAccumulator.from_payload(payload)
             total.merge(shard_acc)
-            processed += 1
             if bus is not None:
                 bus.emit("experiment.shard", shard=unit.index,
                          devices=shard_acc.devices,
@@ -220,22 +162,26 @@ class StreamingRunner:
                          interesting=shard_acc.interesting,
                          source=source)
                 metrics.inc(f"shards.{source}")
-            if source == "checkpoint":
-                continue
-            dirty += 1
-            if self.checkpoint_path is not None and (
-                    dirty >= self.checkpoint_every):
-                ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
-                dirty = 0
-                if bus is not None:
-                    bus.emit("checkpoint.save", completed_units=processed)
-                    metrics.inc("checkpoint.saves")
-                    bus.flush()
-        if self.checkpoint_path is not None and dirty:
-            ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
+
+        def execute(unit: Any, outcome: UnitOutcome) -> dict[str, Any]:
             if bus is not None:
-                bus.emit("checkpoint.save", completed_units=processed)
-                metrics.inc("checkpoint.saves")
+                for entry in outcome.quarantine:
+                    bus.emit("unit.quarantine", unit=unit.unit_id,
+                             site_index=entry["site_index"],
+                             attempts=entry["attempts"],
+                             error=entry["error"])
+                metrics.inc("quarantine.sites", len(outcome.quarantine))
+            merge(unit, outcome.record, "executed")
+            return outcome.record
+
+        run.run(units,
+                lambda pending: self._outcomes(pending, bus, metrics),
+                lambda unit, payload: merge(unit, payload, "checkpoint"),
+                execute)
+        result = StreamingResult(accumulator=total,
+                                 executed_shards=run.executed_units,
+                                 resumed_shards=run.resumed_units,
+                                 quarantine=list(run.checkpoint.quarantine))
         if self._supervisor is not None:
             result.supervisor_stats = self._supervisor.stats.as_dict()
         if bus is not None:
@@ -243,10 +189,5 @@ class StreamingRunner:
                      devices=total.devices, defective=total.defective,
                      interesting=total.interesting,
                      standard_fails=total.standard_fails)
-            bus.emit("run.done",
-                     executed_units=result.executed_shards,
-                     resumed_units=result.resumed_shards,
-                     quarantined_sites=len(result.quarantine))
-            result.metrics = metrics.snapshot()
-            bus.flush()
+        result.metrics = run.finish()
         return result

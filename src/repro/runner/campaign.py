@@ -29,15 +29,19 @@ paths is exercised by tests rather than discovered in production.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.defects.models import DefectKind
 from repro.ifa.flow import CoverageRecord
-from repro.runner.checkpoint import CampaignCheckpoint
-from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
+from repro.runner.checkpoint import CampaignCheckpoint, CheckpointedRun
+from repro.runner.evaluate import (
+    UnitDeadlineExceeded,
+    UnitOutcome,
+    check_unit_deadline,
+)
 from repro.runner.retry import RetryPolicy, RetryStats
 from repro.runner.units import WorkUnit, plan_units
 from repro.stress import StressCondition
@@ -161,15 +165,11 @@ class CampaignRunner:
             ...) stored in -- and matched against -- the checkpoint.
         fault_hook: Chaos probe threaded into checkpoint I/O
             (typically ``FaultInjector.check``).
-        journal: Observability sink (:mod:`repro.obs`).  ``None``
-            (default) disables it entirely -- the hot path then makes
-            zero event-bus invocations.  A path writes a JSONL run
-            journal there (flushed atomically alongside every
-            checkpoint save); an :class:`~repro.obs.bus.EventBus`-like
-            instance is used as-is (tests pass counting wrappers).
-            Every event is derived at the in-order effect point from
-            the unit outcomes, so journals never contain wall-clock
-            reads.
+        journal: Run journal (:mod:`repro.obs`): ``None`` (default;
+            zero event-bus calls), a JSONL path or an
+            :class:`~repro.obs.bus.EventBus`-like instance.  Events are
+            derived at the in-order effect point from the unit
+            outcomes, so journals never contain wall-clock reads.
         sleep, clock: Injectable time sources for the retry machinery
             (tests pass fakes; production uses the real ones).
     """
@@ -183,8 +183,7 @@ class CampaignRunner:
                  journal: Any = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if unit_deadline is not None and unit_deadline <= 0:
-            raise ValueError("unit_deadline must be positive")
+        check_unit_deadline(unit_deadline)
         self.campaign = campaign
         self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
@@ -195,17 +194,6 @@ class CampaignRunner:
         self.journal = journal
         self.sleep = sleep
         self.clock = clock
-        self._batch_evaluator: Any = None
-
-    def _journal_bus(self) -> Any:
-        """Resolve the ``journal`` argument to an event bus (or None)."""
-        if self.journal is None:
-            return None
-        if isinstance(self.journal, (str, Path)):
-            from repro.obs.bus import EventBus
-
-            return EventBus(Path(self.journal))
-        return self.journal
 
     # ------------------------------------------------------------------
     # Plan / fingerprint
@@ -238,34 +226,6 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _load_or_new_checkpoint(
-            self, meta: dict[str, Any]) -> CampaignCheckpoint:
-        """Load the checkpoint when present and matching, else start new."""
-        if self.checkpoint_path is not None and self.checkpoint_path.exists():
-            ckpt = CampaignCheckpoint.load(self.checkpoint_path)
-            ckpt.ensure_matches(meta)
-            return ckpt
-        return CampaignCheckpoint(meta)
-
-    def _outcomes(self, units: Sequence[WorkUnit],
-                  pending: Sequence[WorkUnit]) -> Iterator[UnitOutcome]:
-        """Evaluate pending units lazily through the grid evaluator.
-
-        Args:
-            units: The full plan (the grid evaluator derives its group
-                grids from it, so its cross-check sample does not
-                depend on checkpoint state).
-            pending: The subset actually needing evaluation.
-        """
-        from repro.perf.batch import BatchEvaluator
-
-        evaluator = BatchEvaluator(
-            self.campaign, plan=units, retry=self.retry,
-            unit_deadline=self.unit_deadline,
-            sleep=self.sleep, clock=self.clock)
-        self._batch_evaluator = evaluator
-        return (evaluator.evaluate(unit) for unit in pending)
-
     def run(self, specs: Sequence[SweepSpec]) -> CampaignResult:
         """Execute (or resume) the campaign described by ``specs``.
 
@@ -282,64 +242,70 @@ class CampaignRunner:
         """
         units = self.plan(specs)
         meta = self.meta_for(specs)
-        resuming = (self.checkpoint_path is not None
-                    and self.checkpoint_path.exists())
-        ckpt = self._load_or_new_checkpoint(meta)
-        result = CampaignResult(records=[],
-                                quarantine=list(ckpt.quarantine))
-        pending = [u for u in units if not ckpt.is_complete(u.unit_id)]
-        bus = self._journal_bus()
-        metrics: Any = None
-        if bus is not None:
-            from repro.obs.metrics import MetricsRegistry
+        # Journal metadata is the campaign fingerprint minus the bulky
+        # sweep table (execution knobs are never part of it).
+        run = CheckpointedRun(
+            meta, self.checkpoint_path, self.journal, self.fault_hook,
+            journal_meta={k: v for k, v in meta.items() if k != "sweeps"})
+        bus, metrics = run.bus, run.metrics
+        result = CampaignResult(records=[])
 
-            metrics = MetricsRegistry()
-            # Journal metadata is the campaign fingerprint minus the
-            # bulky sweep table (execution knobs are never part of it).
-            bus.set_meta({k: v for k, v in meta.items()
-                          if k != "sweeps"})
-            bus.emit("run.start", plan_units=len(units))
-            if resuming:
-                status = ckpt.status()
-                bus.emit("checkpoint.resume",
-                         completed_units=status["completed_units"],
-                         recovered_from_temp=status[
-                             "recovered_from_temp"])
-        outcomes = self._outcomes(units, pending)
-        processed = 0
-        for unit in units:
-            unit_id = unit.unit_id
-            processed += 1
-            if ckpt.is_complete(unit_id):
-                record = record_from_payload(ckpt.result_for(unit_id))
-                result.records.append(record)
-                result.resumed_units += 1
-                if bus is not None:
-                    bus.emit("unit.resumed", unit=unit_id)
-                    self._emit_unit_done(bus, metrics, unit_id,
-                                         "checkpoint", record)
-                continue
-            outcome = next(outcomes)
-            result.records.append(outcome.record)
-            result.quarantine.extend(outcome.quarantine)
-            result.executed_units += 1
-            result.retry_stats.merge(outcome.stats)
-            ckpt.record_unit(unit_id, record_to_payload(outcome.record),
-                             outcome.quarantine)
+        def replay(unit: WorkUnit, payload: dict[str, Any]) -> None:
+            record = record_from_payload(payload)
+            result.records.append(record)
             if bus is not None:
-                self._emit_executed(bus, metrics, unit, outcome)
-            if self.checkpoint_path is not None:
-                ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
-                if bus is not None:
-                    bus.emit("checkpoint.save", completed_units=processed)
-                    metrics.inc("checkpoint.saves")
-                    bus.flush()
-        if self._batch_evaluator is not None:
-            result.batch_stats = self._batch_evaluator.stats.as_dict()
+                bus.emit("unit.resumed", unit=unit.unit_id)
+                self._emit_unit_done(bus, metrics, unit.unit_id,
+                                     "checkpoint", record)
+
+        def execute(unit: WorkUnit,
+                    outcome: UnitOutcome) -> dict[str, Any]:
+            # The in-order effect point: deriving events from the
+            # outcome here keeps evaluation free of bus traffic.
+            result.records.append(outcome.record)
+            result.retry_stats.merge(outcome.stats)
+            if bus is None:
+                return record_to_payload(outcome.record)
+            unit_id = unit.unit_id
+            bus.emit("unit.start", unit=unit_id, kind=unit.kind.value,
+                     resistance=unit.resistance,
+                     condition=unit.condition.name)
+            for message in outcome.stats.error_log():
+                bus.emit("unit.retry", unit=unit_id, error=message)
+            for entry in outcome.quarantine:
+                bus.emit("unit.quarantine", unit=unit_id,
+                         site_index=entry["site_index"],
+                         attempts=entry["attempts"], error=entry["error"])
+            metrics.inc("retry.calls", outcome.stats.calls)
+            metrics.inc("retry.retries", outcome.stats.retries)
+            metrics.inc("retry.exhausted", outcome.stats.exhausted)
+            metrics.inc("quarantine.sites", len(outcome.quarantine))
+            self._emit_unit_done(bus, metrics, unit_id, "executed",
+                                 outcome.record)
+            return record_to_payload(outcome.record)
+
+        from repro.perf.batch import BatchEvaluator
+
+        # The grid evaluator derives its group grids from the full plan,
+        # so its cross-check sample does not depend on checkpoint state.
+        evaluator = BatchEvaluator(
+            self.campaign, plan=units, retry=self.retry,
+            unit_deadline=self.unit_deadline,
+            sleep=self.sleep, clock=self.clock)
+        run.run(units,
+                lambda pending: (evaluator.evaluate(u) for u in pending),
+                replay, execute)
+        result.quarantine = list(run.checkpoint.quarantine)
+        result.executed_units = run.executed_units
+        result.resumed_units = run.resumed_units
+        result.batch_stats = evaluator.stats.as_dict()
         if bus is not None:
-            self._emit_run_done(bus, metrics, result)
-            result.metrics = metrics.snapshot()
-            bus.flush()
+            # A demotion only exists when a model's batch hook lied or
+            # failed, so an honest run journals none.
+            for d in result.batch_stats["demotions"]:
+                bus.emit("batch.demote", **d)
+                metrics.inc(f"batch.demote.{d['reason']}")
+        result.metrics = run.finish()
         return result
 
     # ------------------------------------------------------------------
@@ -358,51 +324,6 @@ class CampaignRunner:
                  detected=record.detected, total=record.total,
                  errors=record.errors, condition=record.condition)
         metrics.inc(f"units.{source}")
-
-    def _emit_executed(self, bus: Any, metrics: Any, unit: WorkUnit,
-                       outcome: UnitOutcome) -> None:
-        """Replay one executed unit's outcome into the journal.
-
-        This is the in-order effect point: the outcome object is the
-        evaluator's complete account of the unit (record, quarantine
-        ledger, retry snapshot), so deriving events here -- instead of
-        inside evaluation -- keeps the hot path free of any bus
-        traffic.
-        """
-        unit_id = unit.unit_id
-        bus.emit("unit.start", unit=unit_id, kind=unit.kind.value,
-                 resistance=unit.resistance,
-                 condition=unit.condition.name)
-        for message in outcome.stats.error_log():
-            bus.emit("unit.retry", unit=unit_id, error=message)
-        for entry in outcome.quarantine:
-            bus.emit("unit.quarantine", unit=unit_id,
-                     site_index=entry["site_index"],
-                     attempts=entry["attempts"], error=entry["error"])
-        # Merge the per-unit retry snapshot here, at the same point
-        # result.retry_stats absorbs it.
-        metrics.inc("retry.calls", outcome.stats.calls)
-        metrics.inc("retry.retries", outcome.stats.retries)
-        metrics.inc("retry.exhausted", outcome.stats.exhausted)
-        metrics.inc("quarantine.sites", len(outcome.quarantine))
-        self._emit_unit_done(bus, metrics, unit_id, "executed",
-                             outcome.record)
-
-    def _emit_run_done(self, bus: Any, metrics: Any,
-                       result: CampaignResult) -> None:
-        """Emit the grid evaluator's demotions and the terminal event.
-
-        A demotion only exists when a model's batch hook lied or
-        failed, so an honest run journals none.
-        """
-        if result.batch_stats is not None:
-            for d in result.batch_stats["demotions"]:
-                bus.emit("batch.demote", **d)
-                metrics.inc(f"batch.demote.{d['reason']}")
-        bus.emit("run.done",
-                 executed_units=result.executed_units,
-                 resumed_units=result.resumed_units,
-                 quarantined_sites=len(result.quarantine))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -35,7 +35,8 @@ import hashlib
 import os
 import time
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -164,10 +165,9 @@ class FaultInjector:
     def begin_unit(self, unit_id: str) -> None:
         """Scope subsequent RNG draws to ``unit_id``.
 
-        Called by :class:`~repro.runner.evaluate.UnitEvaluator` at the
-        start of every unit.  A no-op unless ``scope_by_unit`` was
-        requested, so default configurations keep their global
-        call-order streams.
+        Called by :func:`unit_injections` as every unit starts.  A
+        no-op unless ``scope_by_unit`` was requested, so default
+        configurations keep their global call-order streams.
         """
         if self.scope_by_unit:
             self._scope = unit_id
@@ -279,6 +279,22 @@ class FaultInjector:
                    "injected": self.injected[site]}
             for site in sorted(set(self.calls) | set(self.injected))
         }
+
+
+def unit_injections(behavior: Any, unit_id: str,
+                    ) -> Callable[[], dict[str, dict[str, int]]]:
+    """Scope a behaviour model's injector to one unit as it starts.
+
+    Returns a reader of the injector's counter growth since, which the
+    unit's :class:`~repro.runner.evaluate.UnitOutcome` carries across
+    the process boundary; it reads ``{}`` outside chaos runs.
+    """
+    injector = getattr(behavior, "injector", None)
+    if injector is None:
+        return dict
+    injector.begin_unit(unit_id)
+    snapshot = injector.counter_snapshot()
+    return lambda: injector.counters_since(snapshot)
 
 
 class ChaosBehaviorModel:

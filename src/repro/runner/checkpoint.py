@@ -28,15 +28,17 @@ Corruption handling on load, in order:
 3. otherwise -> :class:`CheckpointCorruptError` naming the path and the
    specific defect (truncated JSON, checksum mismatch, missing key...).
 
-When a run journal is enabled (:mod:`repro.obs`), the runner mirrors
-this lifecycle as ``checkpoint.save`` / ``checkpoint.resume`` events
--- including the temp-file recovery case, which ``status()`` reports
-as ``recovered_from_temp``.
+:class:`CheckpointedRun` is the run loop of both the campaign and the
+streaming lot.  When a run journal is enabled (:mod:`repro.obs`), it
+mirrors this lifecycle as ``checkpoint.save`` / ``checkpoint.resume``
+events -- including the temp-file recovery case, which ``status()``
+reports as ``recovered_from_temp``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -200,3 +202,105 @@ class CampaignCheckpoint:
             out["total_units"] = total_units
             out["remaining_units"] = total_units - len(self.completed)
         return out
+
+
+class CheckpointedRun:
+    """One resumable pass over a unit plan: replay, execute, checkpoint.
+
+    Construction loads the checkpoint (refusing one whose fingerprint
+    differs from ``meta``) or starts a new one, and opens the journal:
+    ``bus`` and ``metrics`` stay ``None`` without one, and the loop
+    then makes zero bus calls.  Folding payloads and emitting unit
+    events is the caller's business.
+
+    Args:
+        meta: Run fingerprint stored in (and matched against) the
+            checkpoint.
+        checkpoint_path: Progress file; ``None`` runs in memory.
+        journal: ``None``, a JSONL path or an event bus.
+        fault_hook: Chaos probe threaded into checkpoint writes.
+        journal_meta: Journal header metadata (default ``meta``).
+    """
+
+    def __init__(self, meta: dict[str, Any],
+                 checkpoint_path: Path | None = None,
+                 journal: Any = None,
+                 fault_hook: FaultHook | None = None,
+                 journal_meta: dict[str, Any] | None = None) -> None:
+        self.checkpoint_path = checkpoint_path
+        self.fault_hook = fault_hook
+        self.resuming = (checkpoint_path is not None
+                         and checkpoint_path.exists())
+        if self.resuming:
+            self.checkpoint = CampaignCheckpoint.load(checkpoint_path)
+            self.checkpoint.ensure_matches(meta)
+        else:
+            self.checkpoint = CampaignCheckpoint(meta)
+        if isinstance(journal, (str, Path)):
+            from repro.obs.bus import EventBus
+
+            journal = EventBus(Path(journal))
+        self.bus = journal
+        self.metrics: Any = None
+        if journal is not None:
+            from repro.obs.metrics import MetricsRegistry
+
+            self.metrics = MetricsRegistry()
+            self.bus.set_meta(meta if journal_meta is None
+                              else journal_meta)
+        self.executed_units = 0
+        self.resumed_units = 0
+
+    def run(self, units: Sequence[Any],
+            outcomes: Callable[[list[Any]], Iterator[Any]],
+            replay: Callable[[Any, dict[str, Any]], None],
+            execute: Callable[[Any, Any], dict[str, Any]]) -> None:
+        """Replay or execute every unit of ``units``, in plan order.
+
+        Every executed unit is recorded and saved (with a journal:
+        then a ``checkpoint.save`` event and a flush) before the next.
+
+        Args:
+            units: The plan (objects with a ``unit_id``).
+            outcomes: Builds the lazy stream of the pending units'
+                :class:`~repro.runner.evaluate.UnitOutcome` objects.
+            replay: Folds a checkpointed unit's stored payload.
+            execute: Folds an executed unit's outcome and returns the
+                payload to checkpoint for it.
+        """
+        ckpt, bus = self.checkpoint, self.bus
+        if bus is not None:
+            bus.emit("run.start", plan_units=len(units))
+            if self.resuming:
+                bus.emit("checkpoint.resume",
+                         completed_units=len(ckpt.completed),
+                         recovered_from_temp=ckpt.recovered_from_temp)
+        stream = outcomes([u for u in units
+                           if not ckpt.is_complete(u.unit_id)])
+        for processed, unit in enumerate(units, 1):
+            if ckpt.is_complete(unit.unit_id):
+                self.resumed_units += 1
+                replay(unit, ckpt.result_for(unit.unit_id))
+                continue
+            outcome = next(stream)
+            self.executed_units += 1
+            ckpt.record_unit(unit.unit_id, execute(unit, outcome),
+                             outcome.quarantine)
+            if self.checkpoint_path is None:
+                continue
+            ckpt.save(self.checkpoint_path, fault_hook=self.fault_hook)
+            if bus is not None:
+                bus.emit("checkpoint.save", completed_units=processed)
+                self.metrics.inc("checkpoint.saves")
+                bus.flush()
+
+    def finish(self) -> dict[str, Any] | None:
+        """Emit ``run.done`` and flush; the metrics snapshot (or None)."""
+        if self.bus is None:
+            return None
+        self.bus.emit("run.done", executed_units=self.executed_units,
+                      resumed_units=self.resumed_units,
+                      quarantined_sites=len(self.checkpoint.quarantine))
+        snapshot = self.metrics.snapshot()
+        self.bus.flush()
+        return snapshot

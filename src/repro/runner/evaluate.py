@@ -35,6 +35,7 @@ from typing import Any
 
 from repro.defects.models import Defect, DefectKind
 from repro.ifa.flow import CoverageRecord
+from repro.runner.chaos import unit_injections
 from repro.runner.retry import (
     DEFAULT_UNIT_POLICY,
     RetryExhaustedError,
@@ -53,6 +54,12 @@ class UnitDeadlineExceeded(RuntimeError):
     checkpoint keeps every completed unit, so the campaign is resumable
     after the stall's cause is fixed.
     """
+
+
+def check_unit_deadline(unit_deadline: float | None) -> None:
+    """Raise ValueError for a per-unit budget that is set but not > 0."""
+    if unit_deadline is not None and unit_deadline <= 0:
+        raise ValueError("unit_deadline must be positive")
 
 
 @dataclass
@@ -106,8 +113,7 @@ class UnitEvaluator:
                  unit_deadline: float | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if unit_deadline is not None and unit_deadline <= 0:
-            raise ValueError("unit_deadline must be positive")
+        check_unit_deadline(unit_deadline)
         self.campaign = campaign
         self.retry = retry if retry is not None else DEFAULT_UNIT_POLICY
         self.unit_deadline = unit_deadline
@@ -175,16 +181,7 @@ class UnitEvaluator:
                         for i in sites}
         behavior = self.campaign.behavior
         cond = unit.condition
-        # Chaos bookkeeping (duck-typed: absent outside chaos runs).
-        # Scoping the injector to the unit and snapshotting its
-        # counters here keeps injections a per-unit fact, so outcomes
-        # can carry them across the process boundary.
-        injector = getattr(behavior, "injector", None)
-        if injector is not None and hasattr(injector, "begin_unit"):
-            injector.begin_unit(unit.unit_id)
-        snapshot = (injector.counter_snapshot()
-                    if injector is not None
-                    and hasattr(injector, "counter_snapshot") else None)
+        injections = unit_injections(behavior, unit.unit_id)
         if stats is None:
             stats = RetryStats()
         started = self.clock()
@@ -225,8 +222,6 @@ class UnitEvaluator:
             total=len(population),
             errors=len(entries),
         )
-        injections = (injector.counters_since(snapshot)
-                      if snapshot is not None else {})
         return UnitOutcome(index=unit.index, unit_id=unit.unit_id,
                            record=record, quarantine=entries, stats=stats,
-                           injections=injections)
+                           injections=injections())

@@ -245,7 +245,7 @@ class TestResume:
         ckpt_path = tmp_path / "exp.ckpt.json"
         uninterrupted = _payload(self.N, shard_devices=4096)
         full = _payload(self.N, shard_devices=4096,
-                        checkpoint_path=ckpt_path, checkpoint_every=1)
+                        checkpoint_path=ckpt_path)
         assert canonical_json(full) == canonical_json(uninterrupted)
 
         # Rewind the checkpoint to "killed after two shards": keep the
@@ -269,6 +269,16 @@ class TestResume:
         assert result.executed_shards == 2
         assert canonical_json(result.accumulator.as_payload()) == (
             canonical_json(uninterrupted))
+
+    def test_checkpoint_saved_after_every_shard(self, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        _payload(self.N, shard_devices=4096,
+                 checkpoint_path=tmp_path / "exp.ckpt.json",
+                 journal=journal)
+        saves = [e["data"]["completed_units"]
+                 for e in map(json.loads, journal.read_text().splitlines())
+                 if e.get("event") == "checkpoint.save"]
+        assert saves == [1, 2, 3, 4]
 
     def test_mismatched_checkpoint_is_rejected(self, tmp_path):
         ckpt_path = tmp_path / "exp.ckpt.json"
@@ -394,6 +404,13 @@ class TestUnitDeadline:
         # The clock reads once at the start and once per RNG block:
         # block 2 is the first past the 1.5 s budget.
         assert "after 2 blocks" in message
+
+    def test_runner_rejects_non_positive_deadline_up_front(self):
+        engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
+        with pytest.raises(ValueError, match="unit_deadline"):
+            StreamingRunner(engine, unit_deadline=0)
+        with pytest.raises(ValueError, match="unit_deadline"):
+            StreamingRunner(engine, unit_deadline=-1.0, workers=2)
 
     def test_generous_deadline_is_silent(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)

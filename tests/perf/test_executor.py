@@ -128,8 +128,7 @@ class TestResumeWithWorkers:
         # ~280 model calls per shard: position 600 dies in shard 2.
         inj = FaultInjector(crash_positions={"behavior.evaluate": {600}})
         with pytest.raises(InjectedCrash):
-            StreamingRunner(make_lot(inj), checkpoint_path=ck,
-                            checkpoint_every=1).run()
+            StreamingRunner(make_lot(inj), checkpoint_path=ck).run()
 
         resumed = StreamingRunner(make_lot(), checkpoint_path=ck,
                                   workers=2).run()
@@ -145,7 +144,7 @@ class TestResumeWithWorkers:
         inj = FaultInjector(crash_positions={"behavior.evaluate": {5}})
         with pytest.raises(InjectedCrash):
             StreamingRunner(make_lot(inj), checkpoint_path=ck,
-                            checkpoint_every=1, workers=2).run()
+                            workers=2).run()
 
         resumed = StreamingRunner(make_lot(), checkpoint_path=ck).run()
         assert payload_bytes(resumed) == baseline

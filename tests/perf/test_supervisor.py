@@ -292,7 +292,6 @@ class TestResumeAfterWorkerDeath:
         inj = FaultInjector(crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
             StreamingRunner(make_lot(), checkpoint_path=ck,
-                            checkpoint_every=1,
                             fault_hook=inj.check).run()
 
         # The pool resumes it, loses a worker, heals, and dies too.
@@ -301,8 +300,7 @@ class TestResumeAfterWorkerDeath:
             worker_faults={WORKER_EXIT_SITE: {ids[1]: 1}},
             crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
-            StreamingRunner(make_lot(inj), checkpoint_path=ck,
-                            checkpoint_every=1, workers=2,
+            StreamingRunner(make_lot(inj), checkpoint_path=ck, workers=2,
                             journal=journal, fault_hook=inj.check).run()
         assert "pool.worker_lost" in {e.name for e in
                                       pool_events(journal)}

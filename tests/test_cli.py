@@ -315,15 +315,29 @@ class TestExperimentCommand:
 
     def test_resume_from_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "exp.ckpt.json"
+        journal = tmp_path / "exp.jsonl"
         base = ["experiment", "run", "--devices", "8192",
-                "--shard-devices", "4096", "--checkpoint", str(ckpt),
-                "--checkpoint-every", "1"]
-        assert main(base) == 0
+                "--shard-devices", "4096", "--checkpoint", str(ckpt)]
+        assert main([*base, "--journal", str(journal)]) == 0
         first = capsys.readouterr().out
         assert main(base) == 0
         second = capsys.readouterr().out
         assert "2 resumed from checkpoint" in second
-        assert first.splitlines()[1] == second.splitlines()[1]
+        assert first.splitlines()[1:-1] == second.splitlines()[1:]
+        saves = [e["data"]["completed_units"]
+                 for e in map(json.loads, journal.read_text().splitlines())
+                 if e.get("event") == "checkpoint.save"]
+        assert saves == [1, 2]
+
+    def test_checkpoint_every_flag_is_rejected(self, capsys):
+        """Lots checkpoint after every shard: --checkpoint-every is an
+        argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", "--devices", "8192",
+                  "--checkpoint-every", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --checkpoint-every" in (
+            capsys.readouterr().err)
 
     def test_chaos_worker_exit_heals(self, capsys):
         rc = main(["experiment", "run", "--devices", "8192",
@@ -338,3 +352,33 @@ class TestExperimentCommand:
             main(["experiment", "run", "--devices", "8192",
                   "--shard-devices", "4096",
                   "--chaos-worker-exit", "99"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "run", "--unit-deadline", "0"],
+     "--unit-deadline: must be positive"),
+    (["experiment", "run", "--devices", "0"],
+     "--devices: must be positive"),
+    (["experiment", "run", "--workers", "0"],
+     "--workers: must be positive"),
+    (["experiment", "run", "--shard-devices", "1000"],
+     "--shard-devices (1000) must be a multiple of --block-devices"),
+    (["campaign", "run", "--sites", "0"], "--sites: must be positive"),
+    (["campaign", "run", "--max-attempts", "0"],
+     "--max-attempts: must be positive"),
+    (["campaign", "resume", "ck.json", "--unit-deadline", "-1"],
+     "--unit-deadline: must be positive"),
+    (["plan", "--samples", "0"], "--samples: must be positive"),
+    (["serve", "--cache-size", "-1"], "--cache-size: must be non-negative"),
+    (["experiment", "run", "--devices", "many"],
+     "--devices: invalid int value"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_out_of_range_values_are_usage_errors(capsys, argv, message):
+    """Bad option values end in a one-line argparse error (exit 2), not
+    in a traceback from the library's own checks."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
