@@ -77,7 +77,7 @@ class TestWeakWriteComplement:
         rng = np.random.default_rng(11)
         dist = default_open_distribution()
         opens = extractor.sample_opens(
-            800, rng, resistance_sampler=lambda r: dist.sample(r, 1)[0])
+            800, rng, resistance_sampler=dist.sample_one)
         from repro.defects.models import OpenSite
         return [d for d in opens if d.site is OpenSite.CELL_PULLUP]
 

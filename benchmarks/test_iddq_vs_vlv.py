@@ -30,9 +30,9 @@ def populations():
     bdist = default_bridge_distribution()
     odist = default_open_distribution()
     bridges = extractor.sample_bridges(
-        1500, rng, resistance_sampler=lambda r: bdist.sample(r, 1)[0])
+        1500, rng, resistance_sampler=bdist.sample_one)
     opens = extractor.sample_opens(
-        500, rng, resistance_sampler=lambda r: odist.sample(r, 1)[0])
+        500, rng, resistance_sampler=odist.sample_one)
     return bridges, opens
 
 

@@ -199,6 +199,8 @@ echo "== fast-path equivalence markers =="
 for module in src/repro/perf/batch.py src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py \
               src/repro/ifa/critical_area.py \
+              src/repro/ifa/extraction.py \
+              src/repro/defects/distribution.py \
               src/repro/defects/behavior.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then

@@ -506,10 +506,25 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return _campaign_execute(flow, specs, args)
 
 
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    from repro.runner.checkpoint import CampaignCheckpoint
+def _load_campaign_checkpoint(path: str):
+    """The checkpoint at ``path``, or None after a one-line error on
+    stderr when it is missing or fails validation."""
+    from repro.runner.checkpoint import (
+        CampaignCheckpoint,
+        CheckpointCorruptError,
+    )
 
-    ckpt = CampaignCheckpoint.load(args.checkpoint)
+    try:
+        return CampaignCheckpoint.load(path)
+    except (FileNotFoundError, CheckpointCorruptError) as exc:
+        print(f"repro campaign: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_campaign_resume(args: argparse.Namespace) -> int:
+    ckpt = _load_campaign_checkpoint(args.checkpoint)
+    if ckpt is None:
+        return 2
     if ckpt.recovered_from_temp:
         print("note: checkpoint recovered from its .tmp sibling "
               "(crash between write and rename)")
@@ -518,10 +533,11 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.runner.checkpoint import CampaignCheckpoint
     from repro.runner.units import plan_units
 
-    ckpt = CampaignCheckpoint.load(args.checkpoint)
+    ckpt = _load_campaign_checkpoint(args.checkpoint)
+    if ckpt is None:
+        return 2
     _, specs = _campaign_flow_from_meta(ckpt.meta)
     total = 0
     for spec in specs:
@@ -626,11 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate",
                        help="fault coverage / DPM for a memory geometry")
-    p.add_argument("--rows", type=int, default=512, help="#X rows")
-    p.add_argument("--columns", type=int, default=16, help="#Y words/row")
-    p.add_argument("--bits", type=int, default=32, help="#B bits/word")
-    p.add_argument("--blocks", type=int, default=1, help="#Z blocks")
-    p.add_argument("--sites", type=int, default=3000,
+    p.add_argument("--rows", type=_positive_int, default=512, help="#X rows")
+    p.add_argument("--columns", type=_positive_int, default=16,
+                   help="#Y words/row")
+    p.add_argument("--bits", type=_positive_int, default=32,
+                   help="#B bits/word")
+    p.add_argument("--blocks", type=_positive_int, default=1, help="#Z blocks")
+    p.add_argument("--sites", type=_positive_int, default=3000,
                    help="IFA site-population size")
     p.add_argument("--no-paper", action="store_true",
                    help="omit the paper's reference numbers")
@@ -658,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("venn",
                        help="run the silicon-experiment simulation")
-    p.add_argument("--devices", type=int, default=11000)
+    p.add_argument("--devices", type=_positive_int, default=11000)
     p.add_argument("--seed", type=int, default=1105)
     p.add_argument("--diagnose", action="store_true",
                    help="bitmap-diagnose every interesting device")
@@ -814,10 +832,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "docs/observability.md)")
 
     cp = csub.add_parser("run", help="start a (checkpointed) campaign")
-    cp.add_argument("--rows", type=int, default=512, help="#X rows")
-    cp.add_argument("--columns", type=int, default=16, help="#Y words/row")
-    cp.add_argument("--bits", type=int, default=32, help="#B bits/word")
-    cp.add_argument("--blocks", type=int, default=1, help="#Z blocks")
+    cp.add_argument("--rows", type=_positive_int, default=512,
+                    help="#X rows")
+    cp.add_argument("--columns", type=_positive_int, default=16,
+                    help="#Y words/row")
+    cp.add_argument("--bits", type=_positive_int, default=32,
+                    help="#B bits/word")
+    cp.add_argument("--blocks", type=_positive_int, default=1,
+                    help="#Z blocks")
     cp.add_argument("--sites", type=_positive_int, default=2000,
                     help="IFA site-population size")
     cp.add_argument("--seed", type=int, default=2005, help="campaign seed")
@@ -880,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="journal-report format (ignored without a "
                         "journal)")
-    p.add_argument("--sites", type=int, default=4000)
-    p.add_argument("--devices", type=int, default=11000)
+    p.add_argument("--sites", type=_positive_int, default=4000)
+    p.add_argument("--devices", type=_positive_int, default=11000)
     p.set_defaults(func=_cmd_report)
 
     return parser

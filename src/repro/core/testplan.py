@@ -77,11 +77,10 @@ class JointCoverageTable:
 
         n_bridges = int(round(n_samples * bridge_fraction))
         defects = extractor.sample_bridges(
-            max(n_bridges, 1), rng,
-            resistance_sampler=lambda r: bridge_dist.sample(r, 1)[0])
+            max(n_bridges, 1), rng, resistance_sampler=bridge_dist.sample_one)
         defects += extractor.sample_opens(
             max(n_samples - n_bridges, 1), rng,
-            resistance_sampler=lambda r: open_dist.sample(r, 1)[0])
+            resistance_sampler=open_dist.sample_one)
         self.defects = defects
 
         # detection[i, j]: defect i caught by condition j -- one

@@ -11,15 +11,74 @@ megohms.  All parameters are exposed so ablation benches can vary them.
 
 Also here: defect density / Poisson yield (``Y = exp(-A * D0)``,
 paper equation (2)) used by the DPM estimator and by the silicon-
-experiment population generator.
+experiment population generator, and :class:`ChoiceTable`, the cached
+categorical draw behind the resistance and defect-site samplers.
+
+Exact-path equivalence: tests/defects/test_distribution.py
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+#: ``Generator.choice``'s tolerance on ``sum(p) == 1``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class ChoiceTable:
+    """A categorical draw that consumes a generator as ``choice`` does.
+
+    ``rng.choice(k, size=n, p=p)`` checks ``p``, builds ``cdf =
+    p.cumsum(); cdf /= cdf[-1]`` and returns
+    ``cdf.searchsorted(rng.random(n), side="right")``.  It repeats the
+    check and the CDF on every call: ~25 us even for ``n == 1`` (2-CPU
+    Xeon, numpy 2.4).  The table checks ``p`` and builds the CDF once;
+    :meth:`draw` and :meth:`draw_one` then return the indices ``choice``
+    would, from the same uniforms, and leave the generator in the same
+    state.
+
+    Args:
+        p: 1-d probabilities, exactly as they would be passed to
+            ``choice``.
+
+    Raises:
+        ValueError: ``p`` is empty, contains NaN or a negative entry, or
+            does not sum to 1 (the errors ``choice`` raises, with its
+            messages).
+    """
+
+    __slots__ = ("cdf", "_bounds")
+
+    def __init__(self, p) -> None:
+        p = np.asarray(p, dtype=float)
+        if p.size == 0:
+            raise ValueError("a must be a positive integer unless no "
+                             "samples are taken")
+        total = float(p.sum())
+        if math.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > _CHOICE_ATOL:
+            raise ValueError("Probabilities do not sum to 1. See Notes "
+                             "section of docstring for more information.")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self._bounds = cdf.tolist()
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` indices: ``rng.choice(len(p), size=size, p=p)``."""
+        return self.cdf.searchsorted(rng.random(size), side="right")
+
+    def draw_one(self, rng: np.random.Generator) -> int:
+        """One index, from one ``rng.random()`` as ``choice`` would."""
+        return bisect.bisect_right(self._bounds, rng.random())
 
 
 @dataclass(frozen=True)
@@ -61,6 +120,9 @@ class ResistanceDistribution:
             for c in components
         ]
         self.name = name
+        self._choice = ChoiceTable([c.weight for c in self.components])
+        self._log_params = [(math.log(c.median), c.sigma)
+                            for c in self.components]
 
     def cdf(self, r: float) -> float:
         """P(R <= r)."""
@@ -92,18 +154,31 @@ class ResistanceDistribution:
         return self.cdf(r_hi) - self.cdf(r_lo)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw resistances (ohms)."""
-        weights = np.array([c.weight for c in self.components])
-        choice = rng.choice(len(self.components), size=size, p=weights)
+        """Draw resistances (ohms).
+
+        One uniform per draw picks the component, then one normal block
+        per component in component order: the draw sequence of
+        :func:`sample_resistances_reference`, without its per-call
+        ``choice(p=...)``.
+        """
+        choice = self._choice.draw(rng, size)
         out = np.empty(size)
-        for i, c in enumerate(self.components):
+        for i, (mu, sigma) in enumerate(self._log_params):
             mask = choice == i
             n = int(mask.sum())
             if n:
-                out[mask] = np.exp(
-                    rng.normal(math.log(c.median), c.sigma, size=n)
-                )
+                out[mask] = np.exp(rng.normal(mu, sigma, size=n))
         return out
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        """One resistance (ohms): ``float(self.sample(rng, 1)[0])``.
+
+        The same uniform, normal and ``np.exp`` as a size-1
+        :meth:`sample`, without building its arrays -- the per-defect
+        sampler of the scalar population and test-plan draws.
+        """
+        mu, sigma = self._log_params[self._choice.draw_one(rng)]
+        return float(np.exp(rng.normal(mu, sigma)))
 
     def quantile_grid(self, n: int = 64, lo_q: float = 0.001,
                       hi_q: float = 0.999) -> np.ndarray:
@@ -122,6 +197,30 @@ class ResistanceDistribution:
             else:
                 hi = mid
         return math.sqrt(lo * hi)
+
+
+def sample_resistances_reference(distribution: ResistanceDistribution,
+                                 rng: np.random.Generator,
+                                 size: int = 1) -> np.ndarray:
+    """The per-call ``choice(p=...)`` resistance draw -- the oracle of
+    :meth:`ResistanceDistribution.sample` and
+    :meth:`~ResistanceDistribution.sample_one`.
+
+    The component weights go through ``rng.choice`` on every call.
+    ``sample`` and ``sample_one`` must return the same values from the
+    same generator state; no production path calls this.
+    """
+    weights = np.array([c.weight for c in distribution.components])
+    choice = rng.choice(len(distribution.components), size=size, p=weights)
+    out = np.empty(size)
+    for i, c in enumerate(distribution.components):
+        mask = choice == i
+        n = int(mask.sum())
+        if n:
+            out[mask] = np.exp(
+                rng.normal(math.log(c.median), c.sigma, size=n)
+            )
+    return out
 
 
 def _phi(z: float) -> float:

@@ -101,14 +101,11 @@ class PopulationGenerator:
 
     def _draw_defect(self, rng: np.random.Generator):
         if rng.random() < self.spec.density.bridge_fraction:
-            sampler = self.bridge_distribution
-            defect = self.extractor.sample_bridges(
-                1, rng, resistance_sampler=lambda r: sampler.sample(r, 1)[0])[0]
-        else:
-            sampler = self.open_distribution
-            defect = self.extractor.sample_opens(
-                1, rng, resistance_sampler=lambda r: sampler.sample(r, 1)[0])[0]
-        return defect
+            return self.extractor.sample_bridges(
+                1, rng,
+                resistance_sampler=self.bridge_distribution.sample_one)[0]
+        return self.extractor.sample_opens(
+            1, rng, resistance_sampler=self.open_distribution.sample_one)[0]
 
     # ------------------------------------------------------------------
     def expected_defective_fraction(self) -> float:

@@ -12,6 +12,12 @@ mode rescales the class totals onto the mixes below, which were fitted
 so the downstream campaign reproduces the paper's Table 1 pattern (see
 DESIGN.md, "Calibration targets").  ``calibrated=False`` exposes the raw
 geometry for ablation.
+
+Defects are drawn from per-kind tables cached on the extractor
+(:meth:`IfaExtractor.draw_table`), in the draw order of the per-defect
+``choice(p=...)`` oracle, :func:`sample_defects_reference`.
+
+Exact-path equivalence: tests/ifa/test_extraction.py
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.defects.distribution import ChoiceTable
 from repro.defects.models import (
     SITE_CODE,
     BridgeSite,
@@ -91,6 +98,35 @@ class ExtractedSiteClass:
     pair_count: int
 
 
+@dataclass(frozen=True)
+class SiteDrawTable:
+    """One defect kind's site classes, ready to draw from.
+
+    Attributes:
+        sites: The site classes, in draw order.
+        choice: The CDF of their weights, normalised by their sum
+            first as in :func:`sample_defects_reference`.
+        sigmas: ``STRENGTH_SIGMA`` of each site, for array draws.
+        codes: ``SITE_CODE`` of each site, for array draws.
+    """
+
+    sites: tuple[BridgeSite | OpenSite, ...]
+    choice: ChoiceTable
+    sigmas: np.ndarray
+    codes: np.ndarray
+
+    @classmethod
+    def from_weights(cls, sites: list[BridgeSite | OpenSite],
+                     weights: list[float]) -> "SiteDrawTable":
+        """Build the table; raises ``ValueError`` on a weight vector
+        that ``Generator.choice`` would reject (see
+        :class:`~repro.defects.distribution.ChoiceTable`)."""
+        probs = np.array(weights, dtype=float)
+        return cls(tuple(sites), ChoiceTable(probs / probs.sum()),
+                   np.array([STRENGTH_SIGMA[s] for s in sites], dtype=float),
+                   np.array([SITE_CODE[s] for s in sites], dtype=np.intp))
+
+
 def classify_bridge_pair(pair: AdjacentPair) -> BridgeSite | None:
     """Map a facing net pair onto a bridge site class (None = ignore)."""
     nets = {pair.a.net, pair.b.net}
@@ -124,11 +160,16 @@ def classify_bridge_pair(pair: AdjacentPair) -> BridgeSite | None:
 class IfaExtractor:
     """Extract weighted defect-site populations from a layout.
 
+    A calibrated extractor draws its defects from the calibrated mixes
+    alone, so it never generates or scans the layout unless a caller
+    asks for the extracted classes (:meth:`bridge_site_classes`,
+    :meth:`open_site_classes`) or the layout itself.
+
     Args:
         geometry: Memory organisation (for cell-index assignment and
             replication scaling).
-        layout: Pre-built layout; generated from ``geometry`` when
-            omitted.
+        layout: Pre-built layout; generated from ``geometry`` on first
+            use when omitted.
         calibrated: Rescale class totals onto the calibrated mixes.
     """
 
@@ -136,10 +177,18 @@ class IfaExtractor:
                  layout: SramLayout | None = None,
                  calibrated: bool = True) -> None:
         self.geometry = geometry
-        self.layout = layout if layout is not None else SramLayout(geometry)
+        self._layout = layout
         self.calibrated = calibrated
         self._bridge_classes: list[ExtractedSiteClass] | None = None
         self._open_classes: list[ExtractedSiteClass] | None = None
+        self._draw_tables: dict[DefectKind, SiteDrawTable] = {}
+
+    @property
+    def layout(self) -> SramLayout:
+        """The layout window (generated from ``geometry`` on first use)."""
+        if self._layout is None:
+            self._layout = SramLayout(self.geometry)
+        return self._layout
 
     # ------------------------------------------------------------------
     def bridge_site_classes(self) -> list[ExtractedSiteClass]:
@@ -197,6 +246,34 @@ class IfaExtractor:
         ]
         return self._open_classes
 
+    def draw_table(self, kind: DefectKind) -> SiteDrawTable:
+        """The site draw table of ``kind`` (bridges or opens), cached.
+
+        Calibrated: the sites and weights of ``BRIDGE_SITE_MIX`` /
+        ``OPEN_SITE_MIX`` in mix order -- exactly the calibrated
+        :meth:`bridge_site_classes` / :meth:`open_site_classes`, without
+        the layout scan behind their ``pair_count``.  Uncalibrated: the
+        extracted classes.
+
+        Raises:
+            ValueError: the weights cannot be drawn from (an
+                uncalibrated layout with no site of this kind).
+        """
+        table = self._draw_tables.get(kind)
+        if table is None:
+            bridges = kind is DefectKind.BRIDGE
+            if self.calibrated:
+                mix = BRIDGE_SITE_MIX if bridges else OPEN_SITE_MIX
+                sites, weights = list(mix), list(mix.values())
+            else:
+                classes = (self.bridge_site_classes() if bridges
+                           else self.open_site_classes())
+                sites = [c.site for c in classes]
+                weights = [c.weight for c in classes]
+            table = SiteDrawTable.from_weights(sites, weights)
+            self._draw_tables[kind] = table
+        return table
+
     # ------------------------------------------------------------------
     def sample_bridges(self, n: int, rng: np.random.Generator,
                        resistance_sampler=None) -> list[Defect]:
@@ -206,18 +283,15 @@ class IfaExtractor:
         per-site strength from the class's lognormal spread, a victim
         cell, a polarity and (optionally) a resistance from
         ``resistance_sampler(rng)``; resistance defaults to 1 kOhm so R
-        sweeps can override it.
+        sweeps can override it.  The draw sequence is that of
+        :func:`sample_defects_reference`.
         """
-        classes = self.bridge_site_classes()
-        return self._sample(n, rng, classes, DefectKind.BRIDGE,
-                            resistance_sampler)
+        return self._sample(n, rng, DefectKind.BRIDGE, resistance_sampler)
 
     def sample_opens(self, n: int, rng: np.random.Generator,
                      resistance_sampler=None) -> list[Defect]:
         """Draw a population of open defects (see :meth:`sample_bridges`)."""
-        classes = self.open_site_classes()
-        return self._sample(n, rng, classes, DefectKind.OPEN,
-                            resistance_sampler)
+        return self._sample(n, rng, DefectKind.OPEN, resistance_sampler)
 
     def sample_batch(self, n: int, rng: np.random.Generator,
                      kind: DefectKind,
@@ -251,14 +325,9 @@ class IfaExtractor:
             raise ValueError("n must be non-negative")
         if n == 0:
             return DefectArrays.from_defects([])
-        classes = (self.bridge_site_classes() if kind is DefectKind.BRIDGE
-                   else self.open_site_classes())
-        sites = [c.site for c in classes]
-        probs = np.array([c.weight for c in classes], dtype=float)
-        probs = probs / probs.sum()
-        picks = rng.choice(len(sites), size=n, p=probs)
-        sigmas = np.array([STRENGTH_SIGMA[s] for s in sites], dtype=float)
-        strengths = np.exp(rng.normal(0.0, 1.0, size=n) * sigmas[picks])
+        table = self.draw_table(kind)
+        picks = table.choice.draw(rng, n)
+        strengths = np.exp(rng.normal(0.0, 1.0, size=n) * table.sigmas[picks])
         cells = rng.integers(0, self.geometry.bits, size=n)
         polarities = np.where(rng.random(n) < 0.5, -1, 1)
         if resistance_distribution is not None:
@@ -266,20 +335,22 @@ class IfaExtractor:
                 resistance_distribution.sample(rng, n), dtype=float)
         else:
             resistances = np.full(n, 1e3)
-        codes = np.array([SITE_CODE[s] for s in sites], dtype=np.intp)
-        return DefectArrays(codes[picks], strengths, resistances,
+        return DefectArrays(table.codes[picks], strengths, resistances,
                             cells.astype(np.int64, copy=False),
                             polarities.astype(np.int64, copy=False))
 
-    def _sample(self, n: int, rng: np.random.Generator,
-                classes: list[ExtractedSiteClass], kind: DefectKind,
+    def _sample(self, n: int, rng: np.random.Generator, kind: DefectKind,
                 resistance_sampler) -> list[Defect]:
         if n <= 0:
             raise ValueError("n must be positive")
-        sites = [c.site for c in classes]
-        probs = np.array([c.weight for c in classes], dtype=float)
-        probs = probs / probs.sum()
-        picks = rng.choice(len(sites), size=n, p=probs)
+        table = self.draw_table(kind)
+        return self._defects(table.sites, table.choice.draw(rng, n).tolist(),
+                             rng, kind, resistance_sampler)
+
+    def _defects(self, sites, picks, rng: np.random.Generator,
+                 kind: DefectKind, resistance_sampler) -> list[Defect]:
+        """One defect per pick, each drawing its strength, cell,
+        polarity and resistance from ``rng`` in that order."""
         out: list[Defect] = []
         for i in picks:
             site = sites[int(i)]
@@ -292,3 +363,25 @@ class IfaExtractor:
             out.append(Defect(kind, site, resistance, strength=strength,
                               cell=cell, weight=1.0, polarity=polarity))
         return out
+
+
+def sample_defects_reference(extractor: IfaExtractor, n: int,
+                             rng: np.random.Generator, kind: DefectKind,
+                             resistance_sampler=None) -> list[Defect]:
+    """The per-call ``choice(p=...)`` site draw -- the oracle of
+    :meth:`IfaExtractor.sample_bridges` / :meth:`~IfaExtractor.sample_opens`.
+
+    The scanned site classes' weights are renormalised and passed to
+    ``rng.choice`` on every call.  The samplers must return ``==``
+    defect lists from the same generator state; no production path
+    calls this.
+    """
+    classes = (extractor.bridge_site_classes() if kind is DefectKind.BRIDGE
+               else extractor.open_site_classes())
+    if n <= 0:
+        raise ValueError("n must be positive")
+    sites = [c.site for c in classes]
+    probs = np.array([c.weight for c in classes], dtype=float)
+    probs = probs / probs.sum()
+    picks = rng.choice(len(sites), size=n, p=probs)
+    return extractor._defects(sites, picks, rng, kind, resistance_sampler)

@@ -22,8 +22,9 @@ The suites:
 
 * ``fastpath`` (:mod:`repro.perf.fastpath_bench`) -- the grid evaluator
   vs the exact per-site evaluator on the Table-1 sweep, the
-  boundary-traced vs the exact shmoo, and the sort-and-sweep vs the
-  pairwise-scan critical-area pair search;
+  boundary-traced vs the exact shmoo, the sort-and-sweep vs the
+  pairwise-scan critical-area pair search, and the test plan's defect
+  draw from cached CDFs vs the per-defect ``choice(p=...)`` oracle;
 * ``experiment`` (:mod:`repro.perf.experiment_bench`) -- the streaming
   million-device lot: throughput, memory, the legacy/shard identity
   oracles, and the serial-vs-pool speedup of a 10^7-device lot (the
@@ -84,10 +85,12 @@ SUITES: dict[str, Suite] = {
                   "campaign.invocation_reduction",
                   "invocation_reduction_shmoo": "shmoo.invocation_reduction",
                   "wallclock_speedup_batch": "campaign.speedup_batch",
-                  "wallclock_speedup_adjacency": "adjacency.speedup"},
+                  "wallclock_speedup_adjacency": "adjacency.speedup",
+                  "wallclock_speedup_draw": "draw.speedup"},
         checks={"records_match": "campaign.records_match",
                 "grids_match": "shmoo.grids_match",
-                "pairs_match": "adjacency.pairs_match"}),
+                "pairs_match": "adjacency.pairs_match",
+                "defects_match": "draw.defects_match"}),
     "experiment": Suite(
         config=ExperimentBenchConfig,
         run=run_experiment,
@@ -121,6 +124,7 @@ FLOORS: dict[tuple[str, str], tuple[str, float]] = {
     ("fastpath", "invocation_reduction_shmoo"): ("min", 3.0),
     ("fastpath", "wallclock_speedup_batch"): ("min", 5.0),
     ("fastpath", "wallclock_speedup_adjacency"): ("min", 5.0),
+    ("fastpath", "wallclock_speedup_draw"): ("min", 1.8),
     ("experiment", "devices_per_sec"): ("min", 50_000.0),
     ("experiment", "speedup_vs_legacy"): ("min", 5.0),
     ("experiment", "memory_peak_ratio"): ("max", 1.25),

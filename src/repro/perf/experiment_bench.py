@@ -39,6 +39,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Any
 
+from repro.defects.models import DefectKind
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.streaming.runner import StreamingRunner
@@ -131,14 +132,14 @@ def _payload(config: ExperimentBenchConfig, n_devices: int,
 def _warm(engine: StreamingExperiment) -> None:
     """Build an engine's one-off setup outside any benchmark clock.
 
-    Classifier/tester construction and the extractor's critical-area
-    extraction are identical fixed costs on the legacy and streaming
+    Classifier/tester construction and the extractor's site draw
+    tables are identical fixed costs on the legacy and streaming
     sides; at small equal-N they would dominate both timings and
     flatten the per-device difference the speedup figure measures.
     """
     engine.classifier
-    engine.extractor.bridge_site_classes()
-    engine.extractor.open_site_classes()
+    for kind in DefectKind:
+        engine.extractor.draw_table(kind)
 
 
 def _bench_streaming(config: ExperimentBenchConfig) -> dict[str, Any]:
@@ -146,7 +147,7 @@ def _bench_streaming(config: ExperimentBenchConfig) -> dict[str, Any]:
 
     The engine is warmed before the clock starts, as in
     :func:`_bench_legacy`: the one-off set-up (classifier, tester,
-    critical-area extraction) does not scale with the lot, and at a
+    site draw tables) does not scale with the lot, and at a
     small device count it would swamp the per-device rate the headline
     measures.  It is timed too, and reported as ``setup_seconds``.
     """
@@ -216,8 +217,8 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
     identity half re-folds the same single-stream draw order through
     ``scheme="legacy"`` streaming and compares canonical payloads.
 
-    Both engines are warmed (classifier, tester, critical-area
-    extraction) before their clocks start: those are shared one-off
+    Both engines are warmed (classifier, tester, site draw tables)
+    before their clocks start: those are shared one-off
     setup costs, identical on both sides, and at the small equal-N
     this comparison runs at they would otherwise swamp the per-device
     evaluation costs the speedup figure exists to measure.

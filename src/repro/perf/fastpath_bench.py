@@ -19,20 +19,29 @@ on every run before any number is reported:
   layout window: the sort-and-sweep
   :func:`~repro.ifa.critical_area.find_adjacent_pairs` vs the pairwise
   scan :func:`~repro.ifa.critical_area.find_adjacent_pairs_exhaustive`,
-  whose pair lists must be equal, order included.
+  whose pair lists must be equal, order included;
+* **draw** -- the test plan's 3000-defect Monte-Carlo draw (sites,
+  strengths, cells, polarities, fab resistances): the cached site and
+  resistance CDFs of :meth:`~repro.ifa.extraction.IfaExtractor.draw_table`
+  and :meth:`~repro.defects.distribution.ResistanceDistribution.sample_one`
+  vs the per-defect ``choice(p=...)`` oracles
+  (:func:`~repro.ifa.extraction.sample_defects_reference`,
+  :func:`~repro.defects.distribution.sample_resistances_reference`),
+  whose defect lists must be equal.
 
 The floors (``repro.perf.bench.FLOORS``) are the ones the fast paths
 exist for: at least 5x fewer behaviour-model invocations on the Table-1
 campaign, at least 3x fewer tester invocations on the shmoo, and at
 least a 5x wall-clock speedup for the grid evaluator over exact (the
-one timing floor: the batch kernel exists to kill the per-site Python
-loop, which call counts alone cannot see).
+batch kernel exists to kill the per-site Python loop, which call counts
+alone cannot see), and wall-clock floors on the adjacency and draw rows.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -40,11 +49,17 @@ import numpy as np
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.distribution import (
+    default_bridge_distribution,
+    default_open_distribution,
+    sample_resistances_reference,
+)
 from repro.defects.models import BridgeSite, Defect, DefectKind
 from repro.ifa.critical_area import (
     find_adjacent_pairs,
     find_adjacent_pairs_exhaustive,
 )
+from repro.ifa.extraction import IfaExtractor, sample_defects_reference
 from repro.ifa.flow import TABLE1_RESISTANCES, IfaCampaign
 from repro.ifa.layout import SramLayout
 from repro.march.library import get_test
@@ -205,9 +220,23 @@ def _bench_shmoo(config: FastpathBenchConfig) -> dict[str, Any]:
     return rows
 
 
-#: Alternating timed runs per side of the adjacency row; each side
-#: reports its median.
-ADJACENCY_REPEATS = 3
+#: Alternating timed runs per side of the adjacency and draw rows;
+#: each side reports its median.
+TIMING_REPEATS = 3
+
+
+def _alternating_medians(
+        runs: dict[str, Callable[[], object]]) -> dict[str, Any]:
+    """``{row: {"seconds": median}}`` over :data:`TIMING_REPEATS`
+    alternating calls of each zero-argument ``runs[row]``."""
+    seconds: dict[str, list[float]] = {row: [] for row in runs}
+    for _ in range(TIMING_REPEATS):
+        for row, run in runs.items():
+            started = time.perf_counter()
+            run()
+            seconds[row].append(time.perf_counter() - started)
+    return {row: {"seconds": round(float(np.median(times)), 6)}
+            for row, times in seconds.items()}
 
 
 def _bench_adjacency() -> dict[str, Any]:
@@ -223,17 +252,9 @@ def _bench_adjacency() -> dict[str, Any]:
         raise RuntimeError(
             "sort-and-sweep pair list diverged from the pairwise scan -- "
             "the equivalence contract is broken")
-    searches = {"sweep": find_adjacent_pairs,
-                "exhaustive": find_adjacent_pairs_exhaustive}
-    seconds: dict[str, list[float]] = {row: [] for row in searches}
-    for _ in range(ADJACENCY_REPEATS):
-        for row, search in searches.items():
-            started = time.perf_counter()
-            search(rects)
-            seconds[row].append(time.perf_counter() - started)
-    rows: dict[str, Any] = {
-        row: {"seconds": round(float(np.median(times)), 6)}
-        for row, times in seconds.items()}
+    rows = _alternating_medians({
+        "sweep": lambda: find_adjacent_pairs(rects),
+        "exhaustive": lambda: find_adjacent_pairs_exhaustive(rects)})
     rows["rects"] = len(rects)
     rows["pairs"] = len(pairs)
     rows["speedup"] = round(
@@ -242,21 +263,73 @@ def _bench_adjacency() -> dict[str, Any]:
     return rows
 
 
+#: Defects in the draw row: ``JointCoverageTable``'s default sample,
+#: 80 % bridges then the opens.
+DRAW_DEFECTS = 3000
+
+
+def _bench_draw(config: FastpathBenchConfig) -> dict[str, Any]:
+    """Time the test-plan defect draw, draw tables vs the oracle.
+
+    Both sides draw on one calibrated Veqtor4 extractor, seeded with
+    ``config.seed``; the first equality check builds the draw tables
+    and the oracle's scanned site classes, so the clock sees only the
+    per-defect draws.  The size is the same at every configuration:
+    the draw is ~0.1 s on the oracle side.
+    """
+    extractor = IfaExtractor(VEQTOR4_INSTANCE)
+    bridge_dist = default_bridge_distribution()
+    open_dist = default_open_distribution()
+    n_bridges = round(DRAW_DEFECTS * 0.8)
+
+    def tables(rng: np.random.Generator) -> list[Defect]:
+        return (extractor.sample_bridges(
+                    n_bridges, rng, resistance_sampler=bridge_dist.sample_one)
+                + extractor.sample_opens(
+                    DRAW_DEFECTS - n_bridges, rng,
+                    resistance_sampler=open_dist.sample_one))
+
+    def oracle(rng: np.random.Generator) -> list[Defect]:
+        return (sample_defects_reference(
+                    extractor, n_bridges, rng, DefectKind.BRIDGE,
+                    lambda r: sample_resistances_reference(bridge_dist, r)[0])
+                + sample_defects_reference(
+                    extractor, DRAW_DEFECTS - n_bridges, rng,
+                    DefectKind.OPEN,
+                    lambda r: sample_resistances_reference(open_dist, r)[0]))
+
+    def seeded() -> np.random.Generator:
+        return np.random.default_rng(config.seed)
+
+    if tables(seeded()) != oracle(seeded()):
+        raise RuntimeError(
+            "draw-table defects diverged from the choice(p=...) oracle -- "
+            "the equivalence contract is broken")
+    rows = _alternating_medians({"tables": lambda: tables(seeded()),
+                                 "oracle": lambda: oracle(seeded())})
+    rows["defects"] = DRAW_DEFECTS
+    rows["speedup"] = round(
+        rows["oracle"]["seconds"] / rows["tables"]["seconds"], 3)
+    rows["defects_match"] = True
+    return rows
+
+
 def run_fastpath(config: FastpathBenchConfig) -> dict[str, Any]:
-    """Run the three fast-path comparisons.
+    """Run the four fast-path comparisons.
 
     Args:
         config: Benchmark shape.
 
     Returns:
         The ``rows`` of the ``fastpath`` document: ``campaign``,
-        ``shmoo`` and ``adjacency``.
+        ``shmoo``, ``adjacency`` and ``draw``.
 
     Raises:
-        RuntimeError: a fast path's records, grid or pair list diverged
-            from the exact path -- an equivalence bug that must fail
-            loudly.
+        RuntimeError: a fast path's records, grid, pair list or defect
+            list diverged from the exact path -- an equivalence bug that
+            must fail loudly.
     """
     return {"campaign": _bench_campaign(config),
             "shmoo": _bench_shmoo(config),
-            "adjacency": _bench_adjacency()}
+            "adjacency": _bench_adjacency(),
+            "draw": _bench_draw(config)}

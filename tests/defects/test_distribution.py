@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.defects.distribution import (
+    ChoiceTable,
     DefectDensity,
     LognormalComponent,
     ResistanceDistribution,
     default_bridge_distribution,
     default_open_distribution,
+    sample_resistances_reference,
 )
 
 
@@ -74,6 +76,64 @@ class TestCdf:
         total = np.trapezoid([bridge_dist.pdf(r) for r in grid], grid)
         assert total == pytest.approx(bridge_dist.band_probability(10, 1e3),
                                       rel=0.01)
+
+
+class TestChoiceTable:
+    """The cached CDF draws what ``Generator.choice(p=...)`` draws."""
+
+    P = np.array([0.05, 0.0, 0.6, 0.35])
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    @pytest.mark.parametrize("size", [1, 5000])
+    def test_draw_equals_choice(self, seed, size):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = ChoiceTable(self.P).draw(rng, size)
+        assert np.array_equal(picks, oracle.choice(4, size=size, p=self.P))
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    def test_draw_one_equals_choice(self, seed):
+        table = ChoiceTable(self.P)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            assert table.draw_one(rng) == oracle.choice(4, size=1, p=self.P)[0]
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("p", [
+        [], [0.5, float("nan")], [1.5, -0.5], [0.0, 0.0], [0.5, 0.4]])
+    def test_rejects_what_choice_rejects(self, p):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(0).choice(len(p), size=1, p=p)
+        with pytest.raises(ValueError) as got:
+            ChoiceTable(p)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSampleOracle:
+    """``sample`` and ``sample_one`` against the per-call choice(p=...)."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    @pytest.mark.parametrize("size", [1, 1000])
+    @pytest.mark.parametrize("make", [default_bridge_distribution,
+                                      default_open_distribution])
+    def test_sample_equals_reference(self, seed, size, make):
+        dist = make()
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(dist.sample(rng, size),
+                              sample_resistances_reference(dist, oracle, size))
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    @pytest.mark.parametrize("make", [default_bridge_distribution,
+                                      default_open_distribution])
+    def test_sample_one_equals_sample(self, seed, make):
+        dist = make()
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            value = dist.sample_one(rng)
+            assert type(value) is float
+            assert value == dist.sample(oracle, 1)[0]
+        assert rng.random() == oracle.random()
 
 
 class TestShapes:

@@ -1,10 +1,17 @@
 """Tests for repro.ifa.extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.defects.distribution import default_open_distribution
+from repro.defects.distribution import (
+    default_bridge_distribution,
+    default_open_distribution,
+    sample_resistances_reference,
+)
 from repro.defects.models import SITE_CODES, BridgeSite, DefectKind, OpenSite
+from repro.ifa import extraction
 from repro.ifa.critical_area import AdjacentPair
 from repro.ifa.extraction import (
     BRIDGE_SITE_MIX,
@@ -12,9 +19,10 @@ from repro.ifa.extraction import (
     STRENGTH_SIGMA,
     IfaExtractor,
     classify_bridge_pair,
+    sample_defects_reference,
 )
-from repro.ifa.layout import Rect
-from repro.memory.geometry import MemoryGeometry
+from repro.ifa.layout import Rect, SramLayout
+from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +165,77 @@ class TestSampleBatch:
             extractor.sample_batch(5, np.random.default_rng(0),
                                    DefectKind.BRIDGE,
                                    resistance_distribution=Broken())
+
+
+@pytest.fixture(scope="module")
+def veqtor4_extractors():
+    """A calibrated and an uncalibrated Veqtor4 extractor, one layout."""
+    layout = SramLayout(VEQTOR4_INSTANCE)
+    return {calibrated: IfaExtractor(VEQTOR4_INSTANCE, layout, calibrated)
+            for calibrated in (True, False)}
+
+
+class TestDrawTableOracle:
+    """The cached site and resistance CDFs draw exactly what the
+    per-defect ``choice(p=...)`` oracle draws."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    @pytest.mark.parametrize("n", [1, 4000])
+    @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
+    @pytest.mark.parametrize("with_resistance", [True, False])
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_defects_equal_oracle(self, veqtor4_extractors, seed, n, kind,
+                                  with_resistance, calibrated):
+        extractor = veqtor4_extractors[calibrated]
+        dist = (default_bridge_distribution() if kind is DefectKind.BRIDGE
+                else default_open_distribution())
+        fast_sampler = dist.sample_one if with_resistance else None
+        oracle_sampler = ((lambda r: sample_resistances_reference(dist, r)[0])
+                          if with_resistance else None)
+        sample = (extractor.sample_bridges if kind is DefectKind.BRIDGE
+                  else extractor.sample_opens)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        defects = sample(n, rng, resistance_sampler=fast_sampler)
+        assert defects == sample_defects_reference(
+            extractor, n, oracle, kind, resistance_sampler=oracle_sampler)
+        assert rng.random() == oracle.random()
+
+    def test_calibrated_draws_do_not_scan_the_layout(self, monkeypatch):
+        calls = []
+        scan, build = extraction.find_adjacent_pairs, extraction.SramLayout
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(extraction, "find_adjacent_pairs",
+                            counted("scan", scan))
+        monkeypatch.setattr(extraction, "SramLayout", counted("layout", build))
+        extractor = IfaExtractor(MemoryGeometry(8, 2, 4))
+        rng = np.random.default_rng(3)
+        extractor.sample_bridges(50, rng)
+        extractor.sample_opens(50, rng)
+        extractor.sample_batch(50, rng, DefectKind.BRIDGE)
+        assert calls == []
+        classes = {c.site: c for c in extractor.bridge_site_classes()}
+        assert calls == ["layout", "scan"]
+        assert classes[BridgeSite.CELL_NODE_RAIL].pair_count > 0
+        assert {s: c.weight for s, c in classes.items()} == BRIDGE_SITE_MIX
+
+    @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
+    def test_zero_total_uncalibrated_extractor_raises(self, kind):
+        empty = SimpleNamespace(rects=[], vias=[])
+        extractor = IfaExtractor(MemoryGeometry(8, 2, 4), empty,
+                                 calibrated=False)
+        sample = (extractor.sample_bridges if kind is DefectKind.BRIDGE
+                  else extractor.sample_opens)
+        with pytest.raises(ValueError) as expected:
+            sample_defects_reference(extractor, 5, np.random.default_rng(0),
+                                     kind)
+        with pytest.raises(ValueError) as got:
+            sample(5, np.random.default_rng(0))
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ValueError):
+            extractor.sample_batch(5, np.random.default_rng(0), kind)

@@ -160,6 +160,13 @@ class TestFastpathSuite:
         _, floor = FLOORS[("fastpath", "wallclock_speedup_adjacency")]
         assert adjacency["speedup"] >= floor
 
+    def test_draw_row_covers_the_test_plan_sample(self, quick_doc):
+        draw = quick_doc("fastpath")["rows"]["draw"]
+        assert draw["defects"] == 3000
+        assert draw["defects_match"] is True
+        _, floor = FLOORS[("fastpath", "wallclock_speedup_draw")]
+        assert draw["speedup"] >= floor
+
     def test_committed_artifact_is_valid(self):
         doc = _committed("fastpath")
         assert doc["headline"]["invocation_reduction_campaign"] >= 5.0
@@ -169,6 +176,7 @@ class TestFastpathSuite:
         assert doc["headline"]["wallclock_speedup_batch"] >= 10.0
         assert doc["rows"]["campaign"]["records_match"] is True
         assert doc["rows"]["adjacency"]["pairs_match"] is True
+        assert doc["rows"]["draw"]["defects_match"] is True
 
 
 class TestExperimentSuite:

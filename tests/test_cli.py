@@ -200,9 +200,32 @@ class TestCampaign:
         assert "unrecognized arguments: --cache" in (
             capsys.readouterr().err)
 
-    def test_status_missing_checkpoint(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["campaign", "status", str(tmp_path / "absent.json")])
+    @staticmethod
+    def _assert_missing_checkpoint_error(tmp_path, capsys, command):
+        """A missing checkpoint is a one-line error (exit 2), not a
+        traceback."""
+        absent = str(tmp_path / "absent.json")
+        assert main(["campaign", command, absent]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro campaign: ")
+        assert "absent.json" in lines[0]
+
+    def test_status_missing_checkpoint(self, tmp_path, capsys):
+        self._assert_missing_checkpoint_error(tmp_path, capsys, "status")
+
+    def test_resume_missing_checkpoint(self, tmp_path, capsys):
+        self._assert_missing_checkpoint_error(tmp_path, capsys, "resume")
+
+    @pytest.mark.parametrize("command", ["status", "resume"])
+    def test_corrupt_checkpoint(self, tmp_path, capsys, command):
+        ck = tmp_path / "ck.json"
+        ck.write_text("not json")
+        assert main(["campaign", command, str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro campaign: ") and err.count("\n") == 1
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -364,6 +387,17 @@ class TestExperimentCommand:
     (["experiment", "run", "--shard-devices", "1000"],
      "--shard-devices (1000) must be a multiple of --block-devices"),
     (["campaign", "run", "--sites", "0"], "--sites: must be positive"),
+    (["campaign", "run", "--rows", "0"], "--rows: must be positive"),
+    (["campaign", "run", "--columns", "0"], "--columns: must be positive"),
+    (["campaign", "run", "--bits", "-4"], "--bits: must be positive"),
+    (["estimate", "--rows", "0"], "--rows: must be positive"),
+    (["estimate", "--columns", "0"], "--columns: must be positive"),
+    (["estimate", "--bits", "0"], "--bits: must be positive"),
+    (["estimate", "--blocks", "0"], "--blocks: must be positive"),
+    (["estimate", "--sites", "0"], "--sites: must be positive"),
+    (["report", "--sites", "0"], "--sites: must be positive"),
+    (["venn", "--devices", "0"], "--devices: must be positive"),
+    (["report", "--devices", "0"], "--devices: must be positive"),
     (["campaign", "run", "--max-attempts", "0"],
      "--max-attempts: must be positive"),
     (["campaign", "resume", "ck.json", "--unit-deadline", "-1"],
