@@ -12,7 +12,7 @@ Run:  python examples/test_plan_optimization.py
 """
 
 from repro import CMOS018, DefectBehaviorModel
-from repro.bist import BistEngine, ResponseMode
+from repro.bist.engine import BistEngine, ResponseMode
 from repro.core.testplan import JointCoverageTable, TestPlanOptimizer
 from repro.core.williams_brown import required_coverage
 from repro.defects.injection import to_functional_fault

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from repro.circuit import CMOS018
+from repro.circuit.technology import CMOS018
 from repro.core.database import CoverageDatabase
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign

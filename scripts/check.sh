@@ -127,7 +127,11 @@ print("service smoke: estimate/cache/reload-reject chain ok")
 PYEOF
 fi
 kill "$svc_pid" 2>/dev/null || true
-wait "$svc_pid" 2>/dev/null || true
+if ! wait "$svc_pid"; then
+    echo "service smoke: repro serve did not exit 0 on SIGTERM"
+    cat "$svc_log"
+    status=1
+fi
 for event in service.request service.reload; do
     if ! grep -qF "\"$event\"" "$svc_journal"; then
         echo "service smoke: journal missing $event event"

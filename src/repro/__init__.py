@@ -24,28 +24,50 @@ Quickstart::
     print(report.bridge_report.by_condition("VLV").defect_coverage)
 """
 
-from repro.bist import BistEngine, ResponseMode
-from repro.circuit.technology import CMOS013, CMOS018, Technology
-from repro.core.database import CoverageDatabase
-from repro.core.estimator import EstimatorReport, FaultCoverageEstimator
-from repro.core.database import load_default_database
-from repro.core.flow import FlowResult, MemoryTestFlow
-from repro.core.testplan import JointCoverageTable, TestPlanOptimizer
-from repro.defects.behavior import BehaviorParams, DefectBehaviorModel
-from repro.defects.models import BridgeSite, Defect, DefectKind, OpenSite
-from repro.experiment.classify import StressClassifier
-from repro.experiment.population import PopulationGenerator, PopulationSpec
-from repro.experiment.venn import PAPER_VENN, VennCounts
-from repro.ifa.flow import IfaCampaign
-from repro.march.library import STANDARD_TESTS, TEST_11N, get_test
-from repro.march.test import MarchTest
-from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.memory.sram import Sram
-from repro.stress import StressCondition, production_conditions
-from repro.tester.ate import VirtualTester
-from repro.tester.iddq import IddqTester
-from repro.tester.movi import MoviExecutor
-from repro.tester.shmoo import ShmooRunner
+import importlib
+
+# Public name -> the module that defines it.  ``import repro`` loads
+# none of them; ``__getattr__`` imports a module on first use (PEP 562).
+_EXPORTS = {
+    "BehaviorParams": "repro.defects.behavior",
+    "BistEngine": "repro.bist.engine",
+    "BridgeSite": "repro.defects.models",
+    "CMOS013": "repro.circuit.technology",
+    "CMOS018": "repro.circuit.technology",
+    "CoverageDatabase": "repro.core.database",
+    "Defect": "repro.defects.models",
+    "DefectBehaviorModel": "repro.defects.behavior",
+    "DefectKind": "repro.defects.models",
+    "EstimatorReport": "repro.core.estimator",
+    "FaultCoverageEstimator": "repro.core.estimator",
+    "FlowResult": "repro.core.flow",
+    "IddqTester": "repro.tester.iddq",
+    "IfaCampaign": "repro.ifa.flow",
+    "JointCoverageTable": "repro.core.testplan",
+    "MarchTest": "repro.march.test",
+    "MemoryGeometry": "repro.memory.geometry",
+    "MemoryTestFlow": "repro.core.flow",
+    "MoviExecutor": "repro.tester.movi",
+    "OpenSite": "repro.defects.models",
+    "PAPER_VENN": "repro.experiment.venn",
+    "PopulationGenerator": "repro.experiment.population",
+    "PopulationSpec": "repro.experiment.population",
+    "ResponseMode": "repro.bist.engine",
+    "STANDARD_TESTS": "repro.march.library",
+    "ShmooRunner": "repro.tester.shmoo",
+    "Sram": "repro.memory.sram",
+    "StressClassifier": "repro.experiment.classify",
+    "StressCondition": "repro.stress",
+    "TEST_11N": "repro.march.library",
+    "TestPlanOptimizer": "repro.core.testplan",
+    "Technology": "repro.circuit.technology",
+    "VEQTOR4_INSTANCE": "repro.memory.geometry",
+    "VennCounts": "repro.experiment.venn",
+    "VirtualTester": "repro.tester.ate",
+    "get_test": "repro.march.library",
+    "load_default_database": "repro.core.database",
+    "production_conditions": "repro.stress",
+}
 
 __version__ = "1.0.0"
 
@@ -90,3 +112,16 @@ __all__ = [
     "load_default_database",
     "production_conditions",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,37 +1,1 @@
 """Reporting: text renderings of the paper's tables and figures."""
-
-from repro.analysis.export import (
-    write_coverage_csv,
-    write_estimator_json,
-    write_plans_csv,
-    write_shmoo_csv,
-    write_venn_json,
-)
-from repro.analysis.figures import (
-    render_frequency_curve,
-    render_venn_comparison,
-    render_waveforms,
-)
-from repro.analysis.report import full_report
-from repro.analysis.tables import (
-    PAPER_TABLE1,
-    TABLE1_ORDER,
-    render_coverage_matrix,
-    render_table1,
-)
-
-__all__ = [
-    "PAPER_TABLE1",
-    "TABLE1_ORDER",
-    "full_report",
-    "render_coverage_matrix",
-    "render_frequency_curve",
-    "render_table1",
-    "render_venn_comparison",
-    "render_waveforms",
-    "write_coverage_csv",
-    "write_estimator_json",
-    "write_plans_csv",
-    "write_shmoo_csv",
-    "write_venn_json",
-]

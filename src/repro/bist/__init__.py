@@ -5,15 +5,3 @@ plus the LFSR/MISR signature primitives.  Runs against the same SRAM
 model and stress conditions as the virtual ATE, so the stress-condition
 methodology can be exercised the way production SoCs deploy it.
 """
-
-from repro.bist.engine import BistEngine, BistResult, ResponseMode
-from repro.bist.misr import PRIMITIVE_TAPS, Lfsr, Misr
-
-__all__ = [
-    "BistEngine",
-    "BistResult",
-    "Lfsr",
-    "Misr",
-    "PRIMITIVE_TAPS",
-    "ResponseMode",
-]

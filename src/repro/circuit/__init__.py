@@ -5,44 +5,3 @@ alpha-power-law MOSFETs, linear R/C elements, a flat netlist container
 with one-defect-at-a-time injection, and a damped-Newton MNA solver with
 backward-Euler transient analysis.
 """
-
-from repro.circuit.devices import (
-    Capacitor,
-    CurrentSource,
-    Mosfet,
-    MosType,
-    Resistor,
-    VoltageSource,
-)
-from repro.circuit.netlist import GROUND, Netlist
-from repro.circuit.solver import (
-    ConvergenceError,
-    dc_operating_point,
-    gate_delay,
-    transient,
-)
-from repro.circuit.technology import CMOS013, CMOS018, LayerInfo, Technology
-from repro.circuit.waveform import Waveform, clock, piecewise_linear, pulse
-
-__all__ = [
-    "CMOS013",
-    "CMOS018",
-    "Capacitor",
-    "ConvergenceError",
-    "CurrentSource",
-    "GROUND",
-    "LayerInfo",
-    "Mosfet",
-    "MosType",
-    "Netlist",
-    "Resistor",
-    "Technology",
-    "VoltageSource",
-    "Waveform",
-    "clock",
-    "dc_operating_point",
-    "gate_delay",
-    "piecewise_linear",
-    "pulse",
-    "transient",
-]

@@ -28,24 +28,25 @@ from repro.circuit.technology import CMOS018
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 
-def _bounded(cast, positive: bool):
+def _checked(cast, ok, requirement: str):
     """An argparse ``type=`` that parses with ``cast`` and rejects
-    values below zero (and zero itself when ``positive``)."""
+    values for which ``ok`` is false ("must be <requirement>")."""
     def parse(text: str):
         value = cast(text)
-        if not (value > 0 if positive else value >= 0):
+        if not ok(value):
             raise argparse.ArgumentTypeError(
-                f"must be {'positive' if positive else 'non-negative'}, "
-                f"got {text}")
+                f"must be {requirement}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's "invalid int value"
     return parse
 
 
-_positive_int = _bounded(int, positive=True)
-_positive_float = _bounded(float, positive=True)
-_non_negative_int = _bounded(int, positive=False)
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_positive_float = _checked(float, lambda v: v > 0, "positive")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_port = _checked(int, lambda v: 0 <= v <= 65535, "in 0-65535")
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -559,16 +560,13 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
     from pathlib import Path
 
     from repro.core.database import DatabaseCorruptError
     from repro.obs.metrics import MetricsRegistry
-    from repro.service import (
-        DatabaseSnapshot,
-        EstimatorService,
-        ServiceState,
-        serve,
-    )
+    from repro.service.app import EstimatorService, serve
+    from repro.service.state import DatabaseSnapshot, ServiceState
 
     if args.db:
         db_path = Path(args.db)
@@ -593,12 +591,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         server = await serve(service, args.host, args.port)
+        # SIGINT or SIGTERM closes the server, so the journal is flushed
+        # even when the process inherited SIGINT as ignored.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         port = server.sockets[0].getsockname()[1]
         print(f"serving on http://{args.host}:{port}", flush=True)
         print(f"database: {db_path} ({len(snapshot.database)} records, "
               f"etag {snapshot.etag[:12]}...)", flush=True)
         async with server:
-            await server.serve_forever()
+            await stop.wait()
 
     try:
         asyncio.run(_run())
@@ -659,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shmoo", help="render a (Vdd, period) shmoo plot")
     p.add_argument("--defect", choices=sorted(_DEFECT_PRESETS),
                    help="defect preset (omit for fault-free)")
-    p.add_argument("--resistance", type=float, default=240e3,
+    p.add_argument("--resistance", type=_positive_float, default=240e3,
                    help="defect resistance in ohms")
     p.add_argument("--test", default="11N", help="march test name")
     p.add_argument("--strategy", choices=("exact", "boundary"),
@@ -727,9 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--diagnose", action="store_true",
                     help="bitmap-diagnose interesting devices into "
                          "hint histograms")
-    ep.add_argument("--d0", type=float, default=3.5,
+    ep.add_argument("--d0", type=_positive_float, default=3.5,
                     help="defect density per cm^2")
-    ep.add_argument("--bridge-fraction", type=float, default=0.8,
+    ep.add_argument("--bridge-fraction", type=_fraction, default=0.8,
                     help="fraction of defects that are bridges")
     ep.add_argument("--chaos-seed", type=int, default=0,
                     help="fault-injection seed")
@@ -819,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per work unit")
-        cp.add_argument("--chaos-rate", type=float, default=0.0,
+        cp.add_argument("--chaos-rate", type=_fraction, default=0.0,
                         help="inject behavioural faults at this rate "
                              "(soak testing; see scripts/soak.sh)")
         cp.add_argument("--chaos-seed", type=int, default=0,
@@ -875,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "re-reads this file")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (loopback by default)")
-    p.add_argument("--port", type=int, default=8765,
+    p.add_argument("--port", type=_port, default=8765,
                    help="TCP port (0 = pick an ephemeral port and "
                         "print it)")
     p.add_argument("--cache-size", type=_non_negative_int, default=1024,

@@ -6,51 +6,3 @@ coverage database, the four-parameter estimator on top of it
 condition), and the end-to-end memory test flow that builds everything
 from a memory geometry.
 """
-
-from repro.core.database import CoverageDatabase, load_default_database
-from repro.core.estimator import (
-    ConditionEstimate,
-    EstimatorReport,
-    FaultCoverageEstimator,
-)
-from repro.core.flow import FlowResult, MemoryTestFlow
-from repro.core.testplan import (
-    JointCoverageTable,
-    TestPlan,
-    TestPlanOptimizer,
-)
-from repro.core.williams_brown import (
-    defect_level,
-    dpm,
-    poisson_yield,
-    required_coverage,
-)
-from repro.stress import (
-    ATSPEED_PERIOD,
-    SLOW_PERIOD,
-    StressCondition,
-    production_conditions,
-    standard_conditions,
-)
-
-__all__ = [
-    "ATSPEED_PERIOD",
-    "ConditionEstimate",
-    "CoverageDatabase",
-    "EstimatorReport",
-    "FaultCoverageEstimator",
-    "FlowResult",
-    "JointCoverageTable",
-    "MemoryTestFlow",
-    "SLOW_PERIOD",
-    "StressCondition",
-    "TestPlan",
-    "TestPlanOptimizer",
-    "defect_level",
-    "load_default_database",
-    "dpm",
-    "poisson_yield",
-    "production_conditions",
-    "required_coverage",
-    "standard_conditions",
-]

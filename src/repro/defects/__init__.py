@@ -6,59 +6,3 @@ distributions standing in for fab data, Poisson defect density/yield,
 and the calibrated :class:`~repro.defects.behavior.DefectBehaviorModel`
 that decides how each defect manifests at each stress condition.
 """
-
-from repro.defects.behavior import (
-    DEFAULT_PARAMS,
-    BehaviorParams,
-    DefectBehaviorModel,
-    FaultMode,
-    Manifestation,
-)
-from repro.defects.distribution import (
-    DEFAULT_DENSITY,
-    DefectDensity,
-    LognormalComponent,
-    ResistanceDistribution,
-    default_bridge_distribution,
-    default_open_distribution,
-)
-from repro.defects.injection import (
-    decoder_open_to_delay_fault,
-    inject_bridge_into_cell,
-    inject_open_into_decoder,
-    make_atspeed_fault,
-    to_functional_fault,
-)
-from repro.defects.models import (
-    BridgeSite,
-    Defect,
-    DefectKind,
-    OpenSite,
-    bridge,
-    open_defect,
-)
-
-__all__ = [
-    "BehaviorParams",
-    "BridgeSite",
-    "DEFAULT_DENSITY",
-    "DEFAULT_PARAMS",
-    "Defect",
-    "DefectBehaviorModel",
-    "DefectDensity",
-    "DefectKind",
-    "FaultMode",
-    "LognormalComponent",
-    "Manifestation",
-    "OpenSite",
-    "ResistanceDistribution",
-    "bridge",
-    "decoder_open_to_delay_fault",
-    "default_bridge_distribution",
-    "default_open_distribution",
-    "inject_bridge_into_cell",
-    "inject_open_into_decoder",
-    "make_atspeed_fault",
-    "open_defect",
-    "to_functional_fault",
-]

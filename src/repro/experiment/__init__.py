@@ -5,63 +5,3 @@ lot of Veqtor4 test chips with fab-sampled defects, run the
 screen-then-stress protocol, and account the interesting devices in the
 Figure 11 Venn regions.
 """
-
-from repro.experiment.classify import (
-    STANDARD_NAMES,
-    STRESS_NAMES,
-    DeviceRecord,
-    ExperimentResult,
-    StressClassifier,
-)
-from repro.experiment.diagnosis import (
-    DeviceDiagnosis,
-    LotDiagnosis,
-    LotDiagnostician,
-)
-from repro.experiment.montecarlo import (
-    MonteCarloResult,
-    RegionStats,
-    monte_carlo_seeds,
-    run_monte_carlo,
-)
-from repro.experiment.population import PopulationGenerator, PopulationSpec
-from repro.experiment.streaming import (
-    ExperimentAccumulator,
-    ShardEvaluator,
-    ShardPlan,
-    ShardUnit,
-    StreamingExperiment,
-    StreamingResult,
-    StreamingRunner,
-)
-from repro.experiment.veqtor import VeqtorChip, VeqtorTestBench
-from repro.experiment.venn import PAPER_VENN, REGION_FIELDS, VennCounts
-
-__all__ = [
-    "DeviceDiagnosis",
-    "DeviceRecord",
-    "ExperimentAccumulator",
-    "LotDiagnosis",
-    "LotDiagnostician",
-    "ExperimentResult",
-    "MonteCarloResult",
-    "RegionStats",
-    "PAPER_VENN",
-    "PopulationGenerator",
-    "PopulationSpec",
-    "REGION_FIELDS",
-    "STANDARD_NAMES",
-    "STRESS_NAMES",
-    "ShardEvaluator",
-    "ShardPlan",
-    "ShardUnit",
-    "StressClassifier",
-    "StreamingExperiment",
-    "StreamingResult",
-    "StreamingRunner",
-    "VennCounts",
-    "VeqtorChip",
-    "VeqtorTestBench",
-    "monte_carlo_seeds",
-    "run_monte_carlo",
-]

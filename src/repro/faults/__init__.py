@@ -6,78 +6,3 @@ coupling, address-decoder, read-disturb families, data retention), the
 faults, a functional fault simulator driven by the march sequencer, and
 coverage analysis over enumerated fault-class universes.
 """
-
-from repro.faults.address_delay import (
-    AddressTransitionDelayFault,
-    generate_address_delay_faults,
-)
-from repro.faults.coverage import (
-    FAULT_CLASS_GENERATORS,
-    CoverageResult,
-    class_coverage,
-    coverage_matrix,
-)
-from repro.faults.dynamic import (
-    AtSpeedDynamicFault,
-    PrimitiveFault,
-    make_double_read_fault,
-    make_dynamic_rdf,
-)
-from repro.faults.models import (
-    DataRetentionFault,
-    DeceptiveReadDestructiveFault,
-    DisturbCouplingFault,
-    FaultFree,
-    FunctionalFault,
-    IdempotentCouplingFault,
-    IncorrectReadFault,
-    InversionCouplingFault,
-    MemoryState,
-    MultipleAccessFault,
-    NoAccessFault,
-    ReadDestructiveFault,
-    StateCouplingFault,
-    StuckAtFault,
-    StuckOpenFault,
-    TransitionFault,
-    WriteDisturbFault,
-    WrongAccessFault,
-)
-from repro.faults.primitives import FaultPrimitive, SensitisingSequence
-from repro.faults.simulator import FailLog, FailRecord, FunctionalFaultSimulator
-
-__all__ = [
-    "AddressTransitionDelayFault",
-    "AtSpeedDynamicFault",
-    "CoverageResult",
-    "DataRetentionFault",
-    "DeceptiveReadDestructiveFault",
-    "DisturbCouplingFault",
-    "FAULT_CLASS_GENERATORS",
-    "FailLog",
-    "FailRecord",
-    "FaultFree",
-    "FaultPrimitive",
-    "FunctionalFault",
-    "FunctionalFaultSimulator",
-    "IdempotentCouplingFault",
-    "IncorrectReadFault",
-    "InversionCouplingFault",
-    "MemoryState",
-    "MultipleAccessFault",
-    "NoAccessFault",
-    "PrimitiveFault",
-    "ReadDestructiveFault",
-    "SensitisingSequence",
-    "StateCouplingFault",
-    "StuckAtFault",
-    "StuckOpenFault",
-    "TransitionFault",
-    "WriteDisturbFault",
-    "WrongAccessFault",
-    "class_coverage",
-    "coverage_matrix",
-    "generate_address_delay_faults",
-    "make_double_read_fault",
-    "make_dynamic_rdf",
-]

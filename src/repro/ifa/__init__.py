@@ -6,42 +6,3 @@ critical-area weighting, site classification onto the defect taxonomy,
 and the one-defect-at-a-time coverage campaign that fills the estimator's
 pre-calculated database.
 """
-
-from repro.ifa.critical_area import (
-    AdjacentPair,
-    find_adjacent_pairs,
-    open_weight,
-    short_weight,
-    total_short_weight,
-)
-from repro.ifa.extraction import (
-    BRIDGE_SITE_MIX,
-    OPEN_SITE_MIX,
-    STRENGTH_SIGMA,
-    ExtractedSiteClass,
-    IfaExtractor,
-    classify_bridge_pair,
-)
-from repro.ifa.flow import TABLE1_RESISTANCES, CoverageRecord, IfaCampaign
-from repro.ifa.layout import CellTileSpec, Rect, SramLayout, Via
-
-__all__ = [
-    "AdjacentPair",
-    "BRIDGE_SITE_MIX",
-    "CellTileSpec",
-    "CoverageRecord",
-    "ExtractedSiteClass",
-    "IfaCampaign",
-    "IfaExtractor",
-    "OPEN_SITE_MIX",
-    "Rect",
-    "STRENGTH_SIGMA",
-    "SramLayout",
-    "TABLE1_RESISTANCES",
-    "Via",
-    "classify_bridge_pair",
-    "find_adjacent_pairs",
-    "open_weight",
-    "short_weight",
-    "total_short_weight",
-]

@@ -6,105 +6,3 @@ full machinery: operation/element/test algebra with the standard textual
 notation, a library of published march tests, the MOVI address-rotation
 procedure, a per-clock-cycle sequencer and static validation.
 """
-
-from repro.march.element import AddressOrder, MarchElement
-from repro.march.library import (
-    MARCH_A,
-    MARCH_B,
-    MARCH_CM,
-    MARCH_CP,
-    MARCH_G,
-    MARCH_G_DEL,
-    MARCH_RAW,
-    MARCH_LR,
-    MARCH_SR,
-    MARCH_SS,
-    MARCH_U,
-    MARCH_X,
-    MARCH_Y,
-    MATS,
-    MATS_PLUS,
-    MATS_PLUS_PLUS,
-    PMOVI,
-    STANDARD_TESTS,
-    TEST_11N,
-    get_test,
-    movi_schedule,
-)
-from repro.march.ops import R0, R1, W0, W1, Op, OpKind
-from repro.march.pause import PauseElement
-from repro.march.sequencer import (
-    CycleOp,
-    DataBackground,
-    MarchSequencer,
-    background_bit,
-    bit_rotation_map,
-    movi_runs,
-)
-from repro.march.compare import (
-    TestScore,
-    efficiency_frontier,
-    render_scores,
-    score_tests,
-)
-from repro.march.synthesis import (
-    MarchSynthesizer,
-    SynthesisResult,
-    candidate_elements,
-    classical_universe,
-)
-from repro.march.test import MarchTest
-from repro.march.validation import Issue, Severity, assert_valid, is_valid, validate
-
-__all__ = [
-    "AddressOrder",
-    "CycleOp",
-    "DataBackground",
-    "Issue",
-    "MARCH_A",
-    "MARCH_B",
-    "MARCH_CM",
-    "MARCH_CP",
-    "MARCH_G",
-    "MARCH_G_DEL",
-    "MARCH_RAW",
-    "MARCH_LR",
-    "MARCH_SR",
-    "MARCH_SS",
-    "MARCH_U",
-    "MARCH_X",
-    "MARCH_Y",
-    "MATS",
-    "MATS_PLUS",
-    "MATS_PLUS_PLUS",
-    "MarchElement",
-    "MarchSequencer",
-    "MarchSynthesizer",
-    "MarchTest",
-    "Op",
-    "OpKind",
-    "PauseElement",
-    "PMOVI",
-    "R0",
-    "R1",
-    "STANDARD_TESTS",
-    "Severity",
-    "TEST_11N",
-    "W0",
-    "W1",
-    "SynthesisResult",
-    "TestScore",
-    "assert_valid",
-    "background_bit",
-    "candidate_elements",
-    "classical_universe",
-    "efficiency_frontier",
-    "render_scores",
-    "score_tests",
-    "bit_rotation_map",
-    "get_test",
-    "is_valid",
-    "movi_runs",
-    "movi_schedule",
-    "validate",
-]

@@ -6,43 +6,3 @@ with transistor-level analysis, row decoder (including the resistive-open
 behaviours of Figures 5/6), sense amplifier, write driver, precharge, and
 the :class:`~repro.memory.sram.Sram` device-under-test binding them all.
 """
-
-from repro.memory.array import UNKNOWN, BitArray
-from repro.memory.cell import CellRatios, SixTCell
-from repro.memory.decoder import (
-    DecoderTiming,
-    RowDecoder,
-    build_decoder_netlist,
-    decoder_input_waveforms,
-)
-from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.memory.precharge import Precharge
-from repro.memory.scrambling import (
-    AddressScrambler,
-    DataScrambler,
-    ScrambledView,
-)
-from repro.memory.senseamp import SenseAmp
-from repro.memory.sram import Sram, TimingModel
-from repro.memory.writedriver import WriteDriver
-
-__all__ = [
-    "AddressScrambler",
-    "BitArray",
-    "CellRatios",
-    "DataScrambler",
-    "DecoderTiming",
-    "MemoryGeometry",
-    "Precharge",
-    "RowDecoder",
-    "ScrambledView",
-    "SenseAmp",
-    "SixTCell",
-    "Sram",
-    "TimingModel",
-    "UNKNOWN",
-    "VEQTOR4_INSTANCE",
-    "WriteDriver",
-    "build_decoder_netlist",
-    "decoder_input_waveforms",
-]

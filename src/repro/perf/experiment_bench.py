@@ -5,8 +5,9 @@ Rows of ``BENCH_experiment.json`` (harness, schema and floors:
 byte-identical (canonical JSON of the shard-payload form) before any
 number is reported:
 
-* **streaming** -- a full :class:`~repro.experiment.StreamingExperiment`
-  run at the configured device count (10^6 by default), timed serially
+* **streaming** -- a full
+  :class:`~repro.experiment.streaming.engine.StreamingExperiment` run
+  at the configured device count (10^6 by default), timed serially
   on a warmed engine: the headline ``devices_per_sec`` figure, with the
   one-off engine set-up reported beside it as ``setup_seconds``;
 * **memory** -- ``tracemalloc`` peaks of two streaming runs that differ

@@ -28,27 +28,3 @@ Front doors: ``python -m repro serve`` (see :mod:`repro.cli`) and the
 load-generator benchmark ``benchmarks/perf/bench.py service``
 (``BENCH_service.json``, suite :mod:`repro.perf.service_bench`).  Protocol reference: ``docs/service.md``.
 """
-
-from repro.service.app import EstimatorService, ServiceResponse, serve
-from repro.service.cache import ResponseCache
-from repro.service.schema import (
-    RequestError,
-    batch_response_document,
-    parse_request,
-    report_document,
-)
-from repro.service.state import DatabaseSnapshot, ReloadResult, ServiceState
-
-__all__ = [
-    "DatabaseSnapshot",
-    "EstimatorService",
-    "ReloadResult",
-    "RequestError",
-    "ResponseCache",
-    "ServiceResponse",
-    "ServiceState",
-    "batch_response_document",
-    "parse_request",
-    "report_document",
-    "serve",
-]

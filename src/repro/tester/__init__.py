@@ -4,45 +4,3 @@ The experimental half of the paper: apply march tests at stress
 conditions, sweep the (Vdd, period) plane into shmoo plots, and reason
 from fail bitmaps back to defect classes.
 """
-
-from repro.tester.ate import AteFailRecord, TestResult, VirtualTester
-from repro.tester.iddq import IddqSettings, IddqTester
-from repro.tester.movi import MoviExecutor, MoviResult, MoviRunResult
-from repro.tester.weakwrite import WeakWriteSettings, WeakWriteTester
-from repro.tester.bitmap import (
-    BitmapAnalyzer,
-    DefectClassHint,
-    Diagnosis,
-    ElementSignature,
-)
-from repro.tester.shmoo import (
-    FAIL_MARK,
-    PASS_MARK,
-    ShmooPlot,
-    ShmooRunner,
-    default_period_axis,
-    default_voltage_axis,
-)
-
-__all__ = [
-    "BitmapAnalyzer",
-    "DefectClassHint",
-    "Diagnosis",
-    "ElementSignature",
-    "FAIL_MARK",
-    "IddqSettings",
-    "IddqTester",
-    "MoviExecutor",
-    "MoviResult",
-    "MoviRunResult",
-    "PASS_MARK",
-    "ShmooPlot",
-    "ShmooRunner",
-    "TestResult",
-    "AteFailRecord",
-    "WeakWriteSettings",
-    "WeakWriteTester",
-    "VirtualTester",
-    "default_period_axis",
-    "default_voltage_axis",
-]

@@ -184,7 +184,7 @@ class TestCorruption:
     def test_corrupt_temp_discard_is_journalled(self, db, tmp_path):
         """The passed-over corrupt .tmp used to vanish without a trace;
         with a bus it becomes a database.discard_corrupt_tmp event."""
-        from repro.obs import EventBus
+        from repro.obs.bus import EventBus
 
         path = tmp_path / "coverage.json"
         db.save(path)

@@ -15,18 +15,21 @@ import pytest
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
-from repro.experiment import (
-    ExperimentAccumulator,
-    PopulationGenerator,
-    PopulationSpec,
-    ShardPlan,
-    StreamingExperiment,
-    StreamingRunner,
+from repro.experiment.classify import (
+    DeviceRecord,
     StressClassifier,
-    VeqtorChip,
+    decode_fail_bits,
 )
-from repro.experiment.classify import DeviceRecord, decode_fail_bits
-from repro.experiment.streaming.engine import DefectBlock, ShardEvaluator
+from repro.experiment.population import PopulationGenerator, PopulationSpec
+from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.streaming.engine import (
+    DefectBlock,
+    ShardEvaluator,
+    StreamingExperiment,
+)
+from repro.experiment.streaming.plan import ShardPlan
+from repro.experiment.streaming.runner import StreamingRunner
+from repro.experiment.veqtor import VeqtorChip
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.obs import (
+from repro.obs.bus import EventBus, read_journal, read_journal_text
+from repro.obs.events import (
     EVENT_CATALOG,
-    EventBus,
     JOURNAL_VERSION,
     JournalError,
     ObsEvent,
-    read_journal,
-    read_journal_text,
     validate_event,
 )
 

@@ -22,12 +22,14 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
-from repro.experiment import StreamingExperiment, StreamingRunner
+from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.runner import StreamingRunner
 from repro.ifa.flow import IfaCampaign
 from repro.march.library import TEST_11N
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
-from repro.obs import EventBus, build_report, read_journal
+from repro.obs.bus import EventBus, read_journal
+from repro.obs.report import build_report
 from repro.perf.counting import CountingEventBus
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (

@@ -1,6 +1,6 @@
 """Tests for repro.obs.metrics: counters, gauges, timers, merge."""
 
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClock:

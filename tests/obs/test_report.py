@@ -2,12 +2,8 @@
 
 import json
 
-from repro.obs import (
-    EventBus,
-    build_report,
-    render_json,
-    render_text,
-)
+from repro.obs.bus import EventBus
+from repro.obs.report import build_report, render_json, render_text
 
 
 def synthetic_bus():

@@ -3,18 +3,16 @@
 The pool is :class:`~repro.perf.supervisor.SupervisedUnitExecutor`
 over the worker-side helpers of :mod:`repro.perf.executor`, and its
 only client is the streaming lot: every claim here compares a pooled
-:class:`~repro.experiment.StreamingRunner` run against the serial one
-on a small four-shard lot.
+:class:`~repro.experiment.streaming.runner.StreamingRunner` run against
+the serial one on a small four-shard lot.
 """
 
 import pytest
 
-from repro.experiment import (
-    ExperimentAccumulator,
-    ShardPlan,
-    StreamingExperiment,
-    StreamingRunner,
-)
+from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.plan import ShardPlan
+from repro.experiment.streaming.runner import StreamingRunner
 from repro.perf.executor import DEFAULT_CHUNKS_PER_WORKER, chunk_units
 from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.atomic import canonical_json

@@ -1,8 +1,9 @@
 """Tests for repro.perf.supervisor: heal worker death without losing work.
 
 The supervised pool serves the streaming lot, so every claim is made on
-a small chaos-wrapped :class:`~repro.experiment.StreamingExperiment`
-(four shards; at two workers auto-chunking gives one shard per chunk):
+a small chaos-wrapped
+:class:`~repro.experiment.streaming.engine.StreamingExperiment` (four
+shards; at two workers auto-chunking gives one shard per chunk):
 
 * an injected worker death (exit or hang) is healed by a pool rebuild
   and the lot's payload stays **byte-identical** to an undisturbed
@@ -26,12 +27,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiment import (
-    ExperimentAccumulator,
-    StreamingExperiment,
-    StreamingRunner,
-)
-from repro.obs import read_journal
+from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.runner import StreamingRunner
+from repro.obs.bus import read_journal
 from repro.perf import supervisor
 from repro.perf.executor import WorkerInitError
 from repro.perf.supervisor import SupervisedUnitExecutor

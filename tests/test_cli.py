@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +411,15 @@ class TestExperimentCommand:
     (["serve", "--cache-size", "-1"], "--cache-size: must be non-negative"),
     (["experiment", "run", "--devices", "many"],
      "--devices: invalid int value"),
+    (["experiment", "run", "--d0", "-1"], "--d0: must be positive"),
+    (["experiment", "run", "--bridge-fraction", "2"],
+     "--bridge-fraction: must be in [0, 1]"),
+    (["campaign", "run", "--chaos-rate", "3"],
+     "--chaos-rate: must be in [0, 1]"),
+    (["serve", "--port", "-1"], "--port: must be in 0-65535"),
+    (["serve", "--port", "65536"], "--port: must be in 0-65535"),
+    (["shmoo", "--defect", "rail-bridge", "--resistance", "-5"],
+     "--resistance: must be positive"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_out_of_range_values_are_usage_errors(capsys, argv, message):
     """Bad option values end in a one-line argparse error (exit 2), not
@@ -416,3 +430,31 @@ def test_out_of_range_values_are_usage_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_serve_stops_cleanly_on_signal(tmp_path, signum):
+    """``repro serve`` exits 0 and flushes its journal on SIGINT or
+    SIGTERM, also when it inherited SIGINT as ignored (``cmd &`` in a
+    non-interactive shell, ``nohup``)."""
+    journal = tmp_path / "serve.jsonl"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--journal", str(journal)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        for line in proc.stdout:
+            if line.startswith("serving on"):
+                break
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert f"run journal: {journal}" in out
+    assert journal.exists()

@@ -153,7 +153,10 @@ class TestEndToEndDeterminism:
         """The two-tier consistency contract, sampled."""
         import dataclasses
 
-        from repro.experiment import PopulationGenerator, PopulationSpec
+        from repro.experiment.population import (
+            PopulationGenerator,
+            PopulationSpec,
+        )
         from repro.march.library import TEST_11N
         from repro.memory.geometry import MemoryGeometry
         from repro.memory.sram import Sram
