@@ -170,6 +170,23 @@ if ! grep -qF "Streaming experiment:" <<<"$exp_report"; then
 fi
 rm -f "$exp_journal"
 
+echo "== shmoo smoke (repro shmoo --journal -> repro report) =="
+# Every shmoo traces its boundary: the CLI prints the trace line, and a
+# stock preset never needs the exhaustive refill.
+shmoo_journal="$(mktemp /tmp/shmoo_smoke.XXXXXX.jsonl)"
+shmoo_out="$(python -m repro shmoo --defect rail-bridge \
+    --journal "$shmoo_journal")" || status=$?
+shmoo_report="$(python -m repro report "$shmoo_journal")" || status=$?
+if ! grep -q '^boundary trace: ' <<<"$shmoo_out"; then
+    echo "shmoo smoke: output missing the 'boundary trace:' line"
+    status=1
+fi
+if ! grep -q '^Shmoo: .* fallbacks=0 ' <<<"$shmoo_report"; then
+    echo "shmoo smoke: report missing 'fallbacks=0' in its Shmoo line"
+    status=1
+fi
+rm -f "$shmoo_journal"
+
 # A checkpointed lot saves after every shard; run twice, the second run
 # replays every shard from the checkpoint and prints the same lot.
 # The lot summary: every printed line but the run banner and the pool

@@ -45,8 +45,22 @@ def _checked(cast, ok, requirement: str):
 _positive_int = _checked(int, lambda v: v > 0, "positive")
 _positive_float = _checked(float, lambda v: v > 0, "positive")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_non_negative_float = _checked(float, lambda v: v >= 0, "non-negative")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _port = _checked(int, lambda v: 0 <= v <= 65535, "in 0-65535")
+
+
+def _shard_devices(text: str) -> int:
+    """``--shard-devices``: shards group whole RNG blocks."""
+    from repro.experiment.streaming.plan import DEFAULT_BLOCK_DEVICES
+
+    return _checked(
+        int, lambda v: v > 0 and v % DEFAULT_BLOCK_DEVICES == 0,
+        f"a positive multiple of the {DEFAULT_BLOCK_DEVICES}-device "
+        "RNG block")(text)
+
+
+_shard_devices.__name__ = "int"
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -115,19 +129,16 @@ def _cmd_shmoo(args: argparse.Namespace) -> int:
     title = (f"{args.defect} R={args.resistance:g} ohm" if args.defect
              else "fault-free")
     plot = runner.run(sram, defects, default_voltage_axis(),
-                      default_period_axis(), title,
-                      strategy=args.strategy, bus=bus)
+                      default_period_axis(), title, bus=bus)
     print(plot.render())
     if bus is not None:
         print(f"run journal: {args.journal} ({len(bus.events)} events)")
     stats = runner.last_stats
-    if stats is not None and args.strategy == "boundary":
-        print(f"boundary trace: {stats.tester_invocations} tester "
-              f"invocations for {stats.grid_cells} cells "
-              f"({stats.crosscheck_invocations} on the consistency "
-              "sample"
-              + (", exact refill triggered" if stats.fallback else "")
-              + ")")
+    print(f"boundary trace: {stats.tester_invocations} tester "
+          f"invocations for {stats.grid_cells} cells "
+          f"({stats.crosscheck_invocations} on the consistency sample"
+          + (", exhaustive refill triggered" if stats.fallback else "")
+          + ")")
     return 0
 
 
@@ -193,9 +204,7 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
             n_devices=args.devices, seed=args.seed,
             density=DefectDensity(d0_per_cm2=args.d0,
                                   bridge_fraction=args.bridge_fraction),
-            shard_devices=args.shard_devices,
-            block_devices=args.block_devices,
-            scheme=args.scheme, behavior=behavior,
+            shard_devices=args.shard_devices, behavior=behavior,
             diagnose=args.diagnose)
 
     engine = make_engine()
@@ -589,8 +598,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                cache_size=args.cache_size, bus=bus,
                                metrics=MetricsRegistry())
 
-    async def _run() -> None:
-        server = await serve(service, args.host, args.port)
+    async def _run() -> int:
+        try:
+            server = await serve(service, args.host, args.port)
+        except OSError as exc:
+            print(f"repro serve: cannot listen on {args.host}:"
+                  f"{args.port}: {exc}", file=sys.stderr)
+            return 2
         # SIGINT or SIGTERM closes the server, so the journal is flushed
         # even when the process inherited SIGINT as ignored.
         stop = asyncio.Event()
@@ -603,16 +617,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"etag {snapshot.etag[:12]}...)", flush=True)
         async with server:
             await stop.wait()
+        return 0
 
+    rc = 0
     try:
-        asyncio.run(_run())
+        rc = asyncio.run(_run())
     except KeyboardInterrupt:
         pass
     finally:
         if bus is not None:
             bus.flush()
             print(f"run journal: {args.journal}")
-    return 0
+    return rc
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -666,12 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resistance", type=_positive_float, default=240e3,
                    help="defect resistance in ohms")
     p.add_argument("--test", default="11N", help="march test name")
-    p.add_argument("--strategy", choices=("exact", "boundary"),
-                   default="exact",
-                   help="grid fill: test every cell, or trace the "
-                        "pass/fail boundary by bisection (identical "
-                        "plot, far fewer tester invocations; see "
-                        "docs/performance.md)")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="write a JSONL run journal of the sweep "
                         "(inspect with `repro report PATH`; see "
@@ -681,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("venn",
                        help="run the silicon-experiment simulation")
     p.add_argument("--devices", type=_positive_int, default=11000)
-    p.add_argument("--seed", type=int, default=1105)
+    p.add_argument("--seed", type=_non_negative_int, default=1105)
     p.add_argument("--diagnose", action="store_true",
                    help="bitmap-diagnose every interesting device")
     p.set_defaults(func=_cmd_venn)
@@ -698,18 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run (or resume) a streaming experiment")
     ep.add_argument("--devices", type=_positive_int, default=1_000_000,
                     help="population size")
-    ep.add_argument("--seed", type=int, default=1105, help="root RNG seed")
-    ep.add_argument("--shard-devices", type=_positive_int, default=None,
+    ep.add_argument("--seed", type=_non_negative_int, default=1105,
+                    help="root RNG seed")
+    ep.add_argument("--shard-devices", type=_shard_devices, default=None,
                     help="devices per shard (dispatch/checkpoint unit; "
+                         "a multiple of the 4096-device RNG block; "
                          "results are shard-layout invariant)")
-    ep.add_argument("--block-devices", type=_positive_int, default=None,
-                    help="devices per RNG block (changing it changes "
-                         "the drawn population)")
-    ep.add_argument("--scheme", choices=("spawn", "legacy"),
-                    default="spawn",
-                    help="spawn = sharded block substreams; legacy = "
-                         "original single-stream draw order "
-                         "(single-shard, byte-identical to `repro venn`)")
     ep.add_argument("--workers", type=_positive_int, default=1,
                     help="evaluation processes (1 = serial; results "
                          "are identical either way)")
@@ -752,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="optimise the stress-condition plan")
     p.add_argument("--test", default="11N", help="march test name")
     p.add_argument("--samples", type=_positive_int, default=3000)
-    p.add_argument("--target-dpm", type=float, default=None)
+    p.add_argument("--target-dpm", type=_non_negative_float, default=None)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser(
@@ -788,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the rule catalog and exit")
     p.add_argument("--verbose", action="store_true",
                    help="also list clean targets in text output")
-    p.add_argument("--target-dpm", type=float, default=None,
+    p.add_argument("--target-dpm", type=_non_negative_float, default=None,
                    help="enable the PLAN003 reachability rule against "
                         "this DPM target")
     p.add_argument("--samples", type=_positive_int, default=400,
@@ -846,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="#Z blocks")
     cp.add_argument("--sites", type=_positive_int, default=2000,
                     help="IFA site-population size")
-    cp.add_argument("--seed", type=int, default=2005, help="campaign seed")
+    cp.add_argument("--seed", type=_non_negative_int, default=2005,
+                    help="campaign seed")
     _campaign_common(cp, with_checkpoint_flag=True)
     cp.set_defaults(func=_cmd_campaign_run)
 
@@ -916,18 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is _cmd_experiment_run and args.scheme == "spawn":
-        # Shards group whole RNG blocks.
-        from repro.experiment.streaming.plan import (
-            DEFAULT_BLOCK_DEVICES,
-            DEFAULT_SHARD_DEVICES,
-        )
-
-        shard = args.shard_devices or DEFAULT_SHARD_DEVICES
-        block = args.block_devices or DEFAULT_BLOCK_DEVICES
-        if shard % block:
-            parser.error(f"--shard-devices ({shard}) must be a multiple "
-                         f"of --block-devices ({block})")
     return args.func(args)
 
 

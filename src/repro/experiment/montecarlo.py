@@ -97,46 +97,20 @@ class MonteCarloResult:
         return "\n".join(lines)
 
 
-def monte_carlo_seeds(base_seed: int, n_runs: int,
-                      scheme: str = "legacy") -> list[int]:
-    """Derive the per-run population seeds.
-
-    ``"legacy"`` keeps the historical ``base_seed + k`` sequential
-    integers, preserving every previously published Monte-Carlo result
-    byte for byte.  Sequential integer seeds are statistically safe for
-    PCG64 in practice but carry no independence *guarantee*;
-    ``"spawn"`` derives each run's seed from
-    ``SeedSequence(base_seed).spawn(n_runs)``, whose children are
-    provably independent substreams.  The tradeoff: spawn seeds differ
-    from legacy seeds, so switching schemes changes (slightly) every
-    region count -- hence legacy stays the default.
-    """
-    if scheme == "legacy":
-        return [base_seed + k for k in range(n_runs)]
-    if scheme == "spawn":
-        children = np.random.SeedSequence(base_seed).spawn(n_runs)
-        return [int(c.generate_state(1, np.uint64)[0]) for c in children]
-    raise ValueError(f"unknown seed_scheme {scheme!r} "
-                     "(expected 'legacy' or 'spawn')")
-
-
 def run_monte_carlo(n_runs: int = 10, n_devices: int = 11000,
                     base_seed: int = 1105,
                     classifier: StressClassifier | None = None,
-                    seed_scheme: str = "legacy",
                     ) -> MonteCarloResult:
     """Run the silicon experiment across ``n_runs`` seeds.
 
-    Seeds come from :func:`monte_carlo_seeds` under ``seed_scheme``
-    (default ``"legacy"`` = ``base_seed + k``, reproducing historical
-    results; ``"spawn"`` = independent ``SeedSequence`` substreams).
-    The classifier (and hence the behaviour model) is shared across
-    runs.
+    Run ``k`` draws its population from seed ``base_seed + k``, the rule
+    every published Monte-Carlo result uses.  The classifier (and hence
+    the behaviour model) is shared across runs.
     """
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
     classifier = classifier if classifier is not None else StressClassifier()
-    seeds = monte_carlo_seeds(base_seed, n_runs, seed_scheme)
+    seeds = [base_seed + k for k in range(n_runs)]
     venns: list[VennCounts] = []
     for seed in seeds:
         spec = PopulationSpec(n_devices=n_devices, seed=seed)

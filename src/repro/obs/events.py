@@ -80,7 +80,7 @@ EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     "service.reload": ("outcome", "etag"),
     "service.reject": ("reason",),
     # Shmoo runner -------------------------------------------------------
-    "shmoo.start": ("strategy", "voltages", "periods"),
+    "shmoo.start": ("voltages", "periods"),
     "shmoo.row": ("row", "vdd", "first_pass"),
     "shmoo.fallback": (),
     "shmoo.done": ("tester_invocations",),

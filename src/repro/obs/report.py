@@ -130,8 +130,7 @@ def build_report(meta: dict[str, Any],
         elif event.name == "database.discard_corrupt_tmp":
             database["discarded_corrupt_tmp"].append(dict(data))
         elif event.name == "shmoo.start":
-            shmoo = {"strategy": data["strategy"],
-                     "voltages": data["voltages"],
+            shmoo = {"voltages": data["voltages"],
                      "periods": data["periods"],
                      "rows": 0, "fallbacks": 0,
                      "tester_invocations": None}
@@ -301,9 +300,9 @@ def render_text(report: dict[str, Any]) -> str:
     if shmoo is not None:
         lines.append("")
         lines.append(
-            "Shmoo: strategy={} grid={}x{} rows={} fallbacks={} "
+            "Shmoo: grid={}x{} rows={} fallbacks={} "
             "tester_invocations={}".format(
-                shmoo["strategy"], shmoo["voltages"], shmoo["periods"],
+                shmoo["voltages"], shmoo["periods"],
                 shmoo["rows"], shmoo["fallbacks"],
                 shmoo["tester_invocations"]))
 

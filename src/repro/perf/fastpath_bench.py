@@ -12,9 +12,10 @@ on every run before any number is reported:
   :class:`~repro.perf.counting.CountingBehaviorModel` so the
   reduction figure is a deterministic call count, not a timing;
 * **shmoo** -- a paper-sized (Vdd, period) grid (Figures 3/4: 15
-  voltages x 24 periods) filled ``strategy="exact"`` vs
-  ``strategy="boundary"`` by :class:`~repro.tester.shmoo.ShmooRunner`,
-  counting tester invocations;
+  voltages x 24 periods) filled by
+  :meth:`~repro.tester.shmoo.ShmooRunner.run_exhaustive` (the ``exact``
+  row) vs the boundary trace of :meth:`~repro.tester.shmoo.ShmooRunner.run`
+  (the ``boundary`` row), counting tester invocations;
 * **adjacency** -- the critical-area pair search on the Veqtor4
   layout window: the sort-and-sweep
   :func:`~repro.ifa.critical_area.find_adjacent_pairs` vs the pairwise
@@ -188,24 +189,24 @@ def _bench_shmoo(config: FastpathBenchConfig) -> dict[str, Any]:
     periods = default_period_axis()
     rows: dict[str, Any] = {}
     grids: dict[str, Any] = {}
-    for strategy in ("exact", "boundary"):
+    for row in ("exact", "boundary"):
         runner = ShmooRunner(VirtualTester(DefectBehaviorModel(CMOS018)),
                              get_test("11N"))
+        fill = runner.run_exhaustive if row == "exact" else runner.run
         started = time.perf_counter()
-        plot = runner.run(sram, defects, voltages, periods,
-                          strategy=strategy)
+        plot = fill(sram, defects, voltages, periods)
         seconds = time.perf_counter() - started
         stats = runner.last_stats
-        rows[strategy] = {
+        rows[row] = {
             "tester_invocations": stats.tester_invocations,
             "seconds": round(seconds, 6),
             "grid_cells": stats.grid_cells,
         }
-        if strategy == "boundary":
-            rows[strategy]["crosscheck_invocations"] = (
+        if row == "boundary":
+            rows[row]["crosscheck_invocations"] = (
                 stats.crosscheck_invocations)
-            rows[strategy]["fallback"] = stats.fallback
-        grids[strategy] = plot.passed
+            rows[row]["fallback"] = stats.fallback
+        grids[row] = plot.passed
     if not np.array_equal(grids["exact"], grids["boundary"]):
         raise RuntimeError(
             "boundary-traced grid diverged from the exact grid -- the "

@@ -10,17 +10,18 @@ classic ASCII shmoo.
 Axis conventions follow the paper: X = period ascending left-to-right
 (so "at-speed" is on the left), Y = voltage ascending bottom-to-top.
 
-Two fill strategies are available.  ``"exact"`` tests every grid point
-(O(V x P) tester invocations).  ``"boundary"`` exploits the structure
-every paper shmoo exhibits -- within one voltage row, failing a longer
+Every paper shmoo is monotone within a voltage row: failing a longer
 period implies failing every shorter one, so each row's pass region is
-a suffix of the ascending period axis -- and locates each row's
-boundary by bisection (seeded with the previous row's boundary),
-flooding the rest of the row: O(V log P) invocations, typically ~2-3
-per row.  A seeded sample of grid cells is then re-tested exactly; any
-disagreement discards the traced grid and refills it exactly, so the
-returned plot is byte-identical to the exact strategy for every
-monotone-per-row device and still correct for adversarial ones.
+a suffix of the ascending period axis.  :meth:`ShmooRunner.run` locates
+each row's boundary by bisection (seeded with the previous row's
+boundary) and floods the rest of the row: O(V log P) tester invocations,
+typically ~2-3 per row, instead of the V x P of testing every cell.  A
+seeded sample of grid cells is then re-tested; any disagreement discards
+the traced grid and refills it exhaustively, so the returned plot equals
+the exhaustive fill for every row-monotone device and is still correct
+for adversarial ones.  :meth:`ShmooRunner.run_exhaustive` is that fill
+on its own, the reference the equivalence tests and the ``fastpath``
+benchmark's ``shmoo`` row compare against.
 
 Exact-path equivalence: tests/tester/test_shmoo.py
 """
@@ -149,23 +150,19 @@ class ShmooPlot:
 
 @dataclass
 class ShmooRunStats:
-    """Instrumentation of one :meth:`ShmooRunner.run` call.
+    """Instrumentation of one :class:`ShmooRunner` sweep.
 
     Attributes:
-        strategy: Fill strategy actually requested (``"exact"`` or
-            ``"boundary"``).
-        grid_cells: Grid size (V x P) -- the exact strategy's tester
+        grid_cells: Grid size (V x P) -- the exhaustive fill's tester
             invocation count.
         tester_invocations: Tester invocations actually issued,
             including boundary tracing, the consistency sample and any
-            exact refill.
-        crosscheck_invocations: Subset spent on the boundary mode's
-            consistency sample.
+            exhaustive refill.
+        crosscheck_invocations: Subset spent on the consistency sample.
         fallback: True when the consistency sample disagreed with the
-            traced grid and the plot was refilled exactly.
+            traced grid and the plot was refilled exhaustively.
     """
 
-    strategy: str
     grid_cells: int
     tester_invocations: int = 0
     crosscheck_invocations: int = 0
@@ -178,9 +175,9 @@ class ShmooRunner:
     Args:
         tester: The virtual ATE.
         test: March test to apply at every point.
-        crosscheck_fraction: Fraction of grid cells re-tested exactly
-            after a boundary trace (the guard that triggers the exact
-            refill); ignored by the exact strategy.
+        crosscheck_fraction: Fraction of grid cells re-tested after a
+            boundary trace (the guard that triggers the exhaustive
+            refill).
         crosscheck_seed: Seed of the deterministic cell sample.
     """
 
@@ -193,15 +190,19 @@ class ShmooRunner:
         self.test = test
         self.crosscheck_fraction = crosscheck_fraction
         self.crosscheck_seed = crosscheck_seed
-        #: Stats of the most recent :meth:`run` (None before any run).
+        #: Stats of the most recent sweep (None before any sweep).
         self.last_stats: ShmooRunStats | None = None
 
     def run(self, sram: Sram, defects: list[Defect],
             voltages: np.ndarray | list[float],
             periods: np.ndarray | list[float],
-            title: str = "", strategy: str = "exact",
-            bus=None) -> ShmooPlot:
+            title: str = "", bus=None) -> ShmooPlot:
         """Fill the shmoo grid (quick behavioural mode per point).
+
+        Traces each row's pass/fail boundary by bisection and floods
+        the rest (see the module docstring), refilling exhaustively
+        when the sampled consistency check disagrees; ``last_stats``
+        reports the invocation counts.
 
         Args:
             sram: Device under test.
@@ -209,18 +210,11 @@ class ShmooRunner:
             voltages: Y-axis supply values (sorted ascending).
             periods: X-axis period values (sorted ascending).
             title: Plot label.
-            strategy: ``"exact"`` tests every cell; ``"boundary"``
-                traces each row's pass/fail boundary by bisection and
-                floods the rest (see the module docstring), falling
-                back to an exact refill when the sampled consistency
-                check disagrees.  Both return byte-identical grids for
-                row-monotone devices -- which every stock defect model
-                is -- and ``last_stats`` reports the invocation counts.
             bus: Optional :class:`~repro.obs.bus.EventBus`.  Emits
                 ``shmoo.start``, one ``shmoo.row`` per filled voltage
                 row (its first passing period index, or ``None`` for
                 an all-fail row), ``shmoo.fallback`` when the
-                consistency sample triggers the exact refill (the
+                consistency sample triggers the exhaustive refill (the
                 refilled rows are then journalled again -- the journal
                 records what actually ran) and ``shmoo.done`` with the
                 tester-invocation total.  ``None`` (default) emits
@@ -228,27 +222,34 @@ class ShmooRunner:
 
         Returns:
             The filled :class:`ShmooPlot`.
-
-        Raises:
-            ValueError: unknown ``strategy``.
         """
-        if strategy not in ("exact", "boundary"):
-            raise ValueError(
-                f"strategy must be 'exact' or 'boundary', got {strategy!r}")
+        return self._sweep(self._fill_boundary, sram, defects, voltages,
+                           periods, title, bus)
+
+    def run_exhaustive(self, sram: Sram, defects: list[Defect],
+                       voltages: np.ndarray | list[float],
+                       periods: np.ndarray | list[float],
+                       title: str = "") -> ShmooPlot:
+        """Test every grid cell: the V x P fill :meth:`run` replaces.
+
+        Exists only as the reference of the equivalence tests and of
+        the ``fastpath`` benchmark's ``shmoo`` row; :meth:`run` reaches
+        the same fill only as its refill.
+        """
+        return self._sweep(self._fill_exhaustive, sram, defects,
+                           voltages, periods, title, None)
+
+    def _sweep(self, fill, sram: Sram, defects: list[Defect],
+               voltages: np.ndarray | list[float],
+               periods: np.ndarray | list[float],
+               title: str, bus) -> ShmooPlot:
         voltages = np.sort(np.asarray(voltages, dtype=float))
         periods = np.sort(np.asarray(periods, dtype=float))
-        stats = ShmooRunStats(strategy=strategy,
-                              grid_cells=voltages.size * periods.size)
+        stats = ShmooRunStats(grid_cells=voltages.size * periods.size)
         if bus is not None:
-            bus.emit("shmoo.start", strategy=strategy,
-                     voltages=int(voltages.size),
+            bus.emit("shmoo.start", voltages=int(voltages.size),
                      periods=int(periods.size))
-        if strategy == "boundary":
-            passed = self._fill_boundary(sram, defects, voltages, periods,
-                                         stats, bus)
-        else:
-            passed = self._fill_exact(sram, defects, voltages, periods,
-                                      stats, bus)
+        passed = fill(sram, defects, voltages, periods, stats, bus)
         self.last_stats = stats
         if bus is not None:
             bus.emit("shmoo.done",
@@ -257,7 +258,7 @@ class ShmooRunner:
         return ShmooPlot(voltages, periods, passed, title)
 
     # ------------------------------------------------------------------
-    # Fill strategies
+    # Fills
     # ------------------------------------------------------------------
     def _point(self, sram: Sram, defects: list[Defect], vdd: float,
                period: float, stats: ShmooRunStats) -> bool:
@@ -274,9 +275,9 @@ class ShmooRunner:
             bus.emit("shmoo.row", row=i, vdd=float(vdd),
                      first_pass=int(first) if first < n else None)
 
-    def _fill_exact(self, sram: Sram, defects: list[Defect],
-                    voltages: np.ndarray, periods: np.ndarray,
-                    stats: ShmooRunStats, bus=None) -> np.ndarray:
+    def _fill_exhaustive(self, sram: Sram, defects: list[Defect],
+                         voltages: np.ndarray, periods: np.ndarray,
+                         stats: ShmooRunStats, bus=None) -> np.ndarray:
         """Test every cell of the grid."""
         passed = np.zeros((voltages.size, periods.size), dtype=bool)
         for i, vdd in enumerate(voltages):
@@ -309,8 +310,8 @@ class ShmooRunner:
             stats.fallback = True
             if bus is not None:
                 bus.emit("shmoo.fallback")
-            return self._fill_exact(sram, defects, voltages, periods,
-                                    stats, bus)
+            return self._fill_exhaustive(sram, defects, voltages, periods,
+                                         stats, bus)
         return passed
 
     @staticmethod

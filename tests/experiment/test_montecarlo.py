@@ -6,7 +6,6 @@ from repro.experiment.montecarlo import (
     REGIONS,
     MonteCarloResult,
     RegionStats,
-    monte_carlo_seeds,
     run_monte_carlo,
 )
 from repro.experiment.venn import VennCounts
@@ -69,35 +68,15 @@ class TestRegionStats:
         assert s.min == 1 and s.max == 3
 
 
-class TestSeedSchemes:
-    """Satellite: run seeds via SeedSequence.spawn behind a flag."""
+class TestSeedRule:
+    def test_seed_scheme_is_not_an_option(self):
+        """Run k always draws from ``base_seed + k``."""
+        with pytest.raises(TypeError, match="seed_scheme"):
+            run_monte_carlo(n_runs=1, n_devices=400, seed_scheme="spawn")
 
-    def test_legacy_scheme_is_sequential(self):
-        assert monte_carlo_seeds(1105, 4) == [1105, 1106, 1107, 1108]
-        assert monte_carlo_seeds(1105, 4, scheme="legacy") == (
-            [1105, 1106, 1107, 1108])
-
-    def test_spawn_scheme_is_deterministic_and_distinct(self):
-        a = monte_carlo_seeds(1105, 6, scheme="spawn")
-        b = monte_carlo_seeds(1105, 6, scheme="spawn")
-        assert a == b
-        assert len(set(a)) == 6
-        assert a != monte_carlo_seeds(1106, 6, scheme="spawn")
-        assert a != [1105 + k for k in range(6)]
-
-    def test_spawn_prefix_is_stable(self):
-        """Growing n_runs extends, never reshuffles, the seed list."""
-        assert monte_carlo_seeds(7, 8, scheme="spawn")[:3] == (
-            monte_carlo_seeds(7, 3, scheme="spawn"))
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="seed_scheme"):
-            monte_carlo_seeds(1105, 4, scheme="antithetic")
-
-    def test_run_monte_carlo_honours_scheme(self):
-        result = run_monte_carlo(n_runs=2, n_devices=400,
-                                 seed_scheme="spawn")
-        assert result.seeds == monte_carlo_seeds(1105, 2, scheme="spawn")
+    def test_seeds_follow_base_seed(self):
+        result = run_monte_carlo(n_runs=2, n_devices=400, base_seed=7)
+        assert result.seeds == [7, 8]
 
 
 class TestRegionStatsGuards:

@@ -262,8 +262,7 @@ class TestShmooJournal:
         bus = EventBus()
         plot = runner.run(sram, [], voltages, periods, bus=bus)
         assert names(bus.events)[0] == "shmoo.start"
-        assert bus.events[0].data == {
-            "strategy": "exact", "voltages": 3, "periods": 4}
+        assert bus.events[0].data == {"voltages": 3, "periods": 4}
         rows = [e for e in bus.events if e.name == "shmoo.row"]
         assert [r.data["row"] for r in rows] == [0, 1, 2]
         for i, event in enumerate(rows):

@@ -96,17 +96,32 @@ class TestBuildReport:
         assert report["pool"]["poison_units"][0]["unit"] == (
             "bridge:2e3:VLV")
 
-    def test_shmoo_section(self):
+    @staticmethod
+    def _shmoo_events(**start):
         bus = EventBus()
-        bus.emit("shmoo.start", strategy="boundary", voltages=4, periods=6)
+        bus.emit("shmoo.start", voltages=4, periods=6, **start)
         bus.emit("shmoo.row", row=0, vdd=0.8, first_pass=3)
         bus.emit("shmoo.row", row=1, vdd=0.9, first_pass=None)
         bus.emit("shmoo.fallback")
         bus.emit("shmoo.done", tester_invocations=17)
-        report = build_report({}, bus.events)
+        return bus.events
+
+    def test_shmoo_section(self):
+        report = build_report({}, self._shmoo_events())
         assert report["shmoo"] == {
-            "strategy": "boundary", "voltages": 4, "periods": 6,
+            "voltages": 4, "periods": 6,
             "rows": 2, "fallbacks": 1, "tester_invocations": 17}
+        assert ("Shmoo: grid=4x6 rows=2 fallbacks=1 tester_invocations=17"
+                in render_text(report))
+
+    def test_shmoo_start_with_strategy_key_still_renders(self):
+        """Journals written while the shmoo fill was selectable carry
+        a ``strategy`` key on ``shmoo.start``; they render the same."""
+        events = self._shmoo_events(strategy="exact")
+        assert build_report({}, events) == build_report(
+            {}, self._shmoo_events())
+        assert "Shmoo: grid=4x6 rows=2" in render_text(
+            build_report({}, events))
 
     def test_service_section_absent_without_service_events(self):
         assert build_report({}, [])["service"] is None

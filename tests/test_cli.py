@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -244,22 +245,25 @@ class TestCampaign:
                                            "--strategy", strategy])
 
 
-class TestShmooStrategy:
-    def test_boundary_strategy_prints_trace_stats(self, capsys):
-        rc = main(["shmoo", "--defect", "rail-bridge",
-                   "--resistance", "240e3", "--strategy", "boundary"])
-        assert rc == 0
+class TestShmoo:
+    @pytest.mark.parametrize("argv", [
+        [], ["--defect", "rail-bridge", "--resistance", "240e3"]],
+        ids=["fault-free", "rail-bridge"])
+    def test_prints_trace_stats(self, capsys, argv):
+        assert main(["shmoo", *argv]) == 0
         out = capsys.readouterr().out
         assert "boundary trace:" in out and "tester invocations" in out
+        assert "refill" not in out
 
-    def test_exact_strategy_prints_no_trace_stats(self, capsys):
-        rc = main(["shmoo"])
-        assert rc == 0
-        assert "boundary trace:" not in capsys.readouterr().out
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shmoo", "--strategy", "turbo"])
+    @pytest.mark.parametrize("strategy", ["exact", "boundary"])
+    def test_rejects_strategy(self, capsys, strategy):
+        """Every shmoo traces its boundary, so there is nothing to
+        choose."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["shmoo", "--strategy", strategy])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strategy" in (
+            capsys.readouterr().err)
 
 
 class TestJournalCli:
@@ -312,15 +316,27 @@ class TestJournalCli:
         assert main(["shmoo", "--journal", journal]) == 0
         assert "run journal:" in capsys.readouterr().out
         assert main(["report", journal]) == 0
-        assert "Shmoo: strategy=exact" in capsys.readouterr().out
+        assert "Shmoo: grid=15x24 rows=15 fallbacks=0" in (
+            capsys.readouterr().out)
 
 
 class TestExperimentCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["experiment", "run"])
         assert args.devices == 1_000_000
-        assert args.scheme == "spawn"
         assert args.workers == 1
+
+    @pytest.mark.parametrize("option", [
+        ["--scheme", "legacy"], ["--scheme", "spawn"],
+        ["--block-devices", "4096"]], ids=lambda o: " ".join(o))
+    def test_rejects_removed_options(self, capsys, option):
+        """The materialised lot is `repro venn`, and the RNG block size
+        is fixed: neither is an `experiment run` option."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "run", *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in (
+            capsys.readouterr().err)
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -390,7 +406,16 @@ class TestExperimentCommand:
     (["experiment", "run", "--workers", "0"],
      "--workers: must be positive"),
     (["experiment", "run", "--shard-devices", "1000"],
-     "--shard-devices (1000) must be a multiple of --block-devices"),
+     "--shard-devices: must be a positive multiple of the 4096-device "
+     "RNG block, got 1000"),
+    (["experiment", "run", "--shard-devices", "0"],
+     "--shard-devices: must be a positive multiple"),
+    (["experiment", "run", "--seed", "-1"], "--seed: must be non-negative"),
+    (["venn", "--seed", "-1"], "--seed: must be non-negative"),
+    (["campaign", "run", "--seed", "-1"], "--seed: must be non-negative"),
+    (["plan", "--target-dpm", "-5"], "--target-dpm: must be non-negative"),
+    (["lint", "plan:production", "--target-dpm", "-5"],
+     "--target-dpm: must be non-negative"),
     (["campaign", "run", "--sites", "0"], "--sites: must be positive"),
     (["campaign", "run", "--rows", "0"], "--rows: must be positive"),
     (["campaign", "run", "--columns", "0"], "--columns: must be positive"),
@@ -458,3 +483,23 @@ def test_serve_stops_cleanly_on_signal(tmp_path, signum):
     assert proc.returncode == 0, err
     assert f"run journal: {journal}" in out
     assert journal.exists()
+
+
+def test_serve_bind_error_is_one_line(tmp_path):
+    """An address ``repro serve`` cannot listen on is one line on
+    stderr and exit 2, not a traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--host",
+             "127.0.0.1", "--port", str(port)],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(
+        f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+    assert proc.stderr.count("\n") == 1
+    assert "serving on" not in proc.stdout

@@ -5,7 +5,15 @@ import pytest
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
-from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
+from repro.cli import _DEFECT_PRESETS
+from repro.defects.models import (
+    BridgeSite,
+    Defect,
+    DefectKind,
+    OpenSite,
+    bridge,
+    open_defect,
+)
 from repro.march.library import TEST_11N
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
@@ -166,12 +174,11 @@ class TestGridEdgeCases:
         (default_voltage_axis(), [100e-9]),      # single column
         ([1.8], [100e-9]),                       # single cell
     ])
-    def test_degenerate_grids_match_exact(self, runner, sram,
-                                          voltages, periods):
+    def test_degenerate_grids_match_exhaustive(self, runner, sram,
+                                               voltages, periods):
         d = bridge(BridgeSite.CELL_NODE_RAIL, 240e3, polarity=1)
-        exact = runner.run(sram, [d], voltages, periods)
-        traced = runner.run(sram, [d], voltages, periods,
-                            strategy="boundary")
+        exact = runner.run_exhaustive(sram, [d], voltages, periods)
+        traced = runner.run(sram, [d], voltages, periods)
         assert np.array_equal(exact.passed, traced.passed)
         assert not runner.last_stats.fallback
 
@@ -185,12 +192,13 @@ CHIP_DEFECTS = {
 }
 
 
-class TestBoundaryStrategy:
-    """boundary-traced fill == exact fill, several-fold cheaper."""
+class TestBoundaryTrace:
+    """boundary-traced fill == exhaustive fill, several-fold cheaper."""
 
-    def test_invalid_strategy_rejected(self, runner, sram):
-        with pytest.raises(ValueError, match="strategy"):
-            runner.run(sram, [], [1.8], [100e-9], strategy="fast")
+    def test_strategy_is_not_an_option(self, runner, sram):
+        """Every run traces its boundary: there is nothing to choose."""
+        with pytest.raises(TypeError, match="strategy"):
+            runner.run(sram, [], [1.8], [100e-9], strategy="exact")
 
     @pytest.mark.parametrize("figure", sorted(CHIP_DEFECTS))
     def test_paper_figures_identical_with_3x_fewer_calls(
@@ -199,15 +207,13 @@ class TestBoundaryStrategy:
         tester = CountingTester(VirtualTester(DefectBehaviorModel(CMOS018)))
         runner = ShmooRunner(tester, TEST_11N)
         volts, periods = default_voltage_axis(), default_period_axis()
-        exact = runner.run(sram, defects, volts, periods)
+        exact = runner.run_exhaustive(sram, defects, volts, periods)
         exact_calls = tester.calls
         assert exact_calls == runner.last_stats.grid_cells
         tester.reset()
-        traced = runner.run(sram, defects, volts, periods,
-                            strategy="boundary")
+        traced = runner.run(sram, defects, volts, periods)
         assert np.array_equal(exact.passed, traced.passed)
         stats = runner.last_stats
-        assert stats.strategy == "boundary"
         assert stats.tester_invocations == tester.calls
         assert not stats.fallback
         assert stats.crosscheck_invocations > 0
@@ -222,16 +228,16 @@ class TestBoundaryStrategy:
     ])
     def test_property_boundary_equals_full_fill(self, runner, sram,
                                                 defect):
-        """Every stock (row-monotone) defect traces to the exact grid."""
+        """Every stock (row-monotone) defect traces to the exhaustive
+        grid."""
         volts = np.linspace(0.9, 2.1, 7)
         periods = np.logspace(np.log10(6e-9), np.log10(110e-9), 11)
-        exact = runner.run(sram, [defect], volts, periods)
-        traced = runner.run(sram, [defect], volts, periods,
-                            strategy="boundary")
+        exact = runner.run_exhaustive(sram, [defect], volts, periods)
+        traced = runner.run(sram, [defect], volts, periods)
         assert np.array_equal(exact.passed, traced.passed)
         assert not runner.last_stats.fallback
 
-    def test_adversarial_device_falls_back_to_exact(self, sram):
+    def test_adversarial_device_falls_back_to_exhaustive(self, sram):
         """A non-row-monotone device trips the guard, not the result."""
         class _Result:
             def __init__(self, passed):
@@ -248,10 +254,40 @@ class TestBoundaryStrategy:
                              crosscheck_fraction=1.0)
         volts = np.linspace(1.0, 2.0, 4)
         periods = np.linspace(10e-9, 21e-9, 12)
-        exact = runner.run(sram, [], volts, periods)
-        traced = runner.run(sram, [], volts, periods, strategy="boundary")
+        exact = runner.run_exhaustive(sram, [], volts, periods)
+        traced = runner.run(sram, [], volts, periods)
         assert runner.last_stats.fallback
         assert np.array_equal(exact.passed, traced.passed)
+
+
+#: The ``repro shmoo`` cases: fault-free, and every defect preset at a
+#: low, the paper's, a high and an extreme resistance.
+CLI_CASES = [("fault-free", None)] + [
+    (preset, resistance)
+    for preset in sorted(_DEFECT_PRESETS)
+    for resistance in (1e3, 240e3, 1e6, 30e6)]
+
+
+@pytest.mark.parametrize("preset,resistance", CLI_CASES,
+                         ids=[f"{p}-{r:g}" if r else p
+                              for p, r in CLI_CASES])
+def test_cli_presets_trace_to_exhaustive_grid(runner, sram, preset,
+                                              resistance):
+    """``repro shmoo``'s grid for every preset equals the exhaustive
+    fill, without the refill."""
+    defects = []
+    if resistance is not None:
+        kind, site = _DEFECT_PRESETS[preset]
+        kind = DefectKind(kind)
+        site = (BridgeSite(site) if kind is DefectKind.BRIDGE
+                else OpenSite(site))
+        defects.append(Defect(kind, site, resistance, polarity=1))
+    volts, periods = default_voltage_axis(), default_period_axis()
+    exact = runner.run_exhaustive(sram, defects, volts, periods)
+    traced = runner.run(sram, defects, volts, periods)
+    assert np.array_equal(exact.passed, traced.passed)
+    assert not runner.last_stats.fallback
+    assert runner.last_stats.tester_invocations < exact.passed.size
 
 
 class TestAxes:
