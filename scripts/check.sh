@@ -269,7 +269,7 @@ pool_journal="$(mktemp /tmp/pool_smoke.XXXXXX.jsonl)"
 lot_args=(--devices 65536 --shard-devices 16384 --seed 5)
 serial_lot="$(python -m repro experiment run "${lot_args[@]}")" || status=$?
 pool_lot="$(python -m repro experiment run "${lot_args[@]}" --workers 2 \
-    --chaos-seed 5 --chaos-worker-exit 1 \
+    --chaos-worker-exit 1 \
     --journal "$pool_journal")" || status=$?
 if [ "$(lot_summary <<<"$serial_lot")" != "$(lot_summary <<<"$pool_lot")" ] \
         || ! grep -q '^devices: 65536 ' <<<"$serial_lot"; then

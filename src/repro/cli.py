@@ -63,6 +63,21 @@ def _shard_devices(text: str) -> int:
 _shard_devices.__name__ = "int"
 
 
+def _worker_fault(text: str) -> tuple[int, int]:
+    """``--chaos-worker-* SHARD[:TIMES]``: a shard index and how many
+    of its dispatches fail (default 1)."""
+    index_text, _, times_text = text.partition(":")
+    try:
+        index, times = int(index_text), int(times_text or 1)
+    except ValueError:
+        index = times = -1
+    if index < 0 or times < 1:
+        raise argparse.ArgumentTypeError(
+            "must be SHARD[:TIMES] with integers SHARD >= 0 and "
+            f"TIMES >= 1, got {text}")
+    return index, times
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table1
     from repro.core.flow import MemoryTestFlow
@@ -163,33 +178,39 @@ def _cmd_venn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_injector(args: argparse.Namespace, plan):
-    """Parse ``--chaos-worker-* SHARD[:TIMES]`` into a fault injector."""
-    tables: dict[str, dict[str, int]] = {}
-    flags = (("worker.exit", args.chaos_worker_exit),
-             ("worker.hang", args.chaos_worker_hang))
-    if not any(values for _, values in flags):
+def _experiment_injector(args: argparse.Namespace):
+    """The ``--chaos-worker-*`` fault injector (``None`` when off).
+
+    Raises:
+        ValueError: a flag this run cannot honour (one-line message).
+    """
+    flags = {"worker.exit": args.chaos_worker_exit,
+             "worker.hang": args.chaos_worker_hang}
+    if not any(flags.values()):
         return None
-    shards = plan.shards()
-    for site, values in flags:
-        for value in values:
-            index_text, _, times_text = value.partition(":")
-            try:
-                index = int(index_text)
-                times = int(times_text) if times_text else 1
-            except ValueError:
-                raise SystemExit(
-                    f"--chaos-worker-*: expected SHARD[:TIMES] with "
-                    f"integers, got {value!r}") from None
-            if not 0 <= index < len(shards):
-                raise SystemExit(
+    if args.workers < 2:
+        raise ValueError("--chaos-worker-* needs --workers 2 or more: "
+                         "a serial run has no worker to kill")
+    if args.chaos_worker_hang and args.unit_deadline is None:
+        raise ValueError("--chaos-worker-hang needs --unit-deadline: "
+                         "the shard deadline is what detects a hang")
+    from repro.experiment.streaming.plan import (
+        DEFAULT_SHARD_DEVICES,
+        ShardPlan,
+    )
+    from repro.runner.chaos import FaultInjector
+
+    shards = ShardPlan(args.devices, shard_devices=(
+        args.shard_devices or DEFAULT_SHARD_DEVICES)).shards()
+    tables: dict[str, dict[str, int]] = {}
+    for site, faults in flags.items():
+        for index, times in faults:
+            if index >= len(shards):
+                raise ValueError(
                     f"--chaos-worker-*: shard index {index} out of "
                     f"range (plan has {len(shards)} shards)")
             tables.setdefault(site, {})[shards[index].unit_id] = times
-    from repro.runner.chaos import FaultInjector
-
-    return FaultInjector(seed=args.chaos_seed, rates={},
-                         worker_faults=tables)
+    return FaultInjector(worker_faults=tables)
 
 
 def _cmd_experiment_run(args: argparse.Namespace) -> int:
@@ -199,28 +220,22 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
         StreamingRunner,
     )
 
-    def make_engine(behavior=None) -> StreamingExperiment:
-        return StreamingExperiment(
-            n_devices=args.devices, seed=args.seed,
-            density=DefectDensity(d0_per_cm2=args.d0,
-                                  bridge_fraction=args.bridge_fraction),
-            shard_devices=args.shard_devices, behavior=behavior,
-            diagnose=args.diagnose)
-
-    engine = make_engine()
-    injector = _experiment_injector(args, engine.plan)
-    if injector is not None:
-        from repro.defects.behavior import DefectBehaviorModel
-        from repro.runner.chaos import ChaosBehaviorModel
-
-        engine = make_engine(ChaosBehaviorModel(
-            DefectBehaviorModel(CMOS018), injector))
+    try:
+        injector = _experiment_injector(args)
+    except ValueError as exc:
+        print(f"repro experiment run: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    engine = StreamingExperiment(
+        n_devices=args.devices, seed=args.seed,
+        density=DefectDensity(d0_per_cm2=args.d0,
+                              bridge_fraction=args.bridge_fraction),
+        shard_devices=args.shard_devices, injector=injector,
+        diagnose=args.diagnose)
     runner = StreamingRunner(
         engine, checkpoint_path=args.checkpoint,
         unit_deadline=args.unit_deadline, workers=args.workers,
         max_pool_rebuilds=args.max_pool_rebuilds,
-        journal=args.journal,
-        fault_hook=injector.check if injector is not None else None)
+        journal=args.journal)
     result = runner.run()
     shards = len(engine.plan.shards())
     print(f"experiment complete: {args.devices} devices across "
@@ -739,18 +754,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="defect density per cm^2")
     ep.add_argument("--bridge-fraction", type=_fraction, default=0.8,
                     help="fraction of defects that are bridges")
-    ep.add_argument("--chaos-seed", type=int, default=0,
-                    help="fault-injection seed")
     ep.add_argument("--chaos-worker-exit", action="append", default=[],
-                    metavar="SHARD[:TIMES]",
+                    type=_worker_fault, metavar="SHARD[:TIMES]",
                     help="kill the worker on the given shard index's "
-                         "first TIMES dispatches (repeatable; "
-                         "rehearses the pool supervisor)")
+                         "first TIMES dispatches (repeatable; needs "
+                         "--workers 2 or more; rehearses the pool "
+                         "supervisor)")
     ep.add_argument("--chaos-worker-hang", action="append", default=[],
-                    metavar="SHARD[:TIMES]",
+                    type=_worker_fault, metavar="SHARD[:TIMES]",
                     help="hang the worker on the given shard index's "
-                         "first TIMES dispatches (needs "
-                         "--unit-deadline)")
+                         "first TIMES dispatches (needs --workers 2 or "
+                         "more and --unit-deadline)")
     ep.set_defaults(func=_cmd_experiment_run)
 
     p = sub.add_parser("plan", help="optimise the stress-condition plan")
@@ -830,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--chaos-rate", type=_fraction, default=0.0,
                         help="inject behavioural faults at this rate "
                              "(soak testing; see scripts/soak.sh)")
-        cp.add_argument("--chaos-seed", type=int, default=0,
+        cp.add_argument("--chaos-seed", type=_non_negative_int, default=0,
                         help="fault-injection seed")
         cp.add_argument("--journal", metavar="PATH", default=None,
                         help="write a JSONL run journal of every unit, "

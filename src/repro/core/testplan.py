@@ -84,21 +84,15 @@ class JointCoverageTable:
         self.defects = defects
 
         # detection[i, j]: defect i caught by condition j -- one
-        # elementwise kernel call per condition when the model offers
-        # it, else fails_condition per defect (the oracle).
+        # elementwise kernel call per condition (fails_condition per
+        # defect is the oracle it is tested against).
         self.detection = np.zeros((len(defects), len(self.condition_names)),
                                   dtype=bool)
-        kernel = getattr(behavior, "evaluate_elements", None)
-        arrays = (DefectArrays.from_defects(defects)
-                  if kernel is not None else None)
+        arrays = DefectArrays.from_defects(defects)
         for j, name in enumerate(self.condition_names):
-            cond = self.conditions[name]
-            if arrays is not None:
-                self.detection[:, j] = kernel(arrays.codes, arrays.strengths,
-                                              arrays.resistances, cond)
-                continue
-            for i, defect in enumerate(defects):
-                self.detection[i, j] = behavior.fails_condition(defect, cond)
+            self.detection[:, j] = behavior.evaluate_elements(
+                arrays.codes, arrays.strengths, arrays.resistances,
+                self.conditions[name])
 
     # ------------------------------------------------------------------
     def subset_coverage(self, names: tuple[str, ...] | list[str]) -> float:

@@ -588,10 +588,10 @@ class DefectBehaviorModel:
         ``SITE_CODES[codes[i]]``, strength ``strengths[i]`` and
         resistance ``resistances[i]`` -- bit-identical, under the same
         op-order rules as :meth:`evaluate_batch`.  One kernel call per
-        site class present.  Probed like ``evaluate_batch``
-        (``getattr(model, "evaluate_elements", None)``); a wrapper that
-        must see every scalar evaluation declines it with a class
-        attribute set to ``None``.
+        site class present.  Unlike ``evaluate_batch`` it is not
+        probed: lot classification and the test-plan table require
+        it, and :meth:`fails_condition` stays the oracle they are
+        tested against.
 
         Args:
             codes: Site codes (indices into

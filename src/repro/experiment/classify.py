@@ -11,7 +11,7 @@ conditions it fails, which feeds the Venn diagram of Figure 11.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,9 +135,8 @@ class StressClassifier:
     def classify_chip(self, chip: VeqtorChip) -> DeviceRecord | None:
         """Classify one part; ``None`` for a clean (defect-free) chip.
 
-        The per-chip core of :meth:`classify`, exposed so streaming
-        consumers (:mod:`repro.experiment.streaming`) can fold records
-        into sufficient statistics without materializing a lot.
+        The scalar oracle of :meth:`fail_bits`: every verdict goes
+        through the virtual tester, part by part.
         """
         if not chip.is_defective:
             return None
@@ -153,18 +152,6 @@ class StressClassifier:
         )
         return DeviceRecord(chip, False, failed)
 
-    @property
-    def array_native(self) -> bool:
-        """Whether the behaviour model offers the elementwise kernel.
-
-        The same capability probe the grid evaluator uses: a model
-        without ``evaluate_elements`` (or a wrapper declining it with
-        ``None``) is classified part by part through
-        :meth:`classify_chip`.
-        """
-        behavior = self.bench.tester.behavior
-        return getattr(behavior, "evaluate_elements", None) is not None
-
     def fail_bits(self, defects: DefectArrays,
                   chip_starts: np.ndarray) -> np.ndarray:
         """Fail-bit words of defective parts given as flat defect arrays.
@@ -175,7 +162,7 @@ class StressClassifier:
         all defects; a part fails a condition when any of its defects
         does (``np.bitwise_or.reduceat``) or when the core misses
         timing there -- the verdicts of :meth:`classify_chip`, for
-        every condition.  Requires :attr:`array_native`.
+        every condition.
         """
         kernel = self.bench.tester.behavior.evaluate_elements
         per_defect = np.zeros(len(defects), dtype=np.uint8)
@@ -192,34 +179,29 @@ class StressClassifier:
             return np.zeros(0, dtype=np.uint8)
         return np.bitwise_or.reduceat(per_defect, chip_starts) | timing
 
+    def chip_fail_bits(self, chips: Sequence[VeqtorChip]) -> np.ndarray:
+        """Fail-bit words of defective ``chips`` (:meth:`fail_bits`)."""
+        flat = [chip.all_defects for chip in chips]
+        sizes = np.array([len(defects) for defects in flat], dtype=np.intp)
+        return self.fail_bits(
+            DefectArrays.from_defects([d for ds in flat for d in ds]),
+            np.cumsum(sizes) - sizes)
+
     def classify(self, chips: list[VeqtorChip]) -> ExperimentResult:
         """Classify a lot; clean chips short-circuit for speed.
 
-        With an :attr:`array_native` model the defective chips are
-        flattened to :class:`~repro.defects.models.DefectArrays` and
-        classified by :meth:`fail_bits`; otherwise chip by chip.  The
-        records are the same either way.
+        The defective chips are flattened to
+        :class:`~repro.defects.models.DefectArrays` and classified by
+        :meth:`fail_bits`; :meth:`classify_chip` is the per-chip oracle
+        the records are tested against.
         """
         result = ExperimentResult(n_devices=len(chips))
-        records = (self._array_records(chips) if self.array_native
-                   else (self.classify_chip(chip) for chip in chips))
-        for record in records:
-            if record is None:
-                continue
-            if record.failed_standard:
-                result.n_standard_fails += 1
-            result.records.append(record)
-        return result
-
-    def _array_records(self, chips: list[VeqtorChip],
-                       ) -> Iterator[DeviceRecord]:
-        """Records of the defective chips, in lot order, via fail bits."""
         defective = [chip for chip in chips if chip.is_defective]
-        flat = [chip.all_defects for chip in defective]
-        sizes = np.array([len(defects) for defects in flat], dtype=np.intp)
-        bits = self.fail_bits(
-            DefectArrays.from_defects([d for ds in flat for d in ds]),
-            np.cumsum(sizes) - sizes)
-        for chip, word in zip(defective, bits.tolist()):
+        for chip, word in zip(defective,
+                              self.chip_fail_bits(defective).tolist()):
             failed_standard, failed_stress = decode_fail_bits(word)
-            yield DeviceRecord(chip, failed_standard, failed_stress)
+            if failed_standard:
+                result.n_standard_fails += 1
+            result.records.append(
+                DeviceRecord(chip, failed_standard, failed_stress))
+        return result

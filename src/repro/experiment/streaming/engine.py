@@ -7,10 +7,10 @@ every fact ships back to the parent inside the
 
 :class:`StreamingExperiment` is the campaign-shaped object the
 :mod:`repro.perf` pool runs -- it pickles small (lazy caches are
-dropped), exposes ``behavior`` for chaos probes and a
-``unit_evaluator`` factory from which the serial runner, every pool
-worker and the supervisor's in-parent fallback build their
-:class:`ShardEvaluator`.
+dropped), carries the optional worker-fault ``injector`` the pool
+probes, and exposes a ``unit_evaluator`` factory from which the
+serial runner, every pool worker and the supervisor's in-parent
+fallback build their :class:`ShardEvaluator`.
 
 Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
@@ -20,15 +20,15 @@ stays in arrays (:class:`DefectBlock`): classification is one
 elementwise kernel call per (site class, condition)
 (:meth:`~repro.experiment.classify.StressClassifier.fail_bits`) and a
 ``bincount`` of the parts' fail-bit words into the accumulator, so no
-chip materialises unless diagnosed.  Behaviour models without the
-kernel (``scheme="legacy"``, chaos wrappers) take the per-chip
-:meth:`~repro.experiment.classify.StressClassifier.classify_chip`
-path, the scalar oracle.
+chip materialises unless diagnosed.  ``scheme="legacy"`` streams the
+original single-stream chips and classifies them through the same
+kernel, one block-sized slice at a time.
 
 Exact-path equivalence: tests/experiment/test_streaming.py
 (``scheme="legacy"`` reduces the original single-stream draw order to
-a payload byte-identical to the materialised pipeline's; the array
-path's payload equals the per-chip path's).
+a payload byte-identical to the materialised pipeline's; the kernel
+path's payload equals a fold of the per-chip oracle
+:meth:`~repro.experiment.classify.StressClassifier.classify_chip`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -60,13 +61,11 @@ from repro.experiment.streaming.plan import ShardPlan, ShardUnit
 from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.runner.chaos import unit_injections
 from repro.runner.evaluate import (
     UnitDeadlineExceeded,
     UnitOutcome,
     check_unit_deadline,
 )
-from repro.runner.retry import RetryPolicy, RetryStats, run_with_retry
 
 #: Names of the lazily-built caches dropped from pickles: each worker
 #: rebuilds them deterministically, keeping the pool-init payload small
@@ -90,8 +89,10 @@ class StreamingExperiment:
             :class:`~repro.experiment.population.PopulationGenerator`).
         geometry: Per-instance memory organisation.
         tech: Technology corner.
-        behavior: Behaviour-model override (possibly chaos-wrapped;
-            exposed as ``.behavior`` for the executor fault probes).
+        injector: Optional :class:`~repro.runner.chaos.FaultInjector`
+            whose worker faults the pool probes once per shard
+            dispatch (see :func:`~repro.perf.executor.
+            probe_worker_faults`); it never touches classification.
         diagnose: Run bitmap diagnosis on interesting devices and
             accumulate hint histograms.
         bridge_distribution / open_distribution: Fab R distributions.
@@ -104,7 +105,7 @@ class StreamingExperiment:
                  scheme: str = "spawn",
                  geometry: MemoryGeometry = VEQTOR4_INSTANCE,
                  tech: Technology = CMOS018,
-                 behavior: Any = None,
+                 injector: Any = None,
                  diagnose: bool = False,
                  bridge_distribution: ResistanceDistribution | None = None,
                  open_distribution: ResistanceDistribution | None = None,
@@ -125,7 +126,7 @@ class StreamingExperiment:
                                     or default_bridge_distribution())
         self.open_distribution = (open_distribution
                                   or default_open_distribution())
-        self._behavior = behavior
+        self.injector = injector
         self._classifier: StressClassifier | None = None
         self._generator: PopulationGenerator | None = None
         self._extractor: IfaExtractor | None = None
@@ -156,14 +157,13 @@ class StreamingExperiment:
     def classifier(self) -> StressClassifier:
         """The (cached) screen-then-stress classifier."""
         if self._classifier is None:
-            self._classifier = StressClassifier(
-                tech=self.tech, geometry=self.geometry,
-                behavior=self._behavior)
+            self._classifier = StressClassifier(tech=self.tech,
+                                                geometry=self.geometry)
         return self._classifier
 
     @property
     def behavior(self) -> Any:
-        """The behaviour model under test (chaos probes hook in here)."""
+        """The classifier's behaviour model (the stock one of ``tech``)."""
         return self.classifier.bench.tester.behavior
 
     @property
@@ -224,7 +224,7 @@ class StreamingExperiment:
         Under ``spawn``, only *defective* chips are yielded (clean
         devices are implied by ``shard.devices``); under ``legacy``
         every chip streams through in the original draw order.  This
-        is the per-chip view: array-native evaluation reads
+        is the per-chip view: :meth:`classified_blocks` reads
         :meth:`block_defects` instead and builds no chip at all.
         """
         if self.plan.scheme == "legacy":
@@ -279,18 +279,43 @@ class StreamingExperiment:
                            chip_starts=np.cumsum(sizes) - sizes,
                            instances=instances, defects=defects)
 
+    def classified_blocks(self, shard: ShardUnit,
+                          ) -> Iterator[tuple[np.ndarray,
+                                              Callable[[int], VeqtorChip]]
+                                        | None]:
+        """Classify the shard one RNG block at a time.
+
+        Yields, per block, ``None`` when it has no defective part, else
+        the fail-bit words of its defective parts
+        (:meth:`~repro.experiment.classify.StressClassifier.fail_bits`)
+        and a function materialising part ``k`` as a chip.  Under
+        ``legacy`` a "block" is the next block-sized slice of the
+        single-stream chips.
+        """
+        classifier = self.classifier
+        if self.plan.scheme == "legacy":
+            chips = self.iter_shard_chips(shard)
+            for _, start, stop in self.plan.blocks_of(shard):
+                defective = [chip for chip in islice(chips, stop - start)
+                             if chip.is_defective]
+                yield ((classifier.chip_fail_bits(defective),
+                        defective.__getitem__) if defective else None)
+            return
+        for block_index, start, stop in self.plan.blocks_of(shard):
+            block = self.block_defects(block_index, start, stop)
+            yield (None if block is None else
+                   (classifier.fail_bits(block.defects, block.chip_starts),
+                    block.chip))
+
     # ------------------------------------------------------------------
     # Executor integration
     # ------------------------------------------------------------------
-    def unit_evaluator(self, retry: Any = None,
-                       unit_deadline: float | None = None,
-                       sleep: Callable[[float], None] = time.sleep,
+    def unit_evaluator(self, unit_deadline: float | None = None,
                        clock: Callable[[], float] = time.monotonic,
                        ) -> "ShardEvaluator":
         """The evaluator factory the runner and the pool build from."""
-        return ShardEvaluator(self, retry=retry,
-                              unit_deadline=unit_deadline,
-                              sleep=sleep, clock=clock)
+        return ShardEvaluator(self, unit_deadline=unit_deadline,
+                              clock=clock)
 
 
 class ShardEvaluator:
@@ -305,28 +330,16 @@ class ShardEvaluator:
 
     Args:
         campaign: The :class:`StreamingExperiment`.
-        retry: Optional per-chip retry policy for the chip-by-chip
-            path: a chip whose classification raises a retryable
-            error is classified again, and one that exhausts the
-            policy aborts the shard with
-            :class:`~repro.runner.retry.RetryExhaustedError`.  ``None``
-            (default) lets the first error abort the shard.  The
-            array path makes no per-chip model calls to retry.
         unit_deadline: Optional wall-clock budget per shard (seconds).
-        sleep: Injectable sleep between retries.
         clock: Injectable monotonic clock for deadlines.
     """
 
     def __init__(self, campaign: StreamingExperiment,
-                 retry: RetryPolicy | None = None,
                  unit_deadline: float | None = None,
-                 sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
         check_unit_deadline(unit_deadline)
         self.campaign = campaign
-        self.retry = retry
         self.unit_deadline = unit_deadline
-        self.sleep = sleep
         self.clock = clock
 
     def evaluate(self, shard: ShardUnit) -> UnitOutcome:
@@ -336,48 +349,19 @@ class ShardEvaluator:
             UnitDeadlineExceeded: the shard overran ``unit_deadline``.
         """
         engine = self.campaign
-        classifier = engine.classifier
-        injections = unit_injections(engine.behavior, shard.unit_id)
         started = self.clock()
-        stats = RetryStats()
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None
-        if engine.plan.scheme == "spawn" and classifier.array_native:
-            blocks = engine.plan.blocks_of(shard)
-            for done, (block_index, start, stop) in enumerate(blocks, 1):
-                block = engine.block_defects(block_index, start, stop)
-                if block is not None:
-                    bits = classifier.fail_bits(block.defects,
-                                                block.chip_starts)
-                    acc.observe_fail_bits(bits)
-                    if diagnostician is not None:
-                        _diagnose_block(diagnostician, acc, block, bits)
-                self._check_deadline(shard, started, f"{done} blocks")
-        else:
-            for seen, chip in enumerate(engine.iter_shard_chips(shard), 1):
-                record = self._classify(shard, chip, stats)
-                if record is None:
-                    continue
-                acc.observe(record)
-                if diagnostician is not None and record.interesting:
-                    device = diagnostician.diagnose_device(record)
-                    acc.observe_hints(device.hints)
-                self._check_deadline(shard, started, f"{seen} chips")
+        for done, block in enumerate(engine.classified_blocks(shard), 1):
+            if block is not None:
+                bits, chip = block
+                acc.observe_fail_bits(bits)
+                if diagnostician is not None:
+                    _diagnose_block(diagnostician, acc, bits, chip)
+            self._check_deadline(shard, started, f"{done} blocks")
         payload: Any = acc.as_payload()
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
-                           record=payload, quarantine=[],
-                           stats=stats, injections=injections())
-
-    def _classify(self, shard: ShardUnit, chip: VeqtorChip,
-                  stats: RetryStats) -> DeviceRecord | None:
-        """Classify one chip, under the retry policy when one is set."""
-        classify = self.campaign.classifier.classify_chip
-        if self.retry is None:
-            return classify(chip)
-        return run_with_retry(lambda: classify(chip), self.retry,
-                              key=f"{shard.unit_id}/chip{chip.chip_id}",
-                              sleep=self.sleep, clock=self.clock,
-                              stats=stats)
+                           record=payload)
 
     def _check_deadline(self, shard: ShardUnit, started: float,
                         progress: str) -> None:
@@ -409,8 +393,7 @@ class ShardEvaluator:
             "deadline_hit": False,
         }
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
-                           record=payload, quarantine=[entry],
-                           stats=RetryStats())
+                           record=payload, quarantine=[entry])
 
 
 @dataclass(frozen=True)
@@ -454,12 +437,12 @@ def _interleave(mask: np.ndarray, when_true: np.ndarray,
 
 
 def _diagnose_block(diagnostician: LotDiagnostician,
-                    acc: ExperimentAccumulator, block: DefectBlock,
-                    bits: np.ndarray) -> None:
+                    acc: ExperimentAccumulator, bits: np.ndarray,
+                    chip: Callable[[int], VeqtorChip]) -> None:
     """Diagnose a block's interesting parts, the only ones materialised."""
     for k, word in enumerate(bits.tolist()):
         failed_standard, failed_stress = decode_fail_bits(word)
         if failed_standard or not failed_stress:
             continue
-        record = DeviceRecord(block.chip(k), False, failed_stress)
+        record = DeviceRecord(chip(k), False, failed_stress)
         acc.observe_hints(diagnostician.diagnose_device(record).hints)

@@ -24,7 +24,6 @@ from repro.experiment.venn import VennCounts
 from repro.experiment.classify import STRESS_NAMES
 from repro.runner.checkpoint import CheckpointedRun
 from repro.runner.evaluate import UnitOutcome, check_unit_deadline
-from repro.runner.retry import RetryPolicy
 
 
 @dataclass
@@ -76,7 +75,6 @@ class StreamingRunner:
 
     Args:
         engine: The :class:`StreamingExperiment` to run.
-        retry: Per-unit retry policy handed to the executors.
         checkpoint_path: Crash-safe progress file (optional; saved
             after every executed shard).
         unit_deadline: Optional per-shard wall-clock budget (seconds).
@@ -86,24 +84,21 @@ class StreamingRunner:
         max_pool_rebuilds: Supervised-pool rebuild budget.
         journal: Run-journal path or event bus (optional).
         fault_hook: Test-only hook threaded into checkpoint saves.
-        sleep / clock: Injectable timers for the executors.
+        clock: Injectable monotonic clock for the executors.
     """
 
     def __init__(self, engine: StreamingExperiment,
-                 retry: RetryPolicy | None = None,
                  checkpoint_path: str | Path | None = None,
                  unit_deadline: float | None = None,
                  workers: int = 1,
                  max_pool_rebuilds: int = 8,
                  journal: Any = None,
                  fault_hook: Callable[[str], None] | None = None,
-                 sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
         check_unit_deadline(unit_deadline)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.engine = engine
-        self.retry = retry
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.unit_deadline = unit_deadline
@@ -111,7 +106,6 @@ class StreamingRunner:
         self.max_pool_rebuilds = max_pool_rebuilds
         self.journal = journal
         self.fault_hook = fault_hook
-        self.sleep = sleep
         self.clock = clock
         self._supervisor: Any = None
 
@@ -121,18 +115,15 @@ class StreamingRunner:
         """Evaluate pending shards lazily: serial or across the pool."""
         if self.workers == 1:
             evaluator = self.engine.unit_evaluator(
-                retry=self.retry, unit_deadline=self.unit_deadline,
-                sleep=self.sleep, clock=self.clock)
+                unit_deadline=self.unit_deadline, clock=self.clock)
             return (evaluator.evaluate(shard) for shard in pending)
         from repro.perf.supervisor import SupervisedUnitExecutor
 
         supervisor = SupervisedUnitExecutor(
-            self.engine, retry=self.retry,
-            unit_deadline=self.unit_deadline,
+            self.engine, unit_deadline=self.unit_deadline,
             workers=self.workers,
             max_pool_rebuilds=self.max_pool_rebuilds,
-            bus=bus, metrics=metrics,
-            sleep=self.sleep, clock=self.clock)
+            bus=bus, metrics=metrics, clock=self.clock)
         self._supervisor = supervisor
         return supervisor.run(pending)
 

@@ -85,9 +85,8 @@ def _init_worker(payload: bytes) -> None:
     global _EVALUATOR, _INIT_ERROR, _IN_WORKER
     _IN_WORKER = True
     try:
-        campaign, retry, unit_deadline = pickle.loads(payload)
-        _EVALUATOR = campaign.unit_evaluator(retry=retry,
-                                             unit_deadline=unit_deadline)
+        campaign, unit_deadline = pickle.loads(payload)
+        _EVALUATOR = campaign.unit_evaluator(unit_deadline=unit_deadline)
     except BaseException as exc:  # noqa: BLE001 -- reported, not lost
         _INIT_ERROR = f"{type(exc).__name__}: {exc}"
 
@@ -96,14 +95,14 @@ def probe_worker_faults(campaign: Any, unit: WorkUnit, attempt: int,
                         in_worker: bool) -> None:
     """Fire the worker-level chaos probe for one dispatched unit.
 
-    A no-op unless the campaign's behaviour model is chaos-wrapped and
-    its injector configures worker faults.  Probed by the worker just
-    before evaluating (where an injected death really dies) and by the
+    A no-op unless the campaign carries a fault ``injector`` (the
+    lot's worker-fault table).  Probed by the worker just before
+    evaluating (where an injected death really dies) and by the
     supervisor before an in-parent retry (where it raises instead).
     """
-    injector = getattr(campaign.behavior, "injector", None)
-    if injector is not None and hasattr(injector, "check_worker"):
-        injector.check_worker(unit.unit_id, attempt, in_worker=in_worker)
+    if campaign.injector is not None:
+        campaign.injector.check_worker(unit.unit_id, attempt,
+                                       in_worker=in_worker)
 
 
 def _evaluate_chunk(chunk: list[WorkUnit],
@@ -128,22 +127,6 @@ def _evaluate_chunk(chunk: list[WorkUnit],
                             in_worker=_IN_WORKER)
         outcomes.append(_EVALUATOR.evaluate(unit))
     return outcomes
-
-
-def merge_outcome_injections(campaign: Any, outcome: UnitOutcome) -> None:
-    """Fold a worker outcome's injection counters into the parent.
-
-    Worker processes mutate fork-copied :class:`~repro.runner.chaos.
-    FaultInjector` counters that die with the worker; the outcome
-    carries the per-unit delta back, and the parent-side executors
-    call this at the in-order effect point so
-    ``FaultInjector.stats()`` agrees between serial and pooled runs.
-    """
-    if not outcome.injections:
-        return
-    injector = getattr(campaign.behavior, "injector", None)
-    if injector is not None and hasattr(injector, "merge_counts"):
-        injector.merge_counts(outcome.injections)
 
 
 def chunk_units(units: Sequence[WorkUnit], workers: int,

@@ -37,7 +37,7 @@ run; a disturbed run produces byte-identical *records* (what was
 computed never depends on which process computed it).
 
 Exceptions raised *by unit evaluation itself* -- deadline overruns,
-injected crashes from the behaviour model, :exc:`~repro.perf.executor.
+crashes while classifying a shard, :exc:`~repro.perf.executor.
 WorkerInitError` -- are not supervised: they propagate exactly as a
 serial run's do.
 """
@@ -59,14 +59,12 @@ from repro.perf.executor import (
     _init_worker,
     _pool_context,
     chunk_units,
-    merge_outcome_injections,
     probe_worker_faults,
 )
 from repro.runner.evaluate import (
     UnitDeadlineExceeded,
     UnitOutcome,
 )
-from repro.runner.retry import RetryPolicy
 from repro.runner.units import WorkUnit
 
 #: Failures of one chunk before it is bisected into halves.
@@ -141,7 +139,6 @@ class SupervisedUnitExecutor:
     Args:
         campaign: The (picklable) campaign whose ``unit_evaluator``
             factory builds the evaluator (the streaming experiment).
-        retry: Per-site retry policy forwarded to each worker.
         unit_deadline: Per-unit wall-clock budget.  Enforced on the
             worker's clock as before *and* scaled into a parent-side
             per-chunk deadline (``unit_deadline x chunk length x
@@ -158,17 +155,16 @@ class SupervisedUnitExecutor:
             supervision events (``None`` = silent).
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
             fed alongside the bus.
-        sleep, clock: Injectable time sources for the *parent-side*
-            fallback evaluator (workers use the real ones).
+        clock: Injectable monotonic clock for the *parent-side*
+            fallback evaluator (workers use the real one).
     """
 
-    def __init__(self, campaign: Any, retry: RetryPolicy | None = None,
-                 unit_deadline: float | None = None, workers: int = 2,
+    def __init__(self, campaign: Any, unit_deadline: float | None = None,
+                 workers: int = 2,
                  chunksize: int | None = None,
                  max_pool_rebuilds: int = 8,
                  chunk_deadline_factor: float = 4.0,
                  bus: Any = None, metrics: Any = None,
-                 sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -177,7 +173,6 @@ class SupervisedUnitExecutor:
         if chunk_deadline_factor <= 0:
             raise ValueError("chunk_deadline_factor must be positive")
         self.campaign = campaign
-        self.retry = retry
         self.unit_deadline = unit_deadline
         self.workers = workers
         self.chunksize = chunksize
@@ -185,7 +180,6 @@ class SupervisedUnitExecutor:
         self.chunk_deadline_factor = chunk_deadline_factor
         self.bus = bus
         self.metrics = metrics
-        self.sleep = sleep
         self.clock = clock
         self.stats = SupervisorStats()
         self._epoch = 0
@@ -223,14 +217,13 @@ class SupervisedUnitExecutor:
             WorkerInitError: the worker initializer failed (fatal:
                 every worker fails identically, so no rebuild).
             BaseException: whatever unit evaluation itself raised
-                (deadline overruns, injected behaviour-model crashes);
+                (deadline overruns, crashes while classifying);
                 supervision covers the *pool*, not the evaluation
                 semantics.
         """
         if not units:
             return
-        payload = pickle.dumps(
-            (self.campaign, self.retry, self.unit_deadline))
+        payload = pickle.dumps((self.campaign, self.unit_deadline))
         pending = [_ChunkState(list(chunk)) for chunk in
                    chunk_units(units, self.workers, self.chunksize)]
         while pending:
@@ -240,7 +233,7 @@ class SupervisedUnitExecutor:
                                or pending[0].serial):
                 chunk = pending.pop(0)
                 if chunk.result is not None:
-                    yield from self._consume(chunk.result)
+                    yield from chunk.result
                 else:
                     for unit in chunk.units:
                         yield self._parent_unit(unit)
@@ -295,7 +288,7 @@ class SupervisedUnitExecutor:
                 chunk = pending[0]
                 if chunk.result is not None:
                     pending.pop(0)
-                    yield from self._consume(chunk.result)
+                    yield from chunk.result
                     continue
                 future = futures[id(chunk)]
                 try:
@@ -312,7 +305,7 @@ class SupervisedUnitExecutor:
                                       cause="worker-lost")
                     return
                 pending.pop(0)
-                yield from self._consume(outcomes)
+                yield from outcomes
         finally:
             self._teardown(pool)
 
@@ -391,9 +384,7 @@ class SupervisedUnitExecutor:
         """
         if self._parent_evaluator is None:
             self._parent_evaluator = self.campaign.unit_evaluator(
-                retry=self.retry,
-                unit_deadline=self.unit_deadline,
-                sleep=self.sleep, clock=self.clock)
+                unit_deadline=self.unit_deadline, clock=self.clock)
         return self._parent_evaluator
 
     def _parent_unit(self, unit: WorkUnit) -> UnitOutcome:
@@ -434,14 +425,7 @@ class SupervisedUnitExecutor:
         while pending:
             chunk = pending.pop(0)
             if chunk.result is not None:
-                yield from self._consume(chunk.result)
+                yield from chunk.result
                 continue
             for unit in chunk.units:
                 yield self._parent_unit(unit)
-
-    def _consume(self,
-                 outcomes: Sequence[UnitOutcome]) -> Iterator[UnitOutcome]:
-        """Yield worker outcomes, folding their chaos counters back."""
-        for outcome in outcomes:
-            merge_outcome_injections(self.campaign, outcome)
-            yield outcome

@@ -35,8 +35,7 @@ import hashlib
 import os
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
-from typing import Any
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -75,8 +74,8 @@ class FaultInjector:
     """Seeded, position-addressable fault source.
 
     Args:
-        seed: RNG seed; the stochastic stream is deterministic given
-            the seed and the per-site call order.
+        seed: Non-negative RNG seed; the stochastic stream is
+            deterministic given the seed and the per-site call order.
         rates: Map of site label -> probability that a call at that
             site raises :class:`InjectedFault`.
         positions: Map of site label -> 0-based call indices that raise
@@ -87,7 +86,8 @@ class FaultInjector:
         worker_faults: Worker-level chaos: map of site label
             (:data:`WORKER_EXIT_SITE` or :data:`WORKER_HANG_SITE`) ->
             {unit id -> times}.  :meth:`check_worker`, probed once per
-            (shard, dispatch attempt) by the lot's pool, fires while
+            (shard, dispatch attempt) by the pool of a lot built as
+            ``StreamingExperiment(injector=...)``, fires while
             ``attempt < times`` -- so a unit with ``times=1`` dies on
             its first dispatch and heals on redispatch, while a large
             ``times`` models a genuine poison unit.  Deliberately
@@ -95,13 +95,6 @@ class FaultInjector:
             decision is identical in every process that probes it.
         hang_seconds: Stall duration of an injected ``worker.hang``
             (must comfortably exceed the supervisor's chunk deadline).
-        scope_by_unit: Key the per-site RNG substreams by
-            (site, current unit) instead of site alone.  Rate-based
-            faults then become a pure function of (seed, site, unit,
-            per-unit call order) -- the property that makes serial and
-            multi-worker chaos runs draw identical fault patterns.
-            Off by default: global call-order streams keep existing
-            position-based configurations meaningful.
 
     Each site keeps an independent RNG substream (seeded from
     ``seed`` + the site label) so adding probes at one site never
@@ -114,8 +107,9 @@ class FaultInjector:
                  crash_positions: Mapping[str, Iterable[int]] | None = None,
                  worker_faults: Mapping[str, Mapping[str, int]] | None = None,
                  hang_seconds: float = 60.0,
-                 scope_by_unit: bool = False,
                  ) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = seed
         self.rates = dict(rates or {})
         for site, rate in self.rates.items():
@@ -136,41 +130,21 @@ class FaultInjector:
         if hang_seconds <= 0:
             raise ValueError("hang_seconds must be positive")
         self.hang_seconds = hang_seconds
-        self.scope_by_unit = scope_by_unit
         self.calls: Counter[str] = Counter()
         self.injected: Counter[str] = Counter()
-        self._rngs: dict[tuple[str, str | None],
-                         np.random.Generator] = {}
-        self._scope: str | None = None
+        self._rngs: dict[str, np.random.Generator] = {}
 
     # ------------------------------------------------------------------
     def _rng(self, site: str) -> np.random.Generator:
-        key = (site, self._scope)
-        if key not in self._rngs:
+        if site not in self._rngs:
             # Stable site key: str.__hash__ is salted per process, which
             # would desynchronise "same seed, same faults" across runs.
             site_key = int.from_bytes(
                 hashlib.sha256(site.encode("utf-8")).digest()[:4], "big")
-            spawn_key: tuple[int, ...] = (site_key,)
-            if self._scope is not None:
-                scope_key = int.from_bytes(
-                    hashlib.sha256(
-                        self._scope.encode("utf-8")).digest()[:4], "big")
-                spawn_key = (site_key, scope_key)
-            self._rngs[key] = np.random.default_rng(
+            self._rngs[site] = np.random.default_rng(
                 np.random.SeedSequence(entropy=self.seed,
-                                       spawn_key=spawn_key))
-        return self._rngs[key]
-
-    def begin_unit(self, unit_id: str) -> None:
-        """Scope subsequent RNG draws to ``unit_id``.
-
-        Called by :func:`unit_injections` as every unit starts.  A
-        no-op unless ``scope_by_unit`` was requested, so default
-        configurations keep their global call-order streams.
-        """
-        if self.scope_by_unit:
-            self._scope = unit_id
+                                       spawn_key=(site_key,)))
+        return self._rngs[site]
 
     def check(self, site: str) -> None:
         """Account one call at ``site``; raise if a fault is scheduled.
@@ -234,44 +208,6 @@ class FaultInjector:
             time.sleep(self.hang_seconds)
 
     # ------------------------------------------------------------------
-    # Counters (merged back from workers -- see docs/robustness.md)
-    # ------------------------------------------------------------------
-    def counter_snapshot(self) -> dict[str, dict[str, int]]:
-        """Copy of the call/injection counters, for later deltas."""
-        return {"calls": dict(self.calls),
-                "injected": dict(self.injected)}
-
-    def counters_since(self, snapshot: dict[str, dict[str, int]],
-                       ) -> dict[str, dict[str, int]]:
-        """Per-site counter growth since ``snapshot``.
-
-        Returns:
-            ``{site: {"calls": n, "injected": m}}`` restricted to
-            sites that moved -- the compact delta a
-            :class:`~repro.runner.evaluate.UnitOutcome` carries back
-            from a worker process.
-        """
-        delta: dict[str, dict[str, int]] = {}
-        for site in sorted(set(self.calls) | set(self.injected)):
-            calls = self.calls[site] - snapshot["calls"].get(site, 0)
-            injected = (self.injected[site]
-                        - snapshot["injected"].get(site, 0))
-            if calls or injected:
-                delta[site] = {"calls": calls, "injected": injected}
-        return delta
-
-    def merge_counts(self, delta: Mapping[str, Mapping[str, int]]) -> None:
-        """Fold a worker's per-unit counter delta into this injector.
-
-        The pool supervisor calls this at the in-order effect point
-        for every outcome a worker sends back; without it the
-        fork-copied worker counters are lost and :meth:`stats`
-        undercounts under ``workers > 1``.
-        """
-        for site, counts in delta.items():
-            self.calls[site] += counts.get("calls", 0)
-            self.injected[site] += counts.get("injected", 0)
-
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-site call and injection counters (for reports/tests)."""
         return {
@@ -279,22 +215,6 @@ class FaultInjector:
                    "injected": self.injected[site]}
             for site in sorted(set(self.calls) | set(self.injected))
         }
-
-
-def unit_injections(behavior: Any, unit_id: str,
-                    ) -> Callable[[], dict[str, dict[str, int]]]:
-    """Scope a behaviour model's injector to one unit as it starts.
-
-    Returns a reader of the injector's counter growth since, which the
-    unit's :class:`~repro.runner.evaluate.UnitOutcome` carries across
-    the process boundary; it reads ``{}`` outside chaos runs.
-    """
-    injector = getattr(behavior, "injector", None)
-    if injector is None:
-        return dict
-    injector.begin_unit(unit_id)
-    snapshot = injector.counter_snapshot()
-    return lambda: injector.counters_since(snapshot)
 
 
 class ChaosBehaviorModel:
@@ -306,20 +226,19 @@ class ChaosBehaviorModel:
     ``manifestation`` (what the virtual tester asks when the lot
     classifies a chip).  Site label: ``behavior.evaluate``.
 
-    Declines the vectorised ``evaluate_batch`` and
-    ``evaluate_elements`` capabilities even when the wrapped model
-    offers them: a kernel call answers a whole site x R grid (or a
-    whole defect population) without touching ``fails_condition``,
-    which would skip the injector's per-site probes and change the
-    fault pattern.  The class attributes below shadow ``__getattr__``
-    delegation, so batch evaluators and the lot classifier see
-    ``None`` and take the all-scalar fallback -- chaos campaigns probe
-    site-for-site exactly like the per-site oracle.
+    Declines the vectorised ``evaluate_batch`` capability even when
+    the wrapped model offers it: a kernel call answers a whole site x R
+    grid without touching ``fails_condition``, which would skip the
+    injector's per-site probes and change the fault pattern.  The
+    class attribute below shadows ``__getattr__`` delegation, so the
+    grid evaluator sees ``None`` and takes the all-scalar fallback --
+    chaos campaigns probe site-for-site exactly like the per-site
+    oracle.  Lots take no behaviour faults: their chaos is the
+    worker-fault table of :meth:`FaultInjector.check_worker`.
     """
 
     SITE = "behavior.evaluate"
     evaluate_batch = None
-    evaluate_elements = None
 
     def __init__(self, inner, injector: FaultInjector) -> None:
         self.inner = inner

@@ -35,7 +35,6 @@ from typing import Any
 
 from repro.defects.models import Defect, DefectKind
 from repro.ifa.flow import CoverageRecord
-from repro.runner.chaos import unit_injections
 from repro.runner.retry import (
     DEFAULT_UNIT_POLICY,
     RetryExhaustedError,
@@ -73,11 +72,6 @@ class UnitOutcome:
         quarantine: Error-ledger entries for sites that exhausted the
             retry budget (in site order).
         stats: Retry counters accumulated while evaluating this unit.
-        injections: Fault-injector counter growth attributable to this
-            unit (``{site: {"calls": n, "injected": m}}``).  Empty
-            outside chaos runs.  Worker processes fill it so the
-            parent can merge the fork-copied injector counters back
-            (:meth:`~repro.runner.chaos.FaultInjector.merge_counts`).
     """
 
     index: int
@@ -85,7 +79,6 @@ class UnitOutcome:
     record: CoverageRecord
     quarantine: list[dict[str, Any]] = field(default_factory=list)
     stats: RetryStats = field(default_factory=RetryStats)
-    injections: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 class UnitEvaluator:
@@ -181,7 +174,6 @@ class UnitEvaluator:
                         for i in sites}
         behavior = self.campaign.behavior
         cond = unit.condition
-        injections = unit_injections(behavior, unit.unit_id)
         if stats is None:
             stats = RetryStats()
         started = self.clock()
@@ -223,5 +215,4 @@ class UnitEvaluator:
             errors=len(entries),
         )
         return UnitOutcome(index=unit.index, unit_id=unit.unit_id,
-                           record=record, quarantine=entries, stats=stats,
-                           injections=injections())
+                           record=record, quarantine=entries, stats=stats)

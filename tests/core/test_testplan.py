@@ -44,21 +44,18 @@ class TestJointTable:
 
     @pytest.mark.parametrize("seed", [1, 7, 2005])
     def test_kernel_table_equals_scalar_oracle(self, seed):
-        class ScalarOnly(DefectBehaviorModel):
-            evaluate_elements = None
-
-        def build(behavior):
-            return JointCoverageTable(
-                MemoryGeometry(512, 16, 32), CMOS018,
-                production_conditions(CMOS018), behavior=behavior,
-                n_samples=600, seed=seed)
-
-        counted = CountingBehaviorModel(DefectBehaviorModel(CMOS018))
-        kernel = build(counted)
-        oracle = build(ScalarOnly(CMOS018))
+        model = DefectBehaviorModel(CMOS018)
+        counted = CountingBehaviorModel(model)
+        table = JointCoverageTable(
+            MemoryGeometry(512, 16, 32), CMOS018,
+            production_conditions(CMOS018), behavior=counted,
+            n_samples=600, seed=seed)
+        oracle = np.array([[model.fails_condition(defect, cond)
+                            for cond in table.conditions.values()]
+                           for defect in table.defects])
         assert counted.calls == 0
-        assert np.array_equal(kernel.detection, oracle.detection)
-        assert kernel.detection.any()
+        assert np.array_equal(table.detection, oracle)
+        assert table.detection.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):

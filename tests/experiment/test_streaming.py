@@ -13,8 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuit.technology import CMOS018
-from repro.defects.behavior import DefectBehaviorModel
 from repro.experiment.classify import (
     DeviceRecord,
     StressClassifier,
@@ -31,11 +29,7 @@ from repro.experiment.streaming.plan import ShardPlan
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.experiment.veqtor import VeqtorChip
 from repro.runner.atomic import canonical_json
-from repro.runner.chaos import (
-    WORKER_EXIT_SITE,
-    ChaosBehaviorModel,
-    FaultInjector,
-)
+from repro.runner.chaos import WORKER_EXIT_SITE, FaultInjector
 from repro.runner.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
@@ -43,25 +37,43 @@ from repro.runner.checkpoint import (
 from repro.runner.evaluate import UnitDeadlineExceeded
 
 
-class ScalarOnlyModel(DefectBehaviorModel):
-    """The stock model minus the elementwise kernel: per-chip path."""
-
-    evaluate_elements = None
-
-
-def _payload(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,
-             block_devices=None, workers=1, behavior=None, diagnose=False,
-             **runner_kwargs):
-    """One streaming run's canonical accumulator payload."""
-    engine = StreamingExperiment(
-        n_devices=n_devices, seed=seed, scheme=scheme, behavior=behavior,
-        diagnose=diagnose,
+def _engine(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,
+            block_devices=None, diagnose=False):
+    return StreamingExperiment(
+        n_devices=n_devices, seed=seed, scheme=scheme, diagnose=diagnose,
         **({"shard_devices": shard_devices}
            if shard_devices is not None else {}),
         **({"block_devices": block_devices}
            if block_devices is not None else {}))
-    runner = StreamingRunner(engine, workers=workers, **runner_kwargs)
+
+
+def _payload(n_devices, *, workers=1, **kwargs):
+    """One streaming run's canonical accumulator payload."""
+    engine_kwargs = {key: kwargs.pop(key) for key in (
+        "seed", "scheme", "shard_devices", "block_devices", "diagnose")
+        if key in kwargs}
+    runner = StreamingRunner(_engine(n_devices, **engine_kwargs),
+                             workers=workers, **kwargs)
     return runner.run().accumulator.as_payload()
+
+
+def _per_chip_payload(n_devices, **kwargs):
+    """The oracle: fold ``classify_chip`` over every shard's chips."""
+    engine = _engine(n_devices, **kwargs)
+    classifier = engine.classifier
+    total = ExperimentAccumulator()
+    for shard in engine.plan.shards():
+        acc = ExperimentAccumulator(devices=shard.devices)
+        for chip in engine.iter_shard_chips(shard):
+            record = classifier.classify_chip(chip)
+            if record is None:
+                continue
+            acc.observe(record)
+            if engine.diagnose and record.interesting:
+                acc.observe_hints(
+                    engine.diagnostician.diagnose_device(record).hints)
+        total.merge(acc)
+    return total.as_payload()
 
 
 class TestShardPlan:
@@ -209,6 +221,19 @@ class TestLegacyEquivalence:
         assert canonical_json(streamed) == (
             canonical_json(legacy.as_payload()))
 
+    @pytest.mark.parametrize("diagnose", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    def test_block_slices_equal_per_chip_oracle(self, seed, diagnose):
+        """The legacy shard classifies block-sized slices through the
+        kernel; the payload is the per-chip fold's, hints included."""
+        kwargs = dict(seed=seed, scheme="legacy", block_devices=1024,
+                      diagnose=diagnose)
+        streamed = _payload(5000, **kwargs)
+        assert streamed["defective"] > 0
+        assert bool(streamed["hints"]) == diagnose
+        assert canonical_json(streamed) == (
+            canonical_json(_per_chip_payload(5000, **kwargs)))
+
 
 class TestInvariance:
     """Results are a pure function of (seed, n_devices, block_devices)."""
@@ -300,25 +325,15 @@ class TestChaos:
     N = 8192
 
     def _chaotic_payload(self):
-        engine = StreamingExperiment(n_devices=self.N,
-                                     shard_devices=4096)
-        victim = engine.plan.shards()[1].unit_id
-        injector = FaultInjector(
-            seed=0, worker_faults={WORKER_EXIT_SITE: {victim: 1}})
+        victim = ShardPlan(self.N, shard_devices=4096).shards()[1].unit_id
         chaotic = StreamingExperiment(
             n_devices=self.N, shard_devices=4096,
-            behavior=ChaosBehaviorModel(
-                StreamingExperiment(n_devices=self.N).behavior,
-                injector))
-        assert not chaotic.classifier.array_native
+            injector=FaultInjector(
+                worker_faults={WORKER_EXIT_SITE: {victim: 1}}))
         runner = StreamingRunner(chaotic, workers=2)
         return runner.run()
 
     def test_worker_exit_heals_with_identical_results(self):
-        # The chaos wrapper declines the elementwise kernel, so the
-        # chaotic run classifies chip by chip while the clean run takes
-        # the array path: the comparison also pins the two paths.
-        assert StreamingExperiment(n_devices=self.N).classifier.array_native
         clean = _payload(self.N, shard_devices=4096)
         result = self._chaotic_payload()
         assert result.supervisor_stats["worker_losses"] >= 1
@@ -338,16 +353,18 @@ class TestArrayPath:
         kwargs = dict(seed=seed, shard_devices=8192,
                       block_devices=block_devices)
         array = _payload(16_384, **kwargs)
-        per_chip = _payload(16_384, behavior=ScalarOnlyModel(CMOS018),
-                            **kwargs)
+        per_chip = _per_chip_payload(16_384, **kwargs)
         assert array["defective"] > 0
         assert canonical_json(array) == canonical_json(per_chip)
 
-    def test_scalar_only_model_takes_the_per_chip_path(self):
-        engine = StreamingExperiment(n_devices=4096,
-                                     behavior=ScalarOnlyModel(CMOS018))
-        assert not engine.classifier.array_native
-        assert StreamingExperiment(n_devices=4096).classifier.array_native
+    @pytest.mark.parametrize("scheme", ["spawn", "legacy"])
+    def test_no_scheme_classifies_chip_by_chip(self, monkeypatch, scheme):
+        def refuse(self, chip):
+            raise AssertionError("classify_chip is the oracle only")
+
+        monkeypatch.setattr(StressClassifier, "classify_chip", refuse)
+        payload = _payload(4096, scheme=scheme, diagnose=True)
+        assert payload["defective"] > 0
 
     def test_block_chips_are_the_per_chip_view(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
@@ -386,8 +403,8 @@ class TestDiagnosis:
 
     def test_hint_histograms_equal_per_chip_path(self):
         array = _payload(self.N, shard_devices=8192, diagnose=True)
-        per_chip = _payload(self.N, shard_devices=8192, diagnose=True,
-                            behavior=ScalarOnlyModel(CMOS018))
+        per_chip = _per_chip_payload(self.N, shard_devices=8192,
+                                     diagnose=True)
         assert array["hints"]
         assert canonical_json(array) == canonical_json(per_chip)
 

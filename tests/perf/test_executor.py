@@ -16,26 +16,31 @@ from repro.experiment.streaming.runner import StreamingRunner
 from repro.perf.executor import DEFAULT_CHUNKS_PER_WORKER, chunk_units
 from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.atomic import canonical_json
-from repro.runner.chaos import (
-    ChaosBehaviorModel,
-    FaultInjector,
-    InjectedCrash,
-)
-from repro.runner.retry import RetryPolicy
+from repro.runner.chaos import InjectedCrash
 
 N_DEVICES = 8192
 SHARD_DEVICES = 2048
 
 
-def make_lot(injector=None):
-    """The four-shard test lot, chaos-wrapped when given an injector."""
-    behavior = None
-    if injector is not None:
-        behavior = ChaosBehaviorModel(
-            StreamingExperiment(n_devices=N_DEVICES).behavior, injector)
+class CrashingLot(StreamingExperiment):
+    """The test lot, dying (``kill -9`` style) as it draws one block."""
+
+    def __init__(self, crash_block):
+        super().__init__(n_devices=N_DEVICES, shard_devices=SHARD_DEVICES,
+                         block_devices=1024)
+        self.crash_block = crash_block
+
+    def block_defects(self, block_index, start, stop):
+        if block_index == self.crash_block:
+            raise InjectedCrash(f"injected crash in block {block_index}")
+        return super().block_defects(block_index, start, stop)
+
+
+def make_lot():
+    """The four-shard test lot (two 1024-device blocks per shard)."""
     return StreamingExperiment(n_devices=N_DEVICES,
                                shard_devices=SHARD_DEVICES,
-                               block_devices=1024, behavior=behavior)
+                               block_devices=1024)
 
 
 def payload_bytes(result):
@@ -123,10 +128,9 @@ class TestResumeWithWorkers:
     def test_serial_checkpoint_resumes_parallel(self, tmp_path, baseline):
         """workers is an execution knob, not lot identity."""
         ck = tmp_path / "ck.json"
-        # ~280 model calls per shard: position 600 dies in shard 2.
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {600}})
+        # Block 4 is the first of shard 2.
         with pytest.raises(InjectedCrash):
-            StreamingRunner(make_lot(inj), checkpoint_path=ck).run()
+            StreamingRunner(CrashingLot(4), checkpoint_path=ck).run()
 
         resumed = StreamingRunner(make_lot(), checkpoint_path=ck,
                                   workers=2).run()
@@ -137,11 +141,8 @@ class TestResumeWithWorkers:
     def test_parallel_crash_resumes_serial(self, tmp_path, baseline):
         """A worker crash leaves a valid checkpointed prefix behind."""
         ck = tmp_path / "ck.json"
-        # Positions count per process; a small one crashes whichever
-        # worker classifies its first chips.
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {5}})
         with pytest.raises(InjectedCrash):
-            StreamingRunner(make_lot(inj), checkpoint_path=ck,
+            StreamingRunner(CrashingLot(2), checkpoint_path=ck,
                             workers=2).run()
 
         resumed = StreamingRunner(make_lot(), checkpoint_path=ck).run()
@@ -149,23 +150,8 @@ class TestResumeWithWorkers:
 
 
 class TestChaosWithWorkers:
-    def test_rate_chaos_heals_under_retry(self, baseline):
-        """Injected transient faults retry to clean payloads in workers."""
-        inj = FaultInjector(seed=9, rates={"behavior.evaluate": 0.01})
-        chaotic = StreamingRunner(
-            make_lot(inj), workers=2,
-            retry=RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0),
-        ).run()
-        # An InjectedFault raises before the inner evaluation, and the
-        # per-chip retry re-asks the pure model.
-        assert payload_bytes(chaotic) == baseline
-        assert inj.stats()["behavior.evaluate"]["injected"] > 0
-        assert chaotic.accumulator.errors == 0
-        assert chaotic.quarantine == []
-
     def test_injected_crash_propagates_from_worker(self):
         """BaseException crosses the pool boundary (no silent loss)."""
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {0}})
-        runner = StreamingRunner(make_lot(inj), workers=2)
+        runner = StreamingRunner(CrashingLot(0), workers=2)
         with pytest.raises(InjectedCrash):
             runner.run()

@@ -1,9 +1,9 @@
 """Tests for repro.perf.supervisor: heal worker death without losing work.
 
 The supervised pool serves the streaming lot, so every claim is made on
-a small chaos-wrapped
-:class:`~repro.experiment.streaming.engine.StreamingExperiment` (four
-shards; at two workers auto-chunking gives one shard per chunk):
+a small :class:`~repro.experiment.streaming.engine.StreamingExperiment`
+carrying a worker-fault injector (four shards; at two workers
+auto-chunking gives one shard per chunk):
 
 * an injected worker death (exit or hang) is healed by a pool rebuild
   and the lot's payload stays **byte-identical** to an undisturbed
@@ -16,8 +16,6 @@ shards; at two workers auto-chunking gives one shard per chunk):
   healed like a death seen while waiting on one;
 * a failed worker initializer surfaces as :class:`WorkerInitError`
   naming the cause (fatal: no rebuild);
-* fork-copied chaos counters merge back so ``FaultInjector.stats()``
-  agrees between serial and pooled runs;
 * a lot interrupted *while healing* worker deaths resumes to the
   undisturbed serial result.
 """
@@ -38,25 +36,19 @@ from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,
     WORKER_HANG_SITE,
-    ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
 )
-from repro.runner.retry import RetryPolicy
 
 N_DEVICES = 8192
 SHARD_DEVICES = 2048
 
 
 def make_lot(injector=None):
-    """The four-shard test lot, chaos-wrapped when given an injector."""
-    behavior = None
-    if injector is not None:
-        behavior = ChaosBehaviorModel(
-            StreamingExperiment(n_devices=N_DEVICES).behavior, injector)
+    """The four-shard test lot, with an optional worker-fault injector."""
     return StreamingExperiment(n_devices=N_DEVICES,
                                shard_devices=SHARD_DEVICES,
-                               block_devices=1024, behavior=behavior)
+                               block_devices=1024, injector=injector)
 
 
 def shard_ids():
@@ -257,26 +249,6 @@ class TestWorkerInitError:
         with pytest.raises(WorkerInitError, match="exploding payload"):
             runner.run()
         assert runner._supervisor.stats.rebuilds == 0
-
-
-class TestInjectorStatsMerge:
-    def test_pooled_stats_match_serial(self):
-        """Fork-copied chaos counters merge back via UnitOutcome."""
-        retry = RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0)
-
-        def injector():
-            return FaultInjector(seed=9, rates={"behavior.evaluate": 0.01},
-                                 scope_by_unit=True)
-
-        serial_inj = injector()
-        serial = StreamingRunner(make_lot(serial_inj), retry=retry).run()
-        pooled_inj = injector()
-        pooled = StreamingRunner(make_lot(pooled_inj), retry=retry,
-                                 workers=2).run()
-
-        assert payload_bytes(pooled) == payload_bytes(serial)
-        assert serial_inj.stats()["behavior.evaluate"]["injected"] > 0
-        assert pooled_inj.stats() == serial_inj.stats()
 
 
 class TestResumeAfterWorkerDeath:

@@ -56,6 +56,13 @@ class TestConfiguration:
         inj = FaultInjector(seed=0, rates={"s": 1.0})
         assert fault_pattern(inj, "s", 50) == [True] * 50
 
+    def test_negative_seed_rejected(self):
+        """Rejected up front: a negative seed would otherwise raise
+        inside the first ``check``, where the runner retries and
+        quarantines it as a model failure."""
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            FaultInjector(seed=-1, rates={"behavior.evaluate": 0.1})
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
             FaultInjector(rates={"s": 1.5})
@@ -127,46 +134,6 @@ class TestWorkerFaults:
         for unit in ("a", "b", "c"):
             for attempt in range(5):
                 assert fires(a, unit, attempt) == fires(b, unit, attempt)
-
-
-class TestCounterMerge:
-    def test_counters_since_reports_only_moved_sites(self):
-        inj = FaultInjector(positions={"s": {0}})
-        snap = inj.counter_snapshot()
-        fault_pattern(inj, "s", 2)
-        assert inj.counters_since(snap) == {
-            "s": {"calls": 2, "injected": 1}}
-
-    def test_merge_counts_restores_serial_totals(self):
-        """snapshot -> delta -> merge round-trips the counters."""
-        serial = FaultInjector(positions={"s": {0, 2}})
-        fault_pattern(serial, "s", 4)
-
-        worker = FaultInjector(positions={"s": {0, 2}})
-        parent = FaultInjector(positions={"s": {0, 2}})
-        snap = worker.counter_snapshot()
-        fault_pattern(worker, "s", 4)
-        parent.merge_counts(worker.counters_since(snap))
-        assert parent.stats() == serial.stats()
-
-
-class TestScopeByUnit:
-    def test_scoped_streams_independent_of_other_units(self):
-        """Per-unit substreams: traffic on one unit never shifts
-        another unit's fault pattern (the serial == pooled property)."""
-        a = FaultInjector(seed=7, rates={"s": 0.3}, scope_by_unit=True)
-        b = FaultInjector(seed=7, rates={"s": 0.3}, scope_by_unit=True)
-        a.begin_unit("u1")
-        fault_pattern(a, "s", 100)  # extra traffic on u1 only in a
-        a.begin_unit("u2")
-        b.begin_unit("u2")
-        assert fault_pattern(a, "s", 200) == fault_pattern(b, "s", 200)
-
-    def test_unscoped_default_keeps_global_stream(self):
-        a = FaultInjector(seed=7, rates={"s": 0.3})
-        b = FaultInjector(seed=7, rates={"s": 0.3})
-        a.begin_unit("u1")  # no-op without scope_by_unit
-        assert fault_pattern(a, "s", 200) == fault_pattern(b, "s", 200)
 
 
 class TestChaosBehaviorModel:

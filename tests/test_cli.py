@@ -328,10 +328,12 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("option", [
         ["--scheme", "legacy"], ["--scheme", "spawn"],
-        ["--block-devices", "4096"]], ids=lambda o: " ".join(o))
+        ["--block-devices", "4096"], ["--chaos-seed", "5"]],
+        ids=lambda o: " ".join(o))
     def test_rejects_removed_options(self, capsys, option):
-        """The materialised lot is `repro venn`, and the RNG block size
-        is fixed: neither is an `experiment run` option."""
+        """The materialised lot is `repro venn`, the RNG block size is
+        fixed, and worker faults draw from no seed: none of these is an
+        `experiment run` option."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["experiment", "run", *option])
         assert exc.value.code == 2
@@ -391,11 +393,6 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "worker losses 1" in out
 
-    def test_rejects_unknown_chaos_shard(self):
-        with pytest.raises(SystemExit, match="out of range"):
-            main(["experiment", "run", "--devices", "8192",
-                  "--shard-devices", "4096",
-                  "--chaos-worker-exit", "99"])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -441,6 +438,26 @@ class TestExperimentCommand:
      "--bridge-fraction: must be in [0, 1]"),
     (["campaign", "run", "--chaos-rate", "3"],
      "--chaos-rate: must be in [0, 1]"),
+    (["campaign", "run", "--chaos-rate", "0.1", "--chaos-seed", "-1"],
+     "--chaos-seed: must be non-negative"),
+    (["campaign", "resume", "ck.json", "--chaos-seed", "-1"],
+     "--chaos-seed: must be non-negative"),
+    (["experiment", "run", "--workers", "2", "--chaos-worker-exit", "x"],
+     "--chaos-worker-exit: must be SHARD[:TIMES]"),
+    (["experiment", "run", "--workers", "2", "--chaos-worker-exit", "1:y"],
+     "--chaos-worker-exit: must be SHARD[:TIMES]"),
+    (["experiment", "run", "--workers", "2", "--chaos-worker-exit", "0:-2"],
+     "--chaos-worker-exit: must be SHARD[:TIMES]"),
+    (["experiment", "run", "--workers", "2", "--unit-deadline", "5",
+      "--chaos-worker-hang", "-1"],
+     "--chaos-worker-hang: must be SHARD[:TIMES]"),
+    (["experiment", "run", "--devices", "8192", "--shard-devices", "4096",
+      "--workers", "2", "--chaos-worker-exit", "99"],
+     "shard index 99 out of range (plan has 2 shards)"),
+    (["experiment", "run", "--workers", "2", "--chaos-worker-hang", "1"],
+     "--chaos-worker-hang needs --unit-deadline"),
+    (["experiment", "run", "--chaos-worker-exit", "1"],
+     "--chaos-worker-* needs --workers 2 or more"),
     (["serve", "--port", "-1"], "--port: must be in 0-65535"),
     (["serve", "--port", "65536"], "--port: must be in 0-65535"),
     (["shmoo", "--defect", "rail-bridge", "--resistance", "-5"],

@@ -57,7 +57,7 @@ def test_streaming_engine_skips_unrelated_subsystems():
     unrelated = {"repro.bist", "repro.tester.shmoo", "repro.tester.iddq",
                  "repro.tester.movi", "repro.core.estimator",
                  "repro.march.synthesis", "repro.faults.simulator",
-                 "repro.experiment.montecarlo"}
+                 "repro.experiment.montecarlo", "repro.runner.chaos"}
     assert "repro.experiment.streaming.engine" in loaded
     assert not loaded & unrelated
 
