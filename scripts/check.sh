@@ -264,6 +264,36 @@ print("journal report: schema ok,", rep["totals"]["events"], "events")
 ' || status=$?
 rm -f "$journal_out" "$ckpt_out"
 
+echo "== chaos-campaign smoke (an injected campaign keeps the grid path) =="
+# The injector is probed per site and attempt, but the kernel still
+# answers every group: the chaos run prints the plain run's batch:
+# line, and with nothing quarantined it writes the same database.
+chaos_dir="$(mktemp -d /tmp/chaos_campaign_smoke.XXXXXX)"
+campaign_args=(--rows 8 --columns 2 --bits 4 --sites 60)
+plain_out="$(python -m repro campaign run "${campaign_args[@]}" \
+    --save-db "$chaos_dir/A")" || status=$?
+chaos_out="$(python -m repro campaign run "${campaign_args[@]}" \
+    --chaos-rate 0.05 --chaos-seed 1 --max-attempts 4 \
+    --save-db "$chaos_dir/B")" || status=$?
+faults="$(sed -n 's/^chaos: \([0-9]*\) faults injected .*/\1/p' \
+    <<<"$chaos_out")"
+if [ -z "$faults" ] || [ "$faults" -eq 0 ]; then
+    echo "chaos-campaign smoke: no 'chaos: N faults injected' line with N > 0"
+    status=1
+fi
+plain_batch="$(grep '^batch: ' <<<"$plain_out" || true)"
+if [ -z "$plain_batch" ] \
+        || [ "$plain_batch" != "$(grep '^batch: ' <<<"$chaos_out" || true)" ]; then
+    echo "chaos-campaign smoke: the chaos run's batch: line differs from the plain run's"
+    status=1
+fi
+if grep -q '^quarantined sites: 0 ' <<<"$chaos_out" \
+        && ! cmp -s "$chaos_dir/A" "$chaos_dir/B"; then
+    echo "chaos-campaign smoke: nothing quarantined, yet the databases differ"
+    status=1
+fi
+rm -rf "$chaos_dir"
+
 echo "== chaos-pool smoke (injected worker death heals byte-identically) =="
 pool_journal="$(mktemp /tmp/pool_smoke.XXXXXX.jsonl)"
 lot_args=(--devices 65536 --shard-devices 16384 --seed 5)

@@ -191,9 +191,6 @@ def _experiment_injector(args: argparse.Namespace):
     if args.workers < 2:
         raise ValueError("--chaos-worker-* needs --workers 2 or more: "
                          "a serial run has no worker to kill")
-    if args.chaos_worker_hang and args.unit_deadline is None:
-        raise ValueError("--chaos-worker-hang needs --unit-deadline: "
-                         "the shard deadline is what detects a hang")
     from repro.experiment.streaming.plan import (
         DEFAULT_SHARD_DEVICES,
         ShardPlan,
@@ -221,22 +218,23 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
     )
 
     try:
-        injector = _experiment_injector(args)
+        engine = StreamingExperiment(
+            n_devices=args.devices, seed=args.seed,
+            density=DefectDensity(d0_per_cm2=args.d0,
+                                  bridge_fraction=args.bridge_fraction),
+            shard_devices=args.shard_devices,
+            injector=_experiment_injector(args), diagnose=args.diagnose)
+        runner = StreamingRunner(
+            engine, checkpoint_path=args.checkpoint,
+            unit_deadline=args.unit_deadline, workers=args.workers,
+            max_pool_rebuilds=args.max_pool_rebuilds,
+            journal=args.journal)
     except ValueError as exc:
         print(f"repro experiment run: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    engine = StreamingExperiment(
-        n_devices=args.devices, seed=args.seed,
-        density=DefectDensity(d0_per_cm2=args.d0,
-                              bridge_fraction=args.bridge_fraction),
-        shard_devices=args.shard_devices, injector=injector,
-        diagnose=args.diagnose)
-    runner = StreamingRunner(
-        engine, checkpoint_path=args.checkpoint,
-        unit_deadline=args.unit_deadline, workers=args.workers,
-        max_pool_rebuilds=args.max_pool_rebuilds,
-        journal=args.journal)
-    result = runner.run()
+    result = _run_checkpointed(runner.run, "repro experiment run")
+    if result is None:
+        return 2
     shards = len(engine.plan.shards())
     print(f"experiment complete: {args.devices} devices across "
           f"{shards} shard(s) ({result.resumed_shards} resumed from "
@@ -462,33 +460,39 @@ def _campaign_flow_from_meta(meta: dict):
     return flow, specs
 
 
-def _campaign_injector(args: argparse.Namespace):
-    """The ``--chaos-rate`` fault injector (``None`` when off)."""
-    if not args.chaos_rate:
-        return None
-    from repro.runner.chaos import FaultInjector
+def _run_checkpointed(run, command: str):
+    """``run()``, or None after a one-line error on stderr when its
+    checkpoint is corrupt, another run's or a directory (each raised
+    while the checkpoint loads, before any evaluation)."""
+    from repro.runner.checkpoint import (
+        CheckpointCorruptError,
+        CheckpointMismatchError,
+    )
 
-    return FaultInjector(seed=args.chaos_seed,
-                         rates={"behavior.evaluate": args.chaos_rate})
+    try:
+        return run()
+    except (CheckpointCorruptError, CheckpointMismatchError,
+            IsADirectoryError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
 
 
 def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
     from repro.core.database import CoverageDatabase
-    from repro.runner.chaos import ChaosBehaviorModel
-    from repro.runner.retry import RetryPolicy
+    from repro.runner.evaluate import BEHAVIOR_SITE
 
-    injector = _campaign_injector(args)
-    if injector is not None:
-        flow.campaign.behavior = ChaosBehaviorModel(
-            flow.campaign.behavior, injector)
+    if args.chaos_rate:
+        from repro.runner.chaos import FaultInjector
+
+        flow.campaign.injector = FaultInjector(
+            seed=args.chaos_seed, rates={BEHAVIOR_SITE: args.chaos_rate})
+    injector = flow.campaign.injector
     runner = flow.make_runner(
-        args.checkpoint,
-        retry=RetryPolicy(max_attempts=args.max_attempts,
-                          base_delay=0.0, jitter=0.0),
-        unit_deadline=args.unit_deadline,
-        journal=args.journal,
-        fault_hook=injector.check if injector is not None else None)
-    result = runner.run(specs)
+        args.checkpoint, max_attempts=args.max_attempts,
+        unit_deadline=args.unit_deadline, journal=args.journal)
+    result = _run_checkpointed(lambda: runner.run(specs), "repro campaign")
+    if result is None:
+        return 2
     database = CoverageDatabase(result.records)
     print(f"campaign complete: {len(result.records)} records "
           f"({result.resumed_units} units resumed from checkpoint, "
@@ -496,7 +500,7 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
     print(f"quarantined sites: {len(result.quarantine)} "
           f"(site-evaluation retries: {result.retry_stats.retries})")
     if injector is not None:
-        stats = injector.stats().get("behavior.evaluate",
+        stats = injector.stats().get(BEHAVIOR_SITE,
                                      {"calls": 0, "injected": 0})
         print(f"chaos: {stats['injected']} faults injected over "
               f"{stats['calls']} evaluations "
@@ -506,8 +510,7 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
         print(f"batch: {bs['model_invocations']} model invocations "
               f"over {bs['groups']} derived groups "
               f"({bs['batch_sites']} batch / "
-              f"{bs['fallback_sites'] + bs['demoted_sites']} fallback "
-              f"sites, "
+              f"{bs['demoted_sites']} fallback sites, "
               f"{bs['crosscheck_mismatches']} cross-check mismatches)")
     if args.checkpoint:
         print(f"checkpoint: {args.checkpoint}")
@@ -541,7 +544,7 @@ def _load_campaign_checkpoint(path: str):
 
     try:
         return CampaignCheckpoint.load(path)
-    except (FileNotFoundError, CheckpointCorruptError) as exc:
+    except (OSError, CheckpointCorruptError) as exc:
         print(f"repro campaign: {exc}", file=sys.stderr)
         return None
 
@@ -600,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         db_path = default_database_path()
     try:
         snapshot = DatabaseSnapshot.load(db_path)
-    except (FileNotFoundError, DatabaseCorruptError) as exc:
+    except (OSError, DatabaseCorruptError) as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     bus = None
@@ -653,7 +656,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         try:
             meta, events = read_journal(args.journal)
-        except (FileNotFoundError, JournalError) as exc:
+        except (OSError, JournalError) as exc:
             print(f"repro report: {exc}", file=sys.stderr)
             return 2
         report = build_report(meta, events)
@@ -821,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="resilient coverage campaigns: run / resume / status",
         description="Run IFA coverage campaigns through the resilient "
-                    "runner: crash-safe checkpoints, retry with "
-                    "backoff, per-site quarantine.  See "
+                    "runner: crash-safe checkpoints, bounded retry, "
+                    "per-site quarantine.  See "
                     "docs/robustness.md.")
     csub = p.add_subparsers(dest="campaign_command", required=True)
 

@@ -125,8 +125,9 @@ class MemoryTestFlow:
             yield_fraction: Optional yield override for the DPM model.
             checkpoint_path: Optional checkpoint file enabling
                 kill/resume of the whole flow.
-            runner: Pre-configured runner (chaos injection, custom
-                retry policy); overrides ``checkpoint_path``.
+            runner: Pre-configured runner (custom attempt count or
+                unit deadline); overrides ``checkpoint_path``.  Chaos
+                comes from ``self.campaign.injector``.
             journal: Optional JSONL run-journal path (or event bus)
                 recording the campaign's structured event stream
                 (:mod:`repro.obs`); ``None`` keeps observability off

@@ -545,12 +545,11 @@ class DefectBehaviorModel:
         ``[None, :]``); :meth:`evaluate_elements` is its elementwise
         shape.  See ``docs/batch_kernel.md`` for the full contract.
 
-        The hook is optional capability, never obligation: the grid
-        evaluator (:class:`~repro.perf.batch.BatchEvaluator`) probes
-        for it with ``getattr`` and falls back to the scalar path when
-        it is absent, ``None`` or raising -- and cross-checks a seeded
-        cell sample against ``fails_condition`` either way, so a lying
-        implementation is demoted rather than believed.
+        The grid evaluator (:class:`~repro.perf.batch.BatchEvaluator`)
+        requires this kernel: it calls it once per (kind, condition)
+        group and cross-checks a seeded cell sample against
+        ``fails_condition``, so a lying implementation is demoted site
+        by site rather than believed.
 
         Args:
             sites: Site population (each defect's ``resistance`` field

@@ -92,7 +92,9 @@ class StreamingExperiment:
         injector: Optional :class:`~repro.runner.chaos.FaultInjector`
             whose worker faults the pool probes once per shard
             dispatch (see :func:`~repro.perf.executor.
-            probe_worker_faults`); it never touches classification.
+            probe_worker_faults`) and whose ``io.*`` sites the
+            runner's checkpoint writes probe; it never touches
+            classification.
         diagnose: Run bitmap diagnosis on interesting devices and
             accumulate hint histograms.
         bridge_distribution / open_distribution: Fab R distributions.
@@ -390,7 +392,6 @@ class ShardEvaluator:
             "defect": "<entire shard>",
             "attempts": attempts,
             "error": error,
-            "deadline_hit": False,
         }
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[entry])

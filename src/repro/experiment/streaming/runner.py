@@ -83,8 +83,15 @@ class StreamingRunner:
             automatically).
         max_pool_rebuilds: Supervised-pool rebuild budget.
         journal: Run-journal path or event bus (optional).
-        fault_hook: Test-only hook threaded into checkpoint saves.
         clock: Injectable monotonic clock for the executors.
+
+    The engine's ``injector`` (if any) is threaded into checkpoint
+    saves; its ``worker.hang`` faults need ``unit_deadline``, because
+    the shard deadline is what detects a hang.
+
+    Raises:
+        ValueError: a bad ``unit_deadline`` or ``workers``, or a
+            ``worker.hang`` fault without ``unit_deadline``.
     """
 
     def __init__(self, engine: StreamingExperiment,
@@ -93,11 +100,18 @@ class StreamingRunner:
                  workers: int = 1,
                  max_pool_rebuilds: int = 8,
                  journal: Any = None,
-                 fault_hook: Callable[[str], None] | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         check_unit_deadline(unit_deadline)
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        injector = engine.injector
+        if injector is not None and unit_deadline is None:
+            from repro.runner.chaos import WORKER_HANG_SITE
+
+            if injector.worker_faults.get(WORKER_HANG_SITE):
+                raise ValueError(
+                    "a worker.hang fault needs unit_deadline: the shard "
+                    "deadline is what detects a hang")
         self.engine = engine
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
@@ -105,7 +119,6 @@ class StreamingRunner:
         self.workers = workers
         self.max_pool_rebuilds = max_pool_rebuilds
         self.journal = journal
-        self.fault_hook = fault_hook
         self.clock = clock
         self._supervisor: Any = None
 
@@ -138,8 +151,11 @@ class StreamingRunner:
         resumed} yields an identical accumulator payload.
         """
         units = self.engine.plan.shards()
+        injector = self.engine.injector
         run = CheckpointedRun(self.engine.meta(), self.checkpoint_path,
-                              self.journal, self.fault_hook)
+                              self.journal,
+                              injector.check if injector is not None
+                              else None)
         bus, metrics = run.bus, run.metrics
         total = ExperimentAccumulator()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -73,12 +74,17 @@ class IfaCampaign:
         n_sites: Sampled site-population size per sweep (statistical
             resolution of the coverage percentages; 2000 gives ~±1 %).
         seed: RNG seed (campaigns are deterministic given the seed).
+        injector: Optional :class:`~repro.runner.chaos.FaultInjector`
+            the runner probes before every site evaluation attempt and
+            threads into checkpoint writes (chaos testing); ``None``
+            injects nothing.
     """
 
     def __init__(self, geometry: MemoryGeometry, tech: Technology,
                  behavior: DefectBehaviorModel | None = None,
                  extractor: IfaExtractor | None = None,
-                 n_sites: int = 2000, seed: int = 2005) -> None:
+                 n_sites: int = 2000, seed: int = 2005,
+                 injector: Any = None) -> None:
         if n_sites <= 0:
             raise ValueError("n_sites must be positive")
         self.geometry = geometry
@@ -89,6 +95,7 @@ class IfaCampaign:
                           else IfaExtractor(geometry))
         self.n_sites = n_sites
         self.seed = seed
+        self.injector = injector
         self._bridge_pop: list[Defect] | None = None
         self._open_pop: list[Defect] | None = None
 
@@ -138,9 +145,9 @@ class IfaCampaign:
             checkpoint_path: Optional checkpoint file enabling
                 kill/resume for this sweep.
             runner: Pre-configured
-                :class:`~repro.runner.campaign.CampaignRunner` (for
-                custom retry policies, chaos injection or shared
-                checkpoints); overrides ``checkpoint_path``.
+                :class:`~repro.runner.campaign.CampaignRunner` (for a
+                custom attempt count, a unit deadline or a journal);
+                overrides ``checkpoint_path``.
 
         Raises:
             ValueError: empty ``resistances`` or ``conditions``, or a

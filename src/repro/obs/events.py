@@ -4,7 +4,7 @@ The runner stack executes campaigns that the paper's industrial flow
 would surround with diagnosis artefacts -- shmoo plots, bitmaps,
 per-condition coverage tables -- yet until this module every
 interesting execution fact (a unit resumed from a checkpoint, a
-batch-hook site demoted, a retry budget exhausted) was either a bare attribute or
+kernel site demoted, a retry budget exhausted) was either a bare attribute or
 silently dropped.  :mod:`repro.obs` gives those facts one shape:
 
 * an :class:`ObsEvent` is a (sequence number, stable name, JSON payload)
@@ -69,7 +69,7 @@ EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     "pool.redispatch": ("unit", "units", "attempt"),
     "pool.poison_unit": ("unit", "attempts", "error"),
     "pool.degrade_serial": ("units", "rebuilds"),
-    # Grid evaluator (only when a batch hook lies or fails) ------------
+    # Grid evaluator (only when the kernel lies) ----------------------
     "batch.demote": ("kind", "condition", "site_index", "reason",
                      "stage"),
     # Coverage database --------------------------------------------------

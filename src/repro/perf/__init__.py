@@ -3,9 +3,10 @@
 Two accelerators, both preserving byte-identical results:
 
 * :mod:`repro.perf.batch` -- the campaign's grid evaluator: each (kind,
-  condition) group's full site x R grid in one vectorised
-  ``evaluate_batch`` call, guarded by a seeded cross-check and
-  per-site scalar fallback (see ``docs/batch_kernel.md``);
+  condition) group's full site x R grid in one call of the required
+  ``evaluate_batch`` kernel, guarded by a seeded cross-check that
+  demotes a lying site to the per-site path (see
+  ``docs/batch_kernel.md``);
 * :mod:`repro.perf.supervisor` -- the supervised process pool
   (worker side in :mod:`repro.perf.executor`) that fans the streaming
   lot's shards across cores for ``workers > 1``, healing worker death,

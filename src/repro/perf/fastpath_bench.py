@@ -138,9 +138,9 @@ def _bench_campaign(config: FastpathBenchConfig) -> dict[str, Any]:
     """Time + count the Table-1 sweep exact vs the grid evaluator.
 
     Both rows time the bare evaluator over the same plan -- the
-    per-site :class:`~repro.runner.evaluate.UnitEvaluator` the pool
-    runs, and the :class:`~repro.perf.batch.BatchEvaluator` a serial
-    campaign runs -- so runner bookkeeping weighs on neither.  The
+    per-site :class:`~repro.runner.evaluate.UnitEvaluator` oracle,
+    and the :class:`~repro.perf.batch.BatchEvaluator` every campaign
+    runs -- so runner bookkeeping weighs on neither.  The
     site population is sampled *before* the clock starts: both rows
     share the identical critical-area extraction, and on short
     configurations it would otherwise dominate every row and flatten

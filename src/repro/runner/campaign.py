@@ -7,7 +7,7 @@ pre-calculated simulation results" (Section 3) -- becomes:
 1. **decompose** (:mod:`repro.runner.units`): the R x condition sweep
    flattens into an ordered list of independent work units;
 2. **evaluate** (:mod:`repro.runner.evaluate`): each site's behavioural
-   evaluation runs under a retry policy; sites that keep failing are
+   evaluation gets a bounded number of attempts; sites that keep failing are
    *quarantined* into an error ledger and counted in the emitted
    record's ``errors`` field -- the campaign degrades gracefully
    instead of dying on one pathological site.  The runner answers
@@ -21,9 +21,11 @@ pre-calculated simulation results" (Section 3) -- becomes:
    byte-identical to an uninterrupted run (site populations are
    regenerated deterministically from the campaign seed).
 
-The chaos harness (:mod:`repro.runner.chaos`) plugs into both the
-behaviour model and the checkpoint I/O, so every one of those recovery
-paths is exercised by tests rather than discovered in production.
+The chaos harness (:mod:`repro.runner.chaos`) is the campaign's own
+``injector``: the per-site loop probes it before every evaluation
+attempt and the checkpoint I/O before every write, so every one of
+those recovery paths is exercised by tests rather than discovered in
+production.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.runner.evaluate import (
     UnitOutcome,
     check_unit_deadline,
 )
-from repro.runner.retry import RetryPolicy, RetryStats
+from repro.runner.retry import RetryStats, check_max_attempts
 from repro.runner.units import WorkUnit, plan_units
 from repro.stress import StressCondition
 
@@ -150,10 +152,12 @@ class CampaignRunner:
     """Run an :class:`~repro.ifa.flow.IfaCampaign` resiliently.
 
     Args:
-        campaign: The campaign supplying site populations and the
-            behaviour model.
-        retry: Per-site retry policy (default: three fast attempts, no
-            sleep -- evaluations are in-memory).
+        campaign: The campaign supplying site populations, the
+            behaviour model and the optional fault ``injector`` (also
+            threaded into checkpoint writes).
+        max_attempts: Tries per site evaluation before the site is
+            quarantined (retries never sleep: evaluations are
+            in-memory).
         checkpoint_path: Where to persist progress (saved after every
             completed unit); ``None`` disables checkpointing (pure
             in-memory run, still fault-tolerant).
@@ -163,36 +167,31 @@ class CampaignRunner:
             the in-flight site.
         meta: Extra campaign-fingerprint entries (geometry, CLI args,
             ...) stored in -- and matched against -- the checkpoint.
-        fault_hook: Chaos probe threaded into checkpoint I/O
-            (typically ``FaultInjector.check``).
         journal: Run journal (:mod:`repro.obs`): ``None`` (default;
             zero event-bus calls), a JSONL path or an
             :class:`~repro.obs.bus.EventBus`-like instance.  Events are
             derived at the in-order effect point from the unit
             outcomes, so journals never contain wall-clock reads.
-        sleep, clock: Injectable time sources for the retry machinery
-            (tests pass fakes; production uses the real ones).
+        clock: Injectable monotonic clock for the unit deadline (tests
+            pass a fake; production uses the real one).
     """
 
     def __init__(self, campaign: "IfaCampaign",
-                 retry: RetryPolicy | None = None,
+                 max_attempts: int = 3,
                  checkpoint_path: str | Path | None = None,
                  unit_deadline: float | None = None,
                  meta: dict[str, Any] | None = None,
-                 fault_hook: Callable[[str], None] | None = None,
                  journal: Any = None,
-                 sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        check_max_attempts(max_attempts)
         check_unit_deadline(unit_deadline)
         self.campaign = campaign
-        self.retry = retry
+        self.max_attempts = max_attempts
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.unit_deadline = unit_deadline
         self.extra_meta = dict(meta or {})
-        self.fault_hook = fault_hook
         self.journal = journal
-        self.sleep = sleep
         self.clock = clock
 
     # ------------------------------------------------------------------
@@ -211,7 +210,7 @@ class CampaignRunner:
         """The campaign fingerprint stored in (and matched against) the
         checkpoint.
 
-        Execution knobs (retry, deadline) are deliberately
+        Execution knobs (attempts, deadline, injector) are deliberately
         absent: they change how a campaign runs, never what it
         computes.
         """
@@ -244,8 +243,10 @@ class CampaignRunner:
         meta = self.meta_for(specs)
         # Journal metadata is the campaign fingerprint minus the bulky
         # sweep table (execution knobs are never part of it).
+        injector = self.campaign.injector
         run = CheckpointedRun(
-            meta, self.checkpoint_path, self.journal, self.fault_hook,
+            meta, self.checkpoint_path, self.journal,
+            injector.check if injector is not None else None,
             journal_meta={k: v for k, v in meta.items() if k != "sweeps"})
         bus, metrics = run.bus, run.metrics
         result = CampaignResult(records=[])
@@ -289,9 +290,8 @@ class CampaignRunner:
         # The grid evaluator derives its group grids from the full plan,
         # so its cross-check sample does not depend on checkpoint state.
         evaluator = BatchEvaluator(
-            self.campaign, plan=units, retry=self.retry,
-            unit_deadline=self.unit_deadline,
-            sleep=self.sleep, clock=self.clock)
+            self.campaign, plan=units, max_attempts=self.max_attempts,
+            unit_deadline=self.unit_deadline, clock=self.clock)
         run.run(units,
                 lambda pending: (evaluator.evaluate(u) for u in pending),
                 replay, execute)
@@ -300,8 +300,8 @@ class CampaignRunner:
         result.resumed_units = run.resumed_units
         result.batch_stats = evaluator.stats.as_dict()
         if bus is not None:
-            # A demotion only exists when a model's batch hook lied or
-            # failed, so an honest run journals none.
+            # A demotion only exists when a model's kernel lied, so an
+            # honest run journals none.
             for d in result.batch_stats["demotions"]:
                 bus.emit("batch.demote", **d)
                 metrics.inc(f"batch.demote.{d['reason']}")

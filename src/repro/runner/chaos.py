@@ -20,13 +20,18 @@ campaign:
   OOM-kill, power loss, ``kill -9``.  Nothing may catch it short of the
   test harness; surviving it is the checkpoint's job.
 
+A campaign holds its injector (``IfaCampaign(injector=...)``): every
+site evaluation attempt probes ``behavior.evaluate`` and every
+checkpoint write probes the ``io.*`` sites.  A lot holds one too
+(``StreamingExperiment(injector=...)``): its pool probes the worker
+sites and its checkpoint writes the ``io.*`` sites.
+
 Usage::
 
     inj = FaultInjector(seed=7, rates={"behavior.evaluate": 0.01},
                         crash_positions={"io.replace": {3}})
-    campaign.behavior = ChaosBehaviorModel(campaign.behavior, inj)
-    runner = CampaignRunner(campaign, checkpoint_path="ck.json",
-                            fault_hook=inj.check)
+    campaign = IfaCampaign(geometry, tech, injector=inj)
+    runner = CampaignRunner(campaign, checkpoint_path="ck.json")
 """
 
 from __future__ import annotations
@@ -39,15 +44,12 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.defects.models import Defect
-from repro.stress import StressCondition
-
 #: Worker-level chaos site: the worker process dies via ``os._exit``
 #: (no cleanup, no exception -- the parent sees ``BrokenProcessPool``).
 WORKER_EXIT_SITE = "worker.exit"
 
-#: Worker-level chaos site: the worker stalls in ``time.sleep`` long
-#: enough to trip the supervisor's parent-side chunk deadline.
+#: Worker-level chaos site: the worker stalls until the supervisor's
+#: parent-side chunk deadline trips and its teardown terminates it.
 WORKER_HANG_SITE = "worker.hang"
 
 _WORKER_SITES = (WORKER_EXIT_SITE, WORKER_HANG_SITE)
@@ -93,8 +95,6 @@ class FaultInjector:
             ``times`` models a genuine poison unit.  Deliberately
             keyed on (unit, attempt) rather than call order so the
             decision is identical in every process that probes it.
-        hang_seconds: Stall duration of an injected ``worker.hang``
-            (must comfortably exceed the supervisor's chunk deadline).
 
     Each site keeps an independent RNG substream (seeded from
     ``seed`` + the site label) so adding probes at one site never
@@ -106,7 +106,6 @@ class FaultInjector:
                  positions: Mapping[str, Iterable[int]] | None = None,
                  crash_positions: Mapping[str, Iterable[int]] | None = None,
                  worker_faults: Mapping[str, Mapping[str, int]] | None = None,
-                 hang_seconds: float = 60.0,
                  ) -> None:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
@@ -127,9 +126,6 @@ class FaultInjector:
                 raise ValueError(
                     f"unknown worker-fault site {site!r}; choices: "
                     f"{', '.join(_WORKER_SITES)}")
-        if hang_seconds <= 0:
-            raise ValueError("hang_seconds must be positive")
-        self.hang_seconds = hang_seconds
         self.calls: Counter[str] = Counter()
         self.injected: Counter[str] = Counter()
         self._rngs: dict[str, np.random.Generator] = {}
@@ -181,7 +177,8 @@ class FaultInjector:
             unit_key: The unit's stable id.
             attempt: 0-based dispatch attempt of the unit's chunk.
             in_worker: True inside a pool worker -- the injection then
-                *is* the failure (``os._exit`` / a long sleep).  False
+                *is* the failure (``os._exit``, or a stall that lasts
+                until the supervisor terminates the worker).  False
                 in the parent, where dying for real would kill the
                 campaign; the injection surfaces as
                 :class:`InjectedCrash` instead, which the supervisor's
@@ -205,7 +202,8 @@ class FaultInjector:
                     f"attempt {attempt} (in-parent retry)")
             if site == WORKER_EXIT_SITE:
                 os._exit(WORKER_EXIT_STATUS)
-            time.sleep(self.hang_seconds)
+            while True:  # until the supervisor's teardown terminates us
+                time.sleep(3600.0)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, dict[str, int]]:
@@ -216,49 +214,3 @@ class FaultInjector:
             for site in sorted(set(self.calls) | set(self.injected))
         }
 
-
-class ChaosBehaviorModel:
-    """Behaviour-model proxy that fires the injector before evaluating.
-
-    Wraps any object with the :class:`~repro.defects.behavior.
-    DefectBehaviorModel` duck interface and probes both scalar entry
-    points: ``fails_condition`` (what a campaign asks) and
-    ``manifestation`` (what the virtual tester asks when the lot
-    classifies a chip).  Site label: ``behavior.evaluate``.
-
-    Declines the vectorised ``evaluate_batch`` capability even when
-    the wrapped model offers it: a kernel call answers a whole site x R
-    grid without touching ``fails_condition``, which would skip the
-    injector's per-site probes and change the fault pattern.  The
-    class attribute below shadows ``__getattr__`` delegation, so the
-    grid evaluator sees ``None`` and takes the all-scalar fallback --
-    chaos campaigns probe site-for-site exactly like the per-site
-    oracle.  Lots take no behaviour faults: their chaos is the
-    worker-fault table of :meth:`FaultInjector.check_worker`.
-    """
-
-    SITE = "behavior.evaluate"
-    evaluate_batch = None
-
-    def __init__(self, inner, injector: FaultInjector) -> None:
-        self.inner = inner
-        self.injector = injector
-
-    def fails_condition(self, defect: Defect,
-                        condition: StressCondition) -> bool:
-        """Probe the injector, then delegate to the wrapped model."""
-        self.injector.check(self.SITE)
-        return self.inner.fails_condition(defect, condition)
-
-    def manifestation(self, defect: Defect, condition: StressCondition):
-        """Probe the injector, then delegate the full evaluation."""
-        self.injector.check(self.SITE)
-        return self.inner.manifestation(defect, condition)
-
-    def __getattr__(self, name: str):
-        # Guard against the unpickling window where __dict__ is still
-        # empty: delegating "inner" then would recurse forever (and kill
-        # pool workers receiving a pickled chaos-wrapped campaign).
-        if "inner" not in self.__dict__:
-            raise AttributeError(name)
-        return getattr(self.inner, name)

@@ -2,22 +2,23 @@
 
 One work unit -- a (kind, R, condition) cell of the campaign sweep --
 is evaluated by sweeping the (seeded, deterministic) site population
-through the behaviour model under a per-site retry policy, quarantining
-sites that keep raising.  :class:`UnitEvaluator` is both the grid
-evaluator's fallback body (:mod:`repro.perf.batch` hands it the sites
-its batch table cannot answer) and the per-site oracle the grid path
-is tested against.  A unit's record depends on nothing but the unit
-(``docs/performance.md``):
+through the behaviour model, each site under a bounded attempt count,
+quarantining sites that keep raising.  When the campaign carries a
+fault injector (:mod:`repro.runner.chaos`), every attempt first probes
+it at :data:`BEHAVIOR_SITE`.  :class:`UnitEvaluator` is both the grid
+evaluator's per-site body (:mod:`repro.perf.batch` hands it the sites
+its batch table cannot answer, or every site of a chaos campaign) and
+the per-site oracle the grid path is tested against.  A unit's record
+depends on nothing but the unit (``docs/performance.md``):
 
 * the site population regenerates deterministically from the campaign
   seed in every process;
 * the behaviour model is a pure function of (defect, condition);
-* retry jitter is hashed from the per-site key, never drawn from a
-  shared RNG;
+* the injector's fault pattern is a pure function of its seed and the
+  probe order, which is site order within plan order;
 
 so a unit's :class:`~repro.ifa.flow.CoverageRecord` is a pure function
-of the unit itself, regardless of evaluation order or of a resume in
-between.
+of the unit itself, regardless of a resume in between.
 
 :class:`UnitOutcome` is also the unit of observability: it carries
 everything the run journal (:mod:`repro.obs`) reports about a unit --
@@ -36,13 +37,15 @@ from typing import Any
 from repro.defects.models import Defect, DefectKind
 from repro.ifa.flow import CoverageRecord
 from repro.runner.retry import (
-    DEFAULT_UNIT_POLICY,
     RetryExhaustedError,
-    RetryPolicy,
     RetryStats,
+    check_max_attempts,
     run_with_retry,
 )
 from repro.runner.units import WorkUnit
+
+#: Injector site probed before every behavioural evaluation attempt.
+BEHAVIOR_SITE = "behavior.evaluate"
 
 
 class UnitDeadlineExceeded(RuntimeError):
@@ -89,28 +92,28 @@ class UnitEvaluator:
     and the current (kind, R) resistance-variant list, both regenerated
     deterministically from the campaign seed.  One evaluator lives in
     the grid evaluator (:mod:`repro.perf.batch`), which hands it the
-    sites its batch table cannot answer; tests build one directly as
-    the per-site oracle.
+    sites its batch table cannot answer (and, under chaos, every site
+    with the kernel's answers); tests build one directly as the
+    per-site oracle.
 
     Args:
         campaign: The :class:`~repro.ifa.flow.IfaCampaign`-shaped
-            object supplying site populations and the behaviour model.
-        retry: Per-site retry policy (default: three fast attempts).
+            object supplying site populations, the behaviour model and
+            the optional fault ``injector``.
+        max_attempts: Tries per site evaluation before quarantine.
         unit_deadline: Optional wall-clock budget per unit (seconds);
             overrunning it raises :class:`UnitDeadlineExceeded`.
-        sleep: Injectable sleep for the retry machinery.
-        clock: Injectable monotonic clock for deadlines.
+        clock: Injectable monotonic clock for the unit deadline.
     """
 
-    def __init__(self, campaign: Any, retry: RetryPolicy | None = None,
+    def __init__(self, campaign: Any, max_attempts: int = 3,
                  unit_deadline: float | None = None,
-                 sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        check_max_attempts(max_attempts)
         check_unit_deadline(unit_deadline)
         self.campaign = campaign
-        self.retry = retry if retry is not None else DEFAULT_UNIT_POLICY
+        self.max_attempts = max_attempts
         self.unit_deadline = unit_deadline
-        self.sleep = sleep
         self.clock = clock
         self._populations: dict[DefectKind, list[Defect]] = {}
         self._variants_key: tuple[DefectKind, float] | None = None
@@ -142,21 +145,25 @@ class UnitEvaluator:
     # ------------------------------------------------------------------
     def evaluate(self, unit: WorkUnit, sites: Sequence[int] | None = None,
                  detected: int = 0,
-                 stats: RetryStats | None = None) -> UnitOutcome:
+                 known: Sequence[bool | None] | None = None,
+                 ) -> UnitOutcome:
         """Evaluate one unit; quarantine sites that keep raising.
 
         The grid evaluator (:class:`~repro.perf.batch.BatchEvaluator`)
-        answers most sites from a precomputed table and hands only the
-        rest to this loop through ``sites``; the defaults evaluate
-        every site.
+        answers most sites from its kernel table: without an injector
+        it hands only the rest to this loop through ``sites``; with
+        one, every site runs here (each attempt probes the injector)
+        and ``known`` carries the kernel answers.  The defaults
+        evaluate every site through the behaviour model.
 
         Args:
             unit: The (kind, R, condition) cell to evaluate.
-            sites: Site indices (ascending) to run through the
-                behaviour model; ``None`` runs the whole population.
+            sites: Site indices (ascending) to run through this loop;
+                ``None`` runs the whole population.
             detected: Detections already known for the sites left out.
-            stats: Retry counters to continue (a fresh
-                :class:`~repro.runner.retry.RetryStats` by default).
+            known: Per-site answers indexed by site (``None`` = ask the
+                behaviour model); a known site skips the model call
+                but not the injector probe.
 
         Returns:
             The unit's record, quarantine entries and retry counters.
@@ -165,37 +172,46 @@ class UnitEvaluator:
             UnitDeadlineExceeded: the unit overran ``unit_deadline``.
         """
         population = self.population(unit.kind)
-        variants: Sequence[Defect] | dict[int, Defect]
+        variants = (self.variants_for(unit)
+                    if sites is None and known is None else None)
+
+        def defect_at(i: int) -> Defect:
+            if variants is not None:
+                return variants[i]
+            return population[i].with_resistance(unit.resistance)
+
         if sites is None:
-            variants = self.variants_for(unit)
-            sites = range(len(variants))
-        else:
-            variants = {i: population[i].with_resistance(unit.resistance)
-                        for i in sites}
+            sites = range(len(population))
         behavior = self.campaign.behavior
+        injector = self.campaign.injector
         cond = unit.condition
-        if stats is None:
-            stats = RetryStats()
+        stats = RetryStats()
         started = self.clock()
         entries: list[dict[str, Any]] = []
         for position, site_index in enumerate(sites):
-            defect = variants[site_index]
-            site_key = f"{unit.unit_id}#site{site_index}"
+            answer = None if known is None else known[site_index]
+
+            def attempt(i: int = site_index,
+                        answer: bool | None = answer) -> bool:
+                if injector is not None:
+                    injector.check(BEHAVIOR_SITE)
+                if answer is not None:
+                    return answer
+                return behavior.fails_condition(defect_at(i), cond)
+
             try:
-                if run_with_retry(
-                        lambda d=defect: behavior.fails_condition(d, cond),
-                        self.retry, site_key,
-                        sleep=self.sleep, clock=self.clock, stats=stats):
+                if run_with_retry(attempt, self.max_attempts,
+                                  f"{unit.unit_id}#site{site_index}",
+                                  stats):
                     detected += 1
             except RetryExhaustedError as exc:
                 entries.append({
                     "unit_id": unit.unit_id,
                     "site_index": site_index,
-                    "defect": str(defect),
+                    "defect": str(defect_at(site_index)),
                     "attempts": exc.attempts,
                     "error": f"{type(exc.causes[-1]).__name__}: "
                              f"{exc.causes[-1]}",
-                    "deadline_hit": exc.deadline_hit,
                 })
             if (self.unit_deadline is not None
                     and self.clock() - started > self.unit_deadline):

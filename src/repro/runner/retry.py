@@ -1,26 +1,16 @@
-"""Retry with exponential backoff, deterministic jitter and deadlines.
+"""Bounded retry: a failing call gets a fixed number of attempts.
 
 Long campaigns treat a failing evaluation as an *input*, not a verdict:
-transient failures (a solver that needed a luckier starting point, an
-injected chaos fault, a flaky I/O layer) deserve another attempt;
-persistent ones must stop burning the unit's time budget and move to
-quarantine.  :class:`RetryPolicy` encodes that contract.
-
-Jitter is **deterministic**: derived by hashing (policy seed, call key,
-attempt) rather than sampled from shared global randomness.  Two
-properties follow, both load-bearing:
-
-* a resumed campaign re-executes a unit with exactly the delays the
-  first run would have used -- resume stays reproducible;
-* concurrent units never contend for an RNG, yet their delays are still
-  decorrelated (the usual purpose of jitter).
+a transient failure (an injected chaos fault, a flaky model) deserves
+another attempt; a persistent one moves its site to quarantine after
+``max_attempts`` tries instead of burning the unit's time budget.
+Retries never sleep: evaluations are in-memory and deterministic, so a
+wait buys nothing, and a resumed campaign re-executes a unit with
+exactly the attempts the first run would have made.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -32,94 +22,26 @@ class RetryExhaustedError(RuntimeError):
     """All attempts failed; carries the full failure history.
 
     Attributes:
-        key: The call key the policy was executed under.
+        key: The call key the retry loop ran under.
         attempts: Number of attempts actually made.
         causes: One exception per attempt, oldest first (the last is
             also the ``__cause__``).
     """
 
-    def __init__(self, key: str, causes: Sequence[BaseException],
-                 deadline_hit: bool = False) -> None:
+    def __init__(self, key: str, causes: Sequence[BaseException]) -> None:
         self.key = key
         self.attempts = len(causes)
         self.causes = list(causes)
-        self.deadline_hit = deadline_hit
         last = causes[-1] if causes else None
         detail = f": {type(last).__name__}: {last}" if last else ""
-        reason = "deadline exceeded" if deadline_hit else "gave up"
         super().__init__(
-            f"{key}: {reason} after {self.attempts} attempt(s){detail}")
+            f"{key}: gave up after {self.attempts} attempt(s){detail}")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff schedule for one unit of work.
-
-    Attributes:
-        max_attempts: Total tries (1 = no retry).
-        base_delay: Sleep before the first retry (seconds).
-        backoff: Multiplier per further retry (exponential).
-        max_delay: Ceiling on any single sleep.
-        jitter: Fraction of the nominal delay added/subtracted
-            deterministically (0.2 -> final delay in [0.8, 1.2] x
-            nominal).
-        deadline: Optional wall-clock budget (seconds) for the whole
-            attempt sequence; checked before each retry sleep.
-        retryable: Exception types worth another attempt.  Anything
-            else propagates immediately (``BaseException`` crashes in
-            particular are never caught).
-        seed: Mixed into the jitter hash so independent campaigns
-            decorrelate.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    backoff: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.2
-    deadline: float | None = None
-    retryable: tuple[type[Exception], ...] = (Exception,)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-
-    # ------------------------------------------------------------------
-    def _jitter_fraction(self, key: str, attempt: int) -> float:
-        """Deterministic value in [-1, 1) from (seed, key, attempt)."""
-        digest = hashlib.sha256(
-            f"{self.seed}:{key}:{attempt}".encode("utf-8")).digest()
-        (word,) = struct.unpack(">Q", digest[:8])
-        return 2.0 * (word / 2.0**64) - 1.0
-
-    def delay_for(self, key: str, attempt: int) -> float:
-        """Sleep before retry number ``attempt`` (1-based) of ``key``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        nominal = min(self.base_delay * self.backoff ** (attempt - 1),
-                      self.max_delay)
-        jittered = nominal * (1.0 + self.jitter
-                              * self._jitter_fraction(key, attempt))
-        return max(0.0, min(jittered, self.max_delay))
-
-    def schedule(self, key: str) -> list[float]:
-        """The full retry-delay schedule for a key (diagnostics/tests)."""
-        return [self.delay_for(key, a)
-                for a in range(1, self.max_attempts)]
-
-
-#: Policy for fast in-memory evaluations: quick retries, tiny delays.
-DEFAULT_UNIT_POLICY = RetryPolicy(max_attempts=3, base_delay=0.0,
-                                  jitter=0.0)
+def check_max_attempts(max_attempts: int) -> None:
+    """Raise ValueError for an attempt count below one."""
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass
@@ -129,7 +51,7 @@ class RetryStats:
     Attributes:
         calls: Number of retry-wrapped calls started.
         retries: Number of additional attempts made after a failure.
-        exhausted: Calls that failed every attempt (or hit a deadline).
+        exhausted: Calls that failed every attempt.
         errors: Human-readable ``key: ExcType: message`` strings, one
             per failed attempt, oldest first.  Bounded: the list keeps
             the first :data:`ERRORS_HEAD` and the most recent
@@ -201,51 +123,35 @@ class RetryStats:
             self.record_error(message)
 
 
-def run_with_retry(fn: Callable[[], T], policy: RetryPolicy, key: str,
-                   sleep: Callable[[float], None] = time.sleep,
-                   clock: Callable[[], float] = time.monotonic,
+def run_with_retry(fn: Callable[[], T], max_attempts: int, key: str,
                    stats: RetryStats | None = None) -> T:
-    """Execute ``fn`` under ``policy``; return its value or raise.
+    """Call ``fn`` up to ``max_attempts`` times; return its first value.
+
+    Any ``Exception`` earns another attempt; a ``BaseException`` (an
+    interrupt, an injected crash) propagates from the failing attempt
+    as-is.
 
     Args:
         fn: Zero-argument callable (bind arguments with a closure).
-        policy: Retry policy.
-        key: Stable identity of this call -- feeds the deterministic
-            jitter and appears in error messages.
-        sleep: Injectable sleep (tests pass a no-op or recorder).
-        clock: Injectable monotonic clock for the deadline check.
+        max_attempts: Total tries (1 = no retry).
+        key: Stable identity of this call, used in error messages.
         stats: Optional counters to accumulate into.
 
     Raises:
-        RetryExhaustedError: every attempt failed with a retryable
-            exception, or the deadline expired between attempts.
-        BaseException: a non-retryable exception propagates as-is from
-            the failing attempt.
+        RetryExhaustedError: every attempt raised an ``Exception``.
     """
     if stats is not None:
         stats.calls += 1
-    start = clock()
-    causes: list[BaseException] = []
-    for attempt in range(1, policy.max_attempts + 1):
+    causes: list[Exception] = []
+    for attempt in range(1, max_attempts + 1):
         try:
             return fn()
-        except policy.retryable as exc:
+        except Exception as exc:
             causes.append(exc)
             if stats is not None:
                 stats.record_error(f"{key}: {type(exc).__name__}: {exc}")
-            if attempt == policy.max_attempts:
-                break
-            delay = policy.delay_for(key, attempt)
-            if (policy.deadline is not None
-                    and clock() - start + delay > policy.deadline):
-                if stats is not None:
-                    stats.exhausted += 1
-                raise RetryExhaustedError(key, causes,
-                                          deadline_hit=True) from causes[-1]
-            if stats is not None:
-                stats.retries += 1
-            if delay > 0.0:
-                sleep(delay)
+                if attempt < max_attempts:
+                    stats.retries += 1
     if stats is not None:
         stats.exhausted += 1
     raise RetryExhaustedError(key, causes) from causes[-1]

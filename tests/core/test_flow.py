@@ -47,7 +47,7 @@ class TestGridOracle:
         assert stats is not None
         assert stats["groups"] == 10  # 2 kinds x 5 conditions
         assert stats["batch_sites"] == stats["sites"] > 0
-        assert stats["fallback_sites"] == stats["demoted_sites"] == 0
+        assert stats["demoted_sites"] == 0
 
     def test_matches_unit_evaluator(self, serial_run):
         flow = make_flow()

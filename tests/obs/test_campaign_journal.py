@@ -7,7 +7,7 @@ The acceptance claims of the observability layer, end to end:
 * a journal is a pure function of what the run computed: no execution
   knob reaches a campaign's header, and a 4-worker lot writes bytes
   identical to a serial one;
-* nothing is swallowed -- every quarantine, retry and batch-hook
+* nothing is swallowed -- every quarantine, retry and kernel
   demotion appears as an event, and
   ``build_report`` reproduces the runner's own statistics from the
   journal alone.
@@ -33,11 +33,9 @@ from repro.obs.report import build_report
 from repro.perf.counting import CountingEventBus
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
-    ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
 )
-from repro.runner.retry import RetryPolicy
 from repro.stress import production_conditions
 from repro.tester.ate import VirtualTester
 from repro.tester.shmoo import ShmooRunner
@@ -48,10 +46,8 @@ SEED = 11
 
 
 def make_campaign(injector=None):
-    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
-    if injector is not None:
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-    return campaign
+    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
+                       injector=injector)
 
 
 def two_conditions():
@@ -176,10 +172,8 @@ class TestChaosCompleteness:
         """Chaos run: each ledger entry has its event chain."""
         inj = FaultInjector(positions={"behavior.evaluate": {0, 41, 42}})
         path = tmp_path / "chaos.jsonl"
-        result = CampaignRunner(
-            make_campaign(inj), journal=path,
-            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-        ).run([bridge_spec()])
+        result = CampaignRunner(make_campaign(inj), journal=path,
+                                max_attempts=1).run([bridge_spec()])
         assert result.quarantine, "chaos should have quarantined sites"
         _, events = read_journal(path)
         quarantined = [e for e in events if e.name == "unit.quarantine"]
@@ -198,10 +192,8 @@ class TestChaosCompleteness:
         """Transient faults (retry succeeds): journalled, not dropped."""
         inj = FaultInjector(positions={"behavior.evaluate": {0, 50}})
         path = tmp_path / "retry.jsonl"
-        result = CampaignRunner(
-            make_campaign(inj), journal=path,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-        ).run([bridge_spec()])
+        result = CampaignRunner(make_campaign(inj), journal=path,
+                                max_attempts=3).run([bridge_spec()])
         assert result.retry_stats.retries == 2
         assert not result.quarantine
         meta, events = read_journal(path)

@@ -3,9 +3,8 @@
 The contract under test: the campaign's grid evaluator emits records
 byte-identical to a per-site
 :class:`~repro.runner.evaluate.UnitEvaluator` pass (the ``exact_run``
-fixture) for *every* model in the capability matrix -- a correct vectorised hook, a model without the hook, a hook
-that raises or returns the wrong shape, and a hook that lies -- and
-under chaos and kill/resume.  Wall-clock is the
+fixture) for a correct kernel and for a kernel that lies -- and under
+chaos and kill/resume.  Wall-clock is the
 benchmark's business (the ``fastpath`` suite of
 :mod:`repro.perf.bench`); here the speedup claim appears only as
 deterministic call-count inequalities.
@@ -23,7 +22,7 @@ from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
 from repro.perf.batch import BatchEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
-from repro.runner.chaos import ChaosBehaviorModel, FaultInjector, InjectedCrash
+from repro.runner.chaos import FaultInjector, InjectedCrash
 from repro.stress import production_conditions
 
 
@@ -47,8 +46,9 @@ def records_bytes(records):
                       sort_keys=True).encode()
 
 
-class OpaqueModel:
-    """Delegates ``fails_condition`` only -- offers no batch hook."""
+class LyingBatchModel:
+    """Claims every cell is detected (a lie the cross-check catches);
+    ``fails_condition`` stays honest."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -56,26 +56,8 @@ class OpaqueModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-
-class LyingBatchModel(OpaqueModel):
-    """Claims every cell is detected (a lie the cross-check catches)."""
-
     def evaluate_batch(self, sites, resistances, condition):
         return np.ones((len(sites), len(resistances)), dtype=bool)
-
-
-class BadShapeBatchModel(OpaqueModel):
-    """Returns a transposed matrix (wrong shape, honest otherwise)."""
-
-    def evaluate_batch(self, sites, resistances, condition):
-        return np.zeros((len(resistances), len(sites)), dtype=bool)
-
-
-class RaisingBatchModel(OpaqueModel):
-    """A hook that blows up on every call."""
-
-    def evaluate_batch(self, sites, resistances, condition):
-        raise RuntimeError("vector unit on fire")
 
 
 class TestBatchHookOracle:
@@ -115,7 +97,6 @@ class TestEquivalence:
         stats = batch.batch_stats
         assert stats is not None
         assert stats["batch_sites"] == stats["sites"]
-        assert stats["fallback_sites"] == 0
         assert stats["demoted_sites"] == 0
         assert stats["crosscheck_mismatches"] == 0
         assert stats["model_invocations"] == stats[
@@ -133,7 +114,7 @@ class TestEquivalence:
 
 
 class TestFallbacks:
-    """Every capability gap degrades to the exact path, never to
+    """A lying kernel demotes its sites to the exact path, never to
     wrong records."""
 
     @pytest.fixture
@@ -149,29 +130,6 @@ class TestFallbacks:
             assert records_bytes(exact.records) == records_bytes(records)
             return evaluator.stats.as_dict()
         return run
-
-    def test_opaque_model_falls_back_silently(self, run_pair):
-        stats = run_pair(OpaqueModel)
-        assert stats["fallback_sites"] == stats["sites"]
-        assert stats["batch_sites"] == 0
-        assert stats["demotions"] == []
-
-    def test_raising_hook_falls_back_with_ledger(self, run_pair):
-        stats = run_pair(RaisingBatchModel)
-        assert stats["fallback_sites"] == stats["sites"]
-        assert stats["batch_sites"] == 0
-        assert len(stats["demotions"]) == stats["groups"]
-        entry = stats["demotions"][0]
-        assert entry["reason"] == "probe-error"
-        assert entry["stage"] == "batch"
-        assert entry["site_index"] == -1
-        assert "vector unit on fire" in entry["error"]
-
-    def test_bad_shape_falls_back_with_ledger(self, run_pair):
-        stats = run_pair(BadShapeBatchModel)
-        assert stats["fallback_sites"] == stats["sites"]
-        reasons = {d["reason"] for d in stats["demotions"]}
-        assert reasons == {"bad-shape"}
 
     def test_lying_hook_demoted_by_full_crosscheck(self, run_pair):
         stats = run_pair(LyingBatchModel, crosscheck_fraction=1.0)
@@ -202,49 +160,50 @@ class TestFallbacks:
 
 
 class TestChaosEquivalence:
-    """Batch + faults == exact + faults: pattern, ledger and records."""
+    """Grid + injector == per-site oracle + injector: fault pattern,
+    retry counters, ledger and records."""
 
     @pytest.fixture
-    def chaos_run(self, counting_campaign, exact_run):
-        """Table 1 under ``injector``, grid-evaluated or exact."""
-        def run(injector, exact=False):
+    def chaos_pair(self, counting_campaign, exact_run):
+        """Table 1 under two identically configured injectors: the
+        per-site oracle's run and the campaign runner's."""
+        def run(**injector_kwargs):
+            oracle = counting_campaign()
+            oracle.injector = FaultInjector(**injector_kwargs)
+            exact = exact_run(oracle, [table1_spec()])
             campaign = counting_campaign()
-            campaign.behavior = ChaosBehaviorModel(campaign.behavior,
-                                                   injector)
-            if exact:
-                return exact_run(campaign, [table1_spec()])
-            return CampaignRunner(campaign).run([table1_spec()])
+            campaign.injector = FaultInjector(**injector_kwargs)
+            grid = CampaignRunner(campaign).run([table1_spec()])
+            assert records_bytes(exact.records) == records_bytes(
+                grid.records)
+            assert exact.quarantine == grid.quarantine
+            assert dataclasses.asdict(exact.retry_stats) == (
+                dataclasses.asdict(grid.retry_stats))
+            assert oracle.injector.stats() == campaign.injector.stats()
+            # The injector never reaches the model: the only counted
+            # model calls left are the cross-check sample.
+            assert campaign.behavior.calls == (
+                grid.batch_stats["crosscheck_invocations"])
+            return exact, grid
         return run
 
-    def test_chaos_model_declines_the_hook(self):
-        chaos = ChaosBehaviorModel(DefectBehaviorModel(CMOS018),
-                                   FaultInjector())
-        assert chaos.evaluate_batch is None
+    def test_flaky_faults_identical_ledgers(self, chaos_pair):
+        exact, grid = chaos_pair(seed=7, rates={"behavior.evaluate": 0.05})
+        assert grid.retry_stats.retries > 0
 
-    def test_flaky_faults_identical_ledgers(self, chaos_run):
-        exact = chaos_run(
-            FaultInjector(seed=7, rates={"behavior.evaluate": 0.05}),
-            exact=True)
-        batch = chaos_run(
-            FaultInjector(seed=7, rates={"behavior.evaluate": 0.05}))
-        assert records_bytes(exact.records) == records_bytes(batch.records)
-        assert exact.quarantine == batch.quarantine
-        assert dataclasses.asdict(exact.retry_stats) == dataclasses.asdict(
-            batch.retry_stats)
-
-    def test_positional_faults_identical_quarantine(self, chaos_run):
-        positions = {"behavior.evaluate": {0, 1, 2, 40, 41, 42}}
-        exact = chaos_run(FaultInjector(positions=positions), exact=True)
-        batch = chaos_run(FaultInjector(positions=positions))
+    def test_positional_faults_identical_quarantine(self, chaos_pair):
+        exact, grid = chaos_pair(
+            positions={"behavior.evaluate": {0, 1, 2, 40, 41, 42}})
         assert exact.quarantine, "the burst should exhaust retries"
-        assert records_bytes(exact.records) == records_bytes(batch.records)
-        assert exact.quarantine == batch.quarantine
 
-    def test_chaos_batch_run_is_all_fallback(self, chaos_run):
-        batch = chaos_run(FaultInjector())
-        stats = batch.batch_stats
-        assert stats["fallback_sites"] == stats["sites"]
-        assert stats["batch_sites"] == 0
+    def test_chaos_run_keeps_the_grid_path(self, counting_campaign):
+        campaign = counting_campaign()
+        campaign.injector = FaultInjector(
+            seed=7, rates={"behavior.evaluate": 0.05})
+        stats = CampaignRunner(campaign).run([table1_spec()]).batch_stats
+        assert stats["batch_sites"] == stats["sites"]
+        assert stats["model_invocations"] == (
+            stats["crosscheck_invocations"])
 
 
 class TestResume:
@@ -253,10 +212,12 @@ class TestResume:
         make = counting_campaign
         baseline = exact_run(make(), [table1_spec()])
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(crash_positions={"io.replace": {4}})
+        crashing = make()
+        crashing.injector = FaultInjector(
+            crash_positions={"io.replace": {4}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make(), checkpoint_path=ck,
-                           fault_hook=inj.check).run([table1_spec()])
+            CampaignRunner(crashing,
+                           checkpoint_path=ck).run([table1_spec()])
         resumed = CampaignRunner(make(),
                                  checkpoint_path=ck).run([table1_spec()])
         assert resumed.resumed_units > 0
@@ -266,15 +227,15 @@ class TestResume:
     def test_exact_checkpoint_resumes_under_batch(self, tmp_path,
                                                   counting_campaign,
                                                   exact_run):
-        """A checkpoint the per-site path wrote resumes on the grid."""
+        """A checkpoint a chaos campaign wrote (every site through the
+        per-site loop) resumes without chaos on the grid."""
         baseline = exact_run(counting_campaign(), [table1_spec()])
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(crash_positions={"io.replace": {7}})
+        chaos = counting_campaign()
+        chaos.injector = FaultInjector(
+            crash_positions={"io.replace": {7}})
         with pytest.raises(InjectedCrash):
-            # No hook: every group takes the per-site fallback.
-            CampaignRunner(counting_campaign(wrap=OpaqueModel),
-                           checkpoint_path=ck, fault_hook=inj.check,
-                           ).run([table1_spec()])
+            CampaignRunner(chaos, checkpoint_path=ck).run([table1_spec()])
         resumed = CampaignRunner(counting_campaign(),
                                  checkpoint_path=ck).run([table1_spec()])
         assert resumed.resumed_units > 0

@@ -2,10 +2,10 @@
 
 A :class:`~repro.runner.campaign.CampaignRunner` run evaluates whole
 (population x resistance grid) groups at once (the grid evaluator of
-:mod:`repro.perf.batch`).  Whatever the behaviour model offers, its
-records must be byte-identical to the per-site oracle -- the
-``exact_run`` fixture -- while a model with the vectorised hook costs
-several-fold fewer per-site behaviour-model calls.
+:mod:`repro.perf.batch`).  Honest kernel or lying one, its records
+must be byte-identical to the per-site oracle -- the ``exact_run``
+fixture -- while the honest kernel costs several-fold fewer per-site
+behaviour-model calls.
 :mod:`tests.perf.test_batch` drives the evaluator directly; this
 module holds the same guarantees at the runner boundary.
 """
@@ -44,18 +44,15 @@ def records_bytes(records):
                       sort_keys=True).encode()
 
 
-class OpaqueModel:
-    """Delegates ``fails_condition`` only -- offers no batch hook."""
+class LyingBatchModel:
+    """Claims every cell is detected (a lie); ``fails_condition``
+    stays honest."""
 
     def __init__(self, inner):
         self._inner = inner
 
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
-
-
-class LyingBatchModel(OpaqueModel):
-    """Claims every cell is detected (a lie)."""
 
     def evaluate_batch(self, sites, resistances, condition):
         return np.ones((len(sites), len(resistances)), dtype=bool)
@@ -90,21 +87,6 @@ class TestEquivalence:
 
 
 class TestFallbacks:
-    def test_undeclared_model_runs_exact(self, counting_campaign,
-                                         exact_run):
-        exact_campaign = counting_campaign()
-        exact = exact_run(exact_campaign, [table1_spec()])
-        opaque_campaign = counting_campaign(wrap=OpaqueModel)
-        serial = CampaignRunner(opaque_campaign).run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            serial.records)
-        stats = serial.batch_stats
-        assert stats["fallback_sites"] == stats["sites"]
-        assert stats["batch_sites"] == 0
-        # No hook -> no fast path: the call counts match.
-        assert opaque_campaign.behavior.calls == (
-            exact_campaign.behavior.calls)
-
     def test_lying_frontier_is_caught_by_crosscheck(
             self, counting_campaign, exact_run):
         exact = exact_run(counting_campaign(), [table1_spec()])

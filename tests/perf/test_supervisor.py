@@ -109,11 +109,20 @@ class TestWorkerDeathHeals:
             "degraded_units": 0}
         assert pool_events(journal) == []
 
+    def test_hang_needs_unit_deadline(self):
+        """Without a shard deadline nothing would ever end an injected
+        hang, so the runner refuses the table up front."""
+        lot = make_lot(FaultInjector(
+            worker_faults={WORKER_HANG_SITE: {shard_ids()[1]: 1}}))
+        with pytest.raises(ValueError,
+                           match="worker.hang fault needs unit_deadline"):
+            StreamingRunner(lot, workers=2)
+        StreamingRunner(lot, workers=2, unit_deadline=5.0)
+
     def test_hang_detected_by_chunk_deadline(self, baseline):
         """A hung worker trips the parent-side deadline, then heals."""
         lot = make_lot(FaultInjector(
-            worker_faults={WORKER_HANG_SITE: {shard_ids()[1]: 1}},
-            hang_seconds=30.0))
+            worker_faults={WORKER_HANG_SITE: {shard_ids()[1]: 1}}))
         executor = SupervisedUnitExecutor(
             lot, workers=2, chunksize=1, unit_deadline=5.0,
             chunk_deadline_factor=0.2)
@@ -262,8 +271,7 @@ class TestResumeAfterWorkerDeath:
         # A serial run dies on its second checkpoint write.
         inj = FaultInjector(crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
-            StreamingRunner(make_lot(), checkpoint_path=ck,
-                            fault_hook=inj.check).run()
+            StreamingRunner(make_lot(inj), checkpoint_path=ck).run()
 
         # The pool resumes it, loses a worker, heals, and dies too.
         journal = tmp_path / "pool.jsonl"
@@ -272,7 +280,7 @@ class TestResumeAfterWorkerDeath:
             crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
             StreamingRunner(make_lot(inj), checkpoint_path=ck, workers=2,
-                            journal=journal, fault_hook=inj.check).run()
+                            journal=journal).run()
         assert "pool.worker_lost" in {e.name for e in
                                       pool_events(journal)}
 

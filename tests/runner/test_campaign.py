@@ -21,7 +21,6 @@ from repro.runner.campaign import (
     UnitDeadlineExceeded,
 )
 from repro.runner.chaos import (
-    ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
 )
@@ -29,7 +28,6 @@ from repro.runner.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
 )
-from repro.runner.retry import RetryPolicy
 from repro.stress import production_conditions
 
 GEOM = MemoryGeometry(16, 2, 4)
@@ -38,18 +36,16 @@ SEED = 11
 
 
 def make_campaign(injector=None):
-    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
-    if injector is not None:
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-    return campaign
+    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
+                       injector=injector)
 
 
 def per_site_campaign():
-    """A healthy campaign the serial runner evaluates site by site.
+    """A healthy campaign the runner evaluates site by site.
 
-    The chaos wrapper declines the batch hook, so even a serial run
-    takes the per-site loop -- what the call-count and deadline tests
-    below measure.
+    A campaign with an injector runs every site through the per-site
+    loop (each attempt probes the injector) -- what the call-count and
+    deadline tests below measure.
     """
     return make_campaign(FaultInjector())
 
@@ -129,8 +125,8 @@ class TestKillResume:
         ck = tmp_path / "ck.json"
         inj = FaultInjector(crash_positions={"io.replace": {2}})
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(), checkpoint_path=ck,
-                           fault_hook=inj.check).run([bridge_spec()])
+            CampaignRunner(make_campaign(inj),
+                           checkpoint_path=ck).run([bridge_spec()])
         resumed = CampaignRunner(make_campaign(),
                                  checkpoint_path=ck).run([bridge_spec()])
         assert records_bytes(resumed.records) == records_bytes(
@@ -161,9 +157,8 @@ class TestKillResume:
         inj = FaultInjector(
             positions={"behavior.evaluate": {0, 1, 2}},  # 3 tries: site 0
             crash_positions={"behavior.evaluate": {120}})
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(inj), retry=policy,
+            CampaignRunner(make_campaign(inj), max_attempts=3,
                            checkpoint_path=ck).run([bridge_spec()])
         resumed = CampaignRunner(make_campaign(),
                                  checkpoint_path=ck).run([bridge_spec()])
@@ -183,9 +178,8 @@ class TestErrorsUnderResume:
         inj = FaultInjector(
             positions={"behavior.evaluate": {0, 1, 2}},
             crash_positions={"behavior.evaluate": {120}})
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
         with pytest.raises(InjectedCrash):
-            CampaignRunner(make_campaign(inj), retry=policy,
+            CampaignRunner(make_campaign(inj), max_attempts=3,
                            checkpoint_path=ck).run([bridge_spec()])
         return ck
 
@@ -224,6 +218,25 @@ class TestErrorsUnderResume:
         assert fresh.records[0].errors == 0
         assert fresh.records[0].detected >= resumed.records[0].detected
 
+    def test_checkpoint_with_deadline_hit_keys_resumes(self, tmp_path):
+        """Quarantine entries of older checkpoints carry an always-False
+        ``deadline_hit`` key; such a checkpoint still resumes to the
+        same records and keeps its ledger verbatim."""
+        ck = self.run_degraded_checkpoint(tmp_path)
+        old = tmp_path / "old.json"
+        ckpt = CampaignCheckpoint.load(ck)
+        for entry in ckpt.quarantine:
+            entry["deadline_hit"] = False
+        ckpt.save(old)
+        current = CampaignRunner(make_campaign(),
+                                 checkpoint_path=ck).run([bridge_spec()])
+        resumed = CampaignRunner(make_campaign(),
+                                 checkpoint_path=old).run([bridge_spec()])
+        assert records_bytes(resumed.records) == records_bytes(
+            current.records)
+        assert resumed.quarantine == [dict(q, deadline_hit=False)
+                                      for q in current.quarantine]
+
 
 class TestQuarantine:
     def test_persistent_failure_is_quarantined_not_fatal(self):
@@ -231,8 +244,7 @@ class TestQuarantine:
         # first unit; position 10 is a one-off that retry heals.
         inj = FaultInjector(
             positions={"behavior.evaluate": {0, 1, 2, 10}})
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        result = CampaignRunner(make_campaign(inj), retry=policy).run(
+        result = CampaignRunner(make_campaign(inj), max_attempts=3).run(
             [bridge_spec()])
         assert result.total_errors == 1
         assert len(result.quarantine) == 1
@@ -245,8 +257,8 @@ class TestQuarantine:
     def test_quarantined_site_not_counted_detected(self):
         """errors + detected never exceeds the population."""
         inj = FaultInjector(rates={"behavior.evaluate": 0.2}, seed=5)
-        policy = RetryPolicy(max_attempts=1)  # no retry: quarantine often
-        result = CampaignRunner(make_campaign(inj), retry=policy).run(
+        # No retry: quarantine often.
+        result = CampaignRunner(make_campaign(inj), max_attempts=1).run(
             [bridge_spec()])
         assert result.total_errors > 0
         for rec in result.records:
@@ -259,9 +271,7 @@ class TestQuarantine:
         """Same seed -> same quarantine ledger, run to run."""
         def run_once():
             inj = FaultInjector(rates={"behavior.evaluate": 0.1}, seed=9)
-            policy = RetryPolicy(max_attempts=2, base_delay=0.0,
-                                 jitter=0.0)
-            return CampaignRunner(make_campaign(inj), retry=policy).run(
+            return CampaignRunner(make_campaign(inj), max_attempts=2).run(
                 [bridge_spec()])
 
         a, b = run_once(), run_once()

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.circuit.technology import CMOS018
-from repro.defects.behavior import DefectBehaviorModel
-from repro.defects.models import BridgeSite, bridge
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,
     WORKER_HANG_SITE,
-    ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
     InjectedFault,
 )
-from repro.stress import production_conditions
 
 
 def fault_pattern(injector, site, n_calls):
@@ -97,10 +92,6 @@ class TestWorkerFaults:
         with pytest.raises(ValueError, match="worker-fault site"):
             FaultInjector(worker_faults={"worker.meteor": {"u": 1}})
 
-    def test_invalid_hang_seconds_rejected(self):
-        with pytest.raises(ValueError, match="hang_seconds"):
-            FaultInjector(hang_seconds=0.0)
-
     def test_parent_probe_raises_instead_of_dying(self):
         """in_worker=False converts the death into InjectedCrash."""
         inj = FaultInjector(worker_faults={WORKER_EXIT_SITE: {"u": 2}})
@@ -135,21 +126,3 @@ class TestWorkerFaults:
             for attempt in range(5):
                 assert fires(a, unit, attempt) == fires(b, unit, attempt)
 
-
-class TestChaosBehaviorModel:
-    def test_delegates_and_injects(self):
-        model = DefectBehaviorModel(CMOS018)
-        inj = FaultInjector(positions={"behavior.evaluate": {1}})
-        chaos = ChaosBehaviorModel(model, inj)
-        defect = bridge(BridgeSite.CELL_NODE_RAIL, 1e3)
-        cond = production_conditions(CMOS018)["VLV"]
-        assert chaos.fails_condition(defect, cond) == model.fails_condition(
-            defect, cond)
-        with pytest.raises(InjectedFault):
-            chaos.fails_condition(defect, cond)
-
-    def test_proxies_other_attributes(self):
-        model = DefectBehaviorModel(CMOS018)
-        chaos = ChaosBehaviorModel(model, FaultInjector())
-        assert chaos.tech is model.tech
-        assert chaos.params is model.params

@@ -1,11 +1,11 @@
-"""Tests for repro.runner.retry: backoff, jitter, deadlines."""
+"""Tests for repro.runner.retry: a bounded attempt count per call."""
 
 import pytest
 
 from repro.runner.retry import (
     RetryExhaustedError,
-    RetryPolicy,
     RetryStats,
+    check_max_attempts,
     run_with_retry,
 )
 
@@ -25,117 +25,39 @@ class Flaky:
         return "ok"
 
 
-class TestPolicyValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"base_delay": -1.0},
-        {"backoff": 0.5},
-        {"jitter": 1.5},
-        {"deadline": 0.0},
-    ])
-    def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-
-class TestDelays:
-    def test_exponential_growth(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=1.0, backoff=2.0,
-                             max_delay=100.0, jitter=0.0)
-        assert policy.schedule("k") == [1.0, 2.0, 4.0, 8.0]
-
-    def test_max_delay_caps(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=1.0, backoff=10.0,
-                             max_delay=5.0, jitter=0.0)
-        assert max(policy.schedule("k")) == 5.0
-
-    def test_jitter_is_deterministic(self):
-        """Same (seed, key, attempt) -> identical delay, every time."""
-        a = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5)
-        b = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5)
-        assert a.schedule("unit:3") == b.schedule("unit:3")
-
-    def test_jitter_decorrelates_keys(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5)
-        assert policy.schedule("unit:1") != policy.schedule("unit:2")
-
-    def test_jitter_decorrelates_seeds(self):
-        a = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5, seed=1)
-        b = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.5, seed=2)
-        assert a.schedule("k") != b.schedule("k")
-
-    def test_jitter_stays_in_band(self):
-        policy = RetryPolicy(max_attempts=50, base_delay=1.0, backoff=1.0,
-                             jitter=0.2)
-        for delay in policy.schedule("k"):
-            assert 0.8 <= delay <= 1.2
+class TestAttemptValidation:
+    def test_rejects_zero_attempts(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            check_max_attempts(0)
 
 
 class TestRunWithRetry:
     def test_success_first_try(self):
         fn = Flaky(0)
-        assert run_with_retry(fn, RetryPolicy(), "k",
-                              sleep=lambda s: None) == "ok"
+        assert run_with_retry(fn, 3, "k") == "ok"
         assert fn.calls == 1
 
     def test_recovers_after_failures(self):
         fn = Flaky(2)
         stats = RetryStats()
-        out = run_with_retry(fn, RetryPolicy(max_attempts=3), "k",
-                             sleep=lambda s: None, stats=stats)
+        out = run_with_retry(fn, 3, "k", stats=stats)
         assert out == "ok" and fn.calls == 3
         assert stats.retries == 2 and stats.exhausted == 0
 
     def test_exhaustion_carries_history(self):
         fn = Flaky(10, exc=ValueError("nope"))
         with pytest.raises(RetryExhaustedError) as info:
-            run_with_retry(fn, RetryPolicy(max_attempts=3), "unit:7",
-                           sleep=lambda s: None)
+            run_with_retry(fn, 3, "unit:7")
         err = info.value
         assert err.attempts == 3 and err.key == "unit:7"
         assert all(isinstance(c, ValueError) for c in err.causes)
         assert "unit:7" in str(err) and "nope" in str(err)
 
-    def test_non_retryable_propagates_immediately(self):
-        fn = Flaky(1, exc=KeyError("fatal"))
-        policy = RetryPolicy(max_attempts=5, retryable=(ValueError,))
-        with pytest.raises(KeyError):
-            run_with_retry(fn, policy, "k", sleep=lambda s: None)
-        assert fn.calls == 1
-
     def test_base_exception_never_caught(self):
         fn = Flaky(1, exc=KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
-            run_with_retry(fn, RetryPolicy(max_attempts=5), "k",
-                           sleep=lambda s: None)
+            run_with_retry(fn, 5, "k")
         assert fn.calls == 1
-
-    def test_sleeps_follow_schedule(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.5, backoff=3.0,
-                             jitter=0.0)
-        slept = []
-        run_with_retry(Flaky(2), policy, "k", sleep=slept.append)
-        assert slept == [0.5, 1.5]
-
-    def test_deadline_stops_retrying(self):
-        policy = RetryPolicy(max_attempts=100, base_delay=10.0,
-                             backoff=1.0, max_delay=10.0,
-                             jitter=0.0, deadline=25.0)
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        def sleep(s):
-            now[0] += s
-
-        fn = Flaky(100)
-        with pytest.raises(RetryExhaustedError) as info:
-            run_with_retry(fn, policy, "k", sleep=sleep, clock=clock)
-        assert info.value.deadline_hit
-        assert "deadline" in str(info.value)
-        # 10 + 10 sleeps fit in 25 s; a third would overrun.
-        assert fn.calls == 3
 
 
 class TestErrorCap:
@@ -192,7 +114,6 @@ class TestErrorCap:
         stats = RetryStats()
         fn = Flaky(self.CAP + 4)
         with pytest.raises(RetryExhaustedError):
-            run_with_retry(fn, RetryPolicy(max_attempts=self.CAP + 4),
-                           "k", sleep=lambda s: None, stats=stats)
+            run_with_retry(fn, self.CAP + 4, "k", stats=stats)
         assert stats.errors_elided == 4
         assert len(stats.errors) == self.CAP

@@ -17,11 +17,9 @@ from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
-    ChaosBehaviorModel,
     FaultInjector,
     InjectedCrash,
 )
-from repro.runner.retry import RetryPolicy
 from repro.stress import production_conditions
 
 GEOM = MemoryGeometry(16, 2, 4)
@@ -30,10 +28,8 @@ SEED = 23
 
 
 def make_campaign(injector=None):
-    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
-    if injector is not None:
-        campaign.behavior = ChaosBehaviorModel(campaign.behavior, injector)
-    return campaign
+    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
+                       injector=injector)
 
 
 def spec():
@@ -47,7 +43,6 @@ def test_campaign_survives_repeated_crashes_and_faults(tmp_path):
     the checkpoint must converge to the clean-run records."""
     baseline = CampaignRunner(make_campaign()).run([spec()])
     ck = tmp_path / "soak.json"
-    policy = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
 
     result = None
     crashes = 0
@@ -57,9 +52,8 @@ def test_campaign_survives_repeated_crashes_and_faults(tmp_path):
             rates={"behavior.evaluate": 0.01},
             crash_positions={"behavior.evaluate": {150}},
         )
-        runner = CampaignRunner(make_campaign(inj), retry=policy,
-                                checkpoint_path=ck,
-                                fault_hook=inj.check)
+        runner = CampaignRunner(make_campaign(inj), max_attempts=4,
+                                checkpoint_path=ck)
         try:
             result = runner.run([spec()])
             break

@@ -394,6 +394,62 @@ class TestExperimentCommand:
         assert "worker losses 1" in out
 
 
+class TestBadPaths:
+    """A corrupt checkpoint, another run's checkpoint or a directory
+    where a file belongs ends in one ``repro <cmd>: ...`` line on
+    stderr and exit 2, before any evaluation -- not a traceback."""
+
+    CAMPAIGN = ["campaign", "run", "--rows", "8", "--columns", "2",
+                "--bits", "4", "--sites", "20"]
+    LOT = ["experiment", "run", "--devices", "8192",
+           "--shard-devices", "4096"]
+
+    @staticmethod
+    def assert_usage_error(capsys, argv, prefix):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("base, prefix", [
+        (CAMPAIGN, "repro campaign: "), (LOT, "repro experiment run: ")],
+        ids=["campaign", "experiment"])
+    def test_corrupt_checkpoint(self, capsys, tmp_path, base, prefix):
+        ck = tmp_path / "ck.json"
+        ck.write_text("not json")
+        self.assert_usage_error(capsys, [*base, "--checkpoint", str(ck)],
+                                prefix)
+
+    @pytest.mark.parametrize("base, prefix", [
+        (CAMPAIGN, "repro campaign: "), (LOT, "repro experiment run: ")],
+        ids=["campaign", "experiment"])
+    def test_checkpoint_of_another_run(self, capsys, tmp_path, base,
+                                       prefix):
+        ck = str(tmp_path / "ck.json")
+        assert main([*base, "--seed", "1", "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        self.assert_usage_error(
+            capsys, [*base, "--seed", "2", "--checkpoint", ck], prefix)
+
+    @pytest.mark.parametrize("base, prefix", [
+        (CAMPAIGN, "repro campaign: "), (LOT, "repro experiment run: ")],
+        ids=["campaign", "experiment"])
+    def test_checkpoint_is_a_directory(self, capsys, tmp_path, base,
+                                       prefix):
+        self.assert_usage_error(
+            capsys, [*base, "--checkpoint", str(tmp_path)], prefix)
+
+    @pytest.mark.parametrize("command, prefix", [
+        (["report"], "repro report: "),
+        (["campaign", "status"], "repro campaign: "),
+        (["campaign", "resume"], "repro campaign: "),
+        (["serve", "--db"], "repro serve: ")],
+        ids=["report", "status", "resume", "serve"])
+    def test_directory_instead_of_file(self, capsys, tmp_path, command,
+                                       prefix):
+        self.assert_usage_error(capsys, [*command, str(tmp_path)], prefix)
+
 
 @pytest.mark.parametrize("argv, message", [
     (["experiment", "run", "--unit-deadline", "0"],
@@ -455,7 +511,7 @@ class TestExperimentCommand:
       "--workers", "2", "--chaos-worker-exit", "99"],
      "shard index 99 out of range (plan has 2 shards)"),
     (["experiment", "run", "--workers", "2", "--chaos-worker-hang", "1"],
-     "--chaos-worker-hang needs --unit-deadline"),
+     "a worker.hang fault needs unit_deadline"),
     (["experiment", "run", "--chaos-worker-exit", "1"],
      "--chaos-worker-* needs --workers 2 or more"),
     (["serve", "--port", "-1"], "--port: must be in 0-65535"),
