@@ -60,6 +60,25 @@ class LyingBatchModel:
         return np.ones((len(sites), len(resistances)), dtype=bool)
 
 
+class NoKernelModel:
+    """Offers ``fails_condition`` only -- no grid kernel."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def fails_condition(self, defect, condition):
+        return self._inner.fails_condition(defect, condition)
+
+
+class KernelFailsOnOpens(NoKernelModel):
+    """An honest kernel for bridges that raises on the opens group."""
+
+    def evaluate_batch(self, sites, resistances, condition):
+        if sites and sites[0].kind is DefectKind.OPEN:
+            raise RuntimeError("kernel bug")
+        return self._inner.evaluate_batch(sites, resistances, condition)
+
+
 class TestBatchHookOracle:
     """evaluate_batch agrees with fails_condition, cell by cell."""
 
@@ -157,6 +176,34 @@ class TestFallbacks:
         stats = result.batch_stats
         assert stats["crosscheck_mismatches"] > 0
         assert stats["demoted_sites"] == stats["crosscheck_mismatches"]
+
+
+class TestRequiredKernel:
+    """The grid kernel is required: a missing or raising kernel is a
+    bug that surfaces, never a silent switch to per-site evaluation."""
+
+    def test_model_without_kernel_fails_loudly(self, counting_campaign):
+        campaign = counting_campaign(wrap=NoKernelModel)
+        with pytest.raises(AttributeError, match="evaluate_batch"):
+            CampaignRunner(campaign).run([table1_spec()])
+        assert campaign.behavior.calls == 0
+
+    def test_raising_kernel_propagates_and_keeps_checkpoint(
+            self, tmp_path, counting_campaign, exact_run):
+        specs = [table1_spec(), opens_spec()]
+        baseline = exact_run(counting_campaign(), specs)
+        ck = tmp_path / "ck.json"
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            CampaignRunner(counting_campaign(wrap=KernelFailsOnOpens),
+                           checkpoint_path=ck).run(specs)
+        resumed = CampaignRunner(counting_campaign(),
+                                 checkpoint_path=ck).run(specs)
+        # Every bridge unit finished before the opens kernel raised.
+        bridge_units = len(CampaignRunner(counting_campaign()).plan(
+            [table1_spec()]))
+        assert resumed.resumed_units == bridge_units
+        assert records_bytes(resumed.records) == records_bytes(
+            baseline.records)
 
 
 class TestChaosEquivalence:

@@ -267,6 +267,25 @@ class TestQuarantine:
             assert rec.errors == sum(
                 1 for q in result.quarantine if q["unit_id"] == unit_id)
 
+    def test_injector_probed_once_per_site_attempt(self, tmp_path):
+        """The campaign's injector sees one ``behavior.evaluate`` probe
+        per site and attempt, and the checkpoint writes probe it too."""
+        inj = FaultInjector(positions={"behavior.evaluate": {5}})
+        result = CampaignRunner(make_campaign(inj),
+                                checkpoint_path=tmp_path / "ck.json").run(
+            [bridge_spec()])
+        stats = inj.stats()
+        units = result.executed_units
+        assert stats["behavior.evaluate"] == {
+            "calls": units * N_SITES + 1, "injected": 1}
+        assert result.retry_stats.retries == 1 and not result.quarantine
+        for site in ("io.write", "io.fsync", "io.replace"):
+            assert stats[site]["calls"] >= units
+            assert stats[site]["injected"] == 0
+        plain = CampaignRunner(make_campaign()).run([bridge_spec()])
+        assert records_bytes(result.records) == records_bytes(
+            plain.records)
+
     def test_chaos_quarantine_is_deterministic(self):
         """Same seed -> same quarantine ledger, run to run."""
         def run_once():

@@ -1,7 +1,16 @@
 """Tests for repro.runner.retry: a bounded attempt count per call."""
 
+import time
+
 import pytest
 
+from repro.circuit.technology import CMOS018
+from repro.ifa.flow import IfaCampaign
+from repro.memory.geometry import MemoryGeometry
+from repro.perf.batch import BatchEvaluator
+from repro.runner.campaign import CampaignRunner
+from repro.runner.chaos import InjectedCrash
+from repro.runner.evaluate import UnitEvaluator
 from repro.runner.retry import (
     RetryExhaustedError,
     RetryStats,
@@ -29,6 +38,17 @@ class TestAttemptValidation:
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError, match="max_attempts"):
             check_max_attempts(0)
+
+    @pytest.mark.parametrize("make", [
+        lambda c: CampaignRunner(c, max_attempts=0),
+        lambda c: BatchEvaluator(c, [], max_attempts=0),
+        lambda c: UnitEvaluator(c, max_attempts=0),
+    ], ids=["CampaignRunner", "BatchEvaluator", "UnitEvaluator"])
+    def test_evaluators_reject_zero_attempts(self, make):
+        campaign = IfaCampaign(MemoryGeometry(16, 2, 4), CMOS018,
+                               n_sites=4, seed=1)
+        with pytest.raises(ValueError, match="max_attempts"):
+            make(campaign)
 
 
 class TestRunWithRetry:
@@ -58,6 +78,49 @@ class TestRunWithRetry:
         with pytest.raises(KeyboardInterrupt):
             run_with_retry(fn, 5, "k")
         assert fn.calls == 1
+
+    def test_single_attempt_never_retries(self):
+        fn = Flaky(1)
+        stats = RetryStats()
+        with pytest.raises(RetryExhaustedError) as info:
+            run_with_retry(fn, 1, "k", stats=stats)
+        assert fn.calls == 1 and info.value.attempts == 1
+        assert (stats.calls, stats.retries, stats.exhausted) == (1, 0, 1)
+
+    def test_stats_log_each_failed_attempt(self):
+        stats = RetryStats()
+        run_with_retry(Flaky(2, exc=ValueError("nope")), 3, "unit:2",
+                       stats=stats)
+        assert stats.errors == ["unit:2: ValueError: nope"] * 2
+        assert (stats.calls, stats.retries, stats.exhausted) == (1, 2, 0)
+
+    def test_exhaustion_chains_the_last_cause(self):
+        with pytest.raises(RetryExhaustedError) as info:
+            run_with_retry(Flaky(10), 2, "k")
+        assert info.value.__cause__ is info.value.causes[-1]
+
+    def test_crash_after_a_failure_propagates_unwrapped(self):
+        """An Exception earns a retry; a crash on the retry is not
+        caught, counted as exhaustion or wrapped."""
+        outcomes = [RuntimeError("flaky"), InjectedCrash("killed")]
+
+        def fn():
+            raise outcomes.pop(0)
+
+        stats = RetryStats()
+        with pytest.raises(InjectedCrash):
+            run_with_retry(fn, 5, "k", stats=stats)
+        assert not outcomes
+        assert (stats.retries, stats.exhausted) == (1, 0)
+        assert stats.errors == ["k: RuntimeError: flaky"]
+
+    def test_retries_never_sleep(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"retry slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        with pytest.raises(RetryExhaustedError):
+            run_with_retry(Flaky(10), 4, "k")
 
 
 class TestErrorCap:
