@@ -313,6 +313,17 @@ for event in pool.worker_lost pool.rebuild pool.redispatch; do
     fi
 done
 rm -f "$pool_journal"
+# One shard per pool task: a shard that always kills its worker is
+# blamed alone, so it is quarantined after exactly 3 worker losses.
+poison_lot="$(python -m repro experiment run --devices 131072 \
+    --shard-devices 4096 --seed 5 --workers 2 \
+    --chaos-worker-exit 0:1000)" || status=$?
+if ! grep -qx 'poisoned shards: 1' <<<"$poison_lot" \
+        || ! grep -qx 'pool supervision: worker losses 3, rebuilds 3, redispatched 3, poison units 1' \
+            <<<"$poison_lot"; then
+    echo "chaos-pool smoke: the poison shard was not isolated in 3 worker losses"
+    status=1
+fi
 
 echo "== pytest (chaos / robustness suite) =="
 python -m pytest -q tests/runner || status=$?

@@ -22,6 +22,7 @@ benchmarks assert on.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.circuit.technology import CMOS018
@@ -61,6 +62,16 @@ def _shard_devices(text: str) -> int:
 
 
 _shard_devices.__name__ = "int"
+
+
+def _output_file(text: str) -> str:
+    """``--save-db`` / ``--journal``: refused up front when the path is
+    an existing directory, so no run is spent before the final write
+    fails."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(
+            f"is a directory, not a file: {text}")
+    return text
 
 
 def _worker_fault(text: str) -> tuple[int, int]:
@@ -227,7 +238,6 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
         runner = StreamingRunner(
             engine, checkpoint_path=args.checkpoint,
             unit_deadline=args.unit_deadline, workers=args.workers,
-            max_pool_rebuilds=args.max_pool_rebuilds,
             journal=args.journal)
     except ValueError as exc:
         print(f"repro experiment run: error: {exc}", file=sys.stderr)
@@ -690,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="IFA site-population size")
     p.add_argument("--no-paper", action="store_true",
                    help="omit the paper's reference numbers")
-    p.add_argument("--save-db", metavar="PATH",
+    p.add_argument("--save-db", metavar="PATH", type=_output_file,
                    help="write the coverage database as JSON")
     p.set_defaults(func=_cmd_estimate)
 
@@ -701,6 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defect resistance in ohms")
     p.add_argument("--test", default="11N", help="march test name")
     p.add_argument("--journal", metavar="PATH", default=None,
+                   type=_output_file,
                    help="write a JSONL run journal of the sweep "
                         "(inspect with `repro report PATH`; see "
                         "docs/observability.md)")
@@ -741,13 +752,10 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--unit-deadline", type=_positive_float, default=None,
                     metavar="SECONDS",
                     help="wall-clock budget per shard; with --workers "
-                         "> 1 it also sizes the supervisor's "
-                         "hung-worker chunk deadline")
-    ep.add_argument("--max-pool-rebuilds", type=_non_negative_int,
-                    default=8,
-                    help="worker-pool rebuilds before degrading to "
-                         "serial in-parent evaluation")
+                         "> 1 the supervisor also declares a worker "
+                         "hung after 4x this on one shard")
     ep.add_argument("--journal", metavar="PATH", default=None,
+                    type=_output_file,
                     help="write a JSONL run journal (inspect with "
                          "`repro report PATH`)")
     ep.add_argument("--diagnose", action="store_true",
@@ -836,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             cp.add_argument("checkpoint", metavar="CHECKPOINT",
                             help="checkpoint file of the campaign")
-        cp.add_argument("--save-db", metavar="PATH",
+        cp.add_argument("--save-db", metavar="PATH", type=_output_file,
                         help="write the coverage database as JSON")
         cp.add_argument("--max-attempts", type=_positive_int, default=3,
                         help="retry attempts per site evaluation")
@@ -850,6 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--chaos-seed", type=_non_negative_int, default=0,
                         help="fault-injection seed")
         cp.add_argument("--journal", metavar="PATH", default=None,
+                        type=_output_file,
                         help="write a JSONL run journal of every unit, "
                              "retry and quarantine event "
                              "(default off = zero overhead; inspect "
@@ -908,6 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="response-cache capacity in entries "
                         "(0 disables caching)")
     p.add_argument("--journal", metavar="PATH", default=None,
+                   type=_output_file,
                    help="write a JSONL run journal of every request, "
                         "cache hit and reload (inspect with `repro "
                         "report PATH`)")

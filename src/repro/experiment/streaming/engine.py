@@ -5,12 +5,11 @@ code-lint pack's worker modules), so it never touches an event bus:
 every fact ships back to the parent inside the
 :class:`~repro.runner.evaluate.UnitOutcome` payload.
 
-:class:`StreamingExperiment` is the campaign-shaped object the
-:mod:`repro.perf` pool runs -- it pickles small (lazy caches are
-dropped), carries the optional worker-fault ``injector`` the pool
-probes, and exposes a ``unit_evaluator`` factory from which the
-serial runner, every pool worker and the supervisor's in-parent
-fallback build their :class:`ShardEvaluator`.
+:class:`StreamingExperiment` is the lot the :mod:`repro.perf` pool
+runs -- it pickles small (lazy caches are dropped) and carries the
+optional worker-fault ``injector`` the pool probes.  The serial
+runner, every pool worker and the supervisor's in-parent fallback each
+build a :class:`ShardEvaluator` over it.
 
 Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
@@ -74,7 +73,7 @@ _LAZY_SLOTS = ("_classifier", "_generator", "_extractor", "_diagnostician")
 
 
 class StreamingExperiment:
-    """The sharded million-device experiment (campaign-shaped).
+    """The sharded million-device experiment.
 
     Args:
         n_devices: Population size (the paper: ~11k; this engine:
@@ -309,16 +308,6 @@ class StreamingExperiment:
                    (classifier.fail_bits(block.defects, block.chip_starts),
                     block.chip))
 
-    # ------------------------------------------------------------------
-    # Executor integration
-    # ------------------------------------------------------------------
-    def unit_evaluator(self, unit_deadline: float | None = None,
-                       clock: Callable[[], float] = time.monotonic,
-                       ) -> "ShardEvaluator":
-        """The evaluator factory the runner and the pool build from."""
-        return ShardEvaluator(self, unit_deadline=unit_deadline,
-                              clock=clock)
-
 
 class ShardEvaluator:
     """Evaluate shard units into accumulator payloads.
@@ -331,16 +320,16 @@ class ShardEvaluator:
     shard's :meth:`ExperimentAccumulator.as_payload` dict.
 
     Args:
-        campaign: The :class:`StreamingExperiment`.
+        engine: The :class:`StreamingExperiment`.
         unit_deadline: Optional wall-clock budget per shard (seconds).
         clock: Injectable monotonic clock for deadlines.
     """
 
-    def __init__(self, campaign: StreamingExperiment,
+    def __init__(self, engine: StreamingExperiment,
                  unit_deadline: float | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         check_unit_deadline(unit_deadline)
-        self.campaign = campaign
+        self.engine = engine
         self.unit_deadline = unit_deadline
         self.clock = clock
 
@@ -350,7 +339,7 @@ class ShardEvaluator:
         Raises:
             UnitDeadlineExceeded: the shard overran ``unit_deadline``.
         """
-        engine = self.campaign
+        engine = self.engine
         started = self.clock()
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None

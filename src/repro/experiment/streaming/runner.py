@@ -12,14 +12,16 @@ matter which worker finished first.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
-from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.engine import (
+    ShardEvaluator,
+    StreamingExperiment,
+)
 from repro.experiment.venn import VennCounts
 from repro.experiment.classify import STRESS_NAMES
 from repro.runner.checkpoint import CheckpointedRun
@@ -79,11 +81,8 @@ class StreamingRunner:
             after every executed shard).
         unit_deadline: Optional per-shard wall-clock budget (seconds).
         workers: Process count (1 = serial; N > 1 runs the
-            self-healing supervised pool, which chunks the shards
-            automatically).
-        max_pool_rebuilds: Supervised-pool rebuild budget.
+            self-healing supervised pool, one shard per pool task).
         journal: Run-journal path or event bus (optional).
-        clock: Injectable monotonic clock for the executors.
 
     The engine's ``injector`` (if any) is threaded into checkpoint
     saves; its ``worker.hang`` faults need ``unit_deadline``, because
@@ -98,9 +97,7 @@ class StreamingRunner:
                  checkpoint_path: str | Path | None = None,
                  unit_deadline: float | None = None,
                  workers: int = 1,
-                 max_pool_rebuilds: int = 8,
-                 journal: Any = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 journal: Any = None) -> None:
         check_unit_deadline(unit_deadline)
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -117,9 +114,7 @@ class StreamingRunner:
                                 if checkpoint_path is not None else None)
         self.unit_deadline = unit_deadline
         self.workers = workers
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.journal = journal
-        self.clock = clock
         self._supervisor: Any = None
 
     # ------------------------------------------------------------------
@@ -127,16 +122,14 @@ class StreamingRunner:
                   metrics: Any = None) -> Iterator[UnitOutcome]:
         """Evaluate pending shards lazily: serial or across the pool."""
         if self.workers == 1:
-            evaluator = self.engine.unit_evaluator(
-                unit_deadline=self.unit_deadline, clock=self.clock)
+            evaluator = ShardEvaluator(self.engine,
+                                       unit_deadline=self.unit_deadline)
             return (evaluator.evaluate(shard) for shard in pending)
         from repro.perf.supervisor import SupervisedUnitExecutor
 
         supervisor = SupervisedUnitExecutor(
             self.engine, unit_deadline=self.unit_deadline,
-            workers=self.workers,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            bus=bus, metrics=metrics, clock=self.clock)
+            workers=self.workers, bus=bus, metrics=metrics)
         self._supervisor = supervisor
         return supervisor.run(pending)
 

@@ -9,8 +9,9 @@ Two accelerators, both preserving byte-identical results:
   ``docs/batch_kernel.md``);
 * :mod:`repro.perf.supervisor` -- the supervised process pool
   (worker side in :mod:`repro.perf.executor`) that fans the streaming
-  lot's shards across cores for ``workers > 1``, healing worker death,
-  hangs and poison shards instead of aborting the run.
+  lot's shards across cores for ``workers > 1``, one shard per pool
+  task, healing worker death, hangs and poison shards instead of
+  aborting the run.
 
 Campaigns are serial: :class:`repro.runner.campaign.CampaignRunner`
 always runs the grid evaluator, and the paper's database of

@@ -1,33 +1,33 @@
-"""Supervised pool execution: survive worker death, hangs, poison units.
+"""Supervised pool execution: survive worker death, hangs, poison shards.
 
 The process pool of the streaming lot
-(:class:`~repro.experiment.streaming.StreamingRunner` with
-``workers > 1``).  A bare pool is the run's single point of failure: one worker dying (OOM, SIGKILL, tester flakiness)
-surfaces as ``BrokenProcessPool`` and would abort the whole run, and a
-*hung* worker blocks ``future.result()`` forever because the per-unit
+(:class:`~repro.experiment.streaming.runner.StreamingRunner` with
+``workers > 1``).  A bare pool is the run's single point of failure:
+one worker dying (OOM, SIGKILL, tester flakiness) surfaces as
+``BrokenProcessPool`` and would abort the whole run, and a *hung*
+worker blocks ``future.result()`` forever because the per-shard
 deadline is only enforced on the worker's own clock.  This module runs
-the chunked execution of :mod:`repro.perf.executor` under a supervisor
-with four recovery layers, moving through a small state machine
+the one-shard tasks of :mod:`repro.perf.executor` under a supervisor
+with three recovery layers, moving through a small state machine
 (``docs/robustness.md``):
 
-``healthy -> rebuild -> bisect -> poison/degrade-serial``
+``healthy -> rebuild -> poison/degrade-serial``
 
 1. **rebuild** -- a lost worker (``BrokenProcessPool``, raised while
-   waiting on a chunk *or* while still submitting) or an overrun
-   parent-side *chunk deadline* tears the pool down; a fresh pool is
-   built (bounded by ``max_pool_rebuilds``) and only the
-   not-yet-consumed units are re-dispatched.  Chunks that already
+   waiting on a shard *or* while still submitting) or an overrun
+   parent-side *hang deadline* (``unit_deadline x``
+   :data:`HANG_DEADLINE_FACTOR`) tears the pool down; a fresh pool is
+   built (at most :data:`MAX_POOL_REBUILDS` times) and only the
+   not-yet-consumed shards are re-dispatched.  Shards that already
    finished before the breakage are salvaged, never re-evaluated.
-2. **bisect** -- a chunk that keeps dying is split in half on every
-   further failure, isolating the offending unit in O(log n) rebuilds.
-3. **poison** -- a single unit that still kills its worker is retried
-   serially in the parent; if it dies even there, it is quarantined
-   through the evaluator's ``poison_outcome`` (its devices counted as
-   ``errors``, one ``site_index == -1`` ledger entry) instead of
-   killing the run.
-4. **degrade-serial** -- when the rebuild budget is exhausted, the
-   remaining units are evaluated serially in the parent (journalled as
-   ``pool.degrade_serial``) rather than aborting.
+2. **poison** -- a shard charged with :data:`POISON_AFTER` losses is
+   retried serially in the parent; if it dies even there, it is
+   quarantined through the evaluator's ``poison_outcome`` (its devices
+   counted as ``errors``, one ``site_index == -1`` ledger entry)
+   instead of killing the run.
+3. **degrade-serial** -- when the rebuild budget is exhausted, the
+   remaining shards are evaluated serially in the parent (journalled
+   as ``pool.degrade_serial``) rather than aborting.
 
 Determinism contract: outcomes are still yielded strictly in plan
 order, and all supervision events (``pool.*``) are emitted parent-side
@@ -36,7 +36,7 @@ events and produces byte-identical records and journals to a serial
 run; a disturbed run produces byte-identical *records* (what was
 computed never depends on which process computed it).
 
-Exceptions raised *by unit evaluation itself* -- deadline overruns,
+Exceptions raised *by shard evaluation itself* -- deadline overruns,
 crashes while classifying a shard, :exc:`~repro.perf.executor.
 WorkerInitError` -- are not supervised: they propagate exactly as a
 serial run's do.
@@ -45,34 +45,39 @@ serial run's do.
 from __future__ import annotations
 
 import pickle
-import time
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
+from repro.experiment.streaming.engine import (
+    ShardEvaluator,
+    StreamingExperiment,
+)
+from repro.experiment.streaming.plan import ShardUnit
 from repro.perf.executor import (
     WorkerInitError,
-    _evaluate_chunk,
+    _evaluate_shard,
     _init_worker,
     _pool_context,
-    chunk_units,
     probe_worker_faults,
 )
-from repro.runner.evaluate import (
-    UnitDeadlineExceeded,
-    UnitOutcome,
-)
-from repro.runner.units import WorkUnit
+from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
 
-#: Failures of one chunk before it is bisected into halves.
-BISECT_AFTER = 2
-
-#: Failures of a single-unit chunk before it is retried in the parent
-#: (and quarantined as poison if it dies even there).
+#: Losses charged to one shard before it is retried in the parent (and
+#: quarantined as poison if it dies even there).
 POISON_AFTER = 3
+
+#: Pool rebuilds allowed before the remaining shards are evaluated
+#: serially in the parent.
+MAX_POOL_REBUILDS = 8
+
+#: Slack of the parent-side hang deadline over the shard deadline
+#: (covers dispatch latency and worker oversubscription): the parent
+#: waits ``unit_deadline x HANG_DEADLINE_FACTOR`` for each shard.
+HANG_DEADLINE_FACTOR = 4.0
 
 
 @dataclass
@@ -81,12 +86,12 @@ class SupervisorStats:
 
     Attributes:
         worker_losses: Pool-breaking failures observed (all causes).
-        deadline_losses: The subset detected by the parent-side chunk
+        deadline_losses: The subset detected by the parent-side hang
             deadline (hung or silently stopped workers).
         rebuilds: Pools rebuilt after a loss.
-        redispatched_units: Units of failed chunks sent out again.
-        poison_units: Units quarantined after dying in the parent too.
-        degraded_units: Units evaluated serially in the parent after
+        redispatched_units: Shards sent out again after a loss.
+        poison_units: Shards quarantined after dying in the parent too.
+        degraded_units: Shards evaluated serially in the parent after
             the rebuild budget ran out.
     """
 
@@ -115,79 +120,57 @@ class SupervisorStats:
 
 
 @dataclass
-class _ChunkState:
-    """One dispatchable chunk: its units, attempt count and salvage."""
+class _ShardState:
+    """One pending shard: losses charged to it, salvage, serial flag."""
 
-    units: list[WorkUnit]
-    attempts: int = 0
-    #: Outcomes salvaged from a future that completed before a pool
+    shard: ShardUnit
+    failures: int = 0
+    #: Outcome salvaged from a future that completed before a pool
     #: breakage elsewhere; served without re-evaluation.
-    result: list[UnitOutcome] | None = None
-    #: Marked when the chunk must be retried serially in the parent
-    #: (single unit, repeatedly fatal in workers).
+    result: UnitOutcome | None = None
+    #: Set once the shard has been charged :data:`POISON_AFTER` losses:
+    #: it is retried serially in the parent.
     serial: bool = False
 
 
 class SupervisedUnitExecutor:
     """Pool executor that heals worker death instead of propagating it.
 
-    Yields the same in-plan-order outcome stream a serial pass of the
-    campaign's own evaluator would, under the supervision state
-    machine described in the module docstring.  The streaming runner
-    uses it for every ``workers > 1`` run.
+    Yields the same in-plan-order outcome stream a serial pass of
+    :class:`~repro.experiment.streaming.engine.ShardEvaluator` would,
+    under the supervision state machine described in the module
+    docstring.  The streaming runner uses it for every ``workers > 1``
+    run.
 
     Args:
-        campaign: The (picklable) campaign whose ``unit_evaluator``
-            factory builds the evaluator (the streaming experiment).
-        unit_deadline: Per-unit wall-clock budget.  Enforced on the
-            worker's clock as before *and* scaled into a parent-side
-            per-chunk deadline (``unit_deadline x chunk length x
-            chunk_deadline_factor``) so hung workers are detected.
-            ``None`` disables both.
+        engine: The (picklable) lot whose shards the workers evaluate.
+        unit_deadline: Per-shard wall-clock budget.  Enforced on the
+            worker's clock *and*, scaled by :data:`HANG_DEADLINE_FACTOR`,
+            as the parent-side wait for each shard, so hung workers are
+            detected.  ``None`` disables both.
         workers: Worker-process count (>= 1).
-        chunksize: Units per pool task; automatic when omitted.
-        max_pool_rebuilds: Pool rebuilds allowed before degrading to
-            serial in-parent evaluation of the remaining units.
-        chunk_deadline_factor: Slack multiplier of the parent-side
-            chunk deadline (covers dispatch latency and worker
-            oversubscription; > 0).
         bus: Optional :class:`~repro.obs.bus.EventBus` for ``pool.*``
             supervision events (``None`` = silent).
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
             fed alongside the bus.
-        clock: Injectable monotonic clock for the *parent-side*
-            fallback evaluator (workers use the real one).
     """
 
-    def __init__(self, campaign: Any, unit_deadline: float | None = None,
-                 workers: int = 2,
-                 chunksize: int | None = None,
-                 max_pool_rebuilds: int = 8,
-                 chunk_deadline_factor: float = 4.0,
-                 bus: Any = None, metrics: Any = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, engine: StreamingExperiment,
+                 unit_deadline: float | None = None, workers: int = 2,
+                 bus: Any = None, metrics: Any = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-        if chunk_deadline_factor <= 0:
-            raise ValueError("chunk_deadline_factor must be positive")
-        self.campaign = campaign
+        self.engine = engine
         self.unit_deadline = unit_deadline
         self.workers = workers
-        self.chunksize = chunksize
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.chunk_deadline_factor = chunk_deadline_factor
         self.bus = bus
         self.metrics = metrics
-        self.clock = clock
         self.stats = SupervisorStats()
         self._epoch = 0
-        self._parent_evaluator: Any = None
-        #: Per-unit pool-dispatch counts.  These -- not the per-chunk
-        #: failure counts -- feed the chaos probes, because the pool
-        #: can only blame the chunk it was *waiting on* for a breakage
-        #: elsewhere; dispatch counts stay exact per unit regardless.
+        self._parent_evaluator: ShardEvaluator | None = None
+        #: Per-shard pool-dispatch counts: they feed the chaos probes,
+        #: keeping an injected fault a pure function of (shard,
+        #: dispatch) whichever shard the parent happens to blame.
         self._dispatches: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -204,60 +187,56 @@ class SupervisedUnitExecutor:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, units: Sequence[WorkUnit]) -> Iterator[UnitOutcome]:
-        """Yield one outcome per unit, in plan order, healing the pool.
+    def run(self, shards: Sequence[ShardUnit]) -> Iterator[UnitOutcome]:
+        """Yield one outcome per shard, in plan order, healing the pool.
 
         Args:
-            units: Pending work units in plan order.
+            shards: Pending shards in plan order.
 
         Yields:
-            :class:`~repro.runner.evaluate.UnitOutcome` per unit.
+            :class:`~repro.runner.evaluate.UnitOutcome` per shard.
 
         Raises:
             WorkerInitError: the worker initializer failed (fatal:
                 every worker fails identically, so no rebuild).
-            BaseException: whatever unit evaluation itself raised
+            BaseException: whatever shard evaluation itself raised
                 (deadline overruns, crashes while classifying);
                 supervision covers the *pool*, not the evaluation
                 semantics.
         """
-        if not units:
+        if not shards:
             return
-        payload = pickle.dumps((self.campaign, self.unit_deadline))
-        pending = [_ChunkState(list(chunk)) for chunk in
-                   chunk_units(units, self.workers, self.chunksize)]
+        payload = pickle.dumps((self.engine, self.unit_deadline))
+        pending = [_ShardState(shard) for shard in shards]
         while pending:
-            # Serve leading chunks that need no pool: salvaged results
+            # Serve leading shards that need no pool: salvaged results
             # and serial (suspected-poison) retries.
             while pending and (pending[0].result is not None
                                or pending[0].serial):
-                chunk = pending.pop(0)
-                if chunk.result is not None:
-                    yield from chunk.result
-                else:
-                    for unit in chunk.units:
-                        yield self._parent_unit(unit)
+                state = pending.pop(0)
+                yield (state.result if state.result is not None
+                       else self._parent_shard(state.shard))
             if not pending:
                 return
             if self._epoch > 0:
-                if self.stats.rebuilds >= self.max_pool_rebuilds:
+                if self.stats.rebuilds >= MAX_POOL_REBUILDS:
                     yield from self._drain_serial(pending)
                     return
                 self.stats.rebuilds += 1
                 self._count("pool.rebuilds")
                 self._emit("pool.rebuild", rebuilds=self.stats.rebuilds,
-                           budget=self.max_pool_rebuilds)
+                           budget=MAX_POOL_REBUILDS)
             self._epoch += 1
             yield from self._pool_epoch(payload, pending)
 
     def _pool_epoch(self, payload: bytes,
-                    pending: list[_ChunkState]) -> Iterator[UnitOutcome]:
+                    pending: list[_ShardState]) -> Iterator[UnitOutcome]:
         """One pool lifetime: dispatch, consume in order, stop on loss.
 
-        Consumes (pops and yields) chunks from the front of
-        ``pending``.  Returns normally either when every chunk is
+        Consumes (pops and yields) shards from the front of
+        ``pending``.  Returns normally either when every shard is
         consumed or after a pool-breaking failure has been handled
-        (chunk states updated for the next epoch); re-raises
+        (shard states updated for the next epoch); re-raises
         evaluation-level exceptions.
         """
         pool = ProcessPoolExecutor(max_workers=self.workers,
@@ -265,100 +244,85 @@ class SupervisedUnitExecutor:
                                    initializer=_init_worker,
                                    initargs=(payload,))
         try:
-            futures: dict[int, Any] = {}
+            futures: dict[str, Future[UnitOutcome]] = {}
             try:
-                for chunk in pending:
-                    if chunk.result is not None:
+                for state in pending:
+                    if state.result is not None:
                         continue
-                    attempts = [self._dispatches.get(u.unit_id, 0)
-                                for u in chunk.units]
-                    futures[id(chunk)] = pool.submit(
-                        _evaluate_chunk, chunk.units, attempts)
-                    for unit in chunk.units:
-                        self._dispatches[unit.unit_id] = (
-                            self._dispatches.get(unit.unit_id, 0) + 1)
+                    uid = state.shard.unit_id
+                    dispatches = self._dispatches.get(uid, 0)
+                    futures[uid] = pool.submit(_evaluate_shard,
+                                               state.shard, dispatches)
+                    self._dispatches[uid] = dispatches + 1
             except BrokenProcessPool:
                 # A worker died while the parent was still submitting:
                 # the same loss as one seen through future.result(),
-                # charged to the head chunk the parent waits on first.
-                self._handle_loss(pending[0], pending, futures,
-                                  cause="worker-lost")
+                # charged to the head shard the parent waits on first.
+                self._handle_loss(pending, futures, cause="worker-lost")
                 return
             while pending:
-                chunk = pending[0]
-                if chunk.result is not None:
-                    pending.pop(0)
-                    yield from chunk.result
-                    continue
-                future = futures[id(chunk)]
-                try:
-                    outcomes = future.result(
-                        timeout=self._chunk_timeout(chunk))
-                except WorkerInitError:
-                    raise
-                except FutureTimeoutError:
-                    self._handle_loss(chunk, pending, futures,
-                                      cause="chunk-deadline")
-                    return
-                except BrokenProcessPool:
-                    self._handle_loss(chunk, pending, futures,
-                                      cause="worker-lost")
-                    return
+                state = pending[0]
+                if state.result is None:
+                    future = futures[state.shard.unit_id]
+                    try:
+                        state.result = future.result(
+                            timeout=self._hang_deadline())
+                    except WorkerInitError:
+                        raise
+                    except FutureTimeoutError:
+                        self._handle_loss(pending, futures,
+                                          cause="chunk-deadline")
+                        return
+                    except BrokenProcessPool:
+                        self._handle_loss(pending, futures,
+                                          cause="worker-lost")
+                        return
                 pending.pop(0)
-                yield from outcomes
+                yield state.result
         finally:
             self._teardown(pool)
 
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def _chunk_timeout(self, chunk: _ChunkState) -> float | None:
-        """Parent-side deadline for one chunk (None = wait forever)."""
+    def _hang_deadline(self) -> float | None:
+        """Parent-side wait for one shard (None = wait forever)."""
         if self.unit_deadline is None:
             return None
-        return (self.unit_deadline * len(chunk.units)
-                * self.chunk_deadline_factor)
+        return self.unit_deadline * HANG_DEADLINE_FACTOR
 
-    def _handle_loss(self, chunk: _ChunkState,
-                     pending: list[_ChunkState],
-                     futures: dict[int, Any], cause: str) -> None:
-        """Account a pool-breaking failure of the head chunk.
+    def _handle_loss(self, pending: list[_ShardState],
+                     futures: dict[str, Future[UnitOutcome]],
+                     cause: str) -> None:
+        """Account a pool-breaking failure of the head shard.
 
         Emits ``pool.worker_lost``/``pool.redispatch``, salvages later
-        chunks whose futures already completed, and escalates the
-        failed chunk: redispatch -> bisect -> serial-in-parent.
+        shards whose futures already completed, and escalates the head
+        shard: redispatch -> serial-in-parent.
         """
-        chunk.attempts += 1
+        state = pending[0]
+        uid = state.shard.unit_id
+        state.failures += 1
         self.stats.worker_losses += 1
         if cause == "chunk-deadline":
             self.stats.deadline_losses += 1
-        self.stats.redispatched_units += len(chunk.units)
+        self.stats.redispatched_units += 1
         self._count("pool.worker_losses")
-        self._emit("pool.worker_lost", unit=chunk.units[0].unit_id,
-                   units=len(chunk.units), cause=cause)
-        self._emit("pool.redispatch", unit=chunk.units[0].unit_id,
-                   units=len(chunk.units), attempt=chunk.attempts)
-        # Salvage chunks that finished before the breakage: their
+        self._emit("pool.worker_lost", unit=uid, units=1, cause=cause)
+        self._emit("pool.redispatch", unit=uid, units=1,
+                   attempt=state.failures)
+        # Salvage shards that finished before the breakage: their
         # outcomes are already computed and must not be re-evaluated
         # (re-dispatching them would be wasted work, not a correctness
-        # problem -- outcomes are pure functions of the unit).
+        # problem -- outcomes are pure functions of the shard).
         for other in pending[1:]:
-            if other.result is not None:
-                continue
-            future = futures.get(id(other))
-            if (future is not None and future.done()
-                    and not future.cancelled()
+            future = futures.get(other.shard.unit_id)
+            if (other.result is None and future is not None
+                    and future.done() and not future.cancelled()
                     and future.exception() is None):
                 other.result = future.result()
-        if len(chunk.units) == 1:
-            if chunk.attempts >= POISON_AFTER:
-                chunk.serial = True
-        elif chunk.attempts >= BISECT_AFTER:
-            mid = len(chunk.units) // 2
-            pending[0:1] = [
-                _ChunkState(chunk.units[:mid], attempts=chunk.attempts),
-                _ChunkState(chunk.units[mid:], attempts=chunk.attempts),
-            ]
+        if state.failures >= POISON_AFTER:
+            state.serial = True
 
     def _teardown(self, pool: ProcessPoolExecutor) -> None:
         """Shut a pool down without waiting on possibly-hung workers."""
@@ -376,56 +340,43 @@ class SupervisedUnitExecutor:
     # ------------------------------------------------------------------
     # Parent-side evaluation (poison retry and degraded-serial modes)
     # ------------------------------------------------------------------
-    def _evaluator(self) -> Any:
-        """The lazily-built in-parent fallback evaluator.
+    def _parent_shard(self, shard: ShardUnit) -> UnitOutcome:
+        """Evaluate one shard in the parent, quarantining a fatal one.
 
-        Built through the campaign's ``unit_evaluator`` factory, so
-        the parent runs the same evaluator as the workers.
-        """
-        if self._parent_evaluator is None:
-            self._parent_evaluator = self.campaign.unit_evaluator(
-                unit_deadline=self.unit_deadline, clock=self.clock)
-        return self._parent_evaluator
-
-    def _parent_unit(self, unit: WorkUnit) -> UnitOutcome:
-        """Evaluate one unit in the parent, quarantining a fatal one.
-
-        The last line of defence: a unit that reaches here has either
+        The last line of defence: a shard that reaches here has either
         repeatedly killed its workers (poison retry) or the rebuild
         budget is gone (degraded mode).  A crash here -- anything
         short of the interpreter-level exits and the runner's own
-        deadline signal -- is recorded as a poison unit instead of
+        deadline signal -- is recorded as a poison shard instead of
         propagating.
         """
-        evaluator = self._evaluator()
-        dispatches = self._dispatches.get(unit.unit_id, 0)
+        if self._parent_evaluator is None:
+            self._parent_evaluator = ShardEvaluator(
+                self.engine, unit_deadline=self.unit_deadline)
+        evaluator = self._parent_evaluator
+        dispatches = self._dispatches.get(shard.unit_id, 0)
         try:
-            probe_worker_faults(self.campaign, unit, dispatches,
+            probe_worker_faults(self.engine, shard, dispatches,
                                 in_worker=False)
-            return evaluator.evaluate(unit)
+            return evaluator.evaluate(shard)
         except (KeyboardInterrupt, SystemExit, UnitDeadlineExceeded):
             raise
         except BaseException as exc:  # noqa: BLE001 -- quarantined
             error = f"{type(exc).__name__}: {exc}"
             self.stats.poison_units += 1
             self._count("pool.poison_units")
-            self._emit("pool.poison_unit", unit=unit.unit_id,
+            self._emit("pool.poison_unit", unit=shard.unit_id,
                        attempts=dispatches + 1, error=error)
-            return evaluator.poison_outcome(unit, dispatches + 1, error)
+            return evaluator.poison_outcome(shard, dispatches + 1, error)
 
     def _drain_serial(self,
-                      pending: list[_ChunkState]) -> Iterator[UnitOutcome]:
+                      pending: list[_ShardState]) -> Iterator[UnitOutcome]:
         """Degraded mode: evaluate everything left in the parent."""
-        remaining = sum(len(chunk.units) for chunk in pending
-                        if chunk.result is None)
+        remaining = sum(1 for state in pending if state.result is None)
         self.stats.degraded_units += remaining
         self._count("pool.degraded_units", remaining)
         self._emit("pool.degrade_serial", units=remaining,
                    rebuilds=self.stats.rebuilds)
-        while pending:
-            chunk = pending.pop(0)
-            if chunk.result is not None:
-                yield from chunk.result
-                continue
-            for unit in chunk.units:
-                yield self._parent_unit(unit)
+        for state in pending:
+            yield (state.result if state.result is not None
+                   else self._parent_shard(state.shard))

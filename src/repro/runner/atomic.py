@@ -27,6 +27,7 @@ three layers up.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -56,21 +57,32 @@ def atomic_write_text(path: str | Path, text: str,
         fault_hook: Optional chaos hook (see :mod:`repro.runner.chaos`)
             called at the labelled crash points ``io.write``,
             ``io.fsync`` and ``io.replace``; a hook that raises
-            simulates a crash at exactly that point.
+            simulates a crash at exactly that point and, like a
+            kill, leaves the temp file behind.
+
+    Raises:
+        OSError: a real write, fsync or rename failed (``path`` is a
+            directory, the disk is full, ...); the temp file is
+            removed first.
     """
     path = Path(path)
     tmp = temp_path_for(path)
     if fault_hook is not None:
         fault_hook("io.write")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            if fault_hook is not None:
+                fault_hook("io.fsync")
+            os.fsync(fh.fileno())
         if fault_hook is not None:
-            fault_hook("io.fsync")
-        os.fsync(fh.fileno())
-    if fault_hook is not None:
-        fault_hook("io.replace")
-    os.replace(tmp, path)
+            fault_hook("io.replace")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):  # the original error wins
+            tmp.unlink()
+        raise
     _fsync_dir(path.parent)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 WORKER_EXIT_SITE = "worker.exit"
 
 #: Worker-level chaos site: the worker stalls until the supervisor's
-#: parent-side chunk deadline trips and its teardown terminates it.
+#: parent-side hang deadline trips and its teardown terminates it.
 WORKER_HANG_SITE = "worker.hang"
 
 _WORKER_SITES = (WORKER_EXIT_SITE, WORKER_HANG_SITE)
@@ -175,7 +175,7 @@ class FaultInjector:
 
         Args:
             unit_key: The unit's stable id.
-            attempt: 0-based dispatch attempt of the unit's chunk.
+            attempt: 0-based pool-dispatch count of the unit.
             in_worker: True inside a pool worker -- the injection then
                 *is* the failure (``os._exit``, or a stall that lasts
                 until the supervisor terminates the worker).  False

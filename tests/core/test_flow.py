@@ -49,7 +49,7 @@ class TestGridOracle:
         assert stats["batch_sites"] == stats["sites"] > 0
         assert stats["demoted_sites"] == 0
 
-    def test_matches_unit_evaluator(self, serial_run):
+    def test_matches_per_site_evaluator(self, serial_run):
         flow = make_flow()
         plan = flow.make_runner().plan(flow.sweep_specs())
         kinds = {u.kind.value for u in plan}

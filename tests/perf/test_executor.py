@@ -1,4 +1,4 @@
-"""Tests for the worker pool: chunking, byte-identity, chaos, resume.
+"""Tests for the worker pool: byte-identity, plan order, chaos, resume.
 
 The pool is :class:`~repro.perf.supervisor.SupervisedUnitExecutor`
 over the worker-side helpers of :mod:`repro.perf.executor`, and its
@@ -11,9 +11,7 @@ import pytest
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import StreamingExperiment
-from repro.experiment.streaming.plan import ShardPlan
 from repro.experiment.streaming.runner import StreamingRunner
-from repro.perf.executor import DEFAULT_CHUNKS_PER_WORKER, chunk_units
 from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import InjectedCrash
@@ -61,38 +59,6 @@ def baseline():
     return payload_bytes(StreamingRunner(make_lot()).run())
 
 
-class TestChunking:
-    def units(self, n):
-        return ShardPlan(n * 1024, shard_devices=1024,
-                         block_devices=1024).shards()
-
-    def test_chunks_cover_in_order(self):
-        units = self.units(10)
-        chunks = chunk_units(units, workers=3, chunksize=4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [u.unit_id for c in chunks for u in c] == [
-            u.unit_id for u in units]
-
-    def test_auto_chunksize_targets_chunks_per_worker(self):
-        units = self.units(32)
-        chunks = chunk_units(units, workers=4)
-        assert len(chunks) == 4 * DEFAULT_CHUNKS_PER_WORKER
-
-    def test_small_input_one_unit_chunks(self):
-        assert [len(c) for c in chunk_units(self.units(3), workers=4)] == [
-            1, 1, 1]
-
-    def test_empty_input(self):
-        assert chunk_units([], workers=2) == []
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(workers=0), dict(workers=2, chunksize=0),
-    ])
-    def test_invalid_arguments(self, kwargs):
-        with pytest.raises(ValueError):
-            chunk_units(self.units(2), **kwargs)
-
-
 class TestParallelMatchesSerial:
     def test_byte_identical_records(self, baseline):
         """The headline guarantee: workers change nothing but wall time."""
@@ -100,16 +66,12 @@ class TestParallelMatchesSerial:
         assert payload_bytes(parallel) == baseline
         assert parallel.executed_shards == len(make_lot().plan.shards())
 
-    def test_explicit_chunksize(self, baseline):
-        lot = make_lot()
-        executor = SupervisedUnitExecutor(lot, workers=2, chunksize=3)
-        assert outcomes_bytes(executor.run(lot.plan.shards())) == baseline
-
-    def test_executor_yields_plan_order(self):
+    def test_executor_yields_plan_order(self, baseline):
         lot = make_lot()
         shards = lot.plan.shards()
-        executor = SupervisedUnitExecutor(lot, workers=2, chunksize=1)
+        executor = SupervisedUnitExecutor(lot, workers=2)
         outcomes = list(executor.run(shards))
+        assert outcomes_bytes(outcomes) == baseline
         assert [o.unit_id for o in outcomes] == [s.unit_id for s in shards]
         assert [o.index for o in outcomes] == [s.index for s in shards]
 

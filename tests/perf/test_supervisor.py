@@ -2,17 +2,19 @@
 
 The supervised pool serves the streaming lot, so every claim is made on
 a small :class:`~repro.experiment.streaming.engine.StreamingExperiment`
-carrying a worker-fault injector (four shards; at two workers
-auto-chunking gives one shard per chunk):
+carrying a worker-fault injector (four shards, or 32 where the pool
+must keep working past a fault; every pool task is one shard):
 
 * an injected worker death (exit or hang) is healed by a pool rebuild
   and the lot's payload stays **byte-identical** to an undisturbed
   serial run, with the recovery visible as ``pool.*`` journal events;
 * a genuine poison shard is quarantined (its devices counted as
-  errors) instead of aborting the lot;
+  errors) instead of aborting the lot, after exactly
+  :data:`~repro.perf.supervisor.POISON_AFTER` worker losses, and a hung
+  worker costs exactly one deadline loss, however long the lot;
 * an exhausted rebuild budget degrades to serial in-parent evaluation
   rather than aborting;
-* a pool that breaks while the parent is still submitting chunks is
+* a pool that breaks while the parent is still submitting shards is
   healed like a death seen while waiting on one;
 * a failed worker initializer surfaces as :class:`WorkerInitError`
   naming the cause (fatal: no rebuild);
@@ -26,7 +28,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
-from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.engine import (
+    ShardEvaluator,
+    StreamingExperiment,
+)
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.obs.bus import read_journal
 from repro.perf import supervisor
@@ -51,6 +56,12 @@ def make_lot(injector=None):
                                block_devices=1024, injector=injector)
 
 
+def make_wide_lot(injector=None):
+    """A 32-shard lot: plenty of healthy shards around a faulty one."""
+    return StreamingExperiment(n_devices=32 * 1024, shard_devices=1024,
+                               block_devices=1024, injector=injector)
+
+
 def shard_ids():
     return [shard.unit_id for shard in make_lot().plan.shards()]
 
@@ -71,6 +82,26 @@ def outcomes_bytes(outcomes):
 def baseline():
     """The undisturbed serial payload of the test lot."""
     return payload_bytes(StreamingRunner(make_lot()).run())
+
+
+@pytest.fixture(scope="module")
+def wide_baseline():
+    """The undisturbed serial payload of the 32-shard lot."""
+    return payload_bytes(StreamingRunner(make_wide_lot()).run())
+
+
+def poisoned_fold(lot, poison):
+    """The serial fold of ``lot`` with shard ``poison`` all errors."""
+    evaluator = ShardEvaluator(lot)
+    expected = ExperimentAccumulator()
+    for shard in lot.plan.shards():
+        if shard.unit_id == poison:
+            expected.merge(ExperimentAccumulator(
+                devices=shard.devices, errors=shard.devices))
+        else:
+            expected.merge(ExperimentAccumulator.from_payload(
+                evaluator.evaluate(shard).record))
+    return canonical_json(expected.as_payload())
 
 
 def exit_injector(unit_ids, times=1):
@@ -119,25 +150,29 @@ class TestWorkerDeathHeals:
             StreamingRunner(lot, workers=2)
         StreamingRunner(lot, workers=2, unit_deadline=5.0)
 
-    def test_hang_detected_by_chunk_deadline(self, baseline):
-        """A hung worker trips the parent-side deadline, then heals."""
-        lot = make_lot(FaultInjector(
-            worker_faults={WORKER_HANG_SITE: {shard_ids()[1]: 1}}))
-        executor = SupervisedUnitExecutor(
-            lot, workers=2, chunksize=1, unit_deadline=5.0,
-            chunk_deadline_factor=0.2)
+    def test_hang_detected_by_chunk_deadline(self, monkeypatch,
+                                             wide_baseline):
+        """A hung worker trips the parent-side deadline once, then
+        heals: every other shard finished meanwhile and is salvaged."""
+        monkeypatch.setattr(supervisor, "HANG_DEADLINE_FACTOR", 0.4)
+        hung = make_wide_lot().plan.shards()[1].unit_id
+        lot = make_wide_lot(FaultInjector(
+            worker_faults={WORKER_HANG_SITE: {hung: 1}}))
+        executor = SupervisedUnitExecutor(lot, workers=2, unit_deadline=5.0)
 
         outcomes = list(executor.run(lot.plan.shards()))
 
-        assert outcomes_bytes(outcomes) == baseline
-        assert executor.stats.deadline_losses >= 1
-        assert executor.stats.rebuilds >= 1
+        assert outcomes_bytes(outcomes) == wide_baseline
+        assert executor.stats.as_dict() == {
+            "worker_losses": 1, "deadline_losses": 1, "rebuilds": 1,
+            "redispatched_units": 1, "poison_units": 0,
+            "degraded_units": 0}
 
 
 def pool_breaking_on_submit(k):
     """A pool class whose k-th ``submit`` (counted across every pool
     built from it) finds the pool broken, as when a worker dies while
-    the parent is still submitting chunks."""
+    the parent is still submitting shards."""
 
     class BreaksOnSubmit(ProcessPoolExecutor):
         submits = 0
@@ -185,18 +220,7 @@ class TestPoisonUnit:
         assert result.supervisor_stats["poison_units"] == 1
         # Every other shard is the undisturbed one; the poison shard
         # claims nothing but its devices, all counted as errors.
-        lot = make_lot()
-        evaluator = lot.unit_evaluator()
-        expected = ExperimentAccumulator()
-        for shard in lot.plan.shards():
-            if shard.unit_id == poison:
-                expected.merge(ExperimentAccumulator(
-                    devices=shard.devices, errors=shard.devices))
-            else:
-                expected.merge(ExperimentAccumulator.from_payload(
-                    evaluator.evaluate(shard).record))
-        assert payload_bytes(result) == canonical_json(
-            expected.as_payload())
+        assert payload_bytes(result) == poisoned_fold(make_lot(), poison)
         assert result.accumulator.errors == SHARD_DEVICES
         assert len(result.quarantine) == 1
         entry = result.quarantine[0]
@@ -206,26 +230,38 @@ class TestPoisonUnit:
         assert [e for e in pool_events(journal)
                 if e.name == "pool.poison_unit"]
 
+    def test_poison_isolated_in_poison_after_losses(self):
+        """One shard per task: the poison shard is the only one ever
+        blamed, so isolating it costs exactly POISON_AFTER losses,
+        rebuilds and redispatches."""
+        lot = make_wide_lot()
+        poison = lot.plan.shards()[0].unit_id
+
+        result = StreamingRunner(
+            make_wide_lot(exit_injector([poison], times=1000)),
+            workers=2).run()
+
+        stats = result.supervisor_stats
+        assert (stats["worker_losses"] == stats["rebuilds"]
+                == stats["redispatched_units"] == supervisor.POISON_AFTER)
+        assert stats["poison_units"] == 1
+        assert payload_bytes(result) == poisoned_fold(lot, poison)
+
 
 class TestDegradeSerial:
     def test_budget_exhausted_degrades_not_aborts(self, tmp_path,
-                                                  baseline):
+                                                  monkeypatch, baseline):
+        monkeypatch.setattr(supervisor, "MAX_POOL_REBUILDS", 0)
         journal = tmp_path / "run.jsonl"
         result = StreamingRunner(
             make_lot(exit_injector([shard_ids()[1]])),
-            workers=2, max_pool_rebuilds=0, journal=journal).run()
+            workers=2, journal=journal).run()
 
         assert payload_bytes(result) == baseline
         assert result.supervisor_stats["rebuilds"] == 0
         assert result.supervisor_stats["degraded_units"] > 0
         assert [e for e in pool_events(journal)
                 if e.name == "pool.degrade_serial"]
-
-    def test_rebuild_budget_validation(self):
-        with pytest.raises(ValueError, match="max_pool_rebuilds"):
-            SupervisedUnitExecutor(make_lot(), max_pool_rebuilds=-1)
-        with pytest.raises(ValueError, match="chunk_deadline_factor"):
-            SupervisedUnitExecutor(make_lot(), chunk_deadline_factor=0.0)
 
 
 class _UnpicklableInWorker:

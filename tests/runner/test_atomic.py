@@ -55,6 +55,16 @@ class TestAtomicWrite:
         assert path.read_text() == "stale"
         assert temp_path_for(path).read_text() == "fresh"
 
+    def test_real_replace_failure_removes_temp(self, tmp_path):
+        """A real OSError (here: the destination is a directory) is not
+        a crash: the error propagates and no temp file is left."""
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(path, "fresh")
+        assert not temp_path_for(path).exists()
+        assert path.is_dir()
+
 
 class TestEnvelope:
     def test_roundtrip(self):

@@ -450,6 +450,38 @@ class TestBadPaths:
                                        prefix):
         self.assert_usage_error(capsys, [*command, str(tmp_path)], prefix)
 
+    @pytest.mark.parametrize("command, flag", [
+        (["estimate", "--rows", "8", "--columns", "2", "--bits", "4",
+          "--sites", "20"], "--save-db"),
+        ([*CAMPAIGN, "--checkpoint", "CK"], "--save-db"),
+        ([*CAMPAIGN, "--checkpoint", "CK"], "--journal"),
+        (["campaign", "resume", "CK"], "--save-db"),
+        (["campaign", "resume", "CK"], "--journal"),
+        ([*LOT, "--checkpoint", "CK"], "--journal"),
+        (["shmoo", "--defect", "rail-bridge"], "--journal"),
+        (["serve", "--port", "0"], "--journal")],
+        ids=["estimate-save-db", "run-save-db", "run-journal",
+             "resume-save-db", "resume-journal", "experiment-journal",
+             "shmoo-journal", "serve-journal"])
+    def test_output_directory_refused_before_any_run(self, capsys, tmp_path,
+                                                    command, flag):
+        """A directory given as an output file is a usage error at
+        parse time: nothing is evaluated, checkpointed or left as a
+        ``.tmp``."""
+        out = tmp_path / "out"
+        out.mkdir()
+        ck = str(tmp_path / "ck.json")
+        argv = [ck if arg == "CK" else arg for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: is a directory, not a file: {out}" in captured.err
+        assert "Traceback" not in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(out.iterdir()) == []
+
 
 @pytest.mark.parametrize("argv, message", [
     (["experiment", "run", "--unit-deadline", "0"],
