@@ -66,11 +66,15 @@ _shard_devices.__name__ = "int"
 
 def _output_file(text: str) -> str:
     """``--save-db`` / ``--journal``: refused up front when the path is
-    an existing directory, so no run is spent before the final write
-    fails."""
+    an existing directory or its parent directory does not exist, so no
+    run is spent before the final write fails."""
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(
             f"is a directory, not a file: {text}")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"parent directory does not exist: {parent}")
     return text
 
 

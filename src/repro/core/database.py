@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.ifa.flow import CoverageRecord
 from repro.runner.atomic import (
@@ -51,6 +51,25 @@ class DatabaseCorruptError(RuntimeError):
         super().__init__(f"coverage database {self.path}: {defect}")
 
 
+class CoverageRow(NamedTuple):
+    """One condition's geometry-independent estimator inputs.
+
+    Attributes:
+        condition: Condition name.
+        fault_coverage: ``(resistance, coverage)`` at every swept
+            resistance of the kind, ascending.
+        defect_coverage: :meth:`CoverageDatabase.weighted_coverage`.
+        relative_coverage: ``defect_coverage`` over the kind's
+            :meth:`CoverageDatabase.envelope_coverage` (1.0 when the
+            envelope is 0).
+    """
+
+    condition: str
+    fault_coverage: tuple[tuple[float, float], ...]
+    defect_coverage: float
+    relative_coverage: float
+
+
 class CoverageDatabase:
     """Queryable store of per-(kind, condition, R) coverage results."""
 
@@ -58,6 +77,8 @@ class CoverageDatabase:
         self._records: list[CoverageRecord] = []
         # (kind, condition) -> sorted list of (resistance, coverage)
         self._index: dict[tuple[str, str], list[tuple[float, float]]] = {}
+        # (kind, distribution) -> coverage_table rows, built on first use
+        self._tables: dict[tuple[str, Any], tuple[CoverageRow, ...]] = {}
         if records:
             self.add_records(records)
 
@@ -88,6 +109,7 @@ class CoverageDatabase:
 
     def _rebuild_index(self) -> None:
         self._index.clear()
+        self._tables.clear()
         grouped: dict[tuple[str, str], dict[float, CoverageRecord]] = {}
         for rec in self._records:
             key = (rec.kind, rec.condition)
@@ -198,6 +220,36 @@ class CoverageDatabase:
             prev_cdf = cdf1
         total += (1.0 - prev_cdf) * self.coverage(kind, condition, grid[-1])
         return min(max(total, 0.0), 1.0)
+
+    def coverage_table(self, kind: str,
+                       distribution) -> tuple[CoverageRow, ...]:
+        """Per-condition coverage rows of ``kind``, in condition order.
+
+        Everything the estimator reports that does not depend on the
+        queried geometry.  The rows are integrated on the first call for
+        a (kind, distribution) pair and reused until :meth:`add_records`
+        changes the records.  The key is the distribution object itself
+        (one table per object queried, kept as long as the database), so
+        a distribution must not be mutated once it has been queried.
+
+        Raises:
+            KeyError: the database holds no records for ``kind``.
+        """
+        key = (kind, distribution)
+        table = self._tables.get(key)
+        if table is None:
+            envelope = self.envelope_coverage(kind, distribution)
+            resistances = self.resistances(kind)
+            rows = []
+            for condition in self.conditions(kind):
+                fc = tuple((r, self.coverage(kind, condition, r))
+                           for r in resistances)
+                dc = self.weighted_coverage(kind, condition, distribution)
+                rows.append(CoverageRow(
+                    condition, fc, dc,
+                    dc / envelope if envelope > 0 else 1.0))
+            table = self._tables[key] = tuple(rows)
+        return table
 
     # ------------------------------------------------------------------
     # Persistence

@@ -15,6 +15,11 @@ it reports, per stress condition:
 * defect coverage (fault coverage weighted by the fab R-distribution),
 * yield (from area and D0) and the Williams-Brown DPM,
 * DPM normalised to the best condition (the paper normalises VLV = 1x).
+
+Only the yield depends on the geometry.  The coverage columns come from
+:meth:`~repro.core.database.CoverageDatabase.coverage_table`, integrated
+once per (database, kind, distribution); a query adds the yield, the
+DPM and the normalisation.
 """
 
 from __future__ import annotations
@@ -196,21 +201,16 @@ class FaultCoverageEstimator:
         if not 0.0 < y <= 1.0:
             raise ValueError(f"yield must be in (0, 1], got {y}")
 
-        envelope = self.database.envelope_coverage(kind, dist)
-        estimates = []
-        for condition in self.database.conditions(kind):
-            fc = {
-                r: self.database.coverage(kind, condition, r)
-                for r in self.database.resistances(kind)
-            }
-            dc = self.database.weighted_coverage(kind, condition, dist)
-            estimates.append(ConditionEstimate(
-                condition=condition,
-                fault_coverage=fc,
-                defect_coverage=dc,
-                dpm=dpm(y, dc),
-                relative_coverage=(dc / envelope if envelope > 0 else 1.0),
-            ))
+        estimates = [
+            ConditionEstimate(
+                condition=row.condition,
+                fault_coverage=dict(row.fault_coverage),
+                defect_coverage=row.defect_coverage,
+                dpm=dpm(y, row.defect_coverage),
+                relative_coverage=row.relative_coverage,
+            )
+            for row in self.database.coverage_table(kind, dist)
+        ]
         best = min(e.dpm for e in estimates) if estimates else 0.0
         normalised = tuple(e.with_normalisation(best) for e in estimates)
         return EstimatorReport(kind, geometry, y, normalised)

@@ -587,10 +587,9 @@ class DefectBehaviorModel:
         ``SITE_CODES[codes[i]]``, strength ``strengths[i]`` and
         resistance ``resistances[i]`` -- bit-identical, under the same
         op-order rules as :meth:`evaluate_batch`.  One kernel call per
-        site class present.  Unlike ``evaluate_batch`` it is not
-        probed: lot classification and the test-plan table require
-        it, and :meth:`fails_condition` stays the oracle they are
-        tested against.
+        site class present.  Lot classification and the test-plan
+        table require it, and :meth:`fails_condition` stays the oracle
+        they are tested against.
 
         Args:
             codes: Site codes (indices into

@@ -450,7 +450,7 @@ class TestBadPaths:
                                        prefix):
         self.assert_usage_error(capsys, [*command, str(tmp_path)], prefix)
 
-    @pytest.mark.parametrize("command, flag", [
+    OUTPUT_FLAGS = pytest.mark.parametrize("command, flag", [
         (["estimate", "--rows", "8", "--columns", "2", "--bits", "4",
           "--sites", "20"], "--save-db"),
         ([*CAMPAIGN, "--checkpoint", "CK"], "--save-db"),
@@ -463,6 +463,8 @@ class TestBadPaths:
         ids=["estimate-save-db", "run-save-db", "run-journal",
              "resume-save-db", "resume-journal", "experiment-journal",
              "shmoo-journal", "serve-journal"])
+
+    @OUTPUT_FLAGS
     def test_output_directory_refused_before_any_run(self, capsys, tmp_path,
                                                     command, flag):
         """A directory given as an output file is a usage error at
@@ -481,6 +483,23 @@ class TestBadPaths:
         assert "Traceback" not in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(out.iterdir()) == []
+
+    @OUTPUT_FLAGS
+    def test_missing_parent_directory_refused_before_any_run(
+            self, capsys, tmp_path, monkeypatch, command, flag):
+        """An output file in a directory that does not exist is a usage
+        error at parse time, not a ``FileNotFoundError`` after the
+        run."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "nodir/out"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"{flag}: parent directory does not exist: nodir\n")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
