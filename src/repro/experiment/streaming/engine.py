@@ -14,14 +14,17 @@ build a :class:`ShardEvaluator` over it.
 Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
 and one batched attribute-per-array defect draw
-(:meth:`~repro.ifa.extraction.IfaExtractor.sample_batch`).  The block
-stays in arrays (:class:`DefectBlock`): classification is one
-elementwise kernel call per (site class, condition)
-(:meth:`~repro.experiment.classify.StressClassifier.fail_bits`) and a
-``bincount`` of the parts' fail-bit words into the accumulator, so no
-chip materialises unless diagnosed.  ``scheme="legacy"`` streams the
-original single-stream chips and classifies them through the same
-kernel, one block-sized slice at a time.
+(:meth:`~repro.ifa.extraction.IfaExtractor.sample_batch`).  Blocks
+stay in arrays (:class:`DefectBlock`) and a shard's blocks are joined
+into one, so classification is one
+:meth:`~repro.experiment.classify.StressClassifier.fail_bits` call per
+shard -- one elementwise kernel call per (site class, condition) over
+all of the shard's defects -- and a ``bincount`` of the parts'
+fail-bit words into the accumulator; no chip materialises unless
+diagnosed.  The unit deadline is still checked after every block's
+draw.  ``scheme="legacy"`` streams the original single-stream chips
+and classifies them through the same kernel, one block-sized slice at
+a time (its single shard is the whole lot).
 
 Exact-path equivalence: tests/experiment/test_streaming.py
 (``scheme="legacy"`` reduces the original single-stream draw order to
@@ -35,6 +38,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Any
 
@@ -70,6 +74,9 @@ from repro.runner.evaluate import (
 #: rebuilds them deterministically, keeping the pool-init payload small
 #: (the classifier's test bench alone is megabytes once warmed).
 _LAZY_SLOTS = ("_classifier", "_generator", "_extractor", "_diagnostician")
+
+#: The :class:`~repro.defects.models.DefectArrays` fields, in order.
+_DEFECT_FIELDS = ("codes", "strengths", "resistances", "cells", "polarities")
 
 
 class StreamingExperiment:
@@ -269,8 +276,7 @@ class StreamingExperiment:
         defects = DefectArrays(*(
             _interleave(is_bridge, getattr(bridges, name),
                         getattr(opens, name))
-            for name in ("codes", "strengths", "resistances", "cells",
-                         "polarities")))
+            for name in _DEFECT_FIELDS))
         per_chip = counts.sum(axis=1)
         rows = np.flatnonzero(per_chip)
         sizes = per_chip[rows]
@@ -281,32 +287,43 @@ class StreamingExperiment:
                            instances=instances, defects=defects)
 
     def classified_blocks(self, shard: ShardUnit,
+                          after_block: Callable[[int], None],
                           ) -> Iterator[tuple[np.ndarray,
-                                              Callable[[int], VeqtorChip]]
-                                        | None]:
-        """Classify the shard one RNG block at a time.
+                                              Callable[[int], VeqtorChip]]]:
+        """Classify the shard's defective parts.
 
-        Yields, per block, ``None`` when it has no defective part, else
-        the fail-bit words of its defective parts
+        Yields the fail-bit words of a run of defective parts
         (:meth:`~repro.experiment.classify.StressClassifier.fail_bits`)
-        and a function materialising part ``k`` as a chip.  Under
-        ``legacy`` a "block" is the next block-sized slice of the
-        single-stream chips.
+        and a function materialising part ``k`` of the run as a chip.
+        Under ``spawn`` the run is the whole shard: every RNG block is
+        drawn, then the blocks are joined and classified in one call.
+        Under ``legacy`` a run is the next block-sized slice of the
+        single-stream chips.  ``after_block(n)`` is called once ``n``
+        blocks are drawn (``legacy``: classified), so a deadline can
+        stop the shard between blocks, before the kernel runs.
         """
         classifier = self.classifier
+        blocks = self.plan.blocks_of(shard)
         if self.plan.scheme == "legacy":
             chips = self.iter_shard_chips(shard)
-            for _, start, stop in self.plan.blocks_of(shard):
+            for done, (_, start, stop) in enumerate(blocks, 1):
                 defective = [chip for chip in islice(chips, stop - start)
                              if chip.is_defective]
-                yield ((classifier.chip_fail_bits(defective),
-                        defective.__getitem__) if defective else None)
+                if defective:
+                    yield (classifier.chip_fail_bits(defective),
+                           defective.__getitem__)
+                after_block(done)
             return
-        for block_index, start, stop in self.plan.blocks_of(shard):
+        drawn: list[DefectBlock] = []
+        for done, (block_index, start, stop) in enumerate(blocks, 1):
             block = self.block_defects(block_index, start, stop)
-            yield (None if block is None else
-                   (classifier.fail_bits(block.defects, block.chip_starts),
-                    block.chip))
+            if block is not None:
+                drawn.append(block)
+            after_block(done)
+        if drawn:
+            joined = DefectBlock.join(shard.start, drawn)
+            yield (classifier.fail_bits(joined.defects, joined.chip_starts),
+                   joined.chip)
 
 
 class ShardEvaluator:
@@ -336,31 +353,35 @@ class ShardEvaluator:
     def evaluate(self, shard: ShardUnit) -> UnitOutcome:
         """Generate, classify and accumulate one shard.
 
+        Draws the shard's RNG blocks in plan order, checking the
+        deadline after each, then folds the fail-bit words of its one
+        classification call (``legacy``: one per block-sized slice) in
+        and diagnoses the interesting parts if asked.
+
         Raises:
-            UnitDeadlineExceeded: the shard overran ``unit_deadline``.
+            UnitDeadlineExceeded: the shard overran ``unit_deadline``
+                (named with the number of blocks done).
         """
         engine = self.engine
         started = self.clock()
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None
-        for done, block in enumerate(engine.classified_blocks(shard), 1):
-            if block is not None:
-                bits, chip = block
-                acc.observe_fail_bits(bits)
-                if diagnostician is not None:
-                    _diagnose_block(diagnostician, acc, bits, chip)
-            self._check_deadline(shard, started, f"{done} blocks")
+        after_block = partial(self._check_deadline, shard, started)
+        for bits, chip in engine.classified_blocks(shard, after_block):
+            acc.observe_fail_bits(bits)
+            if diagnostician is not None:
+                _diagnose_parts(diagnostician, acc, bits, chip)
         payload: Any = acc.as_payload()
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload)
 
     def _check_deadline(self, shard: ShardUnit, started: float,
-                        progress: str) -> None:
+                        blocks: int) -> None:
         if (self.unit_deadline is not None
                 and self.clock() - started > self.unit_deadline):
             raise UnitDeadlineExceeded(
                 f"{shard} exceeded its {self.unit_deadline:g}s "
-                f"budget after {progress}; completed shards are "
+                f"budget after {blocks} blocks; completed shards are "
                 "checkpointed -- fix the stall and resume")
 
     def poison_outcome(self, shard: ShardUnit, attempts: int,
@@ -406,6 +427,29 @@ class DefectBlock:
     instances: np.ndarray
     defects: DefectArrays
 
+    @classmethod
+    def join(cls, start: int, blocks: list[DefectBlock]) -> DefectBlock:
+        """One block holding ``blocks``' parts in order, from ``start``.
+
+        Rows become relative to ``start`` and each block's
+        ``chip_starts`` shift by the defects before it, so part ``k`` of
+        the result is the ``k``-th part of the concatenation.
+        """
+        sizes = [len(block.defects) for block in blocks]
+        offsets = np.cumsum(sizes) - sizes
+        return cls(
+            start=start,
+            rows=np.concatenate([block.rows + (block.start - start)
+                                 for block in blocks]),
+            chip_starts=np.concatenate([
+                block.chip_starts + offset
+                for block, offset in zip(blocks, offsets.tolist())]),
+            instances=np.concatenate([block.instances for block in blocks]),
+            defects=DefectArrays(*(
+                np.concatenate([getattr(block.defects, name)
+                                for block in blocks])
+                for name in _DEFECT_FIELDS)))
+
     def chip(self, k: int) -> VeqtorChip:
         """Materialise defective part ``k`` as a :class:`VeqtorChip`."""
         first = int(self.chip_starts[k])
@@ -426,10 +470,10 @@ def _interleave(mask: np.ndarray, when_true: np.ndarray,
     return out
 
 
-def _diagnose_block(diagnostician: LotDiagnostician,
+def _diagnose_parts(diagnostician: LotDiagnostician,
                     acc: ExperimentAccumulator, bits: np.ndarray,
                     chip: Callable[[int], VeqtorChip]) -> None:
-    """Diagnose a block's interesting parts, the only ones materialised."""
+    """Diagnose a run's interesting parts, the only ones materialised."""
     for k, word in enumerate(bits.tolist()):
         failed_standard, failed_stress = decode_fail_bits(word)
         if failed_standard or not failed_stress:

@@ -187,11 +187,11 @@ def _bench_memory(config: ExperimentBenchConfig) -> dict[str, Any]:
     """Peak-RSS probe: same shard shape, two device counts.
 
     Both runs stream the same 65k-device shards, so the per-shard
-    working set (one block's count matrix + defect batches + the
-    defective chips of that block) is identical; only the O(classes)
-    accumulator and the O(n_shards) plan differ.  A peak that grows
-    with N -- a ``peak_ratio`` above its ``FLOORS`` ceiling -- means
-    something is materialising the lot.
+    working set (one block's count matrix, the shard's defect arrays
+    joined for its one classification call, and their fail-bit words)
+    is identical; only the O(classes) accumulator and the O(n_shards)
+    plan differ.  A peak that grows with N -- a ``peak_ratio`` above
+    its ``FLOORS`` ceiling -- means something is materialising the lot.
     """
     from repro.perf.bench import FLOORS  # the harness imports this module
 

@@ -13,11 +13,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.defects.behavior import DefectBehaviorModel
 from repro.experiment.classify import (
+    FAIL_BIT_NAMES,
     DeviceRecord,
     StressClassifier,
     decode_fail_bits,
 )
+from repro.experiment.diagnosis import LotDiagnostician
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import (
@@ -366,6 +369,30 @@ class TestArrayPath:
         payload = _payload(4096, scheme=scheme, diagnose=True)
         assert payload["defective"] > 0
 
+    def test_a_spawn_shard_is_one_kernel_call(self, monkeypatch):
+        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384)
+        shard, = engine.plan.shards()
+        assert len(engine.plan.blocks_of(shard)) == 4
+        classifier = engine.classifier
+        timed = sum(classifier.bench.meets_timing(classifier.conditions[name])
+                    for name in FAIL_BIT_NAMES)
+        assert timed > 0
+        calls = {"fail_bits": 0, "evaluate_elements": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(StressClassifier, "fail_bits")
+        counting(DefectBehaviorModel, "evaluate_elements")
+        assert ShardEvaluator(engine).evaluate(shard).record["defective"] > 0
+        assert calls == {"fail_bits": 1, "evaluate_elements": timed}
+
     def test_block_chips_are_the_per_chip_view(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
         shard = engine.plan.shards()[0]
@@ -401,6 +428,32 @@ class TestDiagnosis:
         assert sum(acc.hint_counts["VLV"].values()) == sum(
             n for region, n in acc.class_counts.items() if "VLV" in region)
 
+    def test_diagnosed_chips_match_their_fail_bit_words(self, monkeypatch):
+        diagnosed = []
+        original = LotDiagnostician.diagnose_device
+
+        def recording(self, record):
+            diagnosed.append(record)
+            return original(self, record)
+
+        monkeypatch.setattr(LotDiagnostician, "diagnose_device", recording)
+        engine = StreamingExperiment(n_devices=self.N, shard_devices=self.N,
+                                     diagnose=True)
+        shard, = engine.plan.shards()
+        acc = StreamingRunner(engine).run().accumulator
+        assert len(diagnosed) == acc.interesting > 0
+        per_block = {chip.chip_id: chip
+                     for chip in engine.iter_shard_chips(shard)}
+        ids = [record.chip.chip_id for record in diagnosed]
+        assert len(set(ids)) == len(ids)
+        assert len({chip_id // engine.plan.block_devices
+                    for chip_id in ids}) > 1
+        for record in diagnosed:
+            assert record.chip == per_block[record.chip.chip_id]
+            oracle = engine.classifier.classify_chip(record.chip)
+            assert (oracle.failed_standard, oracle.failed_stress) == (
+                record.failed_standard, record.failed_stress)
+
     def test_hint_histograms_equal_per_chip_path(self):
         array = _payload(self.N, shard_devices=8192, diagnose=True)
         per_chip = _per_chip_payload(self.N, shard_devices=8192,
@@ -424,6 +477,34 @@ class TestUnitDeadline:
         # The clock reads once at the start and once per RNG block:
         # block 2 is the first past the 1.5 s budget.
         assert "after 2 blocks" in message
+
+    def test_overrun_stops_the_draws_before_the_kernel(self, monkeypatch):
+        drawn = []
+        block_defects = StreamingExperiment.block_defects
+
+        def counting_draw(self, block_index, start, stop):
+            drawn.append(block_index)
+            return block_defects(self, block_index, start, stop)
+
+        def refuse(self, defects, chip_starts):
+            raise AssertionError("the kernel ran on an overrun shard")
+
+        monkeypatch.setattr(StreamingExperiment, "block_defects",
+                            counting_draw)
+        monkeypatch.setattr(StressClassifier, "fail_bits", refuse)
+        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384,
+                                     block_devices=4096)
+        shard, = engine.plan.shards()
+        assert len(engine.plan.blocks_of(shard)) == 4
+        ticks = iter(range(100))
+        evaluator = ShardEvaluator(engine, unit_deadline=1.5,
+                                   clock=lambda: float(next(ticks)))
+        with pytest.raises(UnitDeadlineExceeded) as excinfo:
+            evaluator.evaluate(shard)
+        message = str(excinfo.value)
+        assert shard.unit_id in message
+        assert "after 2 blocks" in message
+        assert drawn == [0, 1]
 
     def test_runner_rejects_non_positive_deadline_up_front(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
