@@ -83,9 +83,6 @@ class Netlist:
                     seen.setdefault(node)
         return list(seen)
 
-    def nodes_touching(self, device_name: str) -> tuple[str, ...]:
-        return _terminals(self._devices[device_name])
-
     def connectivity(self) -> dict[str, list[str]]:
         """Node -> device-name adjacency map (for diagnosis and IFA)."""
         adj: dict[str, list[str]] = {}

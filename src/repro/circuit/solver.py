@@ -383,24 +383,3 @@ def transient(
         node: Waveform(node, time_arr, np.asarray(vals))
         for node, vals in samples.items()
     }
-
-
-def gate_delay(tech, fanout: float = 1.0, vdd: float | None = None) -> float:
-    """First-order inverter delay at a supply voltage.
-
-    ``t_d = C * Vdd / I_dsat(Vdd)`` with the alpha-power-law drive --
-    the canonical delay model whose Vdd dependence produces every shmoo
-    boundary shape in the paper (delay grows steeply as Vdd drops toward
-    VT).
-
-    Args:
-        tech: :class:`repro.circuit.technology.Technology`.
-        fanout: Load multiplier in units of min-size gate capacitance.
-        vdd: Supply voltage; defaults to the technology's nominal.
-    """
-    vdd = tech.vdd_nominal if vdd is None else vdd
-    overdrive = vdd - tech.vth_n
-    if overdrive <= 0:
-        return math.inf
-    idsat = tech.k_n * overdrive**tech.alpha
-    return fanout * tech.gate_capacitance * vdd / idsat

@@ -46,41 +46,6 @@ class Waveform:
         """Linearly interpolated voltage at time ``t`` (clamped to range)."""
         return float(np.interp(t, self.time, self.voltage))
 
-    def logic_at(self, t: float, vdd: float, threshold: float = 0.5) -> int:
-        """Sample the waveform as a logic value at time ``t``.
-
-        A node above ``threshold * vdd`` reads as 1, otherwise 0 -- the
-        same convention a tester comparator applies at the strobe point.
-        """
-        return 1 if self.at(t) >= threshold * vdd else 0
-
-    def crossing_time(self, level: float, rising: bool = True,
-                      after: float = 0.0) -> float | None:
-        """First time the trace crosses ``level`` in the given direction.
-
-        Returns ``None`` when the crossing never happens -- which is
-        itself the detection signature for severe resistive opens (the
-        delayed edge never arrives within the observation window).
-        """
-        v = self.voltage
-        t = self.time
-        for i in range(1, len(v)):
-            if t[i] < after:
-                continue
-            if rising and v[i - 1] < level <= v[i]:
-                return _interp_cross(t[i - 1], t[i], v[i - 1], v[i], level)
-            if not rising and v[i - 1] > level >= v[i]:
-                return _interp_cross(t[i - 1], t[i], v[i - 1], v[i], level)
-        return None
-
-    def delay_to(self, other: "Waveform", level: float) -> float | None:
-        """Delay from this trace's crossing of ``level`` to ``other``'s."""
-        t0 = self.crossing_time(level)
-        t1 = other.crossing_time(level)
-        if t0 is None or t1 is None:
-            return None
-        return t1 - t0
-
     def min(self) -> float:
         return float(self.voltage.min())
 
@@ -151,10 +116,3 @@ def piecewise_linear(points: list[tuple[float, float]]):
         return float(np.interp(t, times, volts))
 
     return f
-
-
-def _interp_cross(t0: float, t1: float, v0: float, v1: float,
-                  level: float) -> float:
-    if v1 == v0:
-        return t1
-    return t0 + (t1 - t0) * (level - v0) / (v1 - v0)

@@ -78,6 +78,17 @@ def _output_file(text: str) -> str:
     return text
 
 
+def _march_test(name: str) -> str:
+    """``--test``: a library march test name, refused before any run."""
+    from repro.march.library import get_test
+
+    try:
+        get_test(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return name
+
+
 def _worker_fault(text: str) -> tuple[int, int]:
     """``--chaos-worker-* SHARD[:TIMES]``: a shard index and how many
     of its dispatches fail (default 1)."""
@@ -430,7 +441,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                     "netlist:<cell|decoder|demo-broken>, "
                     "plan:<production|standard> or code [PATH ...]")
         except (KeyError, ValueError, OSError) as exc:
-            print(exc, file=sys.stderr)
+            message = exc.args[0] if isinstance(exc, KeyError) else exc
+            print(f"repro lint: {message}", file=sys.stderr)
             return 2
 
     if args.format == "json":
@@ -713,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defect preset (omit for fault-free)")
     p.add_argument("--resistance", type=_positive_float, default=240e3,
                    help="defect resistance in ohms")
-    p.add_argument("--test", default="11N", help="march test name")
+    p.add_argument("--test", type=_march_test, default="11N",
+                   help="march test name")
     p.add_argument("--journal", metavar="PATH", default=None,
                    type=_output_file,
                    help="write a JSONL run journal of the sweep "
@@ -783,7 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep.set_defaults(func=_cmd_experiment_run)
 
     p = sub.add_parser("plan", help="optimise the stress-condition plan")
-    p.add_argument("--test", default="11N", help="march test name")
+    p.add_argument("--test", type=_march_test, default="11N",
+                   help="march test name")
     p.add_argument("--samples", type=_positive_int, default=3000)
     p.add_argument("--target-dpm", type=_non_negative_float, default=None)
     p.set_defaults(func=_cmd_plan)
@@ -827,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=400,
                    help="Monte-Carlo samples for the PLAN003 coverage "
                         "table")
-    p.add_argument("--test", default="11N",
+    p.add_argument("--test", type=_march_test, default="11N",
                    help="march test used by the PLAN003 time/coverage "
                         "model")
     p.set_defaults(func=_cmd_lint)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro.circuit.netlist import Netlist
 from repro.defects.behavior import FaultMode, Manifestation
 from repro.defects.models import Defect
-from repro.faults.dynamic import AtSpeedDynamicFault
 from repro.faults.models import (
     DataRetentionFault,
     FunctionalFault,
@@ -35,7 +34,6 @@ from repro.faults.models import (
     StuckOpenFault,
     TransitionFault,
 )
-from repro.faults.primitives import FaultPrimitive
 from repro.memory.cell import SixTCell
 from repro.memory.decoder import build_decoder_netlist
 from repro.memory.geometry import MemoryGeometry
@@ -114,19 +112,6 @@ def decoder_open_to_delay_fault(defect, condition, address_bits: int,
         rising=defect.polarity > 0,
         address_bits=address_bits,
     )
-
-
-def make_atspeed_fault(cell: int, state: int = 0,
-                       max_gap_cycles: int = 1) -> AtSpeedDynamicFault:
-    """An at-speed dynamic fault for a delay-type defect.
-
-    ``<0w1r1/0/1>``-style: the back-to-back write/read pair misses
-    timing; used when a delay defect should only fire on consecutive
-    cycles (the strict at-speed sensitisation of Section 4.3).
-    """
-    notation = f"<{state}w{1 - state}r{1 - state}/{state}/{1 - state}>"
-    return AtSpeedDynamicFault(primitive=FaultPrimitive.parse(notation),
-                               cell=cell, max_gap_cycles=max_gap_cycles)
 
 
 # ----------------------------------------------------------------------

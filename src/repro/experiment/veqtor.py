@@ -106,12 +106,3 @@ class VeqtorTestBench:
         defects; the array classification ORs this in per condition.
         """
         return self._sram.meets_timing(condition.vdd, condition.period)
-
-    def chip_signature(self, chip: VeqtorChip, test: MarchTest,
-                       conditions: dict[str, StressCondition],
-                       ) -> dict[str, bool]:
-        """name -> failed? across a condition suite."""
-        return {
-            name: self.chip_fails(chip, test, cond)
-            for name, cond in conditions.items()
-        }

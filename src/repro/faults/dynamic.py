@@ -167,9 +167,6 @@ class PrimitiveFault(FunctionalFault):
                 return
         mem.set(self.cell, self.primitive.faulty_value)
 
-    def primitives(self):
-        return (self.primitive.notation,)
-
 
 @dataclass
 class AtSpeedDynamicFault(PrimitiveFault):

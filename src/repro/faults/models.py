@@ -76,14 +76,6 @@ class FunctionalFault(abc.ABC):
         mem.touch(address, cycle)
         return mem.get(address)
 
-    def primitives(self) -> tuple[str, ...]:
-        """Fault-primitive notation strings describing this fault."""
-        return ()
-
-    def describe(self) -> str:
-        prims = ", ".join(self.primitives())
-        return f"{self.mnemonic}({prims})" if prims else self.mnemonic
-
 
 class FaultFree(FunctionalFault):
     """The golden model (used for reference runs)."""
@@ -111,10 +103,6 @@ class StuckAtFault(FunctionalFault):
             return self.value
         return super().read(mem, address, cycle)
 
-    def primitives(self):
-        s = 1 - self.value
-        return (f"<{s}/{self.value}/->",)
-
 
 @dataclass
 class TransitionFault(FunctionalFault):
@@ -139,9 +127,6 @@ class TransitionFault(FunctionalFault):
                 mem.touch(address, cycle)
                 return
         super().write(mem, address, value, cycle)
-
-    def primitives(self):
-        return ("<0w1/0/->",) if self.rising else ("<1w0/1/->",)
 
 
 @dataclass
@@ -208,9 +193,6 @@ class ReadDestructiveFault(FunctionalFault):
             return flipped
         return super().read(mem, address, cycle)
 
-    def primitives(self):
-        return ("<0r0/1/1>", "<1r1/0/0>")
-
 
 @dataclass
 class DeceptiveReadDestructiveFault(FunctionalFault):
@@ -232,9 +214,6 @@ class DeceptiveReadDestructiveFault(FunctionalFault):
             return correct
         return super().read(mem, address, cycle)
 
-    def primitives(self):
-        return ("<0r0/1/0>", "<1r1/0/1>")
-
 
 @dataclass
 class IncorrectReadFault(FunctionalFault):
@@ -251,9 +230,6 @@ class IncorrectReadFault(FunctionalFault):
         if address == self.cell and value in (0, 1):
             return 1 - value
         return value
-
-    def primitives(self):
-        return ("<0r0/0/1>", "<1r1/1/0>")
 
 
 @dataclass
@@ -272,9 +248,6 @@ class WriteDisturbFault(FunctionalFault):
             mem.touch(address, cycle)
             return
         super().write(mem, address, value, cycle)
-
-    def primitives(self):
-        return ("<0w0/1/->", "<1w1/0/->")
 
 
 @dataclass
@@ -308,10 +281,6 @@ class InversionCouplingFault(FunctionalFault):
             return
         super().write(mem, address, value, cycle)
 
-    def primitives(self):
-        s = "0w1" if self.rising else "1w0"
-        return (f"<{s}; 0/1/->", f"<{s}; 1/0/->")
-
 
 @dataclass
 class IdempotentCouplingFault(FunctionalFault):
@@ -343,11 +312,6 @@ class IdempotentCouplingFault(FunctionalFault):
             return
         super().write(mem, address, value, cycle)
 
-    def primitives(self):
-        s = "0w1" if self.rising else "1w0"
-        v = 1 - self.forced_value
-        return (f"<{s}; {v}/{self.forced_value}/->",)
-
 
 @dataclass
 class StateCouplingFault(FunctionalFault):
@@ -376,10 +340,6 @@ class StateCouplingFault(FunctionalFault):
         self._apply_state(mem)
         return super().read(mem, address, cycle)
 
-    def primitives(self):
-        v = 1 - self.forced_value
-        return (f"<{self.aggressor_state}; {v}/{self.forced_value}/->",)
-
 
 @dataclass
 class DisturbCouplingFault(FunctionalFault):
@@ -407,15 +367,6 @@ class DisturbCouplingFault(FunctionalFault):
         if self.on_read and address == self.aggressor:
             mem.set(self.victim, self.forced_value)
         return value
-
-    def primitives(self):
-        v = 1 - self.forced_value
-        ops = []
-        if self.on_read:
-            ops.append(f"<r; {v}/{self.forced_value}/->")
-        if self.on_write:
-            ops.append(f"<w; {v}/{self.forced_value}/->")
-        return tuple(ops)
 
 
 @dataclass

@@ -51,15 +51,6 @@ def short_weight(spacing: float, facing_length: float) -> float:
     return facing_length / (2.0 * spacing)
 
 
-def open_weight(width: float, length: float) -> float:
-    """Relative likelihood of an open cutting a wire segment."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if length <= 0:
-        return 0.0
-    return length / (2.0 * width)
-
-
 def find_adjacent_pairs(rects: list[Rect], max_spacing: float = 1.0,
                         ) -> list[AdjacentPair]:
     """All same-layer, different-net facing pairs within ``max_spacing``.

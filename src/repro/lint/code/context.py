@@ -157,12 +157,6 @@ class CodeLintContext:
         ctx._index_imports()
         return ctx
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "CodeLintContext":
-        """Build a context by reading and parsing ``path``."""
-        path = Path(path)
-        return cls.from_source(path.read_text(encoding="utf-8"), path)
-
     # ------------------------------------------------------------------
     # Role classification
     # ------------------------------------------------------------------

@@ -28,8 +28,3 @@ def demo_broken_netlist(tech: Technology = CMOS018) -> Netlist:
                   "0", 1.0, tech))
     nl.add(Resistor("Rbridge_bad", cell.node("t"), "no_such_net", 1e3))
     return nl
-
-
-def demo_broken_march_notation() -> str:
-    """Notation of a march test tripping MARCH004 and MARCH011."""
-    return "*(w0); ^(r1,w0); v(r0,r1,w0)"

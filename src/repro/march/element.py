@@ -117,11 +117,6 @@ class MarchElement:
                 return False
         return True
 
-    def inverted_data(self) -> "MarchElement":
-        """The element with every data value complemented (background
-        inversion, used to build MOVI-style complement passes)."""
-        return MarchElement(self.order, tuple(op.inverted() for op in self.ops))
-
     def reversed_order(self) -> "MarchElement":
         return MarchElement(self.order.reversed(), self.ops)
 

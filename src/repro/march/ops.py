@@ -51,10 +51,6 @@ class Op:
     def is_write(self) -> bool:
         return self.kind is OpKind.WRITE
 
-    def inverted(self) -> "Op":
-        """The same operation with the opposite data value."""
-        return Op(self.kind, 1 - self.value)
-
     @property
     def notation(self) -> str:
         return f"{self.kind.value}{self.value}"

@@ -86,8 +86,7 @@ class MarchSequencer:
             defaults to the full address space (one row).
         address_map: Optional permutation applied to the linear counting
             sequence -- index in [0, n) -> physical address.  Used for
-            address scrambling and MOVI bit rotation.  Must be a bijection
-            on range(n_addresses).
+            MOVI bit rotation.  Must be a bijection on range(n_addresses).
     """
 
     def __init__(
@@ -174,24 +173,3 @@ def bit_rotation_map(address_bits: int, fast_bit: int) -> Callable[[int], int]:
         return ((index << rot) | (index >> (address_bits - rot))) & mask
 
     return mapper if fast_bit else (lambda index: index)
-
-
-def movi_runs(
-    test: MarchTest,
-    address_bits: int,
-    columns: int | None = None,
-    background: DataBackground = DataBackground.SOLID,
-) -> Iterator[tuple[int, Iterator[CycleOp]]]:
-    """Generate the MOVI run family for a base march test.
-
-    Yields ``(fast_bit, cycle_stream)`` pairs, one per address bit.  The
-    full MOVI procedure multiplies the base test complexity by the number
-    of address bits, which is why the paper runs it only under selected
-    stress conditions.
-    """
-    n = 1 << address_bits
-    for fast_bit in range(address_bits):
-        seq = MarchSequencer(
-            n, columns=columns, address_map=bit_rotation_map(address_bits, fast_bit)
-        )
-        yield fast_bit, seq.run(test, background)

@@ -8,8 +8,7 @@ module implements that continuation as a greedy set-cover synthesiser:
   read/write sequences up to a length bound, in both address orders,
   compatible with the array state the partial test leaves behind);
 * a greedy loop appending whichever candidate detects the most
-  still-undetected faults per added operation;
-* a minimisation pass dropping elements that became redundant.
+  still-undetected faults per added operation.
 
 Fault universes are supplied as factories so the synthesiser targets
 anything the simulator can run: classical classes from
@@ -181,34 +180,6 @@ class MarchSynthesizer:
                                 (Op(OpKind.WRITE, 0),)),))
         detected = len(factories) - len(undetected)
         return SynthesisResult(test, detected, len(factories), history)
-
-    # ------------------------------------------------------------------
-    def minimise(self, test: MarchTest,
-                 factories: Sequence[FaultFactory]) -> MarchTest:
-        """Drop elements that do not reduce coverage (reverse greedy).
-
-        Keeps the test consistent: an element is only removable when the
-        remainder still chains entry states correctly.
-        """
-        elements = list(test.elements)
-        baseline = self._coverage_count(elements, factories)
-        changed = True
-        while changed and len(elements) > 1:
-            changed = False
-            for i in range(len(elements) - 1, -1, -1):
-                trial = elements[:i] + elements[i + 1:]
-                if not MarchTest("t", tuple(trial)).is_consistent():
-                    continue
-                if self._coverage_count(trial, factories) >= baseline:
-                    elements = trial
-                    changed = True
-                    break
-        return MarchTest(test.name + " (min)", tuple(elements),
-                         test.description)
-
-    def _coverage_count(self, elements: Sequence[MarchElement],
-                        factories: Sequence[FaultFactory]) -> int:
-        return sum(1 for f in factories if self._detects(elements, f))
 
 
 def classical_universe(n_cells: int = 8,

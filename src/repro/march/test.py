@@ -118,12 +118,3 @@ class MarchTest:
             else:
                 elements.append(MarchElement.parse(tok))
         return MarchTest(name, tuple(elements), description)
-
-    def with_inverted_data(self, name_suffix: str = " (inv)") -> "MarchTest":
-        """The test run on the complemented data background."""
-        return MarchTest(
-            self.name + name_suffix,
-            tuple(el if isinstance(el, PauseElement) else el.inverted_data()
-                  for el in self.elements),
-            self.description,
-        )

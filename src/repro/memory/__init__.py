@@ -2,7 +2,7 @@
 
 Implements the memory under test: the four-parameter geometry of the
 paper's estimator (#X rows, #Y columns, #B bits, #Z blocks), the 6T cell
-with transistor-level analysis, row decoder (including the resistive-open
-behaviours of Figures 5/6), sense amplifier, write driver, precharge, and
+with transistor-level analysis, the row-decoder netlist of the
+resistive-open transient of Figures 5/6, sense amplifier, precharge, and
 the :class:`~repro.memory.sram.Sram` device-under-test binding them all.
 """

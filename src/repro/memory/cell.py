@@ -49,11 +49,6 @@ class CellRatios:
             raise ValueError("transistor widths must be positive")
 
     @property
-    def beta(self) -> float:
-        """Cell beta (read-stability) ratio."""
-        return self.pull_down / self.access
-
-    @property
     def gamma(self) -> float:
         """Cell gamma (writability) ratio."""
         return self.access / self.pull_up
@@ -247,17 +242,3 @@ class SixTCell:
             return 0.0
         # Series devices: harmonic combination approximates the stack.
         return (i_acc * i_pd) / (i_acc + i_pd)
-
-    def static_noise_margin(self, vdd: float) -> float:
-        """First-order hold SNM estimate (volts).
-
-        Uses the classical approximation SNM ~ VT + (vdd - 2 VT) / k for
-        a balanced cell; adequate for trend analysis (SNM shrinks roughly
-        linearly as vdd drops), which is what the VLV stress-condition
-        models need.
-        """
-        vt = self.tech.vth_n
-        if vdd <= vt:
-            return 0.0
-        headroom = max(0.0, vdd - 2.0 * vt)
-        return vt / 2.0 + headroom / (2.0 + 2.0 * self.ratios.beta)

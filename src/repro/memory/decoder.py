@@ -1,111 +1,23 @@
-"""Address decoders: functional model, timing model and netlist builder.
+"""Address decoder netlist for the Figure 5/6 transient.
 
 Resistive opens in the address decoder are a centrepiece of the paper:
 Figure 5/6 show an open injected at the least-significant bit of the row
 address decoder that escapes the test at Vnom and VLV but is detected at
 Vmax, and the cited [Azimane 04] methodology targets exactly this defect
-class.  This module provides
-
-* :class:`RowDecoder` -- functional decode plus a first-order timing
-  model whose word-line switching delay degrades with a resistive open on
-  one of its address inputs;
-* :func:`build_decoder_netlist` -- a transistor-level netlist of a small
-  NAND-style decoder slice (pre-decoder inverters + NAND + word-line
-  driver), with well-defined device names so opens can be spliced in via
-  :meth:`repro.circuit.netlist.Netlist.with_open` -- the circuit used by
-  the Figure 5/6 reproduction benches.
+class.  :func:`build_decoder_netlist` is a transistor-level netlist of a
+small NAND-style decoder slice (pre-decoder inverters + NAND + word-line
+driver), with well-defined device names so opens can be spliced in via
+:meth:`repro.circuit.netlist.Netlist.with_open` -- the circuit used by
+the Figure 5/6 reproduction benches.  The behavioural tier's
+decoder-open timing is
+:meth:`repro.defects.behavior.DefectBehaviorModel.decoder_open_delay_manifests`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.circuit.devices import Capacitor, Mosfet, MosType, VoltageSource
 from repro.circuit.netlist import Netlist
-from repro.circuit.solver import gate_delay
 from repro.circuit.technology import Technology
-
-
-@dataclass(frozen=True)
-class DecoderTiming:
-    """Timing summary of one decode path at one supply voltage.
-
-    Attributes:
-        select_delay: Address-valid to word-line-rise delay (s).
-        deselect_delay: Address-change to word-line-fall delay (s).
-        overlap: Worst-case dual-select window with the next word line
-            (s); positive values mean two word lines are momentarily
-            active together -- the disturb mechanism that makes decoder
-            opens Vmax-detectable.
-    """
-
-    select_delay: float
-    deselect_delay: float
-    overlap: float
-
-
-class RowDecoder:
-    """Functional + timing model of a row decoder.
-
-    Args:
-        address_bits: Number of row-address inputs.
-        tech: Technology corner (for the alpha-power delay model).
-        stages: Logic depth of the decode path (pre-decode + NAND +
-            driver); sets the nominal delay multiplier.
-    """
-
-    def __init__(self, address_bits: int, tech: Technology,
-                 stages: int = 4) -> None:
-        if address_bits <= 0:
-            raise ValueError("address_bits must be positive")
-        if stages <= 0:
-            raise ValueError("stages must be positive")
-        self.address_bits = address_bits
-        self.tech = tech
-        self.stages = stages
-
-    @property
-    def n_rows(self) -> int:
-        return 1 << self.address_bits
-
-    def decode(self, address: int) -> int:
-        """Functional decode: address -> selected row (identity map)."""
-        if not 0 <= address < self.n_rows:
-            raise ValueError(f"address {address} out of range")
-        return address
-
-    # ------------------------------------------------------------------
-    # Timing
-    # ------------------------------------------------------------------
-    def nominal_delay(self, vdd: float, fanout: float = 8.0) -> float:
-        """Fault-free decode delay at a supply voltage.
-
-        The word-line driver sees a large fanout (the word-line wire plus
-        one access-gate pair per column), hence the default fanout.
-        """
-        return self.stages * gate_delay(self.tech, fanout=fanout, vdd=vdd)
-
-    def timing_with_open(self, vdd: float, open_resistance: float,
-                         fanout: float = 8.0) -> DecoderTiming:
-        """Decode timing with a resistive open on one address input.
-
-        The open in series with the input gate forms an RC with the gate
-        capacitance: the affected transition is slowed by
-        ``R_open * C_gate``.  Selection (rising) is assumed to go through
-        the slowed input; deselection of the *previous* word line goes
-        through the complementary (un-slowed) path, so a slowed input
-        delays the *fall* of the victim word line relative to the rise of
-        the next one, creating a dual-select overlap window.
-        """
-        if open_resistance < 0:
-            raise ValueError("open_resistance must be non-negative")
-        nominal = self.nominal_delay(vdd, fanout)
-        rc = open_resistance * self.tech.gate_capacitance
-        return DecoderTiming(
-            select_delay=nominal + rc,
-            deselect_delay=nominal + rc,
-            overlap=rc,
-        )
 
 
 def build_decoder_netlist(

@@ -4,9 +4,8 @@ The paper's Fault Coverage Estimator takes exactly four user inputs:
 ``#X rows``, ``#Y columns``, ``#B bits per word`` and the optional number
 of ``Z blocks`` (Section 3).  :class:`MemoryGeometry` is that parameter
 block plus the derived quantities the rest of the library needs:
-address-space size, logical-to-topological mapping (with optional address
-scrambling), and the physical array dimensions that drive critical-area
-scaling in the IFA flow.
+address-space size, logical-to-topological mapping, and the physical
+array dimensions that drive critical-area scaling in the IFA flow.
 """
 
 from __future__ import annotations
@@ -72,14 +71,6 @@ class MemoryGeometry:
         """Word-address width (rows x columns x blocks, rounded up)."""
         return max(1, math.ceil(math.log2(self.words)))
 
-    @property
-    def row_address_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.rows)))
-
-    @property
-    def column_address_bits(self) -> int:
-        return max(0, math.ceil(math.log2(self.columns)))
-
     # ------------------------------------------------------------------
     # Address mapping
     # ------------------------------------------------------------------
@@ -89,12 +80,6 @@ class MemoryGeometry:
         block, rest = divmod(word_address, self.words_per_block)
         row, col = divmod(rest, self.columns)
         return block, row, col
-
-    def join_address(self, block: int, row: int, col: int) -> int:
-        if not (0 <= block < self.blocks and 0 <= row < self.rows
-                and 0 <= col < self.columns):
-            raise ValueError(f"coordinates out of range: {(block, row, col)}")
-        return (block * self.words_per_block) + row * self.columns + col
 
     def bit_position(self, word_address: int, bit: int) -> tuple[int, int, int]:
         """Physical position of one data bit: (block, row, bitline).
@@ -114,23 +99,6 @@ class MemoryGeometry:
         block, row, bitline = self.bit_position(word_address, bit)
         return (block * self.bits_per_block
                 + row * self.bitlines_per_block + bitline)
-
-    def neighbours(self, word_address: int, bit: int) -> list[tuple[int, int]]:
-        """Physically adjacent cells of a bit: (word_address, bit) pairs.
-
-        Returns up to four neighbours (left/right on the same word line,
-        up/down on the same bit line) -- the aggressor candidates for
-        layout-aware coupling faults and bridge extraction.
-        """
-        block, row, bitline = self.bit_position(word_address, bit)
-        result = []
-        for r, b in ((row, bitline - 1), (row, bitline + 1),
-                     (row - 1, bitline), (row + 1, bitline)):
-            if not (0 <= r < self.rows and 0 <= b < self.bitlines_per_block):
-                continue
-            bit_idx, col = divmod(b, self.columns)
-            result.append((self.join_address(block, r, col), bit_idx))
-        return result
 
     def _check_word_address(self, word_address: int) -> None:
         if not 0 <= word_address < self.words:

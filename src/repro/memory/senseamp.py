@@ -73,12 +73,3 @@ class SenseAmp:
     def minimum_current(self, period: float) -> float:
         """Smallest cell read current that still reads correctly."""
         return self.v_offset * self.bitline_capacitance / self.develop_time(period)
-
-    def critical_period(self, read_current: float) -> float:
-        """Shortest clock period at which ``read_current`` still reads
-        correctly -- the per-cell component of the access-time shmoo
-        boundary."""
-        if read_current <= 0:
-            return float("inf")
-        return (self.v_offset * self.bitline_capacitance
-                / (self.develop_fraction * read_current))

@@ -1,7 +1,7 @@
 """Top-level SRAM model: functional behaviour plus electrical timing.
 
 :class:`Sram` binds the geometry, the 6T cell, the periphery models
-(decoder, sense amp, write driver, precharge) and a technology corner
+(sense amp, precharge) and a technology corner
 into one device-under-test.  Two faces:
 
 * **functional**: word-oriented read/write with an attachable list of
@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from repro.circuit.technology import Technology
 from repro.faults.models import FunctionalFault, MemoryState
 from repro.memory.cell import CellRatios, SixTCell
-from repro.memory.decoder import RowDecoder
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.precharge import Precharge
 from repro.memory.senseamp import SenseAmp
-from repro.memory.writedriver import WriteDriver
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ class Sram:
         self.ratios = ratios if ratios is not None else CellRatios()
         self.timing = timing if timing is not None else TimingModel()
         self.cell = SixTCell(tech, self.ratios)
-        self.decoder = RowDecoder(geometry.row_address_bits, tech)
         self.sense_amp = SenseAmp(tech)
-        self.write_driver = WriteDriver(tech, cell_ratios=self.ratios)
         self.precharge = Precharge(tech)
         # Functional state and attached behavioural faults.
         self.state = MemoryState(geometry.bits)

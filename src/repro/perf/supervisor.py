@@ -113,11 +113,6 @@ class SupervisorStats:
             "degraded_units": self.degraded_units,
         }
 
-    @property
-    def any_activity(self) -> bool:
-        """True when any supervision action fired (clean runs: False)."""
-        return any(self.as_dict().values())
-
 
 @dataclass
 class _ShardState:

@@ -158,12 +158,3 @@ def unwrap_envelope(payload: Any, schema: str,
             f"(stored {str(payload['checksum'])[:12]}..., "
             f"computed {actual[:12]}...)")
     return version, payload["body"]
-
-
-def atomic_write_envelope(path: str | Path, schema: str, version: int,
-                          body: Any,
-                          fault_hook: FaultHook | None = None) -> None:
-    """Checksum, wrap and durably write a JSON body in one call."""
-    envelope = wrap_envelope(schema, version, body)
-    atomic_write_text(path, json.dumps(envelope, indent=1, sort_keys=True),
-                      fault_hook=fault_hook)

@@ -153,14 +153,3 @@ class VirtualTester:
                     ))
         sram.clear_faults()
         return result
-
-    # ------------------------------------------------------------------
-    def condition_signature(self, sram: Sram, defects: list[Defect],
-                            test: MarchTest,
-                            conditions: dict[str, StressCondition],
-                            ) -> dict[str, bool]:
-        """Pass/fail across a condition suite: name -> failed?"""
-        return {
-            name: not self.test_device(sram, defects, test, cond).passed
-            for name, cond in conditions.items()
-        }

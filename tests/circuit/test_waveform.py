@@ -29,41 +29,11 @@ class TestWaveformBasics:
         assert ramp_wave().at(-1.0) == pytest.approx(0.0)
         assert ramp_wave().at(1.0) == pytest.approx(1.0)
 
-    def test_logic_at(self):
-        w = ramp_wave()
-        assert w.logic_at(0.0, vdd=1.0) == 0
-        assert w.logic_at(1e-9, vdd=1.0) == 1
-
     def test_min_max_settle(self):
         w = ramp_wave()
         assert w.min() == 0.0
         assert w.max() == 1.0
         assert w.settle_value() == pytest.approx(1.0, abs=0.01)
-
-
-class TestCrossing:
-    def test_rising_crossing(self):
-        t = ramp_wave().crossing_time(0.5, rising=True)
-        assert t == pytest.approx(0.5e-9, rel=1e-6)
-
-    def test_falling_crossing_none_on_rising_ramp(self):
-        assert ramp_wave().crossing_time(0.5, rising=False) is None
-
-    def test_after_parameter(self):
-        t = np.linspace(0, 4.0, 401)
-        v = np.sin(t * np.pi)  # crosses 0.5 rising twice
-        w = Waveform("n", t, v)
-        first = w.crossing_time(0.5, rising=True)
-        second = w.crossing_time(0.5, rising=True, after=1.5)
-        assert first < 0.5
-        assert 2.0 < second < 2.5
-
-    def test_delay_to(self):
-        a = ramp_wave()
-        t = np.linspace(0.0, 1e-9, 11)
-        b = Waveform("m", t + 0.2e-9, np.linspace(0.0, 1.0, 11))
-        d = a.delay_to(b, 0.5)
-        assert d == pytest.approx(0.2e-9, rel=1e-6)
 
 
 class TestStimuli:
@@ -112,10 +82,3 @@ class TestWaveformProperties:
         w = ramp_wave()
         v = w.at(t_query * 1e-9)
         assert w.min() - 1e-12 <= v <= w.max() + 1e-12
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=2,
-                    max_size=20))
-    def test_logic_at_binary(self, values):
-        t = np.linspace(0.0, 1.0, len(values))
-        w = Waveform("n", t, np.asarray(values))
-        assert w.logic_at(0.5, vdd=2.0) in (0, 1)

@@ -7,13 +7,11 @@ from repro.defects.behavior import FaultMode, Manifestation
 from repro.defects.injection import (
     inject_bridge_into_cell,
     inject_open_into_decoder,
-    make_atspeed_fault,
     to_functional_fault,
 )
 from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
 from repro.faults.models import (
     DataRetentionFault,
-    MemoryState,
     MultipleAccessFault,
     ReadDestructiveFault,
     StuckAtFault,
@@ -55,24 +53,6 @@ class TestBehaviouralRendering:
         m = Manifestation(FaultMode.ADDRESS_HAZARD, cell=g.bits - 1)
         f = to_functional_fault(m, geometry=g)
         assert f.extra_cells == (0,)
-
-
-class TestAtSpeedFault:
-    def test_back_to_back_only(self):
-        f = make_atspeed_fault(cell=0, state=0, max_gap_cycles=1)
-        mem = MemoryState(4)
-        f.write(mem, 0, 0, 0)
-        f.write(mem, 0, 1, 1)
-        f.read(mem, 0, 2)
-        assert mem.get(0) == 0   # fired
-
-    def test_gap_suppresses(self):
-        f = make_atspeed_fault(cell=0, state=0, max_gap_cycles=1)
-        mem = MemoryState(4)
-        f.write(mem, 0, 0, 0)
-        f.write(mem, 0, 1, 1)
-        f.read(mem, 0, 5)
-        assert mem.get(0) == 1   # gap too large
 
 
 class TestNetlistInjection:

@@ -59,6 +59,7 @@ class TestBench:
     def test_vlv_only_defect_signature(self, bench, conds):
         chip = VeqtorChip(0)
         chip.add_defect(0, bridge(BridgeSite.CELL_NODE_RAIL, 150e3))
-        sig = bench.chip_signature(chip, TEST_11N, conds)
+        sig = {name: bench.chip_fails(chip, TEST_11N, cond)
+               for name, cond in conds.items()}
         assert sig == {"VLV": True, "Vmin": False, "Vnom": False,
                        "Vmax": False, "at-speed": False}

@@ -66,9 +66,6 @@ class TestStuckAt:
         f.write(mem, 2, 1, 0)
         assert f.read(mem, 2, 1) == 1
 
-    def test_primitives(self):
-        assert StuckAtFault(0, 1).primitives() == ("<0/1/->",)
-
 
 class TestTransition:
     def test_rising_blocked(self, mem):

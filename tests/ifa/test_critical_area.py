@@ -10,7 +10,6 @@ from repro.ifa import extraction
 from repro.ifa.critical_area import (
     find_adjacent_pairs,
     find_adjacent_pairs_exhaustive,
-    open_weight,
     short_weight,
     total_short_weight,
 )
@@ -35,13 +34,6 @@ class TestWeights:
            st.floats(min_value=0.1, max_value=10.0))
     def test_closer_spacing_higher_weight(self, s, length):
         assert short_weight(s / 2, length) > short_weight(s, length)
-
-    def test_open_weight_formula(self):
-        assert open_weight(0.25, 1.0) == pytest.approx(2.0)
-
-    def test_open_weight_invalid(self):
-        with pytest.raises(ValueError):
-            open_weight(0.0, 1.0)
 
 
 class TestAdjacency:

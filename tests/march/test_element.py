@@ -74,16 +74,6 @@ class TestMarchElement:
 
 
 class TestTransforms:
-    @given(element_strategy)
-    def test_inverted_data_involution(self, el):
-        assert el.inverted_data().inverted_data() == el
-
-    @given(element_strategy)
-    def test_inverted_preserves_structure(self, el):
-        inv = el.inverted_data()
-        assert len(inv) == len(el)
-        assert inv.order == el.order
-        assert all(a.kind == b.kind for a, b in zip(inv.ops, el.ops))
 
     @given(element_strategy)
     def test_reversed_order_involution(self, el):

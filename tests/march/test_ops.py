@@ -18,11 +18,6 @@ class TestOpBasics:
         with pytest.raises(ValueError):
             Op(OpKind.READ, 2)
 
-    def test_inverted(self):
-        assert R0.inverted() == R1
-        assert W1.inverted() == W0
-        assert R0.inverted().inverted() == R0
-
     def test_notation(self):
         assert R0.notation == "r0"
         assert W1.notation == "w1"

@@ -57,10 +57,6 @@ class TestMarchTestWithPauses:
         codes = {i.code for i in validate(t)}
         assert "no-operations" in codes or "no-reads" in codes
 
-    def test_inverted_data_keeps_pauses(self):
-        inv = MARCH_G_DEL.with_inverted_data()
-        assert sum(isinstance(el, PauseElement) for el in inv.elements) == 2
-
 
 class TestSequencerWithPauses:
     def test_cycle_count_includes_pauses(self):

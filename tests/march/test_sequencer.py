@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.march.element import AddressOrder
-from repro.march.library import MARCH_CM, MATS_PLUS_PLUS, TEST_11N
+from repro.march.library import MATS_PLUS_PLUS, TEST_11N
 from repro.march.sequencer import (
     DataBackground,
     MarchSequencer,
     background_bit,
     bit_rotation_map,
-    movi_runs,
 )
 
 
@@ -113,15 +112,3 @@ class TestBitRotation:
             bit_rotation_map(4, 4)
         with pytest.raises(ValueError):
             bit_rotation_map(0, 0)
-
-
-class TestMoviRuns:
-    def test_run_per_bit(self):
-        runs = list(movi_runs(MARCH_CM, address_bits=3))
-        assert [fb for fb, _ in runs] == [0, 1, 2]
-
-    def test_each_run_covers_all_addresses(self):
-        for _, stream in movi_runs(MATS_PLUS_PLUS, address_bits=3):
-            cycles = list(stream)
-            assert {c.address for c in cycles} == set(range(8))
-            assert len(cycles) == 6 * 8

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults.coverage import class_coverage
-from repro.faults.models import StuckAtFault, TransitionFault
 from repro.march.element import AddressOrder
 from repro.march.synthesis import (
     MarchSynthesizer,
@@ -85,28 +84,6 @@ class TestSynthesis:
     def test_validation(self):
         with pytest.raises(ValueError):
             MarchSynthesizer(n_cells=1)
-
-
-class TestMinimise:
-    def test_redundant_element_dropped(self):
-        from repro.march.test import MarchTest
-
-        synth = MarchSynthesizer(n_cells=6)
-        universe = [lambda: StuckAtFault(2, 0), lambda: StuckAtFault(2, 1)]
-        padded = MarchTest.parse(
-            "padded", "*(w0); ^(r0,w1); ^(r1,w0); ^(r0,w1); *(r1)")
-        minimised = synth.minimise(padded, universe)
-        assert minimised.complexity < padded.complexity
-        assert minimised.is_consistent()
-        assert synth._coverage_count(minimised.elements, universe) == 2
-
-    def test_tight_test_untouched(self):
-        from repro.march.library import MATS
-
-        synth = MarchSynthesizer(n_cells=6)
-        universe = classical_universe(6, ("SAF",))
-        minimised = synth.minimise(MATS, universe)
-        assert minimised.complexity == MATS.complexity
 
 
 class TestTargetingDynamicFaults:

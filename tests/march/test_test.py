@@ -73,20 +73,6 @@ class TestSerialisation:
             MarchTest("empty", ())
 
 
-class TestInvertedData:
-    def test_inverted_data_consistent(self):
-        inv = MARCH_CM.with_inverted_data()
-        assert inv.is_consistent()
-        assert inv.complexity == MARCH_CM.complexity
-
-    def test_inverted_flips_all_values(self):
-        inv = TEST_11N.with_inverted_data()
-        for el, el_inv in zip(TEST_11N.elements, inv.elements):
-            for op, op_inv in zip(el.ops, el_inv.ops):
-                assert op_inv.value == 1 - op.value
-                assert op_inv.kind == op.kind
-
-
 class TestElevenNReconstruction:
     def test_contains_papers_bitmap_elements(self):
         """Sections 4.1/4.2 name elements {R0W1}, {R1W0R0}, {R0W1R1}."""

@@ -6,51 +6,9 @@ from repro.circuit.devices import Mosfet
 from repro.circuit.solver import dc_operating_point
 from repro.circuit.technology import CMOS018
 from repro.memory.decoder import (
-    RowDecoder,
     build_decoder_netlist,
     decoder_input_waveforms,
 )
-
-
-class TestFunctionalDecode:
-    def test_identity_map(self):
-        dec = RowDecoder(4, CMOS018)
-        assert dec.n_rows == 16
-        assert dec.decode(7) == 7
-
-    def test_out_of_range(self):
-        dec = RowDecoder(2, CMOS018)
-        with pytest.raises(ValueError):
-            dec.decode(4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RowDecoder(0, CMOS018)
-
-
-class TestTiming:
-    def test_nominal_delay_grows_at_low_vdd(self):
-        dec = RowDecoder(4, CMOS018)
-        assert dec.nominal_delay(1.0) > dec.nominal_delay(1.8)
-
-    def test_open_adds_rc(self):
-        dec = RowDecoder(4, CMOS018)
-        t_clean = dec.timing_with_open(1.8, 0.0)
-        t_open = dec.timing_with_open(1.8, 1e6)
-        assert t_open.select_delay > t_clean.select_delay
-        assert t_open.overlap > 0.0
-        assert t_clean.overlap == 0.0
-
-    def test_overlap_proportional_to_resistance(self):
-        dec = RowDecoder(4, CMOS018)
-        o1 = dec.timing_with_open(1.8, 1e6).overlap
-        o2 = dec.timing_with_open(1.8, 2e6).overlap
-        assert o2 == pytest.approx(2.0 * o1)
-
-    def test_negative_resistance_rejected(self):
-        dec = RowDecoder(4, CMOS018)
-        with pytest.raises(ValueError):
-            dec.timing_with_open(1.8, -1.0)
 
 
 class TestDecoderNetlist:

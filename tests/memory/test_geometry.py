@@ -30,8 +30,6 @@ class TestSizes:
     def test_address_bits(self):
         g = MemoryGeometry(16, 4, 8)
         assert g.address_bits == 6
-        assert g.row_address_bits == 4
-        assert g.column_address_bits == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -49,10 +47,10 @@ class TestSizes:
 class TestAddressMapping:
     @given(geom_st, st.integers(min_value=0, max_value=100000))
     @settings(max_examples=80)
-    def test_split_join_roundtrip(self, g, raw):
+    def test_split_roundtrip(self, g, raw):
         address = raw % g.words
         block, row, col = g.split_address(address)
-        assert g.join_address(block, row, col) == address
+        assert block * g.words_per_block + row * g.columns + col == address
         assert 0 <= block < g.blocks
         assert 0 <= row < g.rows
         assert 0 <= col < g.columns
@@ -73,8 +71,6 @@ class TestAddressMapping:
             g.split_address(g.words)
         with pytest.raises(ValueError):
             g.bit_position(0, 2)
-        with pytest.raises(ValueError):
-            g.join_address(0, 4, 0)
 
 
 class TestInterleaving:
@@ -90,24 +86,3 @@ class TestInterleaving:
         g = MemoryGeometry(8, 4, 4)
         rows = {g.bit_position(5, b)[1] for b in range(4)}
         assert len(rows) == 1
-
-
-class TestNeighbours:
-    def test_interior_cell_has_four(self):
-        g = MemoryGeometry(8, 4, 4)
-        addr = g.join_address(0, 4, 1)
-        assert len(g.neighbours(addr, 1)) == 4
-
-    def test_corner_cell_has_two(self):
-        g = MemoryGeometry(8, 4, 4)
-        addr = g.join_address(0, 0, 0)
-        assert len(g.neighbours(addr, 0)) == 2
-
-    @given(geom_st)
-    @settings(max_examples=30)
-    def test_neighbourhood_symmetric(self, g):
-        """If B neighbours A then A neighbours B."""
-        addr, bit = 0, 0
-        for n_addr, n_bit in g.neighbours(addr, bit):
-            back = g.neighbours(n_addr, n_bit)
-            assert (addr, bit) in back

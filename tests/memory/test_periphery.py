@@ -1,15 +1,10 @@
-"""Tests for sense amp, write driver, precharge and bit array."""
-
-import math
+"""Tests for the sense amp and precharge models."""
 
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.memory.array import UNKNOWN, BitArray
-from repro.memory.geometry import MemoryGeometry
 from repro.memory.precharge import Precharge
 from repro.memory.senseamp import SenseAmp
-from repro.memory.writedriver import WriteDriver
 
 
 class TestSenseAmp:
@@ -29,14 +24,6 @@ class TestSenseAmp:
         assert not sa.resolves(0.9 * i_min, 20e-9)
         assert sa.resolves(1.1 * i_min, 20e-9)
 
-    def test_critical_period_inverse_of_current(self, sa):
-        p1 = sa.critical_period(100e-6)
-        p2 = sa.critical_period(200e-6)
-        assert p1 == pytest.approx(2.0 * p2)
-
-    def test_zero_current_never_resolves(self, sa):
-        assert math.isinf(sa.critical_period(0.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SenseAmp(CMOS018, v_offset=0.0)
@@ -47,41 +34,6 @@ class TestSenseAmp:
             sa.differential(-1.0, 1e-9)
         with pytest.raises(ValueError):
             sa.develop_time(0.0)
-
-
-class TestWriteDriver:
-    @pytest.fixture
-    def wd(self):
-        return WriteDriver(CMOS018)
-
-    def test_can_write_clean_cell(self, wd):
-        for vdd in (1.0, 1.8, 1.95):
-            assert wd.can_write(vdd)
-
-    def test_series_resistance_weakens_drive(self, wd):
-        assert (wd.drive_current(1.8, 1e6) < wd.drive_current(1.8, 0.0))
-
-    def test_write_time_finite_and_grows_with_r(self, wd):
-        t0 = wd.write_time(1.8)
-        t1 = wd.write_time(1.8, 5e6)
-        assert 0 < t0 < t1
-
-    def test_write_fails_with_huge_open(self, wd):
-        assert not wd.can_write(1.8, 1e9)
-
-    def test_critical_open_resistance_positive(self, wd):
-        r = wd.critical_open_resistance(1.8, 100e-9)
-        assert r > 1e3
-        # Just beyond critical the write fails its budget.
-        assert (not wd.can_write(1.8, 4 * r)
-                or wd.write_time(1.8, 4 * r) > 0.45 * 100e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WriteDriver(CMOS018, width=0.0)
-        wd = WriteDriver(CMOS018)
-        with pytest.raises(ValueError):
-            wd.drive_current(1.8, -1.0)
 
 
 class TestPrecharge:
@@ -110,36 +62,3 @@ class TestPrecharge:
             Precharge(CMOS018, precharge_fraction=1.0)
         with pytest.raises(ValueError):
             Precharge(CMOS018).residual_differential(1.8, 0.0, 1.0)
-
-
-class TestBitArray:
-    @pytest.fixture
-    def arr(self):
-        return BitArray(MemoryGeometry(4, 2, 4))
-
-    def test_word_roundtrip(self, arr):
-        arr.write_word(3, 0b1010)
-        assert arr.read_word(3) == 0b1010
-
-    def test_bit_access(self, arr):
-        arr.write_bit(2, 1, 1)
-        assert arr.read_bit(2, 1) == 1
-        assert arr.read_bit(2, 0) == UNKNOWN
-
-    def test_unknown_reads_as_zero_in_word(self, arr):
-        assert arr.read_word(0) == 0
-
-    def test_fill_and_mismatch_count(self, arr):
-        other = BitArray(arr.geometry)
-        arr.fill(0)
-        other.fill(0)
-        other.write_bit(1, 2, 1)
-        assert arr.count_mismatches(other) == 1
-
-    def test_word_value_range_checked(self, arr):
-        with pytest.raises(ValueError):
-            arr.write_word(0, 1 << 4)
-
-    def test_geometry_mismatch(self, arr):
-        with pytest.raises(ValueError):
-            arr.count_mismatches(BitArray(MemoryGeometry(2, 2, 4)))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runner.atomic import (
     EnvelopeError,
-    atomic_write_envelope,
     atomic_write_text,
     body_checksum,
     temp_path_for,
@@ -102,9 +101,3 @@ class TestEnvelope:
     def test_not_a_dict(self):
         with pytest.raises(EnvelopeError, match="expected an envelope"):
             unwrap_envelope([1, 2], "s", 1)
-
-    def test_atomic_write_envelope(self, tmp_path):
-        path = tmp_path / "e.json"
-        atomic_write_envelope(path, "s", 1, {"k": "v"})
-        payload = json.loads(path.read_text())
-        assert unwrap_envelope(payload, "s", 1) == (1, {"k": "v"})

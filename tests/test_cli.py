@@ -126,6 +126,8 @@ class TestLintCommand:
 
     def test_unknown_march_test_exits_two(self, capsys):
         assert main(["lint", "march:no-such-test"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro lint: unknown march test 'no-such-test'; available:")
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -569,6 +571,10 @@ class TestBadPaths:
     (["serve", "--port", "65536"], "--port: must be in 0-65535"),
     (["shmoo", "--defect", "rail-bridge", "--resistance", "-5"],
      "--resistance: must be positive"),
+    (["shmoo", "--test", "bogus"], "--test: unknown march test 'bogus'"),
+    (["plan", "--test", "bogus", "--samples", "50"],
+     "--test: unknown march test 'bogus'"),
+    (["lint", "--test", "bogus"], "--test: unknown march test 'bogus'"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_out_of_range_values_are_usage_errors(capsys, argv, message):
     """Bad option values end in a one-line argparse error (exit 2), not

@@ -96,3 +96,57 @@ def test_package_inits_import_nothing():
                for node in ast.walk(tree)):
             offenders.append(rel)
     assert offenders == []
+
+
+#: Where the library is entered: the console command, the canonical
+#: report, the lazy public table (read below) and every script, example,
+#: benchmark and e2e workload of the repository.
+ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.analysis.report")
+ENTRY_DIRS = ("benchmarks", "examples", "scripts", "e2ebench")
+
+
+def module_of(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def imports_of(path: Path) -> set[str]:
+    """Every module an absolute ``import`` anywhere in ``path`` may name.
+
+    ``ast.walk`` visits function bodies too, so deferred imports count.
+    ``from a import b`` yields both ``a`` and ``a.b``; the caller keeps
+    only names that are modules of the library.
+    """
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_library_module_is_reached_from_an_entry_point():
+    import repro
+
+    modules = {module_of(p): p for p in SRC.joinpath("repro").rglob("*.py")}
+    frontier = set(ENTRY_MODULES) | set(repro._EXPORTS.values())
+    root = SRC.parent
+    for directory in ENTRY_DIRS:
+        for script in root.joinpath(directory).rglob("*.py"):
+            frontier |= imports_of(script)
+    reached: set[str] = set()
+    while frontier:
+        name = frontier.pop()
+        # Importing ``a.b.c`` runs the ``__init__`` of ``a`` and ``a.b``.
+        parts = name.split(".")
+        for depth in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:depth])
+            if prefix in modules and prefix not in reached:
+                reached.add(prefix)
+                frontier |= imports_of(modules[prefix])
+    unreached = sorted(set(modules) - reached)
+    assert not unreached, f"no entry point reaches: {', '.join(unreached)}"

@@ -46,13 +46,6 @@ class TestQuickMode:
         d = bridge(BridgeSite.CELL_NODE_RAIL, 150e3)   # VLV-only band
         assert tester.test_device(sram, [d], TEST_11N, conds["Vnom"]).passed
 
-    def test_condition_signature(self, setup):
-        sram, tester, conds = setup
-        d = bridge(BridgeSite.CELL_NODE_RAIL, 150e3)
-        sig = tester.condition_signature(sram, [d], TEST_11N, conds)
-        assert sig["VLV"] is True
-        assert sig["Vnom"] is False
-
 
 class TestFullMode:
     def test_quick_and_full_agree(self, setup):

@@ -81,7 +81,7 @@ class TestStructuralClasses:
 
     def test_row_failure(self, geom, analyzer):
         # All cells of physical row 2: word addresses 4,5 with all bits.
-        cells = [(geom.join_address(0, 2, c), b)
+        cells = [(2 * geom.columns + c, b)
                  for c in range(geom.columns)
                  for b in range(geom.bits_per_word)]
         diag = analyzer.diagnose(self._fails_at(cells))
@@ -90,7 +90,7 @@ class TestStructuralClasses:
 
     def test_column_failure(self, geom, analyzer):
         # Same bitline across all rows: column 1, bit 2.
-        cells = [(geom.join_address(0, r, 1), 2) for r in range(geom.rows)]
+        cells = [(r * geom.columns + 1, 2) for r in range(geom.rows)]
         diag = analyzer.diagnose(self._fails_at(cells))
         assert diag.hint is DefectClassHint.COLUMN_FAILURE
         assert len(diag.failing_bitlines) == 1
