@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit.technology import CMOS013, CMOS018
 from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
-from repro.march.library import MARCH_CM, TEST_11N
+from repro.march.library import MARCH_CM, MATS_PLUS_PLUS, TEST_11N
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.tester.iddq import IddqSettings, IddqTester
 from repro.tester.movi import MoviExecutor
@@ -111,6 +111,19 @@ class TestMoviExecutor:
         assert result.detected
         # A stuck-at is order-insensitive: every rotation sees it.
         assert result.detecting_bits == [0, 1, 2, 3]
+
+    def test_each_rotation_visits_every_address(self):
+        from repro.faults.models import StuckAtFault
+
+        ex = MoviExecutor(3)
+        for fast_bit in range(3):
+            clean = ex.run_rotation(MATS_PLUS_PLUS, None, fast_bit)
+            assert clean.fast_bit == fast_bit
+            assert clean.log.cycles_run == 6 * 8
+            for address in range(8):
+                run = ex.run_rotation(MATS_PLUS_PLUS,
+                                      StuckAtFault(address, 1), fast_bit)
+                assert run.log.fails[0].address == address
 
     def test_validation(self):
         with pytest.raises(ValueError):
