@@ -12,9 +12,9 @@ from repro import CMOS018, DefectBehaviorModel
 from repro.analysis.tables import render_coverage_matrix
 from repro.defects.models import BridgeSite, bridge
 from repro.faults.coverage import coverage_matrix
+from repro.lint import lint_march
 from repro.march.library import MARCH_CM, MATS_PLUS_PLUS, TEST_11N
 from repro.march.test import MarchTest
-from repro.march.validation import validate
 from repro.stress import production_conditions
 
 
@@ -32,7 +32,7 @@ def main() -> None:
 
     # 2. Static validation catches authoring mistakes.
     print("== validator ==")
-    issues = validate(my_test)
+    issues = lint_march(my_test).issues
     if issues:
         for issue in issues:
             print(f"  {issue}")
@@ -41,7 +41,7 @@ def main() -> None:
 
     broken = MarchTest.parse("Broken", "*(w0); ^(r1,w0)")
     print("a deliberately broken test:")
-    for issue in validate(broken):
+    for issue in lint_march(broken).issues:
         print(f"  {issue}")
 
     # 3. Classical fault-class coverage next to the published tests.

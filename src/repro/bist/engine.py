@@ -20,7 +20,7 @@ Two response modes, as in production engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.bist.misr import Misr

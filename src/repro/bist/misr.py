@@ -3,13 +3,10 @@
 On-chip memory BIST cannot afford a cycle-by-cycle comparator log the
 way an ATE can; production engines either compare against expected data
 on the fly or compact all read responses into a MISR signature checked
-once at the end.  This module supplies both primitives:
-
-* :class:`Lfsr` -- a Fibonacci linear-feedback shift register (also the
-  pseudo-random address/data generator of more elaborate BIST schemes);
-* :class:`Misr` -- a multiple-input signature register: each clock, the
-  response word is XOR-folded into the shifting state.  A single faulty
-  read flips the final signature with aliasing probability ~2^-width.
+once at the end.  This module supplies the second:
+:class:`Misr`, a multiple-input signature register.  Each clock, the
+response word is XOR-folded into the shifting state; a single faulty
+read flips the final signature with aliasing probability ~2^-width.
 
 Polynomials are given as integer bit masks including the x^width term's
 implied feedback (the constant term must be 1).
@@ -30,55 +27,14 @@ PRIMITIVE_TAPS: dict[int, int] = {
 
 
 @dataclass
-class Lfsr:
-    """Fibonacci LFSR.
-
-    Args:
-        width: Register width in bits.
-        taps: Feedback tap mask (defaults to a primitive polynomial for
-            the width when available).
-        seed: Initial state (must be non-zero).
-    """
-
-    width: int
-    taps: int = 0
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if self.width <= 1:
-            raise ValueError("width must exceed 1")
-        if self.taps == 0:
-            try:
-                self.taps = PRIMITIVE_TAPS[self.width]
-            except KeyError:
-                raise ValueError(
-                    f"no default taps for width {self.width}; supply taps"
-                ) from None
-        mask = (1 << self.width) - 1
-        if not 0 < self.seed <= mask:
-            raise ValueError("seed must be non-zero and fit the width")
-        self.state = self.seed
-
-    def step(self) -> int:
-        """Advance one clock; returns the new state."""
-        feedback = bin(self.state & self.taps).count("1") & 1
-        self.state = ((self.state << 1) | feedback) & ((1 << self.width) - 1)
-        if self.state == 0:
-            self.state = self.seed
-        return self.state
-
-    def reset(self) -> None:
-        self.state = self.seed
-
-
-@dataclass
 class Misr:
     """Multiple-input signature register.
 
     Args:
         width: Register width; response words wider than this are folded
             by XOR before injection.
-        taps: Feedback tap mask (defaults like :class:`Lfsr`).
+        taps: Feedback tap mask (defaults to a primitive polynomial for
+            the width when available).
     """
 
     width: int
@@ -112,8 +68,3 @@ class Misr:
     @property
     def signature(self) -> int:
         return self.state
-
-    def aliasing_probability(self) -> float:
-        """Asymptotic probability that a faulty stream produces the
-        golden signature: 2^-width."""
-        return 2.0 ** (-self.width)

@@ -99,23 +99,6 @@ class Mosfet:
         base = self.tech.k_n if self.mtype is MosType.NMOS else self.tech.k_p
         return base * self.width
 
-    def saturation_current(self, vgs: float) -> float:
-        """Drain saturation current for a given gate-source drive."""
-        vov = self._overdrive(vgs)
-        if vov <= 0.0:
-            return 0.0
-        return self.k * vov**self.tech.alpha
-
-    def _overdrive(self, vgs: float) -> float:
-        if self.mtype is MosType.NMOS:
-            return vgs - self.vth
-        return -vgs - self.vth
-
-    def ids(self, vgs: float, vds: float) -> float:
-        """Drain-source current (positive into the drain for NMOS)."""
-        i, _, _ = self.ids_and_conductances(vgs, vds)
-        return i
-
     def ids_and_conductances(self, vgs: float,
                              vds: float) -> tuple[float, float, float]:
         """Current plus small-signal gm (dI/dVgs) and gds (dI/dVds).
@@ -166,24 +149,6 @@ class Mosfet:
             gds = gleak
 
         return sign * i, gm, gds
-
-    def on_resistance(self, vdd: float) -> float:
-        """Effective on-resistance when fully driven at supply ``vdd``.
-
-        Defined as ``(vdd / 2) / I(vgs=vdd, vds=vdd/2)`` -- the large-signal
-        resistance seen by a resistive divider fighting this transistor,
-        which is the quantity that sets bridge critical resistance.
-        """
-        if vdd <= self.vth:
-            # Subthreshold: no usable drive (the smoothing tail is a
-            # solver aid, not a physical on-state).
-            return math.inf
-        i = self.ids(vdd, vdd / 2.0) if self.mtype is MosType.NMOS else abs(
-            self.ids(-vdd, -vdd / 2.0)
-        )
-        if i <= 0.0:
-            return math.inf
-        return (vdd / 2.0) / i
 
 
 @dataclass

@@ -19,7 +19,6 @@ data.  DESIGN.md records this substitution.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 
@@ -117,28 +116,6 @@ class Technology:
             raise ValueError(f"alpha-power exponent out of range [1, 2]: {self.alpha}")
         if self.k_n <= 0 or self.k_p <= 0:
             raise ValueError("transconductance coefficients must be positive")
-
-    @property
-    def supply_corners(self) -> dict[str, float]:
-        """The four supply conditions evaluated in the paper's Table 1."""
-        return {
-            "VLV": self.vdd_vlv,
-            "Vmin": self.vdd_min,
-            "Vnom": self.vdd_nominal,
-            "Vmax": self.vdd_max,
-        }
-
-    def vlv_in_recommended_window(self) -> bool:
-        """Check the paper's VLV guideline: 2 VT <= VLV <= 2.5 VT."""
-        return 2.0 * self.vth_n <= self.vdd_vlv <= 2.5 * self.vth_n
-
-    def scaled(self, **overrides: float) -> "Technology":
-        """Return a copy with some parameters replaced.
-
-        Convenience for corner/ablation studies, e.g.
-        ``tech.scaled(vth_n=0.5, alpha=1.5)``.
-        """
-        return dataclasses.replace(self, **overrides)
 
 
 def _default_layers() -> dict[str, LayerInfo]:

@@ -58,31 +58,6 @@ class Waveform:
         return float(self.voltage[-n:].mean())
 
 
-def pulse(v_low: float, v_high: float, t_start: float, t_width: float,
-          t_edge: float = 1e-10):
-    """Build a single-pulse stimulus callable for a ``VoltageSource``.
-
-    The pulse rises at ``t_start``, stays high for ``t_width`` and falls
-    back; edges are linear ramps of ``t_edge`` seconds.
-    """
-    if t_width <= 0 or t_edge <= 0:
-        raise ValueError("t_width and t_edge must be positive")
-
-    def f(t: float) -> float:
-        if t < t_start:
-            return v_low
-        if t < t_start + t_edge:
-            return v_low + (v_high - v_low) * (t - t_start) / t_edge
-        if t < t_start + t_edge + t_width:
-            return v_high
-        if t < t_start + 2 * t_edge + t_width:
-            return v_high - (v_high - v_low) * (
-                t - t_start - t_edge - t_width) / t_edge
-        return v_low
-
-    return f
-
-
 def clock(v_low: float, v_high: float, period: float, duty: float = 0.5,
           t_edge: float = 1e-10):
     """Build a periodic clock stimulus callable."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.database import CoverageDatabase
-from repro.core.williams_brown import defect_level, dpm, poisson_yield
+from repro.core.williams_brown import dpm, poisson_yield
 from repro.defects.distribution import (
     DefectDensity,
     ResistanceDistribution,
@@ -214,9 +214,3 @@ class FaultCoverageEstimator:
         best = min(e.dpm for e in estimates) if estimates else 0.0
         normalised = tuple(e.with_normalisation(best) for e in estimates)
         return EstimatorReport(kind, geometry, y, normalised)
-
-    def escapes_per_million(self, geometry: MemoryGeometry, kind: str,
-                            condition: str) -> float:
-        """Convenience: the DPM of one condition alone."""
-        report = self.estimate(geometry, kind)
-        return report.by_condition(condition).dpm

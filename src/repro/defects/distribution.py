@@ -134,25 +134,6 @@ class ResistanceDistribution:
             total += c.weight * _phi(z)
         return total
 
-    def pdf(self, r: float) -> float:
-        if r <= 0:
-            return 0.0
-        total = 0.0
-        for c in self.components:
-            z = (math.log(r) - math.log(c.median)) / c.sigma
-            total += (
-                c.weight
-                * math.exp(-0.5 * z * z)
-                / (r * c.sigma * math.sqrt(2.0 * math.pi))
-            )
-        return total
-
-    def band_probability(self, r_lo: float, r_hi: float) -> float:
-        """P(r_lo < R <= r_hi)."""
-        if r_hi < r_lo:
-            raise ValueError("r_hi must be >= r_lo")
-        return self.cdf(r_hi) - self.cdf(r_lo)
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw resistances (ohms).
 

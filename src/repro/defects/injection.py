@@ -8,10 +8,9 @@ Two injection paths, mirroring the paper's flow (Figure 2):
   machinery simulates cycle-accurately.  This is how a defect's
   stress-dependent electrical behaviour becomes observable march-element
   fails (and hence bitmap signatures like the paper's Chip-1/Chip-2).
-* **Netlist-level** -- :func:`inject_bridge_into_cell` /
-  :func:`inject_open_into_decoder` splice the defect into a
-  transistor-level netlist for the Spice-like solver, used by the
-  Figure 5/6 waveform reproduction and by calibration cross-checks.
+* **Netlist-level** -- :func:`inject_open_into_decoder` splices the
+  defect into a transistor-level netlist for the Spice-like solver,
+  used by the Figure 5/6 waveform reproduction.
 
 Every netlist-level injection is ERC-checked (:mod:`repro.lint`'s
 ``NET0xx`` pack) before it is handed to the solver, so a malformed
@@ -34,7 +33,6 @@ from repro.faults.models import (
     StuckOpenFault,
     TransitionFault,
 )
-from repro.memory.cell import SixTCell
 from repro.memory.decoder import build_decoder_netlist
 from repro.memory.geometry import MemoryGeometry
 
@@ -117,41 +115,6 @@ def decoder_open_to_delay_fault(defect, condition, address_bits: int,
 # ----------------------------------------------------------------------
 # Netlist-level injection (Spice-like path)
 # ----------------------------------------------------------------------
-def inject_bridge_into_cell(cell: SixTCell, vdd: float, state: int,
-                            defect: Defect,
-                            to_rail: str | None = None,
-                            erc: bool = True) -> Netlist:
-    """Standalone 6T-cell netlist with the bridge spliced in.
-
-    Args:
-        cell: The cell template.
-        vdd: Supply voltage.
-        state: Stored value under attack.
-        defect: Bridge defect (its resistance is used).
-        to_rail: ``"gnd"``/``"vdd"``; default chosen from the defect
-            polarity (-1 -> gnd).
-        erc: Run the netlist ERC pack on the result and raise
-            :class:`repro.lint.LintError` on error findings; disable
-            inside hot sweep loops.
-
-    Returns:
-        The faulty netlist, ready for
-        :meth:`repro.memory.cell.SixTCell.solve_state`.
-    """
-    rail = to_rail if to_rail is not None else ("gnd" if defect.polarity < 0
-                                                else "vdd")
-    base = cell.standalone_netlist(vdd, state)
-    high_node = cell.node("t") if state else cell.node("c")
-    low_node = cell.node("c") if state else cell.node("t")
-    if rail == "gnd":
-        faulty = base.with_bridge(high_node, "0", defect.resistance)
-    else:
-        faulty = base.with_bridge(low_node, "vdd", defect.resistance)
-    if erc:
-        _erc_check(faulty, cell.tech)
-    return faulty
-
-
 def _erc_check(netlist: Netlist, tech) -> None:
     """Gate an injected netlist on the ``NET0xx`` ERC pack (errors only)."""
     from repro.lint import assert_netlist_clean

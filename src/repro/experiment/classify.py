@@ -23,7 +23,7 @@ from repro.experiment.veqtor import VeqtorChip, VeqtorTestBench
 from repro.march.library import TEST_11N
 from repro.march.test import MarchTest
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.stress import StressCondition, production_conditions
+from repro.stress import production_conditions
 from repro.tester.ate import VirtualTester
 
 #: The stress conditions of the paper's Venn diagram.

@@ -67,13 +67,11 @@ class LotDiagnosis:
         """Fold ``other`` into this diagnosis in place and return self.
 
         Device lists concatenate and per-condition hint histograms add
-        counter-wise, mirroring the
-        :meth:`repro.obs.metrics.MetricsRegistry.merge` reduce contract
-        so shard-local diagnoses combine into the lot-level view.  The
-        resulting histogram is order-independent (Counter addition is
-        commutative and associative; property-tested); the device list
-        keeps merge order, so reduce in shard order for deterministic
-        rendering.
+        counter-wise, so shard-local diagnoses combine into the
+        lot-level view.  The resulting histogram is order-independent
+        (Counter addition is commutative and associative;
+        property-tested); the device list keeps merge order, so reduce
+        in shard order for deterministic rendering.
         """
         self.devices.extend(other.devices)
         for condition, counts in other.hint_histogram.items():

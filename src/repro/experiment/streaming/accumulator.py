@@ -5,10 +5,9 @@ Venn region counts, standard-screen fails, per-condition escape/DPM
 tallies, diagnosis hint histograms -- in O(classes) memory, never
 O(devices).  It is the map-reduce value type: each shard evaluator
 returns one as its payload, the runner merges them in shard order, and
-the merged accumulator is the lot-level result.  The ``merge()``
-contract mirrors :meth:`repro.obs.metrics.MetricsRegistry.merge`
-(in-place, field-wise additive, commutative and associative up to the
-payload encoding -- property-tested).
+the merged accumulator is the lot-level result.  ``merge()`` is
+in place, field-wise additive, and commutative and associative up to
+the payload encoding (property-tested).
 
 ``as_payload()`` / ``from_payload()`` round-trip the accumulator
 through plain JSON-able dicts with sorted keys, so canonical-JSON

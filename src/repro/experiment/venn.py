@@ -105,13 +105,6 @@ class VennCounts:
             all_three=self.all_three + other.all_three,
         )
 
-    def merge(self, other: "VennCounts") -> "VennCounts":
-        """Alias of :meth:`__add__` mirroring the
-        :meth:`repro.obs.metrics.MetricsRegistry.merge` reduce contract
-        (``VennCounts`` is frozen, so merge returns the combined value
-        instead of mutating in place)."""
-        return self + other
-
     def render(self, title: str = "") -> str:
         """ASCII Venn summary."""
         lines = [title] if title else []

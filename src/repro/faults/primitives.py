@@ -43,10 +43,6 @@ class SensitisingSequence:
             raise ValueError("initial_state must be None, 0 or 1")
 
     @property
-    def is_state_only(self) -> bool:
-        return not self.operations
-
-    @property
     def notation(self) -> str:
         state = "" if self.initial_state is None else str(self.initial_state)
         ops = "".join(op.notation for op in self.operations)
@@ -114,10 +110,6 @@ class FaultPrimitive:
         if self.aggressor is not None:
             count += len(self.aggressor.operations)
         return count
-
-    @property
-    def is_dynamic(self) -> bool:
-        return self.operation_count >= 2
 
     @property
     def notation(self) -> str:

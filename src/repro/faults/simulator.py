@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.models import FaultFree, FunctionalFault, MemoryState
-from repro.march.sequencer import CycleOp, DataBackground, MarchSequencer
+from repro.march.sequencer import DataBackground, MarchSequencer
 from repro.march.test import MarchTest
 
 
@@ -51,16 +51,6 @@ class FailLog:
     @property
     def detected(self) -> bool:
         return bool(self.fails)
-
-    @property
-    def first_fail(self) -> FailRecord | None:
-        return self.fails[0] if self.fails else None
-
-    def failing_addresses(self) -> set[int]:
-        return {f.address for f in self.fails}
-
-    def failing_elements(self) -> set[int]:
-        return {f.element_index for f in self.fails}
 
     def __len__(self) -> int:
         return len(self.fails)

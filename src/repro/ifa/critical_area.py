@@ -159,7 +159,3 @@ def _facing(a: Rect, b: Rect, max_spacing: float) -> AdjacentPair | None:
         return None
     spacing, length = max(candidates, key=lambda c: c[1])
     return AdjacentPair(a, b, spacing, length)
-
-
-def total_short_weight(pairs: list[AdjacentPair]) -> float:
-    return sum(short_weight(p.spacing, p.facing_length) for p in pairs)

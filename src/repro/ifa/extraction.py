@@ -22,7 +22,6 @@ Exact-path equivalence: tests/ifa/test_extraction.py
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -162,18 +162,6 @@ class IfaCampaign:
             runner = CampaignRunner(self, checkpoint_path=checkpoint_path)
         return runner.run([spec]).records
 
-    def run_bridges(self, resistances: Sequence[float],
-                    conditions: Iterable[StressCondition],
-                    ) -> list[CoverageRecord]:
-        """Bridge campaign (the paper's Table 1 axis)."""
-        return self.run(resistances, conditions, DefectKind.BRIDGE)
-
-    def run_opens(self, resistances: Sequence[float],
-                  conditions: Iterable[StressCondition],
-                  ) -> list[CoverageRecord]:
-        """Open campaign (the paper's Section 4.2/4.3 axis)."""
-        return self.run(resistances, conditions, DefectKind.OPEN)
-
 
 #: The four bridge resistances of the paper's Table 1.
 TABLE1_RESISTANCES = (20.0, 1e3, 10e3, 90e3)

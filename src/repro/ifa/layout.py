@@ -49,10 +49,6 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class Via:
@@ -98,8 +94,7 @@ class SramLayout:
         tile: Cell tile dimensions.
         max_rows / max_cols: Cap on the *generated* array window.  The
             statistical structure of the layout is periodic, so a modest
-            window is enough for extraction; weights are scaled back up
-            by :attr:`replication_factor`.
+            window is enough for extraction.
     """
 
     def __init__(self, geometry: MemoryGeometry,
@@ -112,12 +107,6 @@ class SramLayout:
         self.rects: list[Rect] = []
         self.vias: list[Via] = []
         self._build()
-
-    @property
-    def replication_factor(self) -> float:
-        """How many real cells each generated cell stands for."""
-        real = self.geometry.rows * self.geometry.bitlines_per_block
-        return (real / (self.gen_rows * self.gen_cols)) * self.geometry.blocks
 
     def _build(self) -> None:
         t = self.tile
@@ -213,9 +202,6 @@ class SramLayout:
                                  "periphery"))
 
     # ------------------------------------------------------------------
-    def rects_on_layer(self, layer: str) -> list[Rect]:
-        return [r for r in self.rects if r.layer == layer]
-
     def stats(self) -> dict[str, int]:
         """Counts per layer plus via kinds (for reports and tests)."""
         out: dict[str, int] = {}

@@ -6,8 +6,7 @@ paper's industrial flow relies on:
 
 * ``netlist`` (``NET0xx``) -- ERC over :class:`repro.circuit.netlist.Netlist`
   before it reaches the Newton solver;
-* ``march`` (``MARCH0xx``) -- march-test lint; the engine behind
-  :mod:`repro.march.validation`'s compatible ``validate`` API;
+* ``march`` (``MARCH0xx``) -- march-test lint;
 * ``plan`` (``PLAN0xx``) -- stress-suite / test-plan review.
 
 Front doors: :func:`lint_netlist`, :func:`lint_march`, :func:`lint_plan`

@@ -65,10 +65,8 @@ def _synthetic_issue(rule_id: str, message: str, location: str,
     if not config.runs(rule_id):
         return None
     r = get_rule(rule_id)
-    severity = config.severity_overrides.get(rule_id, r.default_severity)
-    if severity.rank < config.min_severity.rank:
-        return None
-    return LintIssue(rule_id, severity, message, r.pack, location, index)
+    return LintIssue(rule_id, r.default_severity, message, r.pack, location,
+                     index)
 
 
 def lint_code_source(source: str, path: str | Path = "<string>",

@@ -22,8 +22,8 @@ reporters (text/JSON, CI exit codes) in :mod:`repro.lint.report`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -42,10 +42,6 @@ class Severity(Enum):
     WARNING = "warning"
     ERROR = "error"
 
-    @property
-    def rank(self) -> int:
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
-
     def __str__(self) -> str:
         return self.value
 
@@ -58,8 +54,9 @@ class Finding:
         message: Human-readable description of the problem.
         location: Where in the linted object the problem sits (a node
             name, ``"element 3"``, a condition name, ...).
-        index: Numeric position when the object is a sequence; used by
-            compatibility shims that must reproduce legacy issue order.
+        index: Numeric position in the linted object; the code pack
+            records the source line here and matches it against
+            ``# repro: lint-disable=`` suppressions.
     """
 
     message: str
@@ -104,7 +101,7 @@ class Rule:
             published, even if the rule is retired.
         pack: Rule-pack name (``netlist`` / ``march`` / ``plan``).
         title: One-line summary for ``repro lint --list-rules``.
-        default_severity: Severity unless overridden by config.
+        default_severity: Severity of every finding the rule yields.
         rationale: Why the rule exists (shown in the catalog docs).
         check: Generator of :class:`Finding` for a pack context object.
     """
@@ -197,42 +194,26 @@ class LintConfig:
 
     Attributes:
         disabled: Rule IDs to suppress entirely.
-        severity_overrides: Rule ID -> severity replacing the default
-            (e.g. promote a warning to error for a strict CI lane).
-        min_severity: Findings below this severity are dropped.
         selected: When not ``None``, only these rule IDs run at all
             (``--select``); ``disabled`` still subtracts from the
             selection (``--ignore`` wins over ``--select``).
     """
 
     disabled: frozenset[str] = frozenset()
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    min_severity: Severity = Severity.INFO
     selected: frozenset[str] | None = None
 
     def disable(self, *rule_ids: str) -> "LintConfig":
         """A copy with additional rules suppressed."""
         for rid in rule_ids:
             get_rule(rid)  # validate early: typo'd suppressions are bugs
-        return LintConfig(self.disabled | frozenset(rule_ids),
-                          dict(self.severity_overrides), self.min_severity,
-                          self.selected)
+        return LintConfig(self.disabled | frozenset(rule_ids), self.selected)
 
     def select(self, *rule_ids: str) -> "LintConfig":
         """A copy restricted to these rules (added to any selection)."""
         for rid in rule_ids:
             get_rule(rid)
         selected = (self.selected or frozenset()) | frozenset(rule_ids)
-        return LintConfig(self.disabled, dict(self.severity_overrides),
-                          self.min_severity, selected)
-
-    def override(self, rule_id: str, severity: Severity) -> "LintConfig":
-        """A copy with one rule's severity replaced."""
-        get_rule(rule_id)
-        overrides = dict(self.severity_overrides)
-        overrides[rule_id] = severity
-        return LintConfig(self.disabled, overrides, self.min_severity,
-                          self.selected)
+        return LintConfig(self.disabled, selected)
 
     def runs(self, rule_id: str) -> bool:
         """Whether a rule survives the selection/suppression filters."""
@@ -319,10 +300,8 @@ def run_pack(pack: str, context: Any, config: LintConfig | None = None,
         if not cfg.runs(r.rule_id):
             continue
         rules_run += 1
-        severity = cfg.severity_overrides.get(r.rule_id, r.default_severity)
-        if severity.rank < cfg.min_severity.rank:
-            continue
         for finding in r.check(context):
-            issues.append(LintIssue(r.rule_id, severity, finding.message,
-                                    r.pack, finding.location, finding.index))
+            issues.append(LintIssue(r.rule_id, r.default_severity,
+                                    finding.message, r.pack, finding.location,
+                                    finding.index))
     return LintReport(target, pack, issues, rules_run)

@@ -1,10 +1,7 @@
 """March-test rule pack (``MARCH0xx``).
 
-The framework migration of :mod:`repro.march.validation` plus new
-checks.  Rules MARCH001..MARCH009 are the original validator's checks
-(same messages, same severities); :func:`repro.march.validation.validate`
-remains the backwards-compatible front door and maps these rules back to
-the legacy issue codes.  MARCH010..MARCH012 are new.
+Static checks for march tests built or parsed by users; run them with
+:func:`repro.lint.lint_march`.  Rules MARCH001..MARCH012.
 
 Context object: a :class:`repro.march.test.MarchTest` (any object with
 the same ``elements`` protocol works, including ones bypassing the
@@ -20,20 +17,6 @@ from repro.lint.core import Finding, Severity, rule
 from repro.march.element import AddressOrder
 from repro.march.pause import PauseElement
 from repro.march.test import MarchTest
-
-#: Legacy ``repro.march.validation`` issue code for each migrated rule.
-LEGACY_CODES: dict[str, str] = {
-    "MARCH001": "no-operations",
-    "MARCH002": "uninitialised-read",
-    "MARCH003": "element-inconsistent",
-    "MARCH004": "entry-state-mismatch",
-    "MARCH005": "no-reads",
-    "MARCH006": "no-read0",
-    "MARCH007": "no-read1",
-    "MARCH008": "weak-transitions",
-    "MARCH009": "single-direction",
-}
-
 
 def _operational_elements(test: MarchTest) -> list:
     return [el for el in test.elements if not isinstance(el, PauseElement)]
@@ -61,7 +44,7 @@ def check_initialisation(test: MarchTest) -> Iterator[Finding]:
         yield Finding(
             f"first element {first.notation} reads before any write; the "
             "array content is undefined at power-up",
-            location="element 0", index=0)
+            location="element 0")
 
 
 @rule("MARCH003", "march", "element internally inconsistent",
@@ -74,7 +57,7 @@ def check_element_consistency(test: MarchTest) -> Iterator[Finding]:
             yield Finding(
                 f"element {idx} {element.notation} reads a value that "
                 "contradicts its own preceding write",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
 
 
 @rule("MARCH004", "march", "entry state mismatch",
@@ -90,7 +73,7 @@ def check_entry_states(test: MarchTest) -> Iterator[Finding]:
             yield Finding(
                 f"element {idx} {element.notation} expects cells = {entry} "
                 f"but the previous elements leave cells = {state}",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
         final = element.final_write_value()
         if final is not None:
             state = final
@@ -165,7 +148,7 @@ def check_redundant_elements(test: MarchTest) -> Iterator[Finding]:
                 f"element {idx} {element.notation} repeats element "
                 f"{idx - 1} without any intervening write; the second "
                 "pass cannot observe anything new",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
         previous = element
 
 
@@ -189,7 +172,7 @@ def check_unreachable_reads(test: MarchTest) -> Iterator[Finding]:
                     f"element {idx} {element.notation} reads "
                     f"{op.value} after already requiring {expected} with "
                     "no intervening write; the expectation is "
-                    "unreachable", location=f"element {idx}", index=idx)
+                    "unreachable", location=f"element {idx}")
                 break
             expected = op.value
 
@@ -212,18 +195,18 @@ def check_pause_placement(test: MarchTest) -> Iterator[Finding]:
             yield Finding(
                 f"pause element {idx} {element.notation} precedes any "
                 "write; there is no stored data to decay",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
         elif not any(len(later.reads) > 0 for later in elements[idx + 1:]
                      if not isinstance(later, PauseElement)):
             yield Finding(
                 f"pause element {idx} {element.notation} is never "
                 "followed by a read; retention loss cannot be observed",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
         if idx and isinstance(elements[idx - 1], PauseElement):
             yield Finding(
                 f"pause elements {idx - 1} and {idx} are adjacent; merge "
                 "them into one interval",
-                location=f"element {idx}", index=idx)
+                location=f"element {idx}")
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,6 @@ class AddressOrder(Enum):
     def symbol(self) -> str:
         return {"up": "⇑", "down": "⇓", "any": "⇕"}[self.value]
 
-    def reversed(self) -> "AddressOrder":
-        if self is AddressOrder.UP:
-            return AddressOrder.DOWN
-        if self is AddressOrder.DOWN:
-            return AddressOrder.UP
-        return AddressOrder.ANY
-
     @staticmethod
     def parse(symbol: str) -> "AddressOrder":
         mapping = {
@@ -116,9 +109,6 @@ class MarchElement:
             elif state is not None and op.value != state:
                 return False
         return True
-
-    def reversed_order(self) -> "MarchElement":
-        return MarchElement(self.order.reversed(), self.ops)
 
     @staticmethod
     def parse(text: str) -> "MarchElement":

@@ -13,8 +13,9 @@ Semiconductor Memories", 1998; Adams, "High Performance Memory Testing",
       ⇕(w0); ⇑(r0,w1); ⇑(r1,w0,r0); ⇓(r0,w1,r1); ⇓(r1,w0)
 
 * The MOVI procedure [de Jonge & Smeulders 1976] reruns a base march test
-  once per address bit with that bit toggling fastest; :func:`movi_schedule`
-  generates the address-bit schedule used by the sequencer.
+  once per address bit with that bit toggling fastest;
+  :func:`repro.march.sequencer.bit_rotation_map` is the address permutation
+  of one such run.
 """
 
 from __future__ import annotations
@@ -294,18 +295,3 @@ def get_test(name: str) -> MarchTest:
             f"{sorted(STANDARD_TESTS)}"
         ) from None
 
-
-def movi_schedule(address_bits: int) -> list[int]:
-    """Address-bit rotation schedule of the MOVI procedure.
-
-    MOVI (March with Overlapped Read and Inversion) reruns the base march
-    test ``address_bits`` times; in run *i*, address bit *i* is the
-    fastest-toggling bit, which exercises every address-transition pair and
-    gives at-speed sensitisation of address-decoder delay faults.
-
-    Returns:
-        The list of bit indices, one per run.
-    """
-    if address_bits <= 0:
-        raise ValueError("address_bits must be positive")
-    return list(range(address_bits))

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.march.element import AddressOrder, MarchElement
+from repro.march.element import AddressOrder
 from repro.march.ops import Op
 from repro.march.pause import PauseElement
 from repro.march.test import MarchTest
@@ -141,11 +141,6 @@ class MarchSequencer:
                         value=op.value ^ bg,
                     )
                     cycle += 1
-
-    def cycle_count(self, test: MarchTest) -> int:
-        pauses = sum(el.cycles for el in test.elements
-                     if isinstance(el, PauseElement))
-        return test.complexity * self.n_addresses + pauses
 
 
 def bit_rotation_map(address_bits: int, fast_bit: int) -> Callable[[int], int]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.march.element import AddressOrder, MarchElement
-from repro.march.ops import Op
+from repro.march.element import MarchElement
 from repro.march.pause import PauseElement
 
 
@@ -84,9 +83,6 @@ class MarchTest:
     def read_count(self) -> int:
         """Reads per cell (each is a detection opportunity)."""
         return sum(len(el.reads) for el in self.elements)
-
-    def write_count(self) -> int:
-        return sum(len(el.writes) for el in self.elements)
 
     def transition_count(self) -> int:
         """Number of per-cell up/down state transitions the test exercises

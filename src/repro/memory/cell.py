@@ -48,11 +48,6 @@ class CellRatios:
         if min(self.pull_down, self.access, self.pull_up) <= 0:
             raise ValueError("transistor widths must be positive")
 
-    @property
-    def gamma(self) -> float:
-        """Cell gamma (writability) ratio."""
-        return self.access / self.pull_up
-
 
 class SixTCell:
     """A 6T SRAM cell bound to a technology and sizing.
@@ -229,16 +224,3 @@ class SixTCell:
             if hi / lo < 1.02:
                 break
         return math.sqrt(lo * hi)
-
-    def read_current(self, vdd: float) -> float:
-        """Cell read current: access + pull-down stack discharging a
-        precharged bit line, first-order series combination."""
-        r = self.ratios
-        acc = Mosfet("tmp_acc", MosType.NMOS, "a", "b", "c", r.access, self.tech)
-        pd = Mosfet("tmp_pd", MosType.NMOS, "a", "b", "c", r.pull_down, self.tech)
-        i_acc = acc.saturation_current(vdd)
-        i_pd = pd.saturation_current(vdd)
-        if i_acc <= 0.0 or i_pd <= 0.0:
-            return 0.0
-        # Series devices: harmonic combination approximates the stack.
-        return (i_acc * i_pd) / (i_acc + i_pd)

@@ -1,7 +1,6 @@
 """Top-level SRAM model: functional behaviour plus electrical timing.
 
-:class:`Sram` binds the geometry, the 6T cell, the periphery models
-(sense amp, precharge) and a technology corner
+:class:`Sram` binds the geometry, the 6T cell and a technology corner
 into one device-under-test.  Two faces:
 
 * **functional**: word-oriented read/write with an attachable list of
@@ -22,14 +21,12 @@ a 100 ns cycle at the 1.0 V VLV condition, as in Figure 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuit.technology import Technology
 from repro.faults.models import FunctionalFault, MemoryState
 from repro.memory.cell import CellRatios, SixTCell
 from repro.memory.geometry import MemoryGeometry
-from repro.memory.precharge import Precharge
-from repro.memory.senseamp import SenseAmp
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,6 @@ class Sram:
         self.ratios = ratios if ratios is not None else CellRatios()
         self.timing = timing if timing is not None else TimingModel()
         self.cell = SixTCell(tech, self.ratios)
-        self.sense_amp = SenseAmp(tech)
-        self.precharge = Precharge(tech)
         # Functional state and attached behavioural faults.
         self.state = MemoryState(geometry.bits)
         self.faults: list[FunctionalFault] = []

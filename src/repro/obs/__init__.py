@@ -8,7 +8,7 @@ account of what happened and why:
   run-journal schema;
 * :mod:`repro.obs.bus` -- the buffered, atomically-flushed
   :class:`~repro.obs.bus.EventBus` plus journal readers;
-* :mod:`repro.obs.metrics` -- counters / gauges / monotonic timers;
+* :mod:`repro.obs.metrics` -- deterministic event counters;
 * :mod:`repro.obs.report` -- journal -> run-report folding and
   text/JSON rendering (the ``repro report`` CLI).
 

@@ -20,7 +20,7 @@ Cost model: when no journal is requested the runner holds no bus at all
 and every emission site is skipped behind an ``is not None`` guard --
 zero invocations on the hot path, asserted by
 ``tests/obs/test_campaign_journal.py`` with a counting wrapper
-(:class:`repro.perf.counting.CountingEventBus`).
+(``CountingEventBus`` in ``tests/counting.py``).
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class EventBus:
         """
         if self.path is not None:
             atomic_write_text(self.path, self.render())
-
-    def close(self) -> None:
-        """Final flush (alias kept for with-statement style call sites)."""
-        self.flush()
 
 
 def read_journal_text(text: str) -> tuple[dict[str, Any], list[ObsEvent]]:

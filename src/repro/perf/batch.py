@@ -59,7 +59,8 @@ __all__ = [
 
 #: Share of each group's (site, R) cells re-evaluated exactly.  The
 #: kernel is exact by construction, so the sample is a tripwire for a
-#: lying implementation, not the correctness argument.
+#: lying implementation, not the correctness argument; tests monkeypatch
+#: it to 1.0 for a full check.
 CROSSCHECK_FRACTION = 0.01
 
 #: Seed of the cross-check sample (mixed with kind, condition and grid
@@ -157,9 +158,6 @@ class BatchEvaluator:
             evaluated.
         max_attempts: Tries per site evaluation before quarantine
             (shared with the exact path).
-        crosscheck_fraction: Share of each group's cells re-evaluated
-            exactly (default :data:`CROSSCHECK_FRACTION`; tests pass
-            1.0 for a full check).
         unit_deadline: Optional wall-clock budget (seconds) for one
             unit's per-site loop.  Group-table derivation is excluded:
             it amortises over the whole group, so charging it to the
@@ -169,16 +167,12 @@ class BatchEvaluator:
 
     def __init__(self, campaign: Any, plan: Sequence[WorkUnit],
                  max_attempts: int = 3,
-                 crosscheck_fraction: float = CROSSCHECK_FRACTION,
                  unit_deadline: float | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.exact = UnitEvaluator(campaign, max_attempts=max_attempts,
                                    unit_deadline=unit_deadline,
                                    clock=clock)
-        if not 0.0 <= crosscheck_fraction <= 1.0:
-            raise ValueError("crosscheck_fraction must be in [0, 1]")
         self.campaign = campaign
-        self.crosscheck_fraction = crosscheck_fraction
         self.stats = BatchStats()
         self._grids: dict[tuple[DefectKind, Any], list[float]] = {}
         for unit in plan:
@@ -228,10 +222,9 @@ class BatchEvaluator:
             The demoted site indices, ascending.
         """
         total = len(population) * len(grid)
-        if self.crosscheck_fraction <= 0.0 or total == 0:
+        if CROSSCHECK_FRACTION <= 0.0 or total == 0:
             return []
-        samples = min(total, max(1, math.ceil(
-            self.crosscheck_fraction * total)))
+        samples = min(total, max(1, math.ceil(CROSSCHECK_FRACTION * total)))
         rng = random.Random(f"{CROSSCHECK_SEED}:"
                             f"{kind.value}:{condition.name}:{len(grid)}")
         behavior = self.campaign.behavior

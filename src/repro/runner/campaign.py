@@ -114,11 +114,6 @@ class CampaignResult:
     batch_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
 
-    @property
-    def total_errors(self) -> int:
-        """Total quarantined sites across all emitted records."""
-        return sum(r.errors for r in self.records)
-
 
 def record_to_payload(record: CoverageRecord) -> dict[str, Any]:
     """JSON payload of a record (the checkpoint/database row format)."""

@@ -12,7 +12,7 @@ traffic: an asyncio stdlib HTTP server in front of
   per ``POST /v1/estimate``, validated against a typed request schema
   with named 400-level error codes (:mod:`repro.service.schema`);
 * a **content-addressed LRU response cache** keyed by (database
-  fingerprint digest, canonical request body), so swapping the
+  checksum, canonical request body), so swapping the
   database implicitly invalidates every cached response
   (:mod:`repro.service.cache`);
 * **hot reload** -- ``POST /v1/reload`` atomically swaps in a freshly

@@ -1,10 +1,9 @@
 """Content-addressed LRU response cache of the estimator service.
 
-Entries are keyed by the SHA-256 of ``(database fingerprint digest,
-canonical request body)`` -- a refuse-to-guess identity scheme
-(:mod:`repro.perf.fingerprint`): every input that could change a
-response is in the key, so correctness never depends on explicit invalidation.  A
-database hot-reload changes the digest, which makes every entry cached
+Entries are keyed by the SHA-256 of ``(database checksum, canonical
+request body)``: every input that could change a response is in the
+key, so correctness never depends on explicit invalidation.  A
+database hot-reload changes the checksum, which makes every entry cached
 under the old snapshot *unreachable*; the LRU bound then retires them
 as new traffic fills the cache.  Stale responses are impossible by
 construction, not flushed by a race-prone purge.

@@ -15,7 +15,7 @@ One module owns every byte that crosses the wire:
   :class:`~repro.core.estimator.FaultCoverageEstimator`;
 * :meth:`BatchRequest.canonical_body` is the normalised canonical
   request body -- defaults filled in, keys sorted -- that keys the
-  response cache together with the database fingerprint, so two
+  response cache together with the database checksum, so two
   requests differing only in JSON key order or float spelling share a
   cache entry.
 

@@ -3,9 +3,9 @@
 A :class:`DatabaseSnapshot` is one immutable generation of the serving
 state: the loaded :class:`~repro.core.database.CoverageDatabase`, the
 :class:`~repro.core.estimator.FaultCoverageEstimator` built over it,
-and the snapshot's identity -- the :func:`repro.perf.fingerprint.
-fingerprint_digest` of its records, doubling as the HTTP ``ETag`` and
-as the database half of every response-cache key.
+and the snapshot's identity -- the :func:`repro.runner.atomic.
+body_checksum` of its records, doubling as the HTTP ``ETag`` and as
+the database half of every response-cache key.
 
 :class:`ServiceState` owns the *current* snapshot reference.  Hot
 reload is a load-validate-swap sequence: the candidate file goes
@@ -20,12 +20,12 @@ a reload lands mid-request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.database import CoverageDatabase, DatabaseCorruptError
 from repro.core.estimator import FaultCoverageEstimator
-from repro.perf.fingerprint import fingerprint_digest
+from repro.runner.atomic import body_checksum
 
 __all__ = ["DatabaseSnapshot", "ReloadResult", "ServiceState"]
 
@@ -38,8 +38,8 @@ class DatabaseSnapshot:
         database: The loaded coverage database.
         estimator: The estimator wrapping it (default fab
             distributions and defect density, as in the paper's tool).
-        etag: Fingerprint digest of the database's records -- the
-            snapshot's content identity.
+        etag: Checksum of the database's records -- the snapshot's
+            content identity.
         generation: 1-based swap counter (diagnostic only; identity is
             ``etag``).
     """
@@ -56,14 +56,14 @@ class DatabaseSnapshot:
         return cls(
             database=database,
             estimator=FaultCoverageEstimator(database),
-            etag=fingerprint_digest(database.records),
+            etag=body_checksum([asdict(r) for r in database.records]),
             generation=generation,
         )
 
     @classmethod
     def load(cls, path: str | Path,
              generation: int = 1) -> "DatabaseSnapshot":
-        """Load and fingerprint a database file into a snapshot.
+        """Load and checksum a database file into a snapshot.
 
         Raises:
             FileNotFoundError: no database at ``path``.
@@ -78,7 +78,7 @@ class ReloadResult:
 
     Attributes:
         outcome: ``"reloaded"`` (new snapshot swapped in),
-            ``"unchanged"`` (candidate fingerprints identically; no
+            ``"unchanged"`` (candidate has the same checksum; no
             swap) or ``"rejected"`` (candidate missing/corrupt; old
             snapshot retained).
         etag: The *serving* snapshot's etag after the attempt.

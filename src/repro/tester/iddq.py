@@ -25,7 +25,6 @@ current-resolution floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.circuit.technology import Technology

@@ -57,10 +57,6 @@ class MoviResult:
         return any(r.detected for r in self.runs)
 
     @property
-    def detecting_bits(self) -> list[int]:
-        return [r.fast_bit for r in self.runs if r.detected]
-
-    @property
     def total_operations(self) -> int:
         """Test-cost bookkeeping: MOVI multiplies the base test length by
         the address width -- the test-time pressure the paper's

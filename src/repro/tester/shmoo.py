@@ -43,6 +43,13 @@ from repro.tester.ate import VirtualTester
 PASS_MARK = "+"
 FAIL_MARK = "."
 
+#: Fraction of grid cells re-tested after a boundary trace (the guard
+#: that triggers the exhaustive refill); tests monkeypatch it to 1.0.
+CROSSCHECK_FRACTION = 0.05
+
+#: Seed of the deterministic re-test sample.
+CROSSCHECK_SEED = 20050314
+
 
 @dataclass
 class ShmooPlot:
@@ -89,9 +96,6 @@ class ShmooPlot:
         row = self.passed[i, :]
         idx = np.flatnonzero(row)
         return float(self.periods[idx[0]]) if idx.size else None
-
-    def fail_region_fraction(self) -> float:
-        return 1.0 - float(self.passed.mean())
 
     def boundary_is_vertical(self, tolerance_steps: int = 1) -> bool:
         """True when the pass/fail boundary is (nearly) voltage
@@ -175,21 +179,11 @@ class ShmooRunner:
     Args:
         tester: The virtual ATE.
         test: March test to apply at every point.
-        crosscheck_fraction: Fraction of grid cells re-tested after a
-            boundary trace (the guard that triggers the exhaustive
-            refill).
-        crosscheck_seed: Seed of the deterministic cell sample.
     """
 
-    def __init__(self, tester: VirtualTester, test: MarchTest,
-                 crosscheck_fraction: float = 0.05,
-                 crosscheck_seed: int = 20050314) -> None:
-        if not 0.0 <= crosscheck_fraction <= 1.0:
-            raise ValueError("crosscheck_fraction must be in [0, 1]")
+    def __init__(self, tester: VirtualTester, test: MarchTest) -> None:
         self.tester = tester
         self.test = test
-        self.crosscheck_fraction = crosscheck_fraction
-        self.crosscheck_seed = crosscheck_seed
         #: Stats of the most recent sweep (None before any sweep).
         self.last_stats: ShmooRunStats | None = None
 
@@ -394,11 +388,10 @@ class ShmooRunner:
                     passed: np.ndarray, stats: ShmooRunStats) -> bool:
         """Re-test a seeded sample of cells against the traced grid."""
         total = voltages.size * periods.size
-        if self.crosscheck_fraction <= 0.0 or total == 0:
+        if CROSSCHECK_FRACTION <= 0.0 or total == 0:
             return True
-        samples = min(total,
-                      max(1, math.ceil(self.crosscheck_fraction * total)))
-        rng = random.Random(f"{self.crosscheck_seed}:{total}")
+        samples = min(total, max(1, math.ceil(CROSSCHECK_FRACTION * total)))
+        rng = random.Random(f"{CROSSCHECK_SEED}:{total}")
         for cell in rng.sample(range(total), samples):
             i, j = divmod(cell, periods.size)
             stats.crosscheck_invocations += 1

@@ -102,9 +102,3 @@ class WeakWriteTester:
         if not defects:
             return 1.0
         return sum(1 for d in defects if self.detects(d)) / len(defects)
-
-    def stability_subset(self, defects: list[Defect]) -> list[Defect]:
-        """The cell-stability defects WWTM is *designed* for."""
-        wanted_sites = {OpenSite.CELL_PULLUP, BridgeSite.CELL_NODE_NODE,
-                        BridgeSite.CELL_NODE_RAIL}
-        return [d for d in defects if d.site in wanted_sites]

@@ -1,9 +1,9 @@
-"""Tests for repro.bist (LFSR/MISR + BIST engine)."""
+"""Tests for repro.bist (MISR + BIST engine)."""
 
 import pytest
 
 from repro.bist.engine import BistEngine, ResponseMode
-from repro.bist.misr import PRIMITIVE_TAPS, Lfsr, Misr
+from repro.bist.misr import PRIMITIVE_TAPS, Misr
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.injection import to_functional_fault
@@ -23,31 +23,6 @@ def sram():
 @pytest.fixture(scope="module")
 def conds():
     return production_conditions(CMOS018)
-
-
-class TestLfsr:
-    def test_nonzero_cycle(self):
-        lfsr = Lfsr(8)
-        seen = set()
-        for _ in range(300):
-            seen.add(lfsr.step())
-        assert 0 not in seen
-        # A primitive polynomial visits all 255 non-zero states.
-        assert len(seen) == 255
-
-    def test_reset(self):
-        lfsr = Lfsr(8, seed=5)
-        lfsr.step()
-        lfsr.reset()
-        assert lfsr.state == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Lfsr(1)
-        with pytest.raises(ValueError):
-            Lfsr(8, seed=0)
-        with pytest.raises(ValueError):
-            Lfsr(9)  # no default taps
 
 
 class TestMisr:
@@ -80,9 +55,6 @@ class TestMisr:
         m = Misr(8)
         m.inject(0x1FF)  # wider than the register
         assert 0 <= m.signature < 256
-
-    def test_aliasing_probability(self):
-        assert Misr(16).aliasing_probability() == pytest.approx(2.0 ** -16)
 
     def test_primitive_taps_table(self):
         assert set(PRIMITIVE_TAPS) >= {8, 16, 32}

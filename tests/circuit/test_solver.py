@@ -19,7 +19,7 @@ from repro.circuit.solver import (
     transient,
 )
 from repro.circuit.technology import CMOS018
-from repro.circuit.waveform import pulse
+from repro.circuit.waveform import piecewise_linear
 
 
 class TestDcLinear:
@@ -105,8 +105,8 @@ class TestTransient:
         r, c = 1e3, 1e-12  # tau = 1 ns
         nl = Netlist()
         nl.add(VoltageSource("V", "in", "0", 0.0,
-                             waveform=pulse(0.0, 1.0, 0.0, 1e-6,
-                                            t_edge=1e-12)))
+                             waveform=piecewise_linear(
+                                 [(0.0, 0.0), (1e-12, 1.0)])))
         nl.add(Resistor("R", "in", "out", r))
         nl.add(Capacitor("C", "out", "0", c))
         waves = transient(nl, t_stop=5e-9, dt=1e-11, record=["out"])
@@ -119,7 +119,9 @@ class TestTransient:
         nl = Netlist()
         nl.add(VoltageSource("Vdd", "vdd", "0", 1.8))
         nl.add(VoltageSource("Vin", "in", "0", 0.0,
-                             waveform=pulse(0.0, 1.8, 1e-9, 2e-9)))
+                             waveform=piecewise_linear(
+                                 [(0.0, 0.0), (1.0e-9, 0.0), (1.1e-9, 1.8),
+                                  (3.1e-9, 1.8), (3.2e-9, 0.0)])))
         nl.add(Mosfet("Mp", MosType.PMOS, "out", "in", "vdd", 2.0, CMOS018))
         nl.add(Mosfet("Mn", MosType.NMOS, "out", "in", "0", 1.0, CMOS018))
         nl.add(Capacitor("C", "out", "0", 5e-15))

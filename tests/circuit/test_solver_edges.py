@@ -75,12 +75,13 @@ class TestTransientEdges:
     def test_substepping_survives_sharp_edges(self):
         """A near-instant source edge through a tiny RC must not crash
         the integrator (the recursive halving path)."""
-        from repro.circuit.waveform import pulse
+        from repro.circuit.waveform import piecewise_linear
 
         nl = Netlist()
         nl.add(VoltageSource("V", "a", "0", 0.0,
-                             waveform=pulse(0.0, 1.8, 1e-10, 5e-10,
-                                            t_edge=1e-13)))
+                             waveform=piecewise_linear(
+                                 [(0.0, 0.0), (1e-10, 0.0), (1.001e-10, 1.8),
+                                  (6.001e-10, 1.8), (6.002e-10, 0.0)])))
         nl.add(Resistor("R", "a", "b", 10.0))
         nl.add(Capacitor("C", "b", "0", 1e-15))
         waves = transient(nl, t_stop=1e-9, dt=5e-11, record=["b"])

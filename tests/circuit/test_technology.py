@@ -36,20 +36,15 @@ class TestTechnologyValidation:
 
 
 class TestSupplyCorners:
-    def test_four_corners_present(self):
-        corners = CMOS018.supply_corners
-        assert set(corners) == {"VLV", "Vmin", "Vnom", "Vmax"}
-
     def test_corner_values_match_paper(self):
-        corners = CMOS018.supply_corners
-        assert corners["VLV"] == pytest.approx(1.0)
-        assert corners["Vmin"] == pytest.approx(1.65)
-        assert corners["Vnom"] == pytest.approx(1.8)
-        assert corners["Vmax"] == pytest.approx(1.95)
+        assert CMOS018.vdd_vlv == pytest.approx(1.0)
+        assert CMOS018.vdd_min == pytest.approx(1.65)
+        assert CMOS018.vdd_nominal == pytest.approx(1.8)
+        assert CMOS018.vdd_max == pytest.approx(1.95)
 
     def test_vlv_in_recommended_window(self):
         # The paper: 1.0 V is within 2..2.5 x VT for VT = 0.45.
-        assert CMOS018.vlv_in_recommended_window()
+        assert 2.0 * CMOS018.vth_n <= CMOS018.vdd_vlv <= 2.5 * CMOS018.vth_n
 
     def test_vmin_vmax_are_pm_10_percent(self):
         assert CMOS018.vdd_min == pytest.approx(0.917 * CMOS018.vdd_nominal,
@@ -70,15 +65,15 @@ class TestLayers:
         assert m1.min_spacing > 0
 
 
-class TestScaled:
-    def test_scaled_overrides(self):
-        hot = CMOS018.scaled(temperature=125.0)
+class TestReplace:
+    def test_replace_overrides(self):
+        hot = dataclasses.replace(CMOS018, temperature=125.0)
         assert hot.temperature == 125.0
         assert hot.vdd_nominal == CMOS018.vdd_nominal
 
-    def test_scaled_validates(self):
+    def test_replace_validates(self):
         with pytest.raises(ValueError):
-            CMOS018.scaled(vdd_vlv=2.0)
+            dataclasses.replace(CMOS018, vdd_vlv=2.0)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

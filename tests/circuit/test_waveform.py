@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.circuit.waveform import Waveform, clock, piecewise_linear, pulse
+from repro.circuit.waveform import Waveform, clock, piecewise_linear
 
 
 def ramp_wave():
@@ -37,20 +37,6 @@ class TestWaveformBasics:
 
 
 class TestStimuli:
-    def test_pulse_shape(self):
-        f = pulse(0.0, 1.8, t_start=1e-9, t_width=2e-9, t_edge=0.1e-9)
-        assert f(0.0) == 0.0
-        assert f(2e-9) == 1.8
-        assert f(5e-9) == 0.0
-
-    def test_pulse_edges_are_ramps(self):
-        f = pulse(0.0, 1.0, t_start=0.0, t_width=1e-9, t_edge=0.2e-9)
-        assert 0.0 < f(0.1e-9) < 1.0
-
-    def test_pulse_validation(self):
-        with pytest.raises(ValueError):
-            pulse(0.0, 1.0, 0.0, t_width=0.0)
-
     def test_clock_periodicity(self):
         f = clock(0.0, 1.0, period=10e-9, duty=0.5, t_edge=1e-12)
         assert f(3e-9) == f(13e-9) == f(23e-9)

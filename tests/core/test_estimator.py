@@ -97,9 +97,9 @@ class TestEstimatorApi:
                          yield_fraction=1.5)
 
     def test_escapes_per_million(self, flow_result):
-        est = flow_result.estimator
-        vlv = est.escapes_per_million(VEQTOR4_INSTANCE, "bridge", "VLV")
-        vmax = est.escapes_per_million(VEQTOR4_INSTANCE, "bridge", "Vmax")
+        report = flow_result.estimator.estimate(VEQTOR4_INSTANCE, "bridge")
+        vlv = report.by_condition("VLV").dpm
+        vmax = report.by_condition("Vmax").dpm
         assert vmax > vlv > 0.0
 
 

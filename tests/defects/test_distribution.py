@@ -61,22 +61,6 @@ class TestCdf:
         d = default_bridge_distribution()
         assert d.cdf(r * factor) >= d.cdf(r)
 
-    def test_band_probability(self, bridge_dist):
-        p = bridge_dist.band_probability(10.0, 1e3)
-        assert 0.0 < p < 1.0
-        assert p == pytest.approx(bridge_dist.cdf(1e3) - bridge_dist.cdf(10.0))
-
-    def test_band_validation(self, bridge_dist):
-        with pytest.raises(ValueError):
-            bridge_dist.band_probability(100.0, 10.0)
-
-    def test_pdf_integrates_to_cdf(self, bridge_dist):
-        """Numeric integral of pdf over a band matches the cdf diff."""
-        grid = np.logspace(1, 3, 2000)
-        total = np.trapezoid([bridge_dist.pdf(r) for r in grid], grid)
-        assert total == pytest.approx(bridge_dist.band_probability(10, 1e3),
-                                      rel=0.01)
-
 
 class TestChoiceTable:
     """The cached CDF draws what ``Generator.choice(p=...)`` draws."""
@@ -140,11 +124,11 @@ class TestShapes:
     def test_bridges_mostly_low_ohmic(self, bridge_dist):
         """The fab-shape assumption behind Table 1's defect coverage."""
         assert bridge_dist.cdf(500.0) > 0.6
-        assert bridge_dist.band_probability(30e3, 1e12) < 0.1
+        assert bridge_dist.cdf(1e12) - bridge_dist.cdf(30e3) < 0.1
 
     def test_opens_reach_megohms(self, open_dist):
         """Figure 8's relevant range must carry real probability."""
-        assert open_dist.band_probability(1.5e6, 1e12) > 0.02
+        assert open_dist.cdf(1e12) - open_dist.cdf(1.5e6) > 0.02
 
     def test_sampling_matches_cdf(self, bridge_dist):
         rng = np.random.default_rng(1)

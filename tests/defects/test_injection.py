@@ -5,11 +5,10 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import FaultMode, Manifestation
 from repro.defects.injection import (
-    inject_bridge_into_cell,
     inject_open_into_decoder,
     to_functional_fault,
 )
-from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
+from repro.defects.models import OpenSite, open_defect
 from repro.faults.models import (
     DataRetentionFault,
     MultipleAccessFault,
@@ -17,7 +16,6 @@ from repro.faults.models import (
     StuckAtFault,
     StuckOpenFault,
 )
-from repro.memory.cell import SixTCell
 from repro.memory.geometry import MemoryGeometry
 
 
@@ -56,32 +54,6 @@ class TestBehaviouralRendering:
 
 
 class TestNetlistInjection:
-    def test_bridge_into_cell_adds_resistor(self):
-        cell = SixTCell(CMOS018)
-        d = bridge(BridgeSite.CELL_NODE_RAIL, 5e3, polarity=-1)
-        nl = inject_bridge_into_cell(cell, 1.8, 1, d)
-        assert "Rbridge" in nl
-        assert nl["Rbridge"].resistance == 5e3
-
-    def test_bridge_polarity_selects_rail(self):
-        cell = SixTCell(CMOS018)
-        d_gnd = bridge(BridgeSite.CELL_NODE_RAIL, 5e3, polarity=-1)
-        nl = inject_bridge_into_cell(cell, 1.8, 1, d_gnd)
-        rb = nl["Rbridge"]
-        assert "0" in (rb.node_a, rb.node_b)
-        d_vdd = bridge(BridgeSite.CELL_NODE_RAIL, 5e3, polarity=1)
-        nl2 = inject_bridge_into_cell(cell, 1.8, 1, d_vdd)
-        rb2 = nl2["Rbridge"]
-        assert "vdd" in (rb2.node_a, rb2.node_b)
-
-    def test_electrical_effect_of_injected_bridge(self):
-        """A hard bridge to ground flips the stored 1."""
-        cell = SixTCell(CMOS018)
-        d = bridge(BridgeSite.CELL_NODE_RAIL, 100.0, polarity=-1)
-        nl = inject_bridge_into_cell(cell, 1.8, 1, d)
-        op = cell.solve_state(1.8, 1, extra=nl)
-        assert not cell.holds_state(op, 1, 1.8)
-
     def test_open_into_decoder_floats_both_gates(self):
         d = open_defect(OpenSite.DECODER_INPUT, 1e6)
         nl = inject_open_into_decoder(CMOS018, 1.8, d)

@@ -187,23 +187,20 @@ class TestEndToEndVennShape:
 
 
 class TestVennMerge:
-    """The Venn reduce contract: merge/__add__ is a field-wise sum."""
+    """The Venn reduce contract: ``+`` is a field-wise sum."""
 
     A = VennCounts(vlv_only=3, vmax_only=1, atspeed_only=2, vlv_vmax=1)
     B = VennCounts(vlv_only=2, vlv_atspeed=4, all_three=1)
     C = VennCounts(vmax_only=5, vmax_atspeed=2)
 
     def test_merge_is_fieldwise_addition(self):
-        merged = self.A.merge(self.B)
+        merged = self.A + self.B
         assert merged.vlv_only == 5
         assert merged.vlv_atspeed == 4
         assert merged.total == self.A.total + self.B.total
 
-    def test_add_and_merge_agree(self):
-        assert self.A + self.B == self.A.merge(self.B)
-
     def test_merge_is_commutative(self):
-        assert self.A.merge(self.B) == self.B.merge(self.A)
+        assert self.A + self.B == self.B + self.A
 
     def test_merge_is_associative(self):
         left = (self.A + self.B) + self.C
@@ -214,8 +211,8 @@ class TestVennMerge:
         assert self.A + VennCounts() == self.A
 
     def test_originals_unchanged(self):
-        """VennCounts is frozen: merging returns a new value."""
-        self.A.merge(self.B)
+        """VennCounts is frozen: adding returns a new value."""
+        _ = self.A + self.B
         assert self.A.vlv_only == 3
         assert self.B.vlv_only == 2
 

@@ -20,7 +20,7 @@ class TestSensitisingSequence:
     def test_parse_state_only(self):
         s = SensitisingSequence.parse("1")
         assert s.initial_state == 1
-        assert s.is_state_only
+        assert not s.operations
 
     def test_parse_state_plus_ops(self):
         s = SensitisingSequence.parse("0w1r1")
@@ -30,7 +30,7 @@ class TestSensitisingSequence:
     def test_parse_dash_is_empty(self):
         s = SensitisingSequence.parse("-")
         assert s.initial_state is None
-        assert s.is_state_only
+        assert not s.operations
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):
@@ -70,8 +70,7 @@ class TestFaultPrimitive:
     def test_dynamic_detection(self):
         static = FaultPrimitive.parse("<0r0/1/1>")
         dynamic = FaultPrimitive.parse("<0w1r1/0/1>")
-        assert not static.is_dynamic
-        assert dynamic.is_dynamic
+        assert static.operation_count == 1
         assert dynamic.operation_count == 2
 
     def test_invalid_faulty_value(self):

@@ -28,11 +28,11 @@ class TestFailLog:
         sim = FunctionalFaultSimulator(8)
         log = sim.run(TEST_11N, StuckAtFault(3, 0))
         assert log.detected
-        first = log.first_fail
+        first = log.fails[0]
         assert first.address == 3
         assert first.expected == 1
         assert first.actual == 0
-        assert log.failing_addresses() == {3}
+        assert {f.address for f in log.fails} == {3}
 
     def test_sa1_fails_on_r0(self):
         sim = FunctionalFaultSimulator(8)
@@ -45,14 +45,14 @@ class TestFailLog:
         early = sim.run(TEST_11N, StuckAtFault(0, 0), stop_at_first_fail=True)
         assert len(early) == 1
         assert len(full) > 1
-        assert early.first_fail == full.first_fail
+        assert early.fails[0] == full.fails[0]
 
     def test_element_attribution(self):
         """SA1 at cell 3: every read-0 op of every element fails."""
         sim = FunctionalFaultSimulator(8)
         log = sim.run(TEST_11N, StuckAtFault(3, 1))
         # 11N reads 0 in elements 1 (r0), 2 (..r0), 3 (r0..).
-        assert log.failing_elements() == {1, 2, 3}
+        assert {f.element_index for f in log.fails} == {1, 2, 3}
 
     def test_cycle_indices_match_op_stream(self):
         sim = FunctionalFaultSimulator(4)

@@ -11,7 +11,6 @@ from repro.ifa.critical_area import (
     find_adjacent_pairs,
     find_adjacent_pairs_exhaustive,
     short_weight,
-    total_short_weight,
 )
 from repro.ifa.extraction import IfaExtractor
 from repro.ifa.layout import Rect, SramLayout
@@ -79,8 +78,8 @@ class TestAdjacency:
         c = Rect("metal1", 2.4, 0.0, 3.4, 1.0, "C")
         pairs = find_adjacent_pairs([a, b, c])
         assert len(pairs) == 2
-        assert total_short_weight(pairs) == pytest.approx(
-            2 * short_weight(0.2, 1.0))
+        total = sum(short_weight(p.spacing, p.facing_length) for p in pairs)
+        assert total == pytest.approx(2 * short_weight(0.2, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def table_conditions():
 
 @pytest.fixture(scope="module")
 def bridge_records(campaign, table_conditions):
-    return campaign.run_bridges(TABLE1_RESISTANCES, table_conditions)
+    return campaign.run(TABLE1_RESISTANCES, table_conditions)
 
 
 class TestCampaignMechanics:
@@ -55,7 +55,8 @@ class TestCampaignMechanics:
         assert rec.percent == pytest.approx(95.0)
 
     def test_open_campaign_runs(self, campaign, table_conditions):
-        recs = campaign.run_opens([1e5, 1e7], table_conditions[:1])
+        recs = campaign.run([1e5, 1e7], table_conditions[:1],
+                            DefectKind.OPEN)
         assert len(recs) == 2
         assert all(r.kind == "open" for r in recs)
 
@@ -152,7 +153,8 @@ class TestOpenCampaignShape:
         conds = production_conditions(CMOS018)
         import numpy as np
         rs = np.logspace(5, 7, 6)
-        recs = campaign.run_opens(rs, [conds["Vnom"], conds["Vmax"]])
+        recs = campaign.run(rs, [conds["Vnom"], conds["Vmax"]],
+                            DefectKind.OPEN)
         vnom = sum(r.detected for r in recs if r.condition == "Vnom")
         vmax = sum(r.detected for r in recs if r.condition == "Vmax")
         assert vmax > vnom

@@ -14,7 +14,7 @@ def layout():
 class TestRect:
     def test_properties(self):
         r = Rect("metal1", 0.0, 0.0, 2.0, 1.0, "n")
-        assert r.width == 2.0 and r.height == 1.0 and r.area == 2.0
+        assert r.width == 2.0 and r.height == 1.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -49,23 +49,11 @@ class TestLayoutStructure:
     def test_window_capped(self):
         layout = SramLayout(VEQTOR4_INSTANCE, max_rows=8, max_cols=8)
         assert layout.gen_rows == 8 and layout.gen_cols == 8
-        assert layout.replication_factor > 1000
-
-    def test_replication_exact(self):
-        g = MemoryGeometry(8, 2, 4)
-        layout = SramLayout(g, max_rows=8, max_cols=8)
-        assert layout.replication_factor == pytest.approx(
-            g.rows * g.bitlines_per_block / (8 * 8))
 
     def test_stats(self, layout):
         stats = layout.stats()
         assert stats["via[cell_pullup]"] == 8 * 8
         assert "rect[metal1]" in stats
-
-    def test_rects_on_layer(self, layout):
-        m2 = layout.rects_on_layer("metal2")
-        assert m2 and all(r.layer == "metal2" for r in m2)
-
 
 class TestTileSpec:
     def test_cell_area_near_2um2(self):

@@ -84,17 +84,6 @@ class TestConfig:
         with pytest.raises(KeyError):
             LintConfig().disable("TYPO001")
 
-    def test_severity_override(self):
-        config = LintConfig().override("TST001", Severity.ERROR)
-        report = run_pack("_enginetest", False, config)
-        assert any(i.rule_id == "TST001" and i.severity is Severity.ERROR
-                   for i in report.issues)
-        assert report.exit_code() == EXIT_ERRORS
-
-    def test_min_severity_drops_info(self):
-        config = LintConfig(min_severity=Severity.WARNING)
-        report = run_pack("_enginetest", False, config)
-        assert all(i.severity is not Severity.INFO for i in report.issues)
 
 
 class TestExitCodes:

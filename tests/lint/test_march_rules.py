@@ -1,4 +1,4 @@
-"""Tests for the MARCH0xx rule pack and the legacy validation wrapper."""
+"""Tests for the MARCH0xx rule pack."""
 
 from repro.lint import Severity, lint_march
 from repro.march.library import (
@@ -10,7 +10,6 @@ from repro.march.library import (
 )
 from repro.march.pause import PauseElement
 from repro.march.test import MarchTest
-from repro.march.validation import validate
 
 
 def make(notation):
@@ -86,8 +85,8 @@ class TestMigratedRules:
         assert "MARCH009" in codes(make("*(w0); ^(r0,w1); ^(r1)"))
 
     def test_detection_warnings_suppressed_without_reads(self):
-        # Legacy behaviour: a read-free test reports only the fatal
-        # MARCH005, not the read-polarity/transition/direction noise.
+        # A read-free test reports only the fatal MARCH005, not the
+        # read-polarity/transition/direction noise.
         ids = codes(make("*(w0); ^(w1)"))
         assert "MARCH005" in ids
         for rid in ("MARCH006", "MARCH007", "MARCH008", "MARCH009"):
@@ -100,7 +99,7 @@ class TestNewRules:
         redundant = [i for i in report.issues if i.rule_id == "MARCH010"]
         assert len(redundant) == 1
         assert redundant[0].severity is Severity.INFO
-        assert redundant[0].index == 2
+        assert redundant[0].location == "element 2"
 
     def test_march010_not_fired_when_write_intervenes(self):
         assert "MARCH010" not in codes(make("*(w0); ^(r0,w0); ^(r0,w0)"))
@@ -131,39 +130,22 @@ class TestNewRules:
                    for i in report.issues)
 
 
-class TestLegacyWrapperCompatibility:
-    def test_library_codes_unchanged(self):
-        # The historical validator's exact output for the seed library.
-        expected = {
-            "MATS": ["weak-transitions", "single-direction"],
-            "March C-": [],
-            "11N": [],
-        }
-        for name, codes_ in expected.items():
-            got = [i.code for i in validate(STANDARD_TESTS[name])]
-            assert got == codes_, name
+class TestValidity:
+    """A test is valid when ``lint_march`` reports no errors."""
 
-    def test_interleaved_consistency_order(self):
-        # Legacy order walks elements, inconsistency before entry
-        # mismatch within each element.
-        t = make("*(w0); ^(r1,w1,r0); v(r0,w0,r1)")
-        got = [i.code for i in validate(t)]
-        assert got == ["element-inconsistent", "entry-state-mismatch",
-                       "element-inconsistent", "entry-state-mismatch"]
+    def test_uninitialised_read_invalidates(self):
+        assert lint_march(make("^(r0,w1)")).errors
 
-    def test_empty_test_reports_errors_not_empty_list(self):
-        issues = validate(empty_test())
-        assert issues, "zero-element test must not validate cleanly"
-        assert all(i.severity.value == "error" for i in issues)
-        assert "no-operations" in [i.code for i in issues]
+    def test_no_reads_invalidates(self):
+        assert lint_march(make("*(w0); ^(w1)")).errors
 
-    def test_new_rules_do_not_leak_into_legacy_api(self):
-        # MARCH010 fires on this test, but the legacy API predates it.
-        t = make("*(w0); ^(r0,w1); v(r1); v(r1)")
-        assert "MARCH010" in codes(t)
-        legacy_codes = {i.code for i in validate(t)}
-        assert legacy_codes <= {
-            "no-operations", "uninitialised-read", "element-inconsistent",
-            "entry-state-mismatch", "no-reads", "no-read0", "no-read1",
-            "weak-transitions", "single-direction",
-        }
+    def test_warnings_do_not_invalidate(self):
+        t = make("*(w0); ^(r0)")
+        assert "MARCH007" in codes(t)
+        assert not lint_march(t).errors
+
+    def test_str_names_rule_and_severity(self):
+        issue = lint_march(make("^(r0)")).errors[0]
+        text = str(issue)
+        assert "error" in text
+        assert issue.rule_id in text

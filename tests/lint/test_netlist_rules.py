@@ -11,12 +11,8 @@ from repro.circuit.devices import (
 )
 from repro.circuit.netlist import Netlist
 from repro.circuit.technology import CMOS013, CMOS018
-from repro.defects.injection import (
-    inject_bridge_into_cell,
-    inject_open_into_decoder,
-)
+from repro.defects.injection import inject_open_into_decoder
 from repro.defects.models import (
-    BridgeSite,
     Defect,
     DefectKind,
     OpenSite,
@@ -55,12 +51,6 @@ class TestCleanInputs:
 
     def test_decoder_netlist_clean(self):
         nl = build_decoder_netlist(CMOS018, 1.8)
-        assert lint_netlist(nl, CMOS018).clean
-
-    def test_injected_bridge_clean(self):
-        d = Defect(DefectKind.BRIDGE, BridgeSite.CELL_NODE_RAIL, 5e3,
-                   polarity=-1)
-        nl = inject_bridge_into_cell(SixTCell(CMOS018), 1.8, 1, d)
         assert lint_netlist(nl, CMOS018).clean
 
     def test_injected_open_clean(self):
@@ -201,25 +191,19 @@ class TestInjectionGate:
         report = assert_netlist_clean(nl, CMOS018)
         assert report.warnings and not report.errors
 
-    def test_injection_erc_rejects_broken_base(self):
+    def test_injection_erc_rejects_broken_base(self, monkeypatch):
         """A corrupted base netlist is caught at injection time."""
-        cell = SixTCell(CMOS018)
-        d = Defect(DefectKind.BRIDGE, BridgeSite.CELL_NODE_RAIL, 5e3,
-                   polarity=-1)
-        base = cell.standalone_netlist(1.8, 1)
-        base.add(Mosfet("Mstray", MosType.NMOS, cell.node("t"),
-                        "floating_gate", "0", 1.0, CMOS018))
-
-        class BrokenCell(SixTCell):
-            def standalone_netlist(self, *a, **k):
-                return base.copy()
-
-        broken = BrokenCell(CMOS018)
+        d = Defect(DefectKind.OPEN, OpenSite.DECODER_INPUT, 1e6, polarity=1)
+        base = build_decoder_netlist(CMOS018, 1.8)
+        base.add(Mosfet("Mstray", MosType.NMOS, "a0b", "floating_gate",
+                        "0", 1.0, CMOS018))
+        monkeypatch.setattr("repro.defects.injection.build_decoder_netlist",
+                            lambda *a, **k: base.copy())
         with pytest.raises(LintError):
-            inject_bridge_into_cell(broken, 1.8, 1, d)
+            inject_open_into_decoder(CMOS018, 1.8, d)
         # Opt-out for hot loops skips the gate.
-        nl = inject_bridge_into_cell(broken, 1.8, 1, d, erc=False)
-        assert "Rbridge" in nl
+        nl = inject_open_into_decoder(CMOS018, 1.8, d, erc=False)
+        assert "Ropen_a0_p" in nl
 
     def test_netlist_lint_method(self):
         report = demo_broken_netlist().lint(CMOS018)

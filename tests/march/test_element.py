@@ -17,13 +17,6 @@ element_strategy = st.builds(
 
 
 class TestAddressOrder:
-    def test_reversed_involution(self):
-        for order in AddressOrder:
-            assert order.reversed().reversed() == order
-
-    def test_any_reverses_to_itself(self):
-        assert AddressOrder.ANY.reversed() is AddressOrder.ANY
-
     @pytest.mark.parametrize("sym,expected", [
         ("⇑", AddressOrder.UP), ("^", AddressOrder.UP),
         ("up", AddressOrder.UP), ("⇓", AddressOrder.DOWN),
@@ -71,13 +64,6 @@ class TestMarchElement:
     def test_reads_before_first_write_not_checked(self):
         el = MarchElement(AddressOrder.UP, (R1, W0))
         assert el.is_consistent()
-
-
-class TestTransforms:
-
-    @given(element_strategy)
-    def test_reversed_order_involution(self, el):
-        assert el.reversed_order().reversed_order() == el
 
 
 class TestNotationRoundtrip:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.lint import lint_march
 from repro.march import library
-from repro.march.validation import is_valid
 
 #: Published kN complexities of the classical tests.
 EXPECTED_COMPLEXITY = {
@@ -41,7 +41,7 @@ class TestLibraryComplexities:
 class TestLibraryValidity:
     @pytest.mark.parametrize("name", sorted(EXPECTED_COMPLEXITY))
     def test_all_tests_valid(self, name):
-        assert is_valid(library.STANDARD_TESTS[name]), name
+        assert not lint_march(library.STANDARD_TESTS[name]).errors, name
 
 
 class TestGetTest:
@@ -51,12 +51,3 @@ class TestGetTest:
     def test_unknown_raises_with_choices(self):
         with pytest.raises(KeyError, match="available"):
             library.get_test("March Z")
-
-
-class TestMoviSchedule:
-    def test_one_run_per_address_bit(self):
-        assert library.movi_schedule(13) == list(range(13))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            library.movi_schedule(0)

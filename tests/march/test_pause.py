@@ -4,11 +4,11 @@ import pytest
 
 from repro.faults.models import DataRetentionFault
 from repro.faults.simulator import FunctionalFaultSimulator
+from repro.lint import lint_march
 from repro.march.library import MARCH_G, MARCH_G_DEL
 from repro.march.pause import PauseElement
 from repro.march.sequencer import MarchSequencer
 from repro.march.test import MarchTest
-from repro.march.validation import is_valid, validate
 
 
 class TestPauseElement:
@@ -42,7 +42,7 @@ class TestMarchTestWithPauses:
         assert isinstance(t.elements[2], PauseElement)
         assert t.complexity == 4          # pauses add no per-cell ops
         assert t.is_consistent()
-        assert is_valid(t)
+        assert not lint_march(t).errors
 
     def test_pause_preserves_state_chain(self):
         # A pause between w1 and r1 must not break consistency.
@@ -54,15 +54,15 @@ class TestMarchTestWithPauses:
 
     def test_only_pauses_invalid(self):
         t = MarchTest("p", (PauseElement(5),))
-        codes = {i.code for i in validate(t)}
-        assert "no-operations" in codes or "no-reads" in codes
+        codes = {i.rule_id for i in lint_march(t).errors}
+        assert "MARCH001" in codes or "MARCH005" in codes
 
 
 class TestSequencerWithPauses:
     def test_cycle_count_includes_pauses(self):
         t = MarchTest.parse("p", "*(w0); Del(100); *(r0)")
-        seq = MarchSequencer(8)
-        assert seq.cycle_count(t) == 2 * 8 + 100
+        stream = list(MarchSequencer(8).run(t))
+        assert stream[-1].cycle + 1 == 2 * 8 + 100
 
     def test_pause_creates_cycle_gap(self):
         t = MarchTest.parse("p", "*(w0); Del(100); *(r0)")

@@ -16,9 +16,8 @@ from repro.march.sequencer import (
 
 class TestCycleStream:
     def test_cycle_count(self):
-        seq = MarchSequencer(16)
-        stream = list(seq.run(TEST_11N))
-        assert len(stream) == seq.cycle_count(TEST_11N) == 11 * 16
+        stream = list(MarchSequencer(16).run(TEST_11N))
+        assert len(stream) == 11 * 16
 
     def test_cycles_consecutive_from_zero(self):
         stream = list(MarchSequencer(8).run(MATS_PLUS_PLUS))

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.faults.coverage import class_coverage
+from repro.lint import lint_march
 from repro.march.element import AddressOrder
 from repro.march.synthesis import (
     MarchSynthesizer,
     candidate_elements,
     classical_universe,
 )
-from repro.march.validation import is_valid
 
 
 class TestCandidatePool:
@@ -48,7 +48,7 @@ class TestSynthesis:
                                   "S1")
         assert result.coverage == 1.0
         assert result.test.is_consistent()
-        assert is_valid(result.test)
+        assert not lint_march(result.test).errors
 
     def test_synthesised_beats_bound(self):
         """SAF+TF coverage must not need more than MATS++'s 6N."""

@@ -15,7 +15,7 @@ class TestCellRatios:
     def test_defaults_are_read_stable(self):
         r = CellRatios()
         assert r.pull_down > r.access
-        assert r.gamma > 1.0      # access stronger than pull-up
+        assert r.access > r.pull_up  # writable: gamma > 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,23 +56,6 @@ class TestCriticalResistance:
     def test_invalid_rail(self, cell):
         with pytest.raises(ValueError):
             cell.retention_upset_resistance(1.8, 1, "vss")
-
-
-class TestMargins:
-
-    def test_read_current_increases_with_vdd(self, cell):
-        assert cell.read_current(1.8) > cell.read_current(1.0) > 0.0
-
-    def test_read_current_zero_when_off(self, cell):
-        assert cell.read_current(0.2) == 0.0
-
-    def test_read_current_below_weaker_device(self, cell):
-        """Series stack current is below each individual device's."""
-        from repro.circuit.devices import Mosfet, MosType
-
-        acc = Mosfet("a", MosType.NMOS, "d", "g", "s",
-                     cell.ratios.access, CMOS018)
-        assert cell.read_current(1.8) < acc.saturation_current(1.8)
 
 
 class TestNetlistConstruction:

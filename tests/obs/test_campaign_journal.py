@@ -30,7 +30,6 @@ from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
 from repro.obs.bus import EventBus, read_journal
 from repro.obs.report import build_report
-from repro.perf.counting import CountingEventBus
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
     FaultInjector,
@@ -39,6 +38,8 @@ from repro.runner.chaos import (
 from repro.stress import production_conditions
 from repro.tester.ate import VirtualTester
 from repro.tester.shmoo import ShmooRunner
+
+from ..counting import CountingEventBus
 
 GEOM = MemoryGeometry(16, 2, 4)
 N_SITES = 40

@@ -1,8 +1,9 @@
 """Shared perf-test fixtures: counting campaign, tester, exact oracle.
 
-The counting wrappers (:mod:`repro.perf.counting`) turn speedup claims
-into deterministic call-count inequalities -- a fast-path test asserts
-``exact_calls >= K * fast_calls`` instead of trusting wall-clock.  The
+The counting wrappers (:mod:`repro.perf.counting`, ``tests/counting.py``)
+turn speedup claims into deterministic call-count inequalities -- a
+fast-path test asserts ``exact_calls >= K * fast_calls`` instead of
+trusting wall-clock.  The
 ``exact_run`` fixture is the equivalence oracle: the per-site
 :class:`~repro.runner.evaluate.UnitEvaluator` over a whole plan.
 """
@@ -13,10 +14,12 @@ from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
-from repro.perf.counting import CountingBehaviorModel, CountingTester
+from repro.perf.counting import CountingBehaviorModel
 from repro.runner.campaign import CampaignResult, CampaignRunner
 from repro.runner.evaluate import UnitEvaluator
 from repro.tester.ate import VirtualTester
+
+from ..counting import CountingTester
 
 GEOM = MemoryGeometry(16, 2, 4)
 

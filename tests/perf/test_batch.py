@@ -20,6 +20,7 @@ from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
+from repro.perf import batch
 from repro.perf.batch import BatchEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import FaultInjector, InjectedCrash
@@ -139,19 +140,21 @@ class TestFallbacks:
     @pytest.fixture
     def run_pair(self, counting_campaign, exact_run):
         """Grid-evaluate Table 1 under ``wrap``; assert exact records."""
-        def run(wrap, **evaluator_kwargs):
+        def run(wrap):
             exact = exact_run(counting_campaign(wrap=wrap),
                               [table1_spec()])
             campaign = counting_campaign(wrap=wrap)
             plan = CampaignRunner(campaign).plan([table1_spec()])
-            evaluator = BatchEvaluator(campaign, plan, **evaluator_kwargs)
+            evaluator = BatchEvaluator(campaign, plan)
             records = [evaluator.evaluate(unit).record for unit in plan]
             assert records_bytes(exact.records) == records_bytes(records)
             return evaluator.stats.as_dict()
         return run
 
-    def test_lying_hook_demoted_by_full_crosscheck(self, run_pair):
-        stats = run_pair(LyingBatchModel, crosscheck_fraction=1.0)
+    def test_lying_hook_demoted_by_full_crosscheck(self, run_pair,
+                                                   monkeypatch):
+        monkeypatch.setattr(batch, "CROSSCHECK_FRACTION", 1.0)
+        stats = run_pair(LyingBatchModel)
         # Checking every cell catches every lying site; the records
         # above were still byte-identical because demoted sites rerun
         # exactly per unit.
@@ -295,10 +298,6 @@ class TestGuards:
         """No strategy knob: a campaign has one evaluator."""
         with pytest.raises(TypeError, match="strategy"):
             CampaignRunner(counting_campaign(), strategy="batch")
-
-    def test_crosscheck_fraction_validated(self, counting_campaign):
-        with pytest.raises(ValueError, match="crosscheck_fraction"):
-            BatchEvaluator(counting_campaign(), [], crosscheck_fraction=1.5)
 
     def test_unit_deadline_must_be_positive(self, counting_campaign):
         with pytest.raises(ValueError, match="unit_deadline"):

@@ -19,6 +19,7 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
+from repro.perf import batch
 from repro.perf.batch import BatchEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.stress import production_conditions
@@ -88,11 +89,12 @@ class TestEquivalence:
 
 class TestFallbacks:
     def test_lying_frontier_is_caught_by_crosscheck(
-            self, counting_campaign, exact_run):
+            self, counting_campaign, exact_run, monkeypatch):
+        monkeypatch.setattr(batch, "CROSSCHECK_FRACTION", 1.0)
         exact = exact_run(counting_campaign(), [table1_spec()])
         campaign = counting_campaign(wrap=LyingBatchModel)
         plan = CampaignRunner(campaign).plan([table1_spec()])
-        evaluator = BatchEvaluator(campaign, plan, crosscheck_fraction=1.0)
+        evaluator = BatchEvaluator(campaign, plan)
         records = [evaluator.evaluate(unit).record for unit in plan]
         assert records_bytes(exact.records) == records_bytes(records)
         stats = evaluator.stats.as_dict()

@@ -4,6 +4,10 @@ The only re-export in the library is ``repro``'s lazy public table; the
 sub-package ``__init__`` files hold docstrings, so importing one module
 loads that module's own dependencies and nothing else.  Each check runs
 in a fresh interpreter, where ``sys.modules`` starts clean.
+
+Three static pins close the loop: every library module is reached from
+an entry point, every function, class and method has a caller outside
+``tests/``, and no module imports a name it does not use.
 """
 
 import ast
@@ -159,3 +163,132 @@ def reached_modules() -> frozenset[str]:
 @pytest.mark.parametrize("module", sorted(LIBRARY))
 def test_library_module_is_reached_from_an_entry_point(module):
     assert module in reached_modules(), f"no entry point reaches {module}"
+
+
+#: Library names the name pin lets stand without a caller outside
+#: ``tests/``, each with its reason.
+KEEP = {
+    "decoder_open_to_delay_fault":
+        "EXPERIMENTS.md cites it for the decoder-open / MOVI result",
+}
+
+#: Decorators whose call registers the function in a lint rule table,
+#: which is its caller.
+REGISTRARS = {"rule", "_register"}
+
+
+def is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` uses: identifiers, attributes, imported
+    aliases and bare-identifier strings (``getattr`` and tracer targets)
+    outside ``__all__``."""
+    listed = {id(c) for node in ast.walk(tree) if is_all(node)
+              for c in ast.walk(node.value)}
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in listed):
+            names.add(node.value)
+    return names
+
+
+@functools.cache
+def used_outside_tests() -> frozenset[str]:
+    """The names the library, benchmarks, examples, scripts and e2e
+    workloads use."""
+    root = SRC.parent
+    files = [*SRC.joinpath("repro").rglob("*.py")]
+    for directory in ENTRY_DIRS:
+        files += root.joinpath(directory).rglob("*.py")
+    used: set[str] = set()
+    for path in files:
+        used |= names_in(ast.parse(path.read_text()))
+    return frozenset(used)
+
+
+def registered(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id in REGISTRARS
+               for d in getattr(node, "decorator_list", ()))
+
+
+def uncalled_names(path: Path) -> list[str]:
+    """Functions, classes and methods of ``path`` no non-test file uses."""
+    used = used_outside_tests()
+    return [node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__"))
+            and not registered(node)
+            and node.name not in used and node.name not in KEEP]
+
+
+@pytest.mark.parametrize("module", sorted(LIBRARY))
+def test_library_name_has_a_caller_outside_tests(module):
+    assert uncalled_names(LIBRARY[module]) == []
+
+
+def module_level_imports(tree: ast.Module):
+    """Import statements of the module body, also under a top-level
+    ``if`` or ``try``."""
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Identifiers ``tree`` reads, including quoted annotations, plus
+    the strings of ``__all__`` (a listed import is a re-export)."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif is_all(node):
+            names |= {c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant)}
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            annotation = getattr(node, "annotation", None) or getattr(
+                node, "returns", None)
+            for part in ast.walk(annotation) if annotation else ():
+                if (isinstance(part, ast.Constant)
+                        and isinstance(part.value, str)):
+                    names |= {n.id for n in ast.walk(
+                        ast.parse(part.value, mode="eval"))
+                        if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    read = names_read(tree)
+    unused = []
+    for node in module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unused.append(f"line {node.lineno}: {bound}")
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("module", sorted(
+    m for m, p in LIBRARY.items() if p.name != "__init__.py"))
+def test_module_imports_only_what_it_uses(module):
+    assert unused_imports(LIBRARY[module]) == []

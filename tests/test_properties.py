@@ -145,7 +145,7 @@ class TestEndToEndDeterminism:
         for _ in range(2):
             camp = IfaCampaign(MemoryGeometry(16, 2, 4), CMOS018,
                                n_sites=300, seed=11)
-            runs.append(camp.run_bridges([1e3, 90e3], conds))
+            runs.append(camp.run([1e3, 90e3], conds))
         assert [(r.resistance, r.detected) for r in runs[0]] == \
             [(r.resistance, r.detected) for r in runs[1]]
 

@@ -110,7 +110,7 @@ class TestMoviExecutor:
         result = ex.run(MARCH_CM, StuckAtFault(5, 1))
         assert result.detected
         # A stuck-at is order-insensitive: every rotation sees it.
-        assert result.detecting_bits == [0, 1, 2, 3]
+        assert [r.fast_bit for r in result.runs if r.detected] == [0, 1, 2, 3]
 
     def test_each_rotation_visits_every_address(self):
         from repro.faults.models import StuckAtFault

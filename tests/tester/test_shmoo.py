@@ -17,14 +17,16 @@ from repro.defects.models import (
 from repro.march.library import TEST_11N
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
+from repro.tester import shmoo
 from repro.tester.ate import VirtualTester
-from repro.perf.counting import CountingTester
 from repro.tester.shmoo import (
     ShmooPlot,
     ShmooRunner,
     default_period_axis,
     default_voltage_axis,
 )
+
+from ..counting import CountingTester
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,7 @@ class TestDefectShmoos:
         d = bridge(BridgeSite.CELL_NODE_RAIL, 20.0)
         plot = runner.run(sram, [d], default_voltage_axis(),
                           default_period_axis())
-        assert plot.fail_region_fraction() == 1.0
+        assert not plot.passed.any()
 
 
 class TestRenderMarkerSnapping:
@@ -163,7 +165,7 @@ class TestGridEdgeCases:
         d = bridge(BridgeSite.CELL_NODE_RAIL, 20.0)
         plot = runner.run(sram, [d], default_voltage_axis(),
                           default_period_axis())
-        assert plot.fail_region_fraction() == 1.0
+        assert not plot.passed.any()
         assert not plot.boundary_is_vertical()
         assert plot.min_passing_voltage(100e-9) is None
         assert plot.min_passing_period(1.8) is None
@@ -237,7 +239,8 @@ class TestBoundaryTrace:
         assert np.array_equal(exact.passed, traced.passed)
         assert not runner.last_stats.fallback
 
-    def test_adversarial_device_falls_back_to_exhaustive(self, sram):
+    def test_adversarial_device_falls_back_to_exhaustive(self, sram,
+                                                         monkeypatch):
         """A non-row-monotone device trips the guard, not the result."""
         class _Result:
             def __init__(self, passed):
@@ -250,8 +253,8 @@ class TestBoundaryTrace:
                             quick=False):
                 return _Result(int(condition.period * 1e9) % 2 == 0)
 
-        runner = ShmooRunner(CheckerboardTester(), TEST_11N,
-                             crosscheck_fraction=1.0)
+        monkeypatch.setattr(shmoo, "CROSSCHECK_FRACTION", 1.0)
+        runner = ShmooRunner(CheckerboardTester(), TEST_11N)
         volts = np.linspace(1.0, 2.0, 4)
         periods = np.linspace(10e-9, 21e-9, 12)
         exact = runner.run_exhaustive(sram, [], volts, periods)

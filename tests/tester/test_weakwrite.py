@@ -44,16 +44,6 @@ class TestCoverage:
     def test_empty_population(self, wwtm):
         assert wwtm.coverage([]) == 1.0
 
-    def test_stability_subset_filter(self, wwtm):
-        defects = [
-            open_defect(OpenSite.CELL_PULLUP, 5e6),
-            open_defect(OpenSite.DECODER_INPUT, 5e5),
-            bridge(BridgeSite.CELL_NODE_NODE, 100e3),
-            bridge(BridgeSite.BITLINE_BITLINE, 1e3),
-        ]
-        subset = wwtm.stability_subset(defects)
-        assert len(subset) == 2
-
     def test_complements_stress_testing(self, wwtm):
         """WWTM catches a VLV-band pull-up open at nominal conditions --
         but misses the decoder open only Vmax finds."""
