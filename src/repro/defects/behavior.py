@@ -63,7 +63,7 @@ from repro.defects.models import (
     DefectKind,
     OpenSite,
 )
-from repro.memory.sram import TimingModel
+from repro.memory.timing import TimingModel
 from repro.stress import StressCondition
 
 

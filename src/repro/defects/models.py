@@ -25,7 +25,7 @@ Table 1; see DESIGN.md section 6 and
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -187,6 +187,8 @@ SITE_CODES: tuple[BridgeSite | OpenSite, ...] = (*BridgeSite, *OpenSite)
 #: Site class -> its code in :data:`SITE_CODES`.
 SITE_CODE: dict[BridgeSite | OpenSite, int] = {
     site: code for code, site in enumerate(SITE_CODES)}
+#: The :class:`DefectArrays` fields, in order.
+_ARRAY_FIELDS = ("codes", "strengths", "resistances", "cells", "polarities")
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,9 @@ class DefectArrays:
     :meth:`defect` materialises it.  Construction applies
     :class:`Defect`'s value checks to every element at once, so a
     population that could not be materialised is rejected up front.
+    :meth:`interleave` and :meth:`concatenate` merge populations that
+    were built, and so checked, that way: they only rearrange elements
+    and do not check them again.
 
     Attributes:
         codes: Site codes (indices into :data:`SITE_CODES`).
@@ -233,6 +238,39 @@ class DefectArrays:
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _ARRAY_FIELDS)
+
+    @classmethod
+    def _of_checked(cls, arrays: Iterable[np.ndarray]) -> "DefectArrays":
+        """Wrap aligned arrays whose elements all passed the checks of
+        ``__post_init__`` (a rearrangement of checked populations)."""
+        out = object.__new__(cls)
+        for name, array in zip(_ARRAY_FIELDS, arrays, strict=True):
+            object.__setattr__(out, name, array)
+        return out
+
+    @classmethod
+    def interleave(cls, mask: np.ndarray, when_true: "DefectArrays",
+                   when_false: "DefectArrays") -> "DefectArrays":
+        """Merge two populations into ``mask``'s True / False slots:
+        the ``k``-th element of ``when_true`` lands on the ``k``-th
+        True, and likewise for ``when_false``."""
+        merged = []
+        for a, b in zip(when_true._arrays(), when_false._arrays()):
+            out = np.empty(mask.shape, dtype=np.result_type(a, b))
+            out[mask] = a
+            out[~mask] = b
+            merged.append(out)
+        return cls._of_checked(merged)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["DefectArrays"]) -> "DefectArrays":
+        """One population holding ``parts``' elements in order."""
+        return cls._of_checked(
+            np.concatenate(arrays)
+            for arrays in zip(*(part._arrays() for part in parts)))
 
     @classmethod
     def from_defects(cls, defects: Sequence[Defect]) -> "DefectArrays":

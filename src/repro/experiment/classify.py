@@ -13,18 +13,22 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.circuit.technology import CMOS018, Technology
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectArrays
-from repro.experiment.veqtor import VeqtorChip, VeqtorTestBench
-from repro.march.library import TEST_11N
-from repro.march.test import MarchTest
+from repro.experiment.veqtor import VeqtorChip
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
+from repro.memory.timing import TimingModel
 from repro.stress import production_conditions
-from repro.tester.ate import VirtualTester
+
+if TYPE_CHECKING:
+    from repro.experiment.veqtor import VeqtorTestBench
+    from repro.march.test import MarchTest
 
 #: The stress conditions of the paper's Venn diagram.
 STRESS_NAMES = ("VLV", "Vmax", "at-speed")
@@ -114,23 +118,45 @@ class ExperimentResult:
 class StressClassifier:
     """Runs the screen-then-stress protocol over a lot.
 
+    Verdicts come from the behaviour model and the fault-free timing
+    rule (:meth:`fail_bits`).  The virtual ATE that :meth:`classify_chip`
+    drives as their oracle is built on first use, so a lot that never
+    calls the oracle never imports the tester, the SRAM or the march
+    library.
+
     Args:
         tech: Technology corner.
-        test: March test (the paper's production 11N by default).
         geometry: Per-instance organisation.
         behavior: Behaviour model override (shared with the estimator in
             the agreement benches).
     """
 
     def __init__(self, tech: Technology = CMOS018,
-                 test: MarchTest = TEST_11N,
                  geometry: MemoryGeometry = VEQTOR4_INSTANCE,
                  behavior: DefectBehaviorModel | None = None) -> None:
         self.tech = tech
-        self.test = test
-        behavior = behavior if behavior is not None else DefectBehaviorModel(tech)
-        self.bench = VeqtorTestBench(VirtualTester(behavior), geometry, tech)
+        self.geometry = geometry
+        self.behavior = (behavior if behavior is not None
+                         else DefectBehaviorModel(tech))
+        self.timing = TimingModel()
         self.conditions = production_conditions(tech)
+
+    @cached_property
+    def bench(self) -> VeqtorTestBench:
+        """The virtual-ATE bench of :meth:`classify_chip`."""
+        from repro.experiment.veqtor import VeqtorTestBench
+        from repro.tester.ate import VirtualTester
+
+        return VeqtorTestBench(VirtualTester(self.behavior), self.geometry,
+                               self.tech)
+
+    @cached_property
+    def test(self) -> MarchTest:
+        """The march test :meth:`classify_chip` applies: the paper's
+        production 11N (a quick-mode verdict reads only its name)."""
+        from repro.march.library import TEST_11N
+
+        return TEST_11N
 
     def classify_chip(self, chip: VeqtorChip) -> DeviceRecord | None:
         """Classify one part; ``None`` for a clean (defect-free) chip.
@@ -140,15 +166,16 @@ class StressClassifier:
         """
         if not chip.is_defective:
             return None
+        bench, test = self.bench, self.test
         failed_standard = any(
-            self.bench.chip_fails(chip, self.test, self.conditions[n])
+            bench.chip_fails(chip, test, self.conditions[n])
             for n in STANDARD_NAMES
         )
         if failed_standard:
             return DeviceRecord(chip, True)
         failed = frozenset(
             name for name in STRESS_NAMES
-            if self.bench.chip_fails(chip, self.test, self.conditions[name])
+            if bench.chip_fails(chip, test, self.conditions[name])
         )
         return DeviceRecord(chip, False, failed)
 
@@ -164,12 +191,14 @@ class StressClassifier:
         timing there -- the verdicts of :meth:`classify_chip`, for
         every condition.
         """
-        kernel = self.bench.tester.behavior.evaluate_elements
+        kernel = self.behavior.evaluate_elements
         per_defect = np.zeros(len(defects), dtype=np.uint8)
         timing = 0
         for bit, name in enumerate(FAIL_BIT_NAMES):
             condition = self.conditions[name]
-            if not self.bench.meets_timing(condition):
+            if not self.timing.meets_timing(condition.vdd,
+                                            self.tech.vdd_nominal,
+                                            condition.period):
                 timing |= 1 << bit
                 continue
             hits = kernel(defects.codes, defects.strengths,

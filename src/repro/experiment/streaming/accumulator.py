@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from repro.experiment.classify import (
     ExperimentResult,
     decode_fail_bits,
 )
-from repro.experiment.diagnosis import LotDiagnosis
-from repro.experiment.venn import VennCounts
+
+if TYPE_CHECKING:
+    from repro.experiment.diagnosis import LotDiagnosis
+    from repro.experiment.venn import VennCounts
 
 #: Separator joining a stress-fail set into a payload key.  Condition
 #: names never contain it ("at-speed" uses a hyphen), so the encoding
@@ -131,6 +133,8 @@ class ExperimentAccumulator:
     @property
     def venn(self) -> VennCounts:
         """The Venn regions of the accumulated interesting devices."""
+        from repro.experiment.venn import VennCounts
+
         return VennCounts.from_class_counts(self.class_counts)
 
     def escape_dpm(self, condition: str) -> float:

@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.experiment.classify import (
     StressClassifier,
     decode_fail_bits,
 )
-from repro.experiment.diagnosis import LotDiagnostician
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.plan import ShardPlan, ShardUnit
@@ -70,13 +69,13 @@ from repro.runner.evaluate import (
     check_unit_deadline,
 )
 
+if TYPE_CHECKING:
+    from repro.experiment.diagnosis import LotDiagnostician
+
 #: Names of the lazily-built caches dropped from pickles: each worker
 #: rebuilds them deterministically, keeping the pool-init payload small
-#: (the classifier's test bench alone is megabytes once warmed).
+#: (the classifier's oracle bench, once built, is megabytes).
 _LAZY_SLOTS = ("_classifier", "_generator", "_extractor", "_diagnostician")
-
-#: The :class:`~repro.defects.models.DefectArrays` fields, in order.
-_DEFECT_FIELDS = ("codes", "strengths", "resistances", "cells", "polarities")
 
 
 class StreamingExperiment:
@@ -172,7 +171,7 @@ class StreamingExperiment:
     @property
     def behavior(self) -> Any:
         """The classifier's behaviour model (the stock one of ``tech``)."""
-        return self.classifier.bench.tester.behavior
+        return self.classifier.behavior
 
     @property
     def extractor(self) -> IfaExtractor:
@@ -196,6 +195,8 @@ class StreamingExperiment:
     def diagnostician(self) -> LotDiagnostician:
         """The (cached) bitmap diagnostician."""
         if self._diagnostician is None:
+            from repro.experiment.diagnosis import LotDiagnostician
+
             self._diagnostician = LotDiagnostician(tech=self.tech)
         return self._diagnostician
 
@@ -273,10 +274,7 @@ class StreamingExperiment:
         # Defects run chip by chip, instance by instance (the count
         # matrix in row-major order); the k-th bridge and the k-th open
         # land on the k-th True / False of ``is_bridge``.
-        defects = DefectArrays(*(
-            _interleave(is_bridge, getattr(bridges, name),
-                        getattr(opens, name))
-            for name in _DEFECT_FIELDS))
+        defects = DefectArrays.interleave(is_bridge, bridges, opens)
         per_chip = counts.sum(axis=1)
         rows = np.flatnonzero(per_chip)
         sizes = per_chip[rows]
@@ -445,10 +443,8 @@ class DefectBlock:
                 block.chip_starts + offset
                 for block, offset in zip(blocks, offsets.tolist())]),
             instances=np.concatenate([block.instances for block in blocks]),
-            defects=DefectArrays(*(
-                np.concatenate([getattr(block.defects, name)
-                                for block in blocks])
-                for name in _DEFECT_FIELDS)))
+            defects=DefectArrays.concatenate(
+                [block.defects for block in blocks]))
 
     def chip(self, k: int) -> VeqtorChip:
         """Materialise defective part ``k`` as a :class:`VeqtorChip`."""
@@ -459,15 +455,6 @@ class DefectBlock:
         for d in range(first, stop):
             chip.add_defect(int(self.instances[d]), self.defects.defect(d))
         return chip
-
-
-def _interleave(mask: np.ndarray, when_true: np.ndarray,
-                when_false: np.ndarray) -> np.ndarray:
-    """Merge two arrays into ``mask``'s True / False slots, in order."""
-    out = np.empty(mask.shape, dtype=np.result_type(when_true, when_false))
-    out[mask] = when_true
-    out[~mask] = when_false
-    return out
 
 
 def _diagnose_parts(diagnostician: LotDiagnostician,

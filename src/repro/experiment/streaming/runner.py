@@ -15,17 +15,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import (
     ShardEvaluator,
     StreamingExperiment,
 )
-from repro.experiment.venn import VennCounts
 from repro.experiment.classify import STRESS_NAMES
 from repro.runner.checkpoint import CheckpointedRun
 from repro.runner.evaluate import UnitOutcome, check_unit_deadline
+
+if TYPE_CHECKING:
+    from repro.experiment.venn import VennCounts
 
 
 @dataclass

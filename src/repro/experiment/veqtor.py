@@ -14,14 +14,16 @@ is the AND of the instance verdicts (the paper tests all four cores).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.circuit.technology import CMOS018, Technology
 from repro.defects.models import Defect
-from repro.march.test import MarchTest
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.memory.sram import Sram
 from repro.stress import StressCondition
-from repro.tester.ate import VirtualTester
+
+if TYPE_CHECKING:
+    from repro.march.test import MarchTest
+    from repro.tester.ate import VirtualTester
 
 
 @dataclass
@@ -71,6 +73,8 @@ class VeqtorTestBench:
     def __init__(self, tester: VirtualTester,
                  geometry: MemoryGeometry = VEQTOR4_INSTANCE,
                  tech: Technology = CMOS018) -> None:
+        from repro.memory.sram import Sram
+
         self.tester = tester
         self.geometry = geometry
         self.tech = tech

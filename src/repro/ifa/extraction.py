@@ -15,7 +15,10 @@ geometry for ablation.
 
 Defects are drawn from per-kind tables cached on the extractor
 (:meth:`IfaExtractor.draw_table`), in the draw order of the per-defect
-``choice(p=...)`` oracle, :func:`sample_defects_reference`.
+``choice(p=...)`` oracle, :func:`sample_defects_reference`.  The
+layout generator and the critical-area scan are imported only when a
+caller asks for the layout or the extracted classes, so a calibrated
+lot never loads them.
 
 Exact-path equivalence: tests/ifa/test_extraction.py
 """
@@ -23,6 +26,7 @@ Exact-path equivalence: tests/ifa/test_extraction.py
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +39,11 @@ from repro.defects.models import (
     DefectKind,
     OpenSite,
 )
-from repro.ifa.critical_area import AdjacentPair, find_adjacent_pairs, short_weight
-from repro.ifa.layout import SramLayout
 from repro.memory.geometry import MemoryGeometry
+
+if TYPE_CHECKING:
+    from repro.ifa.critical_area import AdjacentPair
+    from repro.ifa.layout import SramLayout
 
 #: Calibrated bridge site-class mix (fractions of extracted bridge
 #: likelihood).  Fitted against the paper's Table 1; the geometric
@@ -186,6 +192,8 @@ class IfaExtractor:
     def layout(self) -> SramLayout:
         """The layout window (generated from ``geometry`` on first use)."""
         if self._layout is None:
+            from repro.ifa.layout import SramLayout
+
             self._layout = SramLayout(self.geometry)
         return self._layout
 
@@ -197,6 +205,8 @@ class IfaExtractor:
         """
         if self._bridge_classes is not None:
             return self._bridge_classes
+        from repro.ifa.critical_area import find_adjacent_pairs, short_weight
+
         pairs = find_adjacent_pairs(self.layout.rects)
         totals: dict[BridgeSite, float] = {}
         counts: dict[BridgeSite, int] = {}

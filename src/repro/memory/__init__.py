@@ -3,6 +3,8 @@
 Implements the memory under test: the four-parameter geometry of the
 paper's estimator (#X rows, #Y columns, #B bits, #Z blocks), the 6T cell
 with transistor-level analysis, the row-decoder netlist of the
-resistive-open transient of Figures 5/6, and the
-:class:`~repro.memory.sram.Sram` device-under-test binding them.
+resistive-open transient of Figures 5/6, the critical-path timing
+model (:mod:`repro.memory.timing`, all the lot needs of this package
+besides the geometry), and the :class:`~repro.memory.sram.Sram`
+device-under-test binding them.
 """

@@ -1,7 +1,5 @@
 """Tests for repro.defects.injection."""
 
-import pytest
-
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import FaultMode, Manifestation
 from repro.defects.injection import (

@@ -110,3 +110,33 @@ class TestDefectArrays:
         with pytest.raises(ValueError, match="aligned"):
             DefectArrays(np.array([0]), np.ones(2), np.ones(2),
                          np.zeros(2, dtype=np.int64), np.ones(2))
+
+    def test_interleave_and_concatenate_keep_element_order(self):
+        bridges = DefectArrays.from_defects([
+            bridge(BridgeSite.CELL_NODE_RAIL, 1e3, cell=1),
+            bridge(BridgeSite.BITLINE_BITLINE, 2e3, cell=2, polarity=1)])
+        opens = DefectArrays.from_defects([
+            open_defect(OpenSite.DECODER_INPUT, 3e6, cell=3)])
+        mask = np.array([False, True, True])
+        merged = DefectArrays.interleave(mask, bridges, opens)
+        assert [merged.defect(i) for i in range(3)] == [
+            opens.defect(0), bridges.defect(0), bridges.defect(1)]
+        joined = DefectArrays.concatenate([merged, opens])
+        assert [joined.defect(i) for i in range(4)] == [
+            *(merged.defect(i) for i in range(3)), opens.defect(0)]
+
+    def test_merges_do_not_check_their_checked_inputs_again(
+            self, monkeypatch):
+        parts = [DefectArrays.from_defects([
+            bridge(BridgeSite.CELL_NODE_RAIL, r)]) for r in (1e3, 2e3)]
+        checks = []
+        original = DefectArrays.__post_init__
+
+        def counted(self):
+            checks.append(len(self))
+            original(self)
+
+        monkeypatch.setattr(DefectArrays, "__post_init__", counted)
+        DefectArrays.interleave(np.array([True, False]), *parts)
+        DefectArrays.concatenate(parts)
+        assert checks == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.defects.models import BridgeSite, OpenSite, bridge, open_defect
-from repro.experiment.classify import DeviceRecord, ExperimentResult, StressClassifier
+from repro.experiment.classify import DeviceRecord, StressClassifier
 from repro.experiment.diagnosis import LotDiagnostician
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.veqtor import VeqtorChip

@@ -4,11 +4,9 @@ import pytest
 
 from repro.experiment.montecarlo import (
     REGIONS,
-    MonteCarloResult,
     RegionStats,
     run_monte_carlo,
 )
-from repro.experiment.venn import VennCounts
 
 
 @pytest.fixture(scope="module")

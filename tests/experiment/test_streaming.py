@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.models import DefectArrays
 from repro.experiment.classify import (
     FAIL_BIT_NAMES,
     DeviceRecord,
@@ -404,6 +405,41 @@ class TestArrayPath:
         assert [c.chip_id for c in chips] == ids
         assert sum(len(c.all_defects) for c in chips) == sum(
             len(b.defects) for b in blocks if b is not None)
+
+
+class TestDefectValidation:
+    def test_each_batch_is_checked_once(self, monkeypatch):
+        engine = _engine(16_384)
+        calls = {"sample_batch": 0, "checks": 0}
+        sample_batch = type(engine.extractor).sample_batch
+        check = DefectArrays.__post_init__
+
+        def counted_batch(self, *args, **kwargs):
+            calls["sample_batch"] += 1
+            return sample_batch(self, *args, **kwargs)
+
+        def counted_check(self):
+            calls["checks"] += 1
+            check(self)
+
+        monkeypatch.setattr(type(engine.extractor), "sample_batch",
+                            counted_batch)
+        monkeypatch.setattr(DefectArrays, "__post_init__", counted_check)
+        payload = StreamingRunner(engine).run().accumulator.as_payload()
+        assert payload["defective"] > 0
+        # Two batches (bridges, opens) per RNG block, 4 blocks.
+        assert calls == {"sample_batch": 8, "checks": 8}
+
+    def test_a_bad_value_from_a_batch_still_raises(self):
+        class Negative:
+            def sample(self, rng, n):
+                return -np.ones(n)
+
+        engine = StreamingExperiment(n_devices=4096,
+                                     bridge_distribution=Negative())
+        shard, = engine.plan.shards()
+        with pytest.raises(ValueError, match="resistance must be positive"):
+            ShardEvaluator(engine).evaluate(shard)
 
 
 class TestDiagnosis:

@@ -8,7 +8,7 @@ from repro.faults.dynamic import (
     make_double_read_fault,
     make_dynamic_rdf,
 )
-from repro.faults.models import MemoryState, ReadDestructiveFault, StuckAtFault
+from repro.faults.models import MemoryState, ReadDestructiveFault
 from repro.faults.primitives import FaultPrimitive
 from repro.faults.simulator import FunctionalFaultSimulator
 from repro.march.library import MARCH_CM, MARCH_SS, TEST_11N

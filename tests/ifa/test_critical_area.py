@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ifa import extraction
+from repro.ifa import critical_area
 from repro.ifa.critical_area import (
     find_adjacent_pairs,
     find_adjacent_pairs_exhaustive,
@@ -238,6 +238,6 @@ class TestVeqtor4Golden:
                     for c in extractor.bridge_site_classes()]
 
         swept = classes()
-        monkeypatch.setattr(extraction, "find_adjacent_pairs",
+        monkeypatch.setattr(critical_area, "find_adjacent_pairs",
                             find_adjacent_pairs_exhaustive)
         assert classes() == swept

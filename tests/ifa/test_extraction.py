@@ -11,7 +11,8 @@ from repro.defects.distribution import (
     sample_resistances_reference,
 )
 from repro.defects.models import SITE_CODES, BridgeSite, DefectKind, OpenSite
-from repro.ifa import extraction
+from repro.ifa import critical_area
+from repro.ifa import layout as ifa_layout
 from repro.ifa.critical_area import AdjacentPair
 from repro.ifa.extraction import (
     BRIDGE_SITE_MIX,
@@ -202,7 +203,7 @@ class TestDrawTableOracle:
 
     def test_calibrated_draws_do_not_scan_the_layout(self, monkeypatch):
         calls = []
-        scan, build = extraction.find_adjacent_pairs, extraction.SramLayout
+        scan, build = critical_area.find_adjacent_pairs, ifa_layout.SramLayout
 
         def counted(name, fn):
             def wrapper(*args):
@@ -210,9 +211,9 @@ class TestDrawTableOracle:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(extraction, "find_adjacent_pairs",
+        monkeypatch.setattr(critical_area, "find_adjacent_pairs",
                             counted("scan", scan))
-        monkeypatch.setattr(extraction, "SramLayout", counted("layout", build))
+        monkeypatch.setattr(ifa_layout, "SramLayout", counted("layout", build))
         extractor = IfaExtractor(MemoryGeometry(8, 2, 4))
         rng = np.random.default_rng(3)
         extractor.sample_bridges(50, rng)

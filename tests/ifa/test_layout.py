@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ifa.layout import CellTileSpec, Rect, SramLayout, Via
+from repro.ifa.layout import CellTileSpec, Rect, SramLayout
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 

@@ -8,8 +8,6 @@ analyzer.
 
 import json
 
-import pytest
-
 from repro.lint import EXIT_CLEAN, LintConfig, Severity, combined_exit_code
 from repro.lint.code import lint_code_paths, lint_code_source
 from repro.lint.code.context import CodeLintContext, parse_suppressions

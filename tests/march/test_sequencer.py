@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.march.element import AddressOrder
 from repro.march.library import MATS_PLUS_PLUS, TEST_11N
 from repro.march.sequencer import (
     DataBackground,

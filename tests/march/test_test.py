@@ -1,12 +1,10 @@
 """Tests for repro.march.test (MarchTest container)."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.library import MARCH_CM, MATS_PLUS_PLUS, STANDARD_TESTS, TEST_11N
-from repro.march.ops import R0, R1, W0, W1
+from repro.march.ops import R0, R1, W0
 from repro.march.test import MarchTest
 
 

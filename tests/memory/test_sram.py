@@ -7,7 +7,8 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.faults.models import StuckAtFault
 from repro.memory.geometry import MemoryGeometry
-from repro.memory.sram import Sram, TimingModel
+from repro.memory.sram import Sram
+from repro.memory.timing import TimingModel
 
 
 @pytest.fixture
@@ -45,7 +46,8 @@ class TestShmooAnchors:
         assert not sram.meets_timing(1.0, 15e-9)
 
     def test_min_period_monotone(self, sram):
-        assert sram.min_period(1.0) > sram.min_period(1.8)
+        timing, nominal = sram.timing, sram.tech.vdd_nominal
+        assert timing.min_period(1.0, nominal) > timing.min_period(1.8, nominal)
 
 
 class TestFunctionalFace:

@@ -1,7 +1,5 @@
 """Tests for repro.runner.atomic: crash-safe writes and envelopes."""
 
-import json
-
 import pytest
 
 from repro.runner.atomic import (

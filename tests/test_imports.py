@@ -7,7 +7,8 @@ in a fresh interpreter, where ``sys.modules`` starts clean.
 
 Three static pins close the loop: every library module is reached from
 an entry point, every function, class and method has a caller outside
-``tests/``, and no module imports a name it does not use.
+``tests/``, and no module, of the library or of ``tests/``, imports a
+name it does not use.
 """
 
 import ast
@@ -44,12 +45,11 @@ def run_python(script: str) -> str:
 
 def loaded_after(statement: str) -> set[str]:
     """The ``repro`` modules a fresh interpreter holds after ``statement``."""
-    out = run_python(f"""
+    out = run_python(textwrap.dedent(statement) + textwrap.dedent("""
         import json, sys
-        {statement}
         print(json.dumps(sorted(m for m in sys.modules
                                 if m.split(".")[0] == "repro")))
-    """)
+    """))
     return set(json.loads(out))
 
 
@@ -65,6 +65,56 @@ def test_streaming_engine_skips_unrelated_subsystems():
                  "repro.experiment.montecarlo", "repro.runner.chaos"}
     assert "repro.experiment.streaming.engine" in loaded
     assert not loaded & unrelated
+
+
+#: Modules only the oracles, calibration and ``--diagnose`` run: the
+#: lot classifies with the behaviour model and the timing rule alone.
+ORACLE_ONLY = {"repro.circuit.solver", "repro.memory.cell",
+               "repro.memory.sram", "repro.tester.ate",
+               "repro.tester.bitmap", "repro.experiment.diagnosis",
+               "repro.faults.models"}
+
+
+def oracle_only(loaded: set[str]) -> set[str]:
+    return {m for m in loaded
+            if m in ORACLE_ONLY or m.startswith("repro.march.")}
+
+
+LOT = ("from repro.experiment.streaming import StreamingExperiment, "
+       "StreamingRunner; StreamingRunner(StreamingExperiment("
+       "n_devices=65_536, seed=1{})).run()")
+
+
+def test_lot_entry_loads_no_oracle_module():
+    loaded = loaded_after("import repro.experiment.streaming")
+    assert oracle_only(loaded) == set()
+    assert len(loaded) <= 30
+
+
+def test_a_default_lot_runs_without_oracle_modules():
+    assert oracle_only(loaded_after(LOT.format(""))) == set()
+
+
+def test_a_diagnosed_lot_loads_the_diagnostician():
+    loaded = loaded_after(LOT.format(", diagnose=True"))
+    assert "repro.experiment.diagnosis" in loaded
+
+
+def test_serve_entry_loads_no_circuit_solver():
+    # ``repro serve`` up to its listen call, which refuses: the check
+    # opens no socket.
+    loaded = loaded_after("""
+        import repro.cli
+        import repro.service.app
+
+        async def refuse(*args):
+            raise OSError("refused")
+
+        repro.service.app.serve = refuse
+        assert repro.cli.main(["serve", "--port", "0"]) == 2
+    """)
+    assert loaded & {"repro.service.app", "repro.service.state"}
+    assert not loaded & {"repro.circuit.solver", "repro.memory.cell"}
 
 
 def test_public_names_resolve_lazily():
@@ -288,7 +338,14 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(unused)
 
 
-@pytest.mark.parametrize("module", sorted(
-    m for m, p in LIBRARY.items() if p.name != "__init__.py"))
+#: The modules the unused-import pin reads: the library's and the test
+#: suite's, ``__init__`` files excepted.
+IMPORTING = {m: p for m, p in LIBRARY.items() if p.name != "__init__.py"} | {
+    ".".join(p.relative_to(SRC.parent).with_suffix("").parts): p
+    for p in SRC.parent.joinpath("tests").rglob("*.py")
+    if p.name != "__init__.py"}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_module_imports_only_what_it_uses(module):
-    assert unused_imports(LIBRARY[module]) == []
+    assert unused_imports(IMPORTING[module]) == []

@@ -5,9 +5,6 @@ holds the invariants that span subsystem boundaries -- the contracts the
 whole reproduction stands on.
 """
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
