@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI / pre-commit gate: style lint, type check, domain lint, docs links,
-# benchmark smoke, tier-1 tests.
+# benchmark smoke, tier-1 tests, golden digests without AVX-512.
 #
 #   scripts/check.sh            # full sequence
 #   STRICT_LINT=1 scripts/check.sh   # repro lint treats warnings as errors
@@ -222,6 +222,7 @@ for module in src/repro/perf/batch.py src/repro/tester/shmoo.py \
               src/repro/ifa/critical_area.py \
               src/repro/ifa/extraction.py \
               src/repro/defects/distribution.py \
+              src/repro/defects/sampling.py \
               src/repro/defects/behavior.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
@@ -330,5 +331,12 @@ python -m pytest -q tests/runner || status=$?
 
 echo "== pytest (tier 1) =="
 python -m pytest -x -q || status=$?
+
+echo "== golden digests without numpy's AVX-512 kernels =="
+# numpy's AVX-512 exp and power round differently from libm's; the
+# digests must not depend on which of them a host runs.
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
+    tests/core/test_estimator_tables.py tests/test_golden_artefacts.py \
+    tests/experiment/test_lot_golden.py || status=$?
 
 exit "$status"

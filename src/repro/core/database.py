@@ -4,11 +4,12 @@
 time, but using a database with precalculated simulation results makes
 the fault coverage estimation an easy job." (paper, Section 3)
 
-:class:`CoverageDatabase` stores :class:`~repro.ifa.flow.CoverageRecord`
-rows indexed by (defect kind, condition, resistance), supports log-R
-interpolation for resistances between sweep points, and persists to/from
-JSON so a campaign can be run once and shipped with the tool -- exactly
-the deployment model the paper describes for its customers.
+:class:`CoverageDatabase` stores
+:class:`~repro.core.records.CoverageRecord` rows indexed by (defect
+kind, condition, resistance), supports log-R interpolation for
+resistances between sweep points, and persists to/from JSON so a
+campaign can be run once and shipped with the tool -- exactly the
+deployment model the paper describes for its customers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from repro.ifa.flow import CoverageRecord
+from repro.core.records import CoverageRecord
 from repro.runner.atomic import (
     EnvelopeError,
     atomic_write_text,

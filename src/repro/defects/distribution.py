@@ -14,6 +14,11 @@ paper equation (2)) used by the DPM estimator and by the silicon-
 experiment population generator, and :class:`ChoiceTable`, the cached
 categorical draw behind the resistance and defect-site samplers.
 
+The estimator reads only ``cdf`` and ``quantile_grid``, which are plain
+``math``: the module imports numpy nowhere at module level, so
+``repro serve`` never loads it.  The first draw from a distribution
+builds its numpy sampler (:mod:`repro.defects.sampling`).
+
 Exact-path equivalence: tests/defects/test_distribution.py
 """
 
@@ -21,13 +26,20 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.defects.sampling import ResistanceSampler
 
 
-#: ``Generator.choice``'s tolerance on ``sum(p) == 1``.
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+#: ``Generator.choice``'s tolerance on ``sum(p) == 1``: the square root
+#: of the float64 machine epsilon.
+_CHOICE_ATOL = math.sqrt(sys.float_info.epsilon)
 
 
 class ChoiceTable:
@@ -55,6 +67,8 @@ class ChoiceTable:
     __slots__ = ("cdf", "_bounds")
 
     def __init__(self, p) -> None:
+        import numpy as np
+
         p = np.asarray(p, dtype=float)
         if p.size == 0:
             raise ValueError("a must be a positive integer unless no "
@@ -105,8 +119,9 @@ class LognormalComponent:
 class ResistanceDistribution:
     """A lognormal-mixture resistance distribution.
 
-    Provides pdf/cdf/sampling plus the band-probability queries the
-    defect-coverage integrator needs.
+    Provides the cdf and quantile grid the defect-coverage integrator
+    needs, plus sampling.  The sampler, and with it numpy, is built on
+    the first draw.
     """
 
     def __init__(self, components: list[LognormalComponent], name: str = "") -> None:
@@ -120,9 +135,14 @@ class ResistanceDistribution:
             for c in components
         ]
         self.name = name
-        self._choice = ChoiceTable([c.weight for c in self.components])
-        self._log_params = [(math.log(c.median), c.sigma)
-                            for c in self.components]
+
+    @cached_property
+    def _sampler(self) -> ResistanceSampler:
+        """The numpy draws, built on the first :meth:`sample` or
+        :meth:`sample_one`."""
+        from repro.defects.sampling import ResistanceSampler
+
+        return ResistanceSampler(self.components)
 
     def cdf(self, r: float) -> float:
         """P(R <= r)."""
@@ -135,39 +155,33 @@ class ResistanceDistribution:
         return total
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw resistances (ohms).
-
-        One uniform per draw picks the component, then one normal block
-        per component in component order: the draw sequence of
-        :func:`sample_resistances_reference`, without its per-call
-        ``choice(p=...)``.
-        """
-        choice = self._choice.draw(rng, size)
-        out = np.empty(size)
-        for i, (mu, sigma) in enumerate(self._log_params):
-            mask = choice == i
-            n = int(mask.sum())
-            if n:
-                out[mask] = np.exp(rng.normal(mu, sigma, size=n))
-        return out
+        """Draw ``size`` resistances (ohms)
+        (:meth:`~repro.defects.sampling.ResistanceSampler.sample`)."""
+        return self._sampler.sample(rng, size)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        """One resistance (ohms): ``float(self.sample(rng, 1)[0])``.
-
-        The same uniform, normal and ``np.exp`` as a size-1
-        :meth:`sample`, without building its arrays -- the per-defect
-        sampler of the scalar population and test-plan draws.
-        """
-        mu, sigma = self._log_params[self._choice.draw_one(rng)]
-        return float(np.exp(rng.normal(mu, sigma)))
+        """One resistance (ohms): ``float(self.sample(rng, 1)[0])``
+        (:meth:`~repro.defects.sampling.ResistanceSampler.sample_one`),
+        the per-defect sampler of the scalar population and test-plan
+        draws."""
+        return self._sampler.sample_one(rng)
 
     def quantile_grid(self, n: int = 64, lo_q: float = 0.001,
-                      hi_q: float = 0.999) -> np.ndarray:
+                      hi_q: float = 0.999) -> list[float]:
         """Log-spaced resistance grid covering the distribution's bulk,
-        used by the coverage integrator."""
-        lo = self._quantile(lo_q)
-        hi = self._quantile(hi_q)
-        return np.logspace(math.log10(lo), math.log10(hi), n)
+        used by the coverage integrator.
+
+        The exponents follow ``np.linspace`` (``i * step + start``, the
+        last one set to ``stop``); each point is ``10.0 ** y``, libm's
+        ``pow``.
+        """
+        start = math.log10(self._quantile(lo_q))
+        stop = math.log10(self._quantile(hi_q))
+        step = (stop - start) / max(n - 1, 1)
+        exponents = [i * step + start for i in range(n)]
+        if n > 1:
+            exponents[-1] = stop
+        return [10.0 ** y for y in exponents]
 
     def _quantile(self, q: float) -> float:
         lo, hi = 1e-3, 1e12
@@ -178,30 +192,6 @@ class ResistanceDistribution:
             else:
                 hi = mid
         return math.sqrt(lo * hi)
-
-
-def sample_resistances_reference(distribution: ResistanceDistribution,
-                                 rng: np.random.Generator,
-                                 size: int = 1) -> np.ndarray:
-    """The per-call ``choice(p=...)`` resistance draw -- the oracle of
-    :meth:`ResistanceDistribution.sample` and
-    :meth:`~ResistanceDistribution.sample_one`.
-
-    The component weights go through ``rng.choice`` on every call.
-    ``sample`` and ``sample_one`` must return the same values from the
-    same generator state; no production path calls this.
-    """
-    weights = np.array([c.weight for c in distribution.components])
-    choice = rng.choice(len(distribution.components), size=size, p=weights)
-    out = np.empty(size)
-    for i, c in enumerate(distribution.components):
-        mask = choice == i
-        n = int(mask.sum())
-        if n:
-            out[mask] = np.exp(
-                rng.normal(math.log(c.median), c.sigma, size=n)
-            )
-    return out
 
 
 def _phi(z: float) -> float:

@@ -23,7 +23,6 @@ from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectArrays
 from repro.experiment.veqtor import VeqtorChip
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.memory.timing import TimingModel
 from repro.stress import production_conditions
 
 if TYPE_CHECKING:
@@ -119,7 +118,8 @@ class StressClassifier:
     """Runs the screen-then-stress protocol over a lot.
 
     Verdicts come from the behaviour model and the fault-free timing
-    rule (:meth:`fail_bits`).  The virtual ATE that :meth:`classify_chip`
+    rule of its :class:`~repro.memory.timing.TimingModel`
+    (:meth:`fail_bits`).  The virtual ATE that :meth:`classify_chip`
     drives as their oracle is built on first use, so a lot that never
     calls the oracle never imports the tester, the SRAM or the march
     library.
@@ -138,7 +138,6 @@ class StressClassifier:
         self.geometry = geometry
         self.behavior = (behavior if behavior is not None
                          else DefectBehaviorModel(tech))
-        self.timing = TimingModel()
         self.conditions = production_conditions(tech)
 
     @cached_property
@@ -192,13 +191,13 @@ class StressClassifier:
         every condition.
         """
         kernel = self.behavior.evaluate_elements
+        model = self.behavior.timing
         per_defect = np.zeros(len(defects), dtype=np.uint8)
         timing = 0
         for bit, name in enumerate(FAIL_BIT_NAMES):
             condition = self.conditions[name]
-            if not self.timing.meets_timing(condition.vdd,
-                                            self.tech.vdd_nominal,
-                                            condition.period):
+            if not model.meets_timing(condition.vdd, self.tech.vdd_nominal,
+                                      condition.period):
                 timing |= 1 << bit
                 continue
             hits = kernel(defects.codes, defects.strengths,

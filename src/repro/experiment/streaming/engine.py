@@ -3,7 +3,7 @@
 This module runs inside pool worker processes (it is listed in the
 code-lint pack's worker modules), so it never touches an event bus:
 every fact ships back to the parent inside the
-:class:`~repro.runner.evaluate.UnitOutcome` payload.
+:class:`~repro.runner.outcome.UnitOutcome` payload.
 
 :class:`StreamingExperiment` is the lot the :mod:`repro.perf` pool
 runs -- it pickles small (lazy caches are dropped) and carries the
@@ -63,7 +63,7 @@ from repro.experiment.streaming.plan import ShardPlan, ShardUnit
 from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.runner.evaluate import (
+from repro.runner.outcome import (
     UnitDeadlineExceeded,
     UnitOutcome,
     check_unit_deadline,
@@ -331,7 +331,7 @@ class ShardEvaluator:
     :class:`~repro.runner.evaluate.UnitEvaluator`: one lives in the
     serial runner, one per worker process in the pool, and the parent
     supervisor builds one for poison fallbacks.  ``evaluate`` returns a
-    :class:`~repro.runner.evaluate.UnitOutcome` whose ``record`` is the
+    :class:`~repro.runner.outcome.UnitOutcome` whose ``record`` is the
     shard's :meth:`ExperimentAccumulator.as_payload` dict.
 
     Args:

@@ -24,7 +24,7 @@ from repro.experiment.streaming.engine import (
 )
 from repro.experiment.classify import STRESS_NAMES
 from repro.runner.checkpoint import CheckpointedRun
-from repro.runner.evaluate import UnitOutcome, check_unit_deadline
+from repro.runner.outcome import UnitOutcome, check_unit_deadline
 
 if TYPE_CHECKING:
     from repro.experiment.venn import VennCounts

@@ -78,8 +78,11 @@ class VeqtorTestBench:
         self.tester = tester
         self.geometry = geometry
         self.tech = tech
-        # One SRAM model serves all instances (state is reset per run).
-        self._sram = Sram(geometry, tech, name="veqtor4-core")
+        # One SRAM model serves all instances (state is reset per run);
+        # its timing is the tester's behaviour model's, so the bench and
+        # the array kernel gate every condition with one timing model.
+        self._sram = Sram(geometry, tech, name="veqtor4-core",
+                          timing=tester.behavior.timing)
 
     def chip_fails(self, chip: VeqtorChip, test: MarchTest,
                    condition: StressCondition) -> bool:

@@ -5,17 +5,16 @@ extraction step supplies a weighted site population; the campaign sweeps
 every site over a resistance grid and the stress conditions, asks the
 behavioural model (the distilled analogue simulation) whether each
 (site, R, condition) combination is detected, and emits
-:class:`CoverageRecord` rows.  Those rows are the "database with
-pre-calculated simulation results" of the paper's Section 3 -- the
-estimator (:mod:`repro.core.estimator`) interpolates them instead of
-re-running simulations.
+:class:`~repro.core.records.CoverageRecord` rows.  Those rows are the
+"database with pre-calculated simulation results" of the paper's
+Section 3 -- the estimator (:mod:`repro.core.estimator`) interpolates
+them instead of re-running simulations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -26,41 +25,8 @@ from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import MemoryGeometry
 from repro.stress import StressCondition
 
-
-@dataclass(frozen=True)
-class CoverageRecord:
-    """Detected fraction of a defect population at one (R, condition).
-
-    Attributes:
-        kind: "bridge" or "open".
-        resistance: Defect resistance of the sweep point (ohms).
-        condition: Stress-condition name.
-        vdd: Supply voltage of the condition.
-        period: Clock period of the condition.
-        detected: Number of detected sites.
-        total: Population size.
-        errors: Sites whose behavioural evaluation kept raising and
-            were quarantined by the runner (see ``docs/robustness.md``);
-            they are counted in neither ``detected`` nor the coverage
-            numerator, so coverage degrades conservatively.
-    """
-
-    kind: str
-    resistance: float
-    condition: str
-    vdd: float
-    period: float
-    detected: int
-    total: int
-    errors: int = 0
-
-    @property
-    def coverage(self) -> float:
-        return self.detected / self.total if self.total else 0.0
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.coverage
+if TYPE_CHECKING:
+    from repro.core.records import CoverageRecord
 
 
 class IfaCampaign:

@@ -12,7 +12,7 @@ and checkpoint stay in step.
 Process model: exactly one process (the run's parent) writes a
 journal.  A lot's pool workers never touch the bus -- their per-shard
 snapshots travel back inside
-:class:`~repro.runner.evaluate.UnitOutcome` and are replayed into the
+:class:`~repro.runner.outcome.UnitOutcome` and are replayed into the
 bus at the runner's in-order effect point, which is what makes a
 pooled lot journal byte-identical to a serial one.
 

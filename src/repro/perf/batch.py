@@ -47,7 +47,8 @@ from typing import Any
 import numpy as np
 
 from repro.defects.models import Defect, DefectKind
-from repro.runner.evaluate import UnitEvaluator, UnitOutcome
+from repro.runner.evaluate import UnitEvaluator
+from repro.runner.outcome import UnitOutcome
 from repro.runner.units import WorkUnit
 
 __all__ = [
@@ -140,8 +141,8 @@ class BatchEvaluator:
 
     Presents the :class:`~repro.runner.evaluate.UnitEvaluator`
     ``evaluate(unit) -> UnitOutcome`` interface and emits identical
-    :class:`~repro.ifa.flow.CoverageRecord` payloads; the difference is
-    that a unit costs O(1) Python work plus the per-site loop over its
+    :class:`~repro.core.records.CoverageRecord` payloads; the difference
+    is that a unit costs O(1) Python work plus the per-site loop over its
     demoted sites, which it hands to its own ``exact``
     :class:`~repro.runner.evaluate.UnitEvaluator` (a chaos campaign
     hands it every site, with the kernel's answers).  Group tables are
@@ -272,7 +273,7 @@ class BatchEvaluator:
             unit: A (kind, R, condition) cell of the plan.
 
         Returns:
-            A :class:`~repro.runner.evaluate.UnitOutcome` whose record
+            A :class:`~repro.runner.outcome.UnitOutcome` whose record
             is byte-identical to the exact path's.
 
         Raises:

@@ -8,15 +8,17 @@ Every component benchmark of this library writes the same document,
      "config":   the suite's config fields plus the host's cpu_count,
      "rows":     the suite's measurements,
      "headline": {metric: number},   projected from rows
-     "checks":   {flag: true}}       projected from rows
+     "checks":   {flag: bool}}       projected from rows
 
 :data:`SUITES` names each suite's config class, its run function and
-the headline metrics and check flags it must report; :data:`FLOORS`
-holds every numeric bound; :func:`validate` is the one validator.  A
-run verifies its equivalence contracts before it reports any number and
-raises ``RuntimeError`` on divergence, so a ``false`` check only ever
-appears in a stale or hand-edited document -- which :func:`validate`
-rejects, as it rejects a document that leaves a check or metric out.
+the headline metrics and check flags it must report, each flag with the
+value a sound run reports; :data:`FLOORS` holds every numeric bound;
+:func:`validate` is the one validator.  A run verifies its equivalence
+contracts before it reports any number and raises ``RuntimeError`` on
+divergence, so a contract flag that reads ``false`` only ever appears
+in a stale or hand-edited document -- which :func:`validate` rejects,
+as it rejects a document that leaves a check or metric out.  The one
+measured flag, the service's ``numpy_loaded``, must read ``false``.
 
 The suites:
 
@@ -31,8 +33,9 @@ The suites:
   supervised pool, :mod:`repro.perf.supervisor`, one worker per
   visible CPU) with its worker-count identity check;
 * ``service`` (:mod:`repro.perf.service_bench`) -- ``repro serve`` over
-  a live loopback socket: cold and warm latency, cache hits, byte
-  identity with the in-process estimator.
+  a live loopback socket: a fresh process's start-up footprint, cold
+  and warm latency, cache hits, byte identity with the in-process
+  estimator.
 
 Every suite times real computation on the host; the config records its
 ``cpu_count``.  Entry point: ``benchmarks/perf/bench.py``; field guide:
@@ -67,13 +70,14 @@ class Suite:
             breaks.
         headline: Headline metric -> dotted path of its number in
             ``rows``.
-        checks: Check flag -> dotted path of its boolean in ``rows``.
+        checks: Check flag -> (dotted path of its boolean in ``rows``,
+            the value a sound run reports).
     """
 
     config: Any
     run: Callable[[Any], dict[str, Any]]
     headline: dict[str, str]
-    checks: dict[str, str]
+    checks: dict[str, tuple[str, bool]]
 
 
 #: Every benchmark suite, by the name its ``BENCH_<suite>.json`` uses.
@@ -87,10 +91,10 @@ SUITES: dict[str, Suite] = {
                   "wallclock_speedup_batch": "campaign.speedup_batch",
                   "wallclock_speedup_adjacency": "adjacency.speedup",
                   "wallclock_speedup_draw": "draw.speedup"},
-        checks={"records_match": "campaign.records_match",
-                "grids_match": "shmoo.grids_match",
-                "pairs_match": "adjacency.pairs_match",
-                "defects_match": "draw.defects_match"}),
+        checks={"records_match": ("campaign.records_match", True),
+                "grids_match": ("shmoo.grids_match", True),
+                "pairs_match": ("adjacency.pairs_match", True),
+                "defects_match": ("draw.defects_match", True)}),
     "experiment": Suite(
         config=ExperimentBenchConfig,
         run=run_experiment,
@@ -98,10 +102,10 @@ SUITES: dict[str, Suite] = {
                   "speedup_vs_legacy": "legacy.speedup",
                   "memory_peak_ratio": "memory.peak_ratio",
                   "speedup_parallel": "pool.speedup"},
-        checks={"memory_independent": "memory.memory_independent",
-                "legacy_identical": "legacy.legacy_identical",
-                "shard_invariant": "invariance.shard_invariant",
-                "worker_invariant": "pool.worker_invariant"}),
+        checks={"memory_independent": ("memory.memory_independent", True),
+                "legacy_identical": ("legacy.legacy_identical", True),
+                "shard_invariant": ("invariance.shard_invariant", True),
+                "worker_invariant": ("pool.worker_invariant", True)}),
     "service": Suite(
         config=ServiceBenchConfig,
         run=run_service,
@@ -110,7 +114,8 @@ SUITES: dict[str, Suite] = {
                   "p99_ms": "warm.p99_ms",
                   "warm_hit_rate": "warm.hit_rate",
                   "cold_qps": "cold.qps"},
-        checks={"byte_identical": "identity.byte_identical"}),
+        checks={"byte_identical": ("identity.byte_identical", True),
+                "numpy_loaded": ("startup.numpy_loaded", False)}),
 }
 
 #: Every numeric bound, as (suite, headline metric) -> (kind, bound):
@@ -168,7 +173,7 @@ def run_suite(name: str, config: Any = None) -> dict[str, Any]:
         "headline": {metric: _at(rows, path)
                      for metric, path in suite.headline.items()},
         "checks": {flag: _at(rows, path)
-                   for flag, path in suite.checks.items()},
+                   for flag, (path, _) in suite.checks.items()},
     }
 
 
@@ -183,7 +188,8 @@ def validate(doc: Any) -> list[str]:
     Checks the schema tag, a known suite, the four object sections,
     every headline metric the suite declares (present and numeric),
     every :data:`FLOORS` bound of the suite, and every check flag the
-    suite declares (present and ``true``).
+    suite declares (present and holding the value a sound run
+    reports).
 
     Args:
         doc: Parsed JSON document.
@@ -226,7 +232,8 @@ def validate(doc: Any) -> list[str]:
                     f"headline.{metric} = {value} is above the "
                     f"{bound} ceiling")
     if isinstance(checks, dict):
-        for flag in suite.checks:
-            if checks.get(flag) is not True:
-                problems.append(f"checks.{flag} is not true")
+        for flag, (_, sound) in suite.checks.items():
+            if checks.get(flag) is not sound:
+                problems.append(
+                    f"checks.{flag} is not {'true' if sound else 'false'}")
     return problems

@@ -30,7 +30,7 @@ error) surfaces as :exc:`WorkerInitError` naming the underlying cause.
 
 Observability (:mod:`repro.obs`) rides the same in-order effect point:
 workers emit **no** events -- every journal entry is derived
-parent-side from the :class:`~repro.runner.evaluate.UnitOutcome` as it
+parent-side from the :class:`~repro.runner.outcome.UnitOutcome` as it
 is consumed in plan order, which is why a pooled journal is
 byte-identical to a serial one.
 """
@@ -45,7 +45,7 @@ from repro.experiment.streaming.engine import (
     StreamingExperiment,
 )
 from repro.experiment.streaming.plan import ShardUnit
-from repro.runner.evaluate import UnitOutcome
+from repro.runner.outcome import UnitOutcome
 
 _EVALUATOR: ShardEvaluator | None = None
 

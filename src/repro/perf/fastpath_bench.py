@@ -27,7 +27,7 @@ on every run before any number is reported:
   and :meth:`~repro.defects.distribution.ResistanceDistribution.sample_one`
   vs the per-defect ``choice(p=...)`` oracles
   (:func:`~repro.ifa.extraction.sample_defects_reference`,
-  :func:`~repro.defects.distribution.sample_resistances_reference`),
+  :func:`~repro.defects.sampling.sample_resistances_reference`),
   whose defect lists must be equal.
 
 The floors (``repro.perf.bench.FLOORS``) are the ones the fast paths
@@ -53,9 +53,9 @@ from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
-    sample_resistances_reference,
 )
 from repro.defects.models import BridgeSite, Defect, DefectKind
+from repro.defects.sampling import sample_resistances_reference
 from repro.ifa.critical_area import (
     find_adjacent_pairs,
     find_adjacent_pairs_exhaustive,

@@ -1,4 +1,4 @@
-"""``service`` benchmark suite: latency, throughput, cache behaviour.
+"""``service`` benchmark suite: start-up, latency, throughput, cache.
 
 Rows of ``BENCH_service.json`` (harness, schema and floors:
 :mod:`repro.perf.bench`; field guide: ``docs/service.md``).  The suite
@@ -7,8 +7,14 @@ loopback port and drives it over one keep-alive HTTP connection -- the
 measured latencies include request parsing, dispatch, rendering and
 the socket round-trip, exactly what a client of ``repro serve`` sees.
 
-Three measurements:
+Four measurements:
 
+* **startup** -- a fresh ``repro serve`` process, from spawn to its
+  first answer (one uncached bridge + open batch request, whose body
+  must equal the in-process estimator's): seconds, peak resident set,
+  the ``repro`` modules it loaded and whether numpy was among them
+  (the request path is plain ``math``, so a sound service reports
+  ``numpy_loaded: false``);
 * **cold** -- every unique request body once, against an empty cache
   and a fresh snapshot: all responses must be ``X-Cache: miss`` (the
   estimator is actually computing, and the first request builds its
@@ -29,8 +35,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 from repro.core.database import default_database_path
@@ -154,6 +166,66 @@ def _expected_body(snapshot: DatabaseSnapshot, body: bytes) -> bytes:
     return canonical_json(doc).encode("utf-8") + b"\n"
 
 
+#: ``repro serve`` in a fresh interpreter; once stopped, it prints its
+#: peak resident set, how many ``repro`` modules it loaded and whether
+#: numpy was one of them.  The peak is the process's own ``VmHWM``: the
+#: ``ru_maxrss`` of a spawned child also counts the pages of the
+#: (numpy-sized) bench process that spawned it.
+_SERVE = """\
+import json, sys
+from repro.cli import main
+rc = main(["serve", "--port", "0"])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
+print(json.dumps({
+    "peak_rss_mb": round(peak_kb / 1024.0, 1),
+    "repro_modules": sum(m.split(".")[0] == "repro" for m in sys.modules),
+    "numpy_loaded": "numpy" in sys.modules}))
+sys.exit(rc)
+"""
+
+
+def _startup(body: bytes) -> tuple[dict[str, Any], bytes]:
+    """Start ``repro serve`` in a subprocess and time its first answer.
+
+    Returns:
+        The ``startup`` row and the served response body.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[2])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", _SERVE], env=env,
+                            stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        # "serving on http://127.0.0.1:PORT"
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=60) as sock:
+            sock.sendall(
+                f"POST /v1/estimate HTTP/1.1\r\nHost: bench\r\n"
+                f"Connection: close\r\nContent-Length: {len(body)}"
+                "\r\n\r\n".encode("latin-1") + body)
+            # The service closes the connection after its answer, so the
+            # stop below finds it idle.
+            reply = b"".join(iter(lambda: sock.recv(1 << 16), b""))
+        seconds = time.perf_counter() - started
+    finally:
+        proc.send_signal(signal.SIGINT)
+        out, _ = proc.communicate()
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    answered = int(head.split()[1])
+    if answered != 200 or proc.returncode != 0:
+        raise RuntimeError(
+            f"repro serve answered {answered} and exited with status "
+            f"{proc.returncode}")
+    return {"seconds": round(seconds, 4),
+            **json.loads(out.strip().splitlines()[-1])}, payload
+
+
 async def _drive(service: EstimatorService,
                  config: ServiceBenchConfig,
                  bodies: list[bytes]) -> dict[str, Any]:
@@ -191,25 +263,27 @@ async def _drive(service: EstimatorService,
 
 
 def run_service(config: ServiceBenchConfig) -> dict[str, Any]:
-    """Run the cold, warm and identity passes.
+    """Run the start-up, cold, warm and identity passes.
 
     Args:
         config: Benchmark shape.
 
     Returns:
-        The ``rows`` of the ``service`` document: ``cold``, ``warm``
-        and ``identity``.
+        The ``rows`` of the ``service`` document: ``startup``,
+        ``cold``, ``warm`` and ``identity``.
 
     Raises:
-        RuntimeError: a cold response was served from cache, a warm
-            response missed, or a response body diverged from the
-            in-process estimator -- contract bugs that must fail
-            loudly, never be recorded as a benchmark row.
+        RuntimeError: the fresh service failed its first request, a
+            cold response was served from cache, a warm response
+            missed, or a response body diverged from the in-process
+            estimator -- contract bugs that must fail loudly, never be
+            recorded as a benchmark row.
     """
     snapshot = DatabaseSnapshot.load(default_database_path())
     service = EstimatorService(ServiceState(snapshot),
                                cache_size=config.cache_size)
     bodies = _request_bodies(config, snapshot.database.kinds())
+    startup, first = _startup(bodies[0])
     measured = asyncio.run(_drive(service, config, bodies))
     cold, warm = measured["cold"], measured["warm"]
     if cold["cache_hits"]:
@@ -221,6 +295,10 @@ def run_service(config: ServiceBenchConfig) -> dict[str, Any]:
             f"warm hit rate {warm['hit_rate']} != 1.0 -- the "
             "content-addressed cache key is unstable across identical "
             "requests")
+    if first != _expected_body(snapshot, bodies[0]):
+        raise RuntimeError(
+            "the fresh service's first answer diverged from the "
+            "in-process estimator")
     mismatches = sum(
         served != _expected_body(snapshot, body)
         for body, served in zip(bodies, measured["responses"]))
@@ -230,6 +308,7 @@ def run_service(config: ServiceBenchConfig) -> dict[str, Any]:
             "in-process estimator -- the byte-identity contract is "
             "broken")
     return {
+        "startup": startup,
         "cold": cold,
         "warm": warm,
         "identity": {"checked_requests": len(bodies),

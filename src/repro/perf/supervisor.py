@@ -64,7 +64,7 @@ from repro.perf.executor import (
     _pool_context,
     probe_worker_faults,
 )
-from repro.runner.evaluate import UnitDeadlineExceeded, UnitOutcome
+from repro.runner.outcome import UnitDeadlineExceeded, UnitOutcome
 
 #: Losses charged to one shard before it is retried in the parent (and
 #: quarantined as poison if it dies even there).
@@ -189,7 +189,7 @@ class SupervisedUnitExecutor:
             shards: Pending shards in plan order.
 
         Yields:
-            :class:`~repro.runner.evaluate.UnitOutcome` per shard.
+            :class:`~repro.runner.outcome.UnitOutcome` per shard.
 
         Raises:
             WorkerInitError: the worker initializer failed (fatal:

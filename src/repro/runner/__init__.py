@@ -13,6 +13,8 @@ resumable and failure-tolerant:
   temp-file recovery and fingerprint matching;
 * :mod:`repro.runner.chaos` -- seeded fault injection exercising every
   recovery path above (a campaign holds its injector);
+* :mod:`repro.runner.outcome` -- what a unit's evaluation returns and
+  the per-unit deadline, shared with the streaming lot's shards;
 * :mod:`repro.runner.evaluate` -- the per-unit evaluation core: the
   grid evaluator's per-site body and the per-site oracle;
 * :mod:`repro.runner.campaign` -- the

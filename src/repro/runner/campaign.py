@@ -36,10 +36,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.core.records import CoverageRecord
 from repro.defects.models import DefectKind
-from repro.ifa.flow import CoverageRecord
 from repro.runner.checkpoint import CampaignCheckpoint, CheckpointedRun
-from repro.runner.evaluate import (
+from repro.runner.outcome import (
     UnitDeadlineExceeded,
     UnitOutcome,
     check_unit_deadline,
@@ -158,7 +158,7 @@ class CampaignRunner:
             in-memory run, still fault-tolerant).
         unit_deadline: Optional wall-clock budget per work unit
             (seconds); exceeding it raises
-            :class:`~repro.runner.evaluate.UnitDeadlineExceeded` after
+            :class:`~repro.runner.outcome.UnitDeadlineExceeded` after
             the in-flight site.
         meta: Extra campaign-fingerprint entries (geometry, CLI args,
             ...) stored in -- and matched against -- the checkpoint.

@@ -263,7 +263,7 @@ class CheckpointedRun:
         Args:
             units: The plan (objects with a ``unit_id``).
             outcomes: Builds the lazy stream of the pending units'
-                :class:`~repro.runner.evaluate.UnitOutcome` objects.
+                :class:`~repro.runner.outcome.UnitOutcome` objects.
             replay: Folds a checkpointed unit's stored payload.
             execute: Folds an executed unit's outcome and returns the
                 payload to checkpoint for it.

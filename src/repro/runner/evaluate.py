@@ -17,25 +17,24 @@ depends on nothing but the unit (``docs/performance.md``):
 * the injector's fault pattern is a pure function of its seed and the
   probe order, which is site order within plan order;
 
-so a unit's :class:`~repro.ifa.flow.CoverageRecord` is a pure function
-of the unit itself, regardless of a resume in between.
-
-:class:`UnitOutcome` is also the unit of observability: it carries
-everything the run journal (:mod:`repro.obs`) reports about a unit --
-record, retry statistics, quarantine entries -- so events are emitted
-once, parent-side, when the outcome is consumed, never from inside
-evaluation.
+so a unit's :class:`~repro.core.records.CoverageRecord` is a pure
+function of the unit itself, regardless of a resume in between.  The
+evaluator returns it inside a :class:`~repro.runner.outcome.UnitOutcome`.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.records import CoverageRecord
 from repro.defects.models import Defect, DefectKind
-from repro.ifa.flow import CoverageRecord
+from repro.runner.outcome import (
+    UnitDeadlineExceeded,
+    UnitOutcome,
+    check_unit_deadline,
+)
 from repro.runner.retry import (
     RetryExhaustedError,
     RetryStats,
@@ -46,42 +45,6 @@ from repro.runner.units import WorkUnit
 
 #: Injector site probed before every behavioural evaluation attempt.
 BEHAVIOR_SITE = "behavior.evaluate"
-
-
-class UnitDeadlineExceeded(RuntimeError):
-    """A work unit overran the runner's per-unit wall-clock budget.
-
-    Deliberately fatal rather than silently skipping sites: skipping
-    would make the emitted records depend on machine speed.  The
-    checkpoint keeps every completed unit, so the campaign is resumable
-    after the stall's cause is fixed.
-    """
-
-
-def check_unit_deadline(unit_deadline: float | None) -> None:
-    """Raise ValueError for a per-unit budget that is set but not > 0."""
-    if unit_deadline is not None and unit_deadline <= 0:
-        raise ValueError("unit_deadline must be positive")
-
-
-@dataclass
-class UnitOutcome:
-    """Everything one work unit's evaluation produced.
-
-    Attributes:
-        index: The unit's position in the campaign plan.
-        unit_id: The unit's stable checkpoint key.
-        record: The emitted coverage record.
-        quarantine: Error-ledger entries for sites that exhausted the
-            retry budget (in site order).
-        stats: Retry counters accumulated while evaluating this unit.
-    """
-
-    index: int
-    unit_id: str
-    record: CoverageRecord
-    quarantine: list[dict[str, Any]] = field(default_factory=list)
-    stats: RetryStats = field(default_factory=RetryStats)
 
 
 class UnitEvaluator:

@@ -16,9 +16,9 @@ Each unit is
 
 The unit is one (kind, R, condition) cell rather than one defect site
 because that is the granularity of the paper's database rows
-(:class:`~repro.ifa.flow.CoverageRecord`): the natural commit size, big
-enough that checkpoint I/O stays negligible, small enough that a crash
-loses at most one sweep cell.
+(:class:`~repro.core.records.CoverageRecord`): the natural commit size,
+big enough that checkpoint I/O stays negligible, small enough that a
+crash loses at most one sweep cell.
 """
 
 from __future__ import annotations

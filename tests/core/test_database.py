@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.core.database import CoverageDatabase, DatabaseCorruptError
+from repro.core.records import CoverageRecord
 from repro.defects.distribution import default_bridge_distribution
-from repro.ifa.flow import CoverageRecord
 from repro.runner.atomic import temp_path_for
 
 

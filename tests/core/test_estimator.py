@@ -10,7 +10,7 @@ from repro.core.estimator import (
     FaultCoverageEstimator,
 )
 from repro.core.flow import MemoryTestFlow
-from repro.ifa.flow import CoverageRecord
+from repro.core.records import CoverageRecord
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 

@@ -18,11 +18,11 @@ import pytest
 
 from repro.core.database import CoverageDatabase, load_default_database
 from repro.core.estimator import FaultCoverageEstimator
+from repro.core.records import CoverageRecord
 from repro.defects.distribution import (
     LognormalComponent,
     ResistanceDistribution,
 )
-from repro.ifa.flow import CoverageRecord
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.runner.atomic import canonical_json
 from repro.service.app import EstimatorService

@@ -14,8 +14,8 @@ from repro.defects.distribution import (
     ResistanceDistribution,
     default_bridge_distribution,
     default_open_distribution,
-    sample_resistances_reference,
 )
+from repro.defects.sampling import sample_resistances_reference
 
 
 @pytest.fixture(scope="module")

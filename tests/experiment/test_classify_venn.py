@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.circuit.technology import CMOS018
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import (
     BridgeSite,
     DefectArrays,
@@ -21,6 +23,7 @@ from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.veqtor import VeqtorChip
 from repro.experiment.venn import PAPER_VENN, VennCounts
 from repro.memory.geometry import MemoryGeometry
+from repro.memory.timing import TimingModel
 
 
 def chip_with(defect):
@@ -123,6 +126,26 @@ class TestArrayClassification:
         chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 10e6))
         assert classifier.classify_chip(chip).failed_stress == frozenset(
             {"at-speed"})
+
+    def test_timing_comes_from_the_behaviour_model(self):
+        # A core too slow for VLV and at-speed: the kernel and the
+        # oracle bench fail a silent part exactly where the behaviour
+        # model's own timing rule does.
+        slow = TimingModel(t_wire=85e-9)
+        classifier = StressClassifier(
+            geometry=MemoryGeometry(8, 2, 4),
+            behavior=DefectBehaviorModel(CMOS018, timing=slow))
+        missed = frozenset(
+            name for name, condition in classifier.conditions.items()
+            if name in FAIL_BIT_NAMES and not slow.meets_timing(
+                condition.vdd, CMOS018.vdd_nominal, condition.period))
+        assert missed == {"VLV", "at-speed"}
+        silent = bridge(BridgeSite.CELL_NODE_RAIL, 10e6)
+        bits = classifier.fail_bits(DefectArrays.from_defects([silent]),
+                                    np.array([0]))
+        assert decode_fail_bits(bits.tolist()[0]) == (False, missed)
+        assert classifier.classify_chip(
+            chip_with(silent)).failed_stress == missed
 
     def test_standard_fail_carries_no_stress_set(self):
         assert decode_fail_bits(0b11101) == (True, frozenset())

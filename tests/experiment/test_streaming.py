@@ -38,7 +38,7 @@ from repro.runner.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
 )
-from repro.runner.evaluate import UnitDeadlineExceeded
+from repro.runner.outcome import UnitDeadlineExceeded
 
 
 def _engine(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,

@@ -8,9 +8,9 @@ import pytest
 from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
-    sample_resistances_reference,
 )
 from repro.defects.models import SITE_CODES, BridgeSite, DefectKind, OpenSite
+from repro.defects.sampling import sample_resistances_reference
 from repro.ifa import critical_area
 from repro.ifa import layout as ifa_layout
 from repro.ifa.critical_area import AdjacentPair

@@ -4,8 +4,9 @@ regression against the paper."""
 import pytest
 
 from repro.circuit.technology import CMOS018
+from repro.core.records import CoverageRecord
 from repro.defects.models import DefectKind
-from repro.ifa.flow import TABLE1_RESISTANCES, CoverageRecord, IfaCampaign
+from repro.ifa.flow import TABLE1_RESISTANCES, IfaCampaign
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.stress import production_conditions
 

@@ -23,6 +23,16 @@ CHECKS = [(name, flag) for name in SUITE_NAMES
           for flag in SUITES[name].checks]
 
 
+def sound(suite, flag):
+    """The value a sound run reports for one check flag."""
+    return SUITES[suite].checks[flag][1]
+
+
+def named(flag, value):
+    """The validator's complaint about a check that is not ``value``."""
+    return f"checks.{flag} is not {json.dumps(value)}"
+
+
 @pytest.fixture(scope="module")
 def quick_doc():
     """``quick_doc(suite)``: that suite's quick run, once per module."""
@@ -58,7 +68,8 @@ class TestBenchDocument:
         assert doc["config"]["cpu_count"] == (os.cpu_count() or 1)
         assert list(doc["headline"]) == list(SUITES[suite].headline)
         assert all(value > 0 for value in doc["headline"].values())
-        assert doc["checks"] == {flag: True for flag in SUITES[suite].checks}
+        assert doc["checks"] == {flag: sound(suite, flag)
+                                 for flag in SUITES[suite].checks}
 
 
 class TestValidateBench:
@@ -96,14 +107,14 @@ class TestValidateBench:
     @pytest.mark.parametrize("suite,flag", CHECKS)
     def test_flags_failed_check(self, quick_doc, suite, flag):
         doc = _copy(quick_doc(suite))
-        doc["checks"][flag] = False
-        assert validate(doc) == [f"checks.{flag} is not true"]
+        doc["checks"][flag] = not sound(suite, flag)
+        assert validate(doc) == [named(flag, sound(suite, flag))]
 
     @pytest.mark.parametrize("suite,flag", CHECKS)
     def test_flags_missing_check(self, quick_doc, suite, flag):
         doc = _copy(quick_doc(suite))
         del doc["checks"][flag]
-        assert validate(doc) == [f"checks.{flag} is not true"]
+        assert validate(doc) == [named(flag, sound(suite, flag))]
 
     def test_committed_artifact_is_valid(self):
         docs = {path.name: json.loads(path.read_text())
@@ -231,6 +242,12 @@ class TestServiceSuite:
         assert identity == {
             "checked_requests": ServiceBenchConfig.quick().unique_requests,
             "byte_identical": True}
+
+    def test_fresh_service_loads_no_numpy(self, quick_doc):
+        startup = quick_doc("service")["rows"]["startup"]
+        assert startup["numpy_loaded"] is False
+        assert 0 < startup["repro_modules"] < 30
+        assert startup["seconds"] > 0 and startup["peak_rss_mb"] > 0
 
     def test_latency_percentiles_ordered(self, quick_doc):
         warm = quick_doc("service")["rows"]["warm"]

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.database import CoverageDatabase
-from repro.ifa.flow import CoverageRecord
+from repro.core.records import CoverageRecord
 from repro.memory.geometry import MemoryGeometry
 from repro.obs.bus import EventBus
 from repro.obs.report import build_report

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.database import CoverageDatabase
 from repro.core.estimator import FaultCoverageEstimator
-from repro.ifa.flow import CoverageRecord
+from repro.core.records import CoverageRecord
 from repro.memory.geometry import MemoryGeometry
 from repro.service.schema import (
     MAX_QUERIES,

@@ -88,7 +88,9 @@ LOT = ("from repro.experiment.streaming import StreamingExperiment, "
 def test_lot_entry_loads_no_oracle_module():
     loaded = loaded_after("import repro.experiment.streaming")
     assert oracle_only(loaded) == set()
-    assert len(loaded) <= 30
+    assert not loaded & {"repro.ifa.flow", "repro.runner.evaluate",
+                         "repro.runner.units"}
+    assert len(loaded) <= 27
 
 
 def test_a_default_lot_runs_without_oracle_modules():
@@ -115,6 +117,35 @@ def test_serve_entry_loads_no_circuit_solver():
     """)
     assert loaded & {"repro.service.app", "repro.service.state"}
     assert not loaded & {"repro.circuit.solver", "repro.memory.cell"}
+
+
+def test_a_served_request_loads_no_numpy():
+    # The estimator's request path is plain ``math``: ``repro serve`` up
+    # to its refused listen call, then one uncached batch request
+    # dispatched in-process, leave numpy unloaded.
+    out = run_python("""
+        import json, sys
+        import repro.cli
+        import repro.service.app
+
+        services = []
+
+        async def refuse(service, *args):
+            services.append(service)
+            raise OSError("refused")
+
+        repro.service.app.serve = refuse
+        assert repro.cli.main(["serve", "--port", "0"]) == 2
+        body = json.dumps({"queries": [
+            {"geometry": {"rows": 512, "columns": 8, "bits_per_word": 8},
+             "kind": kind} for kind in ("bridge", "open")]}).encode()
+        response = services[0].dispatch("POST", "/v1/estimate", body)
+        print(json.dumps({"status": response.status,
+                          "cache": response.headers["X-Cache"],
+                          "numpy": "numpy" in sys.modules}))
+    """)
+    assert json.loads(out) == {"status": 200, "cache": "miss",
+                               "numpy": False}
 
 
 def test_public_names_resolve_lazily():
