@@ -17,13 +17,12 @@ from repro.experiment.venn import VennCounts
 
 
 def render_frequency_curve(frequencies_hz: Sequence[float],
-                           thresholds_ohm: Sequence[float],
-                           title: str = "Resistive open detection vs "
-                                        "test frequency (Figure 8)") -> str:
+                           thresholds_ohm: Sequence[float]) -> str:
     """Render detectable-open-resistance vs frequency as a text chart."""
     if len(frequencies_hz) != len(thresholds_ohm):
         raise ValueError("axes must have equal length")
-    lines = [title, f"{'freq':>10}  {'R_min detect':>14}  "]
+    lines = ["Resistive open detection vs test frequency (Figure 8)",
+             f"{'freq':>10}  {'R_min detect':>14}  "]
     finite = [t for t in thresholds_ohm if t > 0 and np.isfinite(t)]
     top = max(finite) if finite else 1.0
     for f, t in zip(frequencies_hz, thresholds_ohm):
@@ -36,17 +35,22 @@ def render_frequency_curve(frequencies_hz: Sequence[float],
     return "\n".join(lines)
 
 
+#: Characters per strip-chart row.
+WAVEFORM_COLUMNS = 72
+
+
 def render_waveforms(waves: dict[str, Waveform], vdd: float,
-                     n_cols: int = 72, title: str = "") -> str:
+                     title: str = "") -> str:
     """Strip-chart rendering of transient waveforms (Figures 5/6 style).
 
-    Each node gets one row of characters sampled uniformly in time:
+    Each node gets one row of :data:`WAVEFORM_COLUMNS` characters
+    sampled uniformly in time:
     ``#`` above 0.7 Vdd, ``.`` below 0.3 Vdd, ``-`` in between.
     """
     lines = [title] if title else []
     for node, wf in waves.items():
         t_lo, t_hi = float(wf.time[0]), float(wf.time[-1])
-        samples = np.linspace(t_lo, t_hi, n_cols)
+        samples = np.linspace(t_lo, t_hi, WAVEFORM_COLUMNS)
         chars = []
         for t in samples:
             v = wf.at(float(t))

@@ -9,9 +9,8 @@ numbers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.estimator import EstimatorReport
+from repro.ifa.flow import TABLE1_RESISTANCES
 
 #: The paper's published Table 1 (CMOS 0.18 um, resistive bridges).
 PAPER_TABLE1: dict[str, dict] = {
@@ -46,13 +45,13 @@ TABLE1_ORDER = ("VLV", "Vmin", "Vnom", "Vmax")
 
 
 def render_table1(report: EstimatorReport,
-                  resistances: Sequence[float] = (20.0, 1e3, 10e3, 90e3),
                   compare_paper: bool = True) -> str:
     """Render the estimator's bridge report as the paper's Table 1.
 
+    The resistance columns are the campaign's ``TABLE1_RESISTANCES``.
+
     Args:
         report: Estimator output (``kind='bridge'``).
-        resistances: Resistance columns (ohms).
         compare_paper: Append the paper's published value in
             parentheses next to every measured number.
 
@@ -60,7 +59,7 @@ def render_table1(report: EstimatorReport,
         A fixed-width text table.
     """
     header = ["Condition", "Vdd"]
-    header += [_fmt_r(r) for r in resistances]
+    header += [_fmt_r(r) for r in TABLE1_RESISTANCES]
     header += ["DefCov %", "DPM(norm)"]
     rows = [header]
 
@@ -71,7 +70,7 @@ def render_table1(report: EstimatorReport,
             continue
         paper = PAPER_TABLE1.get(name, {})
         row = [name, f"{paper.get('voltage', 0.0):.2f} V"]
-        for r in resistances:
+        for r in TABLE1_RESISTANCES:
             measured = 100.0 * _nearest_coverage(est.fault_coverage, r)
             cell = f"{measured:6.2f}"
             if compare_paper and r in paper.get("fault_coverage", {}):

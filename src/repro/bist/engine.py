@@ -29,6 +29,9 @@ from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 from repro.stress import StressCondition
 
+#: Signature width of the MISR response mode.
+MISR_WIDTH = 16
+
 
 class ResponseMode(Enum):
     """How the engine judges read responses."""
@@ -69,12 +72,11 @@ class BistEngine:
 
     Args:
         sram: The device (carries its own attached faults).
-        misr_width: Signature width for MISR mode.
     """
 
-    def __init__(self, sram: Sram, misr_width: int = 16) -> None:
+    def __init__(self, sram: Sram) -> None:
         self.sram = sram
-        self.misr = Misr(misr_width)
+        self.misr = Misr(MISR_WIDTH)
         self._golden_cache: dict[tuple[str, DataBackground], int] = {}
 
     # ------------------------------------------------------------------

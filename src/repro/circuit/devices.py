@@ -43,22 +43,22 @@ class MosType(Enum):
 _SMOOTH = 0.05
 
 
-def _softplus(x: float, width: float = _SMOOTH) -> float:
+def _softplus(x: float) -> float:
     """Numerically-stable smooth max(x, 0)."""
-    if x > 30.0 * width:
+    if x > 30.0 * _SMOOTH:
         return x
-    if x < -30.0 * width:
+    if x < -30.0 * _SMOOTH:
         return 0.0
-    return width * math.log1p(math.exp(x / width))
+    return _SMOOTH * math.log1p(math.exp(x / _SMOOTH))
 
 
-def _softplus_deriv(x: float, width: float = _SMOOTH) -> float:
+def _softplus_deriv(x: float) -> float:
     """Derivative of :func:`_softplus` (a smooth step function)."""
-    if x > 30.0 * width:
+    if x > 30.0 * _SMOOTH:
         return 1.0
-    if x < -30.0 * width:
+    if x < -30.0 * _SMOOTH:
         return 0.0
-    return 1.0 / (1.0 + math.exp(-x / width))
+    return 1.0 / (1.0 + math.exp(-x / _SMOOTH))
 
 
 @dataclass

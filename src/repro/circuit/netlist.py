@@ -99,13 +99,13 @@ class Netlist:
         clone._devices = dict(self._devices)
         return clone
 
-    def with_bridge(self, node_a: str, node_b: str, resistance: float,
-                    name: str = "Rbridge") -> "Netlist":
+    def with_bridge(self, node_a: str, node_b: str,
+                    resistance: float) -> "Netlist":
         """Return a copy with a resistive bridge between two nodes."""
         if node_a == node_b:
             raise ValueError("bridge endpoints must differ")
         faulty = self.copy(f"{self.title}+bridge({node_a},{node_b},{resistance:g})")
-        faulty.add(Resistor(name, node_a, node_b, resistance))
+        faulty.add(Resistor("Rbridge", node_a, node_b, resistance))
         return faulty
 
     def with_open(self, device_name: str, terminal: str, resistance: float,
@@ -136,20 +136,6 @@ class Netlist:
         faulty._devices[device_name] = rewired
         faulty.add(Resistor(name, internal, original_net, resistance))
         return faulty
-
-    # ------------------------------------------------------------------
-    # Static analysis
-    # ------------------------------------------------------------------
-    def lint(self, tech=None, config=None):
-        """Run the ``NET0xx`` ERC pack on this netlist.
-
-        Returns a :class:`repro.lint.LintReport`; see
-        ``docs/static_analysis.md`` for the rule catalog.  (Imported
-        lazily: :mod:`repro.lint` depends on this module.)
-        """
-        from repro.lint import lint_netlist
-
-        return lint_netlist(self, tech=tech, config=config)
 
     def __repr__(self) -> str:
         return (

@@ -165,6 +165,14 @@ class _System:
         return jac, res
 
 
+#: Newton iterations before a solve gives up.
+NEWTON_MAX_ITER = 120
+
+#: Newton tolerances of a DC solve: the requested one, then the one the
+#: whole strategy ladder is retried at before the solve gives up.
+DC_TOLERANCES = (1e-7, 1e-5)
+
+
 def _newton(
     system: _System,
     x0: np.ndarray,
@@ -173,12 +181,11 @@ def _newton(
     prev_x: np.ndarray | None = None,
     dt: float | None = None,
     source_scale: float = 1.0,
-    max_iter: int = 120,
     tol: float = 1e-7,
 ) -> np.ndarray:
     x = x0.copy()
     max_step = math.inf
-    for iteration in range(max_iter):
+    for iteration in range(NEWTON_MAX_ITER):
         jac, res = system.build(x, t, gmin, prev_x, dt, source_scale)
         try:
             delta = np.linalg.solve(jac, -res)
@@ -203,15 +210,14 @@ def _newton(
         if max_step * scale < tol:
             return x
     raise ConvergenceError(
-        f"Newton failed after {max_iter} iterations (last step {max_step:.3g})"
+        f"Newton failed after {NEWTON_MAX_ITER} iterations "
+        f"(last step {max_step:.3g})"
     )
 
 
 def dc_operating_point(
     netlist: Netlist,
     initial: dict[str, float] | None = None,
-    tol: float = 1e-7,
-    relaxed_tol: float | None = 1e-5,
 ) -> dict[str, float]:
     """Solve the DC operating point of a netlist.
 
@@ -220,14 +226,13 @@ def dc_operating_point(
     engines.  ``initial`` seeds node voltages -- essential for bistable
     circuits such as SRAM cells, where the seed selects the stored state.
 
-    Campaign-facing degradation: when every strategy fails at the
-    requested ``tol``, the whole ladder is retried once at
-    ``relaxed_tol`` before surfacing :class:`ConvergenceError`.  A long
-    coverage campaign prefers a slightly less precise operating point
-    on one pathological faulty netlist over aborting the sweep -- the
+    Campaign-facing degradation: when every strategy fails at the first
+    of :data:`DC_TOLERANCES`, the whole ladder is retried at the next
+    before surfacing :class:`ConvergenceError`.  A long coverage
+    campaign prefers a slightly less precise operating point on one
+    pathological faulty netlist over aborting the sweep -- the
     detection thresholds the campaign compares against are orders of
-    magnitude coarser than either tolerance.  Pass ``relaxed_tol=None``
-    for strict single-tolerance behaviour.
+    magnitude coarser than either tolerance.
 
     Returns:
         Mapping of node name to voltage (includes ground = 0.0).
@@ -235,12 +240,13 @@ def dc_operating_point(
     Raises:
         ConvergenceError: if no strategy converges at any tolerance.
     """
-    try:
-        return _dc_solve(netlist, initial, tol)
-    except ConvergenceError:
-        if relaxed_tol is None or relaxed_tol <= tol:
-            raise
-        return _dc_solve(netlist, initial, relaxed_tol)
+    *strict, relaxed = DC_TOLERANCES
+    for tol in strict:
+        try:
+            return _dc_solve(netlist, initial, tol)
+        except ConvergenceError:
+            pass
+    return _dc_solve(netlist, initial, relaxed)
 
 
 def _dc_solve(

@@ -52,14 +52,14 @@ class Waveform:
     def max(self) -> float:
         return float(self.voltage.max())
 
-    def settle_value(self, fraction: float = 0.05) -> float:
-        """Mean of the last ``fraction`` of samples (steady-state value)."""
-        n = max(1, int(len(self.voltage) * fraction))
+    def settle_value(self) -> float:
+        """Mean of the last 5 % of samples (steady-state value)."""
+        n = max(1, int(len(self.voltage) * 0.05))
         return float(self.voltage[-n:].mean())
 
 
-def clock(v_low: float, v_high: float, period: float, duty: float = 0.5,
-          t_edge: float = 1e-10):
+def clock(v_low: float, v_high: float, period: float, duty: float,
+          t_edge: float):
     """Build a periodic clock stimulus callable."""
     if period <= 0 or not 0.0 < duty < 1.0:
         raise ValueError("period must be positive and 0 < duty < 1")

@@ -32,6 +32,9 @@ from repro.runner.atomic import (
 DB_SCHEMA = "repro.coverage-database"
 DB_VERSION = 1
 
+#: Points of the quantile grid the coverage integrals run over.
+COVERAGE_GRID_POINTS = 96
+
 
 class DatabaseCorruptError(RuntimeError):
     """A coverage-database file exists but cannot be trusted.
@@ -171,8 +174,7 @@ class CoverageDatabase:
                 return c0 + frac * (c1 - c0)
         raise AssertionError("unreachable")
 
-    def envelope_coverage(self, kind: str, distribution,
-                          n_grid: int = 96) -> float:
+    def envelope_coverage(self, kind: str, distribution) -> float:
         """Weighted coverage of the best condition at every resistance.
 
         The per-R maximum over all stored conditions approximates the
@@ -185,7 +187,7 @@ class CoverageDatabase:
         conditions = self.conditions(kind)
         if not conditions:
             raise KeyError(f"no records for kind={kind!r}")
-        grid = distribution.quantile_grid(n_grid)
+        grid = distribution.quantile_grid(COVERAGE_GRID_POINTS)
         total = 0.0
         prev_cdf = distribution.cdf(grid[0])
 
@@ -201,15 +203,15 @@ class CoverageDatabase:
         return min(max(total, 0.0), 1.0)
 
     def weighted_coverage(self, kind: str, condition: str,
-                          distribution, n_grid: int = 96) -> float:
+                          distribution) -> float:
         """Defect coverage: fault coverage weighted by the resistance
         distribution (the paper's Section 3.1 step from fault coverage to
         defect coverage).
 
         Numerically integrates coverage(R) dP(R) over the distribution's
-        quantile grid.
+        :data:`COVERAGE_GRID_POINTS`-point quantile grid.
         """
-        grid = distribution.quantile_grid(n_grid)
+        grid = distribution.quantile_grid(COVERAGE_GRID_POINTS)
         total = 0.0
         prev_cdf = distribution.cdf(grid[0])
         total += prev_cdf * self.coverage(kind, condition, grid[0])
@@ -350,8 +352,7 @@ class CoverageDatabase:
         return cls(cls._records_from_rows(path, body["records"]))
 
     @classmethod
-    def load(cls, path: str | Path,
-             bus: Any = None) -> "CoverageDatabase":
+    def load(cls, path: str | Path) -> "CoverageDatabase":
         """Load and validate a persisted database.
 
         Accepts both the checksummed envelope written by :meth:`save`
@@ -362,11 +363,6 @@ class CoverageDatabase:
 
         Args:
             path: Database file location.
-            bus: Optional :class:`~repro.obs.bus.EventBus`.  A corrupt
-                ``.tmp`` sibling that is passed over during recovery is
-                recorded as a ``database.discard_corrupt_tmp`` event
-                (it used to be swallowed silently); the load outcome is
-                unchanged.
 
         Raises:
             FileNotFoundError: neither the file nor a recoverable temp
@@ -375,8 +371,7 @@ class CoverageDatabase:
                 or row validation (the message names path and defect).
                 When both the file and its temp sibling are corrupt,
                 the main file's error is raised and the sibling's is
-                attached as ``__context__`` (and journalled via
-                ``bus``).
+                attached as its ``__cause__``.
         """
         path = Path(path)
         main_error: DatabaseCorruptError | None = None
@@ -392,9 +387,6 @@ class CoverageDatabase:
                 return cls._parse(tmp, tmp.read_text())
             except DatabaseCorruptError as exc:
                 tmp_error = exc
-                if bus is not None:
-                    bus.emit("database.discard_corrupt_tmp",
-                             path=str(tmp), error=exc.defect)
         if main_error is not None:
             raise main_error from tmp_error
         if tmp_error is not None:

@@ -144,22 +144,22 @@ class FaultCoverageEstimator:
         database: Pre-calculated coverage results (from an
             :class:`~repro.ifa.flow.IfaCampaign` or loaded from disk).
         bridge_distribution: Fab bridge-resistance distribution.
-        open_distribution: Fab open-resistance distribution.
-        density: Defect density (for the yield model).
+
+    Opens follow :func:`~repro.defects.distribution.default_open_distribution`
+    and the yield model the default
+    :class:`~repro.defects.distribution.DefectDensity`.
     """
 
     def __init__(
         self,
         database: CoverageDatabase,
         bridge_distribution: ResistanceDistribution | None = None,
-        open_distribution: ResistanceDistribution | None = None,
-        density: DefectDensity | None = None,
     ) -> None:
         self.database = database
         self.bridge_distribution = (bridge_distribution
                                     or default_bridge_distribution())
-        self.open_distribution = open_distribution or default_open_distribution()
-        self.density = density if density is not None else DefectDensity()
+        self.open_distribution = default_open_distribution()
+        self.density = DefectDensity()
 
     # ------------------------------------------------------------------
     def yield_for(self, geometry: MemoryGeometry) -> float:

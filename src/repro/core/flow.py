@@ -21,8 +21,7 @@ import numpy as np
 from repro.circuit.technology import CMOS018, Technology
 from repro.core.database import CoverageDatabase
 from repro.core.estimator import EstimatorReport, FaultCoverageEstimator
-from repro.defects.behavior import BehaviorParams, DefectBehaviorModel
-from repro.defects.distribution import DefectDensity
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES, IfaCampaign
 from repro.memory.geometry import MemoryGeometry
@@ -52,23 +51,18 @@ class MemoryTestFlow:
     Args:
         geometry: Memory organisation to analyse.
         tech: Technology corner.
-        behavior_params: Optional calibration override.
         n_sites: Site-population size per campaign.
         seed: Campaign RNG seed.
-        density: Fab defect density for the yield/DPM models.
     """
 
     def __init__(self, geometry: MemoryGeometry,
                  tech: Technology = CMOS018,
-                 behavior_params: BehaviorParams | None = None,
-                 n_sites: int = 2000, seed: int = 2005,
-                 density: DefectDensity | None = None) -> None:
+                 n_sites: int = 2000, seed: int = 2005) -> None:
         self.geometry = geometry
         self.tech = tech
-        self.behavior = DefectBehaviorModel(tech, params=behavior_params)
+        self.behavior = DefectBehaviorModel(tech)
         self.campaign = IfaCampaign(geometry, tech, behavior=self.behavior,
                                     n_sites=n_sites, seed=seed)
-        self.density = density if density is not None else DefectDensity()
 
     def conditions(self) -> dict[str, StressCondition]:
         return production_conditions(self.tech)
@@ -107,8 +101,7 @@ class MemoryTestFlow:
             open_resistances=None,
             yield_fraction: float | None = None,
             checkpoint_path=None,
-            runner: CampaignRunner | None = None,
-            journal=None) -> FlowResult:
+            runner: CampaignRunner | None = None) -> FlowResult:
         """Run the full flow and return database + estimator reports.
 
         Both campaigns execute chunked through the resilient runner
@@ -128,17 +121,13 @@ class MemoryTestFlow:
             runner: Pre-configured runner (custom attempt count or
                 unit deadline); overrides ``checkpoint_path``.  Chaos
                 comes from ``self.campaign.injector``.
-            journal: Optional JSONL run-journal path (or event bus)
-                recording the campaign's structured event stream
-                (:mod:`repro.obs`); ``None`` keeps observability off
-                with zero overhead.
         """
         specs = self.sweep_specs(bridge_resistances, open_resistances)
         if runner is None:
-            runner = self.make_runner(checkpoint_path, journal=journal)
+            runner = self.make_runner(checkpoint_path)
         result = runner.run(specs)
         database = CoverageDatabase(result.records)
-        estimator = FaultCoverageEstimator(database, density=self.density)
+        estimator = FaultCoverageEstimator(database)
         return FlowResult(
             database=database,
             estimator=estimator,

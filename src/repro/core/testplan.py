@@ -32,7 +32,6 @@ from repro.core.williams_brown import dpm as williams_brown_dpm
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.distribution import (
     DefectDensity,
-    ResistanceDistribution,
     default_bridge_distribution,
     default_open_distribution,
 )
@@ -42,6 +41,13 @@ from repro.march.test import MarchTest
 from repro.memory.geometry import MemoryGeometry
 from repro.stress import StressCondition
 
+#: Fraction of a joint table's sampled defects that are bridges.
+PLAN_BRIDGE_FRACTION = 0.8
+
+#: Per-condition setup time of a plan (supply settle, relearn; s): it
+#: makes single-condition plans genuinely cheaper.
+CONDITION_SETUP_S = 1e-3
+
 
 class JointCoverageTable:
     """Per-defect detection across a condition suite.
@@ -50,32 +56,27 @@ class JointCoverageTable:
         geometry: Memory organisation.
         tech: Technology corner.
         conditions: Name -> condition suite to tabulate.
-        behavior: Behaviour model (default built from ``tech``).
-        n_samples: Monte-Carlo defect samples (site + resistance pairs).
-        bridge_fraction: Defect-kind mix.
+        n_samples: Monte-Carlo defect samples (site + resistance pairs),
+            :data:`PLAN_BRIDGE_FRACTION` of them bridges, resistances
+            from the default distributions.
         seed: RNG seed.
     """
 
     def __init__(self, geometry: MemoryGeometry, tech: Technology,
                  conditions: dict[str, StressCondition],
-                 behavior: DefectBehaviorModel | None = None,
-                 bridge_distribution: ResistanceDistribution | None = None,
-                 open_distribution: ResistanceDistribution | None = None,
-                 n_samples: int = 3000,
-                 bridge_fraction: float = 0.8,
-                 seed: int = 2005) -> None:
+                 n_samples: int = 3000, seed: int = 2005) -> None:
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         self.geometry = geometry
         self.conditions = dict(conditions)
         self.condition_names = list(conditions)
-        behavior = behavior if behavior is not None else DefectBehaviorModel(tech)
-        bridge_dist = bridge_distribution or default_bridge_distribution()
-        open_dist = open_distribution or default_open_distribution()
+        behavior = DefectBehaviorModel(tech)
+        bridge_dist = default_bridge_distribution()
+        open_dist = default_open_distribution()
         extractor = IfaExtractor(geometry)
         rng = np.random.default_rng(seed)
 
-        n_bridges = int(round(n_samples * bridge_fraction))
+        n_bridges = int(round(n_samples * PLAN_BRIDGE_FRACTION))
         defects = extractor.sample_bridges(
             max(n_bridges, 1), rng, resistance_sampler=bridge_dist.sample_one)
         defects += extractor.sample_opens(
@@ -146,22 +147,17 @@ class TestPlanOptimizer:
 
     Args:
         table: Joint coverage table over the candidate suite.
-        test: March test applied at every condition.
-        density: Defect density (for yield -> DPM).
-        setup_overhead: Per-condition setup time (supply settle, relearn;
-            s) -- makes single-condition plans genuinely cheaper.
+        test: March test applied at every condition, each condition
+            adding :data:`CONDITION_SETUP_S`; the yield behind the DPM
+            is the default :class:`~repro.defects.distribution.DefectDensity`'s.
     """
 
     __test__ = False  # keep pytest collection away from the Test* name
 
-    def __init__(self, table: JointCoverageTable, test: MarchTest,
-                 density: DefectDensity | None = None,
-                 setup_overhead: float = 1e-3) -> None:
+    def __init__(self, table: JointCoverageTable, test: MarchTest) -> None:
         self.table = table
         self.test = test
-        self.density = density if density is not None else DefectDensity()
-        self.setup_overhead = setup_overhead
-        self._yield = self.density.yield_fraction(
+        self._yield = DefectDensity().yield_fraction(
             table.geometry.array_area_um2())
 
     # ------------------------------------------------------------------
@@ -169,7 +165,7 @@ class TestPlanOptimizer:
         """Test time of one condition: N x complexity x period + setup."""
         cond = self.table.conditions[name]
         ops = self.test.operation_count(self.table.geometry.words)
-        return ops * cond.period + self.setup_overhead
+        return ops * cond.period + CONDITION_SETUP_S
 
     def evaluate(self, names: tuple[str, ...]) -> TestPlan:
         coverage = self.table.subset_coverage(names)

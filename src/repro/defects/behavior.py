@@ -227,17 +227,16 @@ class DefectBehaviorModel:
     Args:
         tech: Technology corner (supplies the VLV/Vnom/... anchors and
             the alpha-power scaling of fault-free delays).
-        timing: The SRAM's calibrated critical-path model, used to scale
-            fault-free path delays with supply voltage.
-        params: Calibration constants (defaults reproduce the paper).
+
+    ``timing`` is the SRAM's calibrated critical-path model, used to
+    scale fault-free path delays with supply voltage; ``params`` are the
+    calibration constants that reproduce the paper.
     """
 
-    def __init__(self, tech: Technology,
-                 timing: TimingModel | None = None,
-                 params: BehaviorParams | None = None) -> None:
+    def __init__(self, tech: Technology) -> None:
         self.tech = tech
-        self.timing = timing if timing is not None else TimingModel()
-        self.params = params if params is not None else DEFAULT_PARAMS
+        self.timing = TimingModel()
+        self.params = DEFAULT_PARAMS
 
     # ------------------------------------------------------------------
     # Voltage scaling helpers
@@ -492,33 +491,18 @@ class DefectBehaviorModel:
         """
         return self.manifestation(defect, condition) is not None
 
-    def open_detection_threshold(self, period: float,
-                                 vdd: float | None = None,
-                                 site: OpenSite = OpenSite.BITLINE_SEGMENT,
-                                 strength: float = 1.0) -> float:
-        """Smallest detectable open resistance at a test period.
+    def open_detection_threshold(self, period: float) -> float:
+        """Smallest detectable bit-line-segment open resistance at a
+        test period.
 
         The quantity plotted in the paper's Figure 8: at 50 MHz only
         opens above ~4 MOhm are caught; at 100 MHz the floor drops to
         ~1.5 MOhm.
         """
-        p = self.params
-        vdd = self.tech.vdd_nominal if vdd is None else vdd
-        scale = self._delay_scale(vdd)
-        if site is OpenSite.BITLINE_SEGMENT:
-            slack = period - p.seg_t0
-            cap = p.seg_c * strength
-        elif site is OpenSite.CELL_ACCESS:
-            slack = 0.35 * period - p.access_t0 * scale
-            cap = p.access_c * strength
-        elif site is OpenSite.PERIPHERY_PATH:
-            slack = period - p.periphery_t0 * scale
-            cap = p.periphery_c * strength * scale
-        else:
-            raise ValueError(f"{site} is not a delay-type open class")
+        slack = period - self.params.seg_t0
         if slack <= 0.0:
             return 0.0
-        return slack / cap
+        return slack / self.params.seg_c
 
     # ------------------------------------------------------------------
     # Vectorised evaluation: one kernel, two shapes

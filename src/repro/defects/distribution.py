@@ -166,17 +166,16 @@ class ResistanceDistribution:
         draws."""
         return self._sampler.sample_one(rng)
 
-    def quantile_grid(self, n: int = 64, lo_q: float = 0.001,
-                      hi_q: float = 0.999) -> list[float]:
-        """Log-spaced resistance grid covering the distribution's bulk,
-        used by the coverage integrator.
+    def quantile_grid(self, n: int) -> list[float]:
+        """Log-spaced resistance grid from the 0.1 % to the 99.9 %
+        quantile, used by the coverage integrator.
 
         The exponents follow ``np.linspace`` (``i * step + start``, the
         last one set to ``stop``); each point is ``10.0 ** y``, libm's
         ``pow``.
         """
-        start = math.log10(self._quantile(lo_q))
-        stop = math.log10(self._quantile(hi_q))
+        start = math.log10(self._quantile(0.001))
+        stop = math.log10(self._quantile(0.999))
         step = (stop - start) / max(n - 1, 1)
         exponents = [i * step + start for i in range(n)]
         if n > 1:

@@ -15,8 +15,7 @@ Two injection paths, mirroring the paper's flow (Figure 2):
 Every netlist-level injection is ERC-checked (:mod:`repro.lint`'s
 ``NET0xx`` pack) before it is handed to the solver, so a malformed
 injection fails loudly at the injection site instead of as a cryptic
-Newton-convergence error; pass ``erc=False`` to skip the check inside
-hot sweep loops.
+Newton-convergence error.
 """
 
 from __future__ import annotations
@@ -115,24 +114,17 @@ def decoder_open_to_delay_fault(defect, condition, address_bits: int,
 # ----------------------------------------------------------------------
 # Netlist-level injection (Spice-like path)
 # ----------------------------------------------------------------------
-def _erc_check(netlist: Netlist, tech) -> None:
-    """Gate an injected netlist on the ``NET0xx`` ERC pack (errors only)."""
-    from repro.lint import assert_netlist_clean
-
-    assert_netlist_clean(netlist, tech=tech,
-                         target=f"injection:{netlist.title}")
-
-
 def inject_open_into_decoder(tech, vdd: float, defect: Defect,
-                             address_bits: int = 2,
-                             erc: bool = True) -> Netlist:
+                             address_bits: int = 2) -> Netlist:
     """Decoder netlist with a resistive open at the LSB input inverter.
 
     Reproduces the paper's Figure 5/6 setup: "an open defect injected at
     the least significant bit of the row address decoder".  The open is
     spliced in series with the gate of the LSB phase inverter, so the
     complement phase ``a0b`` lags the true phase -- the select/deselect
-    hazard.  ``erc=False`` skips the post-injection ERC gate.
+    hazard.  Every injected netlist passes the ``NET0xx`` ERC gate
+    (:func:`repro.lint.assert_netlist_clean`) before it is returned: an
+    error finding raises :class:`repro.lint.LintError`.
     """
     base = build_decoder_netlist(tech, vdd, address_bits=address_bits)
     faulty = base.with_open("INVA0_P", "gate", defect.resistance,
@@ -151,6 +143,7 @@ def inject_open_into_decoder(tech, vdd: float, defect: Defect,
     # the select/deselect hazard of the paper's Figures 5/6.
     faulty.add(Capacitor("Cgate_open", pmos.gate, "0",
                          3.0 * tech.gate_capacitance))
-    if erc:
-        _erc_check(faulty, tech)
+    from repro.lint import assert_netlist_clean
+
+    assert_netlist_clean(faulty, tech, f"injection:{faulty.title}")
     return faulty

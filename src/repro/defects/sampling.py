@@ -69,7 +69,7 @@ class ResistanceSampler:
 
 def sample_resistances_reference(distribution: ResistanceDistribution,
                                  rng: np.random.Generator,
-                                 size: int = 1) -> np.ndarray:
+                                 size: int) -> np.ndarray:
     """The per-call ``choice(p=...)`` resistance draw -- the oracle of
     :meth:`ResistanceSampler.sample` and
     :meth:`~ResistanceSampler.sample_one`.

@@ -127,17 +127,13 @@ class StressClassifier:
     Args:
         tech: Technology corner.
         geometry: Per-instance organisation.
-        behavior: Behaviour model override (shared with the estimator in
-            the agreement benches).
     """
 
     def __init__(self, tech: Technology = CMOS018,
-                 geometry: MemoryGeometry = VEQTOR4_INSTANCE,
-                 behavior: DefectBehaviorModel | None = None) -> None:
+                 geometry: MemoryGeometry = VEQTOR4_INSTANCE) -> None:
         self.tech = tech
         self.geometry = geometry
-        self.behavior = (behavior if behavior is not None
-                         else DefectBehaviorModel(tech))
+        self.behavior = DefectBehaviorModel(tech)
         self.conditions = production_conditions(tech)
 
     @cached_property

@@ -26,7 +26,6 @@ from repro.circuit.technology import CMOS018, Technology
 from repro.defects.behavior import DefectBehaviorModel
 from repro.experiment.classify import ExperimentResult
 from repro.march.library import TEST_11N
-from repro.march.test import MarchTest
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
 from repro.stress import production_conditions
@@ -88,25 +87,27 @@ class LotDiagnosis:
         return "\n".join(lines)
 
 
+#: The small array a diagnosed device's defects are re-homed into.
+DIAGNOSIS_GEOMETRY = MemoryGeometry(8, 2, 4)
+
+
 class LotDiagnostician:
     """Runs bitmap diagnosis over a classified lot.
 
+    Every device is re-tested with the production 11N, its defects
+    re-homed into the small :data:`DIAGNOSIS_GEOMETRY` array for
+    cycle-accurate simulation.
+
     Args:
         tech: Technology corner.
-        test: March test (the production 11N by default).
-        diagnosis_geometry: Small array the defects are re-homed into
-            for cycle-accurate simulation.
     """
 
-    def __init__(self, tech: Technology = CMOS018,
-                 test: MarchTest = TEST_11N,
-                 diagnosis_geometry: MemoryGeometry | None = None) -> None:
+    def __init__(self, tech: Technology = CMOS018) -> None:
         self.tech = tech
-        self.test = test
-        self.geometry = (diagnosis_geometry if diagnosis_geometry is not None
-                         else MemoryGeometry(8, 2, 4))
+        self.test = TEST_11N
+        self.geometry = DIAGNOSIS_GEOMETRY
         self.tester = VirtualTester(DefectBehaviorModel(tech))
-        self.analyzer = BitmapAnalyzer(self.geometry, test)
+        self.analyzer = BitmapAnalyzer(self.geometry, self.test)
         self.conditions = production_conditions(tech)
         self._sram = Sram(self.geometry, tech, name="diagnosis-array")
 

@@ -18,6 +18,9 @@ from repro.experiment.classify import StressClassifier
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.venn import VennCounts
 
+#: Seed of the first run; run ``k`` draws from ``BASE_SEED + k``.
+BASE_SEED = 1105
+
 #: The Venn regions in reporting order.
 REGIONS = ("vlv_only", "vmax_only", "atspeed_only", "vlv_vmax",
            "vlv_atspeed", "vmax_atspeed", "all_three")
@@ -97,20 +100,18 @@ class MonteCarloResult:
         return "\n".join(lines)
 
 
-def run_monte_carlo(n_runs: int = 10, n_devices: int = 11000,
-                    base_seed: int = 1105,
-                    classifier: StressClassifier | None = None,
-                    ) -> MonteCarloResult:
+def run_monte_carlo(n_runs: int = 10,
+                    n_devices: int = 11000) -> MonteCarloResult:
     """Run the silicon experiment across ``n_runs`` seeds.
 
-    Run ``k`` draws its population from seed ``base_seed + k``, the rule
+    Run ``k`` draws its population from seed ``BASE_SEED + k``, the rule
     every published Monte-Carlo result uses.  The classifier (and hence
     the behaviour model) is shared across runs.
     """
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
-    classifier = classifier if classifier is not None else StressClassifier()
-    seeds = [base_seed + k for k in range(n_runs)]
+    classifier = StressClassifier()
+    seeds = [BASE_SEED + k for k in range(n_runs)]
     venns: list[VennCounts] = []
     for seed in seeds:
         spec = PopulationSpec(n_devices=n_devices, seed=seed)

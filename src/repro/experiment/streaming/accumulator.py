@@ -31,7 +31,6 @@ from repro.experiment.classify import (
 )
 
 if TYPE_CHECKING:
-    from repro.experiment.diagnosis import LotDiagnosis
     from repro.experiment.venn import VennCounts
 
 #: Separator joining a stress-fail set into a payload key.  Condition
@@ -192,9 +191,8 @@ class ExperimentAccumulator:
         return acc
 
     @classmethod
-    def from_experiment(cls, result: ExperimentResult,
-                        diagnosis: LotDiagnosis | None = None,
-                        ) -> "ExperimentAccumulator":
+    def from_experiment(cls,
+                        result: ExperimentResult) -> "ExperimentAccumulator":
         """Build from a legacy in-memory :class:`ExperimentResult`.
 
         The equivalence-oracle constructor: a ``scheme="legacy"``
@@ -205,9 +203,4 @@ class ExperimentAccumulator:
         acc = cls(devices=result.n_devices)
         for record in result.records:
             acc.observe(record)
-        if diagnosis is not None:
-            for condition, counts in diagnosis.hint_histogram.items():
-                for hint, n in counts.items():
-                    acc.hint_counts.setdefault(
-                        condition, Counter())[hint.value] += n
         return acc

@@ -44,10 +44,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.circuit.technology import CMOS018, Technology
+from repro.circuit.technology import CMOS018
 from repro.defects.distribution import (
     DefectDensity,
-    ResistanceDistribution,
     default_bridge_distribution,
     default_open_distribution,
 )
@@ -59,10 +58,14 @@ from repro.experiment.classify import (
 )
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
-from repro.experiment.streaming.plan import ShardPlan, ShardUnit
+from repro.experiment.streaming.plan import (
+    DEFAULT_BLOCK_DEVICES,
+    ShardPlan,
+    ShardUnit,
+)
 from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import IfaExtractor
-from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
+from repro.memory.geometry import VEQTOR4_INSTANCE
 from repro.runner.outcome import (
     UnitDeadlineExceeded,
     UnitOutcome,
@@ -88,12 +91,9 @@ class StreamingExperiment:
         density: Defect density / kind mix (defaults to the
             qualification-lot :class:`PopulationSpec` density).
         shard_devices: Devices per dispatch/checkpoint unit.
-        block_devices: Devices per RNG block (the vectorised batch).
         scheme: ``"spawn"`` (sharded block substreams) or ``"legacy"``
             (single-stream, single-shard; byte-identical to
             :class:`~repro.experiment.population.PopulationGenerator`).
-        geometry: Per-instance memory organisation.
-        tech: Technology corner.
         injector: Optional :class:`~repro.runner.chaos.FaultInjector`
             whose worker faults the pool probes once per shard
             dispatch (see :func:`~repro.perf.executor.
@@ -102,37 +102,33 @@ class StreamingExperiment:
             classification.
         diagnose: Run bitmap diagnosis on interesting devices and
             accumulate hint histograms.
-        bridge_distribution / open_distribution: Fab R distributions.
+
+    Every lot is of Veqtor4 instances in ``CMOS018``, with the default
+    fab R distributions, drawn in RNG blocks of
+    ``DEFAULT_BLOCK_DEVICES`` devices (the vectorised batch; read at
+    construction and kept in ``plan.block_devices``, part of the lot's
+    identity).
     """
 
     def __init__(self, n_devices: int = 1_000_000, seed: int = 1105,
                  density: DefectDensity | None = None,
                  shard_devices: int | None = None,
-                 block_devices: int | None = None,
                  scheme: str = "spawn",
-                 geometry: MemoryGeometry = VEQTOR4_INSTANCE,
-                 tech: Technology = CMOS018,
                  injector: Any = None,
-                 diagnose: bool = False,
-                 bridge_distribution: ResistanceDistribution | None = None,
-                 open_distribution: ResistanceDistribution | None = None,
-                 ) -> None:
+                 diagnose: bool = False) -> None:
         plan_kwargs: dict[str, Any] = {}
         if shard_devices is not None:
             plan_kwargs["shard_devices"] = shard_devices
-        if block_devices is not None:
-            plan_kwargs["block_devices"] = block_devices
-        self.plan = ShardPlan(n_devices=n_devices, seed=seed,
-                              scheme=scheme, **plan_kwargs)
+        self.plan = ShardPlan(n_devices=n_devices, seed=seed, scheme=scheme,
+                              block_devices=DEFAULT_BLOCK_DEVICES,
+                              **plan_kwargs)
         self.density = (density if density is not None
                         else PopulationSpec().density)
-        self.geometry = geometry
-        self.tech = tech
+        self.geometry = VEQTOR4_INSTANCE
+        self.tech = CMOS018
         self.diagnose = diagnose
-        self.bridge_distribution = (bridge_distribution
-                                    or default_bridge_distribution())
-        self.open_distribution = (open_distribution
-                                  or default_open_distribution())
+        self.bridge_distribution = default_bridge_distribution()
+        self.open_distribution = default_open_distribution()
         self.injector = injector
         self._classifier: StressClassifier | None = None
         self._generator: PopulationGenerator | None = None
@@ -336,17 +332,16 @@ class ShardEvaluator:
 
     Args:
         engine: The :class:`StreamingExperiment`.
-        unit_deadline: Optional wall-clock budget per shard (seconds).
-        clock: Injectable monotonic clock for deadlines.
+        unit_deadline: Optional wall-clock budget per shard (seconds),
+            read off ``time.monotonic`` (the ``clock`` attribute).
     """
 
     def __init__(self, engine: StreamingExperiment,
-                 unit_deadline: float | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 unit_deadline: float | None = None) -> None:
         check_unit_deadline(unit_deadline)
         self.engine = engine
         self.unit_deadline = unit_deadline
-        self.clock = clock
+        self.clock: Callable[[], float] = time.monotonic
 
     def evaluate(self, shard: ShardUnit) -> UnitOutcome:
         """Generate, classify and accumulate one shard.

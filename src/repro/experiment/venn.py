@@ -105,10 +105,9 @@ class VennCounts:
             all_three=self.all_three + other.all_three,
         )
 
-    def render(self, title: str = "") -> str:
+    def render(self) -> str:
         """ASCII Venn summary."""
-        lines = [title] if title else []
-        lines.append(f"interesting devices: {self.total}")
+        lines = [f"interesting devices: {self.total}"]
         for label, count in self.as_dict().items():
             lines.append(f"  {label:>16}: {count}")
         lines.append(

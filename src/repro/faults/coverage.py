@@ -190,9 +190,9 @@ def class_coverage(
     test: MarchTest,
     fault_class: str,
     n_cells: int = 16,
-    background: DataBackground = DataBackground.SOLID,
 ) -> CoverageResult:
-    """Coverage of ``test`` over every instance of one fault class.
+    """Coverage of ``test`` over every instance of one fault class, run
+    on a solid data background.
 
     ``n_cells`` trades accuracy for runtime; 16 cells is enough for the
     classical models because their detectability does not depend on the
@@ -211,7 +211,7 @@ def class_coverage(
     total = 0
     for fault in generator(n_cells):
         total += 1
-        if sim.detects(test, fault, background):
+        if sim.detects(test, fault, DataBackground.SOLID):
             detected += 1
     return CoverageResult(test.name, fault_class, detected, total)
 

@@ -60,14 +60,13 @@ class FunctionalFaultSimulator:
     """Simulate march tests over a memory with an injected fault.
 
     Args:
-        n_addresses: Memory size in cells (bit-oriented model).
-        columns: Cells per topological row (for data backgrounds).
+        n_addresses: Memory size in cells (bit-oriented model), laid
+            out as one topological row for the data backgrounds.
     """
 
-    def __init__(self, n_addresses: int, columns: int | None = None) -> None:
+    def __init__(self, n_addresses: int) -> None:
         self.n_addresses = n_addresses
-        self.columns = columns
-        self.sequencer = MarchSequencer(n_addresses, columns=columns)
+        self.sequencer = MarchSequencer(n_addresses)
 
     def run(
         self,

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 from repro.ifa.layout import Rect
 
+#: Widest edge-to-edge gap (um) at which two rectangles face each other.
+MAX_SPACING = 1.0
+
 
 @dataclass(frozen=True)
 class AdjacentPair:
@@ -51,9 +54,9 @@ def short_weight(spacing: float, facing_length: float) -> float:
     return facing_length / (2.0 * spacing)
 
 
-def find_adjacent_pairs(rects: list[Rect], max_spacing: float = 1.0,
-                        ) -> list[AdjacentPair]:
-    """All same-layer, different-net facing pairs within ``max_spacing``.
+def find_adjacent_pairs(rects: list[Rect]) -> list[AdjacentPair]:
+    """All same-layer, different-net facing pairs within ``max_spacing``
+    (:data:`MAX_SPACING`).
 
     A sort-and-sweep per layer.  The layer's rectangles are visited in
     order of ``x0``; an *active* list holds those whose right edge may
@@ -82,6 +85,7 @@ def find_adjacent_pairs(rects: list[Rect], max_spacing: float = 1.0,
     Equivalence with the scan is pinned by the tests named in the
     module's ``Exact-path equivalence`` marker.
     """
+    max_spacing = MAX_SPACING
     pairs: list[AdjacentPair] = []
     for layer_rects in _by_layer(rects).values():
         xs = [r.x0 for r in layer_rects]
@@ -111,9 +115,7 @@ def find_adjacent_pairs(rects: list[Rect], max_spacing: float = 1.0,
     return pairs
 
 
-def find_adjacent_pairs_exhaustive(rects: list[Rect],
-                                   max_spacing: float = 1.0,
-                                   ) -> list[AdjacentPair]:
+def find_adjacent_pairs_exhaustive(rects: list[Rect]) -> list[AdjacentPair]:
     """The pairwise O(n^2) scan :func:`find_adjacent_pairs` replaces.
 
     Exists only as the oracle of the equivalence tests and of the
@@ -127,7 +129,7 @@ def find_adjacent_pairs_exhaustive(rects: list[Rect],
                 a, b = layer_rects[i], layer_rects[j]
                 if a.net == b.net:
                     continue
-                pair = _facing(a, b, max_spacing)
+                pair = _facing(a, b, MAX_SPACING)
                 if pair is not None:
                     pairs.append(pair)
     return pairs

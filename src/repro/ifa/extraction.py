@@ -172,17 +172,15 @@ class IfaExtractor:
 
     Args:
         geometry: Memory organisation (for cell-index assignment and
-            replication scaling).
-        layout: Pre-built layout; generated from ``geometry`` on first
-            use when omitted.
+            replication scaling; the layout is generated from it on
+            first use).
         calibrated: Rescale class totals onto the calibrated mixes.
     """
 
     def __init__(self, geometry: MemoryGeometry,
-                 layout: SramLayout | None = None,
                  calibrated: bool = True) -> None:
         self.geometry = geometry
-        self._layout = layout
+        self._layout: SramLayout | None = None
         self.calibrated = calibrated
         self._bridge_classes: list[ExtractedSiteClass] | None = None
         self._open_classes: list[ExtractedSiteClass] | None = None

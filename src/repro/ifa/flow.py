@@ -36,32 +36,30 @@ class IfaCampaign:
         geometry: Memory organisation.
         tech: Technology corner.
         behavior: Behavioural defect model (default built from ``tech``).
-        extractor: Site extractor (default built from ``geometry``).
         n_sites: Sampled site-population size per sweep (statistical
             resolution of the coverage percentages; 2000 gives ~±1 %).
         seed: RNG seed (campaigns are deterministic given the seed).
-        injector: Optional :class:`~repro.runner.chaos.FaultInjector`
-            the runner probes before every site evaluation attempt and
-            threads into checkpoint writes (chaos testing); ``None``
-            injects nothing.
+
+    Sites come from the calibrated ``IfaExtractor(geometry)``.  The
+    ``injector`` attribute, ``None`` unless a chaos run sets a
+    :class:`~repro.runner.chaos.FaultInjector`, is probed by the runner
+    before every site evaluation attempt and threaded into checkpoint
+    writes.
     """
 
     def __init__(self, geometry: MemoryGeometry, tech: Technology,
                  behavior: DefectBehaviorModel | None = None,
-                 extractor: IfaExtractor | None = None,
-                 n_sites: int = 2000, seed: int = 2005,
-                 injector: Any = None) -> None:
+                 n_sites: int = 2000, seed: int = 2005) -> None:
         if n_sites <= 0:
             raise ValueError("n_sites must be positive")
         self.geometry = geometry
         self.tech = tech
         self.behavior = (behavior if behavior is not None
                          else DefectBehaviorModel(tech))
-        self.extractor = (extractor if extractor is not None
-                          else IfaExtractor(geometry))
+        self.extractor = IfaExtractor(geometry)
         self.n_sites = n_sites
         self.seed = seed
-        self.injector = injector
+        self.injector: Any = None
         self._bridge_pop: list[Defect] | None = None
         self._open_pop: list[Defect] | None = None
 

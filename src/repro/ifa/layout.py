@@ -86,24 +86,28 @@ class CellTileSpec:
     wordline_width: float = 0.18
 
 
+#: Cap on the generated array window (cell rows, bit-line columns).
+MAX_WINDOW_ROWS = 16
+MAX_WINDOW_COLS = 16
+
+
 class SramLayout:
     """Synthetic layout of one SRAM block.
 
+    Cells are :class:`CellTileSpec` tiles.  The *generated* array
+    window is capped at :data:`MAX_WINDOW_ROWS` x :data:`MAX_WINDOW_COLS`:
+    the statistical structure of the layout is periodic, so a modest
+    window is enough for extraction.
+
     Args:
         geometry: Memory organisation (rows x bitline-pairs).
-        tile: Cell tile dimensions.
-        max_rows / max_cols: Cap on the *generated* array window.  The
-            statistical structure of the layout is periodic, so a modest
-            window is enough for extraction.
     """
 
-    def __init__(self, geometry: MemoryGeometry,
-                 tile: CellTileSpec | None = None,
-                 max_rows: int = 16, max_cols: int = 16) -> None:
+    def __init__(self, geometry: MemoryGeometry) -> None:
         self.geometry = geometry
-        self.tile = tile if tile is not None else CellTileSpec()
-        self.gen_rows = min(geometry.rows, max_rows)
-        self.gen_cols = min(geometry.bitlines_per_block, max_cols)
+        self.tile = CellTileSpec()
+        self.gen_rows = min(geometry.rows, MAX_WINDOW_ROWS)
+        self.gen_cols = min(geometry.bitlines_per_block, MAX_WINDOW_COLS)
         self.rects: list[Rect] = []
         self.vias: list[Via] = []
         self._build()

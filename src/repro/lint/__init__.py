@@ -128,16 +128,14 @@ def lint_plan(conditions, tech=None, plans=None, target_dpm=None,
     return run_pack("plan", context, config, target)
 
 
-def assert_netlist_clean(netlist, tech=None,
-                         config: LintConfig | None = None,
-                         target: str = "") -> LintReport:
+def assert_netlist_clean(netlist, tech=None, target: str = "") -> LintReport:
     """ERC gate: raise :class:`LintError` on error-severity findings.
 
     Warnings and info findings are tolerated (they are present in the
     returned report).  This is the check :mod:`repro.defects.injection`
     applies to every injected-defect netlist before simulation.
     """
-    report = lint_netlist(netlist, tech, config, target)
+    report = lint_netlist(netlist, tech, None, target)
     if report.errors:
         raise LintError(report)
     return report

@@ -48,10 +48,9 @@ def render_text(reports: Iterable[LintReport], verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_json(reports: Iterable[LintReport], strict: bool = False,
-                indent: int | None = 2) -> str:
+def render_json(reports: Iterable[LintReport], strict: bool = False) -> str:
     """Render reports as the version-1 JSON document."""
-    return json.dumps(as_json_document(list(reports), strict), indent=indent)
+    return json.dumps(as_json_document(list(reports), strict), indent=2)
 
 
 def as_json_document(reports: Sequence[LintReport],

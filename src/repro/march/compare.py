@@ -21,6 +21,9 @@ from repro.march.test import MarchTest
 DEFAULT_CLASSES: tuple[str, ...] = ("SAF", "TF", "AF", "CFin", "CFst",
                                     "dRDF")
 
+#: Class name -> weight in a test's score (1.0 for a class not listed).
+CLASS_WEIGHTS: dict[str, float] = {}
+
 
 @dataclass(frozen=True)
 class TestScore:
@@ -45,26 +48,23 @@ class TestScore:
 
 
 def score_tests(tests: Sequence[MarchTest],
-                classes: Sequence[str] = DEFAULT_CLASSES,
-                n_cells: int = 8,
-                weights: dict[str, float] | None = None) -> list[TestScore]:
-    """Score every test over the class mix (optionally weighted)."""
+                n_cells: int = 8) -> list[TestScore]:
+    """Score every test over the :data:`DEFAULT_CLASSES` mix, each
+    class weighted by :data:`CLASS_WEIGHTS`."""
     # Imported here: repro.faults.coverage itself imports the march
     # package (sequencer), so a module-level import would be circular.
     from repro.faults.coverage import class_coverage
 
     if not tests:
         raise ValueError("need at least one test")
-    if not classes:
-        raise ValueError("need at least one fault class")
-    weights = weights or {}
-    total_weight = sum(weights.get(c, 1.0) for c in classes)
+    classes = DEFAULT_CLASSES
+    total_weight = sum(CLASS_WEIGHTS.get(c, 1.0) for c in classes)
     out = []
     for test in tests:
         per_class = {
             c: class_coverage(test, c, n_cells).coverage for c in classes
         }
-        score = sum(per_class[c] * weights.get(c, 1.0)
+        score = sum(per_class[c] * CLASS_WEIGHTS.get(c, 1.0)
                     for c in classes) / total_weight
         out.append(TestScore(test.name, test.complexity, per_class, score))
     return out

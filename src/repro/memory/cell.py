@@ -55,14 +55,15 @@ class SixTCell:
     Args:
         tech: Process corner.
         ratios: Transistor sizing.
-        name: Instance prefix for netlist node/device names.
+
+    Netlist node and device names carry the instance prefix ``cell``.
     """
 
-    def __init__(self, tech: Technology, ratios: CellRatios | None = None,
-                 name: str = "cell") -> None:
+    def __init__(self, tech: Technology,
+                 ratios: CellRatios | None = None) -> None:
         self.tech = tech
         self.ratios = ratios if ratios is not None else CellRatios()
-        self.name = name
+        self.name = "cell"
 
     # ------------------------------------------------------------------
     # Netlist construction
@@ -93,18 +94,16 @@ class SixTCell:
             Mosfet(f"{n}.MAX_C", MosType.NMOS, blb, wl, c, r.access, tech),
         ])
 
-    def standalone_netlist(self, vdd: float, state: int,
-                           wordline_on: bool = False,
-                           bitline_voltage: float | None = None) -> Netlist:
+    def standalone_netlist(self, vdd: float, state: int) -> Netlist:
         """A self-contained cell netlist with supply and terminal drivers.
+
+        The cell holds: its word line is driven to 0 V and both bit
+        lines to ``vdd`` (the precharge condition).
 
         Args:
             vdd: Supply voltage.
             state: Stored value seeding the bistable solve (1 -> ``t``
                 high).
-            wordline_on: Drive the word line to vdd (access condition).
-            bitline_voltage: Voltage forced on both bit lines (defaults to
-                vdd, the precharge condition).
 
         Returns:
             Netlist ready for DC/transient analysis.
@@ -112,11 +111,9 @@ class SixTCell:
         nl = Netlist(f"{self.name}@{vdd:.2f}V")
         nl.add(VoltageSource("Vdd", "vdd", "0", vdd))
         self.build(nl, "vdd")
-        blv = vdd if bitline_voltage is None else bitline_voltage
-        nl.add(VoltageSource("Vwl", self.node("wl"), "0",
-                             vdd if wordline_on else 0.0))
-        nl.add(VoltageSource("Vbl", self.node("bl"), "0", blv))
-        nl.add(VoltageSource("Vblb", self.node("blb"), "0", blv))
+        nl.add(VoltageSource("Vwl", self.node("wl"), "0", 0.0))
+        nl.add(VoltageSource("Vbl", self.node("bl"), "0", vdd))
+        nl.add(VoltageSource("Vblb", self.node("blb"), "0", vdd))
         # Storage-node capacitances (junction + gate loading).  Besides
         # realism they let the transient-settle fallback of solve_state
         # walk the cell to a *stable* equilibrium when the DC solve lands
@@ -172,9 +169,7 @@ class SixTCell:
         return t_bit == state and c_bit == (1 - state)
 
     def retention_upset_resistance(self, vdd: float, state: int,
-                                   to_rail: str,
-                                   r_lo: float = 1.0,
-                                   r_hi: float = 1e9) -> float:
+                                   to_rail: str) -> float:
         """Critical bridge resistance that upsets the *held* cell.
 
         Bisects over the bridge resistance between the high storage node
@@ -188,14 +183,15 @@ class SixTCell:
             state: Stored value under attack.
             to_rail: ``"gnd"`` bridges the high node to ground;
                 ``"vdd"`` bridges the low node to the supply.
-            r_lo: Lower bisection bound (certain upset).
-            r_hi: Upper bisection bound (certain survival).
 
         Returns:
             The critical resistance in ohms (bridges below it flip the
-            cell).  Returns ``r_hi`` when even that resistance upsets the
-            cell, ``r_lo`` when even a hard short does not.
+            cell), bisected between 1 ohm (certain upset) and 1 Gohm
+            (certain survival).  Returns 1 Gohm when even that
+            resistance upsets the cell, 1 ohm when even a hard short
+            does not.
         """
+        r_lo, r_hi = 1.0, 1e9
         if to_rail not in ("gnd", "vdd"):
             raise ValueError("to_rail must be 'gnd' or 'vdd'")
         high_node = self.node("t") if state else self.node("c")

@@ -24,7 +24,6 @@ def build_decoder_netlist(
     tech: Technology,
     vdd: float,
     address_bits: int = 2,
-    wordline_load: float = 20e-15,
 ) -> Netlist:
     """Transistor-level netlist of a NAND row-decoder slice.
 
@@ -79,7 +78,7 @@ def build_decoder_netlist(
                       "vdd", 4.0, tech))
         nl.add(Mosfet(f"WLDRV{row}_N", MosType.NMOS, f"wl{row}", nand_out,
                       "0", 2.0, tech))
-        nl.add(Capacitor(f"Cwl{row}", f"wl{row}", "0", wordline_load))
+        nl.add(Capacitor(f"Cwl{row}", f"wl{row}", "0", 20e-15))
     return nl
 
 

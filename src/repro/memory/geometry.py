@@ -109,14 +109,13 @@ class MemoryGeometry:
     # ------------------------------------------------------------------
     # Physical dimensions (for IFA critical-area scaling)
     # ------------------------------------------------------------------
-    def array_area_um2(self, cell_width_um: float = 1.6,
-                       cell_height_um: float = 1.2) -> float:
+    def array_area_um2(self) -> float:
         """Bit-array silicon area in um^2.
 
-        Default cell dimensions approximate a 0.18 um 6T SRAM cell
+        The 1.6 x 1.2 um cell approximates a 0.18 um 6T SRAM cell
         (~2 um^2); used by the yield model ``Y = exp(-A * D0)``.
         """
-        return self.bits * cell_width_um * cell_height_um
+        return self.bits * 1.6 * 1.2
 
     def __str__(self) -> str:
         return (

@@ -30,7 +30,6 @@ class Sram:
     Args:
         geometry: Memory organisation.
         tech: Technology corner.
-        ratios: 6T cell sizing.
         timing: Calibrated critical-path model.
         name: Instance name (for reports).
     """
@@ -39,14 +38,13 @@ class Sram:
         self,
         geometry: MemoryGeometry,
         tech: Technology,
-        ratios: CellRatios | None = None,
         timing: TimingModel | None = None,
         name: str = "sram",
     ) -> None:
         self.geometry = geometry
         self.tech = tech
         self.name = name
-        self.ratios = ratios if ratios is not None else CellRatios()
+        self.ratios = CellRatios()
         self.timing = timing if timing is not None else TimingModel()
         self.cell = SixTCell(tech, self.ratios)
         # Functional state and attached behavioural faults.

@@ -293,11 +293,11 @@ def _bench_draw(config: FastpathBenchConfig) -> dict[str, Any]:
     def oracle(rng: np.random.Generator) -> list[Defect]:
         return (sample_defects_reference(
                     extractor, n_bridges, rng, DefectKind.BRIDGE,
-                    lambda r: sample_resistances_reference(bridge_dist, r)[0])
+                    lambda r: sample_resistances_reference(bridge_dist, r, 1)[0])
                 + sample_defects_reference(
                     extractor, DRAW_DEFECTS - n_bridges, rng,
                     DefectKind.OPEN,
-                    lambda r: sample_resistances_reference(open_dist, r)[0]))
+                    lambda r: sample_resistances_reference(open_dist, r, 1)[0]))
 
     def seeded() -> np.random.Generator:
         return np.random.default_rng(config.seed)

@@ -39,11 +39,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.records import CoverageRecord
 from repro.defects.models import DefectKind
 from repro.runner.checkpoint import CampaignCheckpoint, CheckpointedRun
-from repro.runner.outcome import (
-    UnitDeadlineExceeded,
-    UnitOutcome,
-    check_unit_deadline,
-)
+from repro.runner.outcome import UnitOutcome, check_unit_deadline
 from repro.runner.retry import RetryStats, check_max_attempts
 from repro.runner.units import WorkUnit, plan_units
 from repro.stress import StressCondition
@@ -55,7 +51,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "SweepSpec",
-    "UnitDeadlineExceeded",
     "condition_fingerprint",
     "record_from_payload",
     "record_to_payload",

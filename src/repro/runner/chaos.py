@@ -20,7 +20,7 @@ campaign:
   OOM-kill, power loss, ``kill -9``.  Nothing may catch it short of the
   test harness; surviving it is the checkpoint's job.
 
-A campaign holds its injector (``IfaCampaign(injector=...)``): every
+A campaign holds its injector (``campaign.injector = ...``): every
 site evaluation attempt probes ``behavior.evaluate`` and every
 checkpoint write probes the ``io.*`` sites.  A lot holds one too
 (``StreamingExperiment(injector=...)``): its pool probes the worker
@@ -28,9 +28,10 @@ sites and its checkpoint writes the ``io.*`` sites.
 
 Usage::
 
-    inj = FaultInjector(seed=7, rates={"behavior.evaluate": 0.01},
-                        crash_positions={"io.replace": {3}})
-    campaign = IfaCampaign(geometry, tech, injector=inj)
+    inj = FaultInjector(seed=7, rates={"behavior.evaluate": 0.01})
+    inj.crash_positions = {"io.replace": {3}}
+    campaign = IfaCampaign(geometry, tech)
+    campaign.injector = inj
     runner = CampaignRunner(campaign, checkpoint_path="ck.json")
 """
 
@@ -40,7 +41,7 @@ import hashlib
 import os
 import time
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -75,16 +76,18 @@ class InjectedCrash(BaseException):
 class FaultInjector:
     """Seeded, position-addressable fault source.
 
+    Besides the seeded rates, two attributes place faults
+    deterministically, independent of the RNG; both start empty:
+    ``positions`` maps a site label to the 0-based call indices that
+    raise :class:`InjectedFault` unconditionally, and
+    ``crash_positions`` to those raising :class:`InjectedCrash` -- the
+    simulated ``kill -9``.
+
     Args:
         seed: Non-negative RNG seed; the stochastic stream is
             deterministic given the seed and the per-site call order.
         rates: Map of site label -> probability that a call at that
             site raises :class:`InjectedFault`.
-        positions: Map of site label -> 0-based call indices that raise
-            :class:`InjectedFault` unconditionally (deterministic
-            placement, independent of the RNG).
-        crash_positions: Like ``positions`` but raising
-            :class:`InjectedCrash` -- the simulated ``kill -9``.
         worker_faults: Worker-level chaos: map of site label
             (:data:`WORKER_EXIT_SITE` or :data:`WORKER_HANG_SITE`) ->
             {unit id -> times}.  :meth:`check_worker`, probed once per
@@ -103,8 +106,6 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0,
                  rates: Mapping[str, float] | None = None,
-                 positions: Mapping[str, Iterable[int]] | None = None,
-                 crash_positions: Mapping[str, Iterable[int]] | None = None,
                  worker_faults: Mapping[str, Mapping[str, int]] | None = None,
                  ) -> None:
         if seed < 0:
@@ -115,9 +116,8 @@ class FaultInjector:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(
                     f"rate for site {site!r} must be in [0, 1], got {rate}")
-        self.positions = {s: set(p) for s, p in (positions or {}).items()}
-        self.crash_positions = {
-            s: set(p) for s, p in (crash_positions or {}).items()}
+        self.positions: dict[str, set[int]] = {}
+        self.crash_positions: dict[str, set[int]] = {}
         self.worker_faults = {
             site: dict(table)
             for site, table in (worker_faults or {}).items()}

@@ -357,7 +357,10 @@ async def _handle_connection(service: EstimatorService,
         pass  # server shutdown while idle-reading; close the socket
     finally:
         writer.close()
-        with contextlib.suppress(Exception):
+        # Shutdown may cancel the handler here too.  A handler task that
+        # ends cancelled makes asyncio's connection callback report a
+        # CancelledError traceback, so this cancellation ends here too.
+        with contextlib.suppress(Exception, asyncio.CancelledError):
             await writer.wait_closed()
 
 

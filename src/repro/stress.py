@@ -63,10 +63,7 @@ SLOW_PERIOD = 100e-9
 ATSPEED_PERIOD = 15e-9
 
 
-def production_conditions(tech: Technology,
-                          slow_period: float = SLOW_PERIOD,
-                          atspeed_period: float = ATSPEED_PERIOD,
-                          ) -> dict[str, StressCondition]:
+def production_conditions(tech: Technology) -> dict[str, StressCondition]:
     """The paper's five-condition stress suite for a technology.
 
     VLV runs at the slow period (the device must still meet timing at
@@ -79,22 +76,20 @@ def production_conditions(tech: Technology,
     we follow that reading.)
     """
     return {
-        "VLV": StressCondition("VLV", tech.vdd_vlv, slow_period),
-        "Vmin": StressCondition("Vmin", tech.vdd_min, slow_period),
-        "Vnom": StressCondition("Vnom", tech.vdd_nominal, slow_period),
-        "Vmax": StressCondition("Vmax", tech.vdd_max, slow_period),
+        "VLV": StressCondition("VLV", tech.vdd_vlv, SLOW_PERIOD),
+        "Vmin": StressCondition("Vmin", tech.vdd_min, SLOW_PERIOD),
+        "Vnom": StressCondition("Vnom", tech.vdd_nominal, SLOW_PERIOD),
+        "Vmax": StressCondition("Vmax", tech.vdd_max, SLOW_PERIOD),
         "at-speed": StressCondition("at-speed", tech.vdd_nominal,
-                                    atspeed_period),
+                                    ATSPEED_PERIOD),
     }
 
 
-def standard_conditions(tech: Technology,
-                        slow_period: float = SLOW_PERIOD,
-                        ) -> dict[str, StressCondition]:
+def standard_conditions(tech: Technology) -> dict[str, StressCondition]:
     """The non-stress baseline: Vmin/Vnom/Vmax at the standard period.
 
     A device passing all three is "good" by the conventional flow; the
     paper's interesting devices pass these and fail only under stress.
     """
-    all_conditions = production_conditions(tech, slow_period)
+    all_conditions = production_conditions(tech)
     return {k: all_conditions[k] for k in ("Vmin", "Vnom", "Vmax")}

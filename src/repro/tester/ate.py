@@ -93,14 +93,12 @@ class VirtualTester:
     # ------------------------------------------------------------------
     def test_device(self, sram: Sram, defects: list[Defect],
                     test: MarchTest, condition: StressCondition,
-                    quick: bool = True,
-                    background: DataBackground = DataBackground.SOLID,
-                    ) -> TestResult:
+                    quick: bool = True) -> TestResult:
         """Apply ``test`` to the device at ``condition``.
 
         Quick mode answers pass/fail from the behavioural model; full
-        mode also simulates the march cycle stream (under the chosen
-        data background) and logs failing bits.
+        mode also simulates the march cycle stream (on a solid data
+        background) and logs failing bits.
         """
         if not sram.meets_timing(condition.vdd, condition.period):
             return TestResult(False, condition, test.name,
@@ -113,12 +111,10 @@ class VirtualTester:
         if quick:
             return TestResult(not manifested, condition, test.name,
                               manifestations=manifested)
-        return self._full_run(sram, manifested, test, condition, background)
+        return self._full_run(sram, manifested, test, condition)
 
     def _full_run(self, sram: Sram, manifested: list[Manifestation],
-                  test: MarchTest, condition: StressCondition,
-                  background: DataBackground = DataBackground.SOLID,
-                  ) -> TestResult:
+                  test: MarchTest, condition: StressCondition) -> TestResult:
         sram.clear_faults()
         for m in manifested:
             sram.attach_fault(to_functional_fault(m, geometry=sram.geometry))
@@ -130,7 +126,7 @@ class VirtualTester:
                                    columns=sram.geometry.columns)
         result = TestResult(True, condition, test.name,
                             manifestations=manifested)
-        for cop in sequencer.run(test, background):
+        for cop in sequencer.run(test, DataBackground.SOLID):
             word_value = all_ones if cop.value else 0
             if cop.op.is_write:
                 sram.write_word(cop.address, word_value)

@@ -117,21 +117,20 @@ class IddqTester:
         total = background + i_defect
         return total > self.settings.threshold_factor * background
 
-    def detection_threshold(self, temperature: float = 25.0,
-                            vdd: float | None = None) -> float:
-        """Largest detectable bridge resistance (ohms).
+    def detection_threshold(self, temperature: float = 25.0) -> float:
+        """Largest detectable bridge resistance (ohms) at nominal supply.
 
         Shrinks as background leakage grows -- the scaling argument for
         why Iddq loses to VLV in deep sub-micron (the defect current
         needed to stand out grows with the chip's own leakage).
         """
-        vdd = self.tech.vdd_nominal if vdd is None else vdd
         background = self.background_current(temperature)
         i_needed = max(
             self.settings.resolution,
             (self.settings.threshold_factor - 1.0) * background,
         )
-        return self.settings.bias_fraction * vdd / (2.0 * i_needed)
+        return (self.settings.bias_fraction * self.tech.vdd_nominal
+                / (2.0 * i_needed))
 
     # ------------------------------------------------------------------
     def coverage(self, defects: list[Defect],

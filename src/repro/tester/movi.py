@@ -68,31 +68,29 @@ class MoviExecutor:
     """Runs the MOVI procedure on a fault-carrying memory model.
 
     Args:
-        address_bits: Address width (memory size = 2**address_bits).
-        columns: Topological row width for data backgrounds.
+        address_bits: Address width (memory size = 2**address_bits,
+            laid out as one topological row for the data backgrounds).
     """
 
-    def __init__(self, address_bits: int, columns: int | None = None) -> None:
+    def __init__(self, address_bits: int) -> None:
         if address_bits <= 0:
             raise ValueError("address_bits must be positive")
         self.address_bits = address_bits
         self.n_addresses = 1 << address_bits
-        self.columns = columns
 
     # ------------------------------------------------------------------
     def run_rotation(self, test: MarchTest, fault: FunctionalFault | None,
-                     fast_bit: int,
-                     background: DataBackground = DataBackground.SOLID,
-                     stop_at_first_fail: bool = True) -> MoviRunResult:
-        """One rotation: the base test with ``fast_bit`` toggling fastest."""
+                     fast_bit: int) -> MoviRunResult:
+        """One rotation: the base test with ``fast_bit`` toggling fastest,
+        on a solid data background, stopped at its first failing read."""
         sequencer = MarchSequencer(
-            self.n_addresses, columns=self.columns,
+            self.n_addresses,
             address_map=bit_rotation_map(self.address_bits, fast_bit))
         fault = fault if fault is not None else FaultFree()
         mem = MemoryState(self.n_addresses)
         fault.reset()
         log = FailLog(f"{test.name}[MOVI bit {fast_bit}]", self.n_addresses)
-        for cop in sequencer.run(test, background):
+        for cop in sequencer.run(test, DataBackground.SOLID):
             log.cycles_run = cop.cycle + 1
             if cop.op.is_write:
                 fault.write(mem, cop.address, cop.value, cop.cycle)
@@ -103,17 +101,15 @@ class MoviExecutor:
                     cycle=cop.cycle, element_index=cop.element_index,
                     op_index=cop.op_index, address=cop.address,
                     expected=cop.value, actual=actual))
-                if stop_at_first_fail:
-                    break
+                break
         return MoviRunResult(fast_bit, log)
 
     def run(self, test: MarchTest, fault: FunctionalFault | None = None,
-            background: DataBackground = DataBackground.SOLID,
             stop_at_first_detection: bool = False) -> MoviResult:
         """The full procedure: one rotation per address bit."""
         result = MoviResult(test.name)
         for fast_bit in range(self.address_bits):
-            run = self.run_rotation(test, fault, fast_bit, background)
+            run = self.run_rotation(test, fault, fast_bit)
             result.runs.append(run)
             if stop_at_first_detection and run.detected:
                 break
@@ -121,7 +117,6 @@ class MoviExecutor:
 
     def linear_reference(self, test: MarchTest,
                          fault: FunctionalFault | None = None,
-                         background: DataBackground = DataBackground.SOLID,
                          ) -> MoviRunResult:
         """The non-MOVI baseline: plain linear addressing (fast bit 0)."""
-        return self.run_rotation(test, fault, 0, background)
+        return self.run_rotation(test, fault, 0)

@@ -97,52 +97,30 @@ class ShmooPlot:
         idx = np.flatnonzero(row)
         return float(self.periods[idx[0]]) if idx.size else None
 
-    def boundary_is_vertical(self, tolerance_steps: int = 1) -> bool:
+    def boundary_is_vertical(self) -> bool:
         """True when the pass/fail boundary is (nearly) voltage
-        independent -- the signature of a pure-RC delay defect, the
-        paper's Chip-3."""
+        independent, its first passing period moving at most one grid
+        step -- the signature of a pure-RC delay defect, the paper's
+        Chip-3."""
         cols = []
         for i in range(self.voltages.size):
             idx = np.flatnonzero(self.passed[i, :])
             if idx.size == 0:
                 return False
             cols.append(int(idx[0]))
-        return max(cols) - min(cols) <= tolerance_steps
+        return max(cols) - min(cols) <= 1
 
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def render(self, markers: dict[tuple[float, float], str] | None = None,
-               ) -> str:
-        """ASCII shmoo, voltage descending top-to-bottom.
-
-        Args:
-            markers: Optional ``(vdd, period) -> char`` overlays (e.g.
-                the paper's dashed reference lines).  Each marker is
-                *snapped to the nearest grid point* on both axes --
-                exactly like :meth:`passes_at` -- so a reference value
-                between grid lines lands on its closest cell instead of
-                silently vanishing; markers snapping to the same cell
-                overwrite in iteration order.
-        """
-        # Precompute each marker's grid cell once (nearest-index
-        # lookup), instead of scanning every marker at every cell with
-        # brittle float equality.
-        cell_marks: dict[tuple[int, int], str] = {}
-        if markers:
-            for (mv, mp), mch in markers.items():
-                i = int(np.abs(self.voltages - mv).argmin())
-                j = int(np.abs(self.periods - mp).argmin())
-                cell_marks[(i, j)] = mch
+    def render(self) -> str:
+        """ASCII shmoo, voltage descending top-to-bottom."""
         lines = []
         if self.title:
             lines.append(self.title)
         for i in range(self.voltages.size - 1, -1, -1):
-            row_chars = []
-            for j in range(self.periods.size):
-                ch = cell_marks.get(
-                    (i, j), PASS_MARK if self.passed[i, j] else FAIL_MARK)
-                row_chars.append(ch)
+            row_chars = [PASS_MARK if ok else FAIL_MARK
+                         for ok in self.passed[i, :]]
             lines.append(f"{self.voltages[i]:5.2f}V |" + "".join(row_chars))
         axis = "       +" + "-" * self.periods.size
         lines.append(axis)
@@ -222,8 +200,7 @@ class ShmooRunner:
 
     def run_exhaustive(self, sram: Sram, defects: list[Defect],
                        voltages: np.ndarray | list[float],
-                       periods: np.ndarray | list[float],
-                       title: str = "") -> ShmooPlot:
+                       periods: np.ndarray | list[float]) -> ShmooPlot:
         """Test every grid cell: the V x P fill :meth:`run` replaces.
 
         Exists only as the reference of the equivalence tests and of
@@ -231,7 +208,7 @@ class ShmooRunner:
         the same fill only as its refill.
         """
         return self._sweep(self._fill_exhaustive, sram, defects,
-                           voltages, periods, title, None)
+                           voltages, periods, "", None)
 
     def _sweep(self, fill, sram: Sram, defects: list[Defect],
                voltages: np.ndarray | list[float],
@@ -271,7 +248,7 @@ class ShmooRunner:
 
     def _fill_exhaustive(self, sram: Sram, defects: list[Defect],
                          voltages: np.ndarray, periods: np.ndarray,
-                         stats: ShmooRunStats, bus=None) -> np.ndarray:
+                         stats: ShmooRunStats, bus) -> np.ndarray:
         """Test every cell of the grid."""
         passed = np.zeros((voltages.size, periods.size), dtype=bool)
         for i, vdd in enumerate(voltages):
@@ -286,7 +263,7 @@ class ShmooRunner:
 
     def _fill_boundary(self, sram: Sram, defects: list[Defect],
                        voltages: np.ndarray, periods: np.ndarray,
-                       stats: ShmooRunStats, bus=None) -> np.ndarray:
+                       stats: ShmooRunStats, bus) -> np.ndarray:
         """Trace each row's boundary, flood the rest, verify a sample."""
         n = periods.size
         passed = np.zeros((voltages.size, n), dtype=bool)
@@ -401,13 +378,11 @@ class ShmooRunner:
         return True
 
 
-def default_voltage_axis(lo: float = 0.8, hi: float = 2.2,
-                         steps: int = 15) -> np.ndarray:
+def default_voltage_axis(steps: int = 15) -> np.ndarray:
     """The paper's shmoo voltage range (0.8 .. 2.2 V)."""
-    return np.linspace(lo, hi, steps)
+    return np.linspace(0.8, 2.2, steps)
 
 
-def default_period_axis(lo: float = 5e-9, hi: float = 120e-9,
-                        steps: int = 24) -> np.ndarray:
+def default_period_axis(steps: int = 24) -> np.ndarray:
     """Log-spaced period axis covering at-speed (5 ns) to slow (120 ns)."""
-    return np.logspace(np.log10(lo), np.log10(hi), steps)
+    return np.logspace(np.log10(5e-9), np.log10(120e-9), steps)

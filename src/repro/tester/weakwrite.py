@@ -66,15 +66,15 @@ class WeakWriteSettings:
 class WeakWriteTester:
     """Cell-stability screen at nominal conditions.
 
+    The weak driver runs at the default :class:`WeakWriteSettings` trim.
+
     Args:
         tech: Technology corner.
-        settings: Weak-driver trim.
     """
 
-    def __init__(self, tech: Technology,
-                 settings: WeakWriteSettings | None = None) -> None:
+    def __init__(self, tech: Technology) -> None:
         self.tech = tech
-        self.settings = settings if settings is not None else WeakWriteSettings()
+        self.settings = WeakWriteSettings()
 
     def detects(self, defect: Defect) -> bool:
         """Does the weak-write screen flag this defect?

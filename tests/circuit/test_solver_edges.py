@@ -138,21 +138,31 @@ class TestRelaxedToleranceDegradation:
     def test_relaxed_none_is_strict(self, monkeypatch):
         from repro.circuit import solver
 
+        calls = []
+
         def always_fails(netlist, initial, tol):
+            calls.append(tol)
             raise ConvergenceError("no")
 
         monkeypatch.setattr(solver, "_dc_solve", always_fails)
         nl = Netlist()
         nl.add(VoltageSource("V", "a", "0", 1.0))
         nl.add(Resistor("R", "a", "0", 1e3))
+        monkeypatch.setattr(solver, "DC_TOLERANCES", (1e-7,))
         with pytest.raises(ConvergenceError):
-            dc_operating_point(nl, relaxed_tol=None)
+            dc_operating_point(nl)
+        assert calls == [1e-7]
 
-    def test_relaxed_solution_matches_strict_on_easy_circuit(self):
+    def test_relaxed_solution_matches_strict_on_easy_circuit(
+            self, monkeypatch):
+        from repro.circuit import solver
+
         nl = Netlist()
         nl.add(VoltageSource("V", "a", "0", 1.8))
         nl.add(Resistor("R1", "a", "b", 1e3))
         nl.add(Resistor("R2", "b", "0", 1e3))
-        strict = dc_operating_point(nl, relaxed_tol=None)
-        relaxed = dc_operating_point(nl, tol=1e-5)
+        monkeypatch.setattr(solver, "DC_TOLERANCES", (1e-7,))
+        strict = dc_operating_point(nl)
+        monkeypatch.setattr(solver, "DC_TOLERANCES", (1e-5,))
+        relaxed = dc_operating_point(nl)
         assert relaxed["b"] == pytest.approx(strict["b"], abs=1e-3)

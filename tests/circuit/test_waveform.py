@@ -48,7 +48,7 @@ class TestStimuli:
 
     def test_clock_validation(self):
         with pytest.raises(ValueError):
-            clock(0.0, 1.0, period=1e-9, duty=1.5)
+            clock(0.0, 1.0, period=1e-9, duty=1.5, t_edge=1e-12)
 
     def test_pwl(self):
         f = piecewise_linear([(0.0, 0.0), (1e-9, 1.0), (2e-9, 0.5)])

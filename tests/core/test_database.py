@@ -177,27 +177,14 @@ class TestCorruption:
         path = tmp_path / "coverage.json"
         db.save(path)
         path.write_text("{torn")
-        temp_path_for(path).write_text("also torn")
-        with pytest.raises(DatabaseCorruptError):
-            CoverageDatabase.load(path)
-
-    def test_corrupt_temp_discard_is_journalled(self, db, tmp_path):
-        """The passed-over corrupt .tmp used to vanish without a trace;
-        with a bus it becomes a database.discard_corrupt_tmp event."""
-        from repro.obs.bus import EventBus
-
-        path = tmp_path / "coverage.json"
-        db.save(path)
-        path.write_text("{torn")
         tmp = temp_path_for(path)
         tmp.write_text("also torn")
-        bus = EventBus()
-        with pytest.raises(DatabaseCorruptError, match=str(path)):
-            CoverageDatabase.load(path, bus=bus)
-        (event,) = bus.events
-        assert event.name == "database.discard_corrupt_tmp"
-        assert event.data["path"] == str(tmp)
-        assert "JSON" in event.data["error"]
+        with pytest.raises(DatabaseCorruptError, match=str(path)) as info:
+            CoverageDatabase.load(path)
+        # The passed-over .tmp's defect rides along as the cause.
+        assert isinstance(info.value.__cause__, DatabaseCorruptError)
+        assert info.value.__cause__.path == tmp
+        assert "JSON" in info.value.__cause__.defect
 
     def test_corrupt_temp_with_missing_main_raises_corruption(
             self, db, tmp_path):

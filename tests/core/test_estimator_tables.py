@@ -3,9 +3,10 @@
 :class:`~repro.core.estimator.FaultCoverageEstimator` integrates the
 geometry-independent part of a report (fault coverage per R, defect
 coverage, relative coverage) once per (database, kind, distribution) and
-reuses it for every query.  The golden digest pins the canonical JSON of
-the reports over the shipped database, so any change to that arithmetic
--- or to its order -- shows up as a digest mismatch.  The other tests
+reuses it for every query.  The golden digest (the ``estimator``
+section of ``tests/golden_digests.json``, :mod:`tests.golden`) pins the
+canonical JSON of the reports over the shipped database, so any change
+to that arithmetic -- or to its order -- shows up as a digest mismatch.  The other tests
 check that the memoised rows follow the records and never leak between
 estimators, reports or reloaded snapshots.
 """
@@ -29,14 +30,7 @@ from repro.service.app import EstimatorService
 from repro.service.schema import report_document
 from repro.service.state import DatabaseSnapshot, ServiceState
 
-#: SHA-256 of :func:`_golden_documents` rendered as canonical JSON.
-#: Regenerate (only for a deliberate change to the estimator's numbers,
-#: named with its reason in CHANGES.md) with::
-#:
-#:   PYTHONPATH=src:. python -c "from tests.core.test_estimator_tables \
-#:   import golden_digest; print(golden_digest())"
-GOLDEN_DIGEST = (
-    "e74ed3b6ebacead236428660a2246d2d07ca3fd039c68e29ca49207b29a3ac15")
+from ..golden import golden
 
 
 def _golden_queries() -> list[tuple[MemoryGeometry, str, float | None]]:
@@ -69,7 +63,8 @@ def golden_digest() -> str:
 
 
 def test_golden_digest_of_estimator_output():
-    assert golden_digest() == GOLDEN_DIGEST
+    # The SHA-256 of :func:`_golden_documents` as canonical JSON.
+    assert golden_digest() == golden("estimator")
 
 
 def rec(kind, r, cond, detected, total=100):

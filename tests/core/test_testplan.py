@@ -43,13 +43,14 @@ class TestJointTable:
         assert cov["VLV"] == max(cov.values())
 
     @pytest.mark.parametrize("seed", [1, 7, 2005])
-    def test_kernel_table_equals_scalar_oracle(self, seed):
+    def test_kernel_table_equals_scalar_oracle(self, seed, monkeypatch):
         model = DefectBehaviorModel(CMOS018)
         counted = CountingBehaviorModel(model)
+        monkeypatch.setattr("repro.core.testplan.DefectBehaviorModel",
+                            lambda tech: counted)
         table = JointCoverageTable(
             MemoryGeometry(512, 16, 32), CMOS018,
-            production_conditions(CMOS018), behavior=counted,
-            n_samples=600, seed=seed)
+            production_conditions(CMOS018), n_samples=600, seed=seed)
         oracle = np.array([[model.fails_condition(defect, cond)
                             for cond in table.conditions.values()]
                            for defect in table.defects])

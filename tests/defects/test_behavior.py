@@ -221,18 +221,9 @@ class TestPullupOpenClass:
 
 
 class TestThresholdApi:
-    def test_delay_type_sites_only(self, model):
-        with pytest.raises(ValueError):
-            model.open_detection_threshold(10e-9, site=OpenSite.DECODER_INPUT)
-
     def test_zero_when_no_slack(self, model):
         # At an absurdly short period even R=0 has no slack.
         assert model.open_detection_threshold(1e-10) == 0.0
-
-    def test_cell_access_threshold_positive(self, model):
-        thr = model.open_detection_threshold(100e-9,
-                                             site=OpenSite.CELL_ACCESS)
-        assert thr > 0.0
 
 
 class TestDecoderOpenDelayMechanism:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import (
     BridgeSite,
     DefectArrays,
@@ -127,14 +126,14 @@ class TestArrayClassification:
         assert classifier.classify_chip(chip).failed_stress == frozenset(
             {"at-speed"})
 
-    def test_timing_comes_from_the_behaviour_model(self):
+    def test_timing_comes_from_the_behaviour_model(self, monkeypatch):
         # A core too slow for VLV and at-speed: the kernel and the
         # oracle bench fail a silent part exactly where the behaviour
         # model's own timing rule does.
         slow = TimingModel(t_wire=85e-9)
-        classifier = StressClassifier(
-            geometry=MemoryGeometry(8, 2, 4),
-            behavior=DefectBehaviorModel(CMOS018, timing=slow))
+        monkeypatch.setattr("repro.defects.behavior.TimingModel",
+                            lambda: slow)
+        classifier = StressClassifier(geometry=MemoryGeometry(8, 2, 4))
         missed = frozenset(
             name for name, condition in classifier.conditions.items()
             if name in FAIL_BIT_NAMES and not slow.meets_timing(
@@ -182,7 +181,7 @@ class TestVennAccounting:
         assert PAPER_VENN.vlv_only == 27
 
     def test_render(self):
-        text = PAPER_VENN.render("paper")
+        text = PAPER_VENN.render()
         assert "VLV only: 27" in text
         assert "interesting devices: 36" in text
 

@@ -68,12 +68,13 @@ class TestRegionStats:
 
 class TestSeedRule:
     def test_seed_scheme_is_not_an_option(self):
-        """Run k always draws from ``base_seed + k``."""
+        """Run k always draws from ``BASE_SEED + k``."""
         with pytest.raises(TypeError, match="seed_scheme"):
             run_monte_carlo(n_runs=1, n_devices=400, seed_scheme="spawn")
 
-    def test_seeds_follow_base_seed(self):
-        result = run_monte_carlo(n_runs=2, n_devices=400, base_seed=7)
+    def test_seeds_follow_base_seed(self, monkeypatch):
+        monkeypatch.setattr("repro.experiment.montecarlo.BASE_SEED", 7)
+        result = run_monte_carlo(n_runs=2, n_devices=400)
         assert result.seeds == [7, 8]
 
 

@@ -29,7 +29,7 @@ from repro.experiment.streaming.engine import (
     ShardEvaluator,
     StreamingExperiment,
 )
-from repro.experiment.streaming.plan import ShardPlan
+from repro.experiment.streaming.plan import DEFAULT_BLOCK_DEVICES, ShardPlan
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.experiment.veqtor import VeqtorChip
 from repro.runner.atomic import canonical_json
@@ -40,15 +40,16 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.outcome import UnitDeadlineExceeded
 
+from ..lots import blocked_lot
+
 
 def _engine(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,
-            block_devices=None, diagnose=False):
-    return StreamingExperiment(
-        n_devices=n_devices, seed=seed, scheme=scheme, diagnose=diagnose,
-        **({"shard_devices": shard_devices}
-           if shard_devices is not None else {}),
-        **({"block_devices": block_devices}
-           if block_devices is not None else {}))
+            block_devices=DEFAULT_BLOCK_DEVICES, diagnose=False):
+    return blocked_lot(block_devices,
+                       n_devices=n_devices, seed=seed, scheme=scheme,
+                       diagnose=diagnose,
+                       **({"shard_devices": shard_devices}
+                          if shard_devices is not None else {}))
 
 
 def _payload(n_devices, *, workers=1, **kwargs):
@@ -435,8 +436,8 @@ class TestDefectValidation:
             def sample(self, rng, n):
                 return -np.ones(n)
 
-        engine = StreamingExperiment(n_devices=4096,
-                                     bridge_distribution=Negative())
+        engine = StreamingExperiment(n_devices=4096)
+        engine.bridge_distribution = Negative()
         shard, = engine.plan.shards()
         with pytest.raises(ValueError, match="resistance must be positive"):
             ShardEvaluator(engine).evaluate(shard)
@@ -500,12 +501,11 @@ class TestDiagnosis:
 
 class TestUnitDeadline:
     def test_overrun_names_the_shard(self):
-        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384,
-                                     block_devices=4096)
+        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384)
         shard = engine.plan.shards()[0]
         ticks = iter(range(100))
-        evaluator = ShardEvaluator(engine, unit_deadline=1.5,
-                                   clock=lambda: float(next(ticks)))
+        evaluator = ShardEvaluator(engine, unit_deadline=1.5)
+        evaluator.clock = lambda: float(next(ticks))
         with pytest.raises(UnitDeadlineExceeded) as excinfo:
             evaluator.evaluate(shard)
         message = str(excinfo.value)
@@ -528,13 +528,12 @@ class TestUnitDeadline:
         monkeypatch.setattr(StreamingExperiment, "block_defects",
                             counting_draw)
         monkeypatch.setattr(StressClassifier, "fail_bits", refuse)
-        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384,
-                                     block_devices=4096)
+        engine = StreamingExperiment(n_devices=16_384, shard_devices=16_384)
         shard, = engine.plan.shards()
         assert len(engine.plan.blocks_of(shard)) == 4
         ticks = iter(range(100))
-        evaluator = ShardEvaluator(engine, unit_deadline=1.5,
-                                   clock=lambda: float(next(ticks)))
+        evaluator = ShardEvaluator(engine, unit_deadline=1.5)
+        evaluator.clock = lambda: float(next(ticks))
         with pytest.raises(UnitDeadlineExceeded) as excinfo:
             evaluator.evaluate(shard)
         message = str(excinfo.value)

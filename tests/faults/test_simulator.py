@@ -18,7 +18,7 @@ class TestFaultFreeRuns:
         assert log.cycles_run == test.complexity * 16
 
     def test_fault_free_all_backgrounds(self):
-        sim = FunctionalFaultSimulator(16, columns=4)
+        sim = FunctionalFaultSimulator(16)
         for bg in DataBackground:
             assert not sim.run(MARCH_CM, background=bg).detected, bg
 

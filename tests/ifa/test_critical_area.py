@@ -65,7 +65,7 @@ class TestAdjacency:
     def test_far_apart_ignored(self):
         a = Rect("metal1", 0.0, 0.0, 1.0, 1.0, "A")
         b = Rect("metal1", 5.0, 0.0, 6.0, 1.0, "B")
-        assert find_adjacent_pairs([a, b], max_spacing=1.0) == []
+        assert find_adjacent_pairs([a, b]) == []
 
     def test_diagonal_no_overlap_ignored(self):
         a = Rect("metal1", 0.0, 0.0, 1.0, 1.0, "A")
@@ -167,6 +167,15 @@ def _layouts(draw):
     return draw(st.permutations(rects)), spacing
 
 
+def _both_scans(rects, spacing):
+    """The sweep's and the pairwise scan's pairs at ``MAX_SPACING``
+    ``spacing``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(critical_area, "MAX_SPACING", spacing)
+        return (find_adjacent_pairs(rects),
+                find_adjacent_pairs_exhaustive(rects))
+
+
 class TestSweepEquivalence:
     @settings(max_examples=300)
     @given(_layouts())
@@ -174,8 +183,8 @@ class TestSweepEquivalence:
                Rect("metal1", _grid(113), 0.0, 2.0, 1.0, "B")], 1.0))
     def test_sweep_equals_scan(self, layout):
         rects, spacing = layout
-        assert (find_adjacent_pairs(rects, spacing)
-                == find_adjacent_pairs_exhaustive(rects, spacing))
+        sweep, scan = _both_scans(rects, spacing)
+        assert sweep == scan
 
     @pytest.mark.parametrize("spacing_steps", [10, 30, 100, 200, 500])
     def test_gap_equal_to_spacing(self, spacing_steps):
@@ -201,8 +210,8 @@ class TestSweepEquivalence:
                     Rect(f"w{k}/{far!r}", 0.0, far, 1.0, far + 0.5, "B"),
                     Rect(f"w{k}/{far!r}", 0.0, edge - 0.5, 1.0, edge, "A"),
                 ]
-        pairs = find_adjacent_pairs(rects, spacing)
-        assert pairs == find_adjacent_pairs_exhaustive(rects, spacing)
+        pairs, scan = _both_scans(rects, spacing)
+        assert pairs == scan
         # The last-accepted neighbour is a pair in every placement.
         assert len(pairs) >= 3 * WINDOW
 
@@ -229,11 +238,9 @@ class TestVeqtor4Golden:
         assert len(pairs) == 2172
         assert pairs == find_adjacent_pairs_exhaustive(veqtor4_layout.rects)
 
-    def test_uncalibrated_extraction_unchanged(self, veqtor4_layout,
-                                               monkeypatch):
+    def test_uncalibrated_extraction_unchanged(self, monkeypatch):
         def classes():
-            extractor = IfaExtractor(VEQTOR4_INSTANCE, veqtor4_layout,
-                                     calibrated=False)
+            extractor = IfaExtractor(VEQTOR4_INSTANCE, calibrated=False)
             return [(c.site, c.weight, c.pair_count)
                     for c in extractor.bridge_site_classes()]
 

@@ -22,7 +22,7 @@ from repro.ifa.extraction import (
     classify_bridge_pair,
     sample_defects_reference,
 )
-from repro.ifa.layout import Rect, SramLayout
+from repro.ifa.layout import Rect
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 
@@ -170,9 +170,8 @@ class TestSampleBatch:
 
 @pytest.fixture(scope="module")
 def veqtor4_extractors():
-    """A calibrated and an uncalibrated Veqtor4 extractor, one layout."""
-    layout = SramLayout(VEQTOR4_INSTANCE)
-    return {calibrated: IfaExtractor(VEQTOR4_INSTANCE, layout, calibrated)
+    """A calibrated and an uncalibrated Veqtor4 extractor."""
+    return {calibrated: IfaExtractor(VEQTOR4_INSTANCE, calibrated)
             for calibrated in (True, False)}
 
 
@@ -191,7 +190,7 @@ class TestDrawTableOracle:
         dist = (default_bridge_distribution() if kind is DefectKind.BRIDGE
                 else default_open_distribution())
         fast_sampler = dist.sample_one if with_resistance else None
-        oracle_sampler = ((lambda r: sample_resistances_reference(dist, r)[0])
+        oracle_sampler = ((lambda r: sample_resistances_reference(dist, r, 1)[0])
                           if with_resistance else None)
         sample = (extractor.sample_bridges if kind is DefectKind.BRIDGE
                   else extractor.sample_opens)
@@ -226,10 +225,11 @@ class TestDrawTableOracle:
         assert {s: c.weight for s, c in classes.items()} == BRIDGE_SITE_MIX
 
     @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
-    def test_zero_total_uncalibrated_extractor_raises(self, kind):
+    def test_zero_total_uncalibrated_extractor_raises(self, kind,
+                                                      monkeypatch):
         empty = SimpleNamespace(rects=[], vias=[])
-        extractor = IfaExtractor(MemoryGeometry(8, 2, 4), empty,
-                                 calibrated=False)
+        monkeypatch.setattr(ifa_layout, "SramLayout", lambda geometry: empty)
+        extractor = IfaExtractor(MemoryGeometry(8, 2, 4), calibrated=False)
         sample = (extractor.sample_bridges if kind is DefectKind.BRIDGE
                   else extractor.sample_opens)
         with pytest.raises(ValueError) as expected:

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.ifa import layout as ifa_layout
 from repro.ifa.layout import CellTileSpec, Rect, SramLayout
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 
 
 @pytest.fixture(scope="module")
 def layout():
-    return SramLayout(MemoryGeometry(8, 2, 4), max_rows=8, max_cols=8)
+    return SramLayout(MemoryGeometry(8, 2, 4))
 
 
 class TestRect:
@@ -46,8 +47,10 @@ class TestLayoutStructure:
                               or a.y1 <= b.y0 or b.y1 <= a.y0)
                 assert no_overlap, (a.net, b.net)
 
-    def test_window_capped(self):
-        layout = SramLayout(VEQTOR4_INSTANCE, max_rows=8, max_cols=8)
+    def test_window_capped(self, monkeypatch):
+        monkeypatch.setattr(ifa_layout, "MAX_WINDOW_ROWS", 8)
+        monkeypatch.setattr(ifa_layout, "MAX_WINDOW_COLS", 8)
+        layout = SramLayout(VEQTOR4_INSTANCE)
         assert layout.gen_rows == 8 and layout.gen_cols == 8
 
     def test_stats(self, layout):

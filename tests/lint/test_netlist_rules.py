@@ -201,10 +201,3 @@ class TestInjectionGate:
                             lambda *a, **k: base.copy())
         with pytest.raises(LintError):
             inject_open_into_decoder(CMOS018, 1.8, d)
-        # Opt-out for hot loops skips the gate.
-        nl = inject_open_into_decoder(CMOS018, 1.8, d, erc=False)
-        assert "Ropen_a0_p" in nl
-
-    def test_netlist_lint_method(self):
-        report = demo_broken_netlist().lint(CMOS018)
-        assert report.exit_code() == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.march import compare
 from repro.march.compare import (
     efficiency_frontier,
     render_scores,
@@ -33,11 +34,11 @@ class TestScoring:
         assert by_name["March C-"].score > by_name["MATS"].score
         assert by_name["11N"].score > by_name["March C-"].score  # dRDF
 
-    def test_weights_shift_scores(self):
-        unweighted = score_tests([MARCH_CM, TEST_11N], ("SAF", "dRDF"),
-                                 n_cells=6)
-        dyn_heavy = score_tests([MARCH_CM, TEST_11N], ("SAF", "dRDF"),
-                                n_cells=6, weights={"dRDF": 10.0})
+    def test_weights_shift_scores(self, monkeypatch):
+        monkeypatch.setattr(compare, "DEFAULT_CLASSES", ("SAF", "dRDF"))
+        unweighted = score_tests([MARCH_CM, TEST_11N], n_cells=6)
+        monkeypatch.setattr(compare, "CLASS_WEIGHTS", {"dRDF": 10.0})
+        dyn_heavy = score_tests([MARCH_CM, TEST_11N], n_cells=6)
         gap_u = (unweighted[1].score - unweighted[0].score)
         gap_w = (dyn_heavy[1].score - dyn_heavy[0].score)
         assert gap_w > gap_u  # 11N's dynamic edge counts for more
@@ -45,8 +46,6 @@ class TestScoring:
     def test_validation(self):
         with pytest.raises(ValueError):
             score_tests([], n_cells=6)
-        with pytest.raises(ValueError):
-            score_tests([MATS], classes=(), n_cells=6)
 
 
 class TestFrontier:

@@ -77,7 +77,3 @@ class TestNetlistConstruction:
     def test_wordline_off_by_default(self, cell):
         nl = cell.standalone_netlist(1.8, 1)
         assert nl["Vwl"].value == 0.0
-
-    def test_wordline_on_option(self, cell):
-        nl = cell.standalone_netlist(1.8, 1, wordline_on=True)
-        assert nl["Vwl"].value == 1.8

@@ -22,7 +22,6 @@ import pytest
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
-from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.ifa.flow import IfaCampaign
 from repro.march.library import TEST_11N
@@ -32,7 +31,6 @@ from repro.obs.bus import EventBus, read_journal
 from repro.obs.report import build_report
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
-    FaultInjector,
     InjectedCrash,
 )
 from repro.stress import production_conditions
@@ -40,6 +38,8 @@ from repro.tester.ate import VirtualTester
 from repro.tester.shmoo import ShmooRunner
 
 from ..counting import CountingEventBus
+from ..injectors import scheduled_injector
+from ..lots import blocked_lot
 
 GEOM = MemoryGeometry(16, 2, 4)
 N_SITES = 40
@@ -47,8 +47,9 @@ SEED = 11
 
 
 def make_campaign(injector=None):
-    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
-                       injector=injector)
+    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
+    campaign.injector = injector
+    return campaign
 
 
 def two_conditions():
@@ -139,16 +140,15 @@ class TestWorkerDeterminism:
         serial_path = tmp_path / "serial.jsonl"
         pooled_path = tmp_path / "pooled.jsonl"
         for workers, path in ((1, serial_path), (4, pooled_path)):
-            lot = StreamingExperiment(n_devices=8192, shard_devices=2048,
-                                      block_devices=1024)
-            StreamingRunner(lot, workers=workers, journal=path).run()
+            engine = blocked_lot(1024, n_devices=8192, shard_devices=2048)
+            StreamingRunner(engine, workers=workers, journal=path).run()
         assert serial_path.read_bytes() == pooled_path.read_bytes()
 
 
 class TestResume:
     def test_resume_emits_checkpoint_and_resumed_units(self, tmp_path):
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(crash_positions={"behavior.evaluate": {90}})
+        inj = scheduled_injector(crash_positions={"behavior.evaluate": {90}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(make_campaign(inj),
                            checkpoint_path=ck).run([bridge_spec()])
@@ -171,7 +171,7 @@ class TestResume:
 class TestChaosCompleteness:
     def test_every_quarantine_is_journalled(self, tmp_path):
         """Chaos run: each ledger entry has its event chain."""
-        inj = FaultInjector(positions={"behavior.evaluate": {0, 41, 42}})
+        inj = scheduled_injector(positions={"behavior.evaluate": {0, 41, 42}})
         path = tmp_path / "chaos.jsonl"
         result = CampaignRunner(make_campaign(inj), journal=path,
                                 max_attempts=1).run([bridge_spec()])
@@ -191,7 +191,7 @@ class TestChaosCompleteness:
 
     def test_retry_events_match_runner_stats(self, tmp_path):
         """Transient faults (retry succeeds): journalled, not dropped."""
-        inj = FaultInjector(positions={"behavior.evaluate": {0, 50}})
+        inj = scheduled_injector(positions={"behavior.evaluate": {0, 50}})
         path = tmp_path / "retry.jsonl"
         result = CampaignRunner(make_campaign(inj), journal=path,
                                 max_attempts=3).run([bridge_spec()])

@@ -26,6 +26,8 @@ from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import FaultInjector, InjectedCrash
 from repro.stress import production_conditions
 
+from ..injectors import scheduled_injector
+
 
 def all_conditions():
     return tuple(production_conditions(CMOS018).values())
@@ -219,10 +221,10 @@ class TestChaosEquivalence:
         per-site oracle's run and the campaign runner's."""
         def run(**injector_kwargs):
             oracle = counting_campaign()
-            oracle.injector = FaultInjector(**injector_kwargs)
+            oracle.injector = scheduled_injector(**injector_kwargs)
             exact = exact_run(oracle, [table1_spec()])
             campaign = counting_campaign()
-            campaign.injector = FaultInjector(**injector_kwargs)
+            campaign.injector = scheduled_injector(**injector_kwargs)
             grid = CampaignRunner(campaign).run([table1_spec()])
             assert records_bytes(exact.records) == records_bytes(
                 grid.records)
@@ -263,7 +265,7 @@ class TestResume:
         baseline = exact_run(make(), [table1_spec()])
         ck = tmp_path / "ck.json"
         crashing = make()
-        crashing.injector = FaultInjector(
+        crashing.injector = scheduled_injector(
             crash_positions={"io.replace": {4}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(crashing,
@@ -282,7 +284,7 @@ class TestResume:
         baseline = exact_run(counting_campaign(), [table1_spec()])
         ck = tmp_path / "ck.json"
         chaos = counting_campaign()
-        chaos.injector = FaultInjector(
+        chaos.injector = scheduled_injector(
             crash_positions={"io.replace": {7}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(chaos, checkpoint_path=ck).run([table1_spec()])

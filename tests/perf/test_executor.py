@@ -16,6 +16,8 @@ from repro.perf.supervisor import SupervisedUnitExecutor
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import InjectedCrash
 
+from ..lots import block_devices, blocked_lot
+
 N_DEVICES = 8192
 SHARD_DEVICES = 2048
 
@@ -24,8 +26,9 @@ class CrashingLot(StreamingExperiment):
     """The test lot, dying (``kill -9`` style) as it draws one block."""
 
     def __init__(self, crash_block):
-        super().__init__(n_devices=N_DEVICES, shard_devices=SHARD_DEVICES,
-                         block_devices=1024)
+        with block_devices(1024):
+            super().__init__(n_devices=N_DEVICES,
+                             shard_devices=SHARD_DEVICES)
         self.crash_block = crash_block
 
     def block_defects(self, block_index, start, stop):
@@ -36,9 +39,8 @@ class CrashingLot(StreamingExperiment):
 
 def make_lot():
     """The four-shard test lot (two 1024-device blocks per shard)."""
-    return StreamingExperiment(n_devices=N_DEVICES,
-                               shard_devices=SHARD_DEVICES,
-                               block_devices=1024)
+    return blocked_lot(1024, n_devices=N_DEVICES,
+                       shard_devices=SHARD_DEVICES)
 
 
 def payload_bytes(result):

@@ -28,10 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
-from repro.experiment.streaming.engine import (
-    ShardEvaluator,
-    StreamingExperiment,
-)
+from repro.experiment.streaming.engine import ShardEvaluator
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.obs.bus import read_journal
 from repro.perf import supervisor
@@ -45,21 +42,23 @@ from repro.runner.chaos import (
     InjectedCrash,
 )
 
+from ..injectors import scheduled_injector
+from ..lots import blocked_lot
+
 N_DEVICES = 8192
 SHARD_DEVICES = 2048
 
 
 def make_lot(injector=None):
     """The four-shard test lot, with an optional worker-fault injector."""
-    return StreamingExperiment(n_devices=N_DEVICES,
-                               shard_devices=SHARD_DEVICES,
-                               block_devices=1024, injector=injector)
+    return blocked_lot(1024, n_devices=N_DEVICES,
+                       shard_devices=SHARD_DEVICES, injector=injector)
 
 
 def make_wide_lot(injector=None):
     """A 32-shard lot: plenty of healthy shards around a faulty one."""
-    return StreamingExperiment(n_devices=32 * 1024, shard_devices=1024,
-                               block_devices=1024, injector=injector)
+    return blocked_lot(1024, n_devices=32 * 1024, shard_devices=1024,
+                       injector=injector)
 
 
 def shard_ids():
@@ -305,13 +304,13 @@ class TestResumeAfterWorkerDeath:
         ids = shard_ids()
 
         # A serial run dies on its second checkpoint write.
-        inj = FaultInjector(crash_positions={"io.replace": {1}})
+        inj = scheduled_injector(crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):
             StreamingRunner(make_lot(inj), checkpoint_path=ck).run()
 
         # The pool resumes it, loses a worker, heals, and dies too.
         journal = tmp_path / "pool.jsonl"
-        inj = FaultInjector(
+        inj = scheduled_injector(
             worker_faults={WORKER_EXIT_SITE: {ids[1]: 1}},
             crash_positions={"io.replace": {1}})
         with pytest.raises(InjectedCrash):

@@ -10,7 +10,9 @@ from repro.runner.atomic import (
     unwrap_envelope,
     wrap_envelope,
 )
-from repro.runner.chaos import FaultInjector, InjectedFault
+from repro.runner.chaos import InjectedFault
+
+from ..injectors import scheduled_injector
 
 
 class TestAtomicWrite:
@@ -36,7 +38,7 @@ class TestAtomicWrite:
         file byte-identical."""
         path = tmp_path / "out.json"
         path.write_text("precious")
-        inj = FaultInjector(positions={crash_site: {0}})
+        inj = scheduled_injector(positions={crash_site: {0}})
         with pytest.raises(InjectedFault):
             atomic_write_text(path, "torn", fault_hook=inj.check)
         assert path.read_text() == "precious"
@@ -46,7 +48,7 @@ class TestAtomicWrite:
         complete -- the recovery source for checkpoint/database load."""
         path = tmp_path / "out.json"
         path.write_text("stale")
-        inj = FaultInjector(positions={"io.replace": {0}})
+        inj = scheduled_injector(positions={"io.replace": {0}})
         with pytest.raises(InjectedFault):
             atomic_write_text(path, "fresh", fault_hook=inj.check)
         assert path.read_text() == "stale"

@@ -15,11 +15,7 @@ from repro.circuit.technology import CMOS018
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
-from repro.runner.campaign import (
-    CampaignRunner,
-    SweepSpec,
-    UnitDeadlineExceeded,
-)
+from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
     FaultInjector,
     InjectedCrash,
@@ -28,7 +24,10 @@ from repro.runner.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatchError,
 )
+from repro.runner.outcome import UnitDeadlineExceeded
 from repro.stress import production_conditions
+
+from ..injectors import scheduled_injector
 
 GEOM = MemoryGeometry(16, 2, 4)
 N_SITES = 40
@@ -36,8 +35,9 @@ SEED = 11
 
 
 def make_campaign(injector=None):
-    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
-                       injector=injector)
+    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
+    campaign.injector = injector
+    return campaign
 
 
 def per_site_campaign():
@@ -106,7 +106,7 @@ class TestKillResume:
         baseline = CampaignRunner(make_campaign()).run([bridge_spec()])
 
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(
+        inj = scheduled_injector(
             crash_positions={"behavior.evaluate": {crash_position}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(make_campaign(inj),
@@ -123,7 +123,7 @@ class TestKillResume:
         """A crash inside the checkpoint *write* loses nothing either."""
         baseline = CampaignRunner(make_campaign()).run([bridge_spec()])
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(crash_positions={"io.replace": {2}})
+        inj = scheduled_injector(crash_positions={"io.replace": {2}})
         with pytest.raises(InjectedCrash):
             CampaignRunner(make_campaign(inj),
                            checkpoint_path=ck).run([bridge_spec()])
@@ -154,7 +154,7 @@ class TestKillResume:
 
     def test_checkpoint_quarantine_restored_on_resume(self, tmp_path):
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(
+        inj = scheduled_injector(
             positions={"behavior.evaluate": {0, 1, 2}},  # 3 tries: site 0
             crash_positions={"behavior.evaluate": {120}})
         with pytest.raises(InjectedCrash):
@@ -175,7 +175,7 @@ class TestErrorsUnderResume:
     def run_degraded_checkpoint(self, tmp_path):
         """Quarantine site 0 of unit 0, crash before the campaign ends."""
         ck = tmp_path / "ck.json"
-        inj = FaultInjector(
+        inj = scheduled_injector(
             positions={"behavior.evaluate": {0, 1, 2}},
             crash_positions={"behavior.evaluate": {120}})
         with pytest.raises(InjectedCrash):
@@ -242,7 +242,7 @@ class TestQuarantine:
     def test_persistent_failure_is_quarantined_not_fatal(self):
         # Positions 0..2 exhaust the 3-attempt policy on site 0 of the
         # first unit; position 10 is a one-off that retry heals.
-        inj = FaultInjector(
+        inj = scheduled_injector(
             positions={"behavior.evaluate": {0, 1, 2, 10}})
         result = CampaignRunner(make_campaign(inj), max_attempts=3).run(
             [bridge_spec()])
@@ -270,7 +270,7 @@ class TestQuarantine:
     def test_injector_probed_once_per_site_attempt(self, tmp_path):
         """The campaign's injector sees one ``behavior.evaluate`` probe
         per site and attempt, and the checkpoint writes probe it too."""
-        inj = FaultInjector(positions={"behavior.evaluate": {5}})
+        inj = scheduled_injector(positions={"behavior.evaluate": {5}})
         result = CampaignRunner(make_campaign(inj),
                                 checkpoint_path=tmp_path / "ck.json").run(
             [bridge_spec()])

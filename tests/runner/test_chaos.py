@@ -10,6 +10,8 @@ from repro.runner.chaos import (
     InjectedFault,
 )
 
+from ..injectors import scheduled_injector
+
 
 def fault_pattern(injector, site, n_calls):
     """Which of n_calls at ``site`` raise, as a bool list."""
@@ -63,7 +65,7 @@ class TestConfiguration:
             FaultInjector(rates={"s": 1.5})
 
     def test_positions_fire_exactly(self):
-        inj = FaultInjector(positions={"s": {1, 3}})
+        inj = scheduled_injector(positions={"s": {1, 3}})
         assert fault_pattern(inj, "s", 5) == [False, True, False, True,
                                               False]
 
@@ -72,7 +74,7 @@ class TestConfiguration:
         assert fault_pattern(inj, "s", 20) == [False] * 20
 
     def test_crash_positions_raise_base_exception(self):
-        inj = FaultInjector(crash_positions={"s": {2}})
+        inj = scheduled_injector(crash_positions={"s": {2}})
         inj.check("s")
         inj.check("s")
         with pytest.raises(InjectedCrash):
@@ -82,7 +84,7 @@ class TestConfiguration:
         assert not issubclass(InjectedCrash, Exception)
 
     def test_stats_accounting(self):
-        inj = FaultInjector(positions={"s": {0}})
+        inj = scheduled_injector(positions={"s": {0}})
         fault_pattern(inj, "s", 3)
         assert inj.stats() == {"s": {"calls": 3, "injected": 1}}
 

@@ -17,10 +17,11 @@ from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
-    FaultInjector,
     InjectedCrash,
 )
 from repro.stress import production_conditions
+
+from ..injectors import scheduled_injector
 
 GEOM = MemoryGeometry(16, 2, 4)
 N_SITES = 30
@@ -28,8 +29,9 @@ SEED = 23
 
 
 def make_campaign(injector=None):
-    return IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED,
-                       injector=injector)
+    campaign = IfaCampaign(GEOM, CMOS018, n_sites=N_SITES, seed=SEED)
+    campaign.injector = injector
+    return campaign
 
 
 def spec():
@@ -47,7 +49,7 @@ def test_campaign_survives_repeated_crashes_and_faults(tmp_path):
     result = None
     crashes = 0
     for round_no in range(40):  # far more rounds than ever needed
-        inj = FaultInjector(
+        inj = scheduled_injector(
             seed=1000 + round_no,
             rates={"behavior.evaluate": 0.01},
             crash_positions={"behavior.evaluate": {150}},
@@ -83,7 +85,7 @@ def test_clean_soak_converges_byte_identical(tmp_path):
 
     result = None
     for round_no in range(40):
-        inj = FaultInjector(
+        inj = scheduled_injector(
             crash_positions={"behavior.evaluate": {111}})
         runner = CampaignRunner(make_campaign(inj), checkpoint_path=ck)
         try:

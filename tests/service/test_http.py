@@ -280,6 +280,41 @@ class TestServeLifecycle:
         assert status == 200
 
 
+class TestShutdown:
+    def test_cancel_inside_wait_closed_reports_nothing(self, tmp_path,
+                                                       monkeypatch):
+        """SIGINT shutdown can cancel a handler while it waits for its
+        closed socket (a keep-alive client that just hung up); the
+        handler must not end cancelled, or asyncio's connection
+        callback reports a CancelledError traceback."""
+        service, _ = make_service(tmp_path)
+        closing = []
+
+        async def stuck(writer):
+            closing[0].set()
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", stuck)
+        reported = []
+
+        async def scenario(port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context))
+            closing.append(asyncio.Event())
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.close()
+            await closing[0].wait()
+            handler, = asyncio.all_tasks() - {asyncio.current_task()}
+            handler.cancel()
+            await asyncio.gather(handler, return_exceptions=True)
+            await asyncio.sleep(0)
+            return handler.cancelled()
+
+        cancelled = asyncio.run(with_server(service, scenario))
+        assert reported == []
+        assert not cancelled
+
+
 class TestReadDeadline:
     """A request that does not arrive in time closes its connection."""
 

@@ -4,14 +4,11 @@ The canonical report text (``full_report()`` at its defaults, the run
 ``python -m repro.analysis.report`` prints), the ``--save-db`` JSON of
 a small ``repro campaign run``, the ``repro venn`` text of three lot
 seeds and the ``repro plan`` text at its defaults are hashed and
-compared with SHA-256 digests computed before the last change to the
-code that makes them.
-A refactor or speed-up that moves any number in either one fails here;
-a deliberate change updates the digest and names its reason in
-CHANGES.md.  Regenerate with::
-
-    PYTHONPATH=src:. python -c "from tests.test_golden_artefacts \\
-    import golden_digests; print(golden_digests())"
+compared with the SHA-256 digests of ``tests/golden_digests.json``
+(:mod:`tests.golden`), computed before the last change to the code
+that makes them.  A refactor or speed-up that moves any number in
+either one fails here; a deliberate change updates the digest and
+names its reason in CHANGES.md.
 """
 
 import contextlib
@@ -24,6 +21,8 @@ import pytest
 
 from repro.analysis.report import full_report
 from repro.cli import main
+
+from .golden import golden
 
 #: The campaign of ``scripts/check.sh``'s service smoke.
 CAMPAIGN = ["campaign", "run", "--rows", "8", "--columns", "2",
@@ -38,22 +37,6 @@ CLI_RUNS = {
     "venn_seed2005": ["venn", "--seed", "2005"],
     "plan": ["plan"],
 }
-
-GOLDEN_DIGESTS = {
-    "report": "b9b91f24a78cbde705b0601b16fddfa0"
-              "9838a53f1d3f963c5b7c9cfef1cbaad7",
-    "campaign_db": "d8d9c5d7de41539d6a41ce2ef5b2a928"
-                   "c0b5cf43530b7bca8bfa6a6dd82bf552",
-    "venn_seed1": "a9afcaa14cfb399555d62bff4be14650"
-                  "c715ae560732a18d8a620725d2be46a3",
-    "venn_seed7": "2b0966b9dccfaf0e2143340aab0fb66b"
-                  "fef82ddaa80050c3e893280bb4e3c564",
-    "venn_seed2005": "42972c0bcf8a599ee5992291884ec26e"
-                     "64f60dcfaf41aa53b3b80efdb6b1d2f0",
-    "plan": "f3799f1f7f424b2ef56a0dcea476963c"
-            "0d12dbd0dc1f5f02023ba0b2d1015e36",
-}
-
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -85,13 +68,14 @@ def golden_digests() -> dict[str, str]:
 
 
 def test_report_text_is_golden():
-    assert report_digest() == GOLDEN_DIGESTS["report"]
+    assert report_digest() == golden("artefacts")["report"]
 
 
 def test_campaign_database_is_golden(tmp_path, capsys):
-    assert campaign_db_digest(tmp_path) == GOLDEN_DIGESTS["campaign_db"]
+    assert (campaign_db_digest(tmp_path)
+            == golden("artefacts")["campaign_db"])
 
 
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_text_is_golden(name):
-    assert cli_digest(CLI_RUNS[name]) == GOLDEN_DIGESTS[name]
+    assert cli_digest(CLI_RUNS[name]) == golden("artefacts")[name]

@@ -320,6 +320,115 @@ def test_library_name_has_a_caller_outside_tests(module):
     assert uncalled_names(LIBRARY[module]) == []
 
 
+#: Defaulted parameters the parameter pin lets stand although no call
+#: outside ``tests/`` passes them, each with its reason.
+KEEP_PARAMETERS = {
+    "repro.cli.main(argv)":
+        "the console entry point: ``python -m repro`` calls it bare, "
+        "so its argument vector is passed only in-process",
+    "repro.ifa.extraction.IfaExtractor(calibrated)":
+        "ROADMAP item 4 decides whether the layout path stays",
+}
+
+
+def call_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+@functools.cache
+def calls_outside_tests() -> dict[str, list[ast.Call]]:
+    """The calls of the library, benchmarks, examples, scripts and e2e
+    workloads, by the name they call."""
+    root = SRC.parent
+    files = [*SRC.joinpath("repro").rglob("*.py")]
+    for directory in ENTRY_DIRS:
+        files += root.joinpath(directory).rglob("*.py")
+    calls: dict[str, list[ast.Call]] = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and call_name(node):
+                calls.setdefault(call_name(node), []).append(node)
+    return calls
+
+
+def defaulted_parameters(path: Path):
+    """``(callee, label, parameter, position)`` for every defaulted
+    parameter of a function or method of ``path``.
+
+    The callee is the name a call uses (the class for ``__init__``);
+    the position counts arguments after ``self``/``cls`` and is
+    ``None`` for a keyword-only parameter.
+    """
+    tree = ast.parse(path.read_text())
+    owners = [(None, tree.body)] + [
+        (node.name, node.body) for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)]
+    for owner, body in owners:
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            if owner is None:
+                callee = label = fn.name
+            elif fn.name == "__init__":
+                callee = label = owner
+            else:
+                callee, label = fn.name, f"{owner}.{fn.name}"
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for index in range(first, len(args)):
+                yield callee, label, args[index].arg, index - bound
+            for arg, default in zip(fn.args.kwonlyargs,
+                                    fn.args.kw_defaults):
+                if default is not None:
+                    yield callee, label, arg.arg, None
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_parameters(module: str) -> list[str]:
+    """``module.callee(parameter)`` for every defaulted parameter of
+    ``module`` that no call outside ``tests/`` passes."""
+    calls = calls_outside_tests()
+    return [f"{module}.{label}({parameter})"
+            for callee, label, parameter, position
+            in defaulted_parameters(LIBRARY[module])
+            if not any(passes(call, parameter, position)
+                       for call in calls.get(callee, ()))]
+
+
+@pytest.mark.parametrize("module", sorted(LIBRARY))
+def test_defaulted_parameter_is_passed_outside_tests(module):
+    assert [key for key in unpassed_parameters(module)
+            if key not in KEEP_PARAMETERS] == []
+
+
+@pytest.mark.parametrize("key", sorted(KEEP_PARAMETERS))
+def test_kept_parameter_still_exists_without_a_caller(key):
+    module = max((m for m in LIBRARY if key.startswith(f"{m}.")), key=len)
+    assert key in unpassed_parameters(module)
+
+
+@pytest.mark.parametrize("name", sorted(KEEP))
+def test_kept_name_still_exists_without_a_caller(name):
+    defined = {node.name for path in LIBRARY.values()
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    assert name in defined and name not in used_outside_tests()
+
+
 def module_level_imports(tree: ast.Module):
     """Import statements of the module body, also under a top-level
     ``if`` or ``try``."""
@@ -380,3 +489,22 @@ IMPORTING = {m: p for m, p in LIBRARY.items() if p.name != "__init__.py"} | {
 @pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_module_imports_only_what_it_uses(module):
     assert unused_imports(IMPORTING[module]) == []
+
+
+def reexported_names(path: Path) -> list[str]:
+    """The names ``path``'s ``__all__`` lists that it imports."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in module_level_imports(tree)
+                for alias in node.names}
+    listed = {c.value for node in tree.body if is_all(node)
+              for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(listed & imported)
+
+
+@pytest.mark.parametrize("module", sorted(
+    m for m, p in LIBRARY.items() if p.name != "__init__.py"))
+def test_all_lists_only_names_the_module_defines(module):
+    # The one re-export is ``repro``'s lazy public table; a module's
+    # ``__all__`` names what it defines, never what it imports.
+    assert reexported_names(LIBRARY[module]) == []

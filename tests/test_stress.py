@@ -59,9 +59,10 @@ class TestProductionSuite:
         assert suite["VLV"].vdd == pytest.approx(0.8)
         assert suite["Vnom"].vdd == pytest.approx(1.2)
 
-    def test_custom_periods(self):
-        suite = production_conditions(CMOS018, slow_period=200e-9,
-                                      atspeed_period=10e-9)
+    def test_custom_periods(self, monkeypatch):
+        monkeypatch.setattr("repro.stress.SLOW_PERIOD", 200e-9)
+        monkeypatch.setattr("repro.stress.ATSPEED_PERIOD", 10e-9)
+        suite = production_conditions(CMOS018)
         assert suite["Vnom"].period == pytest.approx(200e-9)
         assert suite["at-speed"].period == pytest.approx(10e-9)
 

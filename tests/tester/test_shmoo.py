@@ -71,12 +71,6 @@ class TestShmooPlotContainer:
         assert "fault-free" in text
         assert "ns" in text
 
-    def test_render_markers(self, fault_free_plot):
-        v = float(fault_free_plot.voltages[0])
-        p = float(fault_free_plot.periods[0])
-        text = fault_free_plot.render(markers={(v, p): "X"})
-        assert "X" in text
-
 
 class TestFigureThreeAnchors:
     """Figure 3: the fault-free device's shmoo."""
@@ -137,26 +131,6 @@ class TestDefectShmoos:
         plot = runner.run(sram, [d], default_voltage_axis(),
                           default_period_axis())
         assert not plot.passed.any()
-
-
-class TestRenderMarkerSnapping:
-    def test_off_grid_marker_lands_on_nearest_cell(self, fault_free_plot):
-        """A reference value between grid lines snaps like passes_at."""
-        v0, v1 = (float(fault_free_plot.voltages[0]),
-                  float(fault_free_plot.voltages[1]))
-        p0 = float(fault_free_plot.periods[0])
-        off_grid_v = v0 + 0.25 * (v1 - v0)  # nearest to v0
-        text = fault_free_plot.render(markers={(off_grid_v, p0): "X"})
-        bottom_row = [line for line in text.splitlines()
-                      if line.startswith(f"{v0:5.2f}V")][0]
-        assert bottom_row.split("|", 1)[1][0] == "X"
-
-    def test_same_cell_markers_overwrite_in_order(self, fault_free_plot):
-        v = float(fault_free_plot.voltages[0])
-        p = float(fault_free_plot.periods[0])
-        text = fault_free_plot.render(markers={(v, p): "A",
-                                               (v, p * 1.0001): "B"})
-        assert "B" in text and "A" not in text
 
 
 class TestGridEdgeCases:
