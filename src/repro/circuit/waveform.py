@@ -58,26 +58,6 @@ class Waveform:
         return float(self.voltage[-n:].mean())
 
 
-def clock(v_low: float, v_high: float, period: float, duty: float,
-          t_edge: float):
-    """Build a periodic clock stimulus callable."""
-    if period <= 0 or not 0.0 < duty < 1.0:
-        raise ValueError("period must be positive and 0 < duty < 1")
-    high_time = period * duty
-
-    def f(t: float) -> float:
-        phase = t % period
-        if phase < t_edge:
-            return v_low + (v_high - v_low) * phase / t_edge
-        if phase < high_time:
-            return v_high
-        if phase < high_time + t_edge:
-            return v_high - (v_high - v_low) * (phase - high_time) / t_edge
-        return v_low
-
-    return f
-
-
 def piecewise_linear(points: list[tuple[float, float]]):
     """Build a PWL stimulus from ``(time, voltage)`` breakpoints."""
     if len(points) < 2:

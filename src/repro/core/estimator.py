@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.database import CoverageDatabase
+from repro.core.database import CoverageDatabase, CoverageRow
 from repro.core.williams_brown import dpm, poisson_yield
 from repro.defects.distribution import (
     DefectDensity,
@@ -35,6 +35,32 @@ from repro.defects.distribution import (
     default_open_distribution,
 )
 from repro.memory.geometry import MemoryGeometry
+
+
+def normalised_dpm(dpm_value: float, best_dpm: float) -> float:
+    """``dpm_value`` relative to the suite's best DPM (1.0 = best).
+
+    A perfect-coverage suite has ``best_dpm == 0``; the best
+    condition's ``0/0`` then normalises to ``1.0`` (it is exactly as
+    good as itself, the paper's "1x"), not ``inf``.  A non-zero DPM
+    against a zero best is genuinely infinitely worse.
+    """
+    if best_dpm > 0:
+        return dpm_value / best_dpm
+    return 1.0 if dpm_value <= 0 else float("inf")
+
+
+def condition_dpms(yield_fraction: float, table: tuple[CoverageRow, ...],
+                   ) -> list[tuple[float, float]]:
+    """``(dpm, dpm_normalised)`` of every coverage row at one yield.
+
+    The one place the estimator's per-query arithmetic lives:
+    :meth:`FaultCoverageEstimator.estimate` and the service's response
+    renderer (:mod:`repro.service.schema`) both call it.
+    """
+    dpms = [dpm(yield_fraction, row.defect_coverage) for row in table]
+    best = min(dpms) if dpms else 0.0
+    return [(d, normalised_dpm(d, best)) for d in dpms]
 
 
 class EmptyReportError(ValueError):
@@ -71,23 +97,6 @@ class ConditionEstimate:
     dpm: float
     dpm_normalised: float = field(default=0.0)
     relative_coverage: float = field(default=0.0)
-
-    def with_normalisation(self, best_dpm: float) -> "ConditionEstimate":
-        """This estimate with ``dpm_normalised`` set against ``best_dpm``.
-
-        A perfect-coverage suite has ``best_dpm == 0``; the best
-        condition's ``0/0`` then normalises to ``1.0`` (it is exactly
-        as good as itself, the paper's "1x"), not ``inf``.  A non-zero
-        DPM against a zero best is genuinely infinitely worse.
-        """
-        if best_dpm > 0:
-            norm = self.dpm / best_dpm
-        else:
-            norm = 1.0 if self.dpm <= 0 else float("inf")
-        return ConditionEstimate(self.condition, self.fault_coverage,
-                                 self.defect_coverage, self.dpm, norm,
-                                 self.relative_coverage)
-
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -162,10 +171,6 @@ class FaultCoverageEstimator:
         self.density = DefectDensity()
 
     # ------------------------------------------------------------------
-    def yield_for(self, geometry: MemoryGeometry) -> float:
-        """Poisson yield of the queried memory (paper eq. (2))."""
-        return poisson_yield(geometry.array_area_um2(), self.density.d0_per_cm2)
-
     def estimate(self, geometry: MemoryGeometry, kind: str = "bridge",
                  yield_fraction: float | None = None) -> EstimatorReport:
         """Run the estimator for a memory geometry.
@@ -188,6 +193,32 @@ class FaultCoverageEstimator:
                 message path as
                 :meth:`~repro.core.database.CoverageDatabase.coverage`).
         """
+        table = self.table(kind)
+        y = self.yield_for(geometry, yield_fraction)
+        estimates = tuple(
+            ConditionEstimate(
+                condition=row.condition,
+                fault_coverage=dict(row.fault_coverage),
+                defect_coverage=row.defect_coverage,
+                dpm=row_dpm,
+                dpm_normalised=row_norm,
+                relative_coverage=row.relative_coverage,
+            )
+            for row, (row_dpm, row_norm) in zip(table,
+                                                condition_dpms(y, table))
+        )
+        return EstimatorReport(kind, geometry, y, estimates)
+
+    def table(self, kind: str) -> tuple[CoverageRow, ...]:
+        """The geometry-independent coverage rows of ``kind``.
+
+        :meth:`CoverageDatabase.coverage_table` under this estimator's
+        distribution for the kind.
+
+        Raises:
+            ValueError: ``kind`` is not a defect kind.
+            KeyError: the database holds no records for ``kind``.
+        """
         if kind not in ("bridge", "open"):
             raise ValueError("kind must be 'bridge' or 'open'")
         if not self.database.conditions(kind):
@@ -196,21 +227,19 @@ class FaultCoverageEstimator:
                 f"available kinds: {self.database.kinds()}")
         dist = (self.bridge_distribution if kind == "bridge"
                 else self.open_distribution)
-        y = (self.yield_for(geometry) if yield_fraction is None
-             else yield_fraction)
+        return self.database.coverage_table(kind, dist)
+
+    def yield_for(self, geometry: MemoryGeometry,
+                  yield_fraction: float | None) -> float:
+        """The query's yield: ``yield_fraction`` when given, else the
+        Poisson yield of the queried memory (paper eq. (2)).
+
+        Raises:
+            ValueError: the yield is outside ``(0, 1]``.
+        """
+        y = (poisson_yield(geometry.array_area_um2(),
+                           self.density.d0_per_cm2)
+             if yield_fraction is None else yield_fraction)
         if not 0.0 < y <= 1.0:
             raise ValueError(f"yield must be in (0, 1], got {y}")
-
-        estimates = [
-            ConditionEstimate(
-                condition=row.condition,
-                fault_coverage=dict(row.fault_coverage),
-                defect_coverage=row.defect_coverage,
-                dpm=dpm(y, row.defect_coverage),
-                relative_coverage=row.relative_coverage,
-            )
-            for row in self.database.coverage_table(kind, dist)
-        ]
-        best = min(e.dpm for e in estimates) if estimates else 0.0
-        normalised = tuple(e.with_normalisation(best) for e in estimates)
-        return EstimatorReport(kind, geometry, y, normalised)
+        return y

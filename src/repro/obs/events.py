@@ -72,8 +72,6 @@ EVENT_CATALOG: dict[str, tuple[str, ...]] = {
     # Grid evaluator (only when the kernel lies) ----------------------
     "batch.demote": ("kind", "condition", "site_index", "reason",
                      "stage"),
-    # Coverage database --------------------------------------------------
-    "database.discard_corrupt_tmp": ("path", "error"),
     # Estimator service (single-process; see docs/service.md) -----------
     "service.request": ("method", "path", "status", "queries", "cached"),
     "service.cache_hit": ("key",),

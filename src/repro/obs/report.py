@@ -67,7 +67,6 @@ def build_report(meta: dict[str, Any],
                             "rebuilds": 0, "redispatched_units": 0,
                             "degraded_units": 0, "degraded": False,
                             "poison_units": []}
-    database = {"discarded_corrupt_tmp": []}
     shmoo: dict[str, Any] | None = None
     experiment: dict[str, Any] | None = None
     service: dict[str, Any] | None = None
@@ -127,8 +126,6 @@ def build_report(meta: dict[str, Any],
             pool["degraded_units"] += data["units"]
         elif event.name == "batch.demote":
             batch_demotions.append(dict(data))
-        elif event.name == "database.discard_corrupt_tmp":
-            database["discarded_corrupt_tmp"].append(dict(data))
         elif event.name == "shmoo.start":
             shmoo = {"voltages": data["voltages"],
                      "periods": data["periods"],
@@ -189,7 +186,6 @@ def build_report(meta: dict[str, Any],
         "batch": {"demotions": batch_demotions},
         "pool": pool,
         "checkpoints": checkpoints,
-        "database": database,
         "shmoo": shmoo,
         "experiment": experiment,
         "service": service,
@@ -291,10 +287,6 @@ def render_text(report: dict[str, Any]) -> str:
     lines.append("")
     lines.append("Checkpoints: saves={} resumes={}".format(
         checkpoints["saves"], checkpoints["resumes"]))
-    for entry in report["database"]["discarded_corrupt_tmp"]:
-        lines.append(
-            f"Discarded corrupt database temp {entry['path']}: "
-            f"{entry['error']}")
 
     shmoo = report["shmoo"]
     if shmoo is not None:

@@ -37,10 +37,9 @@ from repro.runner.atomic import canonical_json
 from repro.service.cache import ResponseCache, response_cache_key
 from repro.service.schema import (
     RequestError,
-    batch_response_document,
     error_document,
     parse_request,
-    report_document,
+    render_batch,
 )
 from repro.service.state import ServiceState
 
@@ -203,17 +202,17 @@ class EstimatorService:
             results = []
             for query in request.queries:
                 try:
-                    report = snapshot.estimator.estimate(
-                        query.geometry, query.kind,
-                        yield_fraction=query.yield_fraction)
+                    fragments = snapshot.fragments(query.kind)
                 except KeyError as exc:
                     raise RequestError(
                         "unknown-kind", str(exc.args[0]),
                         status=404) from exc
-                results.append(report_document(report, query.conditions))
+                results.append(fragments.render(
+                    query, snapshot.estimator.yield_for(
+                        query.geometry, query.yield_fraction)))
         except RequestError as exc:
             return self._request_error(exc), len(request.queries), False
-        rendered = _render(batch_response_document(snapshot.etag, results))
+        rendered = render_batch(snapshot.etag, results)
         self.cache.put(key, rendered)
         headers["X-Cache"] = "miss"
         return (ServiceResponse(200, rendered, headers),

@@ -13,6 +13,12 @@ One module owns every byte that crosses the wire:
   *byte-identical* to :func:`repro.runner.atomic.canonical_json` of
   these documents, so a client can verify any response against a local
   :class:`~repro.core.estimator.FaultCoverageEstimator`;
+* :class:`EstimateFragments` renders the same bytes without building
+  the documents: one kind's per-condition coverage text is rendered
+  once per database snapshot, and a query splices its geometry, yield
+  and DPMs between those fragments (:func:`render_batch` wraps the
+  results into the response body).  :func:`report_document` stays the
+  oracle the fragments are tested against;
 * :meth:`BatchRequest.canonical_body` is the normalised canonical
   request body -- defaults filled in, keys sorted -- that keys the
   response cache together with the database checksum, so two
@@ -25,10 +31,13 @@ Wire reference with examples: ``docs/service.md``.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.estimator import EstimatorReport
+from repro.core.database import CoverageRow
+from repro.core.estimator import EstimatorReport, condition_dpms
 from repro.memory.geometry import MemoryGeometry
 from repro.runner.atomic import canonical_json
 
@@ -37,11 +46,13 @@ __all__ = [
     "RESPONSE_SCHEMA",
     "RESPONSE_VERSION",
     "BatchRequest",
+    "EstimateFragments",
     "EstimateQuery",
     "RequestError",
     "batch_response_document",
     "error_document",
     "parse_request",
+    "render_batch",
     "report_document",
 ]
 
@@ -316,12 +327,7 @@ def report_document(report: EstimatorReport,
         by_name = {e.condition: e for e in report.estimates}
         missing = [c for c in conditions if c not in by_name]
         if missing:
-            raise RequestError(
-                "unknown-condition",
-                f"condition(s) {', '.join(repr(c) for c in missing)} "
-                f"not in the database suite "
-                f"{sorted(by_name)} for kind={report.kind!r}",
-                status=404)
+            raise _unknown_condition(missing, by_name, report.kind)
         estimates = [by_name[c] for c in conditions]
     return {
         "kind": report.kind,
@@ -335,8 +341,7 @@ def report_document(report: EstimatorReport,
         "estimates": [
             {
                 "condition": e.condition,
-                "fault_coverage": [[r, e.fault_coverage[r]]
-                                   for r in sorted(e.fault_coverage)],
+                "fault_coverage": _coverage_pairs(e.fault_coverage),
                 "defect_coverage": e.defect_coverage,
                 "dpm": e.dpm,
                 "dpm_normalised": e.dpm_normalised,
@@ -345,6 +350,120 @@ def report_document(report: EstimatorReport,
             for e in estimates
         ],
     }
+
+
+def _coverage_pairs(fault_coverage: dict[float, float],
+                    ) -> list[list[float]]:
+    """A ``fault_coverage`` map as sorted ``[resistance, coverage]``
+    pairs (JSON object keys must be strings)."""
+    return [[r, fault_coverage[r]] for r in sorted(fault_coverage)]
+
+
+def _unknown_condition(missing: list[str], suite: Iterable[str],
+                       kind: str) -> RequestError:
+    """The ``unknown-condition`` 404 for names absent from ``suite``."""
+    return RequestError(
+        "unknown-condition",
+        f"condition(s) {', '.join(repr(c) for c in missing)} "
+        f"not in the database suite {sorted(suite)} for kind={kind!r}",
+        status=404)
+
+
+def _json_float(value: float) -> str:
+    """``value`` spelled as :func:`json.dumps` spells a float."""
+    if math.isfinite(value):
+        return repr(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+@dataclass(frozen=True)
+class EstimateFragments:
+    """One defect kind's estimate text, rendered once per snapshot.
+
+    A query's result differs from another's of the same kind only in
+    its geometry, its yield and each condition's two DPM numbers.  The
+    rest of each estimate object -- condition name, defect coverage,
+    ``fault_coverage`` pairs, relative coverage; most of a response's
+    bytes -- is canonical JSON text here, split around the DPMs.
+    :meth:`render` splices one query's numbers between the fragments;
+    the text equals ``canonical_json(report_document(report,
+    conditions))`` for the equivalent
+    :meth:`~repro.core.estimator.FaultCoverageEstimator.estimate` call.
+
+    Attributes:
+        kind: The defect kind.
+        table: The kind's coverage rows, in suite order (their defect
+            coverages give each query's DPMs).
+        heads: Per row, the estimate object up to ``"dpm":``.
+        tails: Per row, the estimate object from ``,"fault_coverage":``
+            to its closing brace.
+        index: Condition name -> row position.
+    """
+
+    kind: str
+    table: tuple[CoverageRow, ...]
+    heads: tuple[str, ...]
+    tails: tuple[str, ...]
+    index: dict[str, int]
+
+    @classmethod
+    def build(cls, kind: str,
+              table: tuple[CoverageRow, ...]) -> "EstimateFragments":
+        """Render ``table``'s fragments.
+
+        ``canonical_json`` sorts keys, so an estimate object reads
+        ``condition``, ``defect_coverage``, ``dpm``, ``dpm_normalised``,
+        ``fault_coverage``, ``relative_coverage``: the two per-query
+        numbers sit between a head and a tail.
+        """
+        heads = tuple(
+            canonical_json({"condition": row.condition,
+                            "defect_coverage": row.defect_coverage})[:-1]
+            + ',"dpm":'
+            for row in table)
+        tails = tuple(
+            "," + canonical_json({
+                "fault_coverage": _coverage_pairs(dict(row.fault_coverage)),
+                "relative_coverage": row.relative_coverage})[1:]
+            for row in table)
+        return cls(kind, table, heads, tails,
+                   {row.condition: i for i, row in enumerate(table)})
+
+    def render(self, query: EstimateQuery, yield_fraction: float) -> str:
+        """One query's result object as canonical JSON text.
+
+        Args:
+            query: A validated query of this kind.
+            yield_fraction: The query's resolved yield
+                (:meth:`~repro.core.estimator.FaultCoverageEstimator.
+                yield_for`).
+
+        Raises:
+            RequestError: a requested condition is absent from the
+                suite (``unknown-condition``, 404, the same body as
+                :func:`report_document`'s).
+        """
+        dpms = condition_dpms(yield_fraction, self.table)
+        if query.conditions is None:
+            order: range | list[int] = range(len(self.table))
+        else:
+            missing = [c for c in query.conditions if c not in self.index]
+            if missing:
+                raise _unknown_condition(missing, self.index, self.kind)
+            order = [self.index[c] for c in query.conditions]
+        estimates = ",".join(
+            f'{self.heads[i]}{_json_float(dpms[i][0])},"dpm_normalised":'
+            f'{_json_float(dpms[i][1])}{self.tails[i]}'
+            for i in order)
+        g = query.geometry
+        # The kind is one of ``_KINDS``: plain ASCII, no escaping.
+        return (f'{{"estimates":[{estimates}],"geometry":{{'
+                f'"bits_per_word":{g.bits_per_word},"blocks":{g.blocks},'
+                f'"columns":{g.columns},"rows":{g.rows}}},'
+                f'"kind":"{self.kind}",'
+                f'"yield_fraction":{_json_float(yield_fraction)}}}')
 
 
 def batch_response_document(etag: str,
@@ -364,6 +483,23 @@ def batch_response_document(etag: str,
         "etag": etag,
         "results": results,
     }
+
+
+#: The batch-response object after its ``results`` array.
+_BATCH_TAIL = "]," + canonical_json(
+    {"schema": RESPONSE_SCHEMA, "version": RESPONSE_VERSION})[1:]
+
+
+def render_batch(etag: str, results: list[str]) -> bytes:
+    """The response body over :meth:`EstimateFragments.render` results.
+
+    Byte-identical to the canonical JSON (plus newline) of
+    :func:`batch_response_document` over the equivalent
+    :func:`report_document` outputs.  ``etag`` is a hex digest, so it
+    needs no escaping.
+    """
+    return (f'{{"etag":"{etag}","results":['
+            f'{",".join(results)}{_BATCH_TAIL}\n').encode("utf-8")
 
 
 def error_document(code: str, detail: str) -> dict[str, Any]:

@@ -3,9 +3,12 @@
 A :class:`DatabaseSnapshot` is one immutable generation of the serving
 state: the loaded :class:`~repro.core.database.CoverageDatabase`, the
 :class:`~repro.core.estimator.FaultCoverageEstimator` built over it,
-and the snapshot's identity -- the :func:`repro.runner.atomic.
+the snapshot's identity -- the :func:`repro.runner.atomic.
 body_checksum` of its records, doubling as the HTTP ``ETag`` and as
-the database half of every response-cache key.
+the database half of every response-cache key -- and, per defect kind,
+the pre-rendered response text of its coverage table
+(:class:`~repro.service.schema.EstimateFragments`), built on the kind's
+first query and kept for the snapshot's lifetime.
 
 :class:`ServiceState` owns the *current* snapshot reference.  Hot
 reload is a load-validate-swap sequence: the candidate file goes
@@ -20,12 +23,13 @@ a reload lands mid-request.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.database import CoverageDatabase, DatabaseCorruptError
 from repro.core.estimator import FaultCoverageEstimator
 from repro.runner.atomic import body_checksum
+from repro.service.schema import EstimateFragments
 
 __all__ = ["DatabaseSnapshot", "ReloadResult", "ServiceState"]
 
@@ -48,6 +52,8 @@ class DatabaseSnapshot:
     estimator: FaultCoverageEstimator
     etag: str
     generation: int
+    _fragments: dict[str, EstimateFragments] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_database(cls, database: CoverageDatabase,
@@ -59,6 +65,19 @@ class DatabaseSnapshot:
             etag=body_checksum([asdict(r) for r in database.records]),
             generation=generation,
         )
+
+    def fragments(self, kind: str) -> EstimateFragments:
+        """``kind``'s response fragments, rendered on its first query.
+
+        Raises:
+            KeyError: the database holds no records for ``kind``
+                (:meth:`FaultCoverageEstimator.table`'s message).
+        """
+        fragments = self._fragments.get(kind)
+        if fragments is None:
+            fragments = self._fragments[kind] = EstimateFragments.build(
+                kind, self.estimator.table(kind))
+        return fragments
 
     @classmethod
     def load(cls, path: str | Path,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.circuit.waveform import Waveform, clock, piecewise_linear
+from repro.circuit.waveform import Waveform, piecewise_linear
 
 
 def ramp_wave():
@@ -37,19 +37,6 @@ class TestWaveformBasics:
 
 
 class TestStimuli:
-    def test_clock_periodicity(self):
-        f = clock(0.0, 1.0, period=10e-9, duty=0.5, t_edge=1e-12)
-        assert f(3e-9) == f(13e-9) == f(23e-9)
-
-    def test_clock_duty_cycle(self):
-        f = clock(0.0, 1.0, period=10e-9, duty=0.3, t_edge=1e-12)
-        assert f(2e-9) == 1.0
-        assert f(5e-9) == 0.0
-
-    def test_clock_validation(self):
-        with pytest.raises(ValueError):
-            clock(0.0, 1.0, period=1e-9, duty=1.5, t_edge=1e-12)
-
     def test_pwl(self):
         f = piecewise_linear([(0.0, 0.0), (1e-9, 1.0), (2e-9, 0.5)])
         assert f(0.5e-9) == pytest.approx(0.5)

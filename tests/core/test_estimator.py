@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.database import CoverageDatabase
 from repro.core.estimator import (
-    ConditionEstimate,
     EmptyReportError,
     EstimatorReport,
     FaultCoverageEstimator,
+    normalised_dpm,
 )
 from repro.core.flow import MemoryTestFlow
 from repro.core.records import CoverageRecord
@@ -141,9 +141,10 @@ class TestZeroDpmNormalisation:
         assert rep.by_condition("VLV").dpm_normalised == 1.0
         assert rep.by_condition("Vmax").dpm_normalised == float("inf")
 
-    def test_with_normalisation_zero_over_zero(self):
-        est = ConditionEstimate("VLV", {1e3: 1.0}, 1.0, dpm=0.0)
-        assert est.with_normalisation(0.0).dpm_normalised == 1.0
+    def test_normalised_dpm_zero_over_zero(self):
+        assert normalised_dpm(0.0, 0.0) == 1.0
+        assert normalised_dpm(5.0, 0.0) == float("inf")
+        assert normalised_dpm(5.0, 2.5) == 2.0
 
     def test_dpm_ratio_both_zero_is_one(self):
         db = CoverageDatabase([rec("bridge", 1e3, "VLV", 100),

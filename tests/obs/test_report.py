@@ -31,8 +31,6 @@ def synthetic_bus():
     bus.emit("batch.demote", kind="bridge", condition="VLV",
              site_index=7, reason="lying-model", stage="crosscheck")
     bus.emit("checkpoint.save", completed_units=3)
-    bus.emit("database.discard_corrupt_tmp", path="/db.json.tmp",
-             error="invalid/truncated JSON")
     bus.emit("run.done", executed_units=1, resumed_units=2,
              quarantined_sites=1)
     return bus
@@ -46,7 +44,7 @@ class TestBuildReport:
         assert report["version"] == 1
         assert report["meta"] == {"seed": 11}
         assert report["totals"] == {
-            "events": 15, "plan_units": 3, "executed_units": 1,
+            "events": 14, "plan_units": 3, "executed_units": 1,
             "resumed_units": 2, "quarantined_sites": 1}
         assert report["sources"] == {"checkpoint": 2, "executed": 1}
         assert report["conditions"]["VLV"] == {
@@ -56,8 +54,6 @@ class TestBuildReport:
         assert report["quarantines"][0]["site_index"] == 3
         assert report["batch"]["demotions"][0]["reason"] == "lying-model"
         assert report["checkpoints"] == {"saves": 1, "resumes": 1}
-        assert report["database"]["discarded_corrupt_tmp"][0][
-            "path"] == "/db.json.tmp"
         assert report["shmoo"] is None
 
     def test_empty_journal_reports_cleanly(self):
@@ -194,7 +190,6 @@ class TestRendering:
         assert "crosscheck" in text
         assert "bridge:2e3:VLV" in text
         assert "totals: plan=3 executed=1 resumed=2 quarantined=1" in text
-        assert "/db.json.tmp" in text
         assert "(none)" not in text.split("Quarantines:")[1].split(
             "\n\n")[0]
 
