@@ -332,11 +332,15 @@ python -m pytest -q tests/runner || status=$?
 echo "== pytest (tier 1) =="
 python -m pytest -x -q || status=$?
 
-echo "== golden digests without numpy's AVX-512 kernels =="
+echo "== golden digests and array-draw exactness without numpy's AVX-512 kernels =="
 # numpy's AVX-512 exp and power round differently from libm's; the
-# digests must not depend on which of them a host runs.
+# digests must not depend on which of them a host runs.  The array
+# draws take every strength from one array np.exp, the scalar oracles
+# one np.exp per defect: they must agree at either SIMD level.
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
     tests/core/test_estimator_tables.py tests/test_golden_artefacts.py \
-    tests/experiment/test_lot_golden.py || status=$?
+    tests/experiment/test_lot_golden.py \
+    tests/ifa/test_extraction.py::TestDrawTableOracle \
+    tests/experiment/test_population.py::TestGenerateOracle || status=$?
 
 exit "$status"

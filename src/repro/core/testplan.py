@@ -35,7 +35,7 @@ from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
 )
-from repro.defects.models import DefectArrays
+from repro.defects.models import DefectArrays, DefectKind
 from repro.ifa.extraction import IfaExtractor
 from repro.march.test import MarchTest
 from repro.memory.geometry import MemoryGeometry
@@ -60,6 +60,12 @@ class JointCoverageTable:
             :data:`PLAN_BRIDGE_FRACTION` of them bridges, resistances
             from the default distributions.
         seed: RNG seed.
+
+    Attributes:
+        population: The sampled defects, bridges then opens
+            (:class:`~repro.defects.models.DefectArrays`).
+        detection: ``detection[i, j]``: defect ``i`` caught by
+            condition ``condition_names[j]``.
     """
 
     def __init__(self, geometry: MemoryGeometry, tech: Technology,
@@ -77,23 +83,22 @@ class JointCoverageTable:
         rng = np.random.default_rng(seed)
 
         n_bridges = int(round(n_samples * PLAN_BRIDGE_FRACTION))
-        defects = extractor.sample_bridges(
-            max(n_bridges, 1), rng, resistance_sampler=bridge_dist.sample_one)
-        defects += extractor.sample_opens(
-            max(n_samples - n_bridges, 1), rng,
-            resistance_sampler=open_dist.sample_one)
-        self.defects = defects
+        self.population = DefectArrays.concatenate([
+            extractor.sample(max(n_bridges, 1), rng, DefectKind.BRIDGE,
+                             bridge_dist.sample_one),
+            extractor.sample(max(n_samples - n_bridges, 1), rng,
+                             DefectKind.OPEN, open_dist.sample_one)])
 
         # detection[i, j]: defect i caught by condition j -- one
         # elementwise kernel call per condition (fails_condition per
         # defect is the oracle it is tested against).
-        self.detection = np.zeros((len(defects), len(self.condition_names)),
-                                  dtype=bool)
-        arrays = DefectArrays.from_defects(defects)
+        population = self.population
+        self.detection = np.zeros(
+            (len(population), len(self.condition_names)), dtype=bool)
         for j, name in enumerate(self.condition_names):
             self.detection[:, j] = behavior.evaluate_elements(
-                arrays.codes, arrays.strengths, arrays.resistances,
-                self.conditions[name])
+                population.codes, population.strengths,
+                population.resistances, self.conditions[name])
 
     # ------------------------------------------------------------------
     def subset_coverage(self, names: tuple[str, ...] | list[str]) -> float:

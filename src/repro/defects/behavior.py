@@ -507,15 +507,16 @@ class DefectBehaviorModel:
     # ------------------------------------------------------------------
     # Vectorised evaluation: one kernel, two shapes
     # ------------------------------------------------------------------
-    def evaluate_batch(self, sites: Sequence[Defect],
+    def evaluate_batch(self, codes: np.ndarray, strengths: np.ndarray,
                        resistances: Sequence[float],
                        condition: StressCondition) -> np.ndarray:
         """Vectorised :meth:`fails_condition` over a site x R grid.
 
         Answers one whole (kind, condition) sweep group in a single
-        call: element ``[i, j]`` is exactly
-        ``fails_condition(sites[i].with_resistance(resistances[j]),
-        condition)``.  *Exactly* means bit-identical, not approximately
+        call: element ``[i, j]`` is exactly ``fails_condition(d_i,
+        condition)`` for the defect of site ``SITE_CODES[codes[i]]``,
+        strength ``strengths[i]`` and resistance ``resistances[j]``.
+        *Exactly* means bit-identical, not approximately
         equal: the per-class kernel (:meth:`_class_kernel`) replays the
         scalar arithmetic of :meth:`manifestation` with the same operand
         grouping and the same comparison operators, restricted to
@@ -527,38 +528,33 @@ class DefectBehaviorModel:
         identical :mod:`math` calls the scalar path makes.  This is the
         kernel's grid shape (strengths ``[:, None]`` against resistances
         ``[None, :]``); :meth:`evaluate_elements` is its elementwise
-        shape.  See ``docs/batch_kernel.md`` for the full contract.
+        shape.  Both group the sites by class with ``np.bincount``, one
+        kernel call per class present.  See ``docs/batch_kernel.md``
+        for the full contract.
 
         The grid evaluator (:class:`~repro.perf.batch.BatchEvaluator`)
         requires this kernel: it calls it once per (kind, condition)
-        group and cross-checks a seeded cell sample against
-        ``fails_condition``, so a lying implementation is demoted site
-        by site rather than believed.
+        group with the campaign's site population
+        (:class:`~repro.defects.models.DefectArrays`) and cross-checks
+        a seeded cell sample against ``fails_condition``, so a lying
+        implementation is demoted site by site rather than believed.
 
         Args:
-            sites: Site population (each defect's ``resistance`` field
-                is ignored; site class and ``strength`` matter).
+            codes: Site codes (indices into
+                :data:`~repro.defects.models.SITE_CODES`), 1-D.
+            strengths: Per-site strength factors, aligned with
+                ``codes``.
             resistances: Resistance grid of the sweep group (ohms).
             condition: The stress condition shared by the whole group.
 
         Returns:
-            Boolean array of shape ``(len(sites), len(resistances))``.
-
-        Raises:
-            ValueError: a site's class is unknown to the model (the
-                scalar path raises identically, per site).
+            Boolean array of shape ``(len(codes), len(resistances))``.
         """
         r = np.asarray(resistances, dtype=float)
-        out = np.zeros((len(sites), r.size), dtype=bool)
-        all_strengths = np.fromiter((d.strength for d in sites),
-                                    dtype=float, count=len(sites))
-        by_class: dict[Any, list[int]] = {}
-        for i, defect in enumerate(sites):
-            by_class.setdefault(defect.site, []).append(i)
-        for site_class, indices in by_class.items():
-            out[indices] = self._class_kernel(
-                site_class, all_strengths[indices][:, None], r[None, :],
-                condition)
+        out = np.zeros((codes.shape[0], r.size), dtype=bool)
+        for site, idx in _class_groups(codes):
+            out[idx] = self._class_kernel(site, strengths[idx][:, None],
+                                          r[None, :], condition)
         return out
 
     def evaluate_elements(self, codes: np.ndarray, strengths: np.ndarray,
@@ -587,12 +583,8 @@ class DefectBehaviorModel:
             Boolean array of shape ``codes.shape``.
         """
         out = np.zeros(codes.shape, dtype=bool)
-        # bincount, not np.unique: the latter imports numpy.ma (~2 MB
-        # of resident memory) on first use.
-        present = np.flatnonzero(np.bincount(codes, minlength=len(SITE_CODES)))
-        for code in present.tolist():
-            idx = np.flatnonzero(codes == code)
-            out[idx] = self._class_kernel(SITE_CODES[code], strengths[idx],
+        for site, idx in _class_groups(codes):
+            out[idx] = self._class_kernel(site, strengths[idx],
                                           resistances[idx], condition)
         return out
 
@@ -722,6 +714,16 @@ class DefectBehaviorModel:
             return path + added > period
 
         raise ValueError(f"unknown open site {site}")
+
+
+def _class_groups(codes: np.ndarray):
+    """``(site class, indices)`` of every class present in ``codes``,
+    in code order."""
+    # bincount, not np.unique: the latter imports numpy.ma (~2 MB of
+    # resident memory) on first use.
+    present = np.flatnonzero(np.bincount(codes, minlength=len(SITE_CODES)))
+    for code in present.tolist():
+        yield SITE_CODES[code], np.flatnonzero(codes == code)
 
 
 def _per_element(fn: Any, values: np.ndarray) -> np.ndarray:

@@ -298,6 +298,10 @@ class DefectArrays:
                       cell=int(self.cells[i]), weight=1.0,
                       polarity=int(self.polarities[i]))
 
+    def defects(self) -> list[Defect]:
+        """Materialise every element, in order."""
+        return [self.defect(i) for i in range(len(self))]
+
 
 def bridge(site: BridgeSite, resistance: float, **kwargs) -> Defect:
     """Convenience constructor for a bridge defect."""

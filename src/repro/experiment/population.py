@@ -22,9 +22,14 @@ from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
 )
-from repro.ifa.extraction import IfaExtractor
+from repro.defects.models import SITE_CODE, DefectKind
+from repro.ifa.extraction import DefectFill, IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
 from repro.experiment.veqtor import VeqtorChip
+
+#: Instances whose Poisson counts :meth:`PopulationGenerator.generate`
+#: draws in one call (about one defect-free run at the default density).
+POISSON_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,13 @@ class PopulationGenerator:
 
     # ------------------------------------------------------------------
     def iter_chips(self):
-        """Yield the lot one chip at a time, in legacy RNG order.
+        """Yield the lot one chip at a time, one scalar draw at a time.
 
-        The draw sequence (per-instance Poisson count, then per-defect
-        kind/site/resistance) is exactly :meth:`generate`'s, so a
-        streaming consumer sees the identical lot without holding it in
-        memory -- the equivalence oracle for the sharded engine's
-        ``scheme="legacy"`` path.
+        Per instance a Poisson count, then per defect its kind, site and
+        attributes (:meth:`_draw_defect`): the draw sequence
+        :meth:`generate` batches, so this is its oracle, and the
+        sharded engine's ``scheme="legacy"`` path streams the lot from
+        it without holding it in memory.
         """
         rng = np.random.default_rng(self.spec.seed)
         lam = self.spec.density.defects_per_chip(self.geometry.array_area_um2())
@@ -96,8 +101,55 @@ class PopulationGenerator:
         Defect count per instance ~ Poisson(area x D0); every defect is
         a bridge with probability ``bridge_fraction`` else an open, with
         site/strength from the extractor and R from the fab distribution.
+
+        The generator calls are :meth:`iter_chips`'s, in its order, so
+        the lot is ``==`` to ``list(iter_chips())``.  The Poisson counts
+        come in blocks of :data:`POISSON_BLOCK`: a block that holds a
+        non-zero count is redrawn from its saved generator state up to
+        that count (``poisson(lam, size=k)`` consumes the stream as
+        ``k`` scalar calls do), and that instance's defects follow.
+        Every defect is drawn into one
+        :class:`~repro.ifa.extraction.DefectFill`, and only the drawn
+        defects are materialised as :class:`~repro.defects.models.Defect`.
         """
-        return list(self.iter_chips())
+        rng = np.random.default_rng(self.spec.seed)
+        lam = self.spec.density.defects_per_chip(self.geometry.array_area_um2())
+        bit_generator = rng.bit_generator
+        n_instances = self.spec.n_devices * VeqtorChip.N_INSTANCES
+        fill = DefectFill(self.geometry.bits)
+        owners: list[int] = []
+        instance = 0
+        while instance < n_instances:
+            state = bit_generator.state
+            counts = rng.poisson(lam, min(POISSON_BLOCK,
+                                          n_instances - instance))
+            hits = np.flatnonzero(counts)
+            if hits.size == 0:
+                instance += counts.size
+                continue
+            k = int(hits[0])
+            bit_generator.state = state
+            rng.poisson(lam, k + 1)
+            instance += k
+            for _ in range(int(counts[k])):
+                owners.append(instance)
+                self._fill_defect(fill, rng)
+            instance += 1
+        chips = [VeqtorChip(chip_id) for chip_id in range(self.spec.n_devices)]
+        for owner, defect in zip(owners, fill.arrays().defects()):
+            chip, slot = divmod(owner, VeqtorChip.N_INSTANCES)
+            chips[chip].defects[slot].append(defect)
+        return chips
+
+    def _fill_defect(self, fill: DefectFill, rng: np.random.Generator) -> None:
+        """Draw one defect into ``fill``, as :meth:`_draw_defect` does."""
+        if rng.random() < self.spec.density.bridge_fraction:
+            kind, sampler = DefectKind.BRIDGE, self.bridge_distribution
+        else:
+            kind, sampler = DefectKind.OPEN, self.open_distribution
+        table = self.extractor.draw_table(kind)
+        fill.draw((SITE_CODE[table.sites[table.choice.draw_one(rng)]],), rng,
+                  sampler.sample_one)
 
     def _draw_defect(self, rng: np.random.Generator):
         if rng.random() < self.spec.density.bridge_fraction:

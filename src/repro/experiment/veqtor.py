@@ -36,7 +36,8 @@ class VeqtorChip:
     """
 
     chip_id: int
-    defects: list[list[Defect]] = field(default_factory=lambda: [[] for _ in range(4)])
+    defects: list[list[Defect]] = field(
+        default_factory=lambda: [[], [], [], []])
 
     N_INSTANCES = 4
 
@@ -53,7 +54,7 @@ class VeqtorChip:
 
     @property
     def is_defective(self) -> bool:
-        return bool(self.all_defects)
+        return any(self.defects)
 
     def add_defect(self, instance: int, defect: Defect) -> None:
         if not 0 <= instance < self.N_INSTANCES:

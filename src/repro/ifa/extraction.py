@@ -14,8 +14,10 @@ DESIGN.md, "Calibration targets").  ``calibrated=False`` exposes the raw
 geometry for ablation.
 
 Defects are drawn from per-kind tables cached on the extractor
-(:meth:`IfaExtractor.draw_table`), in the draw order of the per-defect
-``choice(p=...)`` oracle, :func:`sample_defects_reference`.  The
+(:meth:`IfaExtractor.draw_table`) into :class:`DefectFill` column
+buffers, in the draw order of the per-defect ``choice(p=...)`` oracle,
+:func:`sample_defects_reference`; a :class:`Defect` is built only when
+a caller materialises one.  The
 layout generator and the critical-area scan are imported only when a
 caller asks for the layout or the extracted classes, so a calibrated
 lot never loads them.
@@ -25,6 +27,7 @@ Exact-path equivalence: tests/ifa/test_extraction.py
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +36,7 @@ import numpy as np
 from repro.defects.distribution import ChoiceTable
 from repro.defects.models import (
     SITE_CODE,
+    SITE_CODES,
     BridgeSite,
     Defect,
     DefectArrays,
@@ -282,23 +286,38 @@ class IfaExtractor:
         return table
 
     # ------------------------------------------------------------------
-    def sample_bridges(self, n: int, rng: np.random.Generator,
-                       resistance_sampler=None) -> list[Defect]:
-        """Draw a population of bridge defects.
+    def sample(self, n: int, rng: np.random.Generator, kind: DefectKind,
+               resistance_sampler=None) -> DefectArrays:
+        """Draw a population of ``n`` defects of ``kind`` as arrays.
 
         Site class follows the extracted mix; each defect gets a
         per-site strength from the class's lognormal spread, a victim
         cell, a polarity and (optionally) a resistance from
         ``resistance_sampler(rng)``; resistance defaults to 1 kOhm so R
-        sweeps can override it.  The draw sequence is that of
-        :func:`sample_defects_reference`.
+        sweeps can override it.  The site picks come first, then each
+        defect's draws (:class:`DefectFill`): the draw sequence of
+        :func:`sample_defects_reference`, which returns ``==`` defects
+        from the same generator state.
         """
-        return self._sample(n, rng, DefectKind.BRIDGE, resistance_sampler)
+        if n <= 0:
+            raise ValueError("n must be positive")
+        table = self.draw_table(kind)
+        fill = DefectFill(self.geometry.bits)
+        fill.draw(table.codes[table.choice.draw(rng, n)].tolist(), rng,
+                  resistance_sampler)
+        return fill.arrays()
+
+    def sample_bridges(self, n: int, rng: np.random.Generator,
+                       resistance_sampler=None) -> list[Defect]:
+        """:meth:`sample` of bridges, materialised as a defect list."""
+        return self.sample(n, rng, DefectKind.BRIDGE,
+                           resistance_sampler).defects()
 
     def sample_opens(self, n: int, rng: np.random.Generator,
                      resistance_sampler=None) -> list[Defect]:
-        """Draw a population of open defects (see :meth:`sample_bridges`)."""
-        return self._sample(n, rng, DefectKind.OPEN, resistance_sampler)
+        """:meth:`sample` of opens, materialised as a defect list."""
+        return self.sample(n, rng, DefectKind.OPEN,
+                           resistance_sampler).defects()
 
     def sample_batch(self, n: int, rng: np.random.Generator,
                      kind: DefectKind,
@@ -346,42 +365,81 @@ class IfaExtractor:
                             cells.astype(np.int64, copy=False),
                             polarities.astype(np.int64, copy=False))
 
-    def _sample(self, n: int, rng: np.random.Generator, kind: DefectKind,
-                resistance_sampler) -> list[Defect]:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        table = self.draw_table(kind)
-        return self._defects(table.sites, table.choice.draw(rng, n).tolist(),
-                             rng, kind, resistance_sampler)
 
-    def _defects(self, sites, picks, rng: np.random.Generator,
-                 kind: DefectKind, resistance_sampler) -> list[Defect]:
-        """One defect per pick, each drawing its strength, cell,
-        polarity and resistance from ``rng`` in that order."""
-        out: list[Defect] = []
-        for i in picks:
-            site = sites[int(i)]
-            sigma = STRENGTH_SIGMA[site]
-            strength = float(np.exp(rng.normal(0.0, sigma)))
-            cell = int(rng.integers(0, self.geometry.bits))
-            polarity = -1 if rng.random() < 0.5 else 1
-            resistance = (float(resistance_sampler(rng))
-                          if resistance_sampler is not None else 1e3)
-            out.append(Defect(kind, site, resistance, strength=strength,
-                              cell=cell, weight=1.0, polarity=polarity))
-        return out
+#: ``STRENGTH_SIGMA`` by site code (:data:`~repro.defects.models.SITE_CODES`).
+_CODE_SIGMAS = np.array([STRENGTH_SIGMA[site] for site in SITE_CODES])
+
+
+class DefectFill:
+    """Column buffers of defects drawn one at a time.
+
+    :meth:`draw` makes, for one defect, the generator calls the
+    per-defect oracle (:func:`sample_defects_reference`) makes, in its
+    order: ``standard_normal()`` for the strength, ``integers(0,
+    bits)`` for the cell, ``random()`` for the polarity, then the
+    optional resistance.  :meth:`arrays` builds the population once:
+    ``sigma * z`` is bitwise the oracle's ``normal(0, sigma)``, and one
+    array ``np.exp`` gives every strength (the same doubles as the
+    oracle's per-element ``np.exp``).
+
+    Args:
+        bits: Cell count of the memory; cells are drawn in ``[0, bits)``.
+    """
+
+    __slots__ = ("_bits", "_codes", "_normals", "_cells", "_polarities",
+                 "_resistances")
+
+    def __init__(self, bits: int) -> None:
+        self._bits = bits
+        self._codes: list[int] = []
+        self._normals: list[float] = []
+        self._cells: list[int] = []
+        self._polarities: list[int] = []
+        self._resistances: list[float] = []
+
+    def draw(self, codes: Iterable[int], rng: np.random.Generator,
+             resistance_sampler) -> None:
+        """Draw one defect per site code of ``codes``, in order.
+
+        Args:
+            codes: The defects' site codes (already drawn).
+            rng: Source generator.
+            resistance_sampler: ``rng -> ohms``, or ``None`` for 1 kOhm.
+        """
+        normal, integers, uniform = rng.standard_normal, rng.integers, rng.random
+        bits = self._bits
+        for code in codes:
+            self._codes.append(code)
+            self._normals.append(normal())
+            self._cells.append(int(integers(0, bits)))
+            self._polarities.append(-1 if uniform() < 0.5 else 1)
+            self._resistances.append(
+                float(resistance_sampler(rng))
+                if resistance_sampler is not None else 1e3)
+
+    def arrays(self) -> DefectArrays:
+        """The drawn defects, in draw order, checked once."""
+        codes = np.array(self._codes, dtype=np.intp)
+        return DefectArrays(
+            codes, np.exp(_CODE_SIGMAS[codes] * np.array(self._normals)),
+            np.array(self._resistances, dtype=float),
+            np.array(self._cells, dtype=np.int64),
+            np.array(self._polarities, dtype=np.int64))
 
 
 def sample_defects_reference(extractor: IfaExtractor, n: int,
                              rng: np.random.Generator, kind: DefectKind,
                              resistance_sampler=None) -> list[Defect]:
-    """The per-call ``choice(p=...)`` site draw -- the oracle of
-    :meth:`IfaExtractor.sample_bridges` / :meth:`~IfaExtractor.sample_opens`.
+    """The per-call ``choice(p=...)`` site draw and per-defect scalar
+    draws -- the oracle of :meth:`IfaExtractor.sample` and of
+    :class:`DefectFill`.
 
     The scanned site classes' weights are renormalised and passed to
-    ``rng.choice`` on every call.  The samplers must return ``==``
-    defect lists from the same generator state; no production path
-    calls this.
+    ``rng.choice`` on every call; each defect then draws its strength
+    (``np.exp(rng.normal(0, sigma))``), cell, polarity and resistance,
+    in that order, and is built as a :class:`Defect`.  The samplers
+    must return ``==`` defects from the same generator state; no
+    production path calls this.
     """
     classes = (extractor.bridge_site_classes() if kind is DefectKind.BRIDGE
                else extractor.open_site_classes())
@@ -390,5 +448,14 @@ def sample_defects_reference(extractor: IfaExtractor, n: int,
     sites = [c.site for c in classes]
     probs = np.array([c.weight for c in classes], dtype=float)
     probs = probs / probs.sum()
-    picks = rng.choice(len(sites), size=n, p=probs)
-    return extractor._defects(sites, picks, rng, kind, resistance_sampler)
+    out: list[Defect] = []
+    for i in rng.choice(len(sites), size=n, p=probs):
+        site = sites[int(i)]
+        strength = float(np.exp(rng.normal(0.0, STRENGTH_SIGMA[site])))
+        cell = int(rng.integers(0, extractor.geometry.bits))
+        polarity = -1 if rng.random() < 0.5 else 1
+        resistance = (float(resistance_sampler(rng))
+                      if resistance_sampler is not None else 1e3)
+        out.append(Defect(kind, site, resistance, strength=strength,
+                          cell=cell, weight=1.0, polarity=polarity))
+    return out

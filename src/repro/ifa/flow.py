@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.circuit.technology import Technology
 from repro.defects.behavior import DefectBehaviorModel
-from repro.defects.models import Defect, DefectKind
+from repro.defects.models import DefectArrays, DefectKind
 from repro.ifa.extraction import IfaExtractor
 from repro.memory.geometry import MemoryGeometry
 from repro.stress import StressCondition
@@ -60,30 +60,30 @@ class IfaCampaign:
         self.n_sites = n_sites
         self.seed = seed
         self.injector: Any = None
-        self._bridge_pop: list[Defect] | None = None
-        self._open_pop: list[Defect] | None = None
+        self._populations: dict[DefectKind, DefectArrays] = {}
 
     # ------------------------------------------------------------------
-    def bridge_population(self) -> list[Defect]:
-        """The sampled bridge-site population (R placeholder = 1 kOhm).
+    def population(self, kind: DefectKind) -> DefectArrays:
+        """The sampled site population of ``kind`` (R placeholder = 1 kOhm).
 
-        Sampling is deterministic given the seed, so the population is
-        memoised after the first call (critical-area extraction and
-        sampling dominate short campaigns otherwise); callers get a
-        fresh list each time, the Defect instances are frozen.
+        Bridges draw from ``default_rng(seed)``, opens from
+        ``default_rng(seed + 1)``.  Sampling is deterministic given the
+        seed, so the population is memoised after the first call; its
+        arrays are read-only.  A :class:`~repro.defects.models.Defect`
+        is materialised only where one is evaluated alone
+        (:meth:`~repro.defects.models.DefectArrays.defect`).
         """
-        if self._bridge_pop is None:
-            rng = np.random.default_rng(self.seed)
-            self._bridge_pop = self.extractor.sample_bridges(
-                self.n_sites, rng)
-        return list(self._bridge_pop)
-
-    def open_population(self) -> list[Defect]:
-        if self._open_pop is None:
-            rng = np.random.default_rng(self.seed + 1)
-            self._open_pop = self.extractor.sample_opens(
-                self.n_sites, rng)
-        return list(self._open_pop)
+        arrays = self._populations.get(kind)
+        if arrays is None:
+            seed = self.seed if kind is DefectKind.BRIDGE else self.seed + 1
+            arrays = self.extractor.sample(
+                self.n_sites, np.random.default_rng(seed), kind)
+            for array in (arrays.codes, arrays.strengths,
+                          arrays.resistances, arrays.cells,
+                          arrays.polarities):
+                array.flags.writeable = False
+            self._populations[kind] = arrays
+        return arrays
 
     # ------------------------------------------------------------------
     def run(self, resistances: Sequence[float],

@@ -46,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.defects.models import Defect, DefectKind
+from repro.defects.models import DefectArrays, DefectKind
 from repro.runner.evaluate import UnitEvaluator
 from repro.runner.outcome import UnitOutcome
 from repro.runner.units import WorkUnit
@@ -193,12 +193,12 @@ class BatchEvaluator:
         table = self._groups.get(gkey)
         if table is None:
             grid = self._grids[gkey]
-            population = self.exact.population(kind)
+            population = self.campaign.population(kind)
             self.stats.groups += 1
             self.stats.sites += len(population)
             self.stats.batch_sites += len(population)
             matrix = self.campaign.behavior.evaluate_batch(
-                population, list(grid), condition)
+                population.codes, population.strengths, grid, condition)
             demoted = self._crosscheck(kind, condition, grid, population,
                                        matrix)
             trusted = np.ones(len(population), dtype=bool)
@@ -210,7 +210,7 @@ class BatchEvaluator:
         return table
 
     def _crosscheck(self, kind: DefectKind, condition: Any,
-                    grid: Sequence[float], population: Sequence[Defect],
+                    grid: Sequence[float], population: DefectArrays,
                     matrix: np.ndarray) -> list[int]:
         """Re-evaluate a seeded cell sample exactly; return the liars.
 
@@ -234,7 +234,7 @@ class BatchEvaluator:
             site_index, j = divmod(cell, len(grid))
             if site_index in demoted:
                 continue
-            defect = population[site_index].with_resistance(grid[j])
+            defect = population.defect(site_index).with_resistance(grid[j])
             self.stats.crosscheck_invocations += 1
             self.stats.model_invocations += 1
             detected = behavior.fails_condition(defect, condition)

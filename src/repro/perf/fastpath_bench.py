@@ -22,13 +22,16 @@ on every run before any number is reported:
   scan :func:`~repro.ifa.critical_area.find_adjacent_pairs_exhaustive`,
   whose pair lists must be equal, order included;
 * **draw** -- the test plan's 3000-defect Monte-Carlo draw (sites,
-  strengths, cells, polarities, fab resistances): the cached site and
-  resistance CDFs of :meth:`~repro.ifa.extraction.IfaExtractor.draw_table`
-  and :meth:`~repro.defects.distribution.ResistanceDistribution.sample_one`
+  strengths, cells, polarities, fab resistances): the array fill of
+  :meth:`~repro.ifa.extraction.IfaExtractor.sample` from the cached
+  site and resistance CDFs
+  (:meth:`~repro.ifa.extraction.IfaExtractor.draw_table`,
+  :meth:`~repro.defects.distribution.ResistanceDistribution.sample_one`)
   vs the per-defect ``choice(p=...)`` oracles
   (:func:`~repro.ifa.extraction.sample_defects_reference`,
   :func:`~repro.defects.sampling.sample_resistances_reference`),
-  whose defect lists must be equal.
+  which build one :class:`~repro.defects.models.Defect` per draw; the
+  fill, materialised, must equal the oracle's defect list.
 
 The floors (``repro.perf.bench.FLOORS``) are the ones the fast paths
 exist for: at least 5x fewer behaviour-model invocations on the Table-1
@@ -54,7 +57,7 @@ from repro.defects.distribution import (
     default_bridge_distribution,
     default_open_distribution,
 )
-from repro.defects.models import BridgeSite, Defect, DefectKind
+from repro.defects.models import BridgeSite, Defect, DefectArrays, DefectKind
 from repro.defects.sampling import sample_resistances_reference
 from repro.ifa.critical_area import (
     find_adjacent_pairs,
@@ -151,7 +154,7 @@ def _bench_campaign(config: FastpathBenchConfig) -> dict[str, Any]:
     records: dict[str, str] = {}
     for row in ("exact", "batch"):
         campaign = _counted_campaign(config)
-        campaign.bridge_population()  # warm extraction outside the clock
+        campaign.population(DefectKind.BRIDGE)  # warm outside the clock
         plan = CampaignRunner(campaign).plan(_campaign_specs())
         evaluator = (UnitEvaluator(campaign) if row == "exact"
                      else BatchEvaluator(campaign, plan))
@@ -270,25 +273,28 @@ DRAW_DEFECTS = 3000
 
 
 def _bench_draw(config: FastpathBenchConfig) -> dict[str, Any]:
-    """Time the test-plan defect draw, draw tables vs the oracle.
+    """Time the test-plan defect draw, array fill vs the oracle.
 
     Both sides draw on one calibrated Veqtor4 extractor, seeded with
     ``config.seed``; the first equality check builds the draw tables
     and the oracle's scanned site classes, so the clock sees only the
-    per-defect draws.  The size is the same at every configuration:
-    the draw is ~0.1 s on the oracle side.
+    per-defect draws.  The ``tables`` row draws
+    :class:`~repro.defects.models.DefectArrays`, as
+    :class:`~repro.core.testplan.JointCoverageTable` does, and builds
+    no :class:`~repro.defects.models.Defect`.  The size is the same at
+    every configuration: the draw is ~0.1 s on the oracle side.
     """
     extractor = IfaExtractor(VEQTOR4_INSTANCE)
     bridge_dist = default_bridge_distribution()
     open_dist = default_open_distribution()
     n_bridges = round(DRAW_DEFECTS * 0.8)
 
-    def tables(rng: np.random.Generator) -> list[Defect]:
-        return (extractor.sample_bridges(
-                    n_bridges, rng, resistance_sampler=bridge_dist.sample_one)
-                + extractor.sample_opens(
-                    DRAW_DEFECTS - n_bridges, rng,
-                    resistance_sampler=open_dist.sample_one))
+    def tables(rng: np.random.Generator) -> DefectArrays:
+        return DefectArrays.concatenate([
+            extractor.sample(n_bridges, rng, DefectKind.BRIDGE,
+                             bridge_dist.sample_one),
+            extractor.sample(DRAW_DEFECTS - n_bridges, rng, DefectKind.OPEN,
+                             open_dist.sample_one)])
 
     def oracle(rng: np.random.Generator) -> list[Defect]:
         return (sample_defects_reference(
@@ -302,7 +308,7 @@ def _bench_draw(config: FastpathBenchConfig) -> dict[str, Any]:
     def seeded() -> np.random.Generator:
         return np.random.default_rng(config.seed)
 
-    if tables(seeded()) != oracle(seeded()):
+    if tables(seeded()).defects() != oracle(seeded()):
         raise RuntimeError(
             "draw-table defects diverged from the choice(p=...) oracle -- "
             "the equivalence contract is broken")

@@ -51,9 +51,11 @@ class UnitEvaluator:
     """Evaluate work units against one campaign's population and model.
 
     Stateless with respect to unit results (each call is independent);
-    stateful only in its derived caches: the per-kind site population
-    and the current (kind, R) resistance-variant list, both regenerated
-    deterministically from the campaign seed.  One evaluator lives in
+    stateful only in its derived cache: the current (kind, R)
+    resistance-variant list, materialised from the campaign's site
+    population (:meth:`~repro.ifa.flow.IfaCampaign.population`), which
+    regenerates deterministically from the campaign seed; a site
+    evaluated alone is materialised by itself.  One evaluator lives in
     the grid evaluator (:mod:`repro.perf.batch`), which hands it the
     sites its batch table cannot answer (and, under chaos, every site
     with the kernel's answers); tests build one directly as the
@@ -78,30 +80,21 @@ class UnitEvaluator:
         self.max_attempts = max_attempts
         self.unit_deadline = unit_deadline
         self.clock = clock
-        self._populations: dict[DefectKind, list[Defect]] = {}
         self._variants_key: tuple[DefectKind, float] | None = None
         self._variants: list[Defect] = []
 
     # ------------------------------------------------------------------
-    def population(self, kind: DefectKind) -> list[Defect]:
-        """The campaign's (cached) site population for one defect kind."""
-        if kind not in self._populations:
-            self._populations[kind] = (
-                self.campaign.bridge_population()
-                if kind is DefectKind.BRIDGE
-                else self.campaign.open_population())
-        return self._populations[kind]
-
     def variants_for(self, unit: WorkUnit) -> list[Defect]:
-        """The population re-resistanced to the unit's sweep point.
+        """The population materialised at the unit's sweep point.
 
         A single-slot cache keyed on (kind, R): plan order is
         resistance-major, so consecutive units reuse the variant list.
         """
         key = (unit.kind, unit.resistance)
         if key != self._variants_key:
+            population = self.campaign.population(unit.kind)
             self._variants = [d.with_resistance(unit.resistance)
-                              for d in self.population(unit.kind)]
+                              for d in population.defects()]
             self._variants_key = key
         return self._variants
 
@@ -134,14 +127,14 @@ class UnitEvaluator:
         Raises:
             UnitDeadlineExceeded: the unit overran ``unit_deadline``.
         """
-        population = self.population(unit.kind)
+        population = self.campaign.population(unit.kind)
         variants = (self.variants_for(unit)
                     if sites is None and known is None else None)
 
         def defect_at(i: int) -> Defect:
             if variants is not None:
                 return variants[i]
-            return population[i].with_resistance(unit.resistance)
+            return population.defect(i).with_resistance(unit.resistance)
 
         if sites is None:
             sites = range(len(population))

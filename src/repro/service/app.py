@@ -200,16 +200,24 @@ class EstimatorService:
             self.metrics.inc("service.cache_miss")
         try:
             results = []
-            for query in request.queries:
+            for index, query in enumerate(request.queries):
                 try:
                     fragments = snapshot.fragments(query.kind)
                 except KeyError as exc:
                     raise RequestError(
                         "unknown-kind", str(exc.args[0]),
                         status=404) from exc
-                results.append(fragments.render(
-                    query, snapshot.estimator.yield_for(
-                        query.geometry, query.yield_fraction)))
+                try:
+                    yield_fraction = snapshot.estimator.yield_for(
+                        query.geometry, query.yield_fraction)
+                except ValueError as exc:
+                    # A valid but huge geometry whose Poisson yield
+                    # underflows to 0.0.
+                    raise RequestError(
+                        "bad-yield",
+                        f"queries[{index}]: the geometry's Poisson {exc}; "
+                        "give a 'yield_fraction' in (0, 1]") from exc
+                results.append(fragments.render(query, yield_fraction))
         except RequestError as exc:
             return self._request_error(exc), len(request.queries), False
         rendered = render_batch(snapshot.etag, results)

@@ -53,7 +53,7 @@ class TestJointTable:
             production_conditions(CMOS018), n_samples=600, seed=seed)
         oracle = np.array([[model.fails_condition(defect, cond)
                             for cond in table.conditions.values()]
-                           for defect in table.defects])
+                           for defect in table.population.defects()])
         assert counted.calls == 0
         assert np.array_equal(table.detection, oracle)
         assert table.detection.any()

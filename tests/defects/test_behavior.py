@@ -373,7 +373,9 @@ class TestElementwiseKernel:
                         else DefectKind.OPEN, s, 1e3, strength=k)
                  for s in SITE_CODES for k in (0.5, 1.0, 2.0)]
         grid = [10.0 ** e for e in np.linspace(1.0, 8.0, 29).tolist()]
-        matrix = model.evaluate_batch(sites, grid, cond)
+        matrix = model.evaluate_batch(
+            np.array([SITE_CODE[d.site] for d in sites], dtype=np.intp),
+            np.array([d.strength for d in sites]), grid, cond)
         codes = np.repeat([SITE_CODE[d.site] for d in sites], len(grid))
         ks = np.repeat([d.strength for d in sites], len(grid))
         rs = np.tile(grid, len(sites))

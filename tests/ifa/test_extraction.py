@@ -200,6 +200,25 @@ class TestDrawTableOracle:
             extractor, n, oracle, kind, resistance_sampler=oracle_sampler)
         assert rng.random() == oracle.random()
 
+    @pytest.mark.parametrize("seed", [1, 7, 2005])
+    @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
+    @pytest.mark.parametrize("with_resistance", [True, False])
+    def test_array_fill_equals_oracle(self, veqtor4_extractors, seed, kind,
+                                      with_resistance):
+        """The array fill, one ``np.exp`` over every strength, is the
+        scalar oracle's population, and leaves the generator in the
+        oracle's state (the 32-bit buffer of ``integers`` included)."""
+        extractor = veqtor4_extractors[True]
+        dist = (default_bridge_distribution() if kind is DefectKind.BRIDGE
+                else default_open_distribution())
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        arrays = extractor.sample(
+            20000, rng, kind, dist.sample_one if with_resistance else None)
+        assert arrays.defects() == sample_defects_reference(
+            extractor, 20000, oracle, kind,
+            dist.sample_one if with_resistance else None)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
     def test_calibrated_draws_do_not_scan_the_layout(self, monkeypatch):
         calls = []
         scan, build = critical_area.find_adjacent_pairs, ifa_layout.SramLayout

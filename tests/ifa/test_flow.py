@@ -46,9 +46,11 @@ class TestCampaignMechanics:
         assert all(r.total == 3000 for r in bridge_records)
 
     def test_population_stable_across_sweep(self, campaign):
-        pop1 = campaign.bridge_population()
-        pop2 = campaign.bridge_population()
-        assert pop1 == pop2
+        pop1 = campaign.population(DefectKind.BRIDGE)
+        assert campaign.population(DefectKind.BRIDGE) is pop1
+        assert not any(array.flags.writeable for array in (
+            pop1.codes, pop1.strengths, pop1.resistances, pop1.cells,
+            pop1.polarities))
 
     def test_coverage_record_math(self):
         rec = CoverageRecord("bridge", 1e3, "VLV", 1.0, 1e-7, 95, 100)

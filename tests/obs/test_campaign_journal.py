@@ -213,9 +213,9 @@ class LyingBatchModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-    def evaluate_batch(self, sites, resistances, condition):
+    def evaluate_batch(self, codes, strengths, resistances, condition):
         return ~np.asarray(self._inner.evaluate_batch(
-            sites, resistances, condition))
+            codes, strengths, resistances, condition))
 
 
 class TestBatchEvents:

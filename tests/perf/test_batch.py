@@ -18,8 +18,10 @@ import pytest
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
-from repro.defects.models import DefectKind
+from repro.core.flow import MemoryTestFlow
+from repro.defects.models import SITE_CODES, Defect, DefectKind, OpenSite
 from repro.ifa.flow import TABLE1_RESISTANCES
+from repro.memory.geometry import VEQTOR4_INSTANCE
 from repro.perf import batch
 from repro.perf.batch import BatchEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
@@ -59,8 +61,8 @@ class LyingBatchModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-    def evaluate_batch(self, sites, resistances, condition):
-        return np.ones((len(sites), len(resistances)), dtype=bool)
+    def evaluate_batch(self, codes, strengths, resistances, condition):
+        return np.ones((len(codes), len(resistances)), dtype=bool)
 
 
 class NoKernelModel:
@@ -76,10 +78,11 @@ class NoKernelModel:
 class KernelFailsOnOpens(NoKernelModel):
     """An honest kernel for bridges that raises on the opens group."""
 
-    def evaluate_batch(self, sites, resistances, condition):
-        if sites and sites[0].kind is DefectKind.OPEN:
+    def evaluate_batch(self, codes, strengths, resistances, condition):
+        if isinstance(SITE_CODES[codes[0]], OpenSite):
             raise RuntimeError("kernel bug")
-        return self._inner.evaluate_batch(sites, resistances, condition)
+        return self._inner.evaluate_batch(codes, strengths, resistances,
+                                          condition)
 
 
 class TestBatchHookOracle:
@@ -89,14 +92,13 @@ class TestBatchHookOracle:
     def test_matches_exact_model_everywhere(self, counting_campaign, kind):
         campaign = counting_campaign(n_sites=30)
         model = DefectBehaviorModel(CMOS018)
-        population = (campaign.bridge_population()
-                      if kind is DefectKind.BRIDGE
-                      else campaign.open_population())
+        population = campaign.population(kind)
         grid = [float(r) for r in np.logspace(1, 7.5, 12)]
         for cond in all_conditions():
-            matrix = model.evaluate_batch(population, grid, cond)
+            matrix = model.evaluate_batch(population.codes,
+                                          population.strengths, grid, cond)
             assert matrix.shape == (len(population), len(grid))
-            for i, site in enumerate(population):
+            for i, site in enumerate(population.defects()):
                 for j, r in enumerate(grid):
                     exact = model.fails_condition(
                         site.with_resistance(r), cond)
@@ -133,6 +135,32 @@ class TestEquivalence:
         assert records_bytes(exact.records) == records_bytes(batch.records)
         assert exact_campaign.behavior.calls >= (
             5 * batch_campaign.behavior.calls)
+
+
+class TestMaterialisation:
+    """The grid path builds a ``Defect`` only where one is evaluated
+    alone: twice per cross-check cell (the site, then its variant at
+    the cell's resistance), none for the population."""
+
+    def test_report_campaign_builds_defects_only_for_the_crosscheck(
+            self, monkeypatch):
+        built = []
+        check = Defect.__post_init__
+
+        def counted(defect):
+            built.append(defect)
+            check(defect)
+
+        monkeypatch.setattr(Defect, "__post_init__", counted)
+        result = MemoryTestFlow(VEQTOR4_INSTANCE, n_sites=4000).run()
+        stats = result.campaign.batch_stats
+        assert len(built) <= 2 * stats["crosscheck_invocations"]
+        # The Table 1 campaign of the report, as before arrays.
+        assert stats == {
+            "groups": 10, "sites": 40000, "batch_sites": 40000,
+            "demoted_sites": 0, "model_invocations": 3200,
+            "crosscheck_invocations": 3200, "crosscheck_mismatches": 0,
+            "demotions": []}
 
 
 class TestFallbacks:

@@ -55,8 +55,8 @@ class LyingBatchModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-    def evaluate_batch(self, sites, resistances, condition):
-        return np.ones((len(sites), len(resistances)), dtype=bool)
+    def evaluate_batch(self, codes, strengths, resistances, condition):
+        return np.ones((len(codes), len(resistances)), dtype=bool)
 
 
 class TestEquivalence:

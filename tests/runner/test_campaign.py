@@ -70,7 +70,7 @@ class TestPlainRun:
         """The runner reproduces the historical monolithic loop."""
         campaign = make_campaign()
         result = CampaignRunner(campaign).run([bridge_spec()])
-        population = campaign.bridge_population()
+        population = campaign.population(DefectKind.BRIDGE).defects()
         spec = bridge_spec()
         expected = []
         for r in spec.resistances:

@@ -117,6 +117,31 @@ class TestEstimate:
                 == "unknown-condition")
         assert len(service.cache) == 0
 
+    def test_underflowing_yield_is_named_400_and_journalled(self, service):
+        # Valid, but the Poisson yield of 6.4e16 bits underflows to 0.0.
+        huge = {"geometry": {"rows": 10**9, "columns": 10**6,
+                             "bits_per_word": 64}}
+        small = {"geometry": {"rows": 8, "columns": 2, "bits_per_word": 4}}
+        response = service.dispatch(
+            "POST", "/v1/estimate",
+            json.dumps({"queries": [small, huge]}).encode())
+        assert response.status == 400
+        error = json.loads(response.body)["error"]
+        assert error["code"] == "bad-yield"
+        assert error["detail"].startswith("queries[1]: ")
+        assert "got 0.0" in error["detail"]
+        assert len(service.cache) == 0
+        (event,) = [e for e in service.bus.events
+                    if e.name == "service.request"]
+        assert event.data == {"method": "POST", "path": "/v1/estimate",
+                              "status": 400, "queries": 2,
+                              "cached": False}
+        # An explicit yield answers the same geometry.
+        huge["yield_fraction"] = 0.5
+        response = service.dispatch(
+            "POST", "/v1/estimate", json.dumps({"queries": [huge]}).encode())
+        assert response.status == 200
+
     def test_errors_are_not_cached(self, service):
         service.dispatch("POST", "/v1/estimate", b"{nope")
         response = service.dispatch("POST", "/v1/estimate", b"{nope")

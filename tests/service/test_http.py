@@ -155,6 +155,27 @@ class TestHttpFraming:
         assert json.loads(payload)["error"]["code"] == "bad-request"
         assert extra == b""
 
+    def test_underflowing_yield_is_400_and_journalled(self, tmp_path):
+        service, _ = make_service(tmp_path)
+        service.bus = EventBus()
+        body = json.dumps({"queries": [{"geometry": {
+            "rows": 10**9, "columns": 10**6,
+            "bits_per_word": 64}}]}).encode()
+
+        async def scenario(port):
+            return [await request(port, "POST", "/v1/estimate", b)
+                    for b in (body, ESTIMATE_BODY)]
+
+        (status, _, payload), (ok, _, estimate) = asyncio.run(
+            with_server(service, scenario))
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad-yield"
+        # The server keeps answering, byte for byte as before.
+        assert ok == 200
+        assert estimate == expected_estimate_body(service.state.snapshot)
+        assert [e.data["status"] for e in service.bus.events
+                if e.name == "service.request"] == [400, 200]
+
     def test_bad_content_length_is_400(self, tmp_path):
         service, _ = make_service(tmp_path)
 
