@@ -26,18 +26,18 @@ def estimator_report():
 
 @pytest.fixture(scope="module")
 def experiment():
-    chips = PopulationGenerator(PopulationSpec(n_devices=11000,
-                                               seed=1105)).generate()
-    return StressClassifier().classify(chips)
+    lot = PopulationGenerator(PopulationSpec(n_devices=11000,
+                                             seed=1105)).generate()
+    return StressClassifier().classify(lot)
 
 
 def test_agreement_regeneration(benchmark):
     def both_worlds():
         report = MemoryTestFlow(VEQTOR4_INSTANCE,
                                 n_sites=1000).run().bridge_report
-        chips = PopulationGenerator(
+        lot = PopulationGenerator(
             PopulationSpec(n_devices=2000, seed=1105)).generate()
-        exp = StressClassifier().classify(chips)
+        exp = StressClassifier().classify(lot)
         return report, exp
     report, exp = benchmark.pedantic(both_worlds, rounds=1, iterations=1)
     assert report.best_condition().condition == "VLV"

@@ -19,18 +19,16 @@ def main() -> None:
     # 1. Build the lot: 11000 parts, four 256 Kbit instances each.
     spec = PopulationSpec(n_devices=11000, seed=1105)
     generator = PopulationGenerator(spec)
-    chips = generator.generate()
-    defective = sum(1 for c in chips if c.is_defective)
-    print(f"lot: {spec.n_devices} parts, {defective} carry >=1 defect "
-          f"(expected {generator.expected_defective_fraction():.1%})")
+    lot = generator.generate()
 
     # 2. Screen-then-stress protocol.
-    classifier = StressClassifier()
-    experiment = classifier.classify(chips)
-    print(f"standard-test fails (yield loss): {experiment.n_standard_fails}")
-    interesting = experiment.interesting_devices
+    experiment = StressClassifier().classify(lot)
+    print(f"lot: {experiment.devices} parts, {experiment.defective} carry "
+          f">=1 defect (expected "
+          f"{generator.expected_defective_fraction():.1%})")
+    print(f"standard-test fails (yield loss): {experiment.standard_fails}")
     print(f"interesting devices (escapes of the standard flow): "
-          f"{len(interesting)}\n")
+          f"{experiment.interesting}\n")
 
     # 3. The Venn diagram (paper Figure 11).
     venn = VennCounts.from_experiment(experiment)

@@ -189,18 +189,21 @@ def _cmd_venn(args: argparse.Namespace) -> int:
     from repro.experiment.population import PopulationGenerator, PopulationSpec
     from repro.experiment.venn import PAPER_VENN, VennCounts
 
-    spec = PopulationSpec(n_devices=args.devices, seed=args.seed)
-    chips = PopulationGenerator(spec).generate()
-    result = StressClassifier().classify(chips)
-    venn = VennCounts.from_experiment(result)
-    print(f"lot: {args.devices} devices (seed {args.seed}); "
-          f"standard fails {result.n_standard_fails}")
-    print(render_venn_comparison(venn, PAPER_VENN))
+    diagnostician = None
     if args.diagnose:
         from repro.experiment.diagnosis import LotDiagnostician
 
+        diagnostician = LotDiagnostician()
+    spec = PopulationSpec(n_devices=args.devices, seed=args.seed)
+    acc = StressClassifier().classify(PopulationGenerator(spec).generate(),
+                                      diagnostician)
+    venn = VennCounts.from_experiment(acc)
+    print(f"lot: {args.devices} devices (seed {args.seed}); "
+          f"standard fails {acc.standard_fails}")
+    print(render_venn_comparison(venn, PAPER_VENN))
+    if args.diagnose:
         print()
-        print(LotDiagnostician().diagnose(result).render())
+        print("\n".join(acc.render_hints()))
     return 0
 
 

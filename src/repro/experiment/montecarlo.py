@@ -87,7 +87,8 @@ class MonteCarloResult:
         }
 
     def render(self) -> str:
-        lines = [f"{self.n_runs} lots x {len(self.venns)} runs"]
+        lines = [f"{self.n_runs} runs, seeds "
+                 f"{self.seeds[0]}-{self.seeds[-1]}"]
         lines.append(f"{'region':>16} {'mean':>6} {'std':>5} "
                      f"{'min':>4} {'max':>4}")
         for region in REGIONS:
@@ -115,8 +116,8 @@ def run_monte_carlo(n_runs: int = 10,
     venns: list[VennCounts] = []
     for seed in seeds:
         spec = PopulationSpec(n_devices=n_devices, seed=seed)
-        chips = PopulationGenerator(spec).generate()
-        venns.append(VennCounts.from_experiment(classifier.classify(chips)))
+        lot = PopulationGenerator(spec).generate()
+        venns.append(VennCounts.from_experiment(classifier.classify(lot)))
     stats = {
         region: RegionStats(region, [getattr(v, region) for v in venns])
         for region in REGIONS

@@ -11,21 +11,21 @@ the point: the paper's headline observation is that simulation
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.technology import CMOS018, Technology
 from repro.defects.distribution import (
     DefectDensity,
     ResistanceDistribution,
     default_bridge_distribution,
     default_open_distribution,
 )
-from repro.defects.models import SITE_CODE, DefectKind
+from repro.defects.models import SITE_CODE, DefectArrays, DefectKind
+from repro.experiment.veqtor import VeqtorChip
 from repro.ifa.extraction import DefectFill, IfaExtractor
 from repro.memory.geometry import VEQTOR4_INSTANCE, MemoryGeometry
-from repro.experiment.veqtor import VeqtorChip
 
 #: Instances whose Poisson counts :meth:`PopulationGenerator.generate`
 #: draws in one call (about one defect-free run at the default density).
@@ -55,20 +55,17 @@ class PopulationGenerator:
     Args:
         spec: Lot parameters.
         geometry: Per-instance memory organisation.
-        tech: Technology corner.
         bridge_distribution / open_distribution: Fab R distributions.
         extractor: IFA site extractor (supplies site classes/strengths).
     """
 
     def __init__(self, spec: PopulationSpec | None = None,
                  geometry: MemoryGeometry = VEQTOR4_INSTANCE,
-                 tech: Technology = CMOS018,
                  bridge_distribution: ResistanceDistribution | None = None,
                  open_distribution: ResistanceDistribution | None = None,
                  extractor: IfaExtractor | None = None) -> None:
         self.spec = spec if spec is not None else PopulationSpec()
         self.geometry = geometry
-        self.tech = tech
         self.bridge_distribution = (bridge_distribution
                                     or default_bridge_distribution())
         self.open_distribution = open_distribution or default_open_distribution()
@@ -95,22 +92,23 @@ class PopulationGenerator:
                     chip.add_defect(instance, self._draw_defect(rng))
             yield chip
 
-    def generate(self) -> list[VeqtorChip]:
-        """Draw the lot.
+    def generate(self) -> DefectBlock:
+        """Draw the lot as one :class:`DefectBlock`.
 
         Defect count per instance ~ Poisson(area x D0); every defect is
         a bridge with probability ``bridge_fraction`` else an open, with
         site/strength from the extractor and R from the fab distribution.
 
         The generator calls are :meth:`iter_chips`'s, in its order, so
-        the lot is ``==`` to ``list(iter_chips())``.  The Poisson counts
+        the block's parts are the oracle's defective chips
+        (``lot.chip(k)`` is the ``k``-th of them).  The Poisson counts
         come in blocks of :data:`POISSON_BLOCK`: a block that holds a
         non-zero count is redrawn from its saved generator state up to
         that count (``poisson(lam, size=k)`` consumes the stream as
         ``k`` scalar calls do), and that instance's defects follow.
         Every defect is drawn into one
-        :class:`~repro.ifa.extraction.DefectFill`, and only the drawn
-        defects are materialised as :class:`~repro.defects.models.Defect`.
+        :class:`~repro.ifa.extraction.DefectFill`; no chip and no
+        :class:`~repro.defects.models.Defect` is built.
         """
         rng = np.random.default_rng(self.spec.seed)
         lam = self.spec.density.defects_per_chip(self.geometry.array_area_um2())
@@ -135,11 +133,12 @@ class PopulationGenerator:
                 owners.append(instance)
                 self._fill_defect(fill, rng)
             instance += 1
-        chips = [VeqtorChip(chip_id) for chip_id in range(self.spec.n_devices)]
-        for owner, defect in zip(owners, fill.arrays().defects()):
-            chip, slot = divmod(owner, VeqtorChip.N_INSTANCES)
-            chips[chip].defects[slot].append(defect)
-        return chips
+        chip_ids, instances = np.divmod(np.array(owners, dtype=np.intp),
+                                        VeqtorChip.N_INSTANCES)
+        chip_starts = np.flatnonzero(np.diff(chip_ids, prepend=-1))
+        return DefectBlock(start=0, devices=self.spec.n_devices,
+                           rows=chip_ids[chip_starts], chip_starts=chip_starts,
+                           instances=instances, defects=fill.arrays())
 
     def _fill_defect(self, fill: DefectFill, rng: np.random.Generator) -> None:
         """Draw one defect into ``fill``, as :meth:`_draw_defect` does."""
@@ -165,3 +164,82 @@ class PopulationGenerator:
         per_instance = self.spec.density.yield_fraction(
             self.geometry.array_area_um2())
         return 1.0 - per_instance ** VeqtorChip.N_INSTANCES
+
+
+@dataclass(frozen=True)
+class DefectBlock:
+    """A run of devices as flat arrays of its defective parts' defects.
+
+    The one lot representation from draw to classification: the
+    Figure 11 lot (:meth:`PopulationGenerator.generate`), each RNG
+    block of the streaming engine and each shard they join into.
+    Clean parts are only counted.
+
+    Attributes:
+        start: Device id of the block's first device.
+        devices: Devices the block covers, clean ones included.
+        rows: Block-relative row of each defective part, ascending.
+        chip_starts: Offset into ``defects`` of each defective part's
+            first defect (a part's defects are contiguous).
+        instances: Core instance of each defect.
+        defects: Every defect of the block, part by part, instance by
+            instance, in draw order.
+    """
+
+    start: int
+    devices: int
+    rows: np.ndarray
+    chip_starts: np.ndarray
+    instances: np.ndarray
+    defects: DefectArrays
+
+    @classmethod
+    def from_chips(cls, start: int,
+                   chips: Sequence[VeqtorChip]) -> DefectBlock:
+        """Flatten ``chips``, devices ``start`` on, into a block."""
+        rows = [k for k, chip in enumerate(chips) if chip.is_defective]
+        instances = [instance for k in rows
+                     for instance, defects in enumerate(chips[k].defects)
+                     for _ in defects]
+        sizes = np.array([len(chips[k].all_defects) for k in rows],
+                         dtype=np.intp)
+        return cls(
+            start=start, devices=len(chips),
+            rows=np.array(rows, dtype=np.intp),
+            chip_starts=np.cumsum(sizes) - sizes,
+            instances=np.array(instances, dtype=np.intp),
+            defects=DefectArrays.from_defects(
+                [d for k in rows for d in chips[k].all_defects]))
+
+    @classmethod
+    def join(cls, start: int, devices: int,
+             blocks: list[DefectBlock]) -> DefectBlock:
+        """One block of ``devices`` devices from ``start``, holding
+        ``blocks``' parts in order.
+
+        Rows become relative to ``start`` and each block's
+        ``chip_starts`` shift by the defects before it, so part ``k`` of
+        the result is the ``k``-th part of the concatenation.
+        """
+        sizes = [len(block.defects) for block in blocks]
+        offsets = np.cumsum(sizes) - sizes
+        return cls(
+            start=start, devices=devices,
+            rows=np.concatenate([block.rows + (block.start - start)
+                                 for block in blocks]),
+            chip_starts=np.concatenate([
+                block.chip_starts + offset
+                for block, offset in zip(blocks, offsets.tolist())]),
+            instances=np.concatenate([block.instances for block in blocks]),
+            defects=DefectArrays.concatenate(
+                [block.defects for block in blocks]))
+
+    def chip(self, k: int) -> VeqtorChip:
+        """Materialise defective part ``k`` as a :class:`VeqtorChip`."""
+        first = int(self.chip_starts[k])
+        stop = (int(self.chip_starts[k + 1]) if k + 1 < len(self.rows)
+                else len(self.defects))
+        chip = VeqtorChip(self.start + int(self.rows[k]))
+        for d in range(first, stop):
+            chip.add_defect(int(self.instances[d]), self.defects.defect(d))
+        return chip

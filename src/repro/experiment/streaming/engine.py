@@ -15,16 +15,17 @@ Generation is vectorised per RNG block: one ``poisson`` call for the
 whole block's defect-count matrix, one uniform draw for defect kinds,
 and one batched attribute-per-array defect draw
 (:meth:`~repro.ifa.extraction.IfaExtractor.sample_batch`).  Blocks
-stay in arrays (:class:`DefectBlock`) and a shard's blocks are joined
-into one, so classification is one
-:meth:`~repro.experiment.classify.StressClassifier.fail_bits` call per
-shard -- one elementwise kernel call per (site class, condition) over
-all of the shard's defects -- and a ``bincount`` of the parts'
-fail-bit words into the accumulator; no chip materialises unless
-diagnosed.  The unit deadline is still checked after every block's
-draw.  ``scheme="legacy"`` streams the original single-stream chips
-and classifies them through the same kernel, one block-sized slice at
-a time (its single shard is the whole lot).
+stay in arrays (:class:`~repro.experiment.population.DefectBlock`, the
+Figure 11 lot's type too) and a shard's blocks are joined into one, so
+a shard is one
+:meth:`~repro.experiment.classify.StressClassifier.classify` call: one
+elementwise kernel call per (site class, condition) over all of the
+shard's defects and a ``bincount`` of the parts' fail-bit words into
+the accumulator; no chip materialises unless diagnosed.  The unit
+deadline is still checked after every block's draw.
+``scheme="legacy"`` streams the original single-stream chips, flattens
+them one block-sized slice at a time and classifies them the same way
+(its single shard is the whole lot).
 
 Exact-path equivalence: tests/experiment/test_streaming.py
 (``scheme="legacy"`` reduces the original single-stream draw order to
@@ -36,8 +37,7 @@ path's payload equals a fold of the per-chip oracle
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Any
@@ -51,13 +51,12 @@ from repro.defects.distribution import (
     default_open_distribution,
 )
 from repro.defects.models import DefectArrays, DefectKind
-from repro.experiment.classify import (
-    DeviceRecord,
-    StressClassifier,
-    decode_fail_bits,
+from repro.experiment.classify import ExperimentAccumulator, StressClassifier
+from repro.experiment.population import (
+    DefectBlock,
+    PopulationGenerator,
+    PopulationSpec,
 )
-from repro.experiment.population import PopulationGenerator, PopulationSpec
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.plan import (
     DEFAULT_BLOCK_DEVICES,
     ShardPlan,
@@ -181,7 +180,7 @@ class StreamingExperiment:
         """The (cached) legacy-scheme population generator."""
         if self._generator is None:
             self._generator = PopulationGenerator(
-                self.spec, geometry=self.geometry, tech=self.tech,
+                self.spec, geometry=self.geometry,
                 bridge_distribution=self.bridge_distribution,
                 open_distribution=self.open_distribution,
                 extractor=self.extractor)
@@ -223,23 +222,6 @@ class StreamingExperiment:
     # ------------------------------------------------------------------
     # Streaming generation
     # ------------------------------------------------------------------
-    def iter_shard_chips(self, shard: ShardUnit) -> Iterator[VeqtorChip]:
-        """Yield the shard's chips without materializing the shard.
-
-        Under ``spawn``, only *defective* chips are yielded (clean
-        devices are implied by ``shard.devices``); under ``legacy``
-        every chip streams through in the original draw order.  This
-        is the per-chip view: :meth:`classified_blocks` reads
-        :meth:`block_defects` instead and builds no chip at all.
-        """
-        if self.plan.scheme == "legacy":
-            yield from self.generator.iter_chips()
-            return
-        for block_index, start, stop in self.plan.blocks_of(shard):
-            block = self.block_defects(block_index, start, stop)
-            if block is not None:
-                yield from (block.chip(k) for k in range(len(block.rows)))
-
     def block_defects(self, block_index: int, start: int,
                       stop: int) -> DefectBlock | None:
         """Vectorised draw of one RNG block's defects (``None``: clean).
@@ -256,7 +238,10 @@ class StreamingExperiment:
         lam = self.density.defects_per_chip(self.geometry.array_area_um2())
         n = stop - start
         counts = rng.poisson(lam, size=(n, VeqtorChip.N_INSTANCES))
-        total = int(counts.sum())
+        # Column by column: numpy's ``sum(axis=1)`` over four-wide rows
+        # costs ~4x as much.
+        per_chip = sum(counts.T)
+        total = int(per_chip.sum())
         if total == 0:
             return None
         is_bridge = rng.random(total) < self.density.bridge_fraction
@@ -271,53 +256,42 @@ class StreamingExperiment:
         # matrix in row-major order); the k-th bridge and the k-th open
         # land on the k-th True / False of ``is_bridge``.
         defects = DefectArrays.interleave(is_bridge, bridges, opens)
-        per_chip = counts.sum(axis=1)
         rows = np.flatnonzero(per_chip)
         sizes = per_chip[rows]
         instances = np.repeat(
             np.tile(np.arange(VeqtorChip.N_INSTANCES), n), counts.ravel())
-        return DefectBlock(start=start, rows=rows,
+        return DefectBlock(start=start, devices=n, rows=rows,
                            chip_starts=np.cumsum(sizes) - sizes,
                            instances=instances, defects=defects)
 
-    def classified_blocks(self, shard: ShardUnit,
-                          after_block: Callable[[int], None],
-                          ) -> Iterator[tuple[np.ndarray,
-                                              Callable[[int], VeqtorChip]]]:
-        """Classify the shard's defective parts.
+    def shard_lot(self, shard: ShardUnit,
+                  after_block: Callable[[int], None]) -> DefectBlock | None:
+        """Draw the shard's defective parts as one block (``None``:
+        every part is clean).
 
-        Yields the fail-bit words of a run of defective parts
-        (:meth:`~repro.experiment.classify.StressClassifier.fail_bits`)
-        and a function materialising part ``k`` of the run as a chip.
-        Under ``spawn`` the run is the whole shard: every RNG block is
-        drawn, then the blocks are joined and classified in one call.
-        Under ``legacy`` a run is the next block-sized slice of the
-        single-stream chips.  ``after_block(n)`` is called once ``n``
-        blocks are drawn (``legacy``: classified), so a deadline can
-        stop the shard between blocks, before the kernel runs.
+        Under ``spawn`` each RNG block is drawn by :meth:`block_defects`;
+        under ``legacy`` (one shard, the whole lot) each block-sized
+        slice of the single-stream chips
+        (:meth:`~repro.experiment.population.PopulationGenerator.
+        iter_chips`) is flattened.  The blocks are joined into one, so
+        a shard is classified in one call.  ``after_block(n)`` is called
+        once ``n`` blocks are drawn, so a deadline can stop the shard
+        between blocks, before the kernel runs.
         """
-        classifier = self.classifier
-        blocks = self.plan.blocks_of(shard)
-        if self.plan.scheme == "legacy":
-            chips = self.iter_shard_chips(shard)
-            for done, (_, start, stop) in enumerate(blocks, 1):
-                defective = [chip for chip in islice(chips, stop - start)
-                             if chip.is_defective]
-                if defective:
-                    yield (classifier.chip_fail_bits(defective),
-                           defective.__getitem__)
-                after_block(done)
-            return
+        chips = (self.generator.iter_chips()
+                 if self.plan.scheme == "legacy" else None)
         drawn: list[DefectBlock] = []
-        for done, (block_index, start, stop) in enumerate(blocks, 1):
-            block = self.block_defects(block_index, start, stop)
+        for done, (block_index, start, stop) in enumerate(
+                self.plan.blocks_of(shard), 1):
+            block = (self.block_defects(block_index, start, stop)
+                     if chips is None else DefectBlock.from_chips(
+                         start, list(islice(chips, stop - start))))
             if block is not None:
                 drawn.append(block)
             after_block(done)
-        if drawn:
-            joined = DefectBlock.join(shard.start, drawn)
-            yield (classifier.fail_bits(joined.defects, joined.chip_starts),
-                   joined.chip)
+        if not drawn:
+            return None
+        return DefectBlock.join(shard.start, shard.devices, drawn)
 
 
 class ShardEvaluator:
@@ -347,9 +321,8 @@ class ShardEvaluator:
         """Generate, classify and accumulate one shard.
 
         Draws the shard's RNG blocks in plan order, checking the
-        deadline after each, then folds the fail-bit words of its one
-        classification call (``legacy``: one per block-sized slice) in
-        and diagnoses the interesting parts if asked.
+        deadline after each, then classifies the joined block in one
+        call, diagnosing its interesting parts if asked.
 
         Raises:
             UnitDeadlineExceeded: the shard overran ``unit_deadline``
@@ -357,13 +330,13 @@ class ShardEvaluator:
         """
         engine = self.engine
         started = self.clock()
-        acc = ExperimentAccumulator(devices=shard.devices)
-        diagnostician = engine.diagnostician if engine.diagnose else None
         after_block = partial(self._check_deadline, shard, started)
-        for bits, chip in engine.classified_blocks(shard, after_block):
-            acc.observe_fail_bits(bits)
-            if diagnostician is not None:
-                _diagnose_parts(diagnostician, acc, bits, chip)
+        lot = engine.shard_lot(shard, after_block)
+        if lot is None:
+            acc = ExperimentAccumulator(devices=shard.devices)
+        else:
+            acc = engine.classifier.classify(
+                lot, engine.diagnostician if engine.diagnose else None)
         payload: Any = acc.as_payload()
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload)
@@ -398,67 +371,3 @@ class ShardEvaluator:
         }
         return UnitOutcome(index=shard.index, unit_id=shard.unit_id,
                            record=payload, quarantine=[entry])
-
-
-@dataclass(frozen=True)
-class DefectBlock:
-    """One RNG block's defective parts as flat defect arrays.
-
-    Attributes:
-        start: Device id of the block's first device.
-        rows: Block-relative row of each defective part, ascending.
-        chip_starts: Offset into ``defects`` of each defective part's
-            first defect (a part's defects are contiguous).
-        instances: Core instance of each defect.
-        defects: Every defect of the block, part by part, instance by
-            instance, in draw order.
-    """
-
-    start: int
-    rows: np.ndarray
-    chip_starts: np.ndarray
-    instances: np.ndarray
-    defects: DefectArrays
-
-    @classmethod
-    def join(cls, start: int, blocks: list[DefectBlock]) -> DefectBlock:
-        """One block holding ``blocks``' parts in order, from ``start``.
-
-        Rows become relative to ``start`` and each block's
-        ``chip_starts`` shift by the defects before it, so part ``k`` of
-        the result is the ``k``-th part of the concatenation.
-        """
-        sizes = [len(block.defects) for block in blocks]
-        offsets = np.cumsum(sizes) - sizes
-        return cls(
-            start=start,
-            rows=np.concatenate([block.rows + (block.start - start)
-                                 for block in blocks]),
-            chip_starts=np.concatenate([
-                block.chip_starts + offset
-                for block, offset in zip(blocks, offsets.tolist())]),
-            instances=np.concatenate([block.instances for block in blocks]),
-            defects=DefectArrays.concatenate(
-                [block.defects for block in blocks]))
-
-    def chip(self, k: int) -> VeqtorChip:
-        """Materialise defective part ``k`` as a :class:`VeqtorChip`."""
-        first = int(self.chip_starts[k])
-        stop = (int(self.chip_starts[k + 1]) if k + 1 < len(self.rows)
-                else len(self.defects))
-        chip = VeqtorChip(self.start + int(self.rows[k]))
-        for d in range(first, stop):
-            chip.add_defect(int(self.instances[d]), self.defects.defect(d))
-        return chip
-
-
-def _diagnose_parts(diagnostician: LotDiagnostician,
-                    acc: ExperimentAccumulator, bits: np.ndarray,
-                    chip: Callable[[int], VeqtorChip]) -> None:
-    """Diagnose a run's interesting parts, the only ones materialised."""
-    for k, word in enumerate(bits.tolist()):
-        failed_standard, failed_stress = decode_fail_bits(word)
-        if failed_standard or not failed_stress:
-            continue
-        record = DeviceRecord(chip(k), False, failed_stress)
-        acc.observe_hints(diagnostician.diagnose_device(record).hints)

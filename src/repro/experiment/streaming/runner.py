@@ -15,19 +15,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.classify import STRESS_NAMES, ExperimentAccumulator
 from repro.experiment.streaming.engine import (
     ShardEvaluator,
     StreamingExperiment,
 )
-from repro.experiment.classify import STRESS_NAMES
 from repro.runner.checkpoint import CheckpointedRun
 from repro.runner.outcome import UnitOutcome, check_unit_deadline
-
-if TYPE_CHECKING:
-    from repro.experiment.venn import VennCounts
 
 
 @dataclass
@@ -50,27 +46,21 @@ class StreamingResult:
     supervisor_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
 
-    @property
-    def venn(self) -> VennCounts:
-        """The lot-level Venn regions."""
-        return self.accumulator.venn
-
     def render(self) -> str:
         """Human-readable run summary."""
+        from repro.experiment.venn import VennCounts
+
         acc = self.accumulator
         lines = [
             f"devices: {acc.devices}  defective: {acc.defective}  "
             f"standard fails: {acc.standard_fails}  "
             f"errors: {acc.errors}",
-            self.venn.render(),
+            VennCounts.from_experiment(acc).render(),
         ]
         for name in STRESS_NAMES:
             lines.append(f"  escape DPM ({name}): "
                          f"{acc.escape_dpm(name):.1f}")
-        for condition, counts in sorted(acc.hint_counts.items()):
-            lines.append(f"  hints at {condition}:")
-            for value in sorted(counts):
-                lines.append(f"    {value:>20}: {counts[value]}")
+        lines.extend(acc.render_hints())
         return "\n".join(lines)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiment.classify import ExperimentResult
+from repro.experiment.classify import ExperimentAccumulator
 
 _REGIONS: tuple[frozenset[str], ...] = (
     frozenset({"VLV"}),
@@ -23,9 +23,8 @@ _REGIONS: tuple[frozenset[str], ...] = (
     frozenset({"VLV", "Vmax", "at-speed"}),
 )
 
-#: Exact stress-fail set -> :class:`VennCounts` field name.  The reduce
-#: step of the streaming experiment engine keys on this mapping, so it
-#: is part of the accumulator payload contract.
+#: Exact stress-fail set -> :class:`VennCounts` field name (the keys of
+#: :attr:`~repro.experiment.classify.ExperimentAccumulator.class_counts`).
 REGION_FIELDS: dict[frozenset[str], str] = {
     frozenset({"VLV"}): "vlv_only",
     frozenset({"Vmax"}): "vmax_only",
@@ -134,8 +133,9 @@ class VennCounts:
         return cls(**fields)
 
     @classmethod
-    def from_experiment(cls, result: ExperimentResult) -> "VennCounts":
-        return cls.from_class_counts(result.stress_class_counts())
+    def from_experiment(cls, acc: ExperimentAccumulator) -> "VennCounts":
+        """The Venn regions of a classified lot's interesting devices."""
+        return cls.from_class_counts(acc.class_counts)
 
 
 #: The paper's Figure 11 numbers (out of ~11k devices).

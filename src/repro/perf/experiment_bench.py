@@ -13,13 +13,13 @@ number is reported:
 * **memory** -- ``tracemalloc`` peaks of two streaming runs that differ
   only in device count: the O(classes) reduce means the peak must be a
   function of the shard/block shape, not of N (``memory_independent``);
-* **legacy** -- the original materialise-the-whole-lot path
+* **legacy** -- the whole-lot Figure 11 path
   (:meth:`PopulationGenerator.generate` +
   :meth:`StressClassifier.classify`) timed at an equal, smaller N
   against the streaming path: ``speedup``;
 * **legacy_identical** -- ``scheme="legacy"`` streaming folds the exact
-  single-stream draw order, so its accumulator payload must equal
-  :meth:`ExperimentAccumulator.from_experiment` of the legacy result;
+  single-stream draw order, so its accumulator payload must equal the
+  payload of the whole-lot path's accumulator;
 * **shard_invariant** -- the same population reduced under a different
   shard layout must produce a byte-identical payload (the
   block-substream contract);
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.defects.models import DefectKind
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
 from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.runner.atomic import canonical_json
@@ -66,8 +65,9 @@ class ExperimentBenchConfig:
         alt_shard_devices: Second shard size for the invariance check.
         memory_devices: Device counts of the two tracemalloc probes.
         legacy_devices: Equal-N size of the legacy-vs-streaming timing
-            (the legacy path materialises the whole lot, so this stays
-            small enough to keep the benchmark seconds-scale).
+            (the legacy path draws the whole lot in one scalar-order
+            pass, so this stays small enough to keep the benchmark
+            seconds-scale).
         invariance_devices: Size of the shard-invariance runs.
         pool_devices: Size of the serial-vs-pool timing.  The pool
             width is not configurable: one worker per visible CPU, at
@@ -213,8 +213,8 @@ def _bench_memory(config: ExperimentBenchConfig) -> dict[str, Any]:
 def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
     """Equal-N legacy vs streaming timing plus the identity check.
 
-    The legacy half is the pre-streaming pipeline exactly as `repro
-    venn` runs it: materialise every chip, then classify the list.  The
+    The legacy half is the whole-lot pipeline exactly as `repro venn`
+    runs it: draw the lot as one block, then classify it.  The
     identity half re-folds the same single-stream draw order through
     ``scheme="legacy"`` streaming and compares canonical payloads.
 
@@ -248,8 +248,7 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
         streaming_runs.append(time.perf_counter() - started)
     legacy_seconds = statistics.median(legacy_runs)
     streaming_seconds = statistics.median(streaming_runs)
-    legacy_payload = ExperimentAccumulator.from_experiment(
-        legacy_result).as_payload()
+    legacy_payload = legacy_result.as_payload()
 
     identity_payload = _payload(config, n, scheme="legacy")
     legacy_identical = (canonical_json(identity_payload)

@@ -13,12 +13,16 @@ from repro.defects.models import (
 )
 from repro.experiment.classify import (
     FAIL_BIT_NAMES,
-    DeviceRecord,
-    ExperimentResult,
+    ExperimentAccumulator,
     StressClassifier,
     decode_fail_bits,
 )
-from repro.experiment.population import PopulationGenerator, PopulationSpec
+from repro.experiment.population import (
+    DefectBlock,
+    PopulationGenerator,
+    PopulationSpec,
+)
+from repro.runner.atomic import canonical_json
 from repro.experiment.veqtor import VeqtorChip
 from repro.experiment.venn import PAPER_VENN, VennCounts
 from repro.memory.geometry import MemoryGeometry
@@ -36,68 +40,101 @@ def classifier():
     return StressClassifier(geometry=MemoryGeometry(8, 2, 4))
 
 
+def classify(classifier, chips):
+    """Classify a list of chips as one lot."""
+    return classifier.classify(DefectBlock.from_chips(0, chips))
+
+
+def only_class(acc):
+    """The one Venn region of an accumulator holding one interesting
+    part."""
+    region, = acc.class_counts
+    assert acc.class_counts[region] == 1
+    return region
+
+
+def oracle_fold(classifier, chips):
+    """The per-part oracle: ``classify_chip``'s words, folded."""
+    acc = ExperimentAccumulator(devices=len(chips))
+    words = [word for word in map(classifier.classify_chip, chips)
+             if word is not None]
+    acc.observe_fail_bits(np.array(words, dtype=np.uint8))
+    return acc
+
+
 class TestProtocol:
-    def test_clean_chip_not_recorded(self, classifier):
-        result = classifier.classify([VeqtorChip(0)])
-        assert result.records == []
-        assert result.n_devices == 1
+    def test_clean_chip_only_counted(self, classifier):
+        acc = classify(classifier, [VeqtorChip(0)])
+        assert (acc.devices, acc.defective) == (1, 0)
+        assert classifier.classify_chip(VeqtorChip(0)) is None
+
+    def test_standard_fail_is_not_retested_at_stress(self, classifier):
+        chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 20.0))
+        word = classifier.classify_chip(chip)
+        kernel, = classifier.fail_bits(
+            DefectArrays.from_defects(chip.all_defects), np.array([0]))
+        # The oracle stops at the first standard fail; the kernel
+        # evaluates every condition.  Both decode to one standard fail.
+        assert word == 1 << FAIL_BIT_NAMES.index("Vmin")
+        assert int(kernel) & ~word
+        assert decode_fail_bits(int(kernel)) == decode_fail_bits(word)
 
     def test_hard_fail_is_standard_yield_loss(self, classifier):
         chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 20.0))
-        result = classifier.classify([chip])
-        assert result.n_standard_fails == 1
-        assert result.interesting_devices == []
+        acc = classify(classifier, [chip])
+        assert acc.standard_fails == 1
+        assert acc.interesting == 0
+        assert decode_fail_bits(classifier.classify_chip(chip)) == (
+            True, frozenset())
 
     def test_vlv_only_defect_is_interesting(self, classifier):
         chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 150e3))
-        result = classifier.classify([chip])
-        interesting = result.interesting_devices
-        assert len(interesting) == 1
-        assert interesting[0].failed_stress == frozenset({"VLV"})
+        acc = classify(classifier, [chip])
+        assert acc.interesting == 1
+        assert only_class(acc) == frozenset({"VLV"})
 
     def test_vmax_only_defect(self, classifier):
         chip = chip_with(open_defect(OpenSite.DECODER_INPUT, 5e5))
-        result = classifier.classify([chip])
-        assert result.interesting_devices[0].failed_stress == frozenset(
+        assert only_class(classify(classifier, [chip])) == frozenset(
             {"Vmax"})
 
     def test_pullup_open_vlv_and_vmax(self, classifier):
         chip = chip_with(open_defect(OpenSite.CELL_PULLUP, 10e6))
-        result = classifier.classify([chip])
-        assert result.interesting_devices[0].failed_stress == frozenset(
+        assert only_class(classify(classifier, [chip])) == frozenset(
             {"VLV", "Vmax"})
 
     def test_escape_dpm(self, classifier):
         chips = [chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 150e3))
                  for _ in range(3)]
         chips += [VeqtorChip(i + 10) for i in range(7)]
-        result = classifier.classify(chips)
-        assert result.escape_dpm("VLV") == pytest.approx(3e5)
-        assert result.escape_dpm("Vmax") == 0.0
-
-
-def _record_tuples(records):
-    return [(r.chip.chip_id, r.failed_standard, sorted(r.failed_stress))
-            for r in records]
+        acc = classify(classifier, chips)
+        assert acc.escape_dpm("VLV") == pytest.approx(3e5)
+        assert acc.escape_dpm("Vmax") == 0.0
 
 
 class TestArrayClassification:
     """``classify`` on fail bits == the chip-by-chip scalar oracle."""
 
     @pytest.mark.parametrize("seed", [1, 7, 2005])
-    def test_records_equal_per_chip_path(self, seed):
-        chips = PopulationGenerator(
-            PopulationSpec(n_devices=3000, seed=seed)).generate()
+    def test_lot_equals_per_chip_path(self, seed):
+        generator = PopulationGenerator(
+            PopulationSpec(n_devices=3000, seed=seed))
         classifier = StressClassifier()
-        got = classifier.classify(chips)
-        expected = [record for record in map(classifier.classify_chip, chips)
-                    if record is not None]
-        assert got.records and _record_tuples(got.records) == (
-            _record_tuples(expected))
-        assert all(a.chip is b.chip for a, b in zip(got.records, expected))
-        assert got.n_standard_fails == sum(r.failed_standard
-                                           for r in expected)
-        assert got.n_devices == len(chips)
+        got = classifier.classify(generator.generate())
+        expected = oracle_fold(classifier, list(generator.iter_chips()))
+        assert got.interesting and got.standard_fails
+        assert canonical_json(got.as_payload()) == (
+            canonical_json(expected.as_payload()))
+
+    def test_from_chips_round_trips_the_parts(self):
+        chips = [chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 150e3)),
+                 VeqtorChip(1), VeqtorChip(2)]
+        chips[2].add_defect(3, open_defect(OpenSite.DECODER_INPUT, 5e5))
+        chips[2].add_defect(1, bridge(BridgeSite.CELL_NODE_RAIL, 20.0))
+        lot = DefectBlock.from_chips(0, chips)
+        assert lot.devices == 3
+        assert lot.rows.tolist() == [0, 2]
+        assert [lot.chip(k) for k in range(2)] == [chips[0], chips[2]]
 
     def test_fail_bits_or_over_a_chips_defects(self, classifier):
         silent = bridge(BridgeSite.CELL_NODE_RAIL, 10e6)
@@ -123,8 +160,7 @@ class TestArrayClassification:
         bits = classifier.fail_bits(silent, np.array([0]))
         assert bits.tolist() == [1 << at_speed]
         chip = chip_with(bridge(BridgeSite.CELL_NODE_RAIL, 10e6))
-        assert classifier.classify_chip(chip).failed_stress == frozenset(
-            {"at-speed"})
+        assert classifier.classify_chip(chip) == 1 << at_speed
 
     def test_timing_comes_from_the_behaviour_model(self, monkeypatch):
         # A core too slow for VLV and at-speed: the kernel and the
@@ -143,8 +179,8 @@ class TestArrayClassification:
         bits = classifier.fail_bits(DefectArrays.from_defects([silent]),
                                     np.array([0]))
         assert decode_fail_bits(bits.tolist()[0]) == (False, missed)
-        assert classifier.classify_chip(
-            chip_with(silent)).failed_stress == missed
+        assert decode_fail_bits(classifier.classify_chip(
+            chip_with(silent))) == (False, missed)
 
     def test_standard_fail_carries_no_stress_set(self):
         assert decode_fail_bits(0b11101) == (True, frozenset())
@@ -152,17 +188,19 @@ class TestArrayClassification:
             False, frozenset({"VLV", "at-speed"}))
 
 
+def word(*names):
+    """The fail-bit word of a part failing ``names``."""
+    return sum(1 << FAIL_BIT_NAMES.index(name) for name in names)
+
+
 class TestVennAccounting:
     def test_from_experiment(self):
-        result = ExperimentResult(n_devices=10)
-        result.records = [
-            DeviceRecord(VeqtorChip(0), False, frozenset({"VLV"})),
-            DeviceRecord(VeqtorChip(1), False, frozenset({"VLV"})),
-            DeviceRecord(VeqtorChip(2), False, frozenset({"VLV", "Vmax"})),
-            DeviceRecord(VeqtorChip(3), False, frozenset({"at-speed"})),
-            DeviceRecord(VeqtorChip(4), True),   # standard fail: excluded
-        ]
-        venn = VennCounts.from_experiment(result)
+        acc = ExperimentAccumulator(devices=10)
+        acc.observe_fail_bits(np.array([
+            word("VLV"), word("VLV"), word("VLV", "Vmax"), word("at-speed"),
+            word("Vmin", "VLV"),   # standard fail: excluded
+        ], dtype=np.uint8))
+        venn = VennCounts.from_experiment(acc)
         assert venn.vlv_only == 2
         assert venn.vlv_vmax == 1
         assert venn.atspeed_only == 1
@@ -192,9 +230,8 @@ class TestEndToEndVennShape:
     @pytest.fixture(scope="class")
     def venn(self):
         spec = PopulationSpec(n_devices=4000, seed=1105)
-        chips = PopulationGenerator(spec).generate()
-        result = StressClassifier().classify(chips)
-        return VennCounts.from_experiment(result)
+        lot = PopulationGenerator(spec).generate()
+        return VennCounts.from_experiment(StressClassifier().classify(lot))
 
     def test_vlv_dominates(self, venn):
         assert venn.vlv_only >= 3 * max(venn.vmax_only, 1) - 2
@@ -243,10 +280,9 @@ class TestEscapeDpmGuards:
     """Satellite: zero-division audit of the DPM estimators."""
 
     def test_empty_lot_has_no_escapes(self):
-        empty = ExperimentResult(records=[], n_devices=0)
-        assert empty.escape_dpm("VLV") == 0.0
+        assert ExperimentAccumulator().escape_dpm("VLV") == 0.0
 
     def test_lot_without_interesting_devices(self):
-        result = ExperimentResult(
-            records=[DeviceRecord(VeqtorChip(0), True)], n_devices=100)
-        assert result.escape_dpm("VLV") == 0.0
+        acc = ExperimentAccumulator(devices=100)
+        acc.observe_fail_bits(np.array([word("Vnom")], dtype=np.uint8))
+        assert acc.escape_dpm("VLV") == 0.0

@@ -51,6 +51,7 @@ class TestStability:
 
     def test_render(self, result):
         text = result.render()
+        assert text.splitlines()[0] == "4 runs, seeds 1105-1108"
         assert "vlv_only" in text
         assert "structural stability" in text
 

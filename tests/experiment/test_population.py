@@ -6,7 +6,9 @@ import pytest
 from repro.defects.distribution import DefectDensity
 from repro.defects.models import Defect, DefectKind
 from repro.experiment import population
+from repro.experiment.classify import StressClassifier
 from repro.experiment.population import PopulationGenerator, PopulationSpec
+from repro.experiment.veqtor import VeqtorChip
 
 
 @pytest.fixture(scope="module")
@@ -15,48 +17,64 @@ def small_lot():
     return PopulationGenerator(spec), PopulationGenerator(spec).generate()
 
 
+def arrays_of(lot):
+    """Every array of a lot, for exact comparison."""
+    defects = lot.defects
+    return [lot.rows, lot.chip_starts, lot.instances, defects.codes,
+            defects.strengths, defects.resistances, defects.cells,
+            defects.polarities]
+
+
 class TestGeneration:
-    def test_lot_size(self, small_lot):
-        _, chips = small_lot
-        assert len(chips) == 2000
-        assert [c.chip_id for c in chips] == list(range(2000))
+    def test_lot_shape(self, small_lot):
+        _, lot = small_lot
+        assert (lot.start, lot.devices) == (0, 2000)
+        rows = lot.rows.tolist()
+        assert rows == sorted(set(rows)) and 0 <= rows[0] <= rows[-1] < 2000
+        assert lot.chip_starts[0] == 0
+        assert np.all(np.diff(lot.chip_starts) > 0)
+        assert lot.chip_starts[-1] < len(lot.defects)
+        assert set(lot.instances.tolist()) <= set(
+            range(VeqtorChip.N_INSTANCES))
 
     def test_deterministic_given_seed(self):
         spec = PopulationSpec(n_devices=300, seed=11)
         a = PopulationGenerator(spec).generate()
         b = PopulationGenerator(spec).generate()
-        sig_a = [tuple(str(d) for d in c.all_defects) for c in a]
-        sig_b = [tuple(str(d) for d in c.all_defects) for c in b]
-        assert sig_a == sig_b
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(arrays_of(a), arrays_of(b)))
 
     def test_different_seeds_differ(self):
         a = PopulationGenerator(PopulationSpec(300, seed=1)).generate()
         b = PopulationGenerator(PopulationSpec(300, seed=2)).generate()
-        na = sum(len(c.all_defects) for c in a)
-        nb = sum(len(c.all_defects) for c in b)
-        assert (na, [c.is_defective for c in a]) != (nb, [c.is_defective
-                                                          for c in b])
+        assert (len(a.defects), a.rows.tolist()) != (len(b.defects),
+                                                      b.rows.tolist())
 
     def test_defective_fraction_matches_poisson(self, small_lot):
-        gen, chips = small_lot
-        observed = sum(1 for c in chips if c.is_defective) / len(chips)
+        gen, lot = small_lot
+        observed = len(lot.rows) / lot.devices
         expected = gen.expected_defective_fraction()
         assert observed == pytest.approx(expected, abs=0.02)
 
     def test_bridge_open_mix(self, small_lot):
-        gen, chips = small_lot
-        defects = [d for c in chips for d in c.all_defects]
+        gen, lot = small_lot
+        defects = lot.defects.defects()
         bridges = sum(d.kind is DefectKind.BRIDGE for d in defects)
         assert bridges / len(defects) == pytest.approx(
             gen.spec.density.bridge_fraction, abs=0.1)
 
     def test_resistances_sampled_from_distribution(self, small_lot):
-        gen, chips = small_lot
-        defects = [d for c in chips for d in c.all_defects
-                   if d.kind is DefectKind.BRIDGE]
-        rs = np.array([d.resistance for d in defects])
+        _, lot = small_lot
+        rs = np.array([d.resistance for d in lot.defects.defects()
+                       if d.kind is DefectKind.BRIDGE])
         # Bulk should be low-ohmic per the fab shape.
         assert np.median(rs) < 1e3
+
+    def test_clean_lot_is_an_empty_block(self):
+        spec = PopulationSpec(n_devices=50, seed=3,
+                              density=DefectDensity(1e-9, 0.8))
+        lot = PopulationGenerator(spec).generate()
+        assert (lot.devices, len(lot.rows), len(lot.defects)) == (50, 0, 0)
 
 
 class TestSpec:
@@ -94,7 +112,8 @@ def block_walk(counts):
 
 class TestGenerateOracle:
     """``generate()`` batches the Poisson counts and fills arrays, yet
-    draws exactly the lot of the one-call-at-a-time ``iter_chips()``."""
+    draws exactly the lot of the one-call-at-a-time ``iter_chips()``:
+    the block's parts are the oracle's defective chips."""
 
     @pytest.fixture
     def generators(self, monkeypatch):
@@ -113,7 +132,10 @@ class TestGenerateOracle:
         gen = PopulationGenerator(spec)
         lot = gen.generate()
         oracle = list(gen.iter_chips())
-        assert lot == oracle
+        defective = [chip for chip in oracle if chip.is_defective]
+        assert lot.devices == len(oracle)
+        assert lot.rows.tolist() == [chip.chip_id for chip in defective]
+        assert [lot.chip(k) for k in range(len(lot.rows))] == defective
         fast, slow = generators
         assert fast.bit_generator.state == slow.bit_generator.state
         return oracle
@@ -135,19 +157,27 @@ class TestGenerateOracle:
         assert block_walk(counts) == (True, True, True)
         assert counts.max() > 1
 
-    def test_one_defect_built_per_drawn_defect(self, monkeypatch):
-        gen = PopulationGenerator(PopulationSpec(n_devices=3000, seed=5))
-        gen.extractor.draw_table(DefectKind.BRIDGE)
-        built = []
-        check = Defect.__post_init__
 
-        def counted(defect):
-            built.append(defect)
-            check(defect)
+class TestMaterialisation:
+    """The Figure 11 path (``generate()`` + ``classify()``) stays in
+    arrays from draw to Venn: it builds no chip and no ``Defect``."""
 
-        monkeypatch.setattr(Defect, "__post_init__", counted)
-        lot = gen.generate()
-        drawn = [d for chip in lot for d in chip.all_defects]
-        assert len(drawn) > 100
-        assert len(built) == len(drawn)
-        assert all(a is b for a, b in zip(built, drawn))
+    def test_figure11_lot_builds_no_chip_and_no_defect(self, monkeypatch):
+        built = {VeqtorChip: 0, Defect: 0}
+
+        def count(cls):
+            check = cls.__post_init__
+
+            def counted(self):
+                built[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        count(VeqtorChip)
+        count(Defect)
+        lot = PopulationGenerator(PopulationSpec(n_devices=11_000)).generate()
+        acc = StressClassifier().classify(lot)
+        assert built == {VeqtorChip: 0, Defect: 0}
+        assert (acc.devices, acc.defective) == (11_000, len(lot.rows))
+        assert acc.interesting > 0

@@ -3,8 +3,8 @@
 The load-bearing suite for :mod:`repro.experiment.streaming`: the shard
 plan's determinism contract (results a pure function of ``(seed,
 n_devices, block_devices)``), the accumulator's merge algebra, the
-``scheme="legacy"`` byte-identity oracle against the materialise-
-everything pipeline, checkpoint resume, and worker-kill chaos healing
+``scheme="legacy"`` byte-identity oracle against the whole-lot
+pipeline, checkpoint resume, and worker-kill chaos healing
 without changing a single count.
 """
 
@@ -14,24 +14,26 @@ import numpy as np
 import pytest
 
 from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.distribution import DefectDensity
 from repro.defects.models import DefectArrays
 from repro.experiment.classify import (
     FAIL_BIT_NAMES,
-    DeviceRecord,
+    ExperimentAccumulator,
     StressClassifier,
     decode_fail_bits,
 )
 from repro.experiment.diagnosis import LotDiagnostician
-from repro.experiment.population import PopulationGenerator, PopulationSpec
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
-from repro.experiment.streaming.engine import (
+from repro.experiment.population import (
     DefectBlock,
+    PopulationGenerator,
+    PopulationSpec,
+)
+from repro.experiment.streaming.engine import (
     ShardEvaluator,
     StreamingExperiment,
 )
 from repro.experiment.streaming.plan import DEFAULT_BLOCK_DEVICES, ShardPlan
 from repro.experiment.streaming.runner import StreamingRunner
-from repro.experiment.veqtor import VeqtorChip
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import WORKER_EXIT_SITE, FaultInjector
 from repro.runner.checkpoint import (
@@ -44,10 +46,11 @@ from ..lots import blocked_lot
 
 
 def _engine(n_devices, *, seed=1105, scheme="spawn", shard_devices=None,
-            block_devices=DEFAULT_BLOCK_DEVICES, diagnose=False):
+            block_devices=DEFAULT_BLOCK_DEVICES, diagnose=False,
+            density=None):
     return blocked_lot(block_devices,
                        n_devices=n_devices, seed=seed, scheme=scheme,
-                       diagnose=diagnose,
+                       diagnose=diagnose, density=density,
                        **({"shard_devices": shard_devices}
                           if shard_devices is not None else {}))
 
@@ -62,6 +65,19 @@ def _payload(n_devices, *, workers=1, **kwargs):
     return runner.run().accumulator.as_payload()
 
 
+def _shard_chips(engine, shard):
+    """The shard's chips one by one: every chip of the single-stream
+    draw under ``legacy``, each RNG block's defective parts under
+    ``spawn``."""
+    if engine.plan.scheme == "legacy":
+        yield from engine.generator.iter_chips()
+        return
+    for block_index, start, stop in engine.plan.blocks_of(shard):
+        block = engine.block_defects(block_index, start, stop)
+        if block is not None:
+            yield from (block.chip(k) for k in range(len(block.rows)))
+
+
 def _per_chip_payload(n_devices, **kwargs):
     """The oracle: fold ``classify_chip`` over every shard's chips."""
     engine = _engine(n_devices, **kwargs)
@@ -69,14 +85,15 @@ def _per_chip_payload(n_devices, **kwargs):
     total = ExperimentAccumulator()
     for shard in engine.plan.shards():
         acc = ExperimentAccumulator(devices=shard.devices)
-        for chip in engine.iter_shard_chips(shard):
-            record = classifier.classify_chip(chip)
-            if record is None:
+        for chip in _shard_chips(engine, shard):
+            word = classifier.classify_chip(chip)
+            if word is None:
                 continue
-            acc.observe(record)
-            if engine.diagnose and record.interesting:
-                acc.observe_hints(
-                    engine.diagnostician.diagnose_device(record).hints)
+            acc.observe_fail_bits(np.array([word], dtype=np.uint8))
+            failed_standard, failed_stress = decode_fail_bits(word)
+            if engine.diagnose and not failed_standard and failed_stress:
+                acc.observe_hints(engine.diagnostician.diagnose_device(
+                    chip, failed_stress))
         total.merge(acc)
     return total.as_payload()
 
@@ -121,16 +138,15 @@ class TestShardPlan:
             ShardPlan(0)
 
 
-def _record(chip_id, failed_standard=False, failed_stress=()):
-    return DeviceRecord(chip=VeqtorChip(chip_id=chip_id),
-                        failed_standard=failed_standard,
-                        failed_stress=frozenset(failed_stress))
+def _word(failed_standard=False, failed_stress=()):
+    """The fail-bit word of one defective part."""
+    return sum(1 << FAIL_BIT_NAMES.index(name)
+               for name in ("Vmin",) * failed_standard + tuple(failed_stress))
 
 
 def _synthetic(devices, records, hints=()):
     acc = ExperimentAccumulator(devices=devices)
-    for record in records:
-        acc.observe(record)
+    acc.observe_fail_bits(np.array(records, dtype=np.uint8))
     for hint_map in hints:
         acc.observe_hints(hint_map)
     return acc
@@ -139,9 +155,9 @@ def _synthetic(devices, records, hints=()):
 class TestAccumulator:
     def test_observe_routes_standard_before_stress(self):
         acc = _synthetic(3, [
-            _record(0, failed_standard=True, failed_stress=("VLV",)),
-            _record(1, failed_stress=("VLV",)),
-            _record(2, failed_stress=("VLV", "Vmax")),
+            _word(failed_standard=True, failed_stress=("VLV",)),
+            _word(failed_stress=("VLV",)),
+            _word(failed_stress=("VLV", "Vmax")),
         ])
         assert acc.defective == 3
         assert acc.standard_fails == 1
@@ -150,8 +166,8 @@ class TestAccumulator:
 
     def test_payload_round_trip_is_identity(self):
         acc = _synthetic(10, [
-            _record(0, failed_stress=("VLV", "at-speed")),
-            _record(1, failed_standard=True),
+            _word(failed_stress=("VLV", "at-speed")),
+            _word(failed_standard=True),
         ], hints=[{"VLV": "coupling"}])
         payload = acc.as_payload()
         rebuilt = ExperimentAccumulator.from_payload(payload)
@@ -161,7 +177,7 @@ class TestAccumulator:
 
     def test_merge_equals_single_pass(self):
         records = [
-            _record(i, failed_standard=(i % 5 == 0),
+            _word(failed_standard=(i % 5 == 0),
                     failed_stress=("VLV",) if i % 3 == 0 else ())
             for i in range(30)
         ]
@@ -173,11 +189,11 @@ class TestAccumulator:
 
     def test_merge_is_commutative_and_associative(self):
         def fresh():
-            a = _synthetic(4, [_record(0, failed_stress=("VLV",))],
+            a = _synthetic(4, [_word(failed_stress=("VLV",))],
                            hints=[{"VLV": "single-cell"}])
-            b = _synthetic(6, [_record(1, failed_standard=True),
-                               _record(2, failed_stress=("Vmax",))])
-            c = _synthetic(2, [_record(3, failed_stress=("VLV",))])
+            b = _synthetic(6, [_word(failed_standard=True),
+                               _word(failed_stress=("Vmax",))])
+            c = _synthetic(2, [_word(failed_stress=("VLV",))])
             return a, b, c
 
         a, b, c = fresh()
@@ -189,39 +205,50 @@ class TestAccumulator:
         assert canonical_json(ab_c) == canonical_json(a_bc)
         assert canonical_json(ab_c) == canonical_json(cba)
 
-    def test_fail_bits_fold_like_records(self):
+    def test_fail_bits_fold_by_decoded_class(self):
         words = [0b00001, 0b00100, 0b01100, 0b11110, 0b00000, 0b00100]
-        records = [_record(i, *decode_fail_bits(w))
-                   for i, w in enumerate(words)]
-        by_bits = ExperimentAccumulator(devices=10)
-        by_bits.observe_fail_bits(np.array(words, dtype=np.uint8))
-        assert canonical_json(by_bits.as_payload()) == (
-            canonical_json(_synthetic(10, records).as_payload()))
+        acc = _synthetic(10, words)
+        assert (acc.defective, acc.standard_fails) == (6, 2)
+        assert acc.class_counts == {frozenset({"VLV"}): 2,
+                                    frozenset({"VLV", "Vmax"}): 1}
 
     def test_escape_dpm_guards_empty_accumulator(self):
         assert ExperimentAccumulator().escape_dpm("VLV") == 0.0
 
     def test_escape_dpm_counts_region_membership(self):
         acc = _synthetic(1_000_000, [
-            _record(0, failed_stress=("VLV",)),
-            _record(1, failed_stress=("VLV", "Vmax")),
-            _record(2, failed_stress=("at-speed",)),
+            _word(failed_stress=("VLV",)),
+            _word(failed_stress=("VLV", "Vmax")),
+            _word(failed_stress=("at-speed",)),
         ])
         assert acc.escape_dpm("VLV") == 2.0
         assert acc.escape_dpm("Vmax") == 1.0
 
+    def test_render_hints_sorts_conditions_and_values(self):
+        acc = _synthetic(3, [], hints=[
+            {"VLV": "single_cell_stuck", "Vmax": "address_pair"},
+            {"VLV": "column_failure"}, {"VLV": "single_cell_stuck"}])
+        assert acc.render_hints() == [
+            "  hints at VLV:",
+            "          column_failure: 1",
+            "       single_cell_stuck: 2",
+            "  hints at Vmax:",
+            "            address_pair: 1",
+        ]
+        assert ExperimentAccumulator().render_hints() == []
+
 
 class TestLegacyEquivalence:
-    """``scheme="legacy"`` streaming is byte-identical to the old path."""
+    """``scheme="legacy"`` streaming is byte-identical to the whole-lot
+    path."""
 
     N = 2048
     SEED = 77
 
-    def test_single_shard_matches_materialised_pipeline(self):
+    def test_single_shard_matches_whole_lot_pipeline(self):
         spec = PopulationSpec(n_devices=self.N, seed=self.SEED)
-        chips = PopulationGenerator(spec).generate()
-        legacy = ExperimentAccumulator.from_experiment(
-            StressClassifier().classify(chips))
+        legacy = StressClassifier().classify(
+            PopulationGenerator(spec).generate())
         streamed = _payload(self.N, seed=self.SEED, scheme="legacy")
         assert canonical_json(streamed) == (
             canonical_json(legacy.as_payload()))
@@ -229,8 +256,9 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("diagnose", [False, True])
     @pytest.mark.parametrize("seed", [1, 7, 2005])
     def test_block_slices_equal_per_chip_oracle(self, seed, diagnose):
-        """The legacy shard classifies block-sized slices through the
-        kernel; the payload is the per-chip fold's, hints included."""
+        """The legacy shard flattens block-sized slices and classifies
+        them through the kernel; the payload is the per-chip fold's,
+        hints included."""
         kwargs = dict(seed=seed, scheme="legacy", block_devices=1024,
                       diagnose=diagnose)
         streamed = _payload(5000, **kwargs)
@@ -398,14 +426,20 @@ class TestArrayPath:
     def test_block_chips_are_the_per_chip_view(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)
         shard = engine.plan.shards()[0]
-        chips = list(engine.iter_shard_chips(shard))
         blocks = [engine.block_defects(*b)
                   for b in engine.plan.blocks_of(shard)]
-        ids = [b.start + int(row) for b in blocks if b is not None
-               for row in b.rows]
-        assert [c.chip_id for c in chips] == ids
-        assert sum(len(c.all_defects) for c in chips) == sum(
-            len(b.defects) for b in blocks if b is not None)
+        assert all(b is not None for b in blocks)
+        for block in blocks:
+            chips = [block.chip(k) for k in range(len(block.rows))]
+            assert [c.chip_id for c in chips] == (
+                block.start + block.rows).tolist()
+            assert all(c.is_defective for c in chips)
+            assert [d for c in chips for d in c.all_defects] == (
+                block.defects.defects())
+        joined = DefectBlock.join(shard.start, shard.devices, blocks)
+        assert joined.devices == shard.devices
+        assert [joined.chip(k) for k in range(len(joined.rows))] == [
+            b.chip(k) for b in blocks for k in range(len(b.rows))]
 
 
 class TestDefectValidation:
@@ -469,9 +503,9 @@ class TestDiagnosis:
         diagnosed = []
         original = LotDiagnostician.diagnose_device
 
-        def recording(self, record):
-            diagnosed.append(record)
-            return original(self, record)
+        def recording(self, chip, failed_stress):
+            diagnosed.append((chip, failed_stress))
+            return original(self, chip, failed_stress)
 
         monkeypatch.setattr(LotDiagnostician, "diagnose_device", recording)
         engine = StreamingExperiment(n_devices=self.N, shard_devices=self.N,
@@ -480,16 +514,15 @@ class TestDiagnosis:
         acc = StreamingRunner(engine).run().accumulator
         assert len(diagnosed) == acc.interesting > 0
         per_block = {chip.chip_id: chip
-                     for chip in engine.iter_shard_chips(shard)}
-        ids = [record.chip.chip_id for record in diagnosed]
+                     for chip in _shard_chips(engine, shard)}
+        ids = [chip.chip_id for chip, _ in diagnosed]
         assert len(set(ids)) == len(ids)
         assert len({chip_id // engine.plan.block_devices
                     for chip_id in ids}) > 1
-        for record in diagnosed:
-            assert record.chip == per_block[record.chip.chip_id]
-            oracle = engine.classifier.classify_chip(record.chip)
-            assert (oracle.failed_standard, oracle.failed_stress) == (
-                record.failed_standard, record.failed_stress)
+        for chip, failed_stress in diagnosed:
+            assert chip == per_block[chip.chip_id]
+            oracle = engine.classifier.classify_chip(chip)
+            assert decode_fail_bits(oracle) == (False, failed_stress)
 
     def test_hint_histograms_equal_per_chip_path(self):
         array = _payload(self.N, shard_devices=8192, diagnose=True)
@@ -497,6 +530,35 @@ class TestDiagnosis:
                                      diagnose=True)
         assert array["hints"]
         assert canonical_json(array) == canonical_json(per_chip)
+
+    def test_run_summary_ends_with_the_hint_lines(self):
+        result = StreamingRunner(StreamingExperiment(
+            n_devices=8192, shard_devices=8192, diagnose=True)).run()
+        hints = result.accumulator.render_hints()
+        assert hints
+        assert result.render().splitlines()[-len(hints):] == hints
+
+
+class TestCleanShards:
+    """A shard without a defective part is counted, never classified."""
+
+    @pytest.fixture
+    def clean_lot(self):
+        return _engine(8192, shard_devices=4096,
+                       density=DefectDensity(1e-9, 0.8))
+
+    def test_clean_shard_draws_no_lot(self, clean_lot):
+        shard = clean_lot.plan.shards()[0]
+        assert clean_lot.shard_lot(shard, lambda done: None) is None
+
+    def test_clean_shards_reduce_to_their_device_count(
+            self, clean_lot, monkeypatch):
+        def refuse(self, lot, diagnostician=None):
+            raise AssertionError("a clean shard was classified")
+
+        monkeypatch.setattr(StressClassifier, "classify", refuse)
+        payload = StreamingRunner(clean_lot).run().accumulator.as_payload()
+        assert payload == ExperimentAccumulator(devices=8192).as_payload()
 
 
 class TestUnitDeadline:
@@ -540,6 +602,20 @@ class TestUnitDeadline:
         assert shard.unit_id in message
         assert "after 2 blocks" in message
         assert drawn == [0, 1]
+
+    def test_legacy_overrun_stops_the_slices_before_the_kernel(
+            self, monkeypatch):
+        def refuse(self, defects, chip_starts):
+            raise AssertionError("the kernel ran on an overrun shard")
+
+        monkeypatch.setattr(StressClassifier, "fail_bits", refuse)
+        engine = _engine(4096, scheme="legacy", block_devices=1024)
+        shard, = engine.plan.shards()
+        ticks = iter(range(100))
+        evaluator = ShardEvaluator(engine, unit_deadline=1.5)
+        evaluator.clock = lambda: float(next(ticks))
+        with pytest.raises(UnitDeadlineExceeded, match="after 2 blocks"):
+            evaluator.evaluate(shard)
 
     def test_runner_rejects_non_positive_deadline_up_front(self):
         engine = StreamingExperiment(n_devices=8192, shard_devices=8192)

@@ -9,7 +9,7 @@ the serial one on a small four-shard lot.
 
 import pytest
 
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.classify import ExperimentAccumulator
 from repro.experiment.streaming.engine import StreamingExperiment
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.perf.supervisor import SupervisedUnitExecutor

@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.classify import ExperimentAccumulator
 from repro.experiment.streaming.engine import ShardEvaluator
 from repro.experiment.streaming.runner import StreamingRunner
 from repro.obs.bus import read_journal

@@ -68,6 +68,18 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "VLV only" in out
+        assert "hints at" not in out
+
+    def test_venn_diagnose_renders_hints_as_experiment_run_does(
+            self, capsys):
+        rc = main(["venn", "--devices", "3000", "--seed", "3",
+                   "--diagnose"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n\n  hints at VLV:\n"
+                            "       single_cell_stuck: 6\n"
+                            "  hints at at-speed:\n"
+                            "       single_cell_stuck: 1\n")
 
     def test_plan(self, capsys):
         rc = main(["plan", "--samples", "500", "--target-dpm", "100"])

@@ -160,17 +160,14 @@ class TestEndToEndDeterminism:
         from repro.stress import production_conditions
         from repro.tester.ate import VirtualTester
 
-        chips = PopulationGenerator(
+        lot = PopulationGenerator(
             PopulationSpec(n_devices=400, seed=5)).generate()
         geom = MemoryGeometry(8, 2, 4)
         sram = Sram(geom, CMOS018)
         tester = VirtualTester(DefectBehaviorModel(CMOS018))
         conds = production_conditions(CMOS018)
-        checked = 0
-        for chip in chips:
-            if not chip.is_defective or checked >= 12:
-                continue
-            checked += 1
+        assert len(lot.rows) >= 12
+        for chip in map(lot.chip, range(12)):
             defects = [dataclasses.replace(d, cell=d.cell % geom.bits)
                        for d in chip.all_defects]
             for cond in (conds["VLV"], conds["Vnom"], conds["at-speed"]):
